@@ -1,88 +1,14 @@
 module Ec = Ld_models.Ec
 module Obs = Ld_obs.Obs
-module Pool = Ld_pool.Pool
-
-(* Per-run traffic of the EC executor. [darts_scanned] counts inbox
-   reads actually performed by machines (the lazy inbox only pays for
-   what [recv] touches); [send_cache_hits] counts reads served from a
-   halted sender's frozen broadcast; [active_nodes] sums the worklist
-   size over rounds, so active_nodes/rounds is the mean frontier. *)
-let c_rounds = Obs.Counter.make "runtime.ec.rounds"
-let c_darts = Obs.Counter.make "runtime.ec.darts_scanned"
-let c_reflected = Obs.Counter.make "runtime.ec.loop_reflected"
-let c_sends = Obs.Counter.make "runtime.ec.sends"
-let c_cache_hits = Obs.Counter.make "runtime.ec.send_cache_hits"
-let c_active = Obs.Counter.make "runtime.ec.active_nodes"
-let h_round = Ld_obs.Hist.make "runtime.ec.round"
 
 module Inbox = struct
-  (* A cursor over one node's dart segment [lo, hi) of the CSR arrays.
-     [out.(u)] is node [u]'s current broadcast; [frozen.(u)] means that
-     broadcast was cached at halt time. Tallies accumulate across
-     rounds and are flushed to the counters once per run. *)
-  type 'msg t = {
-    colours : int array;
-    others : int array;
-    out : 'msg array;
-    frozen : bool array;
-    mutable node : int;
-    mutable lo : int;
-    mutable hi : int;
-    mutable darts : int;
-    mutable reflected : int;
-    mutable hits : int;
-  }
+  type 'msg t = 'msg Anon.Inbox.t
 
-  let make ~colours ~others ~out ~frozen =
-    {
-      colours;
-      others;
-      out;
-      frozen;
-      node = 0;
-      lo = 0;
-      hi = 0;
-      darts = 0;
-      reflected = 0;
-      hits = 0;
-    }
-
-  let at ib row v =
-    ib.node <- v;
-    ib.lo <- row.(v);
-    ib.hi <- row.(v + 1)
-
-  let degree ib = ib.hi - ib.lo
-  let colour ib i = ib.colours.(ib.lo + i)
-
-  let read ib d =
-    let u = ib.others.(d) in
-    ib.darts <- ib.darts + 1;
-    if u = ib.node then ib.reflected <- ib.reflected + 1
-    else if ib.frozen.(u) then ib.hits <- ib.hits + 1;
-    ib.out.(u)
-
-  let msg ib i = read ib (ib.lo + i)
-
-  let find ib ~colour =
-    let rec go lo hi =
-      if lo >= hi then None
-      else begin
-        let mid = (lo + hi) / 2 in
-        let c = ib.colours.(mid) in
-        if c = colour then Some (read ib mid)
-        else if c < colour then go (mid + 1) hi
-        else go lo mid
-      end
-    in
-    go ib.lo ib.hi
-
-  let fold f acc ib =
-    let r = ref acc in
-    for d = ib.lo to ib.hi - 1 do
-      r := f !r ~colour:ib.colours.(d) (read ib d)
-    done;
-    !r
+  let degree = Anon.Inbox.degree
+  let colour = Anon.Inbox.key
+  let msg = Anon.Inbox.msg
+  let find ib ~colour = Anon.Inbox.find ib colour
+  let fold f = Anon.Inbox.fold (fun acc colour m -> f acc ~colour m)
 
   let to_list ib =
     List.rev (fold (fun acc ~colour m -> (colour, m) :: acc) [] ib)
@@ -95,172 +21,31 @@ type ('state, 'msg) machine = {
   halted : 'state -> bool;
 }
 
-let initial machine g =
-  let { Ec.row; colour; _ } = Ec.csr g in
-  Array.init (Ec.n g) (fun v ->
-      let lo = row.(v) and hi = row.(v + 1) in
-      let colours = List.init (hi - lo) (fun i -> colour.(lo + i)) in
-      machine.init ~degree:(hi - lo) ~colours)
+let fam = Anon.family "runtime.ec"
+let default_par_threshold = Engine.default_par_threshold
 
-(* Dense differential oracle: recompute every broadcast each round, walk
-   every non-halted inbox, [Array.for_all] halting scan — the executor
-   the active-set engine must agree with, state for state and round for
-   round. *)
-let exec_reference machine ~limit g =
-  let n = Ec.n g in
-  let csr = Ec.csr g in
-  let row = csr.Ec.row in
-  let frozen = Array.make (Stdlib.max 1 n) false in
-  let states = ref (initial machine g) in
-  let rounds = ref 0 in
-  let darts = ref 0 and reflected = ref 0 and sends = ref 0 in
-  while !rounds < limit && not (Array.for_all machine.halted !states) do
-    let prev = !states in
-    let out = Array.map machine.send prev in
-    sends := !sends + n;
-    let ib =
-      Inbox.make ~colours:csr.Ec.colour ~others:csr.Ec.other ~out ~frozen
-    in
-    states :=
-      Array.mapi
-        (fun v s ->
-          if machine.halted s then s
-          else begin
-            Inbox.at ib row v;
-            machine.recv s ib
-          end)
-        prev;
-    darts := !darts + ib.Inbox.darts;
-    reflected := !reflected + ib.Inbox.reflected;
-    incr rounds
-  done;
-  Obs.Counter.add c_rounds !rounds;
-  Obs.Counter.add c_darts !darts;
-  Obs.Counter.add c_reflected !reflected;
-  Obs.Counter.add c_sends !sends;
-  (!states, !rounds)
-
-(* Deterministic unit of parallel work — shared with the other
-   executors so every engine splits (and merges) identically. *)
-let chunk_ranges = Chunk.ranges
-
-let exec_active machine ~limit ~par_threshold ~domains g =
-  let n = Ec.n g in
-  let states = initial machine g in
-  if n = 0 then (states, 0)
-  else begin
-    let csr = Ec.csr g in
-    let row = csr.Ec.row in
-    let frozen = Array.make n false in
-    (* Broadcasts, computed once per (node, round); a halted node's slot
-       is written one last time when it freezes and then reused. *)
-    let out = Array.make n (machine.send states.(0)) in
-    for v = 1 to n - 1 do
-      out.(v) <- machine.send states.(v)
-    done;
-    let sends = ref n in
-    let active = Array.make n 0 in
-    let n_active = ref 0 in
-    for v = 0 to n - 1 do
-      if machine.halted states.(v) then frozen.(v) <- true
-      else begin
-        active.(!n_active) <- v;
-        incr n_active
-      end
-    done;
-    let mk_inbox () =
-      Inbox.make ~colours:csr.Ec.colour ~others:csr.Ec.other ~out ~frozen
-    in
-    let seq_ib = mk_inbox () in
-    let darts = ref 0 and reflected = ref 0 and hits = ref 0 in
-    let drain (ib : _ Inbox.t) =
-      darts := !darts + ib.Inbox.darts;
-      reflected := !reflected + ib.Inbox.reflected;
-      hits := !hits + ib.Inbox.hits
-    in
-    (* Phase 1 of a round: every active node consumes its inbox. Reads
-       only [out]/[frozen] (stable during the phase) and writes its own
-       state slot, so ranges are race-free. *)
-    let recv_range ib lo hi =
-      for k = lo to hi - 1 do
-        let v = active.(k) in
-        Inbox.at ib row v;
-        states.(v) <- machine.recv states.(v) ib
-      done
-    in
-    (* Phase 2: refresh broadcasts from the post-recv states and mark
-       freshly-halted nodes. Writes only [out]/[frozen] slots of its own
-       range. *)
-    let refresh_range lo hi =
-      for k = lo to hi - 1 do
-        let v = active.(k) in
-        out.(v) <- machine.send states.(v);
-        if machine.halted states.(v) then frozen.(v) <- true
-      done
-    in
-    let rounds = ref 0 in
-    let total_active = ref 0 in
-    while !n_active > 0 && !rounds < limit do
-      Ld_obs.Hist.timed h_round (fun () ->
-          let m = !n_active in
-          total_active := !total_active + m;
-          if domains > 1 && m >= par_threshold then begin
-            let ranges = chunk_ranges m domains in
-            Pool.map ~domains
-              (fun (lo, hi) ->
-                let ib = mk_inbox () in
-                recv_range ib lo hi;
-                ib)
-              ranges
-            |> List.iter drain;
-            ignore
-              (Pool.map ~domains (fun (lo, hi) -> refresh_range lo hi) ranges
-                : unit list)
-          end
-          else begin
-            recv_range seq_ib 0 m;
-            refresh_range 0 m
-          end;
-          sends := !sends + m;
-          (* Compact the worklist in place, preserving node order. *)
-          let w = ref 0 in
-          for k = 0 to m - 1 do
-            let v = active.(k) in
-            if not frozen.(v) then begin
-              active.(!w) <- v;
-              incr w
-            end
-          done;
-          n_active := !w);
-      incr rounds
-    done;
-    drain seq_ib;
-    Obs.Counter.add c_rounds !rounds;
-    Obs.Counter.add c_darts !darts;
-    Obs.Counter.add c_reflected !reflected;
-    Obs.Counter.add c_sends !sends;
-    Obs.Counter.add c_cache_hits !hits;
-    Obs.Counter.add c_active !total_active;
-    (states, !rounds)
-  end
-
-let default_par_threshold = 4096
-
-let exec ~reference ~par_threshold ~domains machine ~limit g =
-  let domains =
-    match domains with
-    | Some d -> Stdlib.max 1 d
-    | None -> Pool.default_domains ()
+(* Dart keys are the colours themselves. *)
+let prepare machine g =
+  let { Ec.row; colour; other; _ } = Ec.csr g in
+  let states =
+    Array.init (Ec.n g) (fun v ->
+        let lo = row.(v) and hi = row.(v + 1) in
+        let colours = List.init (hi - lo) (fun i -> colour.(lo + i)) in
+        machine.init ~degree:(hi - lo) ~colours)
   in
-  Obs.with_span "runtime.ec.run" (fun () ->
-      if reference then exec_reference machine ~limit g
-      else exec_active machine ~limit ~par_threshold ~domains g)
+  ({ Anon.row; keys = colour; others = other }, states)
 
-let run ?(reference = false) ?(par_threshold = default_par_threshold) ?domains
-    machine ~rounds g =
-  if rounds < 0 then invalid_arg "Anon_ec.run: negative rounds";
-  fst (exec ~reference ~par_threshold ~domains machine ~limit:rounds g)
+let run_until ?(par_threshold = default_par_threshold) ?domains machine
+    ~max_rounds g =
+  Obs.with_span "runtime.ec.run" @@ fun () ->
+  let csr, states = prepare machine g in
+  Anon.run fam ~par_threshold ~domains ~limit:max_rounds ~send:machine.send
+    ~recv:machine.recv ~halted:machine.halted csr states
 
-let run_until ?(reference = false) ?(par_threshold = default_par_threshold)
-    ?domains machine ~max_rounds g =
-  exec ~reference ~par_threshold ~domains machine ~limit:max_rounds g
+let run ?par_threshold ?domains machine ~rounds g =
+  fst (run_until ?par_threshold ?domains machine ~max_rounds:rounds g)
+
+let reference_run machine ~max_rounds g =
+  let csr, states = prepare machine g in
+  Anon.reference ~limit:max_rounds ~send:machine.send ~recv:machine.recv
+    ~halted:machine.halted csr states

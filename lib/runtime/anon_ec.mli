@@ -17,20 +17,17 @@
     the paper by construction — this is how we "run algorithms on
     factor graphs" without materialising infinite universal covers.
 
-    {b Scheduling.} The default executor is an {e active-set} engine:
-    each node's broadcast is computed once per round into a flat buffer
+    {b Scheduling.} Machines run on the active-set {!Engine}: each
+    node's broadcast is computed once per round into a flat buffer
     (send-once caching; a halted node's message is computed once at halt
     time and reused forever), rounds walk a worklist of non-halted nodes
     (halted-frontier scheduling), and inboxes are lazy views over the
     graph's CSR arrays — a [recv] that reads one dart costs one read,
-    not degree allocations. [~reference:true] selects the dense
-    per-round full-scan executor instead (every send recomputed, every
-    inbox walked, [Array.for_all] halting scan), which is the
-    differential oracle the qcheck suite compares against. Above
-    [par_threshold] active nodes the active-set engine fans each round
-    out across domains in contiguous node ranges with a deterministic
-    submission-order merge, so results are byte-identical to the
-    sequential run. *)
+    not degree allocations. At or above [par_threshold] active nodes a
+    round fans out across domains in contiguous node ranges with a
+    deterministic submission-order merge, so results are byte-identical
+    to the sequential run. {!reference_run} is the dense differential
+    oracle the qcheck suite compares against. *)
 
 (** One round's incoming messages at a node: a zero-allocation view over
     the graph's CSR dart arrays and the executor's send buffer. Entries
@@ -83,12 +80,10 @@ val default_par_threshold : int
     nodes frozen; rounds in which every node has halted are skipped — a
     no-op by the frozen-state contract) and returns the final states.
 
-    @param reference use the dense full-scan executor (default false).
     @param par_threshold see {!default_par_threshold}.
     @param domains domain budget for parallel rounds; defaults to
       [Ld_pool.Pool.default_domains ()]. *)
 val run :
-  ?reference:bool ->
   ?par_threshold:int ->
   ?domains:int ->
   ('s, 'm) machine ->
@@ -98,12 +93,20 @@ val run :
 
 (** [run_until machine ~max_rounds g] stops as soon as every node has
     halted (or after [max_rounds]); returns final states and the number
-    of rounds executed. Parameters as in {!run}. *)
+    of rounds executed. Parameters as in {!run}.
+    @raise Invalid_argument if [max_rounds < 0] (as {!run} for
+      [rounds < 0]). *)
 val run_until :
-  ?reference:bool ->
   ?par_threshold:int ->
   ?domains:int ->
   ('s, 'm) machine ->
   max_rounds:int ->
   Ld_models.Ec.t ->
   's array * int
+
+(** The dense executor: every send recomputed, every non-halted inbox
+    walked, halting by full scan each round. Same result as
+    {!run_until}; the differential oracle for tests, touching no
+    counter. *)
+val reference_run :
+  ('s, 'm) machine -> max_rounds:int -> Ld_models.Ec.t -> 's array * int

@@ -1,99 +1,24 @@
 module Po = Ld_models.Po
 module Obs = Ld_obs.Obs
-module Pool = Ld_pool.Pool
-
-(* Mirrors the Anon_ec tallies for the port-ordered executor. *)
-let c_rounds = Obs.Counter.make "runtime.po.rounds"
-let c_darts = Obs.Counter.make "runtime.po.darts_scanned"
-let c_reflected = Obs.Counter.make "runtime.po.loop_reflected"
-let c_sends = Obs.Counter.make "runtime.po.sends"
-let c_cache_hits = Obs.Counter.make "runtime.po.send_cache_hits"
-let c_active = Obs.Counter.make "runtime.po.active_nodes"
-let h_round = Ld_obs.Hist.make "runtime.po.round"
 
 type dart_key = { out : bool; colour : int }
 
+(* A dart's int key: its colour, with [in_bit] set on in-darts, so keys
+   ascend along the CSR segment (out-darts by colour, then in-darts by
+   colour) and [Anon.Inbox.find] binary-searches them directly. *)
+let in_bit = 1 lsl 61
+let encode { out; colour } = if out then colour else colour lor in_bit
+let decode k = { out = k land in_bit = 0; colour = k land (in_bit - 1) }
+
 module Inbox = struct
-  (* Cursor over one node's dart segment [lo, hi) of the CSR arrays:
-     out-darts (dir 0) sorted by colour, then in-darts (dir 1) sorted by
-     colour. [other.(d)] is the node itself for loop darts, so
-     reflection across a directed loop (an Out message received on the
-     node's own In dart and vice versa) is just "read my own broadcast". *)
-  type 'msg t = {
-    colours : int array;
-    dirs : int array;
-    others : int array;
-    out : 'msg array;
-    frozen : bool array;
-    mutable node : int;
-    mutable lo : int;
-    mutable hi : int;
-    mutable darts : int;
-    mutable reflected : int;
-    mutable hits : int;
-  }
+  type 'msg t = 'msg Anon.Inbox.t
 
-  let make ~colours ~dirs ~others ~out ~frozen =
-    {
-      colours;
-      dirs;
-      others;
-      out;
-      frozen;
-      node = 0;
-      lo = 0;
-      hi = 0;
-      darts = 0;
-      reflected = 0;
-      hits = 0;
-    }
-
-  let at ib row v =
-    ib.node <- v;
-    ib.lo <- row.(v);
-    ib.hi <- row.(v + 1)
-
-  let degree ib = ib.hi - ib.lo
-
-  let key ib i =
-    let d = ib.lo + i in
-    { out = ib.dirs.(d) = 0; colour = ib.colours.(d) }
-
-  let read ib d =
-    let u = ib.others.(d) in
-    ib.darts <- ib.darts + 1;
-    if u = ib.node then ib.reflected <- ib.reflected + 1
-    else if ib.frozen.(u) then ib.hits <- ib.hits + 1;
-    ib.out.(u)
-
-  let msg ib i = read ib (ib.lo + i)
-
-  let find ib ~key:{ out; colour } =
-    let td = if out then 0 else 1 in
-    let rec go lo hi =
-      if lo >= hi then None
-      else begin
-        let mid = (lo + hi) / 2 in
-        let d = ib.dirs.(mid) and c = ib.colours.(mid) in
-        if d = td && c = colour then Some (read ib mid)
-        else if d < td || (d = td && c < colour) then go (mid + 1) hi
-        else go lo mid
-      end
-    in
-    go ib.lo ib.hi
-
-  let fold f acc ib =
-    let r = ref acc in
-    for d = ib.lo to ib.hi - 1 do
-      r :=
-        f !r
-          ~key:{ out = ib.dirs.(d) = 0; colour = ib.colours.(d) }
-          (read ib d)
-    done;
-    !r
-
-  let to_list ib =
-    List.rev (fold (fun acc ~key m -> (key, m) :: acc) [] ib)
+  let degree = Anon.Inbox.degree
+  let key ib i = decode (Anon.Inbox.key ib i)
+  let msg = Anon.Inbox.msg
+  let find ib ~key = Anon.Inbox.find ib (encode key)
+  let fold f = Anon.Inbox.fold (fun acc k m -> f acc ~key:(decode k) m)
+  let to_list ib = List.rev (fold (fun acc ~key m -> (key, m) :: acc) [] ib)
 end
 
 type ('state, 'msg) machine = {
@@ -103,163 +28,32 @@ type ('state, 'msg) machine = {
   halted : 'state -> bool;
 }
 
-let initial machine g =
-  let { Po.row; colour; dir; _ } = Po.csr g in
-  Array.init (Po.n g) (fun v ->
-      let lo = row.(v) and hi = row.(v + 1) in
-      let darts =
-        List.init (hi - lo) (fun i ->
-            { out = dir.(lo + i) = 0; colour = colour.(lo + i) })
-      in
-      machine.init ~darts)
+let fam = Anon.family "runtime.po"
+let default_par_threshold = Engine.default_par_threshold
 
-(* Dense differential oracle — see Anon_ec.exec_reference. *)
-let exec_reference machine ~limit g =
-  let n = Po.n g in
-  let csr = Po.csr g in
-  let row = csr.Po.row in
-  let frozen = Array.make (Stdlib.max 1 n) false in
-  let states = ref (initial machine g) in
-  let rounds = ref 0 in
-  let darts = ref 0 and reflected = ref 0 and sends = ref 0 in
-  while !rounds < limit && not (Array.for_all machine.halted !states) do
-    let prev = !states in
-    let out = Array.map machine.send prev in
-    sends := !sends + n;
-    let ib =
-      Inbox.make ~colours:csr.Po.colour ~dirs:csr.Po.dir ~others:csr.Po.other
-        ~out ~frozen
-    in
-    states :=
-      Array.mapi
-        (fun v s ->
-          if machine.halted s then s
-          else begin
-            Inbox.at ib row v;
-            machine.recv s ib
-          end)
-        prev;
-    darts := !darts + ib.Inbox.darts;
-    reflected := !reflected + ib.Inbox.reflected;
-    incr rounds
-  done;
-  Obs.Counter.add c_rounds !rounds;
-  Obs.Counter.add c_darts !darts;
-  Obs.Counter.add c_reflected !reflected;
-  Obs.Counter.add c_sends !sends;
-  (!states, !rounds)
-
-let chunk_ranges = Chunk.ranges
-
-let exec_active machine ~limit ~par_threshold ~domains g =
-  let n = Po.n g in
-  let states = initial machine g in
-  if n = 0 then (states, 0)
-  else begin
-    let csr = Po.csr g in
-    let row = csr.Po.row in
-    let frozen = Array.make n false in
-    let out = Array.make n (machine.send states.(0)) in
-    for v = 1 to n - 1 do
-      out.(v) <- machine.send states.(v)
-    done;
-    let sends = ref n in
-    let active = Array.make n 0 in
-    let n_active = ref 0 in
-    for v = 0 to n - 1 do
-      if machine.halted states.(v) then frozen.(v) <- true
-      else begin
-        active.(!n_active) <- v;
-        incr n_active
-      end
-    done;
-    let mk_inbox () =
-      Inbox.make ~colours:csr.Po.colour ~dirs:csr.Po.dir ~others:csr.Po.other
-        ~out ~frozen
-    in
-    let seq_ib = mk_inbox () in
-    let darts = ref 0 and reflected = ref 0 and hits = ref 0 in
-    let drain (ib : _ Inbox.t) =
-      darts := !darts + ib.Inbox.darts;
-      reflected := !reflected + ib.Inbox.reflected;
-      hits := !hits + ib.Inbox.hits
-    in
-    let recv_range ib lo hi =
-      for k = lo to hi - 1 do
-        let v = active.(k) in
-        Inbox.at ib row v;
-        states.(v) <- machine.recv states.(v) ib
-      done
-    in
-    let refresh_range lo hi =
-      for k = lo to hi - 1 do
-        let v = active.(k) in
-        out.(v) <- machine.send states.(v);
-        if machine.halted states.(v) then frozen.(v) <- true
-      done
-    in
-    let rounds = ref 0 in
-    let total_active = ref 0 in
-    while !n_active > 0 && !rounds < limit do
-      Ld_obs.Hist.timed h_round (fun () ->
-          let m = !n_active in
-          total_active := !total_active + m;
-          if domains > 1 && m >= par_threshold then begin
-            let ranges = chunk_ranges m domains in
-            Pool.map ~domains
-              (fun (lo, hi) ->
-                let ib = mk_inbox () in
-                recv_range ib lo hi;
-                ib)
-              ranges
-            |> List.iter drain;
-            ignore
-              (Pool.map ~domains (fun (lo, hi) -> refresh_range lo hi) ranges
-                : unit list)
-          end
-          else begin
-            recv_range seq_ib 0 m;
-            refresh_range 0 m
-          end;
-          sends := !sends + m;
-          let w = ref 0 in
-          for k = 0 to m - 1 do
-            let v = active.(k) in
-            if not frozen.(v) then begin
-              active.(!w) <- v;
-              incr w
-            end
-          done;
-          n_active := !w);
-      incr rounds
-    done;
-    drain seq_ib;
-    Obs.Counter.add c_rounds !rounds;
-    Obs.Counter.add c_darts !darts;
-    Obs.Counter.add c_reflected !reflected;
-    Obs.Counter.add c_sends !sends;
-    Obs.Counter.add c_cache_hits !hits;
-    Obs.Counter.add c_active !total_active;
-    (states, !rounds)
-  end
-
-let default_par_threshold = 4096
-
-let exec ~reference ~par_threshold ~domains machine ~limit g =
-  let domains =
-    match domains with
-    | Some d -> Stdlib.max 1 d
-    | None -> Pool.default_domains ()
+let prepare machine g =
+  let { Po.row; colour; dir; other; _ } = Po.csr g in
+  let keys =
+    Array.mapi (fun d colour -> encode { out = dir.(d) = 0; colour }) colour
   in
-  Obs.with_span "runtime.po.run" (fun () ->
-      if reference then exec_reference machine ~limit g
-      else exec_active machine ~limit ~par_threshold ~domains g)
+  let states =
+    Array.init (Po.n g) (fun v ->
+        let lo = row.(v) and hi = row.(v + 1) in
+        machine.init ~darts:(List.init (hi - lo) (fun i -> decode keys.(lo + i))))
+  in
+  ({ Anon.row; keys; others = other }, states)
 
-let run ?(reference = false) ?(par_threshold = default_par_threshold) ?domains
-    machine ~rounds g =
-  if rounds < 0 then invalid_arg "Anon_po.run: negative rounds";
-  fst (exec ~reference ~par_threshold ~domains machine ~limit:rounds g)
+let run_until ?(par_threshold = default_par_threshold) ?domains machine
+    ~max_rounds g =
+  Obs.with_span "runtime.po.run" @@ fun () ->
+  let csr, states = prepare machine g in
+  Anon.run fam ~par_threshold ~domains ~limit:max_rounds ~send:machine.send
+    ~recv:machine.recv ~halted:machine.halted csr states
 
-let run_until ?(reference = false) ?(par_threshold = default_par_threshold)
-    ?domains machine ~max_rounds g =
-  exec ~reference ~par_threshold ~domains machine ~limit:max_rounds g
+let run ?par_threshold ?domains machine ~rounds g =
+  fst (run_until ?par_threshold ?domains machine ~max_rounds:rounds g)
+
+let reference_run machine ~max_rounds g =
+  let csr, states = prepare machine g in
+  Anon.reference ~limit:max_rounds ~send:machine.send ~recv:machine.recv
+    ~halted:machine.halted csr states

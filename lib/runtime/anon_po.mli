@@ -14,10 +14,10 @@
     through the fiber, so the message sent on the [Out] dart arrives on
     the node's own [In] dart of the same colour, and vice versa.
 
-    {b Scheduling.} Same engine as {!Anon_ec}: active-set executor with
-    send-once caching, lazy CSR-backed inboxes and optional
-    domain-parallel rounds; [~reference:true] is the dense differential
-    oracle. *)
+    {b Scheduling.} The same code as {!Anon_ec}, through {!Anon}: the
+    active-set {!Engine} with send-once caching, lazy CSR-backed inboxes
+    and optional domain-parallel rounds; {!reference_run} is the dense
+    differential oracle. *)
 
 type dart_key = { out : bool; colour : int }
 
@@ -58,8 +58,8 @@ type ('state, 'msg) machine = {
 (** Active-node count above which a round is fanned out across domains. *)
 val default_par_threshold : int
 
+(** As {!Anon_ec.run}. @raise Invalid_argument if [rounds < 0]. *)
 val run :
-  ?reference:bool ->
   ?par_threshold:int ->
   ?domains:int ->
   ('s, 'm) machine ->
@@ -67,11 +67,15 @@ val run :
   Ld_models.Po.t ->
   's array
 
+(** As {!Anon_ec.run_until}. @raise Invalid_argument if [max_rounds < 0]. *)
 val run_until :
-  ?reference:bool ->
   ?par_threshold:int ->
   ?domains:int ->
   ('s, 'm) machine ->
   max_rounds:int ->
   Ld_models.Po.t ->
   's array * int
+
+(** The dense differential oracle, as {!Anon_ec.reference_run}. *)
+val reference_run :
+  ('s, 'm) machine -> max_rounds:int -> Ld_models.Po.t -> 's array * int

@@ -1,8 +1,7 @@
 (* Deterministic contiguous partitioning of [0, len) — the unit of
-   parallel work every executor hands to [Pool.map]. Shared by the
-   boxed active-set engines (Anon_ec, Anon_po) and the packed engine
-   (Packed); keeping one implementation is what makes "byte-identical
-   at any LD_DOMAINS" a single proof obligation instead of three. *)
+   parallel work [Engine.split] hands to [Pool.mapi], and so of every
+   executor; one partition and one merge order is what makes
+   "byte-identical at any LD_DOMAINS" a single proof obligation. *)
 
 (* Split [0, len) into at most [k] contiguous ranges of near-equal
    size, in order. *)

@@ -1,6 +1,5 @@
 (** Deterministic contiguous partitioning of [0, len) into at most [k]
-    near-equal ranges [(lo, hi)], in ascending order. The single
-    source of the parallel work split used by every executor, so the
-    merge order (submission order = range order) is identical across
-    the boxed and packed engines. *)
+    near-equal ranges [(lo, hi)], in ascending order: the parallel
+    work split of {!Engine}, whose merge order (submission order =
+    range order) every executor therefore shares. *)
 val ranges : int -> int -> (int * int) list

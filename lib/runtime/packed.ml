@@ -1,155 +1,31 @@
-module Ec = Ld_models.Ec
 module Csr = Ld_graph.Csr
 module Obs = Ld_obs.Obs
-module Pool = Ld_pool.Pool
 
-(* Packed-state executors: per-node state is [state_words] consecutive
-   ints in one flat array, messages are [msg_words] ints in another,
-   halting flags live in a Bytes blob — no boxed records, no lists, no
-   per-round allocation. This is what lets a round over 10^6 nodes
-   stay bandwidth-bound instead of GC-bound. Machines address their
-   own slices ([node * state_words] ...) and read peers' message
-   slices directly from the CSR arrays.
+(* Packed-state executor: per-node state is [state_words] consecutive
+   ints in one flat array, per-dart messages are [msg_words] ints in
+   another — no boxed records, no lists, no per-round allocation. This
+   is what lets a round over 10^6 nodes stay bandwidth-bound instead of
+   GC-bound. Machines address their own slices ([node * state_words]
+   ...) of [st] in place and read peers' message slices directly.
 
-   The execution discipline is the same two-phase active-set design as
-   [Anon_ec]/[Sync], and deliberately so, because the boxed engines
-   remain the differential oracles: phase 1 (recv) reads only the
-   frozen-or-refreshed [out] array and writes only the node's own
-   state slice; phase 2 (send/refresh) writes only the node's own
-   [out] slice and its frozen byte. Ranges from [Chunk.ranges] touch
-   disjoint slices, so fan-out over [Pool.map] is race-free and the
-   result is byte-identical at any [LD_DOMAINS]. A node that halts has
-   its final broadcast written in the same phase, after which the slot
-   is never touched again — the frozen-sender cache semantics of the
-   boxed engines. *)
+   Rounds run on [Engine], the same core as the boxed executors, which
+   remain the differential oracles: phase 1 (recv) reads only [out] and
+   writes only the node's own state slice; phase 2 (send/refresh)
+   writes only the node's own [out] slices and its frozen flag. Ranges
+   touch disjoint slices, so the result is byte-identical at any
+   [LD_DOMAINS]. A node that halts has its final messages written in
+   the same phase, after which its slots are never touched again. *)
 
-let c_rounds = Obs.Counter.make "runtime.packed.rounds"
 let c_sends = Obs.Counter.make "runtime.packed.sends"
 let c_darts = Obs.Counter.make "runtime.packed.darts_scanned"
-let c_active = Obs.Counter.make "runtime.packed.active_nodes"
 
-(* Both executors feed one per-round latency histogram: the bench
-   resets it around each measured run and reads p50/p99 off the merge. *)
-let h_round = Ld_obs.Hist.make "runtime.packed.round"
+(* Also feeds the per-round latency histogram the bench resets around
+   each measured run and reads p50/p99 off. *)
+let fam = Engine.family ~timed:true "runtime.packed"
 
 type stats = { rounds : int; sends : int; darts_scanned : int }
 
-let default_par_threshold = 4096
-
-let flush_counters (s : stats) ~total_active =
-  Obs.Counter.add c_rounds s.rounds;
-  Obs.Counter.add c_sends s.sends;
-  Obs.Counter.add c_darts s.darts_scanned;
-  Obs.Counter.add c_active total_active
-
-(* ---------- broadcast executor (anonymous EC model) ---------- *)
-
-module Broadcast = struct
-  type machine = {
-    state_words : int;
-    msg_words : int;
-    init : csr:Ec.csr -> st:int array -> node:int -> unit;
-    send : st:int array -> out:int array -> node:int -> unit;
-    recv : csr:Ec.csr -> st:int array -> out:int array -> node:int -> unit;
-    halted : st:int array -> node:int -> bool;
-  }
-
-  let run_until ?(par_threshold = default_par_threshold) ?domains m
-      ~max_rounds g =
-    if max_rounds < 0 then invalid_arg "Packed.Broadcast.run_until";
-    let domains =
-      match domains with
-      | Some d -> Stdlib.max 1 d
-      | None -> Pool.default_domains ()
-    in
-    Obs.with_span "runtime.packed.broadcast" @@ fun () ->
-    let n = Ec.n g in
-    let csr = Ec.csr g in
-    let row = csr.Ec.row in
-    let sw = m.state_words and mw = m.msg_words in
-    let st = Array.make (Stdlib.max 1 (n * sw)) 0 in
-    let out = Array.make (Stdlib.max 1 (n * mw)) 0 in
-    let frozen = Bytes.make (Stdlib.max 1 n) '\000' in
-    let active = Array.make (Stdlib.max 1 n) 0 in
-    (* Initial states and broadcasts: disjoint slices, parallel. *)
-    let init_range lo hi =
-      for v = lo to hi - 1 do
-        m.init ~csr ~st ~node:v;
-        m.send ~st ~out ~node:v
-      done
-    in
-    if domains > 1 && n >= par_threshold then
-      ignore
-        (Pool.map ~domains
-           (fun (lo, hi) -> init_range lo hi)
-           (Chunk.ranges n domains)
-          : unit list)
-    else init_range 0 n;
-    let n_active = ref 0 in
-    let deg_sum = ref 0 in
-    for v = 0 to n - 1 do
-      if m.halted ~st ~node:v then Bytes.set frozen v '\001'
-      else begin
-        active.(!n_active) <- v;
-        incr n_active;
-        deg_sum := !deg_sum + row.(v + 1) - row.(v)
-      end
-    done;
-    let recv_active lo hi =
-      for k = lo to hi - 1 do
-        m.recv ~csr ~st ~out ~node:active.(k)
-      done
-    in
-    let refresh_active lo hi =
-      for k = lo to hi - 1 do
-        let v = active.(k) in
-        m.send ~st ~out ~node:v;
-        if m.halted ~st ~node:v then Bytes.set frozen v '\001'
-      done
-    in
-    let rounds = ref 0 in
-    let sends = ref n in
-    let darts = ref 0 in
-    let total_active = ref 0 in
-    while !n_active > 0 && !rounds < max_rounds do
-      Ld_obs.Hist.timed h_round (fun () ->
-          let mact = !n_active in
-          total_active := !total_active + mact;
-          darts := !darts + !deg_sum;
-          if domains > 1 && mact >= par_threshold then begin
-            let ranges = Chunk.ranges mact domains in
-            ignore (Pool.map ~domains (fun (lo, hi) -> recv_active lo hi) ranges
-                     : unit list);
-            ignore
-              (Pool.map ~domains (fun (lo, hi) -> refresh_active lo hi) ranges
-                : unit list)
-          end
-          else begin
-            recv_active 0 mact;
-            refresh_active 0 mact
-          end;
-          sends := !sends + mact;
-          let w = ref 0 in
-          deg_sum := 0;
-          for k = 0 to mact - 1 do
-            let v = active.(k) in
-            if Bytes.get frozen v = '\000' then begin
-              active.(!w) <- v;
-              incr w;
-              deg_sum := !deg_sum + row.(v + 1) - row.(v)
-            end
-          done;
-          n_active := !w);
-      incr rounds
-    done;
-    let stats =
-      { rounds = !rounds; sends = !sends; darts_scanned = !darts }
-    in
-    flush_counters stats ~total_active:!total_active;
-    if !n_active > 0 then (st, stats, false) else (st, stats, true)
-end
-
-(* ---------- port executor (ID model over a simple-graph CSR) ---------- *)
+let default_par_threshold = Engine.default_par_threshold
 
 module Port = struct
   type machine = {
@@ -165,102 +41,50 @@ module Port = struct
 
   let run_until ?(par_threshold = default_par_threshold) ?domains m
       ~max_rounds (g : Csr.t) =
-    if max_rounds < 0 then invalid_arg "Packed.Port.run_until";
-    let domains =
-      match domains with
-      | Some d -> Stdlib.max 1 d
-      | None -> Pool.default_domains ()
-    in
     Obs.with_span "runtime.packed.port" @@ fun () ->
-    let n = g.Csr.n in
     let row = g.Csr.row in
+    let e = Engine.create fam ~par_threshold ~domains ~limit:max_rounds row in
+    let n = g.Csr.n in
     let nd = row.(n) in
     let back = Csr.back g in
-    let sw = m.state_words and mw = m.msg_words in
-    let st = Array.make (Stdlib.max 1 (n * sw)) 0 in
+    let st = Array.make (Stdlib.max 1 (n * m.state_words)) 0 in
     (* Per-dart message slots: the message node [v] sends on port [p]
        lives at [(row.(v) + p) * msg_words]. The far end reads it back
        through [back] — the packed analogue of [Sync]'s dart-indexed
        frozen cache, except every sender's current messages live there
        too. *)
-    let out = Array.make (Stdlib.max 1 (nd * mw)) 0 in
-    let frozen = Bytes.make (Stdlib.max 1 n) '\000' in
-    let active = Array.make (Stdlib.max 1 n) 0 in
-    let init_range lo hi =
-      for v = lo to hi - 1 do
-        m.init ~g ~st ~node:v;
-        m.send ~g ~st ~out ~node:v
-      done
-    in
-    if domains > 1 && n >= par_threshold then
-      ignore
-        (Pool.map ~domains
-           (fun (lo, hi) -> init_range lo hi)
-           (Chunk.ranges n domains)
-          : unit list)
-    else init_range 0 n;
-    let n_active = ref 0 in
-    let deg_sum = ref 0 in
-    for v = 0 to n - 1 do
-      if m.halted ~st ~node:v then Bytes.set frozen v '\001'
-      else begin
-        active.(!n_active) <- v;
-        incr n_active;
-        deg_sum := !deg_sum + row.(v + 1) - row.(v)
-      end
-    done;
-    let recv_active lo hi =
+    let out = Array.make (Stdlib.max 1 (nd * m.msg_words)) 0 in
+    Engine.split e n (fun _ lo hi ->
+        for v = lo to hi - 1 do
+          m.init ~g ~st ~node:v;
+          m.send ~g ~st ~out ~node:v
+        done);
+    let active = Engine.active e in
+    let recv_range _ lo hi =
       for k = lo to hi - 1 do
         m.recv ~g ~back ~st ~out ~node:active.(k)
       done
     in
-    let refresh_active lo hi =
+    let refresh_range _ lo hi =
       for k = lo to hi - 1 do
         let v = active.(k) in
         m.send ~g ~st ~out ~node:v;
-        if m.halted ~st ~node:v then Bytes.set frozen v '\001'
+        if m.halted ~st ~node:v then Engine.freeze e v
       done
     in
-    let rounds = ref 0 in
-    let sends = ref nd in
-    let darts = ref 0 in
-    let total_active = ref 0 in
-    while !n_active > 0 && !rounds < max_rounds do
-      Ld_obs.Hist.timed h_round (fun () ->
-          let mact = !n_active in
-          total_active := !total_active + mact;
-          darts := !darts + !deg_sum;
-          if domains > 1 && mact >= par_threshold then begin
-            let ranges = Chunk.ranges mact domains in
-            ignore (Pool.map ~domains (fun (lo, hi) -> recv_active lo hi) ranges
-                     : unit list);
-            ignore
-              (Pool.map ~domains (fun (lo, hi) -> refresh_active lo hi) ranges
-                : unit list)
-          end
-          else begin
-            recv_active 0 mact;
-            refresh_active 0 mact
-          end;
-          sends := !sends + !deg_sum;
-          let w = ref 0 in
-          deg_sum := 0;
-          for k = 0 to mact - 1 do
-            let v = active.(k) in
-            if Bytes.get frozen v = '\000' then begin
-              active.(!w) <- v;
-              incr w;
-              deg_sum := !deg_sum + row.(v + 1) - row.(v)
-            end
-          done;
-          n_active := !w);
-      incr rounds
-    done;
-    let stats =
-      { rounds = !rounds; sends = !sends; darts_scanned = !darts }
+    let t =
+      Engine.run e
+        ~halted:(fun v -> m.halted ~st ~node:v)
+        ~recv:recv_range ~refresh:refresh_range
     in
-    flush_counters stats ~total_active:!total_active;
-    if !n_active > 0 then (st, stats, false) else (st, stats, true)
+    (* Every active node rewrites and every recv phase sees exactly the
+       active nodes' darts. *)
+    let stats =
+      { rounds = t.rounds; sends = nd + t.degree_sum; darts_scanned = t.degree_sum }
+    in
+    Obs.Counter.add c_sends stats.sends;
+    Obs.Counter.add c_darts stats.darts_scanned;
+    (st, stats, t.all_halted)
 end
 
 (* Deterministic per-node coin stream for packed randomized machines:

@@ -1,17 +1,16 @@
-(** Packed-state synchronous executors.
+(** Packed-state synchronous executor.
 
     Per-node state lives in [state_words] consecutive ints of one flat
-    array, messages in [msg_words] ints of another, halting flags in a
-    [Bytes] blob — no boxed records and no per-round allocation, which
-    is what keeps a round over 10^6 nodes bandwidth-bound instead of
-    GC-bound. Machines address slice [node * state_words ..] of [st]
-    and read peers' message slices directly.
+    array, per-dart messages in [msg_words] ints of another — no boxed
+    records and no per-round allocation, which is what keeps a round
+    over 10^6 nodes bandwidth-bound instead of GC-bound. Machines
+    address slice [node * state_words ..] of [st] in place and read
+    peers' message slices directly.
 
-    Both executors follow the two-phase active-set discipline of the
-    boxed engines ([Anon_ec], [Sync]), which remain the differential
-    oracles: a packed machine paired with its boxed twin must produce
-    identical observables, states and halting rounds (see
-    test_packed.ml). Parallel ranges come from {!Chunk.ranges} and
+    Rounds run on the same {!Engine} as the boxed executors, whose
+    [Sync] twins remain the differential oracles: a packed machine
+    paired with its boxed twin must produce identical observables,
+    states and halting rounds (see test_runtime.ml). Parallel ranges
     touch disjoint slices, so results are byte-identical at any
     [LD_DOMAINS]. *)
 
@@ -22,37 +21,6 @@ type stats = {
 }
 
 val default_par_threshold : int
-
-(** Broadcast executor for the anonymous EC model: one [msg_words]
-    message per node and round, delivered along every incident dart
-    (loop reflection included — a machine reading across a loop dart
-    sees its own broadcast, as in [Anon_ec]). *)
-module Broadcast : sig
-  type machine = {
-    state_words : int;
-    msg_words : int;
-    init : csr:Ld_models.Ec.csr -> st:int array -> node:int -> unit;
-        (** fill the node's state slice; the CSR segment
-            [row.(node) .. row.(node+1)) carries its colours *)
-    send : st:int array -> out:int array -> node:int -> unit;
-        (** write the node's [msg_words] broadcast slice *)
-    recv : csr:Ld_models.Ec.csr -> st:int array -> out:int array -> node:int -> unit;
-        (** step the node's state from its neighbours' broadcast
-            slices ([out.(other * msg_words) ..]) *)
-    halted : st:int array -> node:int -> bool;
-  }
-
-  (** Runs until every node halts or [max_rounds] is reached. Returns
-      the flat state array, per-run traffic, and whether all nodes
-      halted. *)
-  val run_until :
-    ?par_threshold:int ->
-    ?domains:int ->
-    machine ->
-    max_rounds:int ->
-    Ld_models.Ec.t ->
-    int array * stats * bool
-end
 
 (** Port executor for the ID model over a simple-graph CSR: one
     [msg_words] message per dart and round; the message node [v] sends
@@ -75,6 +43,9 @@ module Port : sig
     halted : st:int array -> node:int -> bool;
   }
 
+  (** Runs until every node halts or [max_rounds] is reached. Returns
+      the flat state array, per-run traffic, and whether all nodes
+      halted. @raise Invalid_argument if [max_rounds < 0]. *)
   val run_until :
     ?par_threshold:int ->
     ?domains:int ->

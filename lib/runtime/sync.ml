@@ -4,11 +4,11 @@ module Obs = Ld_obs.Obs
 
 (* Active-frontier tallies for the ID-model simulator. [sends] counts
    live [machine.send] calls; [send_cache_hits] counts messages served
-   from a halted sender's per-port cache instead. *)
-let c_rounds = Obs.Counter.make "runtime.sync.rounds"
+   from a halted sender's per-port cache instead. Rounds and frontier
+   sizes are the engine's [runtime.sync.*] counters; no histogram. *)
+let fam = Engine.family ~timed:false "runtime.sync"
 let c_sends = Obs.Counter.make "runtime.sync.sends"
 let c_cache_hits = Obs.Counter.make "runtime.sync.send_cache_hits"
-let c_active = Obs.Counter.make "runtime.sync.active_nodes"
 
 type ('state, 'msg, 'out) machine = {
   init : id:int -> degree:int -> rng:Random.State.t -> 'state;
@@ -19,14 +19,17 @@ type ('state, 'msg, 'out) machine = {
 
 type 'out result = { outputs : 'out array; rounds : int }
 
-(* Receiver-driven execution: instead of pushing every node's sends
-   into per-receiver lists and sorting them, each active node pulls the
-   message for its own port [r] straight from the sender across that
-   port. Ports are distinct per receiver (the graph is simple), so
-   walking own ports in ascending order reproduces exactly the
-   port-sorted inbox the push-and-sort loop built. A halted sender's
-   state is frozen, so its per-port messages are computed once at halt
-   time and served from a flat dart-indexed cache ever after. *)
+(* Receiver-driven execution on [Engine]: instead of pushing every
+   node's sends into per-receiver lists and sorting them, the recv
+   phase has each active node pull the message for its own port [r]
+   straight from the sender across that port, from the pre-round
+   states; the refresh phase then steps the states. Ports are distinct
+   per receiver (the graph is simple), so walking own ports in
+   ascending order reproduces exactly the port-sorted inbox the
+   push-and-sort loop built. A halted sender's state is frozen, so its
+   per-port messages are computed once at halt time and served from a
+   flat dart-indexed cache ever after. The run stays on one domain:
+   the tallies are plain refs. *)
 let run machine ~seed ~max_rounds idg =
   Obs.with_span "runtime.sync.run" @@ fun () ->
   let g = Id.graph idg in
@@ -50,38 +53,31 @@ let run machine ~seed ~max_rounds idg =
   for v = 0 to n - 1 do
     rowf.(v + 1) <- rowf.(v) + Array.length ports.(v)
   done;
+  let e =
+    Engine.create fam ~par_threshold:max_int ~domains:(Some 1)
+      ~limit:max_rounds rowf
+  in
   let states =
     Array.init n (fun v ->
         let rng = Random.State.make [| seed; Id.id idg v; 0x5ca1e |] in
         machine.init ~id:(Id.id idg v) ~degree:(Array.length ports.(v)) ~rng)
   in
-  let halted = Array.make n false in
   let cache = Array.make (Stdlib.max 1 rowf.(n)) None in
-  let freeze v =
-    halted.(v) <- true;
+  let fill_cache v =
     let base = rowf.(v) in
     for p = 0 to Array.length ports.(v) - 1 do
       cache.(base + p) <- machine.send states.(v) ~port:p
     done
   in
-  let active = Array.make (Stdlib.max 1 n) 0 in
-  let n_active = ref 0 in
+  let halted v = machine.output states.(v) <> None in
   for v = 0 to n - 1 do
-    if machine.output states.(v) <> None then freeze v
-    else begin
-      active.(!n_active) <- v;
-      incr n_active
-    end
+    if halted v then fill_cache v
   done;
+  let active = Engine.active e in
   let inboxes = Array.make (Stdlib.max 1 n) [] in
-  let round = ref 0 in
-  let sends = ref 0 and hits = ref 0 and total_active = ref 0 in
-  while !n_active > 0 && !round < max_rounds do
-    incr round;
-    total_active := !total_active + !n_active;
-    (* Pass 1: assemble every active node's inbox from the pre-round
-       states, so synchrony is preserved when pass 2 mutates them. *)
-    for k = 0 to !n_active - 1 do
+  let sends = ref 0 and hits = ref 0 in
+  let recv_range _ lo hi =
+    for k = lo to hi - 1 do
       let v = active.(k) in
       let pv = ports.(v) and bv = port_of.(v) in
       let acc = ref [] in
@@ -89,7 +85,7 @@ let run machine ~seed ~max_rounds idg =
         let w = pv.(r) in
         let q = bv.(r) in
         let m =
-          if halted.(w) then begin
+          if Engine.is_frozen e w then begin
             incr hits;
             cache.(rowf.(w) + q)
           end
@@ -101,25 +97,21 @@ let run machine ~seed ~max_rounds idg =
         match m with None -> () | Some m -> acc := (r, m) :: !acc
       done;
       inboxes.(v) <- !acc
-    done;
-    (* Pass 2: step the active states, freeze the freshly halted and
-       compact the worklist in place, preserving node order. *)
-    let w = ref 0 in
-    for k = 0 to !n_active - 1 do
+    done
+  in
+  let refresh_range _ lo hi =
+    for k = lo to hi - 1 do
       let v = active.(k) in
       states.(v) <- machine.recv states.(v) inboxes.(v);
-      if machine.output states.(v) <> None then freeze v
-      else begin
-        active.(!w) <- v;
-        incr w
+      if halted v then begin
+        fill_cache v;
+        Engine.freeze e v
       end
-    done;
-    n_active := !w
-  done;
-  Obs.Counter.add c_rounds !round;
+    done
+  in
+  let t = Engine.run e ~halted ~recv:recv_range ~refresh:refresh_range in
   Obs.Counter.add c_sends !sends;
   Obs.Counter.add c_cache_hits !hits;
-  Obs.Counter.add c_active !total_active;
   let outputs =
     Array.init n (fun v ->
         match machine.output states.(v) with
@@ -130,4 +122,4 @@ let run machine ~seed ~max_rounds idg =
                "Sync.run: node %d (id %d) did not halt within %d rounds" v
                (Id.id idg v) max_rounds))
   in
-  { outputs; rounds = !round }
+  { outputs; rounds = t.rounds }

@@ -85,10 +85,15 @@ let invalid_inputs_are_reported () =
     "missing path and wrong extension"
     [
       ("lint_fixtures/no_such_file.ml", "no such file or directory");
-      ("dune", "not an OCaml source file (expected .ml or .mli)");
+      ( "lint_fixtures/not_ocaml.txt",
+        "not an OCaml source file (expected .ml or .mli)" );
     ]
     (Driver.invalid_inputs
-       [ "lint_fixtures"; "lint_fixtures/no_such_file.ml"; "dune" ]);
+       [
+         "lint_fixtures";
+         "lint_fixtures/no_such_file.ml";
+         "lint_fixtures/not_ocaml.txt";
+       ]);
   Alcotest.(check (list (pair string string)))
     "directories and sources are acceptable" []
     (Driver.invalid_inputs [ "lint_fixtures"; fixture "clean.ml" ])

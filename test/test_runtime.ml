@@ -1,15 +1,26 @@
-(* LOCAL runtime: anonymous runners (loop reflection, active-set
-   executor vs dense reference oracle) and the ID simulator. *)
+(* LOCAL runtime, one differential suite over every front-end of the
+   round engine: the anonymous runners (loop reflection, active-set
+   executor vs the dense oracle vs a forced 4-way split), the ID
+   simulator, and the packed port machines vs their boxed [Sync] twins
+   at 1 domain and at a forced multi-domain split. *)
 
+module G = Ld_graph.Graph
+module Csr = Ld_graph.Csr
 module Ec = Ld_models.Ec
 module Po = Ld_models.Po
+module Colouring = Ld_models.Edge_colouring
 module Anon_ec = Ld_runtime.Anon_ec
 module Anon_po = Ld_runtime.Anon_po
+module Packed = Ld_runtime.Packed
 module Sync = Ld_runtime.Sync
 module View = Ld_cover.View
 module Lift = Ld_cover.Lift
 module Gen = Ld_graph.Generators
 module Labelled = Ld_models.Labelled
+module Packed_ii = Ld_matching.Packed_ii
+module Packed_pr = Ld_matching.Packed_pr
+module Davies_peck = Ld_matching.Davies_peck
+module Pr = Ld_matching.Panconesi_rizzi
 
 (* A full-information machine whose state after r rounds is (a hash of)
    the radius-r view: used to validate loop reflection against explicit
@@ -92,6 +103,22 @@ let run_until_halts () =
   let g = Ld_models.Edge_colouring.ec_of_simple (Gen.star 4) in
   let _, rounds = Anon_ec.run_until machine ~max_rounds:100 g in
   Alcotest.(check int) "rounds = max degree" 4 rounds
+
+(* ID simulator: flood the minimum identifier; check rounds = eccentricity. *)
+type flood = { my_min : int; deg : int; halt_at : int; round : int }
+
+let flood_machine : (flood, int, int) Sync.machine =
+  {
+    init =
+      (fun ~id ~degree ~rng:_ ->
+        { my_min = id; deg = degree; halt_at = max_int; round = 0 });
+    send = (fun s ~port:_ -> Some s.my_min);
+    recv =
+      (fun s inbox ->
+        let m = List.fold_left (fun acc (_, v) -> min acc v) s.my_min inbox in
+        { s with my_min = m; round = s.round + 1 });
+    output = (fun s -> if s.round >= s.halt_at then Some s.my_min else None);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Differential oracle: active-set executor vs dense reference.        *)
@@ -188,12 +215,12 @@ let check_ec (n, seed) quota_mod salt =
   let m = diff_ec_machine ~salt ~quota_mod in
   let max_rounds = 12 in
   let act, ra = Anon_ec.run_until m ~max_rounds g in
-  let ref_, rr = Anon_ec.run_until ~reference:true m ~max_rounds g in
+  let ref_, rr = Anon_ec.reference_run m ~max_rounds g in
   let par, rp =
     Anon_ec.run_until ~par_threshold:0 ~domains:4 m ~max_rounds g
   in
   ra = rr && rp = rr && act = ref_ && par = ref_
-  && Anon_ec.run m ~rounds:5 g = Anon_ec.run ~reference:true m ~rounds:5 g
+  && Anon_ec.run m ~rounds:5 g = fst (Anon_ec.reference_run m ~max_rounds:5 g)
 
 let ec_active_equals_reference =
   QCheck.Test.make ~count:60
@@ -206,12 +233,12 @@ let check_po (n, seed) quota_mod salt =
   let m = diff_po_machine ~salt ~quota_mod in
   let max_rounds = 12 in
   let act, ra = Anon_po.run_until m ~max_rounds g in
-  let ref_, rr = Anon_po.run_until ~reference:true m ~max_rounds g in
+  let ref_, rr = Anon_po.reference_run m ~max_rounds g in
   let par, rp =
     Anon_po.run_until ~par_threshold:0 ~domains:4 m ~max_rounds g
   in
   ra = rr && rp = rr && act = ref_ && par = ref_
-  && Anon_po.run m ~rounds:5 g = Anon_po.run ~reference:true m ~rounds:5 g
+  && Anon_po.run m ~rounds:5 g = fst (Anon_po.reference_run m ~max_rounds:5 g)
 
 let po_active_equals_reference =
   QCheck.Test.make ~count:60
@@ -225,15 +252,42 @@ let ec_edge_cases () =
   let m0 = diff_ec_machine ~salt:3 ~quota_mod:0 in
   let s, r = Anon_ec.run_until m0 ~max_rounds:10 g in
   Alcotest.(check int) "halt-at-init rounds" 0 r;
-  let s_ref, r_ref = Anon_ec.run_until ~reference:true m0 ~max_rounds:10 g in
+  let s_ref, r_ref = Anon_ec.reference_run m0 ~max_rounds:10 g in
   Alcotest.(check int) "halt-at-init rounds (reference)" 0 r_ref;
   Alcotest.(check bool) "halt-at-init states" true (s = s_ref);
   (* Never halts: both executors run to the round limit. *)
   let mn = diff_ec_machine ~salt:3 ~quota_mod:(-1) in
   let _, r = Anon_ec.run_until mn ~max_rounds:10 g in
-  let _, r_ref = Anon_ec.run_until ~reference:true mn ~max_rounds:10 g in
+  let _, r_ref = Anon_ec.reference_run mn ~max_rounds:10 g in
   Alcotest.(check int) "never-halts rounds" 10 r;
-  Alcotest.(check int) "never-halts rounds (reference)" 10 r_ref
+  Alcotest.(check int) "never-halts rounds (reference)" 10 r_ref;
+  (* A negative round limit: every front-end rejects it through the
+     engine's one check. *)
+  let rejected f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  let p = Po.of_ec g in
+  let mp = diff_po_machine ~salt:3 ~quota_mod:(-1) in
+  let path = Gen.path 3 in
+  let csr = Csr.of_graph path ~colour:(Colouring.greedy path) in
+  List.iter
+    (fun (what, f) -> Alcotest.(check bool) what true (rejected f))
+    [
+      ("Anon_ec.run", fun () -> ignore (Anon_ec.run mn ~rounds:(-1) g));
+      ("Anon_ec.run_until", fun () ->
+        ignore (Anon_ec.run_until mn ~max_rounds:(-1) g));
+      ("Anon_po.run", fun () -> ignore (Anon_po.run mp ~rounds:(-1) p));
+      ("Anon_po.run_until", fun () ->
+        ignore (Anon_po.run_until mp ~max_rounds:(-1) p));
+      ("Packed.Port.run_until", fun () ->
+        ignore
+          (Packed.Port.run_until (Packed_ii.machine ~seed:1) ~max_rounds:(-1)
+             csr));
+      ("Sync.run", fun () ->
+        ignore
+          (Sync.run flood_machine ~seed:0 ~max_rounds:(-1)
+             (Labelled.Id.trivial path)));
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -310,22 +364,6 @@ let po_orientation_matters () =
   let s = Anon_po.run po_probe_machine ~rounds:2 p in
   Alcotest.(check bool) "tail and head differ" true (s.(0).po_seen <> s.(1).po_seen)
 
-(* ID simulator: flood the minimum identifier; check rounds = eccentricity. *)
-type flood = { my_min : int; deg : int; halt_at : int; round : int }
-
-let flood_machine : (flood, int, int) Sync.machine =
-  {
-    init =
-      (fun ~id ~degree ~rng:_ ->
-        { my_min = id; deg = degree; halt_at = max_int; round = 0 });
-    send = (fun s ~port:_ -> Some s.my_min);
-    recv =
-      (fun s inbox ->
-        let m = List.fold_left (fun acc (_, v) -> min acc v) s.my_min inbox in
-        { s with my_min = m; round = s.round + 1 });
-    output = (fun s -> if s.round >= s.halt_at then Some s.my_min else None);
-  }
-
 let flood_min () =
   let g = Gen.path 6 in
   let id = Labelled.Id.create g [| 12; 4; 9; 3; 40; 7 |] in
@@ -370,6 +408,81 @@ let sync_reports_nonhalting () =
        false
      with Failure _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Packed port machines vs their boxed twins.                          *)
+
+let graph_gen = QCheck.triple (QCheck.int_range 0 25) (QCheck.int_range 0 6) (QCheck.int_range 0 1000)
+
+let make_graph (n, d, seed) = Gen.random_bounded_degree ~seed n d
+let csr_of g = Csr.of_graph g ~colour:(Colouring.greedy g)
+
+(* Both split modes the executors distinguish: the sequential path and
+   a forced 4-way parallel split. *)
+let domain_legs = [ (1, None); (4, Some 0) ]
+
+(* ---- Israeli–Itai (Port, shared coin stream) ---- *)
+
+let ii_matches_twin =
+  QCheck.Test.make ~count:50 ~name:"packed II = boxed twin (all domains)"
+    graph_gen
+    (fun input ->
+      let g = make_graph input in
+      let csr = csr_of g in
+      let oracle = Packed_ii.reference_run ~seed:7 ~max_rounds:10_000 g in
+      List.for_all
+        (fun (domains, par_threshold) ->
+          let r, _ =
+            Packed_ii.run ?par_threshold ~domains ~seed:7 ~max_rounds:10_000
+              csr
+          in
+          r.Packed_ii.mate = oracle.Packed_ii.mate
+          && r.Packed_ii.rounds = oracle.Packed_ii.rounds
+          && Packed_ii.is_maximal csr r)
+        domain_legs)
+
+(* ---- Panconesi–Rizzi (Port, deterministic) ---- *)
+
+let pr_matches_boxed =
+  QCheck.Test.make ~count:50
+    ~name:"packed PR = Panconesi_rizzi.run (all domains)" graph_gen
+    (fun input ->
+      let g = make_graph input in
+      let csr = csr_of g in
+      let oracle = Pr.run (Labelled.Id.trivial g) in
+      let expect =
+        Array.map (function Some w -> w | None -> -1) oracle.Pr.mate
+      in
+      List.for_all
+        (fun (domains, par_threshold) ->
+          let r, _ = Packed_pr.run ?par_threshold ~domains csr in
+          r.Packed_pr.mate = expect
+          && r.Packed_pr.rounds = oracle.Pr.rounds
+          && r.Packed_pr.cv_iterations = oracle.Pr.cv_iterations)
+        domain_legs)
+
+(* ---- Davies–Peck schedule (Port, shared coin stream) ---- *)
+
+let dp_matches_twin =
+  QCheck.Test.make ~count:50
+    ~name:"packed Davies-Peck = boxed twin, covers" graph_gen
+    (fun input ->
+      let g = make_graph input in
+      let csr = csr_of g in
+      let delta = Stdlib.max 1 (G.max_degree g) in
+      let oracle =
+        Davies_peck.reference_run ~seed:11 ~max_rounds:10_000 g ~delta
+      in
+      List.for_all
+        (fun (domains, par_threshold) ->
+          let r, _ =
+            Davies_peck.run ?par_threshold ~domains ~seed:11
+              ~max_rounds:10_000 csr
+          in
+          r.Davies_peck.mate = oracle.Davies_peck.mate
+          && r.Davies_peck.rounds = oracle.Davies_peck.rounds
+          && Davies_peck.is_vertex_cover csr r)
+        domain_legs)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -393,5 +506,11 @@ let () =
           Alcotest.test_case "flood min" `Quick flood_min;
           Alcotest.test_case "staggered halting" `Quick sync_staggered_halting;
           Alcotest.test_case "non-halting detected" `Quick sync_reports_nonhalting;
+        ] );
+      ( "port",
+        [
+          QCheck_alcotest.to_alcotest ii_matches_twin;
+          QCheck_alcotest.to_alcotest pr_matches_boxed;
+          QCheck_alcotest.to_alcotest dp_matches_twin;
         ] );
     ]
