@@ -40,9 +40,21 @@ type entry = {
   entry_probes : Lower_bound.probe list;
 }
 
+(** The level-record codec: varint ints, with graphs and weights
+    written once per record and referred back to after that — a
+    certificate's two graphs are probe graphs of its level, so a level
+    carries three graph literals, not five. An entry graph may not have
+    more nodes than darts (every adversary node carries a loop or an
+    edge).
+    @raise Invalid_argument on such a graph, a negative field, or a
+    weight whose text exceeds 1024 bytes. *)
 val entry_to_string : entry -> string
 
-(** @raise Failure on malformed input (trailing bytes included). *)
+(** Decodes exactly the strings {!entry_to_string} produces: any other
+    input fails, and no count in it makes the decoder allocate more
+    than in proportion to the input's length. Graphs that one record
+    writes once come back physically shared.
+    @raise Failure on malformed input (trailing bytes included). *)
 val entry_of_string : string -> entry
 
 (** [save_cache store cache] writes one record per certified level.

@@ -17,32 +17,6 @@ val of_string : string -> Lower_bound.certificate list
 val save : string -> Lower_bound.certificate list -> unit
 val load : string -> Lower_bound.certificate list
 
-(** {2 Binary codecs}
-
-    The persistent certificate store ({!Cache_store}) serialises whole
-    constructions — certificates plus every recorded probe — and a
-    level-18 probe graph runs to megabytes, so the store uses a compact
-    binary layout instead of the sexp text above: 64-bit little-endian
-    ints, length-prefixed strings ([Q.to_string] rationals),
-    count-prefixed arrays. Unlike {!of_string}, the binary certificate
-    codec round-trips [views_checked], so a reloaded construction is
-    field-for-field identical to the one that was saved.
-
-    Encoders append to a [Buffer.t]; decoders read from a string at
-    [!pos] and advance it. Decoders raise [Failure] on truncated or
-    malformed input — never an out-of-bounds exception. *)
-
-val certificate_to_binary : Buffer.t -> Lower_bound.certificate -> unit
-
-(** @raise Failure on malformed input. *)
-val certificate_of_binary : string -> pos:int ref -> Lower_bound.certificate
-
-val probe_to_binary : Buffer.t -> Lower_bound.probe -> unit
-
-(** @raise Failure on malformed input (including an output whose weight
-    counts do not match its probe graph). *)
-val probe_of_binary : string -> pos:int ref -> Lower_bound.probe
-
 (** What independent verification established for one level. *)
 type check = {
   chk_level : int;

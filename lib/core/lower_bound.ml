@@ -186,25 +186,19 @@ let base_case ?record ~delta algo =
 let mix state =
   let { gr; hr; g; h; c; e; f; _ } = state in
   let ng = Ec.n gr in
-  let mg = Ec.num_edges gr and mh = Ec.num_edges hr in
-  let edges =
-    Array.init (mg + mh + 1) (fun i ->
-        if i < mg then Ec.edge gr i
-        else if i < mg + mh then
-          let (x : Ec.edge) = Ec.edge hr (i - mg) in
-          { x with u = x.u + ng; v = x.v + ng }
-        else { Ec.u = g; v = ng + h; colour = c })
+  let cg = Ec.columns gr and ch = Ec.columns hr in
+  let shift a = Array.map (fun v -> v + ng) a in
+  let without k a =
+    Array.init (Array.length a - 1) (fun i -> if i < k then a.(i) else a.(i + 1))
   in
-  let lg = Ec.num_loops gr - 1 and lh = Ec.num_loops hr - 1 in
-  let loops =
-    Array.init (lg + lh) (fun i ->
-        if i < lg then Ec.loop gr (if i < e then i else i + 1)
-        else
-          let j = i - lg in
-          let (x : Ec.loop) = Ec.loop hr (if j < f then j else j + 1) in
-          { x with node = x.node + ng })
-  in
-  Ec.create_arrays ~n:(ng + Ec.n hr) ~edges ~loops
+  Ec.of_columns ~n:(ng + Ec.n hr)
+    {
+      edge_u = Array.concat [ cg.edge_u; shift ch.edge_u; [| g |] ];
+      edge_v = Array.concat [ cg.edge_v; shift ch.edge_v; [| ng + h |] ];
+      edge_colour = Array.concat [ cg.edge_colour; ch.edge_colour; [| c |] ];
+      loop_node = Array.append (without e cg.loop_node) (shift (without f ch.loop_node));
+      loop_colour = Array.append (without e cg.loop_colour) (without f ch.loop_colour);
+    }
 
 (* Transport the side-local weights of y_mix (an FM on the mixture GH or
    on the 2-lift) onto the unfolded graph [target = GG or HH], producing
@@ -239,17 +233,6 @@ let transport ~side ~state ~target ~y_target ~y_mix =
   in
   Fm.create target ~edge_w ~loop_w
 
-(* P3: the graph is a tree once loops are ignored. *)
-let is_tree_plus_loops g =
-  let module Gr = Ld_graph.Graph in
-  match
-    Gr.create (Ec.n g)
-      (List.map (fun (x : Ec.edge) -> (Stdlib.min x.u x.v, Stdlib.max x.u x.v))
-         (Ec.edges g))
-  with
-  | exception Invalid_argument _ -> false (* parallel edges: not a tree *)
-  | sg -> Gr.m sg = Gr.n sg - 1 && Gr.is_connected sg
-
 (* One unfold-and-mix step (Fig. 6 + Fig. 7). This `step` is the
    adversary driver, not an executor machine transition; it
    legitimately fans out over Pool (whose env-var fallback may warn
@@ -272,7 +255,7 @@ let step ?record ~delta ~algo ~check_views ~check_lift_invariance
     (fun x ->
       assert (Ec.min_loops x >= delta - 1 - level);
       assert (Ec.max_degree x <= delta);
-      assert (is_tree_plus_loops x))
+      assert (Ec.is_tree_plus_loops x))
     [ gg; hh; gh ];
   (* The three probes of a level are independent runs of A — fan them
      out over the pool (submission-order join keeps results, and
@@ -481,14 +464,15 @@ type cache = {
    colour restriction leaves some node unsaturated. *)
 let prefix_round p =
   let y = p.probe_base and graph = p.probe_graph in
+  let c = Ec.columns graph in
   let r = ref 0 in
   for j = 0 to Ec.num_edges graph - 1 do
     if Q.sign (Fm.edge_weight y j) > 0 then
-      r := Stdlib.max !r (Ec.edge graph j).colour
+      r := Stdlib.max !r c.edge_colour.(j)
   done;
   for j = 0 to Ec.num_loops graph - 1 do
     if Q.sign (Fm.loop_weight y j) > 0 then
-      r := Stdlib.max !r (Ec.loop graph j).colour
+      r := Stdlib.max !r c.loop_colour.(j)
   done;
   !r
 
@@ -575,15 +559,14 @@ let cached_run cache algo =
 (* The colour-<=rounds restriction of an output, materialised as an FM
    on the same graph — what the truncated greedy computes. *)
 let restrict_output y graph ~rounds =
+  let c = Ec.columns graph in
   let edge_w =
     Array.init (Ec.num_edges graph) (fun j ->
-        if (Ec.edge graph j).colour <= rounds then Fm.edge_weight y j
-        else Q.zero)
+        if c.edge_colour.(j) <= rounds then Fm.edge_weight y j else Q.zero)
   in
   let loop_w =
     Array.init (Ec.num_loops graph) (fun j ->
-        if (Ec.loop graph j).colour <= rounds then Fm.loop_weight y j
-        else Q.zero)
+        if c.loop_colour.(j) <= rounds then Fm.loop_weight y j else Q.zero)
   in
   Fm.create graph ~edge_w ~loop_w
 

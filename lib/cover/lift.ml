@@ -50,55 +50,45 @@ let is_covering { total; base; map } =
   end
 
 (* The unfold and double constructions run inside the adversary's hot
-   loop on graphs that double per level, so both build their edge and
-   loop arrays directly (no intermediate lists, no quadratic appends):
-   copy A keeps the base ids, copy B follows shifted, extras last. *)
+   loop on graphs that double per level, so both build their columns
+   directly with maps and blits (no records, no lists): copy A keeps the
+   base ids, copy B follows shifted, extras last. *)
 
 let unfold_loop g ~loop_id =
   let n = Ec.n g in
-  let m = Ec.num_edges g in
-  let nl = Ec.num_loops g in
+  let c = Ec.columns g in
   let l = Ec.loop g loop_id in
-  let edges =
-    Array.init
-      ((2 * m) + 1)
-      (fun i ->
-        if i < m then Ec.edge g i
-        else if i < 2 * m then
-          let (e : Ec.edge) = Ec.edge g (i - m) in
-          { e with u = e.u + n; v = e.v + n }
-        else { Ec.u = l.node; v = l.node + n; colour = l.colour })
+  let shift a = Array.map (fun v -> v + n) a in
+  let kept a =
+    Array.init (Array.length a - 1) (fun i -> if i < loop_id then a.(i) else a.(i + 1))
   in
-  let kept i = if i < loop_id then i else i + 1 in
-  let loops =
-    Array.init
-      (2 * (nl - 1))
-      (fun i ->
-        if i < nl - 1 then Ec.loop g (kept i)
-        else
-          let (x : Ec.loop) = Ec.loop g (kept (i - (nl - 1))) in
-          { x with node = x.node + n })
+  let loop_node = kept c.loop_node and loop_colour = kept c.loop_colour in
+  let total =
+    Ec.of_columns ~n:(2 * n)
+      {
+        edge_u = Array.concat [ c.edge_u; shift c.edge_u; [| l.node |] ];
+        edge_v = Array.concat [ c.edge_v; shift c.edge_v; [| l.node + n |] ];
+        edge_colour = Array.concat [ c.edge_colour; c.edge_colour; [| l.colour |] ];
+        loop_node = Array.append loop_node (shift loop_node);
+        loop_colour = Array.append loop_colour loop_colour;
+      }
   in
-  let total = Ec.create_arrays ~n:(2 * n) ~edges ~loops in
   { total; base = g; map = Array.init (2 * n) (fun v -> v mod n) }
 
 let double g =
   let n = Ec.n g in
-  let m = Ec.num_edges g in
-  let nl = Ec.num_loops g in
-  let edges =
-    Array.init
-      ((2 * m) + nl)
-      (fun i ->
-        if i < m then Ec.edge g i
-        else if i < 2 * m then
-          let (e : Ec.edge) = Ec.edge g (i - m) in
-          { e with u = e.u + n; v = e.v + n }
-        else
-          let (l : Ec.loop) = Ec.loop g (i - (2 * m)) in
-          { Ec.u = l.node; v = l.node + n; colour = l.colour })
+  let c = Ec.columns g in
+  let shift a = Array.map (fun v -> v + n) a in
+  let total =
+    Ec.of_columns ~n:(2 * n)
+      {
+        edge_u = Array.concat [ c.edge_u; shift c.edge_u; c.loop_node ];
+        edge_v = Array.concat [ c.edge_v; shift c.edge_v; shift c.loop_node ];
+        edge_colour = Array.concat [ c.edge_colour; c.edge_colour; c.loop_colour ];
+        loop_node = [||];
+        loop_colour = [||];
+      }
   in
-  let total = Ec.create_arrays ~n:(2 * n) ~edges ~loops:[||] in
   { total; base = g; map = Array.init (2 * n) (fun v -> v mod n) }
 
 (* Round-robin schedule: in round r, team f-1 plays team r, and team

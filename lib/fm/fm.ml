@@ -98,12 +98,13 @@ let maximality_violations y =
   let w = node_weights y in
   let sat v = Q.equal w.(v) Q.one in
   let acc = ref [] in
+  let c = Ec.columns y.graph in
   for id = Ec.num_loops y.graph - 1 downto 0 do
-    if not (sat (Ec.loop y.graph id).node) then acc := Unsaturated_loop id :: !acc
+    if not (sat c.loop_node.(id)) then acc := Unsaturated_loop id :: !acc
   done;
   for id = Ec.num_edges y.graph - 1 downto 0 do
-    let e = Ec.edge y.graph id in
-    if not (sat e.u || sat e.v) then acc := Unsaturated_edge id :: !acc
+    if not (sat c.edge_u.(id) || sat c.edge_v.(id)) then
+      acc := Unsaturated_edge id :: !acc
   done;
   if !acc <> [] then Obs.Counter.add c_violations (List.length !acc);
   !acc
@@ -123,12 +124,13 @@ let feasibility_violations y =
   let w = node_weights y in
   let sat = Array.init n (fun v -> Q.equal w.(v) Q.one) in
   let acc = ref [] in
+  let c = Ec.columns y.graph in
   for id = Ec.num_loops y.graph - 1 downto 0 do
-    if not sat.((Ec.loop y.graph id).Ec.node) then acc := Unsaturated_loop id :: !acc
+    if not sat.(c.loop_node.(id)) then acc := Unsaturated_loop id :: !acc
   done;
   for id = Ec.num_edges y.graph - 1 downto 0 do
-    let e = Ec.edge y.graph id in
-    if not (sat.(e.Ec.u) || sat.(e.Ec.v)) then acc := Unsaturated_edge id :: !acc
+    if not (sat.(c.edge_u.(id)) || sat.(c.edge_v.(id))) then
+      acc := Unsaturated_edge id :: !acc
   done;
   for v = n - 1 downto 0 do
     if Q.compare w.(v) Q.one > 0 then acc := Node_overloaded v :: !acc
@@ -165,15 +167,14 @@ let pull_back (cov : Ld_cover.Lift.covering) y =
     | Some d -> d
     | None -> invalid_arg "Fm.pull_back: not a covering (missing base dart)"
   in
+  let c = Ec.columns cov.total in
   let edge_w =
     Array.init (Ec.num_edges cov.total) (fun id ->
-        let e = Ec.edge cov.total id in
-        dart_weight y (base_dart cov.map.(e.u) e.colour))
+        dart_weight y (base_dart cov.map.(c.edge_u.(id)) c.edge_colour.(id)))
   in
   let loop_w =
     Array.init (Ec.num_loops cov.total) (fun id ->
-        let l = Ec.loop cov.total id in
-        dart_weight y (base_dart cov.map.(l.node) l.colour))
+        dart_weight y (base_dart cov.map.(c.loop_node.(id)) c.loop_colour.(id)))
   in
   { graph = cov.total; edge_w; loop_w }
 

@@ -8,18 +8,16 @@ module Obs = Ld_obs.Obs
    assigned to each dart colour. The weight of an edge is read at either
    endpoint (they agree — asserted); a loop's weight is read at its node. *)
 let fm_of_weights g weight_at =
+  let c = Ec.columns g in
   let edge_w =
-    Array.of_list
-      (List.map
-         (fun (e : Ec.edge) ->
-           let wu = weight_at e.u e.colour and wv = weight_at e.v e.colour in
-           assert (Q.equal wu wv);
-           wu)
-         (Ec.edges g))
+    Array.init (Ec.num_edges g) (fun j ->
+        let wu = weight_at c.edge_u.(j) c.edge_colour.(j)
+        and wv = weight_at c.edge_v.(j) c.edge_colour.(j) in
+        assert (Q.equal wu wv);
+        wu)
   in
   let loop_w =
-    Array.of_list
-      (List.map (fun (l : Ec.loop) -> weight_at l.node l.colour) (Ec.loops g))
+    Array.init (Ec.num_loops g) (fun j -> weight_at c.loop_node.(j) c.loop_colour.(j))
   in
   Fm.create g ~edge_w ~loop_w
 

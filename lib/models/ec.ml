@@ -19,20 +19,31 @@ type csr = {
   code : int array;
 }
 
+(* Edges and loops, column-wise: edge [j] is
+   [(edge_u.(j), edge_v.(j), edge_colour.(j))], loop [j] is
+   [(loop_node.(j), loop_colour.(j))]. Flat int arrays hold no pointers
+   for the GC to follow, and the construction paths (unfold, mix, the
+   store codec) fill them with blits and maps; the [edge]/[loop] records
+   of the interface are read off them on demand. *)
+type columns = {
+  edge_u : int array;
+  edge_v : int array;
+  edge_colour : int array;
+  loop_node : int array;
+  loop_colour : int array;
+}
+
 (* The CSR is the primary representation: it is what every hot path
-   iterates, and at mega-scale (10^6..10^7 nodes, built by
-   [of_csr] from a streamed [Ld_graph.Csr.t]) it is the only part we
-   can afford to materialise eagerly. The record/list views — [edges],
-   [loops], [darts] — are derived lazily; graphs built through the
-   classic constructors wrap their eager arrays in [Lazy.from_val], so
-   nothing changes for the adversary paths. *)
+   iterates, and at mega-scale (10^6..10^7 nodes, built by [of_csr]
+   from a streamed [Ld_graph.Csr.t]) it is the only part we can afford
+   to materialise eagerly, so there the columns are derived lazily.
+   Every other constructor wraps its eager columns in [Lazy.from_val].
+   Dart lists are never stored: [darts] reads them off the CSR. *)
 type t = {
   n : int;
   n_edges : int;
   n_loops : int;
-  edges : edge array Lazy.t;
-  loops : loop array Lazy.t;
-  darts : dart list array Lazy.t; (* per node, sorted by colour *)
+  cols : columns Lazy.t;
   csr : csr;
 }
 
@@ -40,109 +51,140 @@ let dart_colour = function
   | To_neighbour { colour; _ } -> colour
   | Into_loop { colour; _ } -> colour
 
-let csr_of_darts n (darts : dart list array) =
-  let row = Array.make (n + 1) 0 in
+(* Sort the CSR segment [lo, hi) by colour, moving [other] and [code]
+   along. Adversary and runtime segments hold at most Δ darts, where
+   insertion sort is fastest; longer ones go through a sorted
+   permutation. Colours at a node are distinct in any valid graph, so
+   the order is unique and stability does not matter. *)
+let sort_segment colour other code lo hi =
+  if hi - lo <= 16 then
+    for d = lo + 1 to hi - 1 do
+      let cd = colour.(d) and od = other.(d) and kd = code.(d) in
+      let j = ref d in
+      while !j > lo && colour.(!j - 1) > cd do
+        colour.(!j) <- colour.(!j - 1);
+        other.(!j) <- other.(!j - 1);
+        code.(!j) <- code.(!j - 1);
+        decr j
+      done;
+      colour.(!j) <- cd;
+      other.(!j) <- od;
+      code.(!j) <- kd
+    done
+  else begin
+    let perm = Array.init (hi - lo) (fun i -> lo + i) in
+    Array.sort (fun a b -> Int.compare colour.(a) colour.(b)) perm;
+    let c = Array.map (fun d -> colour.(d)) perm
+    and o = Array.map (fun d -> other.(d)) perm
+    and k = Array.map (fun d -> code.(d)) perm in
+    Array.blit c 0 colour lo (hi - lo);
+    Array.blit o 0 other lo (hi - lo);
+    Array.blit k 0 code lo (hi - lo)
+  end
+
+(* Colour-sort every node's segment and check properness: the invariant
+   every runner and the refinement core relies on. *)
+let sort_segments ~who n row colour other code =
   for v = 0 to n - 1 do
-    row.(v + 1) <- row.(v) + List.length darts.(v)
+    let lo = row.(v) and hi = row.(v + 1) in
+    sort_segment colour other code lo hi;
+    for d = lo + 1 to hi - 1 do
+      if colour.(d - 1) = colour.(d) then
+        invalid_arg
+          (Printf.sprintf
+             "%s: node %d has two darts of colour %d (colouring not proper)" who
+             v colour.(d))
+    done
+  done
+
+(* Array-native construction: count degrees, prefix-sum the rows,
+   scatter every edge's two darts and every loop's one dart straight
+   into their CSR slots, then colour-sort each segment in place. No
+   dart record or list is allocated. *)
+let build n cols =
+  let { edge_u; edge_v; edge_colour; loop_node; loop_colour } = cols in
+  let n_edges = Array.length edge_u and n_loops = Array.length loop_node in
+  let row = Array.make (n + 1) 0 in
+  for j = 0 to n_edges - 1 do
+    row.(edge_u.(j) + 1) <- row.(edge_u.(j) + 1) + 1;
+    row.(edge_v.(j) + 1) <- row.(edge_v.(j) + 1) + 1
+  done;
+  for j = 0 to n_loops - 1 do
+    row.(loop_node.(j) + 1) <- row.(loop_node.(j) + 1) + 1
+  done;
+  for v = 0 to n - 1 do
+    row.(v + 1) <- row.(v + 1) + row.(v)
   done;
   let m = row.(n) in
   let colour = Array.make m 0 in
   let other = Array.make m 0 in
   let code = Array.make m 0 in
-  for v = 0 to n - 1 do
-    let d = ref row.(v) in
-    List.iter
-      (fun dart ->
-        (match dart with
-        | To_neighbour { neighbour; edge_id; colour = c } ->
-          colour.(!d) <- c;
-          other.(!d) <- neighbour;
-          code.(!d) <- edge_id
-        | Into_loop { loop_id; colour = c } ->
-          colour.(!d) <- c;
-          other.(!d) <- v;
-          code.(!d) <- -loop_id - 1);
-        incr d)
-      darts.(v)
+  let next = Array.sub row 0 n in
+  let place v c o k =
+    let d = next.(v) in
+    next.(v) <- d + 1;
+    colour.(d) <- c;
+    other.(d) <- o;
+    code.(d) <- k
+  in
+  for j = 0 to n_edges - 1 do
+    place edge_u.(j) edge_colour.(j) edge_v.(j) j;
+    place edge_v.(j) edge_colour.(j) edge_u.(j) j
   done;
-  { row; colour; other; code }
+  for j = 0 to n_loops - 1 do
+    place loop_node.(j) loop_colour.(j) loop_node.(j) (-j - 1)
+  done;
+  sort_segments ~who:"Ec.create" n row colour other code;
+  { n; n_edges; n_loops; cols = Lazy.from_val cols; csr = { row; colour; other; code } }
 
-let build n edges loops =
-  let darts = Array.make n [] in
-  Array.iteri
-    (fun id e ->
-      darts.(e.u) <-
-        To_neighbour { neighbour = e.v; edge_id = id; colour = e.colour }
-        :: darts.(e.u);
-      darts.(e.v) <-
-        To_neighbour { neighbour = e.u; edge_id = id; colour = e.colour }
-        :: darts.(e.v))
-    edges;
-  Array.iteri
-    (fun id l ->
-      darts.(l.node) <- Into_loop { loop_id = id; colour = l.colour } :: darts.(l.node))
-    loops;
-  Array.iteri
-    (fun v ds ->
-      let sorted = List.sort (fun a b -> Int.compare (dart_colour a) (dart_colour b)) ds in
-      let rec check = function
-        | a :: (b :: _ as rest) ->
-          if dart_colour a = dart_colour b then
-            invalid_arg
-              (Printf.sprintf
-                 "Ec.create: node %d has two darts of colour %d (colouring not proper)"
-                 v (dart_colour a));
-          check rest
-        | _ -> ()
-      in
-      check sorted;
-      darts.(v) <- sorted)
-    darts;
-  {
-    n;
-    n_edges = Array.length edges;
-    n_loops = Array.length loops;
-    edges = Lazy.from_val edges;
-    loops = Lazy.from_val loops;
-    darts = Lazy.from_val darts;
-    csr = csr_of_darts n darts;
-  }
-
-let validated n edges loops =
+let of_columns ~n cols =
+  let { edge_u; edge_v; edge_colour; loop_node; loop_colour } = cols in
   if n < 0 then invalid_arg "Ec.create: negative n";
+  if
+    Array.length edge_v <> Array.length edge_u
+    || Array.length edge_colour <> Array.length edge_u
+    || Array.length loop_colour <> Array.length loop_node
+  then invalid_arg "Ec.of_columns: column lengths differ";
   let check_node v = if v < 0 || v >= n then invalid_arg "Ec.create: node out of range" in
   let check_colour c = if c < 1 then invalid_arg "Ec.create: colours must be >= 1" in
-  Array.iter
-    (fun e ->
-      check_node e.u;
-      check_node e.v;
-      check_colour e.colour;
-      if e.u = e.v then invalid_arg "Ec.create: self-edge; use ~loops")
-    edges;
-  Array.iter
-    (fun l ->
-      check_node l.node;
-      check_colour l.colour)
-    loops;
-  build n edges loops
+  for j = 0 to Array.length edge_u - 1 do
+    check_node edge_u.(j);
+    check_node edge_v.(j);
+    check_colour edge_colour.(j);
+    if edge_u.(j) = edge_v.(j) then invalid_arg "Ec.create: self-edge; use ~loops"
+  done;
+  for j = 0 to Array.length loop_node - 1 do
+    check_node loop_node.(j);
+    check_colour loop_colour.(j)
+  done;
+  build n cols
 
 let create ~n ~edges ~loops =
-  validated n
-    (Array.of_list (List.map (fun (u, v, colour) -> { u; v; colour }) edges))
-    (Array.of_list (List.map (fun (node, colour) -> { node; colour }) loops))
-
-let create_arrays ~n ~edges ~loops =
-  (* Defensive copies: [build] keeps the arrays in the value. *)
-  validated n (Array.copy edges) (Array.copy loops)
+  let edges = Array.of_list edges and loops = Array.of_list loops in
+  of_columns ~n
+    {
+      edge_u = Array.map (fun (u, _, _) -> u) edges;
+      edge_v = Array.map (fun (_, v, _) -> v) edges;
+      edge_colour = Array.map (fun (_, _, c) -> c) edges;
+      loop_node = Array.map fst loops;
+      loop_colour = Array.map snd loops;
+    }
 
 let n g = g.n
 let num_edges g = g.n_edges
 let num_loops g = g.n_loops
-let edge g id = (Lazy.force g.edges).(id)
-let loop g id = (Lazy.force g.loops).(id)
-let edges g = Array.to_list (Lazy.force g.edges)
-let loops g = Array.to_list (Lazy.force g.loops)
-let darts g v = (Lazy.force g.darts).(v)
+let columns g = Lazy.force g.cols
+
+let edge g id =
+  let c = columns g in
+  { u = c.edge_u.(id); v = c.edge_v.(id); colour = c.edge_colour.(id) }
+
+let loop g id =
+  let c = columns g in
+  { node = c.loop_node.(id); colour = c.loop_colour.(id) }
+
+let edges g = List.init g.n_edges (edge g)
+let loops g = List.init g.n_loops (loop g)
 let csr g = g.csr
 
 (* Reconstruct the dart at CSR index [d]. *)
@@ -152,6 +194,10 @@ let dart_at g d =
     To_neighbour { neighbour = other.(d); edge_id = code.(d); colour = colour.(d) }
   else Into_loop { loop_id = -code.(d) - 1; colour = colour.(d) }
   [@@inline]
+
+let darts g v =
+  let lo = g.csr.row.(v) in
+  List.init (g.csr.row.(v + 1) - lo) (fun i -> dart_at g (lo + i))
 
 let dart_by_colour g v c =
   (* Darts of a node are sorted by colour: binary search the segment. *)
@@ -185,9 +231,12 @@ let max_colour g =
   !c
 
 let loops_at g v =
-  List.filter_map
-    (function Into_loop { loop_id; _ } -> Some loop_id | To_neighbour _ -> None)
-    (Lazy.force g.darts).(v)
+  let { row; code; _ } = g.csr in
+  let acc = ref [] in
+  for d = row.(v + 1) - 1 downto row.(v) do
+    if code.(d) < 0 then acc := (-code.(d) - 1) :: !acc
+  done;
+  !acc
 
 let min_loops g =
   if g.n = 0 then 0
@@ -204,33 +253,56 @@ let min_loops g =
     !best
   end
 
+(* Union-find with path halving: a forest grows by one edge per union,
+   so [n - 1] edges and no cycle make a spanning tree. *)
+let is_tree_plus_loops g =
+  g.n_edges = g.n - 1
+  &&
+  let c = columns g in
+  let parent = Array.init g.n Fun.id in
+  let rec find v =
+    let p = parent.(v) in
+    if p = v then v
+    else begin
+      parent.(v) <- parent.(p);
+      find parent.(v)
+    end
+  in
+  let acyclic = ref true in
+  for j = 0 to g.n_edges - 1 do
+    let a = find c.edge_u.(j) and b = find c.edge_v.(j) in
+    if a = b then acyclic := false else parent.(a) <- b
+  done;
+  !acyclic
+
 let remove_loop g id =
   if id < 0 || id >= g.n_loops then invalid_arg "Ec.remove_loop";
-  let gl = Lazy.force g.loops in
-  let loops =
-    Array.init (g.n_loops - 1) (fun i -> if i < id then gl.(i) else gl.(i + 1))
-  in
-  build g.n (Lazy.force g.edges) loops
+  let c = columns g in
+  let drop a = Array.init (g.n_loops - 1) (fun i -> if i < id then a.(i) else a.(i + 1)) in
+  build g.n { c with loop_node = drop c.loop_node; loop_colour = drop c.loop_colour }
 
 let disjoint_union a b =
-  let shift = a.n in
-  let edges =
-    Array.append (Lazy.force a.edges)
-      (Array.map
-         (fun e -> { e with u = e.u + shift; v = e.v + shift })
-         (Lazy.force b.edges))
-  in
-  let loops =
-    Array.append (Lazy.force a.loops)
-      (Array.map (fun l -> { l with node = l.node + shift }) (Lazy.force b.loops))
-  in
-  build (a.n + b.n) edges loops
+  let ca = columns a and cb = columns b in
+  let shifted x = Array.map (fun v -> v + a.n) x in
+  build (a.n + b.n)
+    {
+      edge_u = Array.append ca.edge_u (shifted cb.edge_u);
+      edge_v = Array.append ca.edge_v (shifted cb.edge_v);
+      edge_colour = Array.append ca.edge_colour cb.edge_colour;
+      loop_node = Array.append ca.loop_node (shifted cb.loop_node);
+      loop_colour = Array.append ca.loop_colour cb.loop_colour;
+    }
 
 let add_edge g (u, v, colour) =
   if u = v then invalid_arg "Ec.add_edge: self-edge";
+  let c = columns g in
   build g.n
-    (Array.append (Lazy.force g.edges) [| { u; v; colour } |])
-    (Lazy.force g.loops)
+    {
+      c with
+      edge_u = Array.append c.edge_u [| u |];
+      edge_v = Array.append c.edge_v [| v |];
+      edge_colour = Array.append c.edge_colour [| colour |];
+    }
 
 let of_simple sg ~colour =
   let module G = Ld_graph.Graph in
@@ -242,10 +314,7 @@ let of_simple sg ~colour =
 let to_simple g =
   if g.n_loops > 0 then invalid_arg "Ec.to_simple: graph has loops";
   Ld_graph.Graph.create g.n
-    (Array.to_list
-       (Array.map
-          (fun e -> (Stdlib.min e.u e.v, Stdlib.max e.u e.v))
-          (Lazy.force g.edges)))
+    (List.map (fun e -> (Stdlib.min e.u e.v, Stdlib.max e.u e.v)) (edges g))
 
 let canonical_edge e =
   (Stdlib.min e.u e.v, Stdlib.max e.u e.v, e.colour)
@@ -276,12 +345,12 @@ let equal a b =
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>ec-graph n=%d@," g.n;
-  Array.iter
+  List.iter
     (fun e -> Format.fprintf fmt "  edge %d-%d colour %d@," e.u e.v e.colour)
-    (Lazy.force g.edges);
-  Array.iter
+    (edges g);
+  List.iter
     (fun l -> Format.fprintf fmt "  loop @@%d colour %d@," l.node l.colour)
-    (Lazy.force g.loops);
+    (loops g);
   Format.fprintf fmt "@]"
 
 (* ---------- streaming constructor ----------
@@ -293,7 +362,7 @@ let pp fmt g =
    the same ids [of_simple] would produce via [Graph.edges] — and each
    segment is permuted to ascending colour order, which is the
    invariant every runner and the refinement core relies on. The
-   record/list views stay lazy; forcing them on a 10^7-node graph is a
+   record views stay lazy; forcing them on a 10^7-node graph is a
    programming error the memory profile will surface quickly. *)
 let of_csr (c : Ld_graph.Csr.t) =
   let n = c.Ld_graph.Csr.n in
@@ -307,7 +376,7 @@ let of_csr (c : Ld_graph.Csr.t) =
      construction), which is the id order [of_simple] assigns. Hence
      the inner walk runs each segment in reverse, taking the darts
      with [v < w] (each edge's first occurrence). *)
-  let code = Array.make (Stdlib.max 1 nd) 0 in
+  let code = Array.make nd 0 in
   let next_id = ref 0 in
   for v = 0 to n - 1 do
     for d = srow.(v + 1) - 1 downto srow.(v) do
@@ -319,65 +388,30 @@ let of_csr (c : Ld_graph.Csr.t) =
       end
     done
   done;
-  (* Pass 2: permute every segment to ascending colour order
-     (insertion sort on <= Δ entries), checking properness. *)
-  let colour = Array.make (Stdlib.max 1 nd) 0 in
-  let other = Array.make (Stdlib.max 1 nd) 0 in
-  for v = 0 to n - 1 do
-    let lo = srow.(v) and hi = srow.(v + 1) in
-    for d = lo to hi - 1 do
-      let cd = scol.(d) and od = send.(d) and ed = code.(d) in
-      if cd < 1 then invalid_arg "Ec.of_csr: colours must be >= 1";
-      let j = ref d in
-      while !j > lo && colour.(!j - 1) > cd do
-        colour.(!j) <- colour.(!j - 1);
-        other.(!j) <- other.(!j - 1);
-        code.(!j) <- code.(!j - 1);
-        decr j
-      done;
-      colour.(!j) <- cd;
-      other.(!j) <- od;
-      code.(!j) <- ed
-    done;
-    for d = lo + 1 to hi - 1 do
-      if colour.(d - 1) = colour.(d) then
-        invalid_arg
-          (Printf.sprintf
-             "Ec.of_csr: node %d has two darts of colour %d (colouring not \
-              proper)"
-             v colour.(d))
-    done
+  (* Pass 2: permute every segment to ascending colour order, checking
+     properness. *)
+  let colour = Array.sub scol 0 nd in
+  let other = Array.sub send 0 nd in
+  for d = 0 to nd - 1 do
+    if colour.(d) < 1 then invalid_arg "Ec.of_csr: colours must be >= 1"
   done;
+  sort_segments ~who:"Ec.of_csr" n srow colour other code;
   let n_edges = c.Ld_graph.Csr.m in
-  (* Edgeless graphs carry empty dart arrays (matching [of_simple]),
-     not the length-1 scratch allocation. *)
-  let colour = if nd = 0 then [||] else colour in
-  let other = if nd = 0 then [||] else other in
-  let code = if nd = 0 then [||] else code in
   let csr = { row = srow; colour; other; code } in
-  let edges =
+  let cols =
     lazy
-      (let es = Array.make n_edges { u = 0; v = 0; colour = 0 } in
+      (let edge_u = Array.make n_edges 0 in
+       let edge_v = Array.make n_edges 0 in
+       let edge_colour = Array.make n_edges 0 in
        for v = 0 to n - 1 do
          for d = srow.(v) to srow.(v + 1) - 1 do
-           if v < other.(d) then
-             es.(code.(d)) <- { u = v; v = other.(d); colour = colour.(d) }
+           if v < other.(d) then begin
+             edge_u.(code.(d)) <- v;
+             edge_v.(code.(d)) <- other.(d);
+             edge_colour.(code.(d)) <- colour.(d)
+           end
          done
        done;
-       es)
+       { edge_u; edge_v; edge_colour; loop_node = [||]; loop_colour = [||] })
   in
-  let darts =
-    lazy
-      (Array.init n (fun v ->
-           List.init
-             (srow.(v + 1) - srow.(v))
-             (fun i ->
-               let d = srow.(v) + i in
-               To_neighbour
-                 {
-                   neighbour = other.(d);
-                   edge_id = code.(d);
-                   colour = colour.(d);
-                 })))
-  in
-  { n; n_edges; n_loops = 0; edges; loops = Lazy.from_val [||]; darts; csr }
+  { n; n_edges; n_loops = 0; cols; csr }

@@ -27,21 +27,43 @@ type t
     [(v, v, _)] (use [loops] for those). *)
 val create : n:int -> edges:(int * int * int) list -> loops:(int * int) list -> t
 
-(** [create_arrays ~n ~edges ~loops] is [create] on prebuilt records —
-    the allocation-light constructor used by the hot construction paths
-    (unfold, mix, lifts). The arrays are copied. *)
-val create_arrays : n:int -> edges:edge array -> loops:loop array -> t
+(** Edges and loops column-wise, in id order: edge [j] is
+    [(edge_u.(j), edge_v.(j), edge_colour.(j))] and loop [j] is
+    [(loop_node.(j), loop_colour.(j))]. *)
+type columns = {
+  edge_u : int array;
+  edge_v : int array;
+  edge_colour : int array;
+  loop_node : int array;
+  loop_colour : int array;
+}
+
+(** [of_columns ~n cols] is [create] on columns — the array-native
+    constructor of the hot construction paths (unfold, mix, lifts, the
+    store codec). The graph keeps [cols] without copying: callers must
+    not mutate the arrays afterwards. Like [create], it scatters the
+    darts straight into the {!csr} arrays and colour-sorts each node's
+    segment in place; no dart value is built.
+    @raise Invalid_argument as [create] does, or if the two edge
+    columns or the two loop columns differ in length from the first. *)
+val of_columns : n:int -> columns -> t
 
 val n : t -> int
 val num_edges : t -> int
 val num_loops : t -> int
 
+(** The graph's columns, shared with it: treat the arrays as
+    read-only. *)
+val columns : t -> columns
+
+(** [edge g id] and [loop g id] read one record off the {!columns}. *)
 val edge : t -> int -> edge
 val loop : t -> int -> loop
 val edges : t -> edge list
 val loops : t -> loop list
 
-(** Darts at a node, sorted by colour. *)
+(** Darts at a node, sorted by colour. Read off the {!csr} view: each
+    call allocates a fresh list, so inner loops should iterate the CSR. *)
 val darts : t -> int -> dart list
 
 (** Flat CSR view of all darts, computed once at construction and cached
@@ -85,6 +107,11 @@ val loops_at : t -> int -> int list
     [Ld_cover.Loopy] for the Definition 1 notion). *)
 val min_loops : t -> int
 
+(** [is_tree_plus_loops g] holds iff [g] is a tree once its loops are
+    ignored: connected, with [n - 1] edges and no cycle (parallel edges
+    make a cycle). This is property P3 of the adversary's graphs. *)
+val is_tree_plus_loops : t -> bool
+
 (** [remove_loop g id] deletes one loop (used by the base case, Fig. 5). *)
 val remove_loop : t -> int -> t
 
@@ -102,7 +129,8 @@ val of_simple : Ld_graph.Graph.t -> colour:(int * int -> int) -> t
 (** [of_csr c] lifts a streamed coloured CSR ([Generators.stream_*])
     into the EC model without materialising edge records, tuple lists,
     or dart lists — only the colour-sorted CSR arrays are built
-    eagerly (the [edges]/[loops]/[darts] views are lazy). Edge ids
+    eagerly (the {!columns}, and the record views read off them, are
+    computed on first use). Edge ids
     follow sorted-(u, v) order, identical to
     [of_simple g ~colour] on the same graph; [c.row] is shared, not
     copied. @raise Invalid_argument if the colouring is not proper. *)

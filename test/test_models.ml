@@ -129,6 +129,118 @@ let ec_of_csr_identical =
            (fun (x : Ec.edge) y -> x.u = y.u && x.v = y.v && x.colour = y.colour)
            (Ec.edges via_csr) (Ec.edges via_lists))
 
+(* A random proper-coloured loopy multigraph: nodes 0..2 act as hubs so
+   that some segments exceed the insertion-sort cutoff of 16 darts. *)
+let random_loopy_ec seed =
+  let st = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int st 30 in
+  let max_colour = 40 in
+  let used = Array.init n (fun _ -> Array.make (max_colour + 1) false) in
+  let edges = ref [] and loops = ref [] in
+  for _ = 1 to Random.State.int st 120 do
+    let pick () =
+      if Random.State.bool st then Random.State.int st (min n 3)
+      else Random.State.int st n
+    in
+    let u = pick () and v = pick () and c = 1 + Random.State.int st max_colour in
+    if u = v then begin
+      if not used.(u).(c) then begin
+        used.(u).(c) <- true;
+        loops := (u, c) :: !loops
+      end
+    end
+    else if not (used.(u).(c) || used.(v).(c)) then begin
+      used.(u).(c) <- true;
+      used.(v).(c) <- true;
+      edges := (u, v, c) :: !edges
+    end
+  done;
+  Ec.create ~n ~edges:(List.rev !edges) ~loops:(List.rev !loops)
+
+(* The CSR as the list-based construction built it: per-node dart lists
+   in (colour, far end, code) form, sorted by colour, then flattened. *)
+let reference_csr g =
+  let n = Ec.n g in
+  let darts = Array.make n [] in
+  List.iteri
+    (fun id (e : Ec.edge) ->
+      darts.(e.u) <- (e.colour, e.v, id) :: darts.(e.u);
+      darts.(e.v) <- (e.colour, e.u, id) :: darts.(e.v))
+    (Ec.edges g);
+  List.iteri
+    (fun id (l : Ec.loop) -> darts.(l.node) <- (l.colour, l.node, -id - 1) :: darts.(l.node))
+    (Ec.loops g);
+  let segments =
+    Array.map (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)) darts
+  in
+  let row = Array.make (n + 1) 0 in
+  Array.iteri (fun v ds -> row.(v + 1) <- row.(v) + List.length ds) segments;
+  let flat = List.concat (Array.to_list segments) in
+  ( row,
+    Array.of_list (List.map (fun (c, _, _) -> c) flat),
+    Array.of_list (List.map (fun (_, o, _) -> o) flat),
+    Array.of_list (List.map (fun (_, _, k) -> k) flat) )
+
+let ec_csr_matches_dart_lists =
+  QCheck.Test.make ~count:200 ~name:"array-native CSR = sorted dart lists"
+    (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let g = random_loopy_ec seed in
+      let row, colour, other, code = reference_csr g in
+      let c = Ec.csr g in
+      let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
+      same c.Ec.row row && same c.Ec.colour colour && same c.Ec.other other
+      && same c.Ec.code code
+      && List.for_all
+           (fun v ->
+             List.equal
+               (fun a b -> Ec.dart_colour a = Ec.dart_colour b)
+               (Ec.darts g v)
+               (List.init (Ec.degree g v) (fun i -> Ec.dart_at g (c.Ec.row.(v) + i))))
+           (List.init (Ec.n g) Fun.id)
+      (* the columns read back as the records the graph was built from *)
+      && Ec.equal g (Ec.of_columns ~n:(Ec.n g) (Ec.columns g)))
+
+let ec_of_columns_checks () =
+  let cols =
+    {
+      Ec.edge_u = [| 0 |];
+      edge_v = [| 1 |];
+      edge_colour = [||];
+      loop_node = [||];
+      loop_colour = [||];
+    }
+  in
+  Alcotest.check_raises "column lengths"
+    (Invalid_argument "Ec.of_columns: column lengths differ") (fun () ->
+      ignore (Ec.of_columns ~n:2 cols));
+  Alcotest.check_raises "node range"
+    (Invalid_argument "Ec.create: node out of range") (fun () ->
+      ignore (Ec.of_columns ~n:1 { cols with edge_colour = [| 1 |] }))
+
+(* P3 against its definition on the simple graph: a connected simple
+   graph with n - 1 edges (parallel edges are not simple). *)
+let ec_tree_check =
+  QCheck.Test.make ~count:200 ~name:"is_tree_plus_loops = simple tree check"
+    (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let g = random_loopy_ec seed in
+      let reference =
+        match
+          G.create (Ec.n g)
+            (List.map (fun (e : Ec.edge) -> (min e.u e.v, max e.u e.v)) (Ec.edges g))
+        with
+        | exception Invalid_argument _ -> false
+        | sg -> G.m sg = G.n sg - 1 && G.is_connected sg
+      in
+      let tree =
+        (* a spanning path on the same nodes, to hit the positive case *)
+        Ec.create ~n:(Ec.n g)
+          ~edges:(List.init (Ec.n g - 1) (fun v -> (v, v + 1, 1 + (v mod 2))))
+          ~loops:[ (0, 3) ]
+      in
+      Bool.equal reference (Ec.is_tree_plus_loops g) && Ec.is_tree_plus_loops tree)
+
 let labelled_id_oi () =
   let g = Gen.path 3 in
   Alcotest.check_raises "duplicate ids" (Invalid_argument "Id.create: duplicate id")
@@ -170,6 +282,9 @@ let () =
           Alcotest.test_case "loop degree" `Quick ec_loop_degree;
           Alcotest.test_case "remove loop" `Quick ec_remove_loop;
           Alcotest.test_case "union and simple" `Quick ec_union_and_simple;
+          QCheck_alcotest.to_alcotest ec_csr_matches_dart_lists;
+          Alcotest.test_case "of_columns checks" `Quick ec_of_columns_checks;
+          QCheck_alcotest.to_alcotest ec_tree_check;
         ] );
       ( "po",
         [

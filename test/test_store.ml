@@ -153,6 +153,66 @@ let codec_truncation_fails =
       | _ -> false
       | exception Failure _ -> true)
 
+(* A level's certificate graphs are two of its probe graphs; the codec
+   writes each once and the decoder hands back one shared value, as the
+   cold construction has it. *)
+let codec_shares_graphs () =
+  List.iter
+    (fun entry ->
+      let e = Cache_store.entry_of_string (Cache_store.entry_to_string entry) in
+      let c = e.Cache_store.entry_certificate in
+      let is_probe g =
+        List.exists (fun (p : LB.probe) -> p.probe_graph == g) e.Cache_store.entry_probes
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "level %d shares both graphs" e.Cache_store.entry_level)
+        true
+        (is_probe c.g_graph && is_probe c.h_graph))
+    (entries_of_cache (cold_cache 5))
+
+(* Any mutation of a valid record either fails with [Failure] or
+   decodes to an entry that re-encodes to the mutated bytes exactly:
+   the decoder accepts nothing the encoder would not write. *)
+let codec_mutation_is_rejected_or_exact =
+  let record =
+    lazy (Cache_store.entry_to_string (List.nth (entries_of_cache (cold_cache 4)) 2))
+  in
+  QCheck.Test.make ~count:500 ~name:"mutated entry => Failure or exact re-encode"
+    (QCheck.triple QCheck.small_nat QCheck.small_nat (QCheck.int_range 0 255))
+    (fun (kind, at, byte) ->
+      let s = Lazy.force record in
+      let at = at mod String.length s in
+      let mutated =
+        match kind mod 3 with
+        | 0 -> String.mapi (fun i c -> if i = at then Char.chr byte else c) s
+        | 1 -> String.sub s 0 at ^ String.make 1 (Char.chr byte) ^ String.sub s at (String.length s - at)
+        | _ -> String.sub s 0 at ^ String.sub s (at + 1) (String.length s - at - 1)
+      in
+      match Cache_store.entry_of_string mutated with
+      | e -> String.equal (Cache_store.entry_to_string e) mutated
+      | exception Failure _ -> true)
+
+(* Hand-built hostile records: each must fail cleanly, and a huge count
+   must fail before anything of that size is allocated. *)
+let codec_hostile_records () =
+  let rejects name s =
+    match Cache_store.entry_of_string s with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Failure _ -> ()
+  in
+  let valid = Cache_store.entry_to_string (List.hd (entries_of_cache (cold_cache 3))) in
+  (* the leading level varint 0, re-spelled in two bytes *)
+  rejects "non-minimal varint"
+    ("\x80\x00" ^ String.sub valid 1 (String.length valid - 1));
+  rejects "ten-byte varint" (String.make 9 '\xff' ^ "\x01");
+  (* level 0, certificate level 0, colour 1, then a back-reference to
+     graph literal 1 before any literal *)
+  rejects "reference to an unseen graph" "\x00\x00\x01\x01";
+  (* a graph literal claiming 2^56 edges in a 12-byte record *)
+  rejects "huge edge count" "\x00\x00\x01\x00\x01\x80\x80\x80\x80\x80\x80\x80\x80\x01";
+  (* ten nodes and one loop *)
+  rejects "more nodes than darts" "\x00\x00\x01\x00\x0a\x00\x01\x00\x01"
+
 (* ------------------------------------------------------------------ *)
 (* Warm restart. *)
 
@@ -292,6 +352,11 @@ let () =
           Alcotest.test_case "re-encode is identity" `Quick
             codec_reencode_is_identity;
           QCheck_alcotest.to_alcotest codec_truncation_fails;
+          Alcotest.test_case "certificate graphs are shared" `Quick
+            codec_shares_graphs;
+          QCheck_alcotest.to_alcotest codec_mutation_is_rejected_or_exact;
+          Alcotest.test_case "hostile records fail cleanly" `Quick
+            codec_hostile_records;
         ] );
       ( "warm restart",
         [
