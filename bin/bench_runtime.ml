@@ -108,7 +108,10 @@ let identity_check () =
     Packed_ii.run ~par_threshold:0 ~domains:4 ~seed:42
       ~max_rounds:ii_max_rounds g
   in
-  a.Packed_ii.mate = b.Packed_ii.mate && a.Packed_ii.rounds = b.Packed_ii.rounds
+  let mate_a = a.Packed_ii.mate and mate_b = b.Packed_ii.mate in
+  Array.length mate_a = Array.length mate_b
+  && Array.for_all2 Int.equal mate_a mate_b
+  && a.Packed_ii.rounds = b.Packed_ii.rounds
 
 let json_escape = Ld_obs.Json.escape
 

@@ -935,17 +935,10 @@ let bench_runtime_cmd =
 
 (* ---- lint ---- *)
 
-let lint common json list_rules deep sarif_out cmt_root no_cache store_dir
-    paths =
+let lint common json list_rules sarif_out paths =
   with_common common @@ fun () ->
   if list_rules then begin
     Format.printf "%a" Ld_lint.Driver.pp_rules ();
-    List.iter
-      (fun (id, sev, doc) ->
-        Format.printf "@[<v 2>%s [%s]@,@[<hov>%a@]@]@.@." id
-          (Ld_lint.Diagnostic.severity_to_string sev)
-          Format.pp_print_text doc)
-      Ld_lint_deep.Deep_driver.rules_meta;
     0
   end
   else begin
@@ -962,41 +955,11 @@ let lint common json list_rules deep sarif_out cmt_root no_cache store_dir
           List.filter Sys.file_exists [ "lib"; "bin"; "test"; "bench"; "examples" ]
         | ps -> ps
       in
-      let shallow = Ld_lint.Driver.lint_paths paths in
-      let deep_diags =
-        if not deep then []
-        else begin
-          let cmt_root =
-            match cmt_root with
-            | Some r -> r
-            | None ->
-              if Sys.file_exists "_build/default" then "_build/default" else "."
-          in
-          let store =
-            if no_cache then None
-            else Some (Ld_store.Store.open_store ?dir:store_dir ())
-          in
-          Ld_lint_deep.Deep_driver.analyze
-            {
-              Ld_lint_deep.Deep_driver.cmt_roots = [ cmt_root ];
-              source_roots = [ "."; cmt_root ];
-              skip = Ld_lint_deep.Deep_driver.default_skip;
-              store;
-            }
-        end
-      in
-      let diags = Ld_lint.Driver.dedup_sorted (shallow @ deep_diags) in
+      let diags = Ld_lint.Driver.lint_paths paths in
       Option.iter
         (fun path ->
-          let rules =
-            Ld_lint.Sarif.of_shallow_rules ()
-            @ List.map
-                (fun (id, sev, doc) ->
-                  Ld_lint.Sarif.meta ~id ~severity:sev ~doc)
-                Ld_lint_deep.Deep_driver.rules_meta
-          in
           Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc (Ld_lint.Sarif.render ~rules diags)))
+              Out_channel.output_string oc (Ld_lint.Sarif.render diags)))
         sarif_out;
       Ld_lint.Driver.report ~json Format.std_formatter diags
   end
@@ -1012,47 +975,12 @@ let lint_cmd =
       value & flag
       & info [ "rules" ] ~doc:"Print the rule catalogue and exit.")
   in
-  let deep =
-    Arg.(
-      value & flag
-      & info [ "deep" ]
-          ~doc:
-            "Also run the whole-program typed analysis over compiler \
-             .cmt files: interprocedural effect inference with call-chain \
-             diagnostics (deep-nondet-source, deep-domain-safety, \
-             deep-machine-purity). Requires a prior $(b,dune build \
-             \\@check) (or any full build).")
-  in
   let sarif_out =
     Arg.(
       value
       & opt (some string) None
       & info [ "sarif" ] ~docv:"FILE"
           ~doc:"Write all diagnostics as a SARIF 2.1.0 log to $(docv).")
-  in
-  let cmt_root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cmt-root" ] ~docv:"DIR"
-          ~doc:
-            "Directory walked for .cmt files in --deep mode (default: \
-             _build/default when present, else .).")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Disable the content-addressed summary cache in --deep mode.")
-  in
-  let store_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Root of the summary store for --deep (default: LD_STORE, \
-             then XDG cache, then ./.ld-store).")
   in
   let paths =
     Arg.(
@@ -1068,12 +996,13 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Run the ld-lint determinism/exactness/domain-safety static \
-          analyzer over OCaml sources. Exits 1 if any violation is found. \
-          Suppress a finding with a (* ld-lint: allow <rule> *) comment on \
-          the same or preceding line.")
-    Term.(
-      const lint $ common_term $ json $ list_rules $ deep $ sarif_out
-      $ cmt_root $ no_cache $ store_dir $ paths)
+          analyzer over OCaml sources. The typed rules read the compiler's \
+          .cmt files under _build/default (or under the current directory \
+          when that is absent), so build first, e.g. $(b,dune build \
+          @check); $(b,dune build @lint) does both. Exits 1 if any \
+          violation is found. Suppress a finding with a (* ld-lint: allow \
+          <rule> *) comment on the same or preceding line.")
+    Term.(const lint $ common_term $ json $ list_rules $ sarif_out $ paths)
 
 let main_cmd =
   Cmd.group

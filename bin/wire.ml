@@ -33,7 +33,7 @@ let frame payload =
 (* `send` here is the socket frame writer, not a machine transition;
    the name-based transition heuristic cannot tell them apart and the
    I/O is the whole point. *)
-(* ld-lint: allow deep-machine-purity — socket writer, not a transition *)
+(* ld-lint: allow machine-purity — socket writer, not a transition *)
 let send fd payload =
   let f = frame payload in
   write_all fd f 0 (String.length f)

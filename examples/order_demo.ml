@@ -13,6 +13,11 @@ let bwd c = { O.fwd = false; colour = c }
 
 let show a = Format.asprintf "%a" O.pp a
 
+(* Structural order on addresses, used only to visit each pair once. *)
+let structural =
+  List.compare (fun (a : O.step) b ->
+      match Bool.compare a.fwd b.fwd with 0 -> Int.compare a.colour b.colour | c -> c)
+
 let () =
   Printf.printf "=== the bracket order on tree addresses ===\n";
   let nodes =
@@ -32,7 +37,7 @@ let () =
     (fun x ->
       List.iter
         (fun y ->
-          if x < y then
+          if structural x y < 0 then
             Printf.printf "  [[ %s -> %s ]] = %+d   so %s\n" (show x) (show y)
               (O.bracket x y)
               (if O.compare x y < 0 then show x ^ " precedes " ^ show y

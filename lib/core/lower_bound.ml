@@ -237,7 +237,7 @@ let transport ~side ~state ~target ~y_target ~y_mix =
    adversary driver, not an executor machine transition; it
    legitimately fans out over Pool (whose env-var fallback may warn
    on stderr once at startup). *)
-(* ld-lint: allow deep-machine-purity — adversary driver, not a transition *)
+(* ld-lint: allow machine-purity — adversary driver, not a transition *)
 let step ?record ~delta ~algo ~check_views ~check_lift_invariance
     ~incremental_views state =
   let level = state.i + 1 in

@@ -7,7 +7,7 @@ let rec subsets k list =
     | x :: rest ->
       List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
 
-let monochromatic_subset ~universe ~arity ~colour ~size =
+let monochromatic_subset ~universe ~arity ~(colour : int list -> int) ~size =
   let universe = List.sort_uniq Int.compare universe in
   if size < arity then invalid_arg "Ramsey.monochromatic_subset: size < arity";
   (* Backtracking: grow a candidate subset; whenever it reaches [arity]

@@ -184,7 +184,7 @@ let flat_union a b =
 module Descriptor = struct
   type t = int array
 
-  let equal a b =
+  let equal (a : t) (b : t) =
     let la = Array.length a in
     la = Array.length b
     &&

@@ -18,7 +18,7 @@ let c_cons_hits = Obs.Counter.make "cover.view.cons_hits"
 module Key = struct
   type t = int array
 
-  let equal a b =
+  let equal (a : t) (b : t) =
     let la = Array.length a in
     la = Array.length b
     &&
@@ -59,7 +59,7 @@ let cons branches =
         Arena.add arena key v;
         v)
 
-let banned_is banned colour =
+let banned_is banned (colour : int) =
   match banned with Some c -> c = colour | None -> false
 
 (* Memoised over (node, banned colour, depth) within one call: the

@@ -26,7 +26,7 @@ let key_compare a b =
 module Arena_key = struct
   type t = int array
 
-  let equal a b =
+  let equal (a : t) (b : t) =
     let la = Array.length a in
     la = Array.length b
     &&

@@ -98,7 +98,7 @@ let validate g =
     done
   done
 
-let int_array_equal a b =
+let int_array_equal (a : int array) (b : int array) =
   Array.length a = Array.length b
   &&
   let ok = ref true in

@@ -19,7 +19,7 @@
 type node = {
   fn : Summary.fn;
   edges : (string * Summary.loc) list; (* resolved project callees *)
-  mutable eff : Effects.set;
+  mutable eff : Summary.set;
 }
 
 type t = {
@@ -37,7 +37,7 @@ let build (summaries : Summary.t list) =
       List.iter
         (fun (fn : Summary.fn) ->
           if not (Hashtbl.mem nodes fn.f_key) then
-            Hashtbl.add nodes fn.f_key { fn; edges = []; eff = Effects.empty })
+            Hashtbl.add nodes fn.f_key { fn; edges = []; eff = Summary.empty })
         u.u_fns)
     summaries;
   (* resolve edges now that the index is complete; dedupe per callee,
@@ -76,8 +76,8 @@ let build (summaries : Summary.t list) =
 
 let direct_set (fn : Summary.fn) =
   List.fold_left
-    (fun s (d : Summary.direct) -> Effects.add s d.d_kind)
-    Effects.empty fn.f_direct
+    (fun s (d : Summary.direct) -> Summary.add s d.d_kind)
+    Summary.empty fn.f_direct
 
 (* Tarjan, iterative bookkeeping with recursive DFS (call-graph depth
    is bounded by the longest call chain, far below stack limits). *)
@@ -123,13 +123,13 @@ let solve t =
         List.fold_left
           (fun s m ->
             let n = Hashtbl.find t.nodes m in
-            let s = Effects.union s (direct_set n.fn) in
+            let s = Summary.union s (direct_set n.fn) in
             List.fold_left
               (fun s (w, _) ->
                 if Hashtbl.mem in_scc w then s
-                else Effects.union s (Hashtbl.find t.nodes w).eff)
+                else Summary.union s (Hashtbl.find t.nodes w).eff)
               s n.edges)
-          Effects.empty members
+          Summary.empty members
       in
       List.iter (fun m -> (Hashtbl.find t.nodes m).eff <- set) members
     end
@@ -137,7 +137,6 @@ let solve t =
   List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) t.order
 
 let find t key = Hashtbl.find_opt t.nodes key
-let effect_set t key = match find t key with Some n -> n.eff | None -> Effects.empty
 
 (* Shortest call chain explaining why [start] carries [kind]:
    breadth-first over nodes whose set contains the kind, stopping at
@@ -148,7 +147,7 @@ let effect_set t key = match find t key with Some n -> n.eff | None -> Effects.e
 let chain t start kind =
   match find t start with
   | None -> None
-  | Some n0 when not (Effects.mem n0.eff kind) -> None
+  | Some n0 when not (Summary.mem n0.eff kind) -> None
   | Some _ ->
     let witness (n : node) =
       List.find_opt (fun (d : Summary.direct) -> d.d_kind = kind) n.fn.f_direct
@@ -169,7 +168,7 @@ let chain t start kind =
           (fun (w, _) ->
             if not (Hashtbl.mem visited w) then begin
               let nw = Hashtbl.find t.nodes w in
-              if Effects.mem nw.eff kind then begin
+              if Summary.mem nw.eff kind then begin
                 Hashtbl.replace visited w ();
                 Hashtbl.replace parent w v;
                 Queue.add w q

@@ -1,20 +1,16 @@
 (* A single finding: file/line/col anchor, the rule that fired, and a
-   human message. Severity is per-rule; [Error] findings fail the build
-   while [Warning] findings are reported but do not affect the exit
-   code. *)
-
-type severity = Error | Warning
+   human message. Every finding fails the build. *)
 
 type t = {
   file : string;
   line : int; (* 1-based *)
   col : int; (* 0-based, as compilers print them *)
   rule : string;
-  severity : severity;
   message : string;
 }
 
-let severity_to_string = function Error -> "error" | Warning -> "warning"
+(* The one severity level, printed in the text, JSON and SARIF output. *)
+let level = "error"
 
 let compare a b =
   let c = String.compare a.file b.file in
@@ -32,9 +28,8 @@ let compare a b =
 let equal a b = compare a b = 0
 
 let pp fmt d =
-  Format.fprintf fmt "%s:%d:%d: [%s] %s: %s" d.file d.line d.col
-    (severity_to_string d.severity)
-    d.rule d.message
+  Format.fprintf fmt "%s:%d:%d: [%s] %s: %s" d.file d.line d.col level d.rule
+    d.message
 
 (* JSON is hand-rolled (as in Ld_obs.Trace): the repo deliberately
    avoids a JSON dependency. *)
@@ -53,8 +48,7 @@ let json_escape s =
 let to_json d =
   Printf.sprintf
     "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.file) d.line d.col (json_escape d.rule)
-    (severity_to_string d.severity)
+    (json_escape d.file) d.line d.col (json_escape d.rule) level
     (json_escape d.message)
 
 let list_to_json ds =

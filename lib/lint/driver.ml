@@ -1,34 +1,40 @@
-(* File discovery, parsing, rule dispatch, suppression filtering and
-   rendering. The library entry point used by both `ld lint` and
-   test/test_lint.ml. *)
+(* File discovery, the syntactic pass, the typed passes over .cmt files,
+   suppression and rendering. The library entry point used by both
+   `ld lint` and test/test_lint.ml.
+
+   The typed passes need the compiler's .cmt files: a unit is linted
+   when its recorded source path is a suffix of a collected file's path
+   and its recorded source digest matches that file, so path arguments
+   select units and a stale build cannot anchor findings on the wrong
+   lines. Only those units enter the call graph. *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Directories never descended into when walking. [lint_fixtures]
-   holds deliberately-dirty snippets for test_lint.ml and
-   [deep_fixtures] the seeded mini-project for test_lint_deep.ml;
-   fixture files are still linted when named explicitly. *)
-let skip_dirs =
-  [ "_build"; "_opam"; ".git"; "lint_fixtures"; "deep_fixtures"; "node_modules" ]
+(* Directories never descended into when walking. [lint_fixtures] and
+   [deep_fixtures] hold deliberately-dirty code for test_lint.ml; they
+   are skipped when collecting sources (fixture files are still linted
+   when named explicitly) but not when collecting .cmt files. *)
+let build_dirs = [ "_build"; "_opam"; ".git"; "node_modules" ]
+let skip_dirs = build_dirs @ [ "lint_fixtures"; "deep_fixtures" ]
 
 let is_source path =
   Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
 
-let rec collect acc path =
+(* The files under [path] (or [path] itself) satisfying [keep], in
+   reverse sorted order, not descending into directories named in
+   [skip]. *)
+let rec walk ~skip ~keep acc path =
   if not (Sys.file_exists path) then acc
-  else if not (Sys.is_directory path) then
-    if is_source path then path :: acc else acc
-  else
+  else if Sys.is_directory path then
     Sys.readdir path |> Array.to_list
     |> List.sort String.compare
     |> List.fold_left
          (fun acc entry ->
-           let sub = Filename.concat path entry in
-           if Sys.is_directory sub then
-             if List.mem entry skip_dirs then acc else collect acc sub
-           else if is_source entry then sub :: acc
-           else acc)
+           if List.mem entry skip then acc
+           else walk ~skip ~keep acc (Filename.concat path entry))
          acc
+  else if keep path then path :: acc
+  else acc
 
 (* Explicit CLI inputs that cannot be linted: a missing path or a file
    that is neither .ml nor .mli. Directories are always acceptable
@@ -53,15 +59,10 @@ let parse_any ~file content =
   if Filename.check_suffix file ".mli" then Intf (Parse.interface lexbuf)
   else Impl (Parse.implementation lexbuf)
 
-let parse_structure ~file content =
-  match parse_any ~file content with
-  | Impl str -> str
-  | Intf _ -> invalid_arg "parse_structure: interface file"
-
 (* Interfaces carry no expressions of their own, but attribute and
    extension payloads may embed structures (default implementations,
-   ppx-style payloads) where obj-magic / poly-compare hazards hide.
-   Collect every [PStr] payload and run the ordinary rules over it. *)
+   ppx-style payloads) where obj-magic hazards hide. Collect every
+   [PStr] payload and run the syntactic rules over it. *)
 let payload_structures sg =
   let acc = ref [] in
   let payload self pl =
@@ -82,45 +83,181 @@ let dedup_sorted ds =
   in
   go (List.sort Diagnostic.compare ds)
 
-let raw_diagnostics ~rules ~file parsed =
-  match parsed with
-  | Impl str -> List.concat_map (fun (r : Rules.rule) -> r.check ~file str) rules
-  | Intf sg ->
-    payload_structures sg
-    |> List.concat_map (fun str ->
-           List.concat_map (fun (r : Rules.rule) -> r.check ~file str) rules)
+(* One collected file. [typed] holds the typed passes' findings, or
+   None when no .cmt was found for the file. *)
+type source = {
+  file : string;
+  content : string;
+  suppress : Suppress.t;
+  mutable typed : Diagnostic.t list option;
+}
 
-(* Suppression hygiene: a directive naming an active rule that
-   silences no raw diagnostic is itself reported, anchored at the
-   comment line. Directives naming rules outside the active set are
-   ignored (a deep-rule allow must not read as stale during a shallow
-   run, and a run restricted to one rule must not flag the others'
-   allows). [allow stale-suppression] is exempt to keep the check
-   well-founded; an [allow all] that silences nothing self-suppresses
-   its own stale finding, which we accept as the cost of a line-based
-   scanner. *)
-let stale_suppressions ~rules ~file ~suppress raw =
-  let active r =
-    r = "all" || r = "parse-error"
-    || List.exists (fun (ru : Rules.rule) -> ru.id = r) rules
+(* ---------- typed passes ---------- *)
+
+let default_root () =
+  if Sys.file_exists "_build/default" then "_build/default" else "."
+
+let absolute path =
+  if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path
+
+(* Point the compiler's load path at the unit's own: rebuilding a typed
+   environment reads the .cmi files it was compiled against. Relative
+   entries are relative to the build root, the nearest ancestor of the
+   .cmt that holds the recorded source. *)
+let set_load_path cmt (infos : Cmt_format.cmt_infos) src =
+  let rec root dir =
+    if Sys.file_exists (Filename.concat dir src) || Filename.dirname dir = dir
+    then dir
+    else root (Filename.dirname dir)
   in
-  Suppress.directives suppress
+  let root = root (Filename.dirname (absolute cmt)) in
+  Load_path.init ~auto_include:Load_path.no_auto_include
+    (List.map
+       (fun d -> if Filename.is_relative d then Filename.concat root d else d)
+       infos.cmt_loadpath);
+  Envaux.reset_cache ()
+
+(* The linted unit of a .cmt: its source and its typed tree. *)
+let unit_of ~by_digest cmt =
+  let infos = Cmt_format.read_cmt cmt in
+  match infos with
+  | {
+   cmt_annots = Implementation str;
+   cmt_sourcefile = Some src;
+   cmt_source_digest = Some digest;
+   _;
+  } ->
+    let recorded s = String.ends_with ~suffix:("/" ^ src) ("/" ^ absolute s.file) in
+    Hashtbl.find_all by_digest digest
+    |> List.find_opt recorded
+    |> Option.map (fun s -> (s, infos, src, str))
+  | _ -> None
+
+let typed_diag ~file rule (loc : Summary.loc) message =
+  {
+    Diagnostic.file;
+    line = loc.l_line;
+    col = loc.l_col;
+    rule;
+    message;
+  }
+
+(* One finding per effect kind the entry's rule watches and the node
+   at [key] carries, each printing the chain down to a witness. A
+   node that is its own witness (a chain of length one) acts
+   directly; otherwise it acts transitively. *)
+let entry_findings graph ~file ~key ~loc ~subject (entry : Summary.entry_kind) =
+  let rule, kinds, tail =
+    match entry with
+    | Plain -> ("nondet-source", [ Summary.Nondet; Summary.Reads_clock ], "")
+    | Transition _ ->
+      ("machine-purity", Summary.all_kinds, " — transitions must be pure")
+    | Pool_closure _ ->
+      ( "domain-safety",
+        [ Summary.Mutates_shared ],
+        " — tasks run on separate domains" )
+  in
+  match Callgraph.find graph key with
+  | None -> []
+  | Some node ->
+    List.filter_map
+      (fun kind ->
+        if not (Summary.mem node.Callgraph.eff kind) then None
+        else
+          let direct =
+            List.exists
+              (fun (d : Summary.direct) -> d.d_kind = kind)
+              node.fn.f_direct
+          in
+          Some
+            (typed_diag ~file rule loc
+               (Printf.sprintf "%s %s%s%s: %s" subject
+                  (if direct then "" else "transitively ")
+                  (Summary.describe kind) tail
+                  (Callgraph.chain_text graph key kind))))
+      kinds
+
+let unit_findings graph ~file (u : Summary.t) =
+  List.concat_map
+    (fun (fn : Summary.fn) ->
+      let subject =
+        match fn.f_entry with
+        | Plain -> Printf.sprintf "`%s`" fn.f_display
+        | Transition name -> Printf.sprintf "machine transition `%s`" name
+        | Pool_closure context -> "closure passed to " ^ context
+      in
+      match Callgraph.find graph fn.f_key with
+      | Some node when node.fn == fn ->
+        entry_findings graph ~file ~key:fn.f_key ~loc:fn.f_loc ~subject fn.f_entry
+      | _ -> [])
+    u.u_fns
+  @ List.concat_map
+      (fun (r : Summary.entry_ref) ->
+        let subject =
+          match r.r_entry with
+          | Transition name ->
+            Printf.sprintf "machine transition `%s` (= %s)" name r.r_callee
+          | Pool_closure context ->
+            Printf.sprintf "`%s` passed to %s" r.r_callee context
+          | Plain -> r.r_callee
+        in
+        entry_findings graph ~file ~key:r.r_callee ~loc:r.r_loc ~subject
+          r.r_entry)
+      u.u_refs
+
+(* Run the typed passes over every unit of [sources] found under
+   [root], filling each source's [typed] findings. Extraction consults
+   the sources' suppressions, marking sanctioning allows used. *)
+let run_typed ~root sources =
+  let by_digest = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.add by_digest (Digest.string s.content) s) sources;
+  let units =
+    walk ~skip:build_dirs ~keep:(fun p -> Filename.check_suffix p ".cmt") [] root
+    |> List.sort String.compare
+    |> List.filter_map (fun cmt ->
+           match unit_of ~by_digest cmt with
+           (* one unit per source: a build may leave both a bytecode and
+              a native .cmt of it *)
+           | Some (s, infos, src, str) when Option.is_none s.typed ->
+             s.typed <- Some [];
+             let summary =
+               Extract.of_structure ~unit_name:infos.Cmt_format.cmt_modname
+                 ~source:src ~suppress:s.suppress str
+             in
+             set_load_path cmt infos src;
+             Some (s, summary, Rules.poly_compare ~file:s.file str)
+           | _ -> None)
+  in
+  let graph = Callgraph.build (List.map (fun (_, u, _) -> u) units) in
+  Callgraph.solve graph;
+  List.iter
+    (fun (s, u, poly) ->
+      s.typed <- Some (unit_findings graph ~file:s.file u @ poly))
+    units
+
+(* ---------- per-file assembly ---------- *)
+
+let typed_rules = [ "poly-compare"; "nondet-source"; "domain-safety"; "machine-purity" ]
+
+(* Suppression hygiene: a directive that neither silenced a finding
+   nor sanctioned an effect site is itself reported, anchored at the
+   comment line. [allow stale-suppression] is exempt to keep the check
+   well-founded; a file without a typed tree cannot validate directives
+   naming typed rules. *)
+let stale_suppressions s =
+  Suppress.unused s.suppress
   |> List.filter_map (fun (d : Suppress.directive) ->
-         if d.d_rule = "stale-suppression" || not (active d.d_rule) then None
-         else if
-           List.exists
-             (fun (x : Diagnostic.t) ->
-               Suppress.directive_covers d ~rule:x.rule ~line:x.line)
-             raw
+         if
+           d.d_rule = "stale-suppression"
+           || (Option.is_none s.typed && List.mem d.d_rule typed_rules)
          then None
          else
            Some
              {
-               Diagnostic.file;
+               Diagnostic.file = s.file;
                line = d.d_line;
                col = 0;
                rule = "stale-suppression";
-               severity = Diagnostic.Error;
                message =
                  Printf.sprintf
                    "`%s %s` silences no diagnostic — remove the stale \
@@ -131,13 +268,12 @@ let stale_suppressions ~rules ~file ~suppress raw =
                    d.d_rule;
              })
 
-(* Lint one file with [rules], honouring suppression comments. A file
-   that fails to parse yields a single parse-error diagnostic — the
-   linter never aborts the whole run on one bad file (and the stale
-   check is skipped: without an AST no directive can be validated). *)
-let lint_file ?(rules = Rules.all) file =
-  let content = read_file file in
-  match parse_any ~file content with
+(* A file that fails to parse yields a single parse-error diagnostic —
+   the linter never aborts the whole run on one bad file (and the
+   stale check is skipped: without an AST no directive can be
+   validated). *)
+let lint_source s =
+  match parse_any ~file:s.file s.content with
   | exception e ->
     let line, msg =
       match e with
@@ -148,62 +284,73 @@ let lint_file ?(rules = Rules.all) file =
     in
     [
       {
-        Diagnostic.file;
+        Diagnostic.file = s.file;
         line;
         col = 0;
         rule = "parse-error";
-        severity = Diagnostic.Error;
         message = msg;
       };
     ]
   | parsed ->
-    let suppress = Suppress.of_source content in
-    let raw = raw_diagnostics ~rules ~file parsed in
-    (* Hygiene is only meaningful against the canonical rule set: a
-       run restricted to one rule must not read the other rules'
-       allows as stale. *)
-    let stale =
-      if
-        List.equal String.equal
-          (List.map (fun (r : Rules.rule) -> r.id) rules)
-          (List.map (fun (r : Rules.rule) -> r.id) Rules.all)
-      then stale_suppressions ~rules ~file ~suppress raw
-      else []
+    let structures =
+      match parsed with Impl str -> [ str ] | Intf sg -> payload_structures sg
     in
-    raw @ stale
-    |> List.filter (fun (d : Diagnostic.t) ->
-           not (Suppress.allowed suppress ~rule:d.rule ~line:d.line))
-    |> dedup_sorted
+    let allowed (d : Diagnostic.t) =
+      Option.is_some (Suppress.covering s.suppress ~rule:d.rule ~line:d.line)
+    in
+    let typed =
+      match (parsed, s.typed) with
+      | _, Some ds -> ds
+      | Intf _, None -> []
+      | Impl _, None ->
+        (* an unbuilt or stale implementation must not pass as clean *)
+        [
+          {
+            Diagnostic.file = s.file;
+            line = 1;
+            col = 0;
+            rule = "no-cmt";
+            message =
+              Printf.sprintf
+                "no up-to-date .cmt for this file, so %s did not run — build \
+                 first (dune build @check)"
+                (String.concat ", " typed_rules);
+          };
+        ]
+    in
+    let kept =
+      List.concat_map (Rules.syntactic ~file:s.file) structures @ typed
+      |> List.filter (fun d -> not (allowed d))
+    in
+    kept @ List.filter (fun d -> not (allowed d)) (stale_suppressions s)
 
-let lint_paths ?rules paths =
-  List.fold_left collect [] paths
-  |> List.sort_uniq String.compare
-  |> List.concat_map (lint_file ?rules)
-  |> dedup_sorted
+let lint_paths paths =
+  let sources =
+    List.fold_left (walk ~skip:skip_dirs ~keep:is_source) [] paths
+    |> List.sort_uniq String.compare
+    |> List.map (fun file ->
+           let content = read_file file in
+           { file; content; suppress = Suppress.of_source content; typed = None })
+  in
+  run_typed ~root:(default_root ()) sources;
+  List.concat_map lint_source sources |> dedup_sorted
 
-let has_errors ds =
-  List.exists (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) ds
+let lint_file file = lint_paths [ file ]
 
 (* Render to [fmt]; returns the exit code (0 clean, 1 violations). *)
 let report ~json fmt diags =
   if json then Format.fprintf fmt "%s" (Diagnostic.list_to_json diags)
   else begin
     List.iter (fun d -> Format.fprintf fmt "%a@." Diagnostic.pp d) diags;
-    let errors =
-      List.length
-        (List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error) diags)
-    in
-    if errors > 0 then
-      Format.fprintf fmt "ld-lint: %d violation%s@." errors
-        (if errors = 1 then "" else "s")
-    else Format.fprintf fmt "ld-lint: no violations@."
+    match List.length diags with
+    | 0 -> Format.fprintf fmt "ld-lint: no violations@."
+    | n -> Format.fprintf fmt "ld-lint: %d violation%s@." n (if n = 1 then "" else "s")
   end;
-  if has_errors diags then 1 else 0
+  match diags with [] -> 0 | _ -> 1
 
 let pp_rules fmt () =
   List.iter
-    (fun (r : Rules.rule) ->
+    (fun (r : Rules.info) ->
       Format.fprintf fmt "@[<v 2>%s [%s]@,@[<hov>%a@]@]@.@." r.id
-        (Diagnostic.severity_to_string r.severity)
-        Format.pp_print_text r.doc)
+        Diagnostic.level Format.pp_print_text r.doc)
     Rules.all

@@ -10,13 +10,12 @@
    names are then normalised ("Ld_core__Pool" -> Ld_core.Pool) into
    the canonical dotted keys the call graph is built over.
 
-   Effect classification mirrors the shallow rules' source lists
-   exactly (Rules.io_heads, the Random/clock patterns, the mutation
-   table), with two deliberate conventions:
+   Two conventions shape what enters a summary:
 
-   - a direct effect at a site already suppressed with a reasoned
-     `ld-lint: allow` is *sanctioned* and never enters a summary —
-     acknowledged sources must not re-taint every caller;
+   - a direct effect at a site carrying a reasoned `ld-lint: allow`
+     for a rule the effect would trigger is *sanctioned* and never
+     enters a summary — acknowledged sources must not re-taint every
+     caller (the allow is marked used, so it is not stale);
    - lib/obs units contribute no clock/randomness effects (the
      observability layer owns the clock), and calls into Ld_obs are
      later dropped by the graph for the same reason.
@@ -27,9 +26,6 @@
    The latter is a deliberate over-approximation: machines are records
    of closures, and charging construction time is what lets taint flow
    from `let make () = { step = (fun ...) }` to its callers. *)
-
-module Suppress = Ld_lint.Suppress
-module Rules = Ld_lint.Rules
 
 (* ---------- path normalisation ---------- *)
 
@@ -61,9 +57,7 @@ let normalize segs =
 (* ---------- extraction context ---------- *)
 
 type ctx = {
-  unit_prefix : string list;
-  source : string;
-  suppress : Suppress.t option;
+  suppress : Suppress.t;
   is_obs : bool;
   (* Ident.unique_name -> expanded segments, for `module M = Path` *)
   aliases : (string, string list) Hashtbl.t;
@@ -110,26 +104,38 @@ let resolve_value ctx (p : Path.t) =
   | Path.Pdot (m, s) -> Global (normalize (module_segs ctx m @ [ s ]))
   | _ -> Local_value
 
-(* ---------- effect classification (mirrors lib/lint/rules.ml) ---------- *)
+(* ---------- effect classification ---------- *)
 
-let classify segs : (Effects.kind * string) option =
+let io_heads =
+  [
+    [ "print_string" ]; [ "print_endline" ]; [ "print_newline" ];
+    [ "print_int" ]; [ "print_char" ]; [ "print_float" ]; [ "prerr_string" ];
+    [ "prerr_endline" ]; [ "read_line" ]; [ "read_int" ]; [ "open_in" ];
+    [ "open_out" ]; [ "output_string" ]; [ "output_char" ]; [ "output_value" ];
+    [ "input_line" ]; [ "input_value" ]; [ "exit" ];
+    [ "Printf"; "printf" ]; [ "Printf"; "eprintf" ]; [ "Printf"; "fprintf" ];
+    [ "Format"; "printf" ]; [ "Format"; "eprintf" ];
+  ]
+
+let classify segs : (Summary.kind * string) option =
   let dotted = String.concat "." segs in
   match segs with
   | "Random" :: rest
     when rest <> [] && (match rest with "State" :: _ -> false | _ -> true) ->
-    Some (Effects.Nondet, dotted)
+    Some (Summary.Nondet, dotted)
   | [ "Sys"; "time" ]
   | [ "Unix"; ("time" | "gettimeofday" | "gmtime" | "localtime") ] ->
-    Some (Effects.Reads_clock, dotted)
+    Some (Summary.Reads_clock, dotted)
   | ("Monotonic_clock" | "Mtime_clock") :: _ :: _ ->
-    Some (Effects.Reads_clock, dotted)
-  | "Unix" :: _ :: _ -> Some (Effects.Performs_io, dotted)
-  | ("In_channel" | "Out_channel") :: _ :: _ -> Some (Effects.Performs_io, dotted)
-  | _ -> if List.mem segs Rules.io_heads then Some (Effects.Performs_io, dotted) else None
+    Some (Summary.Reads_clock, dotted)
+  | "Unix" :: _ :: _ -> Some (Summary.Performs_io, dotted)
+  | ("In_channel" | "Out_channel") :: _ :: _ -> Some (Summary.Performs_io, dotted)
+  | _ -> if List.mem segs io_heads then Some (Summary.Performs_io, dotted) else None
 
 (* If the application of head [segs] to [args] writes mutable state,
-   return the written expression and a description. Same table as the
-   shallow rule; Atomic.* and Domain.DLS.* are sanctioned and absent. *)
+   return the written expression and a description. Atomic.* and
+   Domain.DLS.* are the sanctioned cross-domain primitives and are
+   deliberately absent. *)
 let mutation_of segs args =
   let nolabel =
     List.filter_map
@@ -196,24 +202,23 @@ let is_fun_literal (e : Typedtree.expression) =
 
 (* ---------- body analysis ---------- *)
 
+(* The rules a direct effect of [kind] can trigger, hence the allows
+   that sanction its site. *)
 let site_rules = function
-  | Effects.Nondet | Effects.Reads_clock ->
-    [ "nondet-source"; "deep-nondet-source" ]
-  | Effects.Mutates_shared ->
-    [ "domain-safety"; "machine-purity"; "deep-domain-safety"; "deep-machine-purity" ]
-  | Effects.Performs_io -> [ "machine-purity"; "deep-machine-purity" ]
+  | Summary.Nondet | Summary.Reads_clock -> [ "nondet-source"; "machine-purity" ]
+  | Summary.Mutates_shared -> [ "domain-safety"; "machine-purity" ]
+  | Summary.Performs_io -> [ "machine-purity" ]
 
 let site_sanctioned ctx kind line =
-  match ctx.suppress with
-  | None -> false
-  | Some sup ->
-    List.exists (fun rule -> Suppress.allowed sup ~rule ~line) (site_rules kind)
+  List.exists
+    (fun rule -> Option.is_some (Suppress.covering ctx.suppress ~rule ~line))
+    (site_rules kind)
 
 let rec analyze_body ctx ~key ~display ~entry ~loc body =
   let bound = bound_stamps body in
   let directs = ref [] and calls = ref [] in
   let add_direct kind what l =
-    if ctx.is_obs && (kind = Effects.Nondet || kind = Effects.Reads_clock) then ()
+    if ctx.is_obs && (kind = Summary.Nondet || kind = Summary.Reads_clock) then ()
     else if site_sanctioned ctx kind l.Summary.l_line then ()
     else directs := { Summary.d_kind = kind; d_what = what; d_loc = l } :: !directs
   in
@@ -249,11 +254,11 @@ let rec analyze_body ctx ~key ~display ~entry ~loc body =
     match target_root tgt with
     | `Ident id when Hashtbl.mem bound (Ident.unique_name id) -> ()
     | `Ident id ->
-      add_direct Effects.Mutates_shared
+      add_direct Summary.Mutates_shared
         (Printf.sprintf "%s to `%s`" what (Ident.name id))
         l
     | `Module_level ->
-      add_direct Effects.Mutates_shared (what ^ " to module-level state") l
+      add_direct Summary.Mutates_shared (what ^ " to module-level state") l
     | `Unknown -> ()
   in
   let synth_key tag l =
@@ -481,16 +486,15 @@ let has_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let of_structure ~unit_name ~source ~source_text (str : Typedtree.structure) =
+(* [source] is the unit's recorded source path and [suppress] the
+   directives of that file. *)
+let of_structure ~unit_name ~source ~suppress (str : Typedtree.structure) =
   let unit_prefix = normalize [ unit_name ] in
-  let norm_src = String.concat "/" (String.split_on_char '\\' source) in
   let ctx =
     {
-      unit_prefix;
-      source;
-      suppress = Option.map Suppress.of_source source_text;
+      suppress;
       is_obs =
-        has_sub norm_src "lib/obs/"
+        has_sub (String.concat "/" (String.split_on_char '\\' source)) "lib/obs/"
         || (match unit_prefix with "Ld_obs" :: _ -> true | _ -> false);
       aliases = Hashtbl.create 16;
       locals = Hashtbl.create 16;
@@ -506,9 +510,4 @@ let of_structure ~unit_name ~source ~source_text (str : Typedtree.structure) =
       analyze_body ctx ~key:p.p_key ~display:p.p_display ~entry:p.p_entry
         ~loc:p.p_loc p.p_body)
     pending;
-  {
-    Summary.u_name = unit_name;
-    u_source = source;
-    u_fns = List.rev ctx.fns;
-    u_refs = List.rev ctx.refs;
-  }
+  { Summary.u_fns = List.rev ctx.fns; u_refs = List.rev ctx.refs }

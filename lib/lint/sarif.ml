@@ -9,29 +9,16 @@
 let schema_uri =
   "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
 
-type rule_meta = {
-  rm_id : string;
-  rm_severity : Diagnostic.severity;
-  rm_doc : string;
-}
-
-let meta ~id ~severity ~doc = { rm_id = id; rm_severity = severity; rm_doc = doc }
-
-let level_of_severity = function
-  | Diagnostic.Error -> "error"
-  | Diagnostic.Warning -> "warning"
-
 let esc = Diagnostic.json_escape
 
 (* Forward slashes regardless of platform: SARIF artifact URIs. *)
 let uri_of_file file =
   String.map (fun c -> if c = '\\' then '/' else c) file
 
-let rule_json r =
+let rule_json (r : Rules.info) =
   Printf.sprintf
     "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"defaultConfiguration\":{\"level\":\"%s\"}}"
-    (esc r.rm_id) (esc r.rm_doc)
-    (level_of_severity r.rm_severity)
+    (esc r.id) (esc r.doc) Diagnostic.level
 
 let result_json ~index_of (d : Diagnostic.t) =
   let rule_index =
@@ -44,35 +31,43 @@ let result_json ~index_of (d : Diagnostic.t) =
   Printf.sprintf
     "{\"ruleId\":\"%s\"%s,\"level\":\"%s\",\"message\":{\"text\":\"%s\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}"
     (esc d.rule) rule_index_field
-    (level_of_severity d.severity)
+    Diagnostic.level
     (esc d.message)
     (esc (uri_of_file d.file))
     d.line (d.col + 1)
 
-(* Render a complete SARIF log. [rules] is the catalogue; diagnostics
-   whose rule id is missing from it (defensive — should not happen)
-   are emitted without a ruleIndex, which the schema permits. *)
-let render ~rules diags =
-  let rules =
-    (* The catalogue must cover synthetic driver rules too. *)
-    let extra =
-      [
-        meta ~id:"parse-error" ~severity:Diagnostic.Error
-          ~doc:"The file failed to parse; nothing else can be checked.";
-        meta ~id:"stale-suppression" ~severity:Diagnostic.Error
-          ~doc:
-            "A suppression comment that silences no diagnostic; stale \
-             allows accumulate as rules tighten.";
-      ]
-    in
-    rules @ List.filter (fun e -> not (List.exists (fun r -> r.rm_id = e.rm_id) rules)) extra
-  in
+(* The catalogue: every rule plus the driver's synthetic ones. *)
+let catalogue =
+  Rules.all
+  @ [
+      {
+        Rules.id = "parse-error";
+        doc = "The file failed to parse; nothing else can be checked.";
+      };
+      {
+        id = "no-cmt";
+        doc =
+          "No up-to-date .cmt for the file, so the typed rules could not run; \
+           build first.";
+      };
+      {
+        id = "stale-suppression";
+        doc =
+          "A suppression comment that silences no diagnostic; stale allows \
+           accumulate as rules tighten.";
+      };
+    ]
+
+(* Render a complete SARIF log. Diagnostics whose rule id is missing
+   from the catalogue (defensive — should not happen) are emitted
+   without a ruleIndex, which the schema permits. *)
+let render diags =
   let index_of id =
     let rec go i = function
       | [] -> None
-      | r :: rest -> if r.rm_id = id then Some i else go (i + 1) rest
+      | (r : Rules.info) :: rest -> if r.id = id then Some i else go (i + 1) rest
     in
-    go 0 rules
+    go 0 catalogue
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"$schema\":\"";
@@ -82,7 +77,7 @@ let render ~rules diags =
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf (rule_json r))
-    rules;
+    catalogue;
   Buffer.add_string buf "]}},\"results\":[";
   List.iteri
     (fun i d ->
@@ -91,8 +86,3 @@ let render ~rules diags =
     diags;
   Buffer.add_string buf "]}]}";
   Buffer.contents buf
-
-let of_shallow_rules () =
-  List.map
-    (fun (r : Rules.rule) -> meta ~id:r.id ~severity:r.severity ~doc:r.doc)
-    Rules.all

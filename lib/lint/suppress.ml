@@ -9,11 +9,13 @@
 
    The scanner is line-based and purely textual — the OCaml parser
    discards comments, so suppressions are recovered from the source
-   text before the AST pass runs. Several rule ids may follow a single
-   [allow]. A directive that silences nothing is itself a finding
-   (stale-suppression, enforced by the driver), so the examples above
-   deliberately use the [<rule...>] placeholder rather than a real
-   rule id. *)
+   text. Several rule ids may follow a single [allow]; a reason follows
+   them after a token that is not a rule id, conventionally a dash:
+   [(* ld-lint: allow <rule> — why *)]. Every lookup that finds a
+   covering directive marks it used; a directive that is never used is
+   itself a finding (stale-suppression, enforced by the driver), so the
+   examples above deliberately use the [<rule...>] placeholder rather
+   than a real rule id. *)
 
 type scope = Line | File
 
@@ -21,98 +23,67 @@ type directive = {
   d_rule : string; (* rule id or "all" *)
   d_scope : scope;
   d_line : int; (* 1-based line of the comment itself *)
+  mutable d_used : bool;
 }
 
-type t = {
-  file_allows : (string, unit) Hashtbl.t; (* rule id (or "all") *)
-  line_allows : (int * string, unit) Hashtbl.t; (* (line, rule id or "all") *)
-  mutable directives : directive list; (* file order *)
-}
+type t = directive list (* file order *)
 
 let marker = "ld-lint:"
 
 let is_rule_char c =
   (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' || c = '_'
 
-(* Tokens after the marker, stopping at the comment closer. *)
+(* Tokens after the marker, up to the first one that is not a rule id
+   (the comment closer, or the dash that introduces a reason). *)
 let directive_tokens rest =
-  let rest =
-    match String.index_opt rest '*' with
-    | Some i when i + 1 < String.length rest && rest.[i + 1] = ')' ->
-      String.sub rest 0 i
-    | _ -> rest
+  let rec take = function
+    | tok :: toks when String.for_all is_rule_char tok -> tok :: take toks
+    | _ -> []
   in
   String.split_on_char ' ' rest
   |> List.concat_map (String.split_on_char '\t')
-  |> List.filter_map (fun tok ->
-         let tok = String.trim tok in
-         if tok = "" then None
-         else if String.for_all is_rule_char tok then Some tok
-         else None)
+  |> List.filter (fun tok -> tok <> "")
+  |> take
+
+let find_marker line =
+  let mlen = String.length marker and llen = String.length line in
+  let rec find j =
+    if j + mlen > llen then None
+    else if String.sub line j mlen = marker then Some (j + mlen)
+    else find (j + 1)
+  in
+  find 0
 
 let of_source content =
-  let t =
-    {
-      file_allows = Hashtbl.create 4;
-      line_allows = Hashtbl.create 8;
-      directives = [];
-    }
+  String.split_on_char '\n' content
+  |> List.mapi (fun i line ->
+         let directives scope rules =
+           List.map
+             (fun r -> { d_rule = r; d_scope = scope; d_line = i + 1; d_used = false })
+             rules
+         in
+         match find_marker line with
+         | None -> []
+         | Some start -> (
+           match directive_tokens (String.sub line start (String.length line - start)) with
+           | "allow" :: rules -> directives Line rules
+           | "allow-file" :: rules -> directives File rules
+           | _ -> []))
+  |> List.concat
+
+(* The directive silencing [rule] at [line], marked used. An [allow]
+   on line L covers findings on L (trailing comment) and L+1 (comment
+   on its own line above the offender); line directives are preferred
+   over file directives. *)
+let covering t ~rule ~line =
+  let names d = d.d_rule = rule || d.d_rule = "all" in
+  let near d = d.d_scope = Line && (line = d.d_line || line = d.d_line + 1) in
+  let found =
+    match List.find_opt (fun d -> names d && near d) t with
+    | Some _ as d -> d
+    | None -> List.find_opt (fun d -> names d && d.d_scope = File) t
   in
-  let lines = String.split_on_char '\n' content in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      match
-        (* find the marker anywhere on the line *)
-        let mlen = String.length marker in
-        let llen = String.length line in
-        let rec find j =
-          if j + mlen > llen then None
-          else if String.sub line j mlen = marker then Some (j + mlen)
-          else find (j + 1)
-        in
-        find 0
-      with
-      | None -> ()
-      | Some start -> (
-        let rest = String.sub line start (String.length line - start) in
-        match directive_tokens rest with
-        | "allow" :: rules ->
-          List.iter
-            (fun r ->
-              Hashtbl.replace t.line_allows (lineno, r) ();
-              t.directives <-
-                { d_rule = r; d_scope = Line; d_line = lineno } :: t.directives)
-            rules
-        | "allow-file" :: rules ->
-          List.iter
-            (fun r ->
-              Hashtbl.replace t.file_allows r ();
-              t.directives <-
-                { d_rule = r; d_scope = File; d_line = lineno } :: t.directives)
-            rules
-        | _ -> ()))
-    lines;
-  t.directives <- List.rev t.directives;
-  t
+  Option.iter (fun d -> d.d_used <- true) found;
+  found
 
-let directives t = t.directives
-
-(* An [allow] on line L covers findings on L (trailing comment) and
-   L+1 (comment on its own line above the offender). *)
-let allowed t ~rule ~line =
-  let hit tbl k = Hashtbl.mem tbl k in
-  hit t.file_allows rule || hit t.file_allows "all"
-  || hit t.line_allows (line, rule)
-  || hit t.line_allows (line, "all")
-  || (line > 1 && (hit t.line_allows (line - 1, rule) || hit t.line_allows (line - 1, "all")))
-
-(* Would this single directive, considered in isolation, silence a
-   diagnostic of rule [rule] at [line]? Used by the driver's
-   stale-suppression check to decide whether each directive pulls its
-   weight. *)
-let directive_covers d ~rule ~line =
-  (d.d_rule = rule || d.d_rule = "all")
-  && (match d.d_scope with
-     | File -> true
-     | Line -> line = d.d_line || line = d.d_line + 1)
+let unused t = List.filter (fun d -> not d.d_used) t

@@ -22,7 +22,7 @@ let pick_random rng = function
   | [] -> None
   | ports -> Some (List.nth ports (Random.State.int rng (List.length ports)))
 
-let port_is opt port = match opt with Some p -> p = port | None -> false
+let port_is opt (port : int) = match opt with Some p -> p = port | None -> false
 
 let machine : (st, msg, int option) Sync.machine =
   {

@@ -28,6 +28,9 @@ type address = step list
 
 val inverse : step -> step
 
+(** Structural equality of addresses. *)
+val equal : address -> address -> bool
+
 (** Cancel adjacent inverse pairs until reduced. *)
 val normalize : step list -> step list
 

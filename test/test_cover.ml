@@ -71,7 +71,8 @@ let flat_refinement_matches_reference =
       let p = Ld_models.Po.of_ec g in
       let pfast = Refinement.refine_po p ~rounds in
       let pslow = Refinement.refine_po ~reference:true p ~rounds in
-      fast = slow && pfast = pslow)
+      let same = Array.for_all2 (Array.for_all2 Int.equal) in
+      same fast slow && same pfast pslow)
 
 (* The soundness lemma behind the engine's incremental P1 checks:
    covering maps preserve universal-cover views at every radius, so a

@@ -92,8 +92,9 @@ let fused_checker_matches_pair =
           ~edge_w:(Array.init (Ec.num_edges ec) weight)
           ~loop_w:(Array.init (Ec.num_loops ec) (fun i -> weight (i + 13)))
       in
-      Fm.feasibility_violations y
-      = Fm.validity_violations y @ Fm.maximality_violations y)
+      let feasibility = Fm.feasibility_violations y in
+      (* ld-lint: allow poly-compare — differential check over int-payload violations *)
+      feasibility = Fm.validity_violations y @ Fm.maximality_violations y)
 
 let node_weight_loop_counts_once () =
   let g = Ec.create ~n:1 ~edges:[] ~loops:[ (0, 1); (0, 2) ] in

@@ -1,11 +1,21 @@
-(* ld-lint against its fixture corpus: each fixture file must trigger
-   exactly its own rule (and nothing else), clean/suppressed fixtures
-   must come back empty, and the JSON rendering must round-trip the
-   rule ids. Runs from test/, so fixture paths are relative. *)
+(* ld-lint against its fixture corpora. Each file of lint_fixtures/
+   must trigger exactly its own rule (and nothing else), clean and
+   suppressed fixtures must come back empty, and the JSON rendering
+   must round-trip the rule ids. The seeded mini-project deep_fixtures/
+   must report a three-call chain down to Random.int with the full
+   chain printed, and catch closures handed to Pool.map mutating shared
+   state through a helper; the SARIF rendering must be structurally
+   valid 2.1.0.
+
+   Runs from test/, so fixture paths are relative. Both fixture trees
+   are libraries: the typed rules read their .cmt files, built by the
+   (alias_rec check) dependency. *)
 
 module Driver = Ld_lint.Driver
 module Rules = Ld_lint.Rules
 module Diagnostic = Ld_lint.Diagnostic
+module Sarif = Ld_lint.Sarif
+module Json = Ld_obs.Json
 
 let fixture name = Filename.concat "lint_fixtures" name
 
@@ -25,8 +35,11 @@ let dirty_fixtures =
     ("refinement_poly.ml", "poly-compare", 5);
     ("nondet.ml", "nondet-source", 4);
     ("obs_sampler.ml", "nondet-source", 2);
+    (* one finding per pool task, not one per write plus one per task *)
     ("domain_safety.ml", "domain-safety", 3);
     ("packed_state.ml", "domain-safety", 3);
+    (* the write target of Buffer.add_* is its first argument *)
+    ("buffer_capture.ml", "domain-safety", 1);
     ("machine_purity.ml", "machine-purity", 4);
     ("obj_magic.ml", "obj-magic", 2);
     ("iface_magic.mli", "obj-magic", 1);
@@ -54,7 +67,8 @@ let directory_walk_covers_all_rules () =
     (List.sort_uniq String.compare
        (List.map (fun (_, rule, _) -> rule) dirty_fixtures))
     (rule_ids diags);
-  Alcotest.(check bool) "has errors" true (Driver.has_errors diags);
+  Alcotest.(check int) "violations exit 1" 1
+    (Driver.report ~json:true (Format.make_formatter (fun _ _ _ -> ()) ignore) diags);
   let expected_total =
     List.fold_left (fun acc (_, _, c) -> acc + c) 0 dirty_fixtures
   in
@@ -69,16 +83,17 @@ let diagnostics_are_sorted_and_deduped () =
   Alcotest.(check bool) "strictly ascending (sorted, no dups)" true
     (sorted diags)
 
-let selected_rules_only () =
-  (* Restricting to one rule must silence the others. *)
-  let rules =
-    match Rules.find "poly-compare" with
-    | Some r -> [ r ]
-    | None -> Alcotest.fail "poly-compare rule missing from registry"
-  in
-  let diags = Driver.lint_paths ~rules [ "lint_fixtures" ] in
-  Alcotest.(check (list string)) "only poly-compare" [ "poly-compare" ]
-    (rule_ids diags)
+let path_arguments_select_units () =
+  (* The typed rules lint only the units under the named paths: the
+     rest of the corpus, compiled into the same library, stays out. *)
+  let file = fixture "nondet.ml" in
+  let diags = Driver.lint_paths [ file ] in
+  Alcotest.(check (list string)) "rule set" [ "nondet-source" ] (rule_ids diags);
+  Alcotest.(check int) "count" 4 (List.length diags);
+  Alcotest.(check (list string))
+    "anchored in the named file" [ file ]
+    (List.sort_uniq String.compare
+       (List.map (fun (d : Diagnostic.t) -> d.file) diags))
 
 let invalid_inputs_are_reported () =
   Alcotest.(check (list (pair string string)))
@@ -98,28 +113,21 @@ let invalid_inputs_are_reported () =
     "directories and sources are acceptable" []
     (Driver.invalid_inputs [ "lint_fixtures"; fixture "clean.ml" ])
 
-let stale_check_skipped_for_restricted_runs () =
-  (* A run restricted to one rule must not read the other rules'
-     allows as stale: stale_allow.ml's two stale directives only
-     surface under the full rule set. *)
-  let rules =
-    match Rules.find "obj-magic" with
-    | Some r -> [ r ]
-    | None -> Alcotest.fail "obj-magic rule missing from registry"
-  in
-  let diags = Driver.lint_file ~rules (fixture "stale_allow.ml") in
-  Alcotest.(check (list string)) "no stale findings" [] (rule_ids diags)
+(* Lint a fresh temporary .ml holding [code]: no .cmt exists for it. *)
+let lint_temp code =
+  let tmp = Filename.temp_file "ld_lint_fixture" ".ml" in
+  Out_channel.with_open_text tmp (fun oc -> Out_channel.output_string oc code);
+  Fun.protect ~finally:(fun () -> Sys.remove tmp) (fun () -> Driver.lint_file tmp)
 
 let parse_error_is_a_diagnostic () =
-  let tmp = Filename.temp_file "ld_lint_fixture" ".ml" in
-  Out_channel.with_open_text tmp (fun oc ->
-      Out_channel.output_string oc "let broken = (\n");
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      let diags = Driver.lint_file tmp in
-      Alcotest.(check (list string)) "parse-error rule" [ "parse-error" ]
-        (rule_ids diags))
+  Alcotest.(check (list string)) "parse-error rule" [ "parse-error" ]
+    (rule_ids (lint_temp "let broken = (\n"))
+
+let unbuilt_source_is_reported () =
+  (* the typed rules cannot run, and the run must not pass as clean *)
+  let diags = lint_temp "let draw () = Random.int 6\n" in
+  Alcotest.(check (list string)) "no-cmt rule" [ "no-cmt" ] (rule_ids diags);
+  Alcotest.(check int) "one finding" 1 (List.length diags)
 
 let json_rendering () =
   let diags = Driver.lint_file (fixture "poly_compare.ml") in
@@ -155,7 +163,161 @@ let registry_is_complete () =
       "poly-compare"; "nondet-source"; "domain-safety"; "machine-purity";
       "obj-magic"; "exn-swallow";
     ]
-    (List.map (fun (r : Rules.rule) -> r.id) Rules.all)
+    (List.map (fun (r : Rules.info) -> r.id) Rules.all)
+
+(* ---------- deep_fixtures: call chains ---------- *)
+
+let deep_diags () = Driver.lint_paths [ "deep_fixtures" ]
+
+let find_diag diags rule file =
+  match
+    List.find_opt
+      (fun (d : Diagnostic.t) -> d.rule = rule && Filename.basename d.file = file)
+      diags
+  with
+  | Some d -> d
+  | None -> Alcotest.fail (Printf.sprintf "no %s finding in %s" rule file)
+
+let chain_is_reported () =
+  let diags = deep_diags () in
+  Alcotest.(check int) "fixture finding count" 5 (List.length diags);
+  (* a 3-deep chain, printed in full *)
+  let step = find_diag diags "machine-purity" "chain.ml" in
+  Alcotest.(check string)
+    "transition chain message"
+    "machine transition `step` transitively draws nondeterministic values \
+     — transitions must be pure: Deep_fixtures.Chain.step -> \
+     Deep_fixtures.Helpers.stage_one -> Deep_fixtures.Deeper.stage_two -> \
+     Random.int (test/deep_fixtures/deeper.ml:2)"
+    step.message;
+  Alcotest.(check int) "transition anchored at its binding" 4 step.line;
+  let middle = find_diag diags "nondet-source" "helpers.ml" in
+  Alcotest.(check string)
+    "middle link"
+    "`stage_one` transitively draws nondeterministic values: \
+     Deep_fixtures.Helpers.stage_one -> Deep_fixtures.Deeper.stage_two -> \
+     Random.int (test/deep_fixtures/deeper.ml:2)"
+    middle.message;
+  (* the direct use is a chain of length one *)
+  let direct = find_diag diags "nondet-source" "deeper.ml" in
+  Alcotest.(check string)
+    "direct use"
+    "`stage_two` draws nondeterministic values: \
+     Deep_fixtures.Deeper.stage_two -> Random.int \
+     (test/deep_fixtures/deeper.ml:2)"
+    direct.message;
+  Alcotest.(check int) "direct use anchored at its binding" 2 direct.line
+
+let pool_mutation_through_helper () =
+  let pool =
+    List.filter
+      (fun (d : Diagnostic.t) ->
+        d.rule = "domain-safety" && Filename.basename d.file = "pool_capture.ml")
+      (deep_diags ())
+  in
+  Alcotest.(check int) "both Pool.map findings" 2 (List.length pool);
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let witness =
+    "Deep_fixtures.Shared_tally.bump -> reference increment to `tally` \
+     (test/deep_fixtures/shared_tally.ml:3)"
+  in
+  List.iter
+    (fun (d : Diagnostic.t) ->
+      Alcotest.(check bool)
+        ("mutation-through-helper witness in: " ^ d.message)
+        true
+        (contains d.message witness))
+    pool;
+  (* one anchored at the closure literal, one at the named reference *)
+  let lines =
+    List.sort Int.compare (List.map (fun (d : Diagnostic.t) -> d.line) pool)
+  in
+  Alcotest.(check (list int)) "anchors" [ 8; 13 ] lines
+
+(* ---------- SARIF ---------- *)
+
+let member_exn k v =
+  match Json.member k v with
+  | Some x -> x
+  | None -> Alcotest.fail ("SARIF: missing member " ^ k)
+
+let str_exn what v =
+  match Json.to_string v with
+  | Some s -> s
+  | None -> Alcotest.fail ("SARIF: expected string at " ^ what)
+
+let arr_exn what v =
+  match Json.to_list v with
+  | Some l -> l
+  | None -> Alcotest.fail ("SARIF: expected array at " ^ what)
+
+let sarif_is_structurally_valid () =
+  let diags = deep_diags () in
+  let log = Json.parse (Sarif.render diags) in
+  Alcotest.(check string)
+    "version" "2.1.0"
+    (str_exn "version" (member_exn "version" log));
+  let schema = str_exn "$schema" (member_exn "$schema" log) in
+  Alcotest.(check bool) "schema uri names 2.1.0" true
+    (Filename.basename schema = "sarif-schema-2.1.0.json");
+  let runs = arr_exn "runs" (member_exn "runs" log) in
+  Alcotest.(check int) "one run" 1 (List.length runs);
+  let run = List.hd runs in
+  let driver = member_exn "driver" (member_exn "tool" run) in
+  Alcotest.(check string)
+    "driver name" "ld-lint"
+    (str_exn "name" (member_exn "name" driver));
+  let rule_ids =
+    arr_exn "rules" (member_exn "rules" driver)
+    |> List.map (fun r -> str_exn "rule id" (member_exn "id" r))
+  in
+  Alcotest.(check (list string))
+    "catalogue"
+    [
+      "poly-compare"; "nondet-source"; "domain-safety"; "machine-purity";
+      "obj-magic"; "exn-swallow"; "parse-error"; "no-cmt";
+      "stale-suppression";
+    ]
+    rule_ids;
+  let results = arr_exn "results" (member_exn "results" run) in
+  Alcotest.(check int) "one result per diagnostic" (List.length diags)
+    (List.length results);
+  List.iter
+    (fun r ->
+      let rule_id = str_exn "ruleId" (member_exn "ruleId" r) in
+      let index =
+        match Json.to_float (member_exn "ruleIndex" r) with
+        | Some f -> int_of_float f
+        | None -> Alcotest.fail "SARIF: ruleIndex not a number"
+      in
+      Alcotest.(check string)
+        "ruleIndex points at ruleId" rule_id
+        (List.nth rule_ids index);
+      Alcotest.(check string)
+        "level" "error"
+        (str_exn "level" (member_exn "level" r));
+      ignore (str_exn "message" (member_exn "text" (member_exn "message" r)));
+      let loc =
+        match arr_exn "locations" (member_exn "locations" r) with
+        | [ l ] -> member_exn "physicalLocation" l
+        | _ -> Alcotest.fail "SARIF: expected exactly one location"
+      in
+      let region = member_exn "region" loc in
+      let pos what =
+        match Json.to_float (member_exn what region) with
+        | Some f when f >= 1.0 -> ()
+        | _ -> Alcotest.fail ("SARIF: " ^ what ^ " must be >= 1")
+      in
+      pos "startLine";
+      pos "startColumn";
+      ignore
+        (str_exn "uri"
+           (member_exn "uri" (member_exn "artifactLocation" loc))))
+    results
 
 let () =
   Alcotest.run "lint"
@@ -170,13 +332,21 @@ let () =
             directory_walk_covers_all_rules;
           Alcotest.test_case "output sorted and deduped" `Quick
             diagnostics_are_sorted_and_deduped;
-          Alcotest.test_case "rule selection" `Quick selected_rules_only;
+          Alcotest.test_case "path arguments select units" `Quick
+            path_arguments_select_units;
           Alcotest.test_case "invalid inputs are reported" `Quick
             invalid_inputs_are_reported;
-          Alcotest.test_case "stale check needs the full rule set" `Quick
-            stale_check_skipped_for_restricted_runs;
           Alcotest.test_case "parse error becomes a diagnostic" `Quick
             parse_error_is_a_diagnostic;
+          Alcotest.test_case "unbuilt source is reported" `Quick
+            unbuilt_source_is_reported;
+        ] );
+      ( "taint",
+        [
+          Alcotest.test_case "3-deep Random chain, full chain printed" `Quick
+            chain_is_reported;
+          Alcotest.test_case "Pool closures mutating through a helper" `Quick
+            pool_mutation_through_helper;
         ] );
       ( "rendering",
         [
@@ -184,4 +354,7 @@ let () =
           Alcotest.test_case "clean exit code" `Quick clean_report_exit_code;
           Alcotest.test_case "registry" `Quick registry_is_complete;
         ] );
+      ( "sarif",
+        [ Alcotest.test_case "structurally valid 2.1.0" `Quick
+            sarif_is_structurally_valid ] );
     ]

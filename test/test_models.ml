@@ -123,8 +123,10 @@ let ec_of_csr_identical =
       let a = Ec.csr via_csr and b = Ec.csr via_lists in
       Ec.n via_csr = Ec.n via_lists
       && Ec.num_edges via_csr = Ec.num_edges via_lists
-      && a.Ec.row = b.Ec.row && a.Ec.colour = b.Ec.colour
-      && a.Ec.other = b.Ec.other && a.Ec.code = b.Ec.code
+      && Array.for_all2 Int.equal a.Ec.row b.Ec.row
+      && Array.for_all2 Int.equal a.Ec.colour b.Ec.colour
+      && Array.for_all2 Int.equal a.Ec.other b.Ec.other
+      && Array.for_all2 Int.equal a.Ec.code b.Ec.code
       && List.equal
            (fun (x : Ec.edge) y -> x.u = y.u && x.v = y.v && x.colour = y.colour)
            (Ec.edges via_csr) (Ec.edges via_lists))

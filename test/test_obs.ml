@@ -271,6 +271,7 @@ let instrumented_equals_uninstrumented =
       Obs.enable ();
       Obs.reset ();
       let traced = Fun.protect ~finally:Obs.disable (fun () -> LB.run ~delta algo) in
+      (* ld-lint: allow poly-compare — differential check over exact int/string fingerprints *)
       outcome_fingerprint plain = outcome_fingerprint traced)
 
 (* ------------------------------------------------------------------ *)
@@ -442,14 +443,14 @@ let openmetrics_shape () =
         List.map float_of_string (List.filter (fun le -> le <> "+Inf") les)
       in
       let rec ascending = function
-        | a :: (b :: _ as rest) -> a < b && ascending rest
+        | a :: (b :: _ as rest) -> Float.compare a b < 0 && ascending rest
         | _ -> true
       in
       Alcotest.(check bool) (fam ^ " le strictly ascending") true
         (ascending finite);
       let cums = List.map value_of buckets in
       let rec nondec = function
-        | a :: (b :: _ as rest) -> a <= b && nondec rest
+        | a :: (b :: _ as rest) -> Float.compare a b <= 0 && nondec rest
         | _ -> true
       in
       Alcotest.(check bool) (fam ^ " cumulative non-decreasing") true
