@@ -8,6 +8,7 @@
 module LB = Ld_core.Lower_bound
 module Pool = Ld_core.Pool
 module Obs = Ld_obs.Obs
+module Json = Ld_obs.Json
 module Provenance = Ld_obs.Provenance
 module Trace = Ld_obs.Trace
 module Summary = Ld_obs.Summary
@@ -488,97 +489,66 @@ let bechamel_pass () =
 (* Machine-readable dump of the headline experiment: one object per
    THM1 row, the per-section wall clocks, and the Bechamel estimates. *)
 
-let json_escape = Ld_obs.Json.escape
-
 let emit_json ~path ~rows ~timings =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\n  \"bench\": \"linear-delta-local THM1 frontier\",\n";
-  add "  \"meta\": {\n";
-  (* Provenance (HEAD + dirty flag) comes from the shared probe so
-     this artefact and BENCH_RUNTIME.json stay schema-identical. *)
-  List.iter
-    (fun field -> add (Printf.sprintf "    %s,\n" field))
-    (Provenance.json_meta_fields (Provenance.capture ()));
-  (* the crew [Pool.map] really ran with (LD_DOMAINS and the task-count
-     clamp applied), not the unclamped recommendation *)
-  add (Printf.sprintf "    \"domains\": %d\n" (Pool.max_workers_used ()));
-  add "  },\n";
-  add "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      add
-        (Printf.sprintf
-           "    {\"delta\": %d, \"certified_levels\": %d, \"frontier\": %d, \
-            \"wall_ms\": %.3f, \"refine_rounds\": %d, \"descriptors\": %d}%s\n"
-           r.t_delta r.t_levels r.t_frontier r.t_wall_ms r.t_refine_rounds
-           r.t_descriptors
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  add "  ],\n  \"sections_ms\": {\n";
-  let sections = Summary.section_ms ~prefix:"bench.section." in
-  List.iteri
-    (fun i (name, ms) ->
-      add
-        (Printf.sprintf "    \"%s\": %.3f%s\n" (json_escape name) ms
-           (if i = List.length sections - 1 then "" else ",")))
-    sections;
-  add "  },\n  \"metrics\": {\n";
-  (* Cumulative over the whole run — CI's jq perf guards key on these,
-     so they are never reset between sections. *)
-  let metrics = Obs.counters () in
-  List.iteri
-    (fun i (name, v) ->
-      add
-        (Printf.sprintf "    \"%s\": %d%s\n" (json_escape name) v
-           (if i = List.length metrics - 1 then "" else ",")))
-    metrics;
-  add "  },\n  \"sections\": {\n";
+  let ints kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) kvs) in
+  let row r =
+    Json.Obj
+      [
+        ("delta", Json.int r.t_delta);
+        ("certified_levels", Json.int r.t_levels);
+        ("frontier", Json.int r.t_frontier);
+        ("wall_ms", Json.Num r.t_wall_ms);
+        ("refine_rounds", Json.int r.t_refine_rounds);
+        ("descriptors", Json.int r.t_descriptors);
+      ]
+  in
   (* Per-section view: counter increments and latency quantiles scoped
      to the section (histograms reset at entry, counters diffed). *)
-  let sections = List.rev !section_log in
-  List.iteri
-    (fun i s ->
-      add (Printf.sprintf "    \"%s\": {\n" (json_escape s.s_name));
-      add (Printf.sprintf "      \"wall_ms\": %.3f,\n" s.s_wall_ms);
-      add "      \"metrics\": {";
-      List.iteri
-        (fun j (name, v) ->
-          add
-            (Printf.sprintf "%s\n        \"%s\": %d"
-               (if j = 0 then "" else ",")
-               (json_escape name) v))
-        s.s_counters;
-      add "\n      },\n      \"latency\": {";
-      List.iteri
-        (fun j (sn : Ld_obs.Hist.snapshot) ->
-          add
-            (Printf.sprintf
-               "%s\n        \"%s\": {\"count\": %d, \"p50_ms\": %.4f, \
-                \"p99_ms\": %.4f, \"max_ms\": %.4f}"
-               (if j = 0 then "" else ",")
-               (json_escape sn.Ld_obs.Hist.sn_name)
-               sn.Ld_obs.Hist.sn_count
-               (Ld_obs.Hist.quantile_ms sn 0.5)
-               (Ld_obs.Hist.quantile_ms sn 0.99)
-               (Ld_obs.Hist.max_ms sn)))
-        s.s_latency;
-      add
-        (Printf.sprintf "\n      }\n    }%s\n"
-           (if i = List.length sections - 1 then "" else ",")))
-    sections;
-  add "  },\n  \"timing_ns_per_run\": [\n";
-  List.iteri
-    (fun i (name, t) ->
-      add
-        (Printf.sprintf "    {\"name\": \"%s\", \"ns\": %.1f}%s\n"
-           (json_escape name) t
-           (if i = List.length timings - 1 then "" else ",")))
-    timings;
-  add "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let section s =
+    let latency (sn : Ld_obs.Hist.snapshot) =
+      ( sn.sn_name,
+        Json.Obj
+          [
+            ("count", Json.int sn.sn_count);
+            ("p50_ms", Json.Num (Ld_obs.Hist.quantile_ms sn 0.5));
+            ("p99_ms", Json.Num (Ld_obs.Hist.quantile_ms sn 0.99));
+            ("max_ms", Json.Num (Ld_obs.Hist.max_ms sn));
+          ] )
+    in
+    ( s.s_name,
+      Json.Obj
+        [
+          ("wall_ms", Json.Num s.s_wall_ms);
+          ("metrics", ints s.s_counters);
+          ("latency", Json.Obj (List.map latency s.s_latency));
+        ] )
+  in
+  let timing (name, t) = Json.Obj [ ("name", Json.Str name); ("ns", Json.Num t) ] in
+  Json.write_file path
+    (Json.Obj
+       [
+         ("bench", Json.Str "linear-delta-local THM1 frontier");
+         (* Provenance (HEAD + dirty flag) comes from the shared probe so
+            this artefact and BENCH_RUNTIME.json stay schema-identical;
+            [domains] is the crew [Pool.map] really ran with (LD_DOMAINS
+            and the task-count clamp applied), not the unclamped
+            recommendation. *)
+         ( "meta",
+           Json.Obj
+             (Provenance.json_meta_fields (Provenance.capture ())
+             @ [ ("domains", Json.int (Pool.max_workers_used ())) ]) );
+         ("rows", Json.Arr (List.map row rows));
+         ( "sections_ms",
+           Json.Obj
+             (List.map
+                (fun (name, ms) -> (name, Json.Num ms))
+                (Summary.section_ms ~prefix:"bench.section.")) );
+         (* Cumulative over the whole run — CI's jq perf guards key on
+            these, so they are never reset between sections. *)
+         ("metrics", ints (Obs.counters ()));
+         ("sections", Json.Obj (List.rev_map section !section_log));
+         ("timing_ns_per_run", Json.Arr (List.map timing timings));
+       ])
 
 (* Flag parsing kept dependency-free: --quick, --trace FILE (Chrome
    trace-event export), --json FILE (override/enable the JSON artefact;

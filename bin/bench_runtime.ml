@@ -13,6 +13,7 @@
 module Csr = Ld_graph.Csr
 module Gen = Ld_graph.Generators
 module Obs = Ld_obs.Obs
+module Json = Ld_obs.Json
 module Provenance = Ld_obs.Provenance
 module Pool = Ld_pool.Pool
 module Packed = Ld_runtime.Packed
@@ -113,43 +114,42 @@ let identity_check () =
   && Array.for_all2 Int.equal mate_a mate_b
   && a.Packed_ii.rounds = b.Packed_ii.rounds
 
-let json_escape = Ld_obs.Json.escape
-
 let emit_json ~path ~quick ~identical ~rows =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\n  \"bench\": \"linear-delta-local packed runtime throughput\",\n";
-  add "  \"meta\": {\n";
-  List.iter
-    (fun field -> add (Printf.sprintf "    %s,\n" field))
-    (Provenance.json_meta_fields (Provenance.capture ()));
-  add (Printf.sprintf "    \"quick\": %b,\n" quick);
-  add (Printf.sprintf "    \"default_domains\": %d,\n" (Pool.default_domains ()));
-  add (Printf.sprintf "    \"identical\": %b,\n" identical);
-  add
-    (Printf.sprintf "    \"peak_rss_kb\": %d\n" (Obs.Gauge.value rss_gauge));
-  add "  },\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      let secs = r.r_wall_ms /. 1000. in
-      add
-        (Printf.sprintf
-           "    {\"workload\": \"%s\", \"algo\": \"%s\", \"n\": %d, \
-            \"delta\": %d, \"domains\": %d, \"rounds\": %d, \"sends\": %d, \
-            \"wall_ms\": %.3f, \"sends_per_sec\": %.0f, \
-            \"rounds_per_sec\": %.2f, \"peak_rss_kb\": %d, \
-            \"round_p50_ms\": %.4f, \"round_p99_ms\": %.4f}%s\n"
-           (json_escape r.r_workload) (json_escape r.r_algo) r.r_n r.r_delta
-           r.r_domains r.r_rounds r.r_sends r.r_wall_ms
-           (float_of_int r.r_sends /. secs)
-           (float_of_int r.r_rounds /. secs)
-           r.r_rss_kb r.r_round_p50_ms r.r_round_p99_ms
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  add "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let row r =
+    let secs = r.r_wall_ms /. 1000. in
+    Json.Obj
+      [
+        ("workload", Json.Str r.r_workload);
+        ("algo", Json.Str r.r_algo);
+        ("n", Json.int r.r_n);
+        ("delta", Json.int r.r_delta);
+        ("domains", Json.int r.r_domains);
+        ("rounds", Json.int r.r_rounds);
+        ("sends", Json.int r.r_sends);
+        ("wall_ms", Json.Num r.r_wall_ms);
+        (* integral: CI's throughput floor compares it with `test -ge` *)
+        ("sends_per_sec", Json.Num (Float.round (float_of_int r.r_sends /. secs)));
+        ("rounds_per_sec", Json.Num (float_of_int r.r_rounds /. secs));
+        ("peak_rss_kb", Json.int r.r_rss_kb);
+        ("round_p50_ms", Json.Num r.r_round_p50_ms);
+        ("round_p99_ms", Json.Num r.r_round_p99_ms);
+      ]
+  in
+  Json.write_file path
+    (Json.Obj
+       [
+         ("bench", Json.Str "linear-delta-local packed runtime throughput");
+         ( "meta",
+           Json.Obj
+             (Provenance.json_meta_fields (Provenance.capture ())
+             @ [
+                 ("quick", Json.Bool quick);
+                 ("default_domains", Json.int (Pool.default_domains ()));
+                 ("identical", Json.Bool identical);
+                 ("peak_rss_kb", Json.int (Obs.Gauge.value rss_gauge));
+               ]) );
+         ("rows", Json.Arr (List.map row rows));
+       ])
 
 let run ~quick ~out =
   Obs.enable ();

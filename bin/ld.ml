@@ -29,6 +29,7 @@ module Q = Ld_arith.Q
 module Colouring = Ld_models.Edge_colouring
 module Id = Ld_models.Labelled.Id
 module Obs = Ld_obs.Obs
+module Json = Ld_obs.Json
 
 (* ---- global observability/logging plumbing ----
 
@@ -477,13 +478,16 @@ let stats common delta algo frontier tree level json =
       | LB.Certified certs -> ("certified", List.length certs)
       | LB.Refuted (certs, _) -> ("refuted", List.length certs)
     in
-    Printf.printf
-      "{\n\"delta\": %d,\n\"algo\": \"%s\",\n\"outcome\": \"%s\",\n\
-       \"certified_levels\": %d,\n\"summary\": %s}\n"
-      delta
-      (Ld_obs.Json.escape base_algo.Packing.name)
-      outcome_str levels
-      (Ld_obs.Summary.to_json ())
+    print_endline
+      (Json.render
+         (Json.Obj
+            [
+              ("delta", Json.int delta);
+              ("algo", Json.Str base_algo.Packing.name);
+              ("outcome", Json.Str outcome_str);
+              ("certified_levels", Json.int levels);
+              ("summary", Ld_obs.Summary.json ());
+            ]))
   end
   else begin
     Printf.printf "\n";

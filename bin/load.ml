@@ -83,7 +83,7 @@ let request ~port v =
       | () -> ()
       | exception Unix.Unix_error _ -> ())
     (fun () ->
-      Wire.send fd (Wire.render v);
+      Wire.send fd (Json.render v);
       Json.parse (Wire.recv fd))
 
 let int_counter kvs name =
@@ -94,56 +94,53 @@ let int_counter kvs name =
 let emit ~path ~quick ~nconns ~batch ~max_delta ~skew ~seed ~requests
     ~wall_ms ~rps ~p50 ~p99 ~pmax ~certified ~refuted ~failures
     ~server_counters ~server_rss =
-  let buf = Buffer.create 2048 in
-  let add = Buffer.add_string buf in
-  add "{\n  \"bench\": \"linear-delta-local certificate service\",\n";
-  add "  \"meta\": {\n";
-  List.iter
-    (fun field -> add (Printf.sprintf "    %s,\n" field))
-    (Provenance.json_meta_fields (Provenance.capture ()));
-  add
-    (Printf.sprintf
-       "    \"quick\": %b,\n    \"conns\": %d,\n    \"batch\": %d,\n    \
-        \"max_delta\": %d,\n    \"skew\": %g,\n    \"seed\": %d\n" quick
-       nconns batch max_delta skew seed);
-  add "  },\n";
-  (* The joinable row: `op` (the only non-measure field) is the key, so
-     quick and full artefacts land on the same row for bench-diff. *)
-  add "  \"rows\": [\n";
-  add (Printf.sprintf "    {\"op\": \"verify\", \"wall_ms\": %.3f}\n" wall_ms);
-  add "  ],\n";
-  add "  \"results\": {\n";
-  add (Printf.sprintf "    \"requests\": %d,\n" requests);
-  add (Printf.sprintf "    \"rps\": %.0f,\n" rps);
-  add (Printf.sprintf "    \"p50_ms\": %.4f,\n" p50);
-  add (Printf.sprintf "    \"p99_ms\": %.4f,\n" p99);
-  add (Printf.sprintf "    \"max_ms\": %.4f,\n" pmax);
-  add (Printf.sprintf "    \"certified\": %d,\n" certified);
-  add (Printf.sprintf "    \"refuted\": %d,\n" refuted);
-  add (Printf.sprintf "    \"failures\": %d,\n" failures);
+  let counter name = Json.int (int_counter server_counters name) in
   let verdict_hits = int_counter server_counters "serve.verdict_memo_hits" in
-  add
-    (Printf.sprintf "    \"verdict_hit_ratio\": %.4f,\n"
-       (float_of_int verdict_hits /. float_of_int (Stdlib.max 1 requests)));
-  add
-    (Printf.sprintf "    \"store_hits\": %d,\n"
-       (int_counter server_counters "store.hits"));
-  add
-    (Printf.sprintf "    \"store_misses\": %d,\n"
-       (int_counter server_counters "store.misses"));
-  add
-    (Printf.sprintf "    \"store_corrupt\": %d,\n"
-       (int_counter server_counters "store.corrupt"));
-  add
-    (Printf.sprintf "    \"server_peak_rss_kb\": %d,\n"
-       (match server_rss with Some kb -> kb | None -> 0));
-  add
-    (Printf.sprintf "    \"peak_rss_kb\": %d\n"
-       (match Obs.peak_rss_kb () with Some kb -> kb | None -> 0));
-  add "  }\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  Json.write_file path
+    (Json.Obj
+       [
+         ("bench", Json.Str "linear-delta-local certificate service");
+         ( "meta",
+           Json.Obj
+             (Provenance.json_meta_fields (Provenance.capture ())
+             @ [
+                 ("quick", Json.Bool quick);
+                 ("conns", Json.int nconns);
+                 ("batch", Json.int batch);
+                 ("max_delta", Json.int max_delta);
+                 ("skew", Json.Num skew);
+                 ("seed", Json.int seed);
+               ]) );
+         (* The joinable row: `op` (the only non-measure field) is the
+            key, so quick and full artefacts land on the same row for
+            bench-diff. *)
+         ( "rows",
+           Json.Arr
+             [ Json.Obj [ ("op", Json.Str "verify"); ("wall_ms", Json.Num wall_ms) ] ]
+         );
+         ( "results",
+           Json.Obj
+             [
+               ("requests", Json.int requests);
+               ("rps", Json.Num rps);
+               ("p50_ms", Json.Num p50);
+               ("p99_ms", Json.Num p99);
+               ("max_ms", Json.Num pmax);
+               ("certified", Json.int certified);
+               ("refuted", Json.int refuted);
+               ("failures", Json.int failures);
+               ( "verdict_hit_ratio",
+                 Json.Num
+                   (float_of_int verdict_hits
+                   /. float_of_int (Stdlib.max 1 requests)) );
+               ("store_hits", counter "store.hits");
+               ("store_misses", counter "store.misses");
+               ("store_corrupt", counter "store.corrupt");
+               ("server_peak_rss_kb", Json.int (Option.value ~default:0 server_rss));
+               ( "peak_rss_kb",
+                 Json.int (Option.value ~default:0 (Obs.peak_rss_kb ())) );
+             ] );
+       ])
 
 let run ~port ~conns:nconns ~batch ~requests ~max_delta ~skew ~seed ~quick
     ~out ~shutdown () =
@@ -170,9 +167,9 @@ let run ~port ~conns:nconns ~batch ~requests ~max_delta ~skew ~seed ~quick
       (fun r ->
         match Json.member "ok" r with
         | Some (Json.Bool true) -> ()
-        | _ -> failwith ("ld load: warmup probe failed: " ^ Wire.render r))
+        | _ -> failwith ("ld load: warmup probe failed: " ^ Json.render r))
       resps
-  | other -> failwith ("ld load: unexpected warmup response: " ^ Wire.render other)
+  | other -> failwith ("ld load: unexpected warmup response: " ^ Json.render other)
   | exception Unix.Unix_error (e, _, _) ->
     Printf.eprintf "ld load: cannot reach server on 127.0.0.1:%d: %s\n" port
       (Unix.error_message e);
@@ -180,7 +177,7 @@ let run ~port ~conns:nconns ~batch ~requests ~max_delta ~skew ~seed ~quick
   let prng = ref (Int64.of_int seed) in
   let draw_delta = delta_sampler ~max_delta ~skew in
   let build_batch n =
-    Wire.render
+    Json.render
       (Json.Arr
          (List.init n (fun _ ->
               let delta = draw_delta prng in

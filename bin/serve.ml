@@ -163,16 +163,16 @@ let handle_payload state payload =
   Ld_obs.Hist.timed h_batch @@ fun () ->
   match Json.parse payload with
   | Json.Arr reqs ->
-    Wire.render (Json.Arr (List.map (handle_request state) reqs))
+    Json.render (Json.Arr (List.map (handle_request state) reqs))
   | Json.Obj _ as req ->
     (* Single-object convenience: respond in kind. *)
-    Wire.render (handle_request state req)
+    Json.render (handle_request state req)
   | _ ->
     Obs.Counter.incr c_errors;
-    Wire.render (err "expected a request object or array")
+    Json.render (err "expected a request object or array")
   | exception Json.Parse_error (msg, pos) ->
     Obs.Counter.incr c_errors;
-    Wire.render (err "parse error: %s at byte %d" msg pos)
+    Json.render (err "parse error: %s at byte %d" msg pos)
 
 (* ---- connection state machine ---- *)
 

@@ -54,31 +54,6 @@ let recv fd =
   read_exact fd b 0 n;
   Bytes.unsafe_to_string b
 
-(* ---- JSON rendering ----
-
-   [Ld_obs.Json] is parse-only (the artefact emitters print their JSON
-   by hand); the protocol builds values programmatically, so render
-   the [value] tree here. Integral floats print without an exponent or
-   decimal point — counters and ids round-trip exactly. *)
-
-let render_num f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
-
-let rec render = function
-  | Json.Null -> "null"
-  | Json.Bool b -> if b then "true" else "false"
-  | Json.Num f -> render_num f
-  | Json.Str s -> "\"" ^ Json.escape s ^ "\""
-  | Json.Arr vs -> "[" ^ String.concat "," (List.map render vs) ^ "]"
-  | Json.Obj kvs ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> "\"" ^ Json.escape k ^ "\":" ^ render v)
-           kvs)
-    ^ "}"
-
 (* ---- typed accessors for request objects ---- *)
 
 let str_member k v = Option.bind (Json.member k v) Json.to_string

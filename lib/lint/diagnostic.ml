@@ -30,35 +30,3 @@ let equal a b = compare a b = 0
 let pp fmt d =
   Format.fprintf fmt "%s:%d:%d: [%s] %s: %s" d.file d.line d.col level d.rule
     d.message
-
-(* JSON is hand-rolled (as in Ld_obs.Trace): the repo deliberately
-   avoids a JSON dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json d =
-  Printf.sprintf
-    "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.file) d.line d.col (json_escape d.rule) level
-    (json_escape d.message)
-
-let list_to_json ds =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n";
-      Buffer.add_string buf (to_json d))
-    ds;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf

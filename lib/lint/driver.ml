@@ -8,6 +8,8 @@
    select units and a stale build cannot anchor findings on the wrong
    lines. Only those units enter the call graph. *)
 
+module Json = Ld_obs.Json
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Directories never descended into when walking. [lint_fixtures] and
@@ -339,7 +341,20 @@ let lint_file file = lint_paths [ file ]
 
 (* Render to [fmt]; returns the exit code (0 clean, 1 violations). *)
 let report ~json fmt diags =
-  if json then Format.fprintf fmt "%s" (Diagnostic.list_to_json diags)
+  if json then begin
+    let diag (d : Diagnostic.t) =
+      Json.Obj
+        [
+          ("file", Json.Str d.file);
+          ("line", Json.int d.line);
+          ("col", Json.int d.col);
+          ("rule", Json.Str d.rule);
+          ("severity", Json.Str Diagnostic.level);
+          ("message", Json.Str d.message);
+        ]
+    in
+    Format.fprintf fmt "%s@\n" (Json.render (Json.Arr (List.map diag diags)))
+  end
   else begin
     List.iter (fun d -> Format.fprintf fmt "%a@." Diagnostic.pp d) diags;
     match List.length diags with

@@ -1,40 +1,50 @@
-(* SARIF 2.1.0 emission (hand-rolled JSON, matching the repo's
-   no-json-dependency policy). One run, one driver ("ld-lint"), the
+(* SARIF 2.1.0 emission. One run, one driver ("ld-lint"), the
    rule catalogue under tool.driver.rules, and one result per
    diagnostic with a physical location. Only the schema's required
    properties plus the fields CI code-scanning consumes are emitted;
    columns are converted from the repo's 0-based convention to
    SARIF's 1-based one. *)
 
+module Json = Ld_obs.Json
+
 let schema_uri =
   "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
-
-let esc = Diagnostic.json_escape
 
 (* Forward slashes regardless of platform: SARIF artifact URIs. *)
 let uri_of_file file =
   String.map (fun c -> if c = '\\' then '/' else c) file
 
+(* SARIF nests most fields in one-member objects. *)
+let field k v = Json.Obj [ (k, v) ]
+let text t = field "text" (Json.Str t)
+
 let rule_json (r : Rules.info) =
-  Printf.sprintf
-    "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"defaultConfiguration\":{\"level\":\"%s\"}}"
-    (esc r.id) (esc r.doc) Diagnostic.level
+  Json.Obj
+    [
+      ("id", Json.Str r.id);
+      ("shortDescription", text r.doc);
+      ("defaultConfiguration", field "level" (Json.Str Diagnostic.level));
+    ]
 
 let result_json ~index_of (d : Diagnostic.t) =
-  let rule_index =
-    match index_of d.rule with Some i -> i | None -> -1
+  let region =
+    Json.Obj [ ("startLine", Json.int d.line); ("startColumn", Json.int (d.col + 1)) ]
   in
-  let rule_index_field =
-    if rule_index >= 0 then Printf.sprintf ",\"ruleIndex\":%d" rule_index
-    else ""
+  let location =
+    Json.Obj
+      [
+        ("artifactLocation", field "uri" (Json.Str (uri_of_file d.file)));
+        ("region", region);
+      ]
   in
-  Printf.sprintf
-    "{\"ruleId\":\"%s\"%s,\"level\":\"%s\",\"message\":{\"text\":\"%s\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}"
-    (esc d.rule) rule_index_field
-    Diagnostic.level
-    (esc d.message)
-    (esc (uri_of_file d.file))
-    d.line (d.col + 1)
+  Json.Obj
+    ([ ("ruleId", Json.Str d.rule) ]
+    @ (match index_of d.rule with Some i -> [ ("ruleIndex", Json.int i) ] | None -> [])
+    @ [
+        ("level", Json.Str Diagnostic.level);
+        ("message", text d.message);
+        ("locations", Json.Arr [ field "physicalLocation" location ]);
+      ])
 
 (* The catalogue: every rule plus the driver's synthetic ones. *)
 let catalogue =
@@ -63,26 +73,27 @@ let catalogue =
    without a ruleIndex, which the schema permits. *)
 let render diags =
   let index_of id =
-    let rec go i = function
-      | [] -> None
-      | (r : Rules.info) :: rest -> if r.id = id then Some i else go (i + 1) rest
-    in
-    go 0 catalogue
+    List.find_index (fun (r : Rules.info) -> r.id = id) catalogue
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"$schema\":\"";
-  Buffer.add_string buf schema_uri;
-  Buffer.add_string buf "\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"ld-lint\",\"informationUri\":\"https://example.invalid/ld-lint\",\"rules\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (rule_json r))
-    catalogue;
-  Buffer.add_string buf "]}},\"results\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (result_json ~index_of d))
-    diags;
-  Buffer.add_string buf "]}]}";
-  Buffer.contents buf
+  let driver =
+    Json.Obj
+      [
+        ("name", Json.Str "ld-lint");
+        ("informationUri", Json.Str "https://example.invalid/ld-lint");
+        ("rules", Json.Arr (List.map rule_json catalogue));
+      ]
+  in
+  let run =
+    Json.Obj
+      [
+        ("tool", field "driver" driver);
+        ("results", Json.Arr (List.map (result_json ~index_of) diags));
+      ]
+  in
+  Json.render
+    (Json.Obj
+       [
+         ("$schema", Json.Str schema_uri);
+         ("version", Json.Str "2.1.0");
+         ("runs", Json.Arr [ run ]);
+       ])

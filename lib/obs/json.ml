@@ -1,29 +1,64 @@
-(* Minimal JSON support shared by the observability emitters and the
-   bench artefact tooling — the repo takes no JSON dependency.
+(* The one JSON reader and writer: every document the system emits
+   (bench artefacts, traces, `ld stats --json`, `ld serve` frames,
+   lint reports) is a [value] printed by [render]; the repo takes no
+   JSON dependency.
+
+   The printer has one fixed layout: compact, no whitespace. Integral
+   numbers with |f| < 1e15 print as integer digits, so counters and
+   ids round-trip exactly; other finite numbers print as the shortest
+   of %.15g/%.16g/%.17g that reads back equal; non-finite numbers,
+   which JSON cannot spell, print as null.
 
    [escape] hardens string emission against arbitrary bytes: quotes,
    backslashes, control characters AND every byte >= 0x7f are emitted
    as escapes, so the output is pure printable ASCII and therefore
    valid JSON (and valid UTF-8) regardless of what bytes a
-   user-supplied span or counter name contains.
+   user-supplied span name, path or message contains. Well-formed
+   UTF-8 is escaped as its code points, so it reads back unchanged. A
+   string that needs no escaping is returned as is.
 
-   [parse] is a strict recursive-descent reader for the subset the
-   BENCH_*.json artefacts use (all of standard JSON, numbers as
-   floats). It exists so `ld bench-diff` can join artefacts without a
-   dependency; it is not a streaming parser and is not meant for huge
-   documents. *)
+   [parse] is a strict recursive-descent reader (all of standard JSON,
+   numbers as floats) for artefacts and wire frames; it is not a
+   streaming parser. Nesting deeper than [max_depth] is rejected, so a
+   hostile frame cannot make it recurse millions of levels. *)
+
+let needs_escape c =
+  c = '"' || c = '\\' || Char.code c < 0x20 || Char.code c >= 0x7f
 
 let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 || Char.code c >= 0x7f ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 16) in
+    let u k = Printf.bprintf buf "\\u%04x" k in
+    let rec go i =
+      if i < String.length s then
+        match s.[i] with
+        | ('"' | '\\') as c ->
+          Buffer.add_char buf '\\';
+          Buffer.add_char buf c;
+          go (i + 1)
+        | c when not (needs_escape c) ->
+          Buffer.add_char buf c;
+          go (i + 1)
+        | c ->
+          let d = String.get_utf_8_uchar s i in
+          let k = Uchar.to_int (Uchar.utf_decode_uchar d) in
+          if Char.code c < 0x80 || not (Uchar.utf_decode_is_valid d) then begin
+            u (Char.code c);
+            go (i + 1)
+          end
+          else begin
+            if k < 0x10000 then u k
+            else begin
+              u (0xD800 lor ((k - 0x10000) lsr 10));
+              u (0xDC00 lor ((k - 0x10000) land 0x3FF))
+            end;
+            go (i + Uchar.utf_decode_length d)
+          end
+    in
+    go 0;
+    Buffer.contents buf
+  end
 
 type value =
   | Null
@@ -33,7 +68,65 @@ type value =
   | Arr of value list
   | Obj of (string * value) list
 
+let int i = Num (float_of_int i)
+
 exception Parse_error of string * int
+
+(* The artefacts nest at most ~6 levels; a wire frame is 2. *)
+let max_depth = 64
+
+(* ---- printer ---- *)
+
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then string_of_int (int_of_float f)
+  else if not (Float.is_finite f) then "null"
+  else
+    let shortest p = Printf.sprintf "%.*g" p f in
+    let s = shortest 15 in
+    if Float.equal (float_of_string s) f then s
+    else
+      let s = shortest 16 in
+      if Float.equal (float_of_string s) f then s else shortest 17
+
+let rec write buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num f -> Buffer.add_string buf (number f)
+  | Str s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (escape s);
+    Buffer.add_char buf '"'
+  | Arr vs -> write_seq buf '[' ']' (write buf) vs
+  | Obj kvs ->
+    write_seq buf '{' '}'
+      (fun (k, v) ->
+        write buf (Str k);
+        Buffer.add_char buf ':';
+        write buf v)
+      kvs
+
+and write_seq : 'a. Buffer.t -> char -> char -> ('a -> unit) -> 'a list -> unit =
+ fun buf op cl item xs ->
+  Buffer.add_char buf op;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      item x)
+    xs;
+  Buffer.add_char buf cl
+
+let render v =
+  let buf = Buffer.create 1024 in
+  write buf v;
+  Buffer.contents buf
+
+(* A document on disk ends with a newline. *)
+let write_file path v =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (render v);
+      Out_channel.output_char oc '\n')
+
+(* ---- parser ---- *)
 
 let parse s =
   let n = String.length s in
@@ -78,6 +171,26 @@ let parse s =
     done;
     !v
   in
+  (* A high surrogate followed by an escaped low one is one code point;
+     a lone surrogate has no UTF-8 form and reads as U+FFFD. *)
+  let code_point () =
+    let v = hex4 () in
+    let pair =
+      !pos + 1 < n && Char.equal s.[!pos] '\\' && Char.equal s.[!pos + 1] 'u'
+    in
+    if v < 0xD800 || v >= 0xDC00 || not pair then v
+    else begin
+      let save = !pos in
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo >= 0xDC00 && lo < 0xE000 then
+        0x10000 + ((v - 0xD800) lsl 10) + (lo - 0xDC00)
+      else begin
+        pos := save;
+        v
+      end
+    end
+  in
   let string_lit () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -88,45 +201,21 @@ let parse s =
       | Some '\\' ->
         advance ();
         (match peek () with
-        | Some '"' ->
-          Buffer.add_char buf '"';
-          advance ()
-        | Some '\\' ->
-          Buffer.add_char buf '\\';
-          advance ()
-        | Some '/' ->
-          Buffer.add_char buf '/';
-          advance ()
-        | Some 'b' ->
-          Buffer.add_char buf '\b';
-          advance ()
-        | Some 'f' ->
-          Buffer.add_char buf '\012';
-          advance ()
-        | Some 'n' ->
-          Buffer.add_char buf '\n';
-          advance ()
-        | Some 'r' ->
-          Buffer.add_char buf '\r';
-          advance ()
-        | Some 't' ->
-          Buffer.add_char buf '\t';
-          advance ()
         | Some 'u' ->
           advance ();
-          let v = hex4 () in
-          (* UTF-8 encode the code point; surrogate pairs are not
-             recombined — the artefacts never emit them. *)
-          if v < 0x80 then Buffer.add_char buf (Char.chr v)
-          else if v < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (v lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (v land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (v lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((v lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (v land 0x3F)))
-          end
+          let v = code_point () in
+          Buffer.add_utf_8_uchar buf
+            (if Uchar.is_valid v then Uchar.of_int v else Uchar.rep)
+        | Some (('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') as c) ->
+          Buffer.add_char buf
+            (match c with
+            | 'b' -> '\b'
+            | 'f' -> '\012'
+            | 'n' -> '\n'
+            | 'r' -> '\r'
+            | 't' -> '\t'
+            | c -> c);
+          advance ()
         | _ -> fail "bad escape");
         go ()
       | Some c when Char.code c < 0x20 -> fail "control char in string"
@@ -142,17 +231,11 @@ let parse s =
     let start = !pos in
     if peek_is '-' then advance ();
     let digits () =
-      let saw = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-          saw := true;
-          advance ();
-          go ()
-        | _ -> ()
-      in
-      go ();
-      if not !saw then fail "expected digit"
+      let from = !pos in
+      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
+        advance ()
+      done;
+      if !pos = from then fail "expected digit"
     in
     digits ();
     if peek_is '.' then begin
@@ -169,58 +252,43 @@ let parse s =
     | Some f -> f
     | None -> fail "bad number"
   in
-  let rec value () =
+  (* The members of an array or object up to [close], after its opener. *)
+  let seq close item =
+    advance ();
     ws ();
+    if peek_is close then begin
+      advance ();
+      []
+    end
+    else begin
+      let rec go acc =
+        let acc = item () :: acc in
+        ws ();
+        match peek () with
+        | Some ',' ->
+          advance ();
+          go acc
+        | Some c when Char.equal c close ->
+          advance ();
+          List.rev acc
+        | _ -> fail (Printf.sprintf "expected , or %c" close)
+      in
+      go []
+    end
+  in
+  let rec value depth =
+    ws ();
+    if depth > max_depth then fail "nesting too deep";
     match peek () with
     | Some '{' ->
-      advance ();
-      ws ();
-      if peek_is '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let members = ref [] in
-        let rec go () =
-          ws ();
-          let k = string_lit () in
-          ws ();
-          expect ':';
-          let v = value () in
-          members := (k, v) :: !members;
-          ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            go ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected , or }"
-        in
-        go ();
-        Obj (List.rev !members)
-      end
-    | Some '[' ->
-      advance ();
-      ws ();
-      if peek_is ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let elems = ref [] in
-        let rec go () =
-          elems := value () :: !elems;
-          ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            go ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected , or ]"
-        in
-        go ();
-        Arr (List.rev !elems)
-      end
+      Obj
+        (seq '}' (fun () ->
+             ws ();
+             let k = string_lit () in
+             ws ();
+             expect ':';
+             (k, value (depth + 1))))
+    | Some '[' -> Arr (seq ']' (fun () -> value (depth + 1)))
     | Some '"' -> Str (string_lit ())
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -228,7 +296,7 @@ let parse s =
     | Some ('-' | '0' .. '9') -> Num (number ())
     | _ -> fail "expected value"
   in
-  let v = value () in
+  let v = value 0 in
   ws ();
   if !pos <> n then fail "trailing garbage";
   v

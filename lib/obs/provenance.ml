@@ -64,13 +64,11 @@ let capture () =
     timestamp = iso8601 (Unix.time ());
   }
 
-(* The meta fields shared by every bench artefact, pre-rendered as
-   JSON lines (without surrounding braces) so emitters stay in sync. *)
+(* The meta fields shared by every bench artefact, so emitters stay in
+   sync. *)
 let json_meta_fields p =
   [
-    Printf.sprintf "\"git_commit\": \"%s\"" p.commit;
-    (match p.dirty with
-    | None -> "\"git_dirty\": null"
-    | Some d -> Printf.sprintf "\"git_dirty\": %b" d);
-    Printf.sprintf "\"timestamp\": \"%s\"" p.timestamp;
+    ("git_commit", Json.Str p.commit);
+    ("git_dirty", match p.dirty with None -> Json.Null | Some d -> Json.Bool d);
+    ("timestamp", Json.Str p.timestamp);
   ]

@@ -23,7 +23,7 @@ type t = {
 
 val capture : unit -> t
 
-val json_meta_fields : t -> string list
-(** The shared meta fields as rendered JSON [key: value] strings
-    (no braces, no trailing commas) — every bench emitter folds these
-    into its ["meta"] object so the provenance schema stays uniform. *)
+val json_meta_fields : t -> (string * Json.value) list
+(** The shared meta fields ([git_commit], [git_dirty], [timestamp]) —
+    every bench emitter folds these into its ["meta"] object so the
+    provenance schema stays uniform. *)

@@ -212,59 +212,58 @@ let pp_level ~level fmt () =
    scraping the aligned text. Quantiles are reported in milliseconds
    to match the text tables; the exposition endpoint is the place for
    base-unit seconds. *)
-let to_json () =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"spans\": [";
-  List.iteri
-    (fun i (name, (count, total, self)) ->
-      if i > 0 then add ",";
-      add "\n    {\"name\": \"%s\", \"count\": %d, \"total_ms\": %.6f, \
-           \"self_ms\": %.6f}"
-        (Json.escape name) count total self)
-    (Obs.span_totals ());
-  add "\n  ],\n  \"counters\": {";
-  let nonzero = List.filter (fun (_, v) -> v <> 0) (Obs.counters ()) in
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then add ",";
-      add "\n    \"%s\": %d" (Json.escape name) v)
-    nonzero;
-  add "\n  },\n  \"gauges\": {";
-  let gauges = List.filter (fun (_, v) -> v <> 0) (Obs.gauges ()) in
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then add ",";
-      add "\n    \"%s\": %d" (Json.escape name) v)
-    gauges;
-  add "\n  },\n  \"histograms\": [";
-  List.iteri
-    (fun i (sn : Hist.snapshot) ->
-      if i > 0 then add ",";
-      add
-        "\n    {\"name\": \"%s\", \"count\": %d, \"p50_ms\": %.6f, \
-         \"p90_ms\": %.6f, \"p99_ms\": %.6f, \"p999_ms\": %.6f, \
-         \"max_ms\": %.6f, \"sum_ms\": %.6f}"
-        (Json.escape sn.Hist.sn_name)
-        sn.Hist.sn_count
-        (Hist.quantile_ms sn 0.5) (Hist.quantile_ms sn 0.9)
-        (Hist.quantile_ms sn 0.99)
-        (Hist.quantile_ms sn 0.999)
-        (Hist.max_ms sn) (Hist.sum_ms sn))
-    (Hist.snapshots ());
-  add "\n  ],\n  \"domains\": [";
-  List.iteri
-    (fun i (tid, evs, tasks) ->
-      if i > 0 then add ",";
-      add "\n    {\"tid\": %d, \"events\": %d, \"pool_tasks\": %d}" tid evs
-        tasks)
-    (per_domain ());
-  add "\n  ]";
-  (match Obs.peak_rss_kb () with
-  | Some kb -> add ",\n  \"peak_rss_kb\": %d" kb
-  | None -> ());
-  add "\n}\n";
-  Buffer.contents buf
+let json () =
+  let ints kvs =
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) -> if v <> 0 then Some (k, Json.int v) else None)
+         kvs)
+  in
+  let span (name, (count, total, self)) =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("count", Json.int count);
+        ("total_ms", Json.Num total);
+        ("self_ms", Json.Num self);
+      ]
+  in
+  let hist (sn : Hist.snapshot) =
+    let q p = Json.Num (Hist.quantile_ms sn p) in
+    Json.Obj
+      [
+        ("name", Json.Str sn.sn_name);
+        ("count", Json.int sn.sn_count);
+        ("p50_ms", q 0.5);
+        ("p90_ms", q 0.9);
+        ("p99_ms", q 0.99);
+        ("p999_ms", q 0.999);
+        ("max_ms", Json.Num (Hist.max_ms sn));
+        ("sum_ms", Json.Num (Hist.sum_ms sn));
+      ]
+  in
+  let domain (tid, evs, tasks) =
+    Json.Obj
+      [
+        ("tid", Json.int tid);
+        ("events", Json.int evs);
+        ("pool_tasks", Json.int tasks);
+      ]
+  in
+  Json.Obj
+    ([
+       ("spans", Json.Arr (List.map span (Obs.span_totals ())));
+       ("counters", ints (Obs.counters ()));
+       ("gauges", ints (Obs.gauges ()));
+       ("histograms", Json.Arr (List.map hist (Hist.snapshots ())));
+       ("domains", Json.Arr (List.map domain (per_domain ())));
+     ]
+    @
+    match Obs.peak_rss_kb () with
+    | Some kb -> [ ("peak_rss_kb", Json.int kb) ]
+    | None -> [])
+
+let to_json () = Json.render (json ())
 
 let section_ms ~prefix =
   List.filter_map

@@ -13,11 +13,14 @@ val pp_level : level:int -> Format.formatter -> unit -> unit
     [("level", i)] and everything nested inside it (across domains —
     the level's probe fan-out is included, sibling levels are not). *)
 
-val to_json : unit -> string
+val json : unit -> Json.value
 (** Machine-readable form of the {!pp} tables plus histogram quantiles:
     one JSON object with [spans], [counters], [gauges], [histograms]
     (p50/p90/p99/p999/max/sum in milliseconds), [domains] and, when
     available, [peak_rss_kb]. Backs [ld stats --json]. *)
+
+val to_json : unit -> string
+(** {!json}, rendered. *)
 
 val section_ms : prefix:string -> (string * float) list
 (** Total wall-clock per span whose name starts with [prefix], prefix

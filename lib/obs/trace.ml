@@ -1,70 +1,48 @@
 (* Span/counter names and arg strings are caller-supplied and may hold
-   arbitrary bytes; [Json.escape] renders them as pure-ASCII JSON
-   string contents (quotes, backslashes, control chars and bytes
-   >= 0x7f all escaped), so a hostile name can never produce an
-   invalid trace.json. *)
-let escape = Json.escape
-
-let add_args buf = function
-  | [] -> ()
-  | args ->
-    Buffer.add_string buf ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
-      args;
-    Buffer.add_char buf '}'
+   arbitrary bytes; [Json.render] escapes them to pure ASCII, so a
+   hostile name can never produce an invalid trace.json. *)
 
 (* Timestamps are microseconds in the trace-event spec; we keep
    nanosecond precision with a fractional part. *)
 let us_of_ns ns = Int64.to_float ns /. 1e3
 
-let to_string () =
-  let events = Obs.events () in
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf "\n";
-    Buffer.add_string buf s
-  in
-  let tids = List.sort_uniq Int.compare (List.map (fun e -> e.Obs.ev_tid) events) in
-  List.iter
-    (fun tid ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\
-            \"args\":{\"name\":\"domain-%d\"}}"
-           tid tid))
-    tids;
-  List.iter
-    (fun (e : Obs.event) ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"ld\",\"ph\":\"%s\",\"ts\":%.3f,\
-            \"pid\":1,\"tid\":%d"
-           (escape e.ev_name)
-           (match e.ev_phase with Obs.B -> "B" | Obs.E -> "E")
-           (us_of_ns e.ev_ts) e.ev_tid);
-      add_args b e.ev_args;
-      Buffer.add_char b '}';
-      emit (Buffer.contents b))
-    events;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\",\"ld_metrics\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n\"%s\":%d" (escape name) v))
-    (Obs.counters ());
-  Buffer.add_string buf "\n}}\n";
-  Buffer.contents buf
+let args kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)
+
+let thread_name tid =
+  Json.Obj
+    [
+      ("name", Json.Str "thread_name");
+      ("ph", Json.Str "M");
+      ("pid", Json.int 1);
+      ("tid", Json.int tid);
+      ("args", args [ ("name", Printf.sprintf "domain-%d" tid) ]);
+    ]
+
+let event (e : Obs.event) =
+  Json.Obj
+    ([
+       ("name", Json.Str e.ev_name);
+       ("cat", Json.Str "ld");
+       ("ph", Json.Str (match e.ev_phase with Obs.B -> "B" | Obs.E -> "E"));
+       ("ts", Json.Num (us_of_ns e.ev_ts));
+       ("pid", Json.int 1);
+       ("tid", Json.int e.ev_tid);
+     ]
+    @ match e.ev_args with [] -> [] | kvs -> [ ("args", args kvs) ])
 
 let write ~path =
   if Obs.enabled () then begin
-    let oc = open_out path in
-    output_string oc (to_string ());
-    close_out oc
+    let events = Obs.events () in
+    let tids =
+      List.sort_uniq Int.compare (List.map (fun e -> e.Obs.ev_tid) events)
+    in
+    Json.write_file path
+      (Json.Obj
+         [
+           ("traceEvents", Json.Arr (List.map thread_name tids @ List.map event events));
+           ("displayTimeUnit", Json.Str "ms");
+           ( "ld_metrics",
+             Json.Obj
+               (List.map (fun (name, v) -> (name, Json.int v)) (Obs.counters ())) );
+         ])
   end

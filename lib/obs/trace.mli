@@ -6,9 +6,7 @@
     domain id, thread-name metadata per domain, and the final counter
     values under an ["ld_metrics"] key. *)
 
-val to_string : unit -> string
-(** Render the current event buffers and counters. *)
-
 val write : path:string -> unit
-(** [write ~path] writes {!to_string} to [path]. A no-op while the sink
-    is disabled: no file is created or truncated. *)
+(** [write ~path] renders the current event buffers and counters to
+    [path]. A no-op while the sink is disabled: no file is created or
+    truncated. *)

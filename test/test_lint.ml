@@ -149,6 +149,58 @@ let json_rendering () =
   Alcotest.(check bool) "severity field present" true
     (contains "\"severity\":\"error\"")
 
+(* Hostile bytes in a path or message (a non-UTF-8 file name, say)
+   must still give pure-ASCII, parseable reports. *)
+let hostile_reports_are_ascii () =
+  let evil = "q\"b\\t\tc\x01h\xff" in
+  let d =
+    {
+      Diagnostic.file = "dir/" ^ evil ^ ".ml";
+      line = 3;
+      col = 0;
+      rule = "poly-compare";
+      message = "msg " ^ evil;
+    }
+  in
+  let buf = Buffer.create 256 in
+  let fmt = Format.formatter_of_buffer buf in
+  ignore (Driver.report ~json:true fmt [ d ] : int);
+  Format.pp_print_flush fmt ();
+  let message_of what report =
+    Alcotest.(check bool) (what ^ " is pure ASCII") true
+      (String.for_all (fun c -> Char.code c < 0x80) report);
+    Json.parse report
+  in
+  let json = message_of "json" (Buffer.contents buf) in
+  let sarif = message_of "sarif" (Sarif.render [ d ]) in
+  let read_back =
+    [
+      Option.bind (Json.to_list json) (function
+        | [ o ] -> Option.bind (Json.member "message" o) Json.to_string
+        | _ -> None);
+      Option.bind (Json.member "runs" sarif) (fun runs ->
+          match Json.to_list runs with
+          | Some [ run ] -> (
+            match Option.bind (Json.member "results" run) Json.to_list with
+            | Some [ r ] ->
+              Option.bind
+                (Option.bind (Json.member "message" r) (Json.member "text"))
+                Json.to_string
+            | _ -> None)
+          | _ -> None);
+    ]
+  in
+  let ascii_part m =
+    String.of_seq (Seq.filter (fun c -> Char.code c < 0x80) (String.to_seq m))
+  in
+  List.iter
+    (function
+      | Some m ->
+        Alcotest.(check string) "ASCII part reads back" (ascii_part d.message)
+          (ascii_part m)
+      | None -> Alcotest.fail "message missing")
+    read_back
+
 let clean_report_exit_code () =
   let buf = Buffer.create 16 in
   let fmt = Format.formatter_of_buffer buf in
@@ -351,6 +403,8 @@ let () =
       ( "rendering",
         [
           Alcotest.test_case "json" `Quick json_rendering;
+          Alcotest.test_case "hostile bytes stay ASCII" `Quick
+            hostile_reports_are_ascii;
           Alcotest.test_case "clean exit code" `Quick clean_report_exit_code;
           Alcotest.test_case "registry" `Quick registry_is_complete;
         ] );

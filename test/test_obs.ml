@@ -512,13 +512,6 @@ let json_parser () =
     Alcotest.(check (option (float 0.))) "delta" (Some 4.)
       (Option.bind (Json.member "delta" row) Json.to_float)
   | _ -> Alcotest.fail "rows shape");
-  (* Escaped low bytes round-trip exactly (high bytes re-encode as
-     UTF-8, which is why the emitters stay ASCII and the check below
-     only exercises the < 0x80 range). *)
-  let s = "a\"b\\c\x01d\ne" in
-  (match Json.parse ("\"" ^ Json.escape s ^ "\"") with
-  | Json.Str back -> Alcotest.(check string) "escape round-trip" s back
-  | _ -> Alcotest.fail "expected a string");
   let rejects input =
     match Json.parse input with
     | exception Json.Parse_error _ -> true
@@ -527,7 +520,90 @@ let json_parser () =
   Alcotest.(check bool) "unclosed object" true (rejects "{");
   Alcotest.(check bool) "trailing garbage" true (rejects "1 2");
   Alcotest.(check bool) "bad escape" true (rejects "\"\\q\"");
-  Alcotest.(check bool) "bare word" true (rejects "wall_ms")
+  Alcotest.(check bool) "bare word" true (rejects "wall_ms");
+  (* A hostile frame nesting a million levels is refused at the depth
+     bound instead of recursing once per level. *)
+  Alcotest.(check bool) "nesting too deep" true
+    (match Json.parse (String.make 1_000_000 '[') with
+    | exception Json.Parse_error ("nesting too deep", _) -> true
+    | _ -> false)
+
+let json_printer_units () =
+  let render f = Json.render (Json.Num f) in
+  Alcotest.(check string) "nan" "null" (render Float.nan);
+  Alcotest.(check string) "infinity" "null" (render Float.infinity);
+  Alcotest.(check string) "integral" "3" (render 3.);
+  Alcotest.(check string) "shortest" "0.1" (render 0.1);
+  Alcotest.(check string) "compact" {|{"a":[1,true,null],"b":"x\u0001"}|}
+    (Json.render
+       (Json.Obj
+          [
+            ("a", Json.Arr [ Json.Num 1.; Json.Bool true; Json.Null ]);
+            ("b", Json.Str "x\x01");
+          ]));
+  (* UTF-8 leaves as code points (a surrogate pair above the BMP) and
+     reads back unchanged. *)
+  List.iter
+    (fun (s, escaped) ->
+      Alcotest.(check string) ("escape " ^ escaped) escaped (Json.escape s);
+      Alcotest.(check (option string)) ("read back " ^ escaped) (Some s)
+        (Json.to_string (Json.parse (Json.render (Json.Str s)))))
+    [ ("\xe2\x80\x94", "\\u2014"); ("\xf0\x9f\x98\x80", "\\ud83d\\ude00") ];
+  (* A lone surrogate has no UTF-8 form and reads as U+FFFD. *)
+  Alcotest.(check (option string)) "lone surrogate" (Some "\xef\xbf\xbdA")
+    (Json.to_string (Json.parse {|"\ud800\u0041"|}))
+
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Null, Json.Null -> true
+  | Json.Bool x, Json.Bool y -> Bool.equal x y
+  | Json.Num x, Json.Num y -> Float.equal x y
+  | Json.Str x, Json.Str y -> String.equal x y
+  | Json.Arr xs, Json.Arr ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && json_equal x y) xs ys
+  | _ -> false
+
+(* Strings of bytes < 0x80 (quotes, backslashes and control bytes
+   included), finite numbers of every shape, nesting up to 6 levels. *)
+let json_value_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(map Char.chr (int_range 0 0x7f)) (int_range 0 8) in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000_000) 1_000_000_000);
+        float_range (-1e6) 1e6;
+        map (fun f -> -.f) (float_range 0. 1e-3);
+        map2 Float.ldexp (float_range (-1.) 1.) (int_range (-1000) 1000);
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) num;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  let rec value depth =
+    if depth = 0 then leaf
+    else
+      let sub g = list_size (int_range 0 4) g in
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun vs -> Json.Arr vs) (sub (value (depth - 1))));
+          (1, map (fun kvs -> Json.Obj kvs) (sub (pair str (value (depth - 1)))));
+        ]
+  in
+  int_range 0 6 >>= value
+
+let json_render_round_trip =
+  QCheck.Test.make ~count:500 ~name:"parse (render v) = v"
+    (QCheck.make ~print:Json.render json_value_gen)
+    (fun v -> json_equal (Json.parse (Json.render v)) v)
 
 (* ------------------------------------------------------------------ *)
 
@@ -783,6 +859,8 @@ let () =
             hostile_names_survive_export;
           Alcotest.test_case "parser accepts artefacts, rejects junk" `Quick
             json_parser;
+          Alcotest.test_case "printer units" `Quick json_printer_units;
+          QCheck_alcotest.to_alcotest json_render_round_trip;
         ] );
       ( "provenance",
         [ Alcotest.test_case "git_dirty probe" `Quick provenance_git_dirty ] );
