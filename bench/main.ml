@@ -18,13 +18,14 @@ module Packing = Ld_matching.Packing
 module Po_packing = Ld_matching.Po_packing
 module Mm_ec = Ld_matching.Mm_ec
 module II = Ld_matching.Israeli_itai
-module PR = Ld_matching.Panconesi_rizzi
+module Packed_pr = Ld_matching.Packed_pr
 module Fm = Ld_fm.Fm
 module Maximum = Ld_fm.Maximum
 module Greedy = Ld_fm.Greedy
 module Ec = Ld_models.Ec
 module Id = Ld_models.Labelled.Id
 module G = Ld_graph.Graph
+module Csr = Ld_graph.Csr
 module Gen = Ld_graph.Generators
 module Q = Ld_arith.Q
 module Colouring = Ld_models.Edge_colouring
@@ -309,21 +310,18 @@ let base () =
   row "  shape: rounds grow ~ log n (each x4 in n adds a few rounds).\n\n";
   row "  Panconesi-Rizzi (deterministic): rounds vs delta (n=60) and vs n (delta=4)\n";
   row "  %-10s %-8s %-8s %-8s\n" "delta" "n" "rounds" "cv iters";
+  let pr_row n g =
+    let csr = Csr.of_graph g ~colour:(Colouring.greedy g) in
+    let r, _ = Packed_pr.run csr in
+    assert (Packed_pr.is_maximal csr r);
+    row "  %-10d %-8d %-8d %-8d\n" (G.max_degree g) n r.Packed_pr.rounds
+      r.Packed_pr.cv_iterations
+  in
   List.iter
-    (fun delta ->
-      let g = Gen.random_bounded_degree ~seed:7 60 delta in
-      let r = PR.run (Id.trivial g) in
-      assert (PR.is_maximal g r);
-      row "  %-10d %-8d %-8d %-8d\n" (G.max_degree g) 60 r.PR.rounds
-        r.PR.cv_iterations)
+    (fun delta -> pr_row 60 (Gen.random_bounded_degree ~seed:7 60 delta))
     [ 2; 4; 8; 16; 24 ];
   List.iter
-    (fun n ->
-      let g = Gen.random_bounded_degree ~seed:8 n 4 in
-      let r = PR.run (Id.trivial g) in
-      assert (PR.is_maximal g r);
-      row "  %-10d %-8d %-8d %-8d\n" (G.max_degree g) n r.PR.rounds
-        r.PR.cv_iterations)
+    (fun n -> pr_row n (Gen.random_bounded_degree ~seed:8 n 4))
     [ 16; 256; 4096 ];
   row "  shape: linear in delta, almost flat in n (log* through CV iters).\n\n";
   row "  EC greedy matching (§2.1: trivial in EC): rounds = colours\n";
@@ -453,8 +451,8 @@ let bechamel_pass () =
       Test.make ~name:"panconesi-rizzi n=256 delta=4"
         (Staged.stage
            (let g = Gen.random_bounded_degree ~seed:2 256 4 in
-            let idg = Id.trivial g in
-            fun () -> ignore (PR.run idg)));
+            let csr = Csr.of_graph g ~colour:(Colouring.greedy g) in
+            fun () -> ignore (Packed_pr.run csr)));
       Test.make ~name:"israeli-itai n=256 delta=4"
         (Staged.stage
            (let g = Gen.random_bounded_degree ~seed:2 256 4 in

@@ -176,9 +176,8 @@ let run ~quick ~out =
     tree_sizes;
   List.iter
     (fun n ->
-      (* stream_regular's configuration-model rejection is hopeless at
-         this scale; the permutation-cover family is the O(n d)
-         near-regular stand-in. *)
+      (* Configuration-model rejection is hopeless at this scale; the
+         permutation-cover family is the O(n d) near-regular stand-in. *)
       let g = Gen.stream_perm_regular ~seed:42 n reg_d in
       List.iter
         (fun domains ->

@@ -192,13 +192,14 @@ let match_ common family n delta seed which =
     Printf.printf "israeli-itai: rounds=%d size=%d maximal=%b\n" r.rounds size
       (Ld_matching.Israeli_itai.is_maximal g r)
   | `Pr ->
-    let r = Ld_matching.Panconesi_rizzi.run (Id.trivial g) in
+    let csr = Ld_graph.Csr.of_graph g ~colour:(Colouring.greedy g) in
+    let r, _ = Ld_matching.Packed_pr.run csr in
     let size =
-      Array.fold_left (fun a m -> if m <> None then a + 1 else a) 0 r.mate / 2
+      Array.fold_left (fun a w -> if w >= 0 then a + 1 else a) 0 r.mate / 2
     in
     Printf.printf "panconesi-rizzi: rounds=%d (cv=%d) size=%d maximal=%b\n"
       r.rounds r.cv_iterations size
-      (Ld_matching.Panconesi_rizzi.is_maximal g r));
+      (Ld_matching.Packed_pr.is_maximal csr r));
   0
 
 let match_cmd =

@@ -11,7 +11,8 @@ module Colouring = Ld_models.Edge_colouring
 module Packing = Ld_matching.Packing
 module Mm_ec = Ld_matching.Mm_ec
 module II = Ld_matching.Israeli_itai
-module PR = Ld_matching.Panconesi_rizzi
+module Packed_pr = Ld_matching.Packed_pr
+module Csr = Ld_graph.Csr
 module Greedy = Ld_fm.Greedy
 module Maximum = Ld_fm.Maximum
 module Fm = Ld_fm.Fm
@@ -45,10 +46,12 @@ let zoo g name =
   Printf.printf "  %-34s rounds=%-4d size=%-9d maximal=%b\n"
     "Israeli-Itai          (ID, O(log n) rand.)" ii.II.rounds (size ii.II.mate)
     (II.is_maximal g ii);
-  let pr = PR.run idg in
+  let csr = Csr.of_graph g ~colour:(Colouring.greedy g) in
+  let pr, _ = Packed_pr.run csr in
   Printf.printf "  %-34s rounds=%-4d size=%-9d maximal=%b\n"
-    "Panconesi-Rizzi       (ID, O(Δ+log* n))" pr.PR.rounds (size pr.PR.mate)
-    (PR.is_maximal g pr);
+    "Panconesi-Rizzi       (ID, O(Δ+log* n))" pr.Packed_pr.rounds
+    (size (Array.map (fun w -> if w >= 0 then Some w else None) pr.mate))
+    (Packed_pr.is_maximal csr pr);
   (* centralised references *)
   Printf.printf "  %-34s             total=%-8s (ν_f = %s)\n"
     "centralised greedy FM / optimum"

@@ -161,8 +161,30 @@ let random_regular ~seed n d =
     done;
     if !ok then Some (Graph.create n !es) else None
   in
+  (* Dense [d] (K_{d+1} at the extreme) can exhaust the retries. Then
+     take the circulant joining [u] to [u ± 1 .. u ± d/2], plus [u + n/2]
+     for odd [d] — simple and d-regular since [d < n] — relabelled by a
+     permutation drawn from the same stream. *)
+  let circulant () =
+    let perm = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let tmp = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- tmp
+    done;
+    let es = ref [] in
+    for u = 0 to n - 1 do
+      for k = 1 to d / 2 do
+        es := (perm.(u), perm.((u + k) mod n)) :: !es
+      done;
+      if d mod 2 = 1 && u < n / 2 then
+        es := (perm.(u), perm.(u + (n / 2))) :: !es
+    done;
+    Graph.create n !es
+  in
   let rec retry k =
-    if k = 0 then failwith "Generators.random_regular: too many retries"
+    if k = 0 then circulant ()
     else
       match attempt () with
       | Some g -> g
@@ -249,53 +271,6 @@ let stream_bounded_degree ~seed n max_deg =
     end
   done;
   Csr.of_packed_edges ~n ~deg ~packed:arr ~ne:!ne
-
-let stream_regular ~seed n d =
-  if d < 0 || d >= n || n * d mod 2 <> 0 then
-    invalid_arg "Generators.stream_regular";
-  let rng = Random.State.make [| seed; n; d; 0x2e9 |] in
-  let stubs = Array.make (Stdlib.max 1 (n * d)) 0 in
-  let es = Array.make (Stdlib.max 1 (n * d / 2)) 0 in
-  let deg = Array.make (Stdlib.max 1 n) 0 in
-  let attempt () =
-    for i = 0 to (n * d) - 1 do
-      stubs.(i) <- i / d
-    done;
-    for i = (n * d) - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let tmp = stubs.(i) in
-      stubs.(i) <- stubs.(j);
-      stubs.(j) <- tmp
-    done;
-    (* Duplicate detection via a packed-int key table — semantically the
-       membership test of the list twin, so acceptance (and hence the
-       retry count and RNG stream position) is identical. *)
-    let seen = Hashtbl.create (n * d) in
-    let ok = ref true in
-    let ne = ref 0 in
-    let i = ref 0 in
-    while !ok && !i < n * d do
-      let u = stubs.(!i) and v = stubs.(!i + 1) in
-      let key = (Stdlib.min u v * n) + Stdlib.max u v in
-      if u = v || Hashtbl.mem seen key then ok := false
-      else begin
-        Hashtbl.add seen key ();
-        es.(!ne) <- key;
-        incr ne
-      end;
-      i := !i + 2
-    done;
-    !ok
-  in
-  let rec retry k =
-    if k = 0 then failwith "Generators.stream_regular: too many retries"
-    else if attempt () then begin
-      Array.fill deg 0 n d;
-      Csr.of_packed_edges ~n ~deg ~packed:es ~ne:(n * d / 2)
-    end
-    else retry (k - 1)
-  in
-  retry 5000
 
 let stream_perm_regular ~seed n d =
   if d < 2 || d mod 2 <> 0 || d >= n then

@@ -39,9 +39,10 @@ val random_tree : seed:int -> int -> Graph.t
 val random_gnp : seed:int -> int -> float -> Graph.t
 
 (** Random [d]-regular simple graph on [n] nodes via the configuration
-    model with retries; requires [n * d] even and [d < n].
-    @raise Invalid_argument if the parameters are infeasible.
-    @raise Failure if no simple matching is found after many retries. *)
+    model with retries; requires [n * d] even and [d < n]. If 5000
+    pairings are all rejected, returns a circulant d-regular graph
+    relabelled by a seeded permutation instead, so the call is total.
+    @raise Invalid_argument if the parameters are infeasible. *)
 val random_regular : seed:int -> int -> int -> Graph.t
 
 (** Random graph with maximum degree at most [max_deg]: a random greedy
@@ -56,18 +57,9 @@ val spider : delta:int -> tail:int -> Graph.t
 (** Streaming twin of {!random_bounded_degree}: same seed, same RNG
     stream, same graph — but assembled directly into CSR arrays with
     no tuple lists (differentially tested). Still enumerates all
-    n(n-1)/2 candidate pairs, like the twin; use {!stream_regular} or
-    {!stream_biregular_tree} for mega-scale instances. *)
+    n(n-1)/2 candidate pairs, like the twin; use {!stream_perm_regular}
+    or {!stream_biregular_tree} for mega-scale instances. *)
 val stream_bounded_degree : seed:int -> int -> int -> Csr.t
-
-(** Streaming twin of {!random_regular}: identical RNG stream and
-    acceptance decisions (so identical retry counts), O(n·d) per
-    attempt, no intermediate lists. Like the twin it rejects whole
-    configuration-model pairings, whose acceptance probability decays
-    as exp(-(d²-1)/4) {e independent of n} but makes large [n·d]
-    instances impractical in wall-time terms; use
-    {!stream_perm_regular} at mega scale. *)
-val stream_regular : seed:int -> int -> int -> Csr.t
 
 (** [stream_perm_regular ~seed n d] — union of d/2 random permutation
     cycle covers: a simple near-d-regular graph of max degree ≤ [d],

@@ -1,7 +1,4 @@
-module G = Ld_graph.Graph
 module Csr = Ld_graph.Csr
-module Id = Ld_models.Labelled.Id
-module Sync = Ld_runtime.Sync
 module Packed = Ld_runtime.Packed
 module Coin = Ld_runtime.Packed.Coin
 
@@ -21,10 +18,9 @@ module Coin = Ld_runtime.Packed.Coin
    vertex cover.
 
    Eligibility is a function of purely local state (live-port count
-   and the iteration counter), so the packed machine and its boxed
-   [Sync] twin — drawing from the same {!Packed.Coin} stream — remain
-   exactly comparable: identical mates and rounds at any
-   [LD_DOMAINS].
+   and the iteration counter), and the {!Packed.Coin} word lives in
+   the slice, so [Packed.Port.reference_run] is an exact oracle:
+   identical states and rounds at any [LD_DOMAINS].
 
    State slice (7 words): the 6 of [Packed_ii] (coin, live mask,
    matched, phase, proposal, accept) plus the iteration counter. *)
@@ -81,9 +77,10 @@ let eligible sched ~iter ~live_count =
     live_count > sched.delta lsr (j + 1)
     && live_count <= sched.delta lsr j
 
-(* Shared transition core over a 7-word state array; see Packed_ii
-   for the propose/respond semantics, which are unchanged — only the
-   proposal draw is gated by [eligible]. *)
+(* Transition core over a 7-word state array, run by the machine on a
+   scratch copy of the node's slice; see Packed_ii for the
+   propose/respond semantics, which are unchanged — only the proposal
+   draw is gated by [eligible]. *)
 
 let draw_proposal sched state =
   let live = state.(off_live) in
@@ -165,10 +162,6 @@ let step_state sched state ~degree ~msg =
     draw_proposal sched state
   end
 
-let halted_state state =
-  state.(off_matched) >= 0
-  || (state.(off_live) = 0 && state.(off_phase) = 0)
-
 (* ---------- packed machine ---------- *)
 
 let machine ~seed ~sched : Packed.Port.machine =
@@ -233,43 +226,6 @@ let run ?par_threshold ?domains ?sched ~seed ~max_rounds g =
         failwith "Davies_peck: asymmetric matching (protocol bug)")
     mate;
   ({ mate; rounds = stats.Packed.rounds }, stats)
-
-(* ---------- boxed twin (differential oracle) ---------- *)
-
-let reference_machine ~seed ~sched : (int array, int, int) Sync.machine =
-  {
-    init =
-      (fun ~id ~degree ~rng:_ ->
-        let state = Array.make sw 0 in
-        init_state sched state ~seed ~node:id ~degree;
-        state);
-    send = (fun state ~port -> Some (msg_of state ~port));
-    recv =
-      (fun state inbox ->
-        let state = Array.copy state in
-        let msgs = Array.make 64 0 in
-        List.iter (fun (p, m) -> msgs.(p) <- m) inbox;
-        step_state sched state ~degree:(List.length inbox)
-          ~msg:(fun p -> msgs.(p));
-        state);
-    output =
-      (fun state ->
-        if halted_state state then Some state.(off_matched) else None);
-  }
-
-let reference_run ?sched ~seed ~max_rounds g ~delta =
-  let sched =
-    match sched with Some s -> s | None -> { delta; iters_per_class = 2 }
-  in
-  let idg = Id.trivial g in
-  let res = Sync.run (reference_machine ~seed ~sched) ~seed ~max_rounds idg in
-  let mate =
-    Array.mapi
-      (fun v out ->
-        if out < 0 then -1 else List.nth (G.neighbours g v) out)
-      res.Sync.outputs
-  in
-  { mate; rounds = res.Sync.rounds }
 
 (* ---------- vertex cover view ---------- *)
 

@@ -2,9 +2,11 @@
     Israeli–Itai propose/respond dynamics: phase [j] lets only nodes
     of live degree in (Δ/2^{j+1}, Δ/2^j] propose, then an
     unrestricted cleanup runs to maximality. Matched endpoints form a
-    2-approximate vertex cover. Packed and boxed twins draw from the
-    same {!Ld_runtime.Packed.Coin} stream, so the comparison is exact
-    (mates and rounds) at any [LD_DOMAINS]. Degrees must be <= 62. *)
+    2-approximate vertex cover. Coins come from the
+    {!Ld_runtime.Packed.Coin} word in the state slice, so
+    {!Ld_runtime.Packed.Port.reference_run} over {!machine} is an exact
+    oracle (states and rounds) at any [LD_DOMAINS]. Degrees must be
+    <= 62. *)
 
 type schedule = {
   delta : int;  (** max degree the class boundaries are derived from *)
@@ -33,15 +35,6 @@ val run :
   max_rounds:int ->
   Ld_graph.Csr.t ->
   result * Ld_runtime.Packed.stats
-
-(** Boxed twin on the [Sync] engine — the differential oracle. *)
-val reference_run :
-  ?sched:schedule ->
-  seed:int ->
-  max_rounds:int ->
-  Ld_graph.Graph.t ->
-  delta:int ->
-  result
 
 (** [cover r] — node is in the cover iff matched. *)
 val cover : result -> bool array

@@ -1,7 +1,4 @@
-module G = Ld_graph.Graph
 module Csr = Ld_graph.Csr
-module Id = Ld_models.Labelled.Id
-module Sync = Ld_runtime.Sync
 module Packed = Ld_runtime.Packed
 module Coin = Ld_runtime.Packed.Coin
 
@@ -11,12 +8,10 @@ module Coin = Ld_runtime.Packed.Coin
    The protocol is exactly [Israeli_itai]'s propose/respond dynamics;
    the one necessary difference is the coin source: a [Random.State]
    cannot live in an int slice, so nodes draw from the one-word
-   {!Packed.Coin} stream seeded from [(seed, node)]. To keep the
-   differential story exact rather than distributional, this module
-   also provides [reference_run] — a boxed twin on the [Sync] engine
-   drawing from the *same* coin stream — and the classic
-   [Israeli_itai] stays untouched as the baseline. Packed vs boxed
-   must agree on mates and rounds at any [LD_DOMAINS].
+   {!Packed.Coin} stream seeded from [(seed, node)]. The coin word is
+   part of the state slice, so [Packed.Port.reference_run] is an exact
+   oracle, and the classic [Israeli_itai] stays untouched as the
+   baseline.
 
    State slice (6 words): coin, live-port bitmask (degree <= 62),
    matched port (-1), phase (0 = propose, 1 = respond), proposal port
@@ -47,9 +42,8 @@ let nth_set_bit mask k =
   done;
   !p
 
-(* Shared transition core, written over an abstract 6-word state so
-   the packed machine and the boxed twin cannot drift: [state] is the
-   packed slice (st, base) or the twin's plain int array. *)
+(* Transition core over a plain 6-word state array; the machine below
+   runs it on a scratch copy of the node's slice. *)
 
 let popcount_live x =
   let c = ref 0 in
@@ -61,8 +55,8 @@ let popcount_live x =
   !c
 
 let draw_proposal state =
-  (* Mirrors the boxed machine's draw order: a bool draw only if any
-     live port remains, then an int draw only for proposers. *)
+  (* Draw order: a bool draw only if any live port remains, then an
+     int draw only for proposers. *)
   let live = state.(off_live) in
   if live = 0 then state.(off_proposal) <- -1
   else begin
@@ -140,18 +134,10 @@ let step_state state ~degree ~msg =
     draw_proposal state
   end
 
-let halted_state state =
-  state.(off_matched) >= 0
-  || (state.(off_live) = 0 && state.(off_phase) = 0)
-
 (* ---------- packed machine ---------- *)
 
-(* A [Slice] view lets the shared core above address the node's slice
-   of the flat state array with no copying: OCaml arrays are the
-   abstraction already, so the packed machine materialises the slice
-   as base-offset arithmetic inlined in wrappers below. To keep one
-   source of truth, the wrappers copy the 6-word slice into a scratch,
-   run the shared core, and copy back — 12 word moves per transition,
+(* Each closure copies the node's 6-word slice into a scratch, runs
+   the core above and copies back — 12 word moves per transition,
    noise next to the message traffic. *)
 
 let machine ~seed : Packed.Port.machine =
@@ -215,41 +201,6 @@ let run ?par_threshold ?domains ~seed ~max_rounds g =
       (Printf.sprintf "Packed_ii.run: not all nodes halted within %d rounds"
          max_rounds);
   extract_result g st stats
-
-(* ---------- boxed twin (differential oracle) ---------- *)
-
-let reference_machine ~seed : (int array, int, int) Sync.machine =
-  {
-    init =
-      (fun ~id ~degree ~rng:_ ->
-        let state = Array.make sw 0 in
-        init_state state ~seed ~node:id ~degree;
-        state);
-    send = (fun state ~port -> Some (msg_of state ~port));
-    recv =
-      (fun state inbox ->
-        let state = Array.copy state in
-        (* Every neighbour sends on every round (frozen ones via the
-           cache), so the inbox has exactly one entry per port. *)
-        let msgs = Array.make 64 0 in
-        List.iter (fun (p, m) -> msgs.(p) <- m) inbox;
-        step_state state ~degree:(List.length inbox) ~msg:(fun p -> msgs.(p));
-        state);
-    output =
-      (fun state ->
-        if halted_state state then Some state.(off_matched) else None);
-  }
-
-let reference_run ~seed ~max_rounds g =
-  let idg = Id.trivial g in
-  let res = Sync.run (reference_machine ~seed) ~seed ~max_rounds idg in
-  let mate =
-    Array.mapi
-      (fun v out ->
-        if out < 0 then -1 else List.nth (G.neighbours g v) out)
-      res.Sync.outputs
-  in
-  { mate; rounds = res.Sync.rounds }
 
 let is_maximal g r =
   let ok = ref true in

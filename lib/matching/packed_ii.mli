@@ -1,11 +1,11 @@
 (** Packed Israeli–Itai-style randomized maximal matching on the
     {!Ld_runtime.Packed.Port} executor — the mega-scale bench
     workload. Coins come from the one-word {!Ld_runtime.Packed.Coin}
-    stream (a [Random.State] cannot live in an int slice), and
-    {!reference_run} is a boxed twin on [Sync] drawing from the same
-    stream, so packed vs boxed comparison is exact: identical mates
-    and rounds at any [LD_DOMAINS]. Degrees must be <= 62 (live ports
-    are a bitmask in one state word). *)
+    stream (a [Random.State] cannot live in an int slice) kept in the
+    state slice, so {!Ld_runtime.Packed.Port.reference_run} over
+    {!machine} is an exact oracle: identical states and rounds at any
+    [LD_DOMAINS]. Degrees must be <= 62 (live ports are a bitmask in
+    one state word). *)
 
 type result = {
   mate : int array;  (** matched far endpoint, or -1 if unmatched *)
@@ -24,11 +24,6 @@ val run :
   max_rounds:int ->
   Ld_graph.Csr.t ->
   result * Ld_runtime.Packed.stats
-
-(** Boxed twin on the [Sync] engine over [Id.trivial] ids — the
-    differential oracle for {!run}. *)
-val reference_run :
-  seed:int -> max_rounds:int -> Ld_graph.Graph.t -> result
 
 (** Sanity check: the mate array is a symmetric matching with no edge
     joining two unmatched nodes. *)

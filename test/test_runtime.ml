@@ -1,7 +1,7 @@
 (* LOCAL runtime, one differential suite over every front-end of the
    round engine: the anonymous runners (loop reflection, active-set
    executor vs the dense oracle vs a forced 4-way split), the ID
-   simulator, and the packed port machines vs their boxed [Sync] twins
+   simulator, and the packed port machines vs the packed dense oracle
    at 1 domain and at a forced multi-domain split. *)
 
 module G = Ld_graph.Graph
@@ -20,7 +20,6 @@ module Labelled = Ld_models.Labelled
 module Packed_ii = Ld_matching.Packed_ii
 module Packed_pr = Ld_matching.Packed_pr
 module Davies_peck = Ld_matching.Davies_peck
-module Pr = Ld_matching.Panconesi_rizzi
 
 (* A full-information machine whose state after r rounds is (a hash of)
    the radius-r view: used to validate loop reflection against explicit
@@ -415,7 +414,7 @@ let sync_reports_nonhalting () =
      with Failure _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Packed port machines vs their boxed twins.                          *)
+(* Packed port machines vs the dense oracle.                           *)
 
 let graph_gen = QCheck.triple (QCheck.int_range 0 25) (QCheck.int_range 0 6) (QCheck.int_range 0 1000)
 
@@ -426,68 +425,127 @@ let csr_of g = Csr.of_graph g ~colour:(Colouring.greedy g)
    a forced 4-way parallel split. *)
 let domain_legs = [ (1, None); (4, Some 0) ]
 
-(* ---- Israeli–Itai (Port, shared coin stream) ---- *)
+(* [run_until] at every leg = [reference_run]: the whole state array,
+   the round count and the halting flag. *)
+let agrees_with_reference m ~max_rounds csr =
+  let st_ref, rounds_ref, halted_ref =
+    Packed.Port.reference_run m ~max_rounds csr
+  in
+  List.for_all
+    (fun (domains, par_threshold) ->
+      let st, stats, halted =
+        Packed.Port.run_until ?par_threshold ~domains m ~max_rounds csr
+      in
+      Array.for_all2 Int.equal st st_ref
+      && stats.Packed.rounds = rounds_ref
+      && Bool.equal halted halted_ref)
+    domain_legs
 
-let ii_matches_twin =
-  QCheck.Test.make ~count:50 ~name:"packed II = boxed twin (all domains)"
+(* A packed machine that hashes every message it receives into word 1
+   of its slice and counts rounds in word 0; its per-port messages
+   depend on the hash, so any missed or stale delivery shows in the
+   final states. Node [v] halts after [quota v] rounds, never if that
+   is negative. *)
+let hashing_machine ~quota : Packed.Port.machine =
+  {
+    state_words = 2;
+    msg_words = 1;
+    init =
+      (fun ~g:_ ~st ~node ->
+        st.(2 * node) <- 0;
+        st.((2 * node) + 1) <- node);
+    send =
+      (fun ~g ~st ~out ~node ->
+        let lo = g.Csr.row.(node) in
+        for d = lo to g.Csr.row.(node + 1) - 1 do
+          out.(d) <- (st.((2 * node) + 1) * 7) + d - lo
+        done);
+    recv =
+      (fun ~g ~back ~st ~out ~node ->
+        let h = ref st.((2 * node) + 1) in
+        for d = g.Csr.row.(node) to g.Csr.row.(node + 1) - 1 do
+          h := (!h * 31) lxor out.(g.Csr.row.(g.Csr.endpoint.(d)) + back.(d))
+        done;
+        st.((2 * node) + 1) <- !h;
+        st.(2 * node) <- st.(2 * node) + 1);
+    halted =
+      (fun ~st ~node -> quota node >= 0 && st.(2 * node) >= quota node);
+  }
+
+let port_edge_cases () =
+  let csr = csr_of (Gen.random_bounded_degree ~seed:3 12 4) in
+  let case what ~quota ~max_rounds csr ~rounds ~halted =
+    let m = hashing_machine ~quota in
+    let _, r, h = Packed.Port.reference_run m ~max_rounds csr in
+    Alcotest.(check int) (what ^ ": rounds") rounds r;
+    Alcotest.(check bool) (what ^ ": all halted") halted h;
+    Alcotest.(check bool) (what ^ ": run_until agrees") true
+      (agrees_with_reference m ~max_rounds csr)
+  in
+  case "halt at init" ~quota:(fun _ -> 0) ~max_rounds:10 csr ~rounds:0
+    ~halted:true;
+  case "never halts" ~quota:(fun _ -> -1) ~max_rounds:10 csr ~rounds:10
+    ~halted:false;
+  case "max_rounds:0" ~quota:(fun _ -> 3) ~max_rounds:0 csr ~rounds:0
+    ~halted:false;
+  (* Halted senders keep delivering their final messages. *)
+  case "staggered halting" ~quota:(fun v -> v mod 4) ~max_rounds:10 csr
+    ~rounds:3 ~halted:true;
+  case "empty graph" ~quota:(fun _ -> -1) ~max_rounds:10
+    (csr_of (G.create 0 []))
+    ~rounds:0 ~halted:true;
+  case "edgeless graph" ~quota:(fun v -> v) ~max_rounds:10
+    (csr_of (G.create 5 []))
+    ~rounds:4 ~halted:true
+
+(* ---- Israeli–Itai (shared coin stream) ---- *)
+
+let ii_matches_reference =
+  QCheck.Test.make ~count:50 ~name:"packed II = reference_run (all domains)"
     graph_gen
     (fun input ->
-      let g = make_graph input in
-      let csr = csr_of g in
-      let oracle = Packed_ii.reference_run ~seed:7 ~max_rounds:10_000 g in
-      List.for_all
-        (fun (domains, par_threshold) ->
-          let r, _ =
-            Packed_ii.run ?par_threshold ~domains ~seed:7 ~max_rounds:10_000
-              csr
-          in
-          Array.for_all2 Int.equal r.Packed_ii.mate oracle.Packed_ii.mate
-          && r.Packed_ii.rounds = oracle.Packed_ii.rounds
-          && Packed_ii.is_maximal csr r)
-        domain_legs)
+      let csr = csr_of (make_graph input) in
+      agrees_with_reference (Packed_ii.machine ~seed:7) ~max_rounds:10_000 csr
+      && Packed_ii.is_maximal csr
+           (fst (Packed_ii.run ~seed:7 ~max_rounds:10_000 csr)))
 
-(* ---- Panconesi–Rizzi (Port, deterministic) ---- *)
+(* ---- Panconesi–Rizzi (deterministic) ---- *)
 
-let pr_matches_boxed =
-  QCheck.Test.make ~count:50
-    ~name:"packed PR = Panconesi_rizzi.run (all domains)" graph_gen
+let pr_matches_reference =
+  QCheck.Test.make ~count:50 ~name:"packed PR = reference_run (all domains)"
+    graph_gen
     (fun input ->
-      let g = make_graph input in
-      let csr = csr_of g in
-      let oracle = Pr.run (Labelled.Id.trivial g) in
-      let expect =
-        Array.map (function Some w -> w | None -> -1) oracle.Pr.mate
+      let csr = csr_of (make_graph input) in
+      let delta = Stdlib.max 1 (Csr.max_degree csr) in
+      let id_bits =
+        Ld_matching.Cole_vishkin.bits_needed (Stdlib.max 0 (csr.Csr.n - 1))
       in
-      List.for_all
-        (fun (domains, par_threshold) ->
-          let r, _ = Packed_pr.run ?par_threshold ~domains csr in
-          Array.for_all2 Int.equal r.Packed_pr.mate expect
-          && r.Packed_pr.rounds = oracle.Pr.rounds
-          && r.Packed_pr.cv_iterations = oracle.Pr.cv_iterations)
-        domain_legs)
+      let sched = Packed_pr.schedule ~delta ~id_bits in
+      let r, _ = Packed_pr.run csr in
+      agrees_with_reference
+        (Packed_pr.machine ~sched ~delta)
+        ~max_rounds:(Array.length sched) csr
+      && Packed_pr.is_maximal csr r
+      && (csr.Csr.n = 0 || r.Packed_pr.rounds = Array.length sched))
 
-(* ---- Davies–Peck schedule (Port, shared coin stream) ---- *)
+(* ---- Davies–Peck schedule (shared coin stream) ---- *)
 
-let dp_matches_twin =
+let dp_matches_reference =
   QCheck.Test.make ~count:50
-    ~name:"packed Davies-Peck = boxed twin, covers" graph_gen
+    ~name:"packed Davies-Peck = reference_run, covers" graph_gen
     (fun input ->
-      let g = make_graph input in
-      let csr = csr_of g in
-      let delta = Stdlib.max 1 (G.max_degree g) in
-      let oracle =
-        Davies_peck.reference_run ~seed:11 ~max_rounds:10_000 g ~delta
+      let csr = csr_of (make_graph input) in
+      let sched =
+        {
+          Davies_peck.delta = Stdlib.max 1 (Csr.max_degree csr);
+          iters_per_class = 2;
+        }
       in
-      List.for_all
-        (fun (domains, par_threshold) ->
-          let r, _ =
-            Davies_peck.run ?par_threshold ~domains ~seed:11
-              ~max_rounds:10_000 csr
-          in
-          Array.for_all2 Int.equal r.Davies_peck.mate oracle.Davies_peck.mate
-          && r.Davies_peck.rounds = oracle.Davies_peck.rounds
-          && Davies_peck.is_vertex_cover csr r)
-        domain_legs)
+      agrees_with_reference
+        (Davies_peck.machine ~seed:11 ~sched)
+        ~max_rounds:10_000 csr
+      && Davies_peck.is_vertex_cover csr
+           (fst (Davies_peck.run ~seed:11 ~max_rounds:10_000 csr)))
 
 let () =
   Alcotest.run "runtime"
@@ -515,8 +573,9 @@ let () =
         ] );
       ( "port",
         [
-          QCheck_alcotest.to_alcotest ii_matches_twin;
-          QCheck_alcotest.to_alcotest pr_matches_boxed;
-          QCheck_alcotest.to_alcotest dp_matches_twin;
+          QCheck_alcotest.to_alcotest ii_matches_reference;
+          QCheck_alcotest.to_alcotest pr_matches_reference;
+          QCheck_alcotest.to_alcotest dp_matches_reference;
+          Alcotest.test_case "differential edge cases" `Quick port_edge_cases;
         ] );
     ]
