@@ -382,21 +382,25 @@ let verify common delta algo input =
     | Some `Proposal -> Some Packing.proposal_algorithm
     | None -> None
   in
-  let certs = Ld_core.Certificate_io.load input in
-  let checks = Ld_core.Certificate_io.verify ?algorithm ~delta certs in
-  List.iter (Format.printf "  %a@." Ld_core.Certificate_io.pp_check) checks;
-  if List.for_all Ld_core.Certificate_io.check_ok checks then begin
-    Printf.printf
-      "VERIFIED: %d levels — any algorithm producing these outputs needs \
-       more than %d rounds.\n"
-      (List.length checks)
-      (List.fold_left (fun a c -> max a c.Ld_core.Certificate_io.chk_level) (-1) checks);
-    0
-  end
-  else begin
-    Printf.printf "verification FAILED\n";
+  match Ld_core.Certificate_io.load input with
+  | exception Failure msg ->
+    Printf.printf "verification FAILED: %s\n" msg;
     1
-  end
+  | certs ->
+    let checks = Ld_core.Certificate_io.verify ?algorithm ~delta certs in
+    List.iter (Format.printf "  %a@." Ld_core.Certificate_io.pp_check) checks;
+    if List.for_all Ld_core.Certificate_io.check_ok checks then begin
+      Printf.printf
+        "VERIFIED: %d levels — any algorithm producing these outputs needs \
+         more than %d rounds.\n"
+        (List.length checks)
+        (List.fold_left (fun a c -> max a c.Ld_core.Certificate_io.chk_level) (-1) checks);
+      0
+    end
+    else begin
+      Printf.printf "verification FAILED\n";
+      1
+    end
 
 let verify_cmd =
   let input =

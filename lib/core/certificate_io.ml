@@ -29,9 +29,13 @@ let graph_of_sexp s =
     | S.List [ a; b ] -> (S.to_int a, S.to_int b)
     | _ -> failwith "Certificate_io: bad loop"
   in
-  Ec.create ~n
-    ~edges:(List.map triple (S.find "edges" s))
-    ~loops:(List.map pair (S.find "loops" s))
+  (* A graph the model rejects (a colour outside [1, 2^30), an improper
+     colouring, ...) is malformed input like any other. *)
+  try
+    Ec.create ~n
+      ~edges:(List.map triple (S.find "edges" s))
+      ~loops:(List.map pair (S.find "loops" s))
+  with Invalid_argument msg -> failwith ("Certificate_io: " ^ msg)
 
 let sexp_of_certificate (c : Lower_bound.certificate) =
   S.field "certificate"

@@ -11,7 +11,8 @@
 (** Serialise a certificate chain. *)
 val to_string : Lower_bound.certificate list -> string
 
-(** @raise Failure on malformed input. *)
+(** @raise Failure on malformed input, including a graph the EC model
+    rejects (e.g. a colour outside [\[1, 2^30)]). *)
 val of_string : string -> Lower_bound.certificate list
 
 val save : string -> Lower_bound.certificate list -> unit

@@ -3,7 +3,8 @@ module Po = Ld_models.Po
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
 module Po_fm = Ld_fm.Po_fm
-module View_po = Ld_cover.View_po
+module View = Ld_cover.View
+module Darts = Ld_models.Darts
 module Tree_order = Ld_order.Tree_order
 module Packing = Ld_matching.Packing
 module Po_packing = Ld_matching.Po_packing
@@ -36,14 +37,11 @@ let ec_of_po (a : Po_packing.algorithm) : Packing.algorithm =
 
 type ordered_view = { ov_graph : Po.t; ov_root : int; ov_rank : int array }
 
-let address_of_path path =
-  List.map
-    (fun (k : View_po.key) -> { Tree_order.fwd = k.out; colour = k.colour })
-    path
+let address_of_path =
+  List.map (fun k -> { Tree_order.fwd = Darts.is_out k; colour = Darts.colour k })
 
 let ordered_view g v ~radius =
-  let view = View_po.of_po g v ~radius in
-  let po, index = View_po.to_po view in
+  let po, index = View.to_po (View.of_po g v ~radius) in
   let nodes = List.map (fun (path, id) -> (id, address_of_path path)) index in
   let sorted =
     List.sort (fun (_, a) (_, b) -> Tree_order.compare a b) nodes
@@ -61,16 +59,9 @@ type oi_rule = {
 (* The depth-1 tree node across each dart of the input node: root darts
    of the materialised view keep the keys of the original node's darts. *)
 let root_children ov =
-  List.map
-    (fun dart ->
-      match dart with
-      | Po.Out { neighbour; colour; _ } ->
-        ({ View_po.out = true; colour }, neighbour)
-      | Po.In { neighbour; colour; _ } ->
-        ({ View_po.out = false; colour }, neighbour)
-      | Po.Loop_out _ | Po.Loop_in _ ->
-        assert false (* the materialised view tree is loop-free *))
-    (Po.darts ov.ov_graph ov.ov_root)
+  let t = Po.csr ov.ov_graph in
+  List.init (Po.degree ov.ov_graph ov.ov_root) (fun i ->
+      (t.key.(t.row.(ov.ov_root) + i), t.other.(t.row.(ov.ov_root) + i)))
 
 let po_of_oi rule : Po_packing.algorithm =
   if rule.oi_radius < 1 then invalid_arg "Simulate.po_of_oi: radius must be >= 1";
@@ -101,8 +92,8 @@ let po_of_oi rule : Po_packing.algorithm =
           Array.of_list
             (List.map
                (fun (a : Po.arc) ->
-                 let wt = weight_at a.tail { View_po.out = true; colour = a.colour } in
-                 let wh = weight_at a.head { View_po.out = false; colour = a.colour } in
+                 let wt = weight_at a.tail (Darts.po_key ~out:true a.colour) in
+                 let wh = weight_at a.head (Darts.po_key ~out:false a.colour) in
                  if not (Q.equal wt wh) then
                    failwith
                      (rule.oi_name
@@ -115,8 +106,8 @@ let po_of_oi rule : Po_packing.algorithm =
           Array.of_list
             (List.map
                (fun (l : Po.loop) ->
-                 let wo = weight_at l.node { View_po.out = true; colour = l.colour } in
-                 let wi = weight_at l.node { View_po.out = false; colour = l.colour } in
+                 let wo = weight_at l.node (Darts.po_key ~out:true l.colour) in
+                 let wi = weight_at l.node (Darts.po_key ~out:false l.colour) in
                  if not (Q.equal wo wi) then
                    failwith
                      (rule.oi_name ^ ": loop dart answers disagree — not \

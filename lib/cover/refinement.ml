@@ -1,5 +1,6 @@
 module Ec = Ld_models.Ec
 module Po = Ld_models.Po
+module Darts = Ld_models.Darts
 module Obs = Ld_obs.Obs
 
 type history = int array array
@@ -52,13 +53,12 @@ module Stats = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Reference path: generic refinement over a dart structure given as
-   closures producing (key, other end) lists. Labels are interned per
-   round so that equal labels mean structurally identical descriptors.
-   Kept verbatim as the differential-testing oracle for the partition
-   refinement below (exposed through [~reference:true]); it is the only
-   path that sorts descriptors, which is what [descriptors_sorted]
-   meters. *)
+(* Reference path: refinement over per-node (key, other end) lists.
+   Labels are interned per round so that equal labels mean structurally
+   identical descriptors. Kept as the differential-testing oracle for
+   the partition refinement below (exposed through [~reference:true]);
+   it is the only path that sorts descriptors, which is what
+   [descriptors_sorted] meters. *)
 
 (* Lexicographic on int pairs: same order as the polymorphic compare the
    reference path historically used, so interned labels are unchanged. *)
@@ -66,7 +66,12 @@ let pair_compare (a1, a2) (b1, b2) =
   let c = Int.compare a1 b1 in
   if c <> 0 then c else Int.compare a2 b2
 
-let refine_generic_reference ~n ~(darts : int -> (int * int) list) ~rounds =
+let refine_reference (t : Darts.t) ~rounds =
+  let n = Darts.n t in
+  let darts v =
+    List.init (t.row.(v + 1) - t.row.(v)) (fun i ->
+        (t.key.(t.row.(v) + i), t.other.(t.row.(v) + i)))
+  in
   let history = Array.make (rounds + 1) [||] in
   history.(0) <- Array.make n 0;
   for r = 1 to rounds do
@@ -93,93 +98,6 @@ let refine_generic_reference ~n ~(darts : int -> (int * int) list) ~rounds =
     Obs.Counter.add c_descriptors n
   done;
   history
-
-let ec_darts g v =
-  List.map
-    (function
-      | Ec.To_neighbour { neighbour; colour; _ } -> (colour, neighbour)
-      | Ec.Into_loop { colour; _ } -> (colour, v))
-    (Ec.darts g v)
-
-let po_darts g v =
-  List.map
-    (function
-      | Po.Out { neighbour; colour; _ } -> ((colour * 2) + 0, neighbour)
-      | Po.In { neighbour; colour; _ } -> ((colour * 2) + 1, neighbour)
-      | Po.Loop_out { colour; _ } -> ((colour * 2) + 0, v)
-      | Po.Loop_in { colour; _ } -> ((colour * 2) + 1, v))
-    (Po.darts g v)
-
-(* ------------------------------------------------------------------ *)
-(* Flat dart view shared by both models. The per-node dart segments are
-   in ascending key order with all keys distinct (EC enforces a proper
-   colouring including loops; PO enforces properness per direction and
-   the key [2 * colour + dir] separates directions by parity), so the
-   fixed segment order IS the lexicographically sorted descriptor order:
-   no per-round sort is ever needed. *)
-
-type flat = {
-  fn : int;
-  frow : int array; (* length fn + 1 *)
-  fkey : int array; (* dart keys, ascending within each node segment *)
-  fother : int array; (* node at the dart's far end; self for loops *)
-}
-
-let flat_ec g =
-  let c = Ec.csr g in
-  (* EC CSR segments are already colour-ascending: share the arrays. *)
-  { fn = Ec.n g; frow = c.Ec.row; fkey = c.Ec.colour; fother = c.Ec.other }
-
-let flat_po g =
-  let c = Po.csr g in
-  let n = Po.n g in
-  let row = c.Po.row in
-  let m = row.(n) in
-  let key = Array.make m 0 and oth = Array.make m 0 in
-  (* A PO segment is two ascending runs — out darts (even keys) then in
-     darts (odd keys). One merge pass per node makes the whole segment
-     key-ascending; this happens once per graph, not once per round. *)
-  for v = 0 to n - 1 do
-    let lo = row.(v) and hi = row.(v + 1) in
-    let b = ref lo in
-    while !b < hi && c.Po.dir.(!b) = 0 do
-      incr b
-    done;
-    let i = ref lo and j = ref !b and t = ref lo in
-    while !i < !b || !j < hi do
-      let take_out =
-        !j >= hi
-        || (!i < !b && c.Po.colour.(!i) * 2 < (c.Po.colour.(!j) * 2) + 1)
-      in
-      let d = if take_out then !i else !j in
-      if take_out then incr i else incr j;
-      key.(!t) <- (c.Po.colour.(d) * 2) + c.Po.dir.(d);
-      oth.(!t) <- c.Po.other.(d);
-      incr t
-    done
-  done;
-  { fn = n; frow = row; fkey = key; fother = oth }
-
-(* Disjoint union on flat views: pure array blits with an offset — no
-   [Ec.t] is materialised (no dart lists, no validation, no sorting).
-   This is what [equivalent_radius] refines. *)
-let flat_union a b =
-  let n = a.fn + b.fn in
-  let ma = a.frow.(a.fn) and mb = b.frow.(b.fn) in
-  let row = Array.make (n + 1) 0 in
-  Array.blit a.frow 0 row 0 (a.fn + 1);
-  for j = 1 to b.fn do
-    row.(a.fn + j) <- ma + b.frow.(j)
-  done;
-  let key = Array.make (ma + mb) 0 in
-  Array.blit a.fkey 0 key 0 ma;
-  Array.blit b.fkey 0 key ma mb;
-  let oth = Array.make (ma + mb) 0 in
-  Array.blit a.fother 0 oth 0 ma;
-  for d = 0 to mb - 1 do
-    oth.(ma + d) <- b.fother.(d) + a.fn
-  done;
-  { fn = n; frow = row; fkey = key; fother = oth }
 
 module Descriptor = struct
   type t = int array
@@ -226,8 +144,9 @@ module Intern = Hashtbl.Make (Descriptor)
    with the reference oracle after the dense relabelling pass. *)
 
 type engine = {
-  fl : flat;
-  stride : int; (* fn + 1: labels fit under it, codes pack as key * stride + label *)
+  t : Darts.t;
+  n : int;
+  stride : int; (* n + 1: labels fit under it, codes pack as key * stride + label *)
   ids : int array; (* current block id per node *)
   ids_prev : int array; (* snapshot taken at the top of each round *)
   elems : int array; (* nodes grouped by block: one contiguous slice each *)
@@ -255,11 +174,15 @@ type engine = {
   mutable split_last_round : bool;
 }
 
-let engine_create fl =
-  let n = fl.fn in
+(* Keys are below 2^31 (see [Darts]), so with [stride <= 2^31] every
+   packed code [key * stride + label] is below 2^62 and fits an int. *)
+let engine_create t =
+  let n = Darts.n t in
+  if n + 1 > 1 lsl 31 then invalid_arg "Refinement: more than 2^31 - 1 nodes";
   let sz = Stdlib.max 1 n in
   {
-    fl;
+    t;
+    n;
     stride = n + 1;
     ids = Array.make sz 0;
     ids_prev = Array.make sz 0;
@@ -287,8 +210,8 @@ let engine_create fl =
 (* One refinement round. [r] must increase strictly across calls on the
    same engine (it doubles as the dirty stamp). *)
 let engine_round_body eng r =
-  let n = eng.fl.fn in
-  let row = eng.fl.frow and key = eng.fl.fkey and other = eng.fl.fother in
+  let n = eng.n in
+  let { Darts.row; key; other; _ } = eng.t in
   let stride = eng.stride in
   Array.blit eng.ids 0 eng.ids_prev 0 n;
   let prev = eng.ids_prev in
@@ -424,7 +347,7 @@ let engine_round eng r = Ld_obs.Hist.timed h_round (fun () -> engine_round_body 
    label-for-label, not merely partition-for-partition. [stamp] must be
    unused by earlier relabel passes on this engine; round numbers are. *)
 let engine_dense eng stamp =
-  let n = eng.fl.fn in
+  let n = eng.n in
   let out = Array.make n 0 in
   let k = ref 0 in
   for v = 0 to n - 1 do
@@ -438,12 +361,12 @@ let engine_dense eng stamp =
   done;
   out
 
-let refine_flat fl ~rounds =
-  let n = fl.fn in
+let refine_darts t ~rounds =
+  let n = Darts.n t in
   let history = Array.make (rounds + 1) [||] in
   history.(0) <- Array.make n 0;
   if n > 0 && rounds > 0 then begin
-    let eng = engine_create fl in
+    let eng = engine_create t in
     let stable = ref false in
     for r = 1 to rounds do
       if !stable then begin
@@ -465,28 +388,26 @@ let refine_flat fl ~rounds =
   end;
   history
 
+let refine name t ~reference ~rounds =
+  if reference then refine_reference t ~rounds
+  else Obs.with_span name (fun () -> refine_darts t ~rounds)
+
 let refine_ec ?(reference = false) g ~rounds =
-  if reference then
-    refine_generic_reference ~n:(Ec.n g) ~darts:(ec_darts g) ~rounds
-  else
-    Obs.with_span "cover.refine.ec" (fun () -> refine_flat (flat_ec g) ~rounds)
+  refine "cover.refine.ec" (Ec.csr g) ~reference ~rounds
 
 let refine_po ?(reference = false) g ~rounds =
-  if reference then
-    refine_generic_reference ~n:(Po.n g) ~darts:(po_darts g) ~rounds
-  else
-    Obs.with_span "cover.refine.po" (fun () -> refine_flat (flat_po g) ~rounds)
+  refine "cover.refine.po" (Po.csr g) ~reference ~rounds
 
 (* Equivalence queries need no label history at all: two nodes are
    round-r equivalent iff they sit in the same block after r rounds, and
    blocks never merge — so the scan can stop early both on divergence
    (answer is No forever) and on stabilisation (answer is the current
    one forever). *)
-let query_equivalent fl u v ~radius =
+let query_equivalent t u v ~radius =
   u = v
   || radius = 0
   ||
-  let eng = engine_create fl in
+  let eng = engine_create t in
   let r = ref 1 and equal = ref true and scanning = ref true in
   while !scanning do
     engine_round eng !r;
@@ -501,11 +422,11 @@ let query_equivalent fl u v ~radius =
 
 let equivalent_radius g u h v ~radius =
   Obs.with_span "cover.refine.equivalent_radius" (fun () ->
-      let union = flat_union (flat_ec g) (flat_ec h) in
+      let union = Darts.union (Ec.csr g) (Ec.csr h) in
       query_equivalent union u (Ec.n g + v) ~radius)
 
 let first_distinguishing_radius g u h v ~max_radius =
-  let union = flat_union (flat_ec g) (flat_ec h) in
+  let union = Darts.union (Ec.csr g) (Ec.csr h) in
   let v = Ec.n g + v in
   if u = v || max_radius < 1 then None
   else begin
@@ -527,11 +448,10 @@ let first_distinguishing_radius g u h v ~max_radius =
 (* Refine to a fixpoint: iterate until a round splits nothing. Each
    splitting round grows the block count, so this terminates within n
    rounds. *)
-let stable_flat fl =
-  let n = fl.fn in
-  if n = 0 then [||]
+let stable_darts t =
+  if Darts.n t = 0 then [||]
   else begin
-    let eng = engine_create fl in
+    let eng = engine_create t in
     let r = ref 1 and scanning = ref true in
     while !scanning do
       engine_round eng !r;
@@ -542,8 +462,8 @@ let stable_flat fl =
 
 let stable_partition_ec g =
   Obs.with_span "cover.refine.stable_partition" (fun () ->
-      stable_flat (flat_ec g))
+      stable_darts (Ec.csr g))
 
 let stable_partition_po g =
   Obs.with_span "cover.refine.stable_partition" (fun () ->
-      stable_flat (flat_po g))
+      stable_darts (Po.csr g))

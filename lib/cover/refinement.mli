@@ -37,12 +37,13 @@ end
 (** [refine_ec g ~rounds] runs refinement on an EC multigraph.
 
     The default implementation is round-synchronous Paige–Tarjan
-    partition refinement on the graph's cached CSR dart view: a round
+    partition refinement on the graph's dart table
+    ({!Ld_models.Darts}): a round
     re-examines only the blocks whose members (or their neighbours)
     changed block in the previous round, a split keeps the parent id on
     the largest sub-block so only the smaller parts propagate dirtiness
     (each node changes id O(log n) times), and per-node descriptors are
-    read off in the CSR segment's fixed key-ascending order — keys are
+    read off in the table segment's fixed key-ascending order — keys are
     distinct within a node, so that order is already canonical and
     nothing is ever sorted ([cover.refine.descriptors_sorted] stays 0).
     A dense relabelling pass per round reproduces the reference label
@@ -54,7 +55,11 @@ val refine_ec : ?reference:bool -> Ld_models.Ec.t -> rounds:int -> history
 
 (** [refine_po g ~rounds] runs refinement on a PO multigraph; dart keys
     carry the direction, so orientation is respected. [?reference] as in
-    {!refine_ec}. *)
+    {!refine_ec}.
+
+    Both refine packed [key * (n + 1) + label] descriptors, which the
+    key bound of {!Ld_models.Darts} keeps inside an int.
+    @raise Invalid_argument if [n + 1 > 2^31]. *)
 val refine_po : ?reference:bool -> Ld_models.Po.t -> rounds:int -> history
 
 (** [equivalent_radius g u h v ~radius] decides

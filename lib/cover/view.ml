@@ -1,4 +1,6 @@
 module Ec = Ld_models.Ec
+module Po = Ld_models.Po
+module Darts = Ld_models.Darts
 module Obs = Ld_obs.Obs
 
 type t = { tag : int; branches : (int * t) list }
@@ -8,7 +10,7 @@ let c_cons_hits = Obs.Counter.make "cover.view.cons_hits"
 (* ------------------------------------------------------------------ *)
 (* Global hash-cons arena. A view's identity is its branch list with
    children taken by tag; because branches are built in ascending
-   colour order with distinct colours, the list is canonical and two
+   key order with distinct keys, the list is canonical and two
    isomorphic views always cons to the same node. The arena is shared
    across graphs, levels and deltas for the lifetime of the process, so
    equality is a single tag comparison. A mutex serialises consing —
@@ -44,8 +46,8 @@ let next_tag = ref 0
 let cons branches =
   let key = Array.make (2 * List.length branches) 0 in
   List.iteri
-    (fun i (c, child) ->
-      key.(2 * i) <- c;
+    (fun i (k, child) ->
+      key.(2 * i) <- k;
       key.((2 * i) + 1) <- child.tag)
     branches;
   Mutex.protect arena_mutex (fun () ->
@@ -59,67 +61,44 @@ let cons branches =
         Arena.add arena key v;
         v)
 
-let banned_is banned (colour : int) =
-  match banned with Some c -> c = colour | None -> false
-
-(* Memoised over (node, banned colour, depth) within one call: the
-   universal cover repeats subtrees massively (every visit to [v] with
-   the same entry colour and remaining depth unfolds identically), so
-   the tree of size Δ^t is built in O(n · Δ · t) cons operations. *)
-let of_ec g root ~radius =
-  if radius < 0 then invalid_arg "View.of_ec: negative radius";
-  (* banned is [None] or an edge colour >= 1; encode as 0 / colour. *)
-  let csr = Ec.csr g in
-  let maxc = Array.fold_left Stdlib.max 0 csr.Ec.colour in
-  let memo : (int, t) Hashtbl.t = Hashtbl.create 64 in
-  let memo_key v banned depth =
-    let b = match banned with Some c -> c | None -> 0 in
-    ((v * (maxc + 1)) + b) * (radius + 1) + depth
-  in
-  let rec unfold v banned depth =
+(* One unfold for both models over the dart table. Following dart [d]
+   from [v] arrives at [other.(d)] over the dart keyed [arrive key.(d)]
+   (the same key in EC, the flipped one in PO), which the next level
+   must not walk back along. The universal cover repeats subtrees
+   massively (every visit to a node over the same arrival key with the
+   same remaining depth unfolds identically), so memoising over
+   (node, arrival key, depth) builds the Δ^t tree in O(n · Δ · t) cons
+   operations. The root arrives over no dart: key 0, which no dart has. *)
+let unfold ~who ~arrive (t : Darts.t) root ~radius =
+  if radius < 0 then invalid_arg (who ^ ": negative radius");
+  let memo : (int * int * int, t) Hashtbl.t = Hashtbl.create 64 in
+  let rec go v banned depth =
     if depth = 0 then cons []
-    else begin
-      let k = memo_key v banned depth in
-      match Hashtbl.find_opt memo k with
-      | Some t -> t
+    else
+      match Hashtbl.find_opt memo (v, banned, depth) with
+      | Some view -> view
       | None ->
-        let follow dart =
-          match dart with
-          | Ec.To_neighbour { neighbour; colour; _ } ->
-            if banned_is banned colour then None
-            else Some (colour, unfold neighbour (Some colour) (depth - 1))
-          | Ec.Into_loop { colour; _ } ->
-            if banned_is banned colour then None
-            else Some (colour, unfold v (Some colour) (depth - 1))
-        in
-        let t = cons (List.filter_map follow (Ec.darts g v)) in
-        Hashtbl.add memo k t;
-        t
-    end
+        let branches = ref [] in
+        for d = t.row.(v + 1) - 1 downto t.row.(v) do
+          let k = t.key.(d) in
+          if k <> banned then
+            branches := (k, go t.other.(d) (arrive k) (depth - 1)) :: !branches
+        done;
+        let view = cons !branches in
+        Hashtbl.add memo (v, banned, depth) view;
+        view
   in
-  unfold root None radius
+  go root 0 radius
+
+let of_ec g root ~radius =
+  unfold ~who:"View.of_ec" ~arrive:Fun.id (Ec.csr g) root ~radius
+
+let of_po g root ~radius =
+  unfold ~who:"View.of_po" ~arrive:Darts.flip (Po.csr g) root ~radius
 
 (* Hash-consing makes equality a tag comparison: same arena node iff
    structurally equal. *)
 let equal a b = a.tag = b.tag
-
-(* Ordering stays structural: tags are assigned in arena insertion
-   order, which depends on evaluation history — using them for ordering
-   would be a run-to-run determinism hazard. *)
-let rec compare_branches ba bb =
-  match (ba, bb) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | (ca, ta) :: ra, (cb, tb) :: rb ->
-    let c = Int.compare ca cb in
-    if c <> 0 then c
-    else begin
-      let c = if ta.tag = tb.tag then 0 else compare_branches ta.branches tb.branches in
-      if c <> 0 then c else compare_branches ra rb
-    end
-
-let compare a b = if a.tag = b.tag then 0 else compare_branches a.branches b.branches
 
 let rec size v = 1 + List.fold_left (fun acc (_, t) -> acc + size t) 0 v.branches
 
@@ -128,34 +107,49 @@ let rec depth v =
 
 let branch v c = List.assoc_opt c v.branches
 
-let to_ec view =
-  let counter = ref 0 in
-  let edges = ref [] in
-  let fresh () =
-    let id = !counter in
-    incr counter;
-    id
-  in
-  let rec walk v id =
+(* Number the nodes in DFS order, the root 0, and hand every
+   parent-to-child step to [edge parent child key]. *)
+let number view edge =
+  let counter = ref 0 and index = ref [] in
+  let rec walk prefix v id =
+    index := (List.rev prefix, id) :: !index;
     List.iter
-      (fun (colour, sub) ->
-        let child = fresh () in
-        edges := (id, child, colour) :: !edges;
-        walk sub child)
+      (fun (k, sub) ->
+        incr counter;
+        let child = !counter in
+        edge id child k;
+        walk (k :: prefix) sub child)
       v.branches
   in
-  let root = fresh () in
-  walk view root;
-  Ec.create ~n:!counter ~edges:!edges ~loops:[]
+  walk [] view 0;
+  (!counter + 1, List.rev !index)
+
+let paths view = List.map fst (snd (number view (fun _ _ _ -> ())))
+
+let to_ec view =
+  let edges = ref [] in
+  let n, _ = number view (fun id child c -> edges := (id, child, c) :: !edges) in
+  Ec.create ~n ~edges:!edges ~loops:[]
+
+let to_po view =
+  let arcs = ref [] in
+  let n, index =
+    number view (fun id child k ->
+        let c = Darts.colour k in
+        arcs := (if Darts.is_out k then (id, child, c) else (child, id, c)) :: !arcs)
+  in
+  (Po.create ~n ~arcs:(List.rev !arcs) ~loops:[], index)
 
 let rec pp fmt v =
   if v.branches = [] then Format.pp_print_string fmt "."
   else begin
     Format.fprintf fmt "(";
     List.iteri
-      (fun i (c, sub) ->
+      (fun i (k, sub) ->
         if i > 0 then Format.fprintf fmt " ";
-        Format.fprintf fmt "%d:%a" c pp sub)
+        Format.fprintf fmt "%s%d:%a"
+          (if Darts.is_out k then "" else "-")
+          (Darts.colour k) pp sub)
       v.branches;
     Format.fprintf fmt ")"
   end

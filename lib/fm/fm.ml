@@ -36,7 +36,7 @@ let dart_weight y = function
 let code_weight y c = if c >= 0 then y.edge_w.(c) else y.loop_w.(-c - 1)
 
 let node_weight y v =
-  let { Ec.row; code; _ } = Ec.csr y.graph in
+  let { Ld_models.Darts.row; code; _ } = Ec.csr y.graph in
   let acc = ref Q.zero in
   for d = row.(v) to row.(v + 1) - 1 do
     acc := Q.add !acc (code_weight y code.(d))
@@ -50,7 +50,7 @@ let is_saturated y v = Q.equal (node_weight y v) Q.one
    once per incident edge. *)
 let node_weights y =
   let n = Ec.n y.graph in
-  let { Ec.row; code; _ } = Ec.csr y.graph in
+  let { Ld_models.Darts.row; code; _ } = Ec.csr y.graph in
   let w = Array.make n Q.zero in
   for v = 0 to n - 1 do
     let acc = ref Q.zero in

@@ -40,7 +40,7 @@ let walk ~y ~y' ~start ~first =
   Obs.Counter.incr c_walks;
   Obs.with_span "fm.prop.walk" @@ fun () ->
   let graph = Fm.graph y in
-  let { Ec.row; colour; code; _ } = Ec.csr graph in
+  let { Ld_models.Darts.row; key = colour; code; _ } = Ec.csr graph in
   let code_differs c =
     not (Q.equal (Fm.code_weight y c) (Fm.code_weight y' c))
   in

@@ -7,9 +7,8 @@
    far endpoint in [endpoint.(d)] (strictly ascending within a segment,
    mirroring [Graph.neighbours]'s sorted order) and the edge colour in
    [colour.(d)]. The colouring is proper: colours within a segment are
-   pairwise distinct (but *not* sorted — segments are endpoint-sorted;
-   [Ld_models.Ec.of_csr] performs the colour-sort when lifting into the
-   EC model). *)
+   pairwise distinct (but *not* sorted — segments are endpoint-sorted,
+   which is the order the packed runtime's port numbers follow). *)
 
 type t = {
   n : int;

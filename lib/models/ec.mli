@@ -22,6 +22,7 @@ type t
 
 (** [create ~n ~edges ~loops] with [edges] as [(u, v, colour)] triples and
     [loops] as [(node, colour)] pairs.
+    Colours must lie in [\[1, 2^30)] (see {!Darts}).
     @raise Invalid_argument on range errors, or if the colouring is not
     proper (two darts of equal colour at a node), or on a self-edge
     [(v, v, _)] (use [loops] for those). *)
@@ -42,8 +43,7 @@ type columns = {
     constructor of the hot construction paths (unfold, mix, lifts, the
     store codec). The graph keeps [cols] without copying: callers must
     not mutate the arrays afterwards. Like [create], it scatters the
-    darts straight into the {!csr} arrays and colour-sorts each node's
-    segment in place; no dart value is built.
+    darts straight into the {!csr} table; no dart value is built.
     @raise Invalid_argument as [create] does, or if the two edge
     columns or the two loop columns differ in length from the first. *)
 val of_columns : n:int -> columns -> t
@@ -62,26 +62,15 @@ val loop : t -> int -> loop
 val edges : t -> edge list
 val loops : t -> loop list
 
-(** Darts at a node, sorted by colour. Read off the {!csr} view: each
+(** Darts at a node, sorted by colour. Read off the {!csr} table: each
     call allocates a fresh list, so inner loops should iterate the CSR. *)
 val darts : t -> int -> dart list
 
-(** Flat CSR view of all darts, computed once at construction and cached
-    in the value: dart [d] of node [v] occupies indices
-    [row.(v) .. row.(v+1) - 1] in ascending colour order (mirroring
-    {!darts}); [colour.(d)] is its colour, [other.(d)] the node at the
-    far end ([v] itself for a loop — loop reflection built in), and
-    [code.(d)] the edge id, or [-loop_id - 1] for a loop. This is the
-    representation the hot paths (refinement, runners, propagation)
-    iterate; treat the arrays as read-only. *)
-type csr = {
-  row : int array;
-  colour : int array;
-  other : int array;
-  code : int array;
-}
-
-val csr : t -> csr
+(** The dart table, computed once at construction: a dart's key is its
+    colour, so each node's segment is in ascending colour order
+    (mirroring {!darts}). This is the representation the hot paths
+    (refinement, runners, propagation) iterate. *)
+val csr : t -> Darts.t
 
 (** [dart_at g d] reconstructs the dart at CSR index [d]. *)
 val dart_at : t -> int -> dart
@@ -125,16 +114,6 @@ val add_edge : t -> int * int * int -> t
 (** [of_simple g ~colour] wraps a loop-free simple graph, colouring edge
     [(u, v)] (with [u < v]) by [colour (u, v)]. *)
 val of_simple : Ld_graph.Graph.t -> colour:(int * int -> int) -> t
-
-(** [of_csr c] lifts a streamed coloured CSR ([Generators.stream_*])
-    into the EC model without materialising edge records, tuple lists,
-    or dart lists — only the colour-sorted CSR arrays are built
-    eagerly (the {!columns}, and the record views read off them, are
-    computed on first use). Edge ids
-    follow sorted-(u, v) order, identical to
-    [of_simple g ~colour] on the same graph; [c.row] is shared, not
-    copied. @raise Invalid_argument if the colouring is not proper. *)
-val of_csr : Ld_graph.Csr.t -> t
 
 (** [to_simple g] forgets colours. @raise Invalid_argument if [g] has
     loops. *)

@@ -7,27 +7,18 @@ type dart =
   | Loop_out of { loop_id : int; colour : int }
   | Loop_in of { loop_id : int; colour : int }
 
-(* Flat CSR dart view, built once per graph and cached in the value.
-   Dart [d] of node [v] lives at [row.(v) .. row.(v+1)-1] in the same
-   order as the [darts] lists (out darts by colour, then in darts by
-   colour): [colour.(d)] is its colour, [dir.(d)] is 0 for an out dart
-   and 1 for an in dart, [other.(d)] the node at the far end (the node
-   itself for loops), and [code.(d)] the arc id, or [-loop_id - 1] for
-   a loop dart. Consumers must not mutate the arrays. *)
-type csr = {
-  row : int array;
-  colour : int array;
-  dir : int array;
-  other : int array;
-  code : int array;
-}
-
+(* Arcs and loops column-wise, as in [Ec]: arc [j] is
+   [(arc_tail.(j), arc_head.(j), arc_colour.(j))], loop [j] is
+   [(loop_node.(j), loop_colour.(j))]. Dart lists are never stored:
+   [darts] reads them off the table. *)
 type t = {
   n : int;
-  arcs : arc array;
-  loops : loop array;
-  darts : dart list array; (* out darts by colour, then in darts by colour *)
-  csr : csr;
+  arc_tail : int array;
+  arc_head : int array;
+  arc_colour : int array;
+  loop_node : int array;
+  loop_colour : int array;
+  csr : Darts.t;
 }
 
 let dart_colour = function
@@ -38,116 +29,75 @@ let dart_is_out = function
   | Out _ | Loop_out _ -> true
   | In _ | Loop_in _ -> false
 
-let csr_of_darts n (darts : dart list array) =
-  let row = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    row.(v + 1) <- row.(v) + List.length darts.(v)
-  done;
-  let m = row.(n) in
-  let colour = Array.make m 0 in
-  let dir = Array.make m 0 in
-  let other = Array.make m 0 in
-  let code = Array.make m 0 in
-  for v = 0 to n - 1 do
-    let d = ref row.(v) in
-    List.iter
-      (fun dart ->
-        (match dart with
-        | Out { neighbour; arc_id; colour = c } ->
-          colour.(!d) <- c;
-          dir.(!d) <- 0;
-          other.(!d) <- neighbour;
-          code.(!d) <- arc_id
-        | In { neighbour; arc_id; colour = c } ->
-          colour.(!d) <- c;
-          dir.(!d) <- 1;
-          other.(!d) <- neighbour;
-          code.(!d) <- arc_id
-        | Loop_out { loop_id; colour = c } ->
-          colour.(!d) <- c;
-          dir.(!d) <- 0;
-          other.(!d) <- v;
-          code.(!d) <- -loop_id - 1
-        | Loop_in { loop_id; colour = c } ->
-          colour.(!d) <- c;
-          dir.(!d) <- 1;
-          other.(!d) <- v;
-          code.(!d) <- -loop_id - 1);
-        incr d)
-      darts.(v)
-  done;
-  { row; colour; dir; other; code }
-
-let build n arcs loops =
-  let outs = Array.make n [] and ins = Array.make n [] in
-  Array.iteri
-    (fun id a ->
-      outs.(a.tail) <-
-        Out { neighbour = a.head; arc_id = id; colour = a.colour } :: outs.(a.tail);
-      ins.(a.head) <-
-        In { neighbour = a.tail; arc_id = id; colour = a.colour } :: ins.(a.head))
-    arcs;
-  Array.iteri
-    (fun id l ->
-      outs.(l.node) <- Loop_out { loop_id = id; colour = l.colour } :: outs.(l.node);
-      ins.(l.node) <- Loop_in { loop_id = id; colour = l.colour } :: ins.(l.node))
-    loops;
-  let darts = Array.make n [] in
-  let by_colour side v ds =
-    let sorted = List.sort (fun a b -> Int.compare (dart_colour a) (dart_colour b)) ds in
-    let rec check = function
-      | a :: (b :: _ as rest) ->
-        if dart_colour a = dart_colour b then
-          invalid_arg
-            (Printf.sprintf "Po.create: node %d has two %s darts of colour %d" v side
-               (dart_colour a));
-        check rest
-      | _ -> ()
-    in
-    check sorted;
-    sorted
-  in
-  for v = 0 to n - 1 do
-    darts.(v) <- by_colour "outgoing" v outs.(v) @ by_colour "incoming" v ins.(v)
-  done;
-  { n; arcs; loops; darts; csr = csr_of_darts n darts }
-
+(* An arc contributes an out-dart at its tail and an in-dart at its
+   head, a loop both at its node; keys carry the direction, so sorting
+   by key lists out-darts by colour, then in-darts by colour. *)
 let create ~n ~arcs ~loops =
   if n < 0 then invalid_arg "Po.create: negative n";
+  let arcs = Array.of_list arcs and loops = Array.of_list loops in
   let check_node v = if v < 0 || v >= n then invalid_arg "Po.create: node out of range" in
-  let check_colour c = if c < 1 then invalid_arg "Po.create: colours must be >= 1" in
-  let arcs =
-    Array.of_list
-      (List.map
-         (fun (tail, head, colour) ->
-           check_node tail;
-           check_node head;
-           check_colour colour;
-           if tail = head then invalid_arg "Po.create: self-arc; use ~loops";
-           { tail; head; colour })
-         arcs)
+  let check_colour = Darts.check_colour "Po.create" in
+  Array.iter
+    (fun (tail, head, colour) ->
+      check_node tail;
+      check_node head;
+      check_colour colour;
+      if tail = head then invalid_arg "Po.create: self-arc; use ~loops")
+    arcs;
+  Array.iter
+    (fun (node, colour) ->
+      check_node node;
+      check_colour colour)
+    loops;
+  let arc_tail = Array.map (fun (t, _, _) -> t) arcs
+  and arc_head = Array.map (fun (_, h, _) -> h) arcs
+  and arc_colour = Array.map (fun (_, _, c) -> c) arcs
+  and loop_node = Array.map fst loops
+  and loop_colour = Array.map snd loops in
+  let clash v k =
+    Printf.sprintf "Po.create: node %d has two %s darts of colour %d" v
+      (if Darts.is_out k then "outgoing" else "incoming")
+      (Darts.colour k)
   in
-  let loops =
-    Array.of_list
-      (List.map
-         (fun (node, colour) ->
-           check_node node;
-           check_colour colour;
-           { node; colour })
-         loops)
+  let out = Darts.po_key ~out:true and inn = Darts.po_key ~out:false in
+  let csr =
+    Darts.build ~n ~clash (fun place ->
+        for j = 0 to Array.length arc_tail - 1 do
+          place arc_tail.(j) (out arc_colour.(j)) arc_head.(j) j;
+          place arc_head.(j) (inn arc_colour.(j)) arc_tail.(j) j
+        done;
+        for j = 0 to Array.length loop_node - 1 do
+          place loop_node.(j) (out loop_colour.(j)) loop_node.(j) (-j - 1);
+          place loop_node.(j) (inn loop_colour.(j)) loop_node.(j) (-j - 1)
+        done)
   in
-  build n arcs loops
+  { n; arc_tail; arc_head; arc_colour; loop_node; loop_colour; csr }
 
 let n g = g.n
-let num_arcs g = Array.length g.arcs
-let num_loops g = Array.length g.loops
-let arc g id = g.arcs.(id)
-let loop g id = g.loops.(id)
-let arcs g = Array.to_list g.arcs
-let loops g = Array.to_list g.loops
-let darts g v = g.darts.(v)
+let num_arcs g = Array.length g.arc_tail
+let num_loops g = Array.length g.loop_node
+let arc g id =
+  { tail = g.arc_tail.(id); head = g.arc_head.(id); colour = g.arc_colour.(id) }
+let loop g id = { node = g.loop_node.(id); colour = g.loop_colour.(id) }
+let arcs g = List.init (num_arcs g) (arc g)
+let loops g = List.init (num_loops g) (loop g)
 let csr g = g.csr
 let degree g v = g.csr.row.(v + 1) - g.csr.row.(v)
+
+let dart_at g d =
+  let { Darts.key; other; code; _ } = g.csr in
+  let colour = Darts.colour key.(d) and out = Darts.is_out key.(d) in
+  match (code.(d) >= 0, out) with
+  | true, true -> Out { neighbour = other.(d); arc_id = code.(d); colour }
+  | true, false -> In { neighbour = other.(d); arc_id = code.(d); colour }
+  | false, true -> Loop_out { loop_id = -code.(d) - 1; colour }
+  | false, false -> Loop_in { loop_id = -code.(d) - 1; colour }
+
+let ports g v =
+  let lo = g.csr.row.(v) in
+  Array.init (degree g v) (fun i -> dart_at g (lo + i))
+
+let darts g v = Array.to_list (ports g v)
 
 let max_degree g =
   let best = ref 0 in
@@ -157,12 +107,7 @@ let max_degree g =
   !best
 
 let max_colour g =
-  let c = ref 0 in
-  Array.iter (fun (a : arc) -> c := Stdlib.max !c a.colour) g.arcs;
-  Array.iter (fun (l : loop) -> c := Stdlib.max !c l.colour) g.loops;
-  !c
-
-let ports g v = Array.of_list g.darts.(v)
+  Array.fold_left Stdlib.max (Array.fold_left Stdlib.max 0 g.arc_colour) g.loop_colour
 
 let of_ports ~n ~connections =
   let max_port =
@@ -222,10 +167,10 @@ let equal a b =
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>po-graph n=%d@," g.n;
-  Array.iter
+  List.iter
     (fun a -> Format.fprintf fmt "  arc %d->%d colour %d@," a.tail a.head a.colour)
-    g.arcs;
-  Array.iter
-    (fun l -> Format.fprintf fmt "  loop @@%d colour %d@," l.node l.colour)
-    g.loops;
+    (arcs g);
+  List.iter
+    (fun (l : loop) -> Format.fprintf fmt "  loop @@%d colour %d@," l.node l.colour)
+    (loops g);
   Format.fprintf fmt "@]"

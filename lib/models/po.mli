@@ -24,7 +24,7 @@ type dart =
 type t
 
 (** [create ~n ~arcs ~loops] with arcs as [(tail, head, colour)] and loops
-    as [(node, colour)].
+    as [(node, colour)]. Colours must lie in [\[1, 2^30)] (see {!Darts}).
     @raise Invalid_argument on range errors or if out-colours (or
     in-colours) collide at a node. *)
 val create : n:int -> arcs:(int * int * int) list -> loops:(int * int) list -> t
@@ -41,22 +41,10 @@ val loops : t -> loop list
     by colour (the PO2 → PO1 convention). *)
 val darts : t -> int -> dart list
 
-(** Flat CSR view of all darts, computed once at construction and cached
-    in the value: dart [d] of node [v] occupies
-    [row.(v) .. row.(v+1) - 1] in {!darts} order; [colour.(d)] is its
-    colour, [dir.(d)] is 0 for out / 1 for in, [other.(d)] the node at
-    the far end ([v] itself for loops — loop reflection built in), and
-    [code.(d)] the arc id, or [-loop_id - 1] for a loop dart. Treat the
-    arrays as read-only. *)
-type csr = {
-  row : int array;
-  colour : int array;
-  dir : int array;
-  other : int array;
-  code : int array;
-}
-
-val csr : t -> csr
+(** The dart table, computed once at construction: keys are
+    {!Darts.po_key}s, so each segment lists the darts in {!darts}
+    order. *)
+val csr : t -> Darts.t
 
 (** Degree with the PO loop convention (a loop counts twice). *)
 val degree : t -> int -> int

@@ -2,13 +2,16 @@ module Obs = Ld_obs.Obs
 
 (* Shared body of Anon_ec and Anon_po: the two models differ only in
    how a dart is named, and both name it with an int key that is
-   ascending along each node's CSR segment. *)
+   ascending along each node's dart table segment. *)
 
 module Inbox = struct
-  (* A cursor over one node's dart segment [lo, hi) of the CSR arrays.
-     [out.(u)] is node [u]'s current broadcast; a set [frozen] byte
-     means that broadcast was cached at halt time. Tallies accumulate
-     across rounds and are flushed to the counters once per run. *)
+  (* A cursor over one node's dart segment [lo, hi) of the table's
+     [key] and [other] arrays, held directly (and searched by [find]
+     directly) so a dart read costs one load: reading them through the
+     [Darts.t] record slowed THM1 probes measurably. [out.(u)] is node
+     [u]'s current broadcast; a set [frozen] byte means that broadcast
+     was cached at halt time. Tallies accumulate across rounds and are
+     flushed to the counters once per run. *)
   type 'msg t = {
     keys : int array;
     others : int array;
@@ -74,8 +77,6 @@ module Inbox = struct
     !r
 end
 
-type csr = { row : int array; keys : int array; others : int array }
-
 type family = {
   engine : Engine.family;
   c_darts : Obs.Counter.t;
@@ -97,14 +98,15 @@ let family prefix =
     c_cache_hits = c "send_cache_hits";
   }
 
-let run fam ~par_threshold ~domains ~limit ~send ~recv ~halted g states =
+let run fam ~par_threshold ~domains ~limit ~send ~recv ~halted (g : Ld_models.Darts.t)
+    states =
   let e = Engine.create fam.engine ~par_threshold ~domains ~limit g.row in
   (* Broadcasts, computed once per (node, round); a halted node's slot
      is written one last time when it freezes and then reused. *)
   let out = Array.map send states in
   let inboxes =
     Array.init (Engine.domains e) (fun _ ->
-        Inbox.make ~keys:g.keys ~others:g.others ~out
+        Inbox.make ~keys:g.key ~others:g.other ~out
           ~frozen:(Engine.frozen e))
   in
   let active = Engine.active e in
@@ -138,12 +140,12 @@ let run fam ~par_threshold ~domains ~limit ~send ~recv ~halted g states =
 (* Dense differential oracle: recompute every broadcast each round, walk
    every non-halted inbox, [Array.for_all] halting scan — the executor
    [run] must agree with, state for state and round for round. *)
-let reference ~limit ~send ~recv ~halted g states =
+let reference ~limit ~send ~recv ~halted (g : Ld_models.Darts.t) states =
   let frozen = Bytes.make (Stdlib.max 1 (Array.length states)) '\000' in
   let states = ref states and rounds = ref 0 in
   while !rounds < limit && not (Array.for_all halted !states) do
     let ib =
-      Inbox.make ~keys:g.keys ~others:g.others
+      Inbox.make ~keys:g.key ~others:g.other
         ~out:(Array.map send !states) ~frozen
     in
     states :=

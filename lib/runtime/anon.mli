@@ -1,9 +1,10 @@
 (** Shared body of {!Anon_ec} and {!Anon_po}: the broadcast front-end on
-    {!Engine} and the dense differential oracle. A dart is named by an
-    int key, ascending along each node's CSR segment: its colour in EC,
-    its direction-tagged colour in PO. *)
+    {!Engine} and the dense differential oracle, both over the model's
+    dart table ({!Ld_models.Darts}). A dart is named by its key,
+    ascending along each node's segment: its colour in EC, its
+    direction-tagged colour in PO. *)
 
-(** A node's inbox: a cursor over its CSR dart segment and the
+(** A node's inbox: a cursor over its dart table segment and the
     broadcast buffer. Reads are tallied per cursor. *)
 module Inbox : sig
   type 'msg t
@@ -20,8 +21,6 @@ module Inbox : sig
 
   val fold : ('a -> int -> 'msg -> 'a) -> 'a -> 'msg t -> 'a
 end
-
-type csr = { row : int array; keys : int array; others : int array }
 
 (** The engine family [prefix.*] plus the inbox counters
     [prefix.{darts_scanned,loop_reflected,sends,send_cache_hits}]. *)
@@ -40,7 +39,7 @@ val run :
   send:('s -> 'm) ->
   recv:('s -> 'm Inbox.t -> 's) ->
   halted:('s -> bool) ->
-  csr ->
+  Ld_models.Darts.t ->
   's array ->
   's array * int
 
@@ -51,6 +50,6 @@ val reference :
   send:('s -> 'm) ->
   recv:('s -> 'm Inbox.t -> 's) ->
   halted:('s -> bool) ->
-  csr ->
+  Ld_models.Darts.t ->
   's array ->
   's array * int

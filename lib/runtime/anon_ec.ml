@@ -26,14 +26,14 @@ let default_par_threshold = Engine.default_par_threshold
 
 (* Dart keys are the colours themselves. *)
 let prepare machine g =
-  let { Ec.row; colour; other; _ } = Ec.csr g in
+  let ({ Ld_models.Darts.row; key; _ } as t) = Ec.csr g in
   let states =
     Array.init (Ec.n g) (fun v ->
         let lo = row.(v) and hi = row.(v + 1) in
-        let colours = List.init (hi - lo) (fun i -> colour.(lo + i)) in
+        let colours = List.init (hi - lo) (fun i -> key.(lo + i)) in
         machine.init ~degree:(hi - lo) ~colours)
   in
-  ({ Anon.row; keys = colour; others = other }, states)
+  (t, states)
 
 let run_until ?(par_threshold = default_par_threshold) ?domains machine
     ~max_rounds g =

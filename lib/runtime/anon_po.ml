@@ -1,14 +1,14 @@
 module Po = Ld_models.Po
+module Darts = Ld_models.Darts
 module Obs = Ld_obs.Obs
 
 type dart_key = { out : bool; colour : int }
 
-(* A dart's int key: its colour, with [in_bit] set on in-darts, so keys
-   ascend along the CSR segment (out-darts by colour, then in-darts by
-   colour) and [Anon.Inbox.find] binary-searches them directly. *)
-let in_bit = 1 lsl 61
-let encode { out; colour } = if out then colour else colour lor in_bit
-let decode k = { out = k land in_bit = 0; colour = k land (in_bit - 1) }
+(* The table's keys ascend along each segment (out-darts by colour, then
+   in-darts by colour), so [Anon.Inbox.find] binary-searches them
+   directly; [dart_key] is their decoded form. *)
+let encode { out; colour } = Darts.po_key ~out colour
+let decode k = { out = Darts.is_out k; colour = Darts.colour k }
 
 module Inbox = struct
   type 'msg t = 'msg Anon.Inbox.t
@@ -32,16 +32,13 @@ let fam = Anon.family "runtime.po"
 let default_par_threshold = Engine.default_par_threshold
 
 let prepare machine g =
-  let { Po.row; colour; dir; other; _ } = Po.csr g in
-  let keys =
-    Array.mapi (fun d colour -> encode { out = dir.(d) = 0; colour }) colour
-  in
+  let ({ Darts.row; key; _ } as t) = Po.csr g in
   let states =
     Array.init (Po.n g) (fun v ->
         let lo = row.(v) and hi = row.(v + 1) in
-        machine.init ~darts:(List.init (hi - lo) (fun i -> decode keys.(lo + i))))
+        machine.init ~darts:(List.init (hi - lo) (fun i -> decode key.(lo + i))))
   in
-  ({ Anon.row; keys; others = other }, states)
+  (t, states)
 
 let run_until ?(par_threshold = default_par_threshold) ?domains machine
     ~max_rounds g =

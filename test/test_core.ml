@@ -525,6 +525,28 @@ let certificate_tamper_detected () =
   Alcotest.(check bool) "wrong node rejected" false
     (List.for_all CIO.check_ok (CIO.verify ~delta:4 forged3))
 
+(* Colours 2 and 2^61 + 2 pack to the same refinement code in a 3-node
+   union ((2^61 + 2) * 4 wraps to 2 * 4), which once let this
+   certificate verify although its views differ. The model now rejects
+   colours outside [1, 2^30), so the file does not even load. *)
+let crafted_certificate_rejected () =
+  let module CIO = Ld_core.Certificate_io in
+  let text colour =
+    Printf.sprintf
+      "(certificate (level 1) (colour 1) (g-graph ((n 2) (edges (0 1 2)) \
+       (loops (0 1) (1 1)))) (h-graph ((n 1) (edges) (loops (0 1) (0 %s)))) \
+       (g-node 0) (h-node 0) (g-loop 0) (h-loop 0) (g-weight 0) (h-weight 1))"
+      colour
+  in
+  (match CIO.of_string (text "2305843009213693954") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "a colour of 2^61 + 2 must be rejected");
+  (* With colour 3 in place of 2^61 + 2 the file loads, and the views
+     are told apart. *)
+  let small = text "3" in
+  Alcotest.(check bool) "views differ" false
+    (List.for_all CIO.check_ok (CIO.verify ~delta:3 (CIO.of_string small)))
+
 let certificate_file_roundtrip () =
   let module CIO = Ld_core.Certificate_io in
   let certs = certs_of (LB.run ~delta:4 Packing.greedy_algorithm) in
@@ -626,5 +648,7 @@ let () =
           Alcotest.test_case "serialise + verify" `Quick certificate_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick certificate_file_roundtrip;
           Alcotest.test_case "tampering detected" `Quick certificate_tamper_detected;
+          Alcotest.test_case "crafted overflow rejected" `Quick
+            crafted_certificate_rejected;
         ] );
     ]

@@ -33,14 +33,51 @@ let random_loopy_ec ~seed n =
     ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges base))
     ~loops
 
+(* A random oriented tree plus loops: each tree edge gets a random
+   direction and the least colour free at its tail's out-darts and its
+   head's in-darts, so an in-dart and an out-dart of one node often
+   share a colour. *)
+let random_loopy_po ~seed n =
+  let tree = Gen.random_tree ~seed n in
+  let rng = Random.State.make [| seed; n; 1 |] in
+  let outs = Array.make n [] and ins = Array.make n [] in
+  let least_free u v =
+    let rec go c = if List.mem c outs.(u) || List.mem c ins.(v) then go (c + 1) else c in
+    go 1
+  in
+  let arc (u, v) =
+    let u, v = if Random.State.bool rng then (u, v) else (v, u) in
+    let c = least_free u v in
+    outs.(u) <- c :: outs.(u);
+    ins.(v) <- c :: ins.(v);
+    (u, v, c)
+  in
+  let arcs = List.map arc (Ld_graph.Graph.edges tree) in
+  let loops =
+    List.concat_map
+      (fun v ->
+        List.init (Random.State.int rng 2) (fun _ ->
+            let c = least_free v v in
+            outs.(v) <- c :: outs.(v);
+            ins.(v) <- c :: ins.(v);
+            (v, c)))
+      (List.init n Fun.id)
+  in
+  Ld_models.Po.create ~n ~arcs ~loops
+
 (* Cross-validation: refinement equivalence at radius r must coincide
-   with structural equality of explicit view trees of depth r. *)
+   with structural equality of explicit view trees of depth r — in EC
+   through [equivalent_radius], in PO through [refine_po] labels. *)
 let refinement_matches_views =
   QCheck.Test.make ~count:40
-    ~name:"colour refinement = view-tree isomorphism (all radii, all node pairs)"
+    ~name:
+      "colour refinement = view-tree isomorphism (all radii, all node pairs, \
+       EC and PO)"
     (QCheck.pair (QCheck.int_range 2 7) (QCheck.int_range 0 999))
     (fun (n, seed) ->
       let g = random_loopy_ec ~seed n in
+      let p = random_loopy_po ~seed n in
+      let labels = Refinement.refine_po p ~rounds:3 in
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
@@ -48,6 +85,11 @@ let refinement_matches_views =
             let by_refinement = Refinement.equivalent_radius g u g v ~radius:r in
             let by_views =
               View.equal (View.of_ec g u ~radius:r) (View.of_ec g v ~radius:r)
+            in
+            if by_refinement <> by_views then ok := false;
+            let by_refinement = labels.(r).(u) = labels.(r).(v) in
+            let by_views =
+              View.equal (View.of_po p u ~radius:r) (View.of_po p v ~radius:r)
             in
             if by_refinement <> by_views then ok := false
           done
@@ -71,8 +113,21 @@ let flat_refinement_matches_reference =
       let p = Ld_models.Po.of_ec g in
       let pfast = Refinement.refine_po p ~rounds in
       let pslow = Refinement.refine_po ~reference:true p ~rounds in
+      (* The same graph with every colour moved just under the 2^30
+         bound: keys stay distinct, so the labels must not change. *)
+      let high =
+        let c = Ec.columns g in
+        let lift = Array.map (fun c -> (1 lsl 30) - 64 + (c - 1)) in
+        Ec.of_columns ~n
+          { c with edge_colour = lift c.edge_colour; loop_colour = lift c.loop_colour }
+      in
+      let ph = Ld_models.Po.of_ec high in
       let same = Array.for_all2 (Array.for_all2 Int.equal) in
-      same fast slow && same pfast pslow)
+      same fast slow && same pfast pslow
+      && same fast (Refinement.refine_ec high ~rounds)
+      && same fast (Refinement.refine_ec ~reference:true high ~rounds)
+      && same pfast (Refinement.refine_po ph ~rounds)
+      && same pfast (Refinement.refine_po ~reference:true ph ~rounds))
 
 (* The soundness lemma behind the engine's incremental P1 checks:
    covering maps preserve universal-cover views at every radius, so a

@@ -59,8 +59,103 @@ let po_properness () =
   Alcotest.check_raises "out clash"
     (Invalid_argument "Po.create: node 0 has two outgoing darts of colour 1")
     (fun () -> ignore (Po.create ~n:3 ~arcs:[ (0, 1, 1); (0, 2, 1) ] ~loops:[]));
+  Alcotest.check_raises "in clash"
+    (Invalid_argument "Po.create: node 0 has two incoming darts of colour 1")
+    (fun () -> ignore (Po.create ~n:3 ~arcs:[ (1, 0, 1); (2, 0, 1) ] ~loops:[]));
   let ok = Po.create ~n:3 ~arcs:[ (0, 1, 1); (2, 0, 1) ] ~loops:[] in
   Alcotest.(check int) "mixed colours fine" 2 (Po.degree ok 0)
+
+(* Colours outside [1, 2^30) are rejected by both models: beyond it a
+   PO in-dart's key would alias an out-dart's, and refinement's packed
+   descriptors would overflow. *)
+let colour_bound () =
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let tree top =
+    Ec.create ~n:6
+      ~edges:[ (0, 1, 1); (1, 2, 2); (2, 3, 1); (3, 4, 2); (4, 5, top) ]
+      ~loops:[]
+  in
+  rejects "Ec colour max_int" (fun () -> tree max_int);
+  rejects "Ec colour 2^30" (fun () -> tree (1 lsl 30));
+  rejects "Ec.add_edge colour 2^30" (fun () -> Ec.add_edge (tree 3) (0, 5, 1 lsl 30));
+  Alcotest.(check int) "Ec colour 2^30 - 1" ((1 lsl 30) - 1)
+    (Ec.max_colour (tree ((1 lsl 30) - 1)));
+  rejects "Po arc colour 2^61" (fun () ->
+      Po.create ~n:2 ~arcs:[ (0, 1, 0x2000_0000_0000_0000 (* 2^61 *)) ] ~loops:[]);
+  rejects "Po loop colour 2^30" (fun () ->
+      Po.create ~n:1 ~arcs:[] ~loops:[ (0, 1 lsl 30) ])
+
+(* A random PO multigraph. Colours are small, or (with [high]) packed
+   just under the 2^30 bound; an in-dart and an out-dart often share
+   a colour. *)
+let random_po (seed, high) =
+  let st = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int st 8 in
+  let base = if high then (1 lsl 30) - 7 else 0 in
+  let used_out = Hashtbl.create 16 and used_in = Hashtbl.create 16 in
+  let free v c = not (Hashtbl.mem used_out (v, c) || Hashtbl.mem used_in (v, c)) in
+  let arcs = ref [] and loops = ref [] in
+  for _ = 1 to Random.State.int st 20 do
+    let u = Random.State.int st n and v = Random.State.int st n in
+    let c = base + 1 + Random.State.int st 6 in
+    if u = v then begin
+      if free u c then begin
+        Hashtbl.replace used_out (u, c) ();
+        Hashtbl.replace used_in (u, c) ();
+        loops := (u, c) :: !loops
+      end
+    end
+    else if not (Hashtbl.mem used_out (u, c) || Hashtbl.mem used_in (v, c)) then begin
+      Hashtbl.replace used_out (u, c) ();
+      Hashtbl.replace used_in (v, c) ();
+      arcs := (u, v, c) :: !arcs
+    end
+  done;
+  Po.create ~n ~arcs:!arcs ~loops:!loops
+
+let dart_ints = function
+  | Po.Out { neighbour; arc_id; colour } -> [ 0; neighbour; arc_id; colour ]
+  | Po.In { neighbour; arc_id; colour } -> [ 1; neighbour; arc_id; colour ]
+  | Po.Loop_out { loop_id; colour } -> [ 2; loop_id; colour ]
+  | Po.Loop_in { loop_id; colour } -> [ 3; loop_id; colour ]
+
+(* The PO1 port order spelled out from the arc and loop lists: out-darts
+   by colour, then in-darts by colour. *)
+let po_darts_spec =
+  QCheck.Test.make ~count:200 ~name:"Po.darts = out-darts by colour, then in-darts"
+    QCheck.(pair (int_range 0 100_000) bool)
+    (fun input ->
+      let g = random_po input in
+      let arcs = List.mapi (fun id a -> (id, a)) (Po.arcs g)
+      and loops = List.mapi (fun id l -> (id, l)) (Po.loops g) in
+      let expected v =
+        let side out =
+          List.filter_map
+            (fun (arc_id, (a : Po.arc)) ->
+              if out && a.tail = v then
+                Some (Po.Out { neighbour = a.head; arc_id; colour = a.colour })
+              else if (not out) && a.head = v then
+                Some (Po.In { neighbour = a.tail; arc_id; colour = a.colour })
+              else None)
+            arcs
+          @ List.filter_map
+              (fun (loop_id, (l : Po.loop)) ->
+                if l.node <> v then None
+                else if out then Some (Po.Loop_out { loop_id; colour = l.colour })
+                else Some (Po.Loop_in { loop_id; colour = l.colour }))
+              loops
+          |> List.stable_sort (fun a b -> Int.compare (Po.dart_colour a) (Po.dart_colour b))
+        in
+        List.map dart_ints (side true @ side false)
+      in
+      List.for_all
+        (fun v ->
+          List.equal (List.equal Int.equal) (List.map dart_ints (Po.darts g v)) (expected v)
+          && Po.degree g v = List.length (expected v))
+        (List.init (Po.n g) Fun.id))
 
 let po_of_ports_roundtrip () =
   (* Fig. 2(a): the port-numbered triangle-ish example — encode, then
@@ -105,31 +200,6 @@ let ec_of_simple_families () =
       Alcotest.(check int) "edges preserved" (G.m g) (Ec.num_edges ec);
       Alcotest.(check int) "degree preserved" (G.max_degree g) (Ec.max_degree ec))
     [ Gen.path 7; Gen.cycle 8; Gen.star 6; Gen.grid 3 4; Gen.complete 5 ]
-
-(* Ec.of_csr must agree with the classic list path
-   (Colouring.ec_of_simple = Ec.of_simple over Edge_colouring.greedy)
-   given the CSR of the same graph under the same colouring: identical
-   edge-id assignment and identical cached CSR arrays. *)
-let ec_of_csr_identical =
-  QCheck.Test.make ~count:50 ~name:"Ec.of_csr agrees with ec_of_simple"
-    (QCheck.triple (QCheck.int_range 0 25) (QCheck.int_range 0 6)
-       (QCheck.int_range 0 1000))
-    (fun (n, d, seed) ->
-      let g = Gen.random_bounded_degree ~seed n d in
-      let via_csr =
-        Ec.of_csr (Ld_graph.Csr.of_graph g ~colour:(Colouring.greedy g))
-      in
-      let via_lists = Colouring.ec_of_simple g in
-      let a = Ec.csr via_csr and b = Ec.csr via_lists in
-      Ec.n via_csr = Ec.n via_lists
-      && Ec.num_edges via_csr = Ec.num_edges via_lists
-      && Array.for_all2 Int.equal a.Ec.row b.Ec.row
-      && Array.for_all2 Int.equal a.Ec.colour b.Ec.colour
-      && Array.for_all2 Int.equal a.Ec.other b.Ec.other
-      && Array.for_all2 Int.equal a.Ec.code b.Ec.code
-      && List.equal
-           (fun (x : Ec.edge) y -> x.u = y.u && x.v = y.v && x.colour = y.colour)
-           (Ec.edges via_csr) (Ec.edges via_lists))
 
 (* A random proper-coloured loopy multigraph: nodes 0..2 act as hubs so
    that some segments exceed the insertion-sort cutoff of 16 darts. *)
@@ -191,14 +261,14 @@ let ec_csr_matches_dart_lists =
       let row, colour, other, code = reference_csr g in
       let c = Ec.csr g in
       let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
-      same c.Ec.row row && same c.Ec.colour colour && same c.Ec.other other
-      && same c.Ec.code code
+      same c.row row && same c.key colour && same c.other other
+      && same c.code code
       && List.for_all
            (fun v ->
              List.equal
                (fun a b -> Ec.dart_colour a = Ec.dart_colour b)
                (Ec.darts g v)
-               (List.init (Ec.degree g v) (fun i -> Ec.dart_at g (c.Ec.row.(v) + i))))
+               (List.init (Ec.degree g v) (fun i -> Ec.dart_at g (c.row.(v) + i))))
            (List.init (Ec.n g) Fun.id)
       (* the columns read back as the records the graph was built from *)
       && Ec.equal g (Ec.of_columns ~n:(Ec.n g) (Ec.columns g)))
@@ -292,6 +362,8 @@ let () =
         [
           Alcotest.test_case "loop degree" `Quick po_loop_degree;
           Alcotest.test_case "properness" `Quick po_properness;
+          Alcotest.test_case "colour bound" `Quick colour_bound;
+          QCheck_alcotest.to_alcotest po_darts_spec;
           Alcotest.test_case "of_ports" `Quick po_of_ports_roundtrip;
           Alcotest.test_case "of_ec" `Quick po_of_ec_doubles;
         ] );
@@ -299,7 +371,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest colouring_proper_on_families;
           Alcotest.test_case "ec_of_simple families" `Quick ec_of_simple_families;
-          QCheck_alcotest.to_alcotest ec_of_csr_identical;
         ] );
       ("labelled", [ Alcotest.test_case "id and oi" `Quick labelled_id_oi ]);
       ("dot", [ Alcotest.test_case "export" `Quick dot_export ]);
