@@ -2,13 +2,14 @@
    runtime (BENCH_RUNTIME.json). Streams CSR instances at 10^5..10^7
    nodes straight into int arrays, runs the packed matching workloads
    at 1 and [Pool.default_domains ()] domains, and reports sends/sec,
-   rounds/sec, wall time and peak RSS per row. The quick mode (CI
-   smoke) keeps only the 10^5 legs plus the packed-vs-packed domain
-   identity check.
+   rounds/sec, wall time, peak RSS and minor-heap allocation per row.
+   The quick mode (CI smoke) keeps only the 10^5 legs plus the
+   packed-vs-packed domain identity check.
 
-   Peak RSS is VmHWM: a process-lifetime high-water mark, monotone
-   across rows — the figure recorded per row is "peak so far", and the
-   [runtime.bench.peak_rss_kb] gauge holds the final maximum. *)
+   Peak RSS is VmHWM, reset ([Obs.reset_peak_rss]) before each row, so
+   a row's figure is its own peak (the graph it runs on included); where
+   the reset is unavailable it is the whole-process peak so far. The
+   [runtime.bench.peak_rss_kb] gauge holds the largest row figure. *)
 
 module Csr = Ld_graph.Csr
 module Gen = Ld_graph.Generators
@@ -37,6 +38,7 @@ type row = {
   r_sends : int;
   r_wall_ms : float;
   r_rss_kb : int;
+  r_minor_words : int;
   r_round_p50_ms : float;
   r_round_p99_ms : float;
 }
@@ -67,9 +69,12 @@ let algo_name = function `Ii -> "israeli-itai" | `Dp -> "davies-peck" | `Pr -> "
 let measure ~workload ~algo ~domains g =
   let n = g.Csr.n in
   Ld_obs.Hist.reset h_round;
+  ignore (Obs.reset_peak_rss ());
+  let minor0 = (Gc.quick_stat ()).Gc.minor_words in
   let t0 = Obs.now_ms () in
   let stats = run_algo ~algo ~domains g in
   let wall = Obs.now_ms () -. t0 in
+  let minor = (Gc.quick_stat ()).Gc.minor_words -. minor0 in
   let sn = Ld_obs.Hist.snapshot h_round in
   let rss = Option.value ~default:0 (Obs.peak_rss_kb ()) in
   Obs.Gauge.record rss_gauge rss;
@@ -84,17 +89,18 @@ let measure ~workload ~algo ~domains g =
       r_sends = stats.Packed.sends;
       r_wall_ms = wall;
       r_rss_kb = rss;
+      r_minor_words = Float.to_int minor;
       r_round_p50_ms = Ld_obs.Hist.quantile_ms sn 0.5;
       r_round_p99_ms = Ld_obs.Hist.quantile_ms sn 0.99;
     }
   in
   Printf.printf
     "%-14s %-15s n=%-8d domains=%d  rounds=%-4d wall=%8.1fms  %10.0f sends/s  \
-     round p50=%.3fms p99=%.3fms\n\
+     round p50=%.3fms p99=%.3fms  rss=%dkB minor=%dw\n\
      %!"
     r.r_workload r.r_algo n domains r.r_rounds wall
     (float_of_int r.r_sends /. (wall /. 1000.))
-    r.r_round_p50_ms r.r_round_p99_ms;
+    r.r_round_p50_ms r.r_round_p99_ms r.r_rss_kb r.r_minor_words;
   r
 
 (* Packed-vs-packed domain identity: the same workload at 1 domain and
@@ -131,6 +137,7 @@ let emit_json ~path ~quick ~identical ~rows =
         ("sends_per_sec", Json.Num (Float.round (float_of_int r.r_sends /. secs)));
         ("rounds_per_sec", Json.Num (float_of_int r.r_rounds /. secs));
         ("peak_rss_kb", Json.int r.r_rss_kb);
+        ("minor_words", Json.int r.r_minor_words);
         ("round_p50_ms", Json.Num r.r_round_p50_ms);
         ("round_p99_ms", Json.Num r.r_round_p99_ms);
       ]

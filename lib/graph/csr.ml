@@ -34,15 +34,15 @@ let max_colour g =
   Array.iter (fun c -> if c > best.contents then best := c) g.colour;
   !best
 
-(* Port of [w] as seen from [v]: index [q] such that
-   [endpoint.(row.(w) + q) = v]. Segments are endpoint-sorted, so a
-   binary search per dart suffices; the result is the [back] array the
-   port-numbering executors use to route a message from dart (v, p) to
-   the receive slot of the far endpoint. *)
-let back g =
+(* Reverse dart of every dart: [mirror.(d)] is the dart [d'] of
+   [w = endpoint.(d)] with [endpoint.(d') = v]. Segments are
+   endpoint-sorted, so a binary search per dart suffices; the result is
+   the absolute index the port-numbering executors read a message from,
+   one load per received message. *)
+let mirror g =
   let { row; endpoint; _ } = g in
   let nd = row.(g.n) in
-  let back = Array.make nd 0 in
+  let mirror = Array.make nd 0 in
   for v = 0 to g.n - 1 do
     for d = row.(v) to row.(v + 1) - 1 do
       let w = endpoint.(d) in
@@ -55,11 +55,11 @@ let back g =
         else if e < v then lo := mid + 1
         else hi := mid - 1
       done;
-      if !found < 0 then invalid_arg "Csr.back: asymmetric adjacency";
-      back.(d) <- !found - row.(w)
+      if !found < 0 then invalid_arg "Csr.mirror: asymmetric adjacency";
+      mirror.(d) <- !found
     done
   done;
-  back
+  mirror
 
 let validate g =
   let { n; row; endpoint; colour; m } = g in
@@ -86,15 +86,12 @@ let validate g =
       done
     done
   done;
-  (* symmetry with matching colours *)
-  let bk = back g in
-  for v = 0 to n - 1 do
-    for d = row.(v) to row.(v + 1) - 1 do
-      let w = endpoint.(d) in
-      let d' = row.(w) + bk.(d) in
-      if endpoint.(d') <> v || colour.(d') <> colour.(d) then
-        invalid_arg "Csr.validate: asymmetric edge"
-    done
+  (* symmetry ([mirror] raises on a dart with no reverse) with
+     matching colours *)
+  let mirror = mirror g in
+  for d = 0 to nd - 1 do
+    if colour.(mirror.(d)) <> colour.(d) then
+      invalid_arg "Csr.validate: asymmetric edge"
   done
 
 let int_array_equal (a : int array) (b : int array) =

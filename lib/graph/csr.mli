@@ -26,11 +26,13 @@ val max_degree : t -> int
 (** Largest colour in use; 0 on an edgeless graph. *)
 val max_colour : t -> int
 
-(** [back g] maps every dart to the far end's port for it: with
-    [w = endpoint.(d)], [endpoint.(row.(w) + (back g).(d)) = v] for
-    dart [d] of node [v]. O(darts · log Δ); computed once per run by
-    the port-numbering executors. *)
-val back : t -> int array
+(** [mirror g] maps every dart to its reverse dart: for dart [d] of
+    node [v], [(mirror g).(d)] is the dart of [endpoint.(d)] whose far
+    endpoint is [v], as an absolute index into [endpoint]/[colour].
+    An involution. O(darts · log Δ); computed once per run by the
+    port-numbering executors.
+    @raise Invalid_argument if some dart has no reverse. *)
+val mirror : t -> int array
 
 (** Structural well-formedness check (monotone rows, sorted segments,
     symmetry, proper colouring). @raise Invalid_argument on failure. *)

@@ -3,11 +3,13 @@ let bits_needed x =
   let rec go n acc = if n = 0 then Stdlib.max acc 1 else go (n lsr 1) (acc + 1) in
   go x 0
 
+(* Lowest set bit of [diff] at or above [i]; [diff] is nonzero. *)
+let rec lowest_set diff i =
+  if (diff lsr i) land 1 = 1 then i else lowest_set diff (i + 1)
+
 let step ~mine ~parent =
   if mine = parent then invalid_arg "Cole_vishkin.step: equal colours";
-  let diff = mine lxor parent in
-  let rec lowest i = if (diff lsr i) land 1 = 1 then i else lowest (i + 1) in
-  let i = lowest 0 in
+  let i = lowest_set (mine lxor parent) 0 in
   (2 * i) + ((mine lsr i) land 1)
 
 let virtual_parent mine = if mine <> 0 then 0 else 1

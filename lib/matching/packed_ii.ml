@@ -13,12 +13,18 @@ module Coin = Ld_runtime.Packed.Coin
    oracle, and the classic [Israeli_itai] stays untouched as the
    baseline.
 
-   State slice (6 words): coin, live-port bitmask (degree <= 62),
-   matched port (-1), phase (0 = propose, 1 = respond), proposal port
-   (-1), accept port (-1). Message (1 word): matched / propose /
-   accept bits. *)
+   State slice (6 words at base [b = node * sw]): coin, live-port
+   bitmask (degree <= 62), matched port (-1), phase (0 = propose,
+   1 = respond), proposal port (-1), accept port (-1). Message
+   (1 word): matched / propose / accept bits. Every transition reads
+   and writes the slice in place and each received message is one
+   load, [out.(mirror.(d))]: a round allocates nothing.
 
-let sw = 6
+   The core below takes the slice width [sw] as a parameter so that
+   [Davies_peck] runs the same dynamics over a wider slice (its
+   iteration counter sits after these 6 words). *)
+
+let words = 6
 let off_coin = 0
 let off_live = 1
 let off_matched = 2
@@ -42,10 +48,7 @@ let nth_set_bit mask k =
   done;
   !p
 
-(* Transition core over a plain 6-word state array; the machine below
-   runs it on a scratch copy of the node's slice. *)
-
-let popcount_live x =
+let popcount x =
   let c = ref 0 in
   let y = ref x in
   while !y <> 0 do
@@ -54,142 +57,129 @@ let popcount_live x =
   done;
   !c
 
-let draw_proposal state =
-  (* Draw order: a bool draw only if any live port remains, then an
-     int draw only for proposers. *)
-  let live = state.(off_live) in
-  if live = 0 then state.(off_proposal) <- -1
+let live st b = st.(b + off_live)
+
+let draw st b ~eligible =
+  (* Draw order: a bool draw only if any live port remains (and the
+     caller's gate allows a proposal), then an int draw only for
+     proposers. *)
+  let live = st.(b + off_live) in
+  if live = 0 || not eligible then st.(b + off_proposal) <- -1
   else begin
-    let c = Coin.next state.(off_coin) in
-    state.(off_coin) <- c;
+    let c = Coin.next st.(b + off_coin) in
+    st.(b + off_coin) <- c;
     if Coin.bool c then begin
-      let c = Coin.next state.(off_coin) in
-      state.(off_coin) <- c;
-      let k = Coin.int c (popcount_live live) in
-      state.(off_proposal) <- nth_set_bit live k
+      let c = Coin.next c in
+      st.(b + off_coin) <- c;
+      st.(b + off_proposal) <- nth_set_bit live (Coin.int c (popcount live))
     end
-    else state.(off_proposal) <- -1
+    else st.(b + off_proposal) <- -1
   end
 
-let init_state state ~seed ~node ~degree =
-  if degree > 62 then invalid_arg "Packed_ii: degree > 62";
-  state.(off_coin) <- Coin.seed ~seed ~node;
-  state.(off_live) <- (if degree = 0 then 0 else (1 lsl degree) - 1);
-  state.(off_matched) <- -1;
-  state.(off_phase) <- 0;
-  state.(off_proposal) <- -1;
-  state.(off_accept) <- -1;
-  draw_proposal state
+let init ~who st b ~seed ~node ~degree =
+  if degree > 62 then invalid_arg (who ^ ": degree > 62");
+  st.(b + off_coin) <- Coin.seed ~seed ~node;
+  st.(b + off_live) <- (if degree = 0 then 0 else (1 lsl degree) - 1);
+  st.(b + off_matched) <- -1;
+  st.(b + off_phase) <- 0;
+  st.(b + off_proposal) <- -1;
+  st.(b + off_accept) <- -1
 
-let msg_of state ~port =
-  (if state.(off_matched) >= 0 then bit_matched else 0)
-  lor
-  (if state.(off_phase) = 0 && state.(off_proposal) = port then bit_propose
-   else 0)
-  lor
-  (if state.(off_phase) = 1 && state.(off_accept) = port then bit_accept
-   else 0)
+let send ~sw ~g ~st ~out ~node =
+  let b = node * sw in
+  let base = if st.(b + off_matched) >= 0 then bit_matched else 0 in
+  let propose = st.(b + off_phase) = 0 in
+  let target = st.(b + if propose then off_proposal else off_accept) in
+  let bit = if propose then bit_propose else bit_accept in
+  let lo = g.Csr.row.(node) in
+  for d = lo to g.Csr.row.(node + 1) - 1 do
+    out.(d) <- (if d - lo = target then base lor bit else base)
+  done
 
-(* One recv step; [msg port] yields the incoming message word. *)
-let step_state state ~degree ~msg =
-  let live = ref state.(off_live) in
+let step ~g ~mirror ~out st b ~node =
+  let lo = g.Csr.row.(node) in
+  let degree = g.Csr.row.(node + 1) - lo in
+  let live = ref st.(b + off_live) in
   for p = 0 to degree - 1 do
-    if !live land (1 lsl p) <> 0 && msg p land bit_matched <> 0 then
-      live := !live land lnot (1 lsl p)
+    if !live land (1 lsl p) <> 0 && out.(mirror.(lo + p)) land bit_matched <> 0
+    then live := !live land lnot (1 lsl p)
   done;
-  if state.(off_phase) = 0 then begin
+  if st.(b + off_phase) = 0 then begin
     (* Propose phase: responders accept the lowest live proposal from
        a still-unmatched proposer. *)
     let accept = ref (-1) in
-    if state.(off_matched) < 0 && state.(off_proposal) < 0 then begin
+    if st.(b + off_matched) < 0 && st.(b + off_proposal) < 0 then begin
       let p = ref 0 in
       while !accept < 0 && !p < degree do
+        let msg = out.(mirror.(lo + !p)) in
         if
           !live land (1 lsl !p) <> 0
-          && msg !p land bit_propose <> 0
-          && msg !p land bit_matched = 0
+          && msg land bit_propose <> 0
+          && msg land bit_matched = 0
         then accept := !p;
         incr p
       done
     end;
-    state.(off_live) <- !live;
-    state.(off_phase) <- 1;
-    state.(off_accept) <- !accept
+    st.(b + off_live) <- !live;
+    st.(b + off_phase) <- 1;
+    st.(b + off_accept) <- !accept;
+    false
   end
   else begin
+    let proposal = st.(b + off_proposal) in
     let matched =
-      if state.(off_matched) >= 0 then state.(off_matched)
-      else if state.(off_accept) >= 0 then state.(off_accept)
-      else if
-        state.(off_proposal) >= 0
-        && msg state.(off_proposal) land bit_accept <> 0
-      then state.(off_proposal)
+      if st.(b + off_matched) >= 0 then st.(b + off_matched)
+      else if st.(b + off_accept) >= 0 then st.(b + off_accept)
+      else if proposal >= 0 && out.(mirror.(lo + proposal)) land bit_accept <> 0
+      then proposal
       else -1
     in
     if matched >= 0 then live := 0;
-    state.(off_live) <- !live;
-    state.(off_matched) <- matched;
-    state.(off_phase) <- 0;
-    state.(off_accept) <- -1;
-    draw_proposal state
+    st.(b + off_live) <- !live;
+    st.(b + off_matched) <- matched;
+    st.(b + off_phase) <- 0;
+    st.(b + off_accept) <- -1;
+    true
   end
 
-(* ---------- packed machine ---------- *)
+let halted ~sw ~st ~node =
+  let b = node * sw in
+  st.(b + off_matched) >= 0
+  || (st.(b + off_live) = 0 && st.(b + off_phase) = 0)
 
-(* Each closure copies the node's 6-word slice into a scratch, runs
-   the core above and copies back — 12 word moves per transition,
-   noise next to the message traffic. *)
-
-let machine ~seed : Packed.Port.machine =
-  {
-    state_words = sw;
-    msg_words = 1;
-    init =
-      (fun ~g ~st ~node ->
-        let scratch = Array.make sw 0 in
-        init_state scratch ~seed ~node
-          ~degree:(g.Csr.row.(node + 1) - g.Csr.row.(node));
-        Array.blit scratch 0 st (node * sw) sw);
-    send =
-      (fun ~g ~st ~out ~node ->
-        let b = node * sw in
-        let scratch = Array.sub st b sw in
-        let lo = g.Csr.row.(node) and hi = g.Csr.row.(node + 1) in
-        for d = lo to hi - 1 do
-          out.(d) <- msg_of scratch ~port:(d - lo)
-        done);
-    recv =
-      (fun ~g ~back ~st ~out ~node ->
-        let b = node * sw in
-        let scratch = Array.sub st b sw in
-        let lo = g.Csr.row.(node) in
-        let degree = g.Csr.row.(node + 1) - lo in
-        let msg p =
-          let d = lo + p in
-          out.(g.Csr.row.(g.Csr.endpoint.(d)) + back.(d))
-        in
-        step_state scratch ~degree ~msg;
-        Array.blit scratch 0 st b sw);
-    halted =
-      (fun ~st ~node ->
-        let b = node * sw in
-        st.(b + off_matched) >= 0
-        || (st.(b + off_live) = 0 && st.(b + off_phase) = 0));
-  }
-
-let extract_result g st (stats : Packed.stats) =
-  let n = g.Csr.n in
+let mates ~who ~sw g st =
   let mate =
-    Array.init n (fun v ->
+    Array.init g.Csr.n (fun v ->
         let p = st.((v * sw) + off_matched) in
         if p < 0 then -1 else g.Csr.endpoint.(g.Csr.row.(v) + p))
   in
   Array.iteri
     (fun v w ->
       if w >= 0 && mate.(w) <> v then
-        failwith "Packed_ii: asymmetric matching (protocol bug)")
+        failwith (who ^ ": asymmetric matching (protocol bug)"))
     mate;
-  ({ mate; rounds = stats.Packed.rounds }, stats)
+  mate
+
+(* ---------- packed machine ---------- *)
+
+let machine ~seed : Packed.Port.machine =
+  let sw = words in
+  {
+    state_words = sw;
+    msg_words = 1;
+    init =
+      (fun ~g ~st ~node ->
+        let b = node * sw in
+        init ~who:"Packed_ii" st b ~seed ~node
+          ~degree:(g.Csr.row.(node + 1) - g.Csr.row.(node));
+        draw st b ~eligible:true);
+    send = send ~sw;
+    recv =
+      (fun ~g ~mirror ~st ~out ~node ->
+        let b = node * sw in
+        if step ~g ~mirror ~out st b ~node then draw st b ~eligible:true);
+    halted = halted ~sw;
+  }
 
 let run ?par_threshold ?domains ~seed ~max_rounds g =
   let st, stats, all_halted =
@@ -200,7 +190,9 @@ let run ?par_threshold ?domains ~seed ~max_rounds g =
     failwith
       (Printf.sprintf "Packed_ii.run: not all nodes halted within %d rounds"
          max_rounds);
-  extract_result g st stats
+  ( { mate = mates ~who:"Packed_ii" ~sw:words g st;
+      rounds = stats.Packed.rounds },
+    stats )
 
 let is_maximal g r =
   let ok = ref true in

@@ -17,9 +17,12 @@ module Cv = Cole_vishkin
      [3 + 3Δ .. +Δ+1) parent_port    (forest -> port or -1; 0 unused)
      [4 + 4Δ .. +Δ+1) colours        (forest -> colour; 0 unused)
 
-   Message slice (Δ + 3 words): [mi; flags; colours]. Every round's
-   send rewrites the whole slice (blanks included), so a recv never
-   reads a stale field from an earlier round kind. *)
+   Message slice (1 word): each round kind reads exactly one value per
+   dart — the sender's id (learn-ids), the forest of its out-edge
+   (learn-forests), the sender's colour in the one forest the edge
+   belongs to (CV, shift, eliminate) or the matched / propose /
+   accept flags. Every node sends in every round until all halt
+   together, so a recv never reads a word from an earlier round. *)
 
 type round_kind =
   | R_learn_ids
@@ -51,7 +54,7 @@ let flag_accept = 4
 type layout = {
   delta : int;
   sw : int;  (* 5 + 5 delta *)
-  mw : int;  (* delta + 3 *)
+  mw : int;  (* 1 *)
   o_nbr : int;
   o_fout : int;
   o_fin : int;
@@ -63,7 +66,7 @@ let layout delta =
   {
     delta;
     sw = 5 + (5 * delta);
-    mw = delta + 3;
+    mw = 1;
     o_nbr = 3;
     o_fout = 3 + delta;
     o_fin = 3 + (2 * delta);
@@ -100,52 +103,47 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
         let b = node * l.sw in
         let round = st.(b) in
         let lo = g.Csr.row.(node) and hi = g.Csr.row.(node + 1) in
-        for d = lo to hi - 1 do
-          let port = d - lo in
-          let m = d * l.mw in
-          (* blank slice *)
-          out.(m) <- -1;
-          out.(m + 1) <- 0;
-          for f = 0 to delta do
-            out.(m + 2 + f) <- 0
-          done;
-          if round < n_rounds then begin
-            match sched.(round) with
-            | R_learn_ids -> out.(m) <- node
-            | R_learn_forests -> out.(m) <- st.(b + l.o_fout + port)
-            | R_cv | R_shift | R_eliminate _ ->
-              for f = 0 to delta do
-                out.(m + 2 + f) <- st.(b + l.o_col + f)
-              done
-            | R_propose (f, c) ->
-              out.(m + 1) <-
-                (if st.(b + 1) >= 0 then flag_matched else 0)
-                lor
-                (if proposes l st b f c && st.(b + l.o_parent + f) = port then
-                   flag_propose
-                 else 0)
-            | R_respond _ ->
-              out.(m + 1) <-
-                (if st.(b + 1) >= 0 then flag_matched else 0)
-                lor (if st.(b + 2) = port then flag_accept else 0)
-          end
-        done);
+        if round < n_rounds then
+          match sched.(round) with
+          | R_learn_ids ->
+            for d = lo to hi - 1 do
+              out.(d) <- node
+            done
+          | R_learn_forests ->
+            for d = lo to hi - 1 do
+              out.(d) <- st.(b + l.o_fout + d - lo)
+            done
+          | R_cv | R_shift | R_eliminate _ ->
+            (* The colour of the one forest the edge belongs to: one of
+               [fout], [fin] is its forest, the other 0. *)
+            for d = lo to hi - 1 do
+              let port = d - lo in
+              out.(d) <-
+                st.(b + l.o_col + st.(b + l.o_fout + port) + st.(b + l.o_fin + port))
+            done
+          | R_propose (f, c) ->
+            let flags = if st.(b + 1) >= 0 then flag_matched else 0 in
+            let target = if proposes l st b f c then st.(b + l.o_parent + f) else -1 in
+            for d = lo to hi - 1 do
+              out.(d) <- (if d - lo = target then flags lor flag_propose else flags)
+            done
+          | R_respond _ ->
+            let flags = if st.(b + 1) >= 0 then flag_matched else 0 in
+            let target = st.(b + 2) in
+            for d = lo to hi - 1 do
+              out.(d) <- (if d - lo = target then flags lor flag_accept else flags)
+            done);
     recv =
-      (fun ~g ~back ~st ~out ~node ->
+      (fun ~g ~mirror ~st ~out ~node ->
         let b = node * l.sw in
         let round = st.(b) in
         let lo = g.Csr.row.(node) in
         let deg = g.Csr.row.(node + 1) - lo in
-        (* base of the message arriving on port [p] *)
-        let inbox p =
-          let d = lo + p in
-          (g.Csr.row.(g.Csr.endpoint.(d)) + back.(d)) * l.mw
-        in
         (match sched.(round) with
         | R_learn_ids ->
           let next = ref 0 in
           for p = 0 to deg - 1 do
-            let mi = out.(inbox p) in
+            let mi = out.(mirror.(lo + p)) in
             st.(b + l.o_nbr + p) <- mi;
             if mi > node then begin
               incr next;
@@ -156,7 +154,7 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
         | R_learn_forests ->
           for p = 0 to deg - 1 do
             if st.(b + l.o_nbr + p) < node then
-              st.(b + l.o_fin + p) <- out.(inbox p)
+              st.(b + l.o_fin + p) <- out.(mirror.(lo + p))
           done
         | R_cv ->
           (* Per-forest updates read only forest [f] data, so in-place
@@ -166,7 +164,7 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
             let parent =
               match st.(b + l.o_parent + f) with
               | -1 -> Cv.virtual_parent mine
-              | p -> out.(inbox p + 2 + f)
+              | p -> out.(mirror.(lo + p))
             in
             st.(b + l.o_col + f) <- Cv.step ~mine ~parent
           done
@@ -176,7 +174,7 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
             st.(b + l.o_col + f) <-
               (match st.(b + l.o_parent + f) with
               | -1 -> if mine >= 3 then 0 else (mine + 1) mod 3
-              | p -> out.(inbox p + 2 + f))
+              | p -> out.(mirror.(lo + p)))
           done
         | R_eliminate c ->
           for f = 1 to delta do
@@ -187,10 +185,10 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
               let avoid = ref 0 in
               (match st.(b + l.o_parent + f) with
               | -1 -> ()
-              | p -> avoid := !avoid lor (1 lsl out.(inbox p + 2 + f)));
+              | p -> avoid := !avoid lor (1 lsl out.(mirror.(lo + p))));
               for p = 0 to deg - 1 do
                 if st.(b + l.o_fin + p) = f then
-                  avoid := !avoid lor (1 lsl out.(inbox p + 2 + f))
+                  avoid := !avoid lor (1 lsl out.(mirror.(lo + p)))
               done;
               let x = ref 0 in
               while !avoid land (1 lsl !x) <> 0 do
@@ -204,10 +202,8 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
             let accept = ref (-1) in
             let p = ref 0 in
             while !accept < 0 && !p < deg do
-              let m = inbox !p in
-              if
-                out.(m + 1) land flag_propose <> 0
-                && out.(m + 1) land flag_matched = 0
+              let flags = out.(mirror.(lo + !p)) in
+              if flags land flag_propose <> 0 && flags land flag_matched = 0
               then accept := !p;
               incr p
             done;
@@ -219,7 +215,7 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
             else if st.(b + 2) >= 0 then st.(b + 2)
             else if proposes l st b f c then begin
               let pp = st.(b + l.o_parent + f) in
-              if out.(inbox pp + 1) land flag_accept <> 0 then pp else -1
+              if out.(mirror.(lo + pp)) land flag_accept <> 0 then pp else -1
             end
             else -1
           in

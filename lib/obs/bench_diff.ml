@@ -61,7 +61,7 @@ let measure_fields =
   [
     "wall_ms"; "sends_per_sec"; "rounds_per_sec"; "peak_rss_kb"; "rounds";
     "sends"; "certified_levels"; "frontier"; "refine_rounds"; "descriptors";
-    "round_p50_ms"; "round_p99_ms";
+    "round_p50_ms"; "round_p99_ms"; "minor_words";
   ]
 
 let key_of_row row =

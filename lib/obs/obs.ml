@@ -183,9 +183,22 @@ let gauges () =
   Mutex.unlock Gauge.table_lock;
   List.sort (fun (a, _) (b, _) -> String.compare a b) all
 
-(* Peak resident set size (VmHWM) from /proc/self/status — a monotone
-   high-water mark over the whole process lifetime. [None] off Linux
-   or if the field is missing. *)
+(* Peak resident set size (VmHWM) from /proc/self/status — a
+   high-water mark since process start or the last [reset_peak_rss].
+   [None] off Linux or if the field is missing. *)
+(* Writing 5 to clear_refs resets this process's VmHWM to its current
+   RSS, so a later VmHWM read is the peak of what ran in between. *)
+let reset_peak_rss () =
+  match open_out "/proc/self/clear_refs" with
+  | oc -> (
+    match
+      output_string oc "5";
+      close_out oc
+    with
+    | () -> true
+    | exception Sys_error _ -> false)
+  | exception Sys_error _ -> false
+
 let peak_rss_kb () =
   match open_in "/proc/self/status" with
   (* ld-lint: allow exn-swallow — best-effort probe, absence of procfs is fine *)

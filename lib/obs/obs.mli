@@ -118,9 +118,15 @@ val gauges : unit -> (string * int) list
 
 val peak_rss_kb : unit -> int option
 (** Peak resident set size of this process in kB ([VmHWM] from
-    [/proc/self/status]) — a monotone high-water mark over the whole
-    process lifetime, not a per-phase figure. [None] when procfs is
+    [/proc/self/status]): the high-water mark since process start or
+    the last successful {!reset_peak_rss}. [None] when procfs is
     unavailable. *)
+
+val reset_peak_rss : unit -> bool
+(** Resets [VmHWM] to the current RSS (writes [5] to
+    [/proc/self/clear_refs]), so the next {!peak_rss_kb} is the peak of
+    what ran in between. [false] when the file is not writable; the
+    high-water mark then stays whole-process. *)
 
 (** {1 Raw events (export and tests)} *)
 

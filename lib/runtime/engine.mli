@@ -7,7 +7,7 @@
     [rounds]/[active_nodes] counters. Front-ends keep their own state
     and message layout and supply per-range closures [f chunk lo hi]
     over worklist positions [lo, hi); [chunk] is the range's index
-    (below [domains e]), so a front-end can keep per-range scratch. *)
+    (below [domains e]), so a front-end can keep a buffer per range. *)
 
 (** A counter family [prefix.rounds], [prefix.active_nodes] and, when
     [timed], the histogram [prefix.round]. *)

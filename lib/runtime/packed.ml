@@ -35,7 +35,7 @@ module Port = struct
     init : g:Csr.t -> st:int array -> node:int -> unit;
     send : g:Csr.t -> st:int array -> out:int array -> node:int -> unit;
     recv :
-      g:Csr.t -> back:int array -> st:int array -> out:int array ->
+      g:Csr.t -> mirror:int array -> st:int array -> out:int array ->
       node:int -> unit;
     halted : st:int array -> node:int -> bool;
   }
@@ -47,13 +47,13 @@ module Port = struct
     let e = Engine.create fam ~par_threshold ~domains ~limit:max_rounds row in
     let n = g.Csr.n in
     let nd = row.(n) in
-    let back = Csr.back g in
+    let mirror = Csr.mirror g in
     let st = Array.make (Stdlib.max 1 (n * m.state_words)) 0 in
     (* Per-dart message slots: the message node [v] sends on port [p]
        lives at [(row.(v) + p) * msg_words]. The far end reads it back
-       through [back] — the packed analogue of [Sync]'s dart-indexed
-       frozen cache, except every sender's current messages live there
-       too. *)
+       at [mirror.(d) * msg_words] for its own dart [d] — the packed
+       analogue of [Sync]'s dart-indexed frozen cache, except every
+       sender's current messages live there too. *)
     let out = Array.make (Stdlib.max 1 (nd * m.msg_words)) 0 in
     Engine.split e n (fun _ lo hi ->
         for v = lo to hi - 1 do
@@ -63,7 +63,7 @@ module Port = struct
     let active = Engine.active e in
     let recv_range _ lo hi =
       for k = lo to hi - 1 do
-        m.recv ~g ~back ~st ~out ~node:active.(k)
+        m.recv ~g ~mirror ~st ~out ~node:active.(k)
       done
     in
     let refresh_range _ lo hi =
@@ -93,7 +93,7 @@ module Port = struct
      scan — what [run_until] must agree with, word for word. *)
   let reference_run m ~max_rounds (g : Csr.t) =
     let n = g.Csr.n in
-    let back = Csr.back g in
+    let mirror = Csr.mirror g in
     let st = Array.make (Stdlib.max 1 (n * m.state_words)) 0 in
     let out = Array.make (Stdlib.max 1 (g.Csr.row.(n) * m.msg_words)) 0 in
     let nodes = Array.init n Fun.id in
@@ -104,7 +104,7 @@ module Port = struct
     let rounds = ref 0 in
     while !rounds < max_rounds && not (Array.for_all halted nodes) do
       Array.iter
-        (fun v -> if not (halted v) then m.recv ~g ~back ~st ~out ~node:v)
+        (fun v -> if not (halted v) then m.recv ~g ~mirror ~st ~out ~node:v)
         nodes;
       send_all ();
       incr rounds

@@ -25,9 +25,9 @@ val default_par_threshold : int
 (** Port executor for the ID model over a simple-graph CSR: one
     [msg_words] message per dart and round; the message node [v] sends
     on port [p] lives at [(row.(v) + p) * msg_words] and is read back
-    by the far endpoint through the precomputed {!Ld_graph.Csr.back}
-    array — the packed analogue of [Sync]'s receiver-driven pull with
-    a frozen-sender dart cache. *)
+    by the far endpoint through the precomputed {!Ld_graph.Csr.mirror}
+    array, one load per message — the packed analogue of [Sync]'s
+    receiver-driven pull with a frozen-sender dart cache. *)
 module Port : sig
   type machine = {
     state_words : int;
@@ -36,10 +36,11 @@ module Port : sig
     send : g:Ld_graph.Csr.t -> st:int array -> out:int array -> node:int -> unit;
         (** write all of the node's per-port message slices *)
     recv :
-      g:Ld_graph.Csr.t -> back:int array -> st:int array -> out:int array ->
+      g:Ld_graph.Csr.t -> mirror:int array -> st:int array -> out:int array ->
       node:int -> unit;
         (** the message arriving on port [p] is at
-            [(row.(endpoint.(row.(node)+p)) + back.(row.(node)+p)) * msg_words] *)
+            [mirror.(row.(node)+p) * msg_words]; [mirror] is
+            {!Ld_graph.Csr.mirror}[ g], computed once per run *)
     halted : st:int array -> node:int -> bool;
   }
 

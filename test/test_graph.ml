@@ -192,6 +192,54 @@ let stream_biregular_tree_shape () =
     (Csr.max_colour g <= 5);
   Alcotest.(check bool) "connected" true (G.is_connected (Csr.to_graph g))
 
+(* [Csr.mirror] over the three streaming families: an involution
+   pairing each dart with the far end's dart back, of the same colour;
+   deleting one dart's reverse makes it raise. *)
+let stream_csr (family, n, seed) =
+  match family with
+  | 0 -> Gen.stream_bounded_degree ~seed n (1 + (seed mod 6))
+  | 1 -> Gen.stream_perm_regular ~seed (Stdlib.max n 8) (2 * (1 + (seed mod 3)))
+  | _ -> Gen.stream_biregular_tree ~d:(2 + (seed mod 3)) ~delta:(2 + (seed mod 5)) n
+
+(* [g] without dart [d'] (of node [w]): [d'] goes from [w]'s segment. *)
+let drop_dart g ~w d' =
+  let remove a =
+    Array.append (Array.sub a 0 d') (Array.sub a (d' + 1) (Array.length a - d' - 1))
+  in
+  {
+    g with
+    Csr.row = Array.mapi (fun v r -> if v > w then r - 1 else r) g.Csr.row;
+    endpoint = remove g.Csr.endpoint;
+    colour = remove g.Csr.colour;
+  }
+
+let mirror_pairs_darts =
+  QCheck.Test.make ~count:100 ~name:"Csr.mirror pairs darts; asymmetry raises"
+    (QCheck.triple (QCheck.int_range 0 2) (QCheck.int_range 1 60)
+       (QCheck.int_range 0 1000))
+    (fun input ->
+      let g = stream_csr input in
+      let { Csr.row; endpoint; colour; _ } = g in
+      let mirror = Csr.mirror g in
+      let paired = ref true in
+      for v = 0 to g.Csr.n - 1 do
+        for d = row.(v) to row.(v + 1) - 1 do
+          let d' = mirror.(d) in
+          if mirror.(d') <> d || endpoint.(d') <> v || colour.(d') <> colour.(d)
+          then paired := false
+        done
+      done;
+      let nd = Array.length mirror in
+      !paired
+      && (nd = 0
+         ||
+         let _, _, seed = input in
+         let d = seed mod nd in
+         let asym = drop_dart g ~w:endpoint.(d) mirror.(d) in
+         match Csr.mirror asym with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+
 let bench_families_run () =
   List.iter
     (fun (name, make) ->
@@ -227,6 +275,7 @@ let () =
           QCheck_alcotest.to_alcotest stream_bounded_degree_identical;
           QCheck_alcotest.to_alcotest stream_perm_regular_wellformed;
           Alcotest.test_case "biregular tree" `Quick stream_biregular_tree_shape;
+          QCheck_alcotest.to_alcotest mirror_pairs_darts;
         ] );
       ( "metrics",
         [

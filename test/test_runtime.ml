@@ -461,10 +461,10 @@ let hashing_machine ~quota : Packed.Port.machine =
           out.(d) <- (st.((2 * node) + 1) * 7) + d - lo
         done);
     recv =
-      (fun ~g ~back ~st ~out ~node ->
+      (fun ~g ~mirror ~st ~out ~node ->
         let h = ref st.((2 * node) + 1) in
         for d = g.Csr.row.(node) to g.Csr.row.(node + 1) - 1 do
-          h := (!h * 31) lxor out.(g.Csr.row.(g.Csr.endpoint.(d)) + back.(d))
+          h := (!h * 31) lxor out.(mirror.(d))
         done;
         st.((2 * node) + 1) <- !h;
         st.(2 * node) <- st.(2 * node) + 1);
@@ -498,6 +498,19 @@ let port_edge_cases () =
     (csr_of (G.create 5 []))
     ~rounds:4 ~halted:true
 
+(* What [Davies_peck.run] and [Packed_pr.run] build: DP's default
+   schedule, and PR's machine with its schedule length. *)
+let dp_sched csr =
+  { Davies_peck.delta = Stdlib.max 1 (Csr.max_degree csr); iters_per_class = 2 }
+
+let pr_machine csr =
+  let delta = Stdlib.max 1 (Csr.max_degree csr) in
+  let id_bits =
+    Ld_matching.Cole_vishkin.bits_needed (Stdlib.max 0 (csr.Csr.n - 1))
+  in
+  let sched = Packed_pr.schedule ~delta ~id_bits in
+  (Packed_pr.machine ~sched ~delta, Array.length sched)
+
 (* ---- Israeli–Itai (shared coin stream) ---- *)
 
 let ii_matches_reference =
@@ -516,17 +529,11 @@ let pr_matches_reference =
     graph_gen
     (fun input ->
       let csr = csr_of (make_graph input) in
-      let delta = Stdlib.max 1 (Csr.max_degree csr) in
-      let id_bits =
-        Ld_matching.Cole_vishkin.bits_needed (Stdlib.max 0 (csr.Csr.n - 1))
-      in
-      let sched = Packed_pr.schedule ~delta ~id_bits in
+      let m, max_rounds = pr_machine csr in
       let r, _ = Packed_pr.run csr in
-      agrees_with_reference
-        (Packed_pr.machine ~sched ~delta)
-        ~max_rounds:(Array.length sched) csr
+      agrees_with_reference m ~max_rounds csr
       && Packed_pr.is_maximal csr r
-      && (csr.Csr.n = 0 || r.Packed_pr.rounds = Array.length sched))
+      && (csr.Csr.n = 0 || r.Packed_pr.rounds = max_rounds))
 
 (* ---- Davies–Peck schedule (shared coin stream) ---- *)
 
@@ -535,17 +542,95 @@ let dp_matches_reference =
     ~name:"packed Davies-Peck = reference_run, covers" graph_gen
     (fun input ->
       let csr = csr_of (make_graph input) in
-      let sched =
-        {
-          Davies_peck.delta = Stdlib.max 1 (Csr.max_degree csr);
-          iters_per_class = 2;
-        }
-      in
       agrees_with_reference
-        (Davies_peck.machine ~seed:11 ~sched)
+        (Davies_peck.machine ~seed:11 ~sched:(dp_sched csr))
         ~max_rounds:10_000 csr
       && Davies_peck.is_vertex_cover csr
            (fst (Davies_peck.run ~seed:11 ~max_rounds:10_000 csr)))
+
+(* ---- pinned outputs and allocation ---- *)
+
+(* [reference_run] runs the same closures as [run_until], so it cannot
+   see a rewrite that changes a protocol. These digests of the final
+   [run_until] state array, with the rounds and sends, were recorded
+   before the machines became allocation-free (in-place slices, one-word
+   Panconesi–Rizzi messages) and pin every machine to that protocol. *)
+let pin_graphs =
+  lazy
+    [
+      ("tree", Gen.stream_biregular_tree ~d:3 ~delta:8 10_000);
+      ("perm", Gen.stream_perm_regular ~seed:1 10_000 8);
+    ]
+
+let pin_max_rounds = 100_000
+
+let pinned_machine algo seed csr =
+  match algo with
+  | "ii" -> (Packed_ii.machine ~seed, pin_max_rounds)
+  | "dp" -> (Davies_peck.machine ~seed ~sched:(dp_sched csr), pin_max_rounds)
+  | _ -> pr_machine csr
+
+(* (machine, graph, seed, state digest, rounds, sends) *)
+let pinned =
+  [
+    ("ii", "tree", 0, "aa89e276e630fc61b88944e3fd8d7186", 30, 96492);
+    ("ii", "tree", 1, "e247fcfdbe3a4bcb1fcb9666d46da7b8", 26, 94706);
+    ("ii", "tree", 2, "ffc801a8577e2447713ad8351d4260c7", 20, 96748);
+    ("dp", "tree", 0, "0901ec15b16c4a29568d827b3af50f51", 28, 187132);
+    ("dp", "tree", 1, "b1eedc12fffd5f209a6e7b7a2c208cea", 26, 188074);
+    ("dp", "tree", 2, "63d3fcdb7ac1f17ed226dc41410879a6", 26, 186638);
+    ("pr", "tree", 0, "16e561297981528145374d607928c776", 60, 1219878);
+    ("ii", "perm", 0, "a00747ac24128dcb1c1ea60709a2bb26", 30, 513544);
+    ("ii", "perm", 1, "dbd3a33213f6df3a2c52019f2c816665", 28, 517630);
+    ("ii", "perm", 2, "37d33dbfa0a16a8ba0086d7f6e400b4b", 28, 521092);
+    ("dp", "perm", 0, "0ef89acd2a88c9574860d3adf8d9b6f7", 34, 571008);
+    ("dp", "perm", 1, "238551dffc3bc8187b46422ab3b32aad", 36, 585530);
+    ("dp", "perm", 2, "6532d2bc9eb873ff60adae36f9e17254", 32, 580888);
+    ("pr", "perm", 0, "9be849b7f660f0e9d45d49e736f6b79d", 60, 4877682);
+  ]
+
+(* MD5 of the state array as little-endian 64-bit words. *)
+let state_digest st =
+  let b = Buffer.create (8 * Array.length st) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.of_int x)) st;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_outputs () =
+  List.iter
+    (fun (algo, gname, seed, digest, rounds, sends) ->
+      let csr = List.assoc gname (Lazy.force pin_graphs) in
+      let m, max_rounds = pinned_machine algo seed csr in
+      let st, stats, halted =
+        Packed.Port.run_until ~domains:1 m ~max_rounds csr
+      in
+      let what = Printf.sprintf "%s %s seed %d" algo gname seed in
+      Alcotest.(check string) (what ^ ": state digest") digest (state_digest st);
+      Alcotest.(check int) (what ^ ": rounds") rounds stats.Packed.rounds;
+      Alcotest.(check int) (what ^ ": sends") sends stats.Packed.sends;
+      Alcotest.(check bool) (what ^ ": halted") true halted)
+    pinned
+
+(* [packed.mli] promises no per-round allocation: a whole run at
+   10^4 nodes (its arrays go straight to the major heap) stays within a
+   constant number of minor words, whatever the rounds. *)
+let runs_allocation_free () =
+  let budget = 2048. in
+  List.iter
+    (fun (gname, csr) ->
+      let minor what f =
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (f ()));
+        let words = Gc.minor_words () -. w0 in
+        if words >= budget then
+          Alcotest.failf "%s on %s: %.0f minor words (budget %.0f)" what gname
+            words budget
+      in
+      minor "Packed_ii.run" (fun () ->
+          Packed_ii.run ~domains:1 ~seed:0 ~max_rounds:pin_max_rounds csr);
+      minor "Davies_peck.run" (fun () ->
+          Davies_peck.run ~domains:1 ~seed:0 ~max_rounds:pin_max_rounds csr);
+      minor "Packed_pr.run" (fun () -> Packed_pr.run ~domains:1 csr))
+    (Lazy.force pin_graphs)
 
 let () =
   Alcotest.run "runtime"
@@ -577,5 +662,9 @@ let () =
           QCheck_alcotest.to_alcotest pr_matches_reference;
           QCheck_alcotest.to_alcotest dp_matches_reference;
           Alcotest.test_case "differential edge cases" `Quick port_edge_cases;
+          Alcotest.test_case "pinned states, rounds and sends" `Quick
+            pinned_outputs;
+          Alcotest.test_case "runs allocate O(1) minor words" `Quick
+            runs_allocation_free;
         ] );
     ]
