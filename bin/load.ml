@@ -22,6 +22,7 @@
 module Obs = Ld_obs.Obs
 module Json = Ld_obs.Json
 module Provenance = Ld_obs.Provenance
+module Wire = Ld_net.Wire
 
 let h_rtt = Ld_obs.Hist.make "load.rtt"
 let c_sent = Obs.Counter.make "load.requests_sent"

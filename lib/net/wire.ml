@@ -58,7 +58,9 @@ let recv fd =
 
 let str_member k v = Option.bind (Json.member k v) Json.to_string
 
+(* Only integers a float holds exactly (|f| <= 2^53) convert: beyond
+   the int range [int_of_float] is unspecified (1e300 gives 0). *)
 let int_member k v =
   match Option.bind (Json.member k v) Json.to_float with
-  | Some f when Float.is_integer f -> Some (int_of_float f)
+  | Some f when Float.is_integer f && Float.abs f <= 0x1p53 -> Some (int_of_float f)
   | _ -> None

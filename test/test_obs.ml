@@ -606,6 +606,141 @@ let json_render_round_trip =
     (fun v -> json_equal (Json.parse (Json.render v)) v)
 
 (* ------------------------------------------------------------------ *)
+(* Codec pins: digests of [render] over a fixed corpus of values and of
+   [parse] outcomes over byte-mutated renders. The constants were
+   recorded against the previous reader and writer, so any change to
+   the printed bytes, the accepted language, an error message or an
+   error position changes a digest. The corpora come from a local
+   splitmix64 stream so they are the same bytes on every run. *)
+
+let splitmix seed =
+  let s = ref (Int64.of_int seed) in
+  fun () ->
+    s := Int64.add !s 0x9E3779B97F4A7C15L;
+    let z = !s in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
+    in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+let below next n = Int64.to_int (Int64.unsigned_rem (next ()) (Int64.of_int n))
+
+let pick next a = a.(below next (Array.length a))
+
+let corpus_num next =
+  match below next 7 with
+  | 0 -> float_of_int (below next 2001 - 1000)
+  | 1 ->
+    pick next
+      [|
+        1e15; -1e15; 1e15 -. 1.; 1. -. 1e15; 1e15 +. 1.; 999999999999999.5;
+        -999999999999999.5; 0.; -0.; 9007199254740992.; 1e300; -1e-300;
+        5e-324; Float.max_float; Float.nan; Float.infinity; Float.neg_infinity;
+      |]
+  | 2 -> float_of_int (below next 2_000_000_000_000_000 - 1_000_000_000_000_000)
+  | 3 -> float_of_int (below next 1_000_000) /. float_of_int (1 + below next 1000)
+  | 4 -> Float.ldexp (float_of_int (below next 1_000_000_007)) (below next 200 - 100)
+  | 5 -> Int64.float_of_bits (next ())
+  | _ -> -.float_of_int (below next 100) /. 8.
+
+let corpus_str next =
+  let buf = Buffer.create 16 in
+  for _ = 1 to below next 10 do
+    match below next 6 with
+    | 0 -> Buffer.add_char buf (Char.chr (below next 256))
+    | 1 -> Buffer.add_string buf (pick next [| "\""; "\\"; "/"; "\n"; "\t"; "\x00"; "\x1f"; "\x7f" |])
+    | 2 ->
+      let lo, hi = pick next [| (0x80, 0x800); (0x800, 0xD800); (0xE000, 0x10000); (0x10000, 0x110000) |] in
+      Buffer.add_utf_8_uchar buf (Uchar.of_int (lo + below next (hi - lo)))
+    | _ -> Buffer.add_char buf (Char.chr (0x20 + below next 95))
+  done;
+  Buffer.contents buf
+
+let rec corpus_value next depth =
+  match below next (if depth = 0 then 4 else 8) with
+  | 0 -> pick next [| Json.Null; Json.Bool true; Json.Bool false |]
+  | 1 | 2 -> Json.Num (corpus_num next)
+  | 3 -> Json.Str (corpus_str next)
+  | 4 | 5 -> Json.Arr (List.init (below next 5) (fun _ -> corpus_value next (depth - 1)))
+  | _ ->
+    Json.Obj
+      (List.init (below next 5) (fun _ ->
+           let k = corpus_str next in
+           (k, corpus_value next (depth - 1))))
+
+let render_corpus () =
+  let next = splitmix 2014 in
+  List.init 2000 (fun _ -> corpus_value next (below next 5))
+
+(* Number texts in and out of the JSON grammar: signs, leading zeros,
+   1 to 20 digits, fractions and exponents, some of them cut short. *)
+let number_text next =
+  let digits n = String.init n (fun _ -> Char.chr (0x30 + below next 10)) in
+  String.concat ""
+    [
+      pick next [| ""; ""; "-"; "+" |];
+      (if below next 8 = 0 then "0" else "");
+      digits (below next 21);
+      (if below next 4 = 0 then "." ^ digits (below next 4) else "");
+      (if below next 4 = 0 then pick next [| "e"; "E"; "e+"; "e-" |] ^ digits (below next 4)
+       else "");
+    ]
+
+let mutate next s =
+  let noise = "{}[],:\"\\-+.0123456789eEtrufalsn /bx\x01\x7f\xff\t" in
+  let s = ref s in
+  for _ = 1 to below next 4 do
+    let n = String.length !s in
+    let p = below next (n + 1) in
+    let c = String.make 1 noise.[below next (String.length noise)] in
+    s :=
+      match below next 4 with
+      | 0 when p < n -> String.sub !s 0 p ^ c ^ String.sub !s (p + 1) (n - p - 1)
+      | 1 -> String.sub !s 0 p ^ c ^ String.sub !s p (n - p)
+      | 2 when p < n -> String.sub !s 0 p ^ String.sub !s (p + 1) (n - p - 1)
+      | _ -> String.sub !s 0 p
+  done;
+  !s
+
+let parse_corpus () =
+  let next = splitmix 1110 in
+  List.map (fun v -> mutate next (Json.render v)) (render_corpus ())
+  @ List.init 2000 (fun i ->
+        let t = number_text next in
+        if i mod 2 = 0 then t else "[" ^ t ^ ", " ^ t ^ "]")
+
+let parse_outcome s =
+  match Json.parse s with
+  | v -> "ok " ^ Json.render v
+  | exception Json.Parse_error (msg, pos) -> Printf.sprintf "error %s at %d" msg pos
+
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let json_codec_pinned () =
+  Alcotest.(check string) "render digest" "e662c01fd88eafd07369b7d888793668"
+    (digest (List.map Json.render (render_corpus ())));
+  Alcotest.(check string) "parse digest" "1c80f3e8791a09f2aafb89cc765cbd30"
+    (digest (List.map parse_outcome (parse_corpus ())))
+
+let json_number_literals () =
+  List.iter
+    (fun (text, outcome) -> Alcotest.(check string) text outcome (parse_outcome text))
+    [
+      ("999999999999999", "ok 999999999999999");
+      ("1000000000000000", "ok 1e+15");
+      ("-0", "ok 0");
+      ("01", "ok 1");
+      ("1e2", "ok 100");
+      ("1.0", "ok 1");
+      ("-", "error expected digit at 1");
+    ];
+  Alcotest.(check bool) "-0 keeps its sign" true
+    (match Json.parse "-0" with Json.Num f -> Float.sign_bit f | _ -> false)
+
+(* ------------------------------------------------------------------ *)
 
 let counter_snapshot_diff () =
   with_enabled @@ fun () ->
@@ -860,6 +995,8 @@ let () =
           Alcotest.test_case "parser accepts artefacts, rejects junk" `Quick
             json_parser;
           Alcotest.test_case "printer units" `Quick json_printer_units;
+          Alcotest.test_case "codec pinned by digest" `Quick json_codec_pinned;
+          Alcotest.test_case "number literals" `Quick json_number_literals;
           QCheck_alcotest.to_alcotest json_render_round_trip;
         ] );
       ( "provenance",
