@@ -3,8 +3,10 @@
     A small, dependency-free bignum used as the substrate for exact
     rational edge weights ({!Q}). The magnitudes arising in this project
     are modest (hundreds of digits at most), so the implementation favours
-    simplicity and obvious correctness over asymptotic speed: schoolbook
-    multiplication and shift-subtract division. *)
+    simplicity and obvious correctness over asymptotic speed: base-2^15
+    limbs, schoolbook multiplication, long division by Knuth's
+    Algorithm D, and the binary (Stein) GCD. {!Q} keeps values below
+    2^30 in native ints and only reaches this module for larger ones. *)
 
 type t
 

@@ -1,11 +1,4 @@
 module Ec = Ld_models.Ec
-module Anon = Ld_runtime.Anon_ec
-
-type state = {
-  phase : int;
-  matched : int option; (* colour matched through *)
-  last : int;
-}
 
 type result = {
   matched_edges : int list;
@@ -14,34 +7,15 @@ type result = {
   rounds : int;
 }
 
-let machine : (state, bool) Anon.machine =
-  {
-    init =
-      (fun ~degree:_ ~colours ->
-        { phase = 1; matched = None; last = List.fold_left Stdlib.max 0 colours });
-    (* A node announces whether it is still unmatched. *)
-    send = (fun s -> s.matched = None);
-    recv =
-      (fun s inbox ->
-        let s =
-          match (s.matched, Anon.Inbox.find inbox ~colour:s.phase) with
-          | None, Some true -> { s with matched = Some s.phase }
-          | _ -> s
-        in
-        { s with phase = s.phase + 1 });
-    halted = (fun s -> s.phase > s.last);
-  }
-
+(* Greedy-by-colour's machine is this matching: a node saturates through
+   the colour-c dart exactly when both endpoints are unmatched in phase
+   c, so its saturation colour is its matched colour. *)
 let greedy ?truncate g =
-  let rounds =
-    match truncate with
-    | None -> Ec.max_colour g
-    | Some r ->
-      if r < 0 then invalid_arg "Mm_ec.greedy: negative truncation";
-      Stdlib.min r (Ec.max_colour g)
-  in
-  let states = Anon.run machine ~rounds g in
-  let matched_colour = Array.map (fun s -> s.matched) states in
+  (match truncate with
+  | Some r when r < 0 -> invalid_arg "Mm_ec.greedy: negative truncation"
+  | _ -> ());
+  let colours, rounds = Packing.greedy_colours ?truncate g in
+  let matched_colour = Array.map (fun c -> if c = 0 then None else Some c) colours in
   let matched_with v c =
     match matched_colour.(v) with Some c' -> c' = c | None -> false
   in

@@ -7,7 +7,12 @@
     matching is {e trivial} in EC while impossible for a deterministic
     local algorithm in ID/OI/PO (the asymmetry the paper highlights in
     §2.1). On a multigraph, a node matched through a loop is matched
-    with its own fiber copy in any lift. *)
+    with its own fiber copy in any lift.
+
+    This is the same machine as {!Packing.greedy_by_colour}, read as a
+    matching: greedy's weights are all 0 or 1, and a node's saturation
+    colour ({!Packing.greedy_colours}) is the colour it matched
+    through. *)
 
 type result = {
   matched_edges : int list;  (** edge ids in the matching *)
@@ -17,7 +22,8 @@ type result = {
 }
 
 (** [greedy ?truncate g] — one round per colour. Untruncated, the result
-    is maximal: every edge and loop ends with a matched endpoint. *)
+    is maximal: every edge and loop ends with a matched endpoint.
+    @raise Invalid_argument on a negative [truncate]. *)
 val greedy : ?truncate:int -> Ld_models.Ec.t -> result
 
 (** [is_maximal g r] checks the matching property and maximality on the

@@ -4,7 +4,7 @@ module Fm = Ld_fm.Fm
 module Anon = Ld_runtime.Anon_ec
 module Obs = Ld_obs.Obs
 
-(* Shared extraction: both machines accumulate, per node, the weight
+(* Shared extraction: both algorithms yield, per node, the weight
    assigned to each dart colour. The weight of an edge is read at either
    endpoint (they agree — asserted); a loop's weight is read at its node. *)
 let fm_of_weights g weight_at =
@@ -24,59 +24,50 @@ let fm_of_weights g weight_at =
 (* ------------------------------------------------------------------ *)
 (* Greedy by colour: phase c handles exactly the colour-c edges.       *)
 
+(* Every slack starts at 1 and every weight is the minimum of two
+   slacks, so each slack and weight is 0 or 1: a node's whole history
+   is the colour it saturated through (0 while its slack is 1), and the
+   slack it broadcasts is one bit. *)
 type greedy_state = {
   g_phase : int; (* colour processed in the next round *)
-  g_slack : Q.t;
-  g_weights : (int * Q.t) list;
+  g_matched : int; (* colour saturated through; 0 = unsaturated *)
   g_last : int; (* largest own colour; halted once phase exceeds it *)
 }
 
-let greedy_machine : (greedy_state, Q.t) Anon.machine =
+let greedy_machine : (greedy_state, int) Anon.machine =
   {
     init =
       (fun ~degree:_ ~colours ->
-        {
-          g_phase = 1;
-          g_slack = Q.one;
-          g_weights = [];
-          g_last = List.fold_left Stdlib.max 0 colours;
-        });
-    send = (fun s -> s.g_slack);
+        { g_phase = 1; g_matched = 0; g_last = List.fold_left Stdlib.max 0 colours });
+    send = (fun s -> if s.g_matched = 0 then 1 else 0);
     recv =
       (fun s inbox ->
-        let s =
-          (* Phase c reads exactly the colour-c dart: one lazy-inbox
-             lookup, not a degree-length scan. *)
-          match Anon.Inbox.find inbox ~colour:s.g_phase with
-          | None -> s
-          | Some their_slack ->
-            let w = Q.min s.g_slack their_slack in
-            {
-              s with
-              g_weights = (s.g_phase, w) :: s.g_weights;
-              g_slack = Q.sub s.g_slack w;
-            }
-        in
-        { s with g_phase = s.g_phase + 1 });
+        (* Phase c reads exactly the colour-c dart, saturated or not: one
+           lazy-inbox lookup, not a degree-length scan. *)
+        match Anon.Inbox.find inbox ~colour:s.g_phase with
+        | Some 1 when s.g_matched = 0 ->
+          { s with g_phase = s.g_phase + 1; g_matched = s.g_phase }
+        | _ -> { s with g_phase = s.g_phase + 1 });
     halted = (fun s -> s.g_phase > s.g_last);
   }
 
 let greedy_rounds g = Ec.max_colour g
 
-let greedy_by_colour ?truncate g =
-  Obs.with_span "matching.packing.greedy" @@ fun () ->
+let greedy_colours ?truncate g =
   let rounds =
     match truncate with
     | None -> greedy_rounds g
     | Some r ->
-      if r < 0 then invalid_arg "Packing.greedy_by_colour: negative truncation";
+      if r < 0 then invalid_arg "Packing.greedy_colours: negative truncation";
       Stdlib.min r (greedy_rounds g)
   in
   let states = Anon.run greedy_machine ~rounds g in
-  fm_of_weights g (fun v c ->
-      match List.assoc_opt c states.(v).g_weights with
-      | Some w -> w
-      | None -> Q.zero)
+  (Array.map (fun s -> s.g_matched) states, rounds)
+
+let greedy_by_colour ?truncate g =
+  Obs.with_span "matching.packing.greedy" @@ fun () ->
+  let matched, _ = greedy_colours ?truncate g in
+  fm_of_weights g (fun v c -> if matched.(v) = c then Q.one else Q.zero)
 
 (* ------------------------------------------------------------------ *)
 (* Simultaneous proposal.                                              *)

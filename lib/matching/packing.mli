@@ -9,7 +9,9 @@
     [c] takes the minimum residual slack of its endpoints. After phase
     [c] one endpoint of every colour-[c] edge is saturated (or was
     saturated before), so after [k = O(Δ)] single-round phases the
-    packing is maximal. This is the canonical adversary target.
+    packing is maximal. This is the canonical adversary target. Every
+    weight it assigns is 0 or 1, so it is the greedy maximal matching
+    ({!Mm_ec}) read as a packing; both share one machine.
 
     {b Simultaneous proposal.} Every node splits its slack evenly among
     its live darts (darts whose endpoints are both unsaturated); each
@@ -27,6 +29,16 @@
     phase). Without [truncate], the result is always a maximal FM.
     The communication-round count is exactly [min truncate k]. *)
 val greedy_by_colour : ?truncate:int -> Ld_models.Ec.t -> Ld_fm.Fm.t
+
+(** [greedy_colours ?truncate g] runs the same phases and returns
+    [(matched, rounds)]: [matched.(v)] is the colour of the dart through
+    which [v] saturated ([0] if it did not) and [rounds] is
+    [min truncate k]. Slacks start at 1 and every weight is the minimum
+    of two slacks, so every slack and weight is 0 or 1: the packing is
+    an integral matching, the one {!Mm_ec.greedy} reports, and
+    [matched] determines it. The machine carries only ints.
+    @raise Invalid_argument on a negative [truncate]. *)
+val greedy_colours : ?truncate:int -> Ld_models.Ec.t -> int array * int
 
 (** Rounds the full greedy algorithm uses on [g] (= number of colours). *)
 val greedy_rounds : Ld_models.Ec.t -> int

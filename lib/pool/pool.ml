@@ -14,19 +14,35 @@ let c_workers = Obs.Counter.make "core.pool.workers_spawned"
    re-raised on the main domain still points into the task body. *)
 type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
-let default_domains () =
+(* [LD_DOMAINS] is parsed once per process: every engine run and every
+   map asks for the default, and a malformed value must warn once, not
+   once per ask. Domains that race on the first ask may each parse, but
+   only the one that publishes the result prints the warning. *)
+let parse_domains () =
   match Sys.getenv_opt "LD_DOMAINS" with
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some d -> Stdlib.max 1 d
+    | Some d -> (Stdlib.max 1 d, None)
     | None ->
-      Printf.eprintf
-        "ld: warning: ignoring malformed LD_DOMAINS=%S (expected an integer); \
-         using 1 domain\n\
-         %!"
-        s;
-      1)
-  | None -> Stdlib.max 1 (Stdlib.min 8 (Domain.recommended_domain_count ()))
+      ( 1,
+        Some
+          (Printf.sprintf
+             "ld: warning: ignoring malformed LD_DOMAINS=%S (expected an \
+              integer); using 1 domain\n"
+             s) ))
+  | None -> (Stdlib.max 1 (Stdlib.min 8 (Domain.recommended_domain_count ())), None)
+
+(* 0 until the first ask; a parsed count is at least 1. *)
+let parsed_domains = Atomic.make 0
+
+let default_domains () =
+  match Atomic.get parsed_domains with
+  | 0 ->
+    let d, warning = parse_domains () in
+    if Atomic.compare_and_set parsed_domains 0 d then
+      Option.iter (fun w -> prerr_string w; flush stderr) warning;
+    d
+  | d -> d
 
 (* Largest worker crew any [map] of this process actually ran with —
    what "domains" in emitted metadata should say, as opposed to the

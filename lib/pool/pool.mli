@@ -14,7 +14,8 @@
     - [domains] defaults to the [LD_DOMAINS] environment variable if
       set, else [min 8 (Domain.recommended_domain_count ())]. A
       malformed [LD_DOMAINS] value is reported on stderr (and falls
-      back to 1 domain) rather than silently ignored.
+      back to 1 domain) rather than silently ignored. The variable is
+      read once per process, so the warning appears once.
     - With one worker (or fewer tasks than two) no domain is spawned:
       the call degrades to plain [List.map f tasks].
     - If any task raises, the exception of the {e earliest} failed task
@@ -28,7 +29,8 @@
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** The worker-count [map] uses when [?domains] is omitted ([LD_DOMAINS]
-    or the hardware default) — exposed so callers can report it. *)
+    or the hardware default) — exposed so callers can report it. Parsed
+    on the first call and cached; safe to call from any domain. *)
 val default_domains : unit -> int
 
 (** Largest worker crew any {!map} of this process has actually run with

@@ -56,18 +56,19 @@ module Inbox = struct
 
   let msg ib i = read ib (ib.lo + i)
 
-  let find ib k =
-    let rec go lo hi =
-      if lo >= hi then None
-      else begin
-        let mid = (lo + hi) / 2 in
-        let c = ib.keys.(mid) in
-        if c = k then Some (read ib mid)
-        else if c < k then go (mid + 1) hi
-        else go lo mid
-      end
-    in
-    go ib.lo ib.hi
+  (* Top-level rather than a local closure over [ib] and [k], so a
+     lookup allocates nothing but its [Some]. *)
+  let rec search ib k lo hi =
+    if lo >= hi then None
+    else begin
+      let mid = (lo + hi) / 2 in
+      let c = ib.keys.(mid) in
+      if c = k then Some (read ib mid)
+      else if c < k then search ib k (mid + 1) hi
+      else search ib k lo mid
+    end
+
+  let find ib k = search ib k ib.lo ib.hi
 
   let fold f acc ib =
     let r = ref acc in

@@ -111,6 +111,115 @@ let q_sum_exact () =
   let s = Q.sum (List.init 20 (fun i -> Q.of_ints 1 (i + 1))) in
   Alcotest.(check string) "harmonic H20" "55835135/15519504" (Q.to_string s)
 
+(* ---- The small/big boundary of Q's representation ----------------- *)
+
+(* Numerators and denominators straddling 2^30 (where Q switches from
+   native ints to Z) and 2^62 (past a native product), plus small ones;
+   big ones enter through [of_string]. *)
+let boundary_digits =
+  let around base = List.map (fun k -> Z.add base (Z.of_int k)) [ -2; -1; 0; 1; 2 ] in
+  Array.of_list
+    (List.concat
+       [
+         around (Z.pow Z.two 30);
+         around (Z.pow Z.two 31);
+         around (Z.pow Z.two 62);
+         around (Z.pow Z.two 64);
+         around (Z.mul (Z.pow Z.two 30) (Z.pow Z.two 30));
+         List.map Z.of_int [ 1; 2; 3; 6; 7; 12; 1023; 32768; 1 lsl 29 ];
+         [ Z.of_string "100000000000000000000000007" ];
+       ])
+
+let boundary_q =
+  let part =
+    QCheck.Gen.(
+      map2
+        (fun i k -> Z.add boundary_digits.(i) (Z.of_int k))
+        (int_bound (Array.length boundary_digits - 1))
+        (int_range (-3) 3))
+  in
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun n d neg ->
+          let n = if neg then Z.neg n else n in
+          let d = if Z.sign d <= 0 then Z.one else d in
+          Q.of_string (Z.to_string n ^ "/" ^ Z.to_string d))
+        part
+        (oneof [ part; return Z.one ])
+        bool)
+  in
+  QCheck.make ~print:Q.to_string gen
+
+let canonical q =
+  Z.sign (Q.den q) > 0 && Z.equal (Z.gcd (Q.num q) (Q.den q)) Z.one
+
+(* [q] is canonical, has the value [n/d], and equals the [Z]-built
+   [make n d] field for field. *)
+let is_value q (n, d) =
+  canonical q
+  && Z.equal (Z.mul (Q.num q) d) (Z.mul n (Q.den q))
+  && Q.equal q (Q.make n d)
+
+let q_boundary_matches_z =
+  QCheck.Test.make ~count:1000 ~name:"Q at the S/B boundary = Z reference"
+    (QCheck.pair boundary_q boundary_q)
+    (fun (a, b) ->
+      let an = Q.num a and ad = Q.den a and bn = Q.num b and bd = Q.den b in
+      let cross = Z.compare (Z.mul an bd) (Z.mul bn ad) in
+      let sgn x = Int.compare x 0 in
+      canonical a && canonical b
+      && is_value (Q.add a b) (Z.add (Z.mul an bd) (Z.mul bn ad), Z.mul ad bd)
+      && is_value (Q.sub a b) (Z.sub (Z.mul an bd) (Z.mul bn ad), Z.mul ad bd)
+      && is_value (Q.mul a b) (Z.mul an bn, Z.mul ad bd)
+      && (Q.is_zero b || is_value (Q.div a b) (Z.mul an bd, Z.mul ad bn))
+      && sgn (Q.compare a b) = sgn cross
+      && Q.equal a b = (cross = 0)
+      && Q.equal (Q.min a b) (if cross <= 0 then a else b)
+      && Q.equal (Q.max a b) (if cross >= 0 then a else b)
+      && is_value (Q.neg a) (Z.neg an, ad)
+      && is_value (Q.abs a) (Z.abs an, ad)
+      && (Q.is_zero a || is_value (Q.inv a) (ad, an))
+      && Q.sign a = Z.sign an
+      && Q.is_integer a = Z.equal ad Z.one
+      && Q.hash a = (Z.hash an * 31) + Z.hash ad
+      && Q.equal (Q.of_string (Q.to_string a)) a
+      && String.equal (Q.to_string a)
+           (if Z.equal ad Z.one then Z.to_string an
+            else Z.to_string an ^ "/" ^ Z.to_string ad))
+
+let q_boundary_literals () =
+  let two30 = Z.pow Z.two 30 in
+  let check_literal text ~num ~den =
+    let q = Q.of_string text in
+    Alcotest.(check string) (text ^ " prints back") text (Q.to_string q);
+    Alcotest.(check bool) (text ^ " fields") true
+      (Z.equal (Q.num q) num && Z.equal (Q.den q) den);
+    Alcotest.(check bool) (text ^ " = make") true (Q.equal q (Q.make num den));
+    Alcotest.(check int) (text ^ " hash") ((Z.hash num * 31) + Z.hash den) (Q.hash q)
+  in
+  check_literal "1073741823" ~num:(Z.sub two30 Z.one) ~den:Z.one;
+  check_literal "1073741824" ~num:two30 ~den:Z.one;
+  check_literal "1/1073741824" ~num:Z.one ~den:two30;
+  let m = Q.of_string "-1073741823/1073741823" in
+  Alcotest.(check string) "-1073741823/1073741823" "-1" (Q.to_string m);
+  Alcotest.(check bool) "= of_int (-1)" true (Q.equal m (Q.of_int (-1)));
+  (* Arithmetic that crosses the boundary in both directions lands on
+     the same value as the literal. *)
+  let max_small = Q.of_int 1073741823 in
+  Alcotest.(check bool) "2^30 - 1 + 1" true
+    (Q.equal (Q.add max_small Q.one) (Q.of_string "1073741824"));
+  Alcotest.(check bool) "2^30 - 1" true
+    (Q.equal (Q.sub (Q.of_string "1073741824") Q.one) max_small);
+  Alcotest.(check bool) "2^30 * 2^-30" true
+    (Q.equal (Q.mul (Q.of_string "1/1073741824") (Q.of_int 1073741824)) Q.one);
+  Alcotest.(check bool) "of_ints 1 2^30" true
+    (Q.equal (Q.of_ints 1 1073741824) (Q.of_string "1/1073741824"));
+  Alcotest.(check bool) "2^30 > 2^30 - 1" true
+    (Q.compare (Q.of_string "1073741824") max_small > 0);
+  Alcotest.(check bool) "min_int" true
+    (Z.equal (Q.num (Q.of_int min_int)) (Z.of_int min_int))
+
 let () =
   Alcotest.run "arith"
     [
@@ -130,5 +239,7 @@ let () =
           Alcotest.test_case "exact harmonic sum" `Quick q_sum_exact;
           Alcotest.test_case "infix operators" `Quick q_infix_operators;
           Alcotest.test_case "exponentially small weights" `Quick q_extremes;
+          QCheck_alcotest.to_alcotest q_boundary_matches_z;
+          Alcotest.test_case "boundary literals" `Quick q_boundary_literals;
         ] );
     ]

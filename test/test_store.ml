@@ -142,6 +142,28 @@ let codec_reencode_is_identity () =
         s s')
     (entries_of_cache cache)
 
+(* The Δ=8 level records, pinned by MD5 (recorded before greedy's probe
+   machine and Q's representation changed): the records are what a warm
+   run reloads, so neither change may move a byte of them. *)
+let codec_pinned_delta8 () =
+  let pinned =
+    [
+      "113bdffa7771b1512358ed08d11ab896";
+      "5cd022e3e3b0ea2e36109860de1ed814";
+      "c86aedbb09ff22b5cb5bd146e3fc57d0";
+      "0b1f488c110c2642c2bee3230214487a";
+      "f40c7faee181d56a4f65b7992b1940a5";
+      "54f37b7d6b97310823609a98275194f6";
+      "1b342e05744273002ff23961d0bfb3bc";
+    ]
+  in
+  let digests =
+    List.map
+      (fun e -> Digest.to_hex (Digest.string (Cache_store.entry_to_string e)))
+      (entries_of_cache (cold_cache 8))
+  in
+  Alcotest.(check (list string)) "levels 0..6" pinned digests
+
 (* Every strict prefix of a valid entry must fail to decode — cleanly. *)
 let codec_truncation_fails =
   QCheck.Test.make ~count:80 ~name:"entry prefix => Failure"
@@ -351,6 +373,7 @@ let () =
         [
           Alcotest.test_case "re-encode is identity" `Quick
             codec_reencode_is_identity;
+          Alcotest.test_case "delta=8 records pinned" `Quick codec_pinned_delta8;
           QCheck_alcotest.to_alcotest codec_truncation_fails;
           Alcotest.test_case "certificate graphs are shared" `Quick
             codec_shares_graphs;
