@@ -15,6 +15,10 @@ type t = S of { n : int; d : int } | B of { num : Z.t; den : Z.t }
 let limit = 1 lsl 30
 let small n = n > -limit && n < limit
 
+let zero = S { n = 0; d = 1 }
+let one = S { n = 1; d = 1 }
+let half = S { n = 1; d = 2 }
+
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 
 (* [n/d] already reduced, [d > 0]. *)
@@ -24,7 +28,7 @@ let of_reduced_ints n d =
 
 (* [n/d] with [d > 0] and both below 2^62 in magnitude. *)
 let reduce_ints n d =
-  if n = 0 then S { n = 0; d = 1 }
+  if n = 0 then zero
   else begin
     let g = gcd_int (Stdlib.abs n) d in
     of_reduced_ints (n / g) (d / g)
@@ -38,9 +42,6 @@ let of_reduced_z num den =
 
 let num = function S { n; _ } -> Z.of_int n | B { num; _ } -> num
 let den = function S { d; _ } -> Z.of_int d | B { den; _ } -> den
-
-let zero = S { n = 0; d = 1 }
-let one = S { n = 1; d = 1 }
 
 let make num den =
   if Z.is_zero den then raise Division_by_zero
@@ -60,8 +61,6 @@ let of_ints n d =
   else make (Z.of_int n) (Z.of_int d)
 
 let of_int n = if small n then S { n; d = 1 } else B { num = Z.of_int n; den = Z.one }
-
-let half = S { n = 1; d = 2 }
 
 (* |num| and den swap or keep their bounds, so these stay canonical. *)
 let neg = function

@@ -58,7 +58,7 @@ let greedy_colours ?truncate g =
     match truncate with
     | None -> greedy_rounds g
     | Some r ->
-      if r < 0 then invalid_arg "Packing.greedy_colours: negative truncation";
+      if r < 0 then invalid_arg "Packing.greedy_by_colour: negative truncation";
       Stdlib.min r (greedy_rounds g)
   in
   let states = Anon.run greedy_machine ~rounds g in
