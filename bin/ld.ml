@@ -173,11 +173,7 @@ let pack_cmd =
 
 (* ---- match ---- *)
 
-let match_ common family n delta seed which =
-  with_common common @@ fun () ->
-  let g = make_graph family ~seed ~n ~delta in
-  Printf.printf "%s: n=%d m=%d delta=%d\n" family (G.n g) (G.m g) (G.max_degree g);
-  (match which with
+let run_match ~seed g = function
   | `Ec ->
     let ec = Colouring.ec_of_simple g in
     let r = Ld_matching.Mm_ec.greedy ec in
@@ -199,8 +195,24 @@ let match_ common family n delta seed which =
     in
     Printf.printf "panconesi-rizzi: rounds=%d (cv=%d) size=%d maximal=%b\n"
       r.rounds r.cv_iterations size
-      (Ld_matching.Packed_pr.is_maximal csr r));
-  0
+      (Ld_matching.Packed_pr.is_maximal csr r)
+
+let match_ common family n delta seed which =
+  with_common common @@ fun () ->
+  let g = make_graph family ~seed ~n ~delta in
+  let limit = Ld_matching.Israeli_itai.max_degree in
+  if which = `Ii && G.max_degree g > limit then begin
+    Printf.eprintf
+      "ld match: israeli-itai accepts max degree <= %d, this graph has %d\n"
+      limit (G.max_degree g);
+    2
+  end
+  else begin
+    Printf.printf "%s: n=%d m=%d delta=%d\n" family (G.n g) (G.m g)
+      (G.max_degree g);
+    run_match ~seed g which;
+    0
+  end
 
 let match_cmd =
   let which =

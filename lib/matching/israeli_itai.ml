@@ -1,145 +1,71 @@
 module G = Ld_graph.Graph
+module Csr = Ld_graph.Csr
 module Id = Ld_models.Labelled.Id
-module Sync = Ld_runtime.Sync
+module Packed = Ld_runtime.Packed
 
-type phase = Propose | Respond
-
-type st = {
-  rng : Random.State.t;
-  deg : int;
-  live : int list; (* ports whose far endpoint is believed unmatched *)
-  matched_port : int option;
-  phase : phase;
-  proposal_port : int option; (* where I proposed this iteration *)
-  accept_port : int option; (* whose proposal I am accepting *)
-}
-
-type msg = { m_matched : bool; m_propose : bool; m_accept : bool }
+(* Israeli–Itai in the ID model: [Packed_ii]'s propose/respond core
+   with the coins drawn from one [Random.State] per node, seeded from
+   [(seed, id)] in [init]. The coin word of the core slice is written
+   but never read; the generators live beside the state array, one per
+   node, touched only by that node's [init] and [recv], so runs agree
+   with [Packed.Port.reference_run] at any [LD_DOMAINS]. *)
 
 type result = { mate : int option array; rounds : int }
 
-let pick_random rng = function
-  | [] -> None
-  | ports -> Some (List.nth ports (Random.State.int rng (List.length ports)))
+let max_degree = 62
 
-let port_is opt (port : int) = match opt with Some p -> p = port | None -> false
+(* Draw order: a bool only if any live port remains, then an int over
+   the live ports only for proposers. *)
+let draw rng st b =
+  let live = Packed_ii.live st b in
+  if live <> 0 && Random.State.bool rng then
+    Packed_ii.propose st b (Random.State.int rng (Packed_ii.popcount live))
+  else Packed_ii.draw st b ~eligible:false
 
-let machine : (st, msg, int option) Sync.machine =
+let machine ~seed idg : Packed.Port.machine =
+  let sw = Packed_ii.words in
+  let rngs = Array.make (G.n (Id.graph idg)) (Random.State.make [||]) in
   {
+    state_words = sw;
+    msg_words = 1;
     init =
-      (fun ~id:_ ~degree ~rng ->
-        let live = List.init degree Fun.id in
-        let proposer = degree > 0 && Random.State.bool rng in
-        {
-          rng;
-          deg = degree;
-          live;
-          matched_port = None;
-          phase = Propose;
-          proposal_port = (if proposer then pick_random rng live else None);
-          accept_port = None;
-        });
-    send =
-      (fun s ~port ->
-        Some
-          {
-            m_matched = s.matched_port <> None;
-            m_propose = s.phase = Propose && port_is s.proposal_port port;
-            m_accept = s.phase = Respond && port_is s.accept_port port;
-          });
+      (fun ~g ~st ~node ->
+        let b = node * sw in
+        Packed_ii.init ~who:"Israeli_itai" st b ~seed ~node
+          ~degree:(g.Csr.row.(node + 1) - g.Csr.row.(node));
+        rngs.(node) <- Random.State.make [| seed; Id.id idg node; 0x5ca1e |];
+        draw rngs.(node) st b);
+    send = Packed_ii.send ~sw;
     recv =
-      (fun s inbox ->
-        (* Port-indexed inbox: O(1) lookups instead of assoc scans per
-           live port. *)
-        let msgs = Array.make s.deg None in
-        List.iter (fun (p, m) -> msgs.(p) <- Some m) inbox;
-        let live =
-          List.filter
-            (fun p ->
-              match msgs.(p) with
-              | Some m -> not m.m_matched
-              | None -> true)
-            s.live
-        in
-        match s.phase with
-        | Propose ->
-          (* Responders (nodes that did not propose) pick the lowest
-             incoming proposal from a still-unmatched proposer. *)
-          let accept_port =
-            if s.matched_port <> None || s.proposal_port <> None then None
-            else
-              List.find_opt
-                (fun p ->
-                  match msgs.(p) with
-                  | Some m -> m.m_propose && not m.m_matched
-                  | None -> false)
-                (List.sort Int.compare live)
-          in
-          { s with live; phase = Respond; accept_port }
-        | Respond ->
-          let matched_port =
-            match s.matched_port with
-            | Some _ as m -> m
-            | None -> begin
-              match s.accept_port with
-              | Some p -> Some p (* my acceptance is binding *)
-              | None -> begin
-                match s.proposal_port with
-                | Some p -> begin
-                  match msgs.(p) with
-                  | Some m when m.m_accept -> Some p
-                  | _ -> None
-                end
-                | None -> None
-              end
-            end
-          in
-          let live =
-            match matched_port with Some _ -> [] | None -> live
-          in
-          let proposer = live <> [] && Random.State.bool s.rng in
-          {
-            s with
-            live;
-            matched_port;
-            phase = Propose;
-            accept_port = None;
-            proposal_port = (if proposer then pick_random s.rng live else None);
-          });
-    output =
-      (fun s ->
-        match s.matched_port with
-        | Some p -> Some (Some p)
-        | None ->
-          (* Safe to stop only at an iteration boundary, once every
-             neighbour is known to be matched. *)
-          if s.live = [] && s.phase = Propose then Some None else None);
+      (fun ~g ~mirror ~st ~out ~node ->
+        let b = node * sw in
+        if Packed_ii.step ~g ~mirror ~out st b ~node then draw rngs.(node) st b);
+    halted = Packed_ii.halted ~sw;
   }
 
 let run ~seed ~max_rounds idg =
-  let res = Sync.run machine ~seed ~max_rounds idg in
-  let g = Id.graph idg in
-  let mate =
-    Array.mapi
-      (fun v out ->
-        Option.map (fun port -> List.nth (G.neighbours g v) port) out)
-      res.outputs
+  (* The core never reads colours; one colour per edge is proper. *)
+  let n = G.n (Id.graph idg) in
+  let g = Csr.of_graph (Id.graph idg) ~colour:(fun (u, v) -> (u * n) + v) in
+  let st, stats, all_halted =
+    Packed.Port.run_until (machine ~seed idg) ~max_rounds g
   in
-  (* Cross-check symmetry of the matching. *)
-  Array.iteri
-    (fun v m ->
-      match m with
-      | None -> ()
-      | Some w ->
-        if not (port_is mate.(w) v) then
-          failwith "Israeli_itai: asymmetric matching (protocol bug)")
-    mate;
-  { mate; rounds = res.rounds }
+  if not all_halted then
+    failwith
+      (Printf.sprintf "Israeli_itai.run: not all nodes halted within %d rounds"
+         max_rounds);
+  let mate = Packed_ii.mates ~who:"Israeli_itai" ~sw:Packed_ii.words g st in
+  {
+    mate = Array.map (fun w -> if w < 0 then None else Some w) mate;
+    rounds = stats.Packed.rounds;
+  }
+
+let is_mate opt (v : int) = match opt with Some w -> w = v | None -> false
 
 let is_maximal g r =
   Array.for_all Fun.id
     (Array.mapi
-       (fun v m -> match m with None -> true | Some w -> port_is r.mate.(w) v)
+       (fun v m -> match m with None -> true | Some w -> is_mate r.mate.(w) v)
        r.mate)
   && List.for_all
        (fun (u, v) -> r.mate.(u) <> None || r.mate.(v) <> None)

@@ -5,13 +5,9 @@ module Coin = Ld_runtime.Packed.Coin
 (* Packed Israeli–Itai-style randomized maximal matching on the
    {!Packed.Port} executor — the flagship mega-scale workload.
 
-   The protocol is exactly [Israeli_itai]'s propose/respond dynamics;
-   the one necessary difference is the coin source: a [Random.State]
-   cannot live in an int slice, so nodes draw from the one-word
-   {!Packed.Coin} stream seeded from [(seed, node)]. The coin word is
-   part of the state slice, so [Packed.Port.reference_run] is an exact
-   oracle, and the classic [Israeli_itai] stays untouched as the
-   baseline.
+   Nodes draw from the one-word {!Packed.Coin} stream seeded from
+   [(seed, node)]. The coin word is part of the state slice, so
+   [Packed.Port.reference_run] is an exact oracle.
 
    State slice (6 words at base [b = node * sw]): coin, live-port
    bitmask (degree <= 62), matched port (-1), phase (0 = propose,
@@ -22,7 +18,8 @@ module Coin = Ld_runtime.Packed.Coin
 
    The core below takes the slice width [sw] as a parameter so that
    [Davies_peck] runs the same dynamics over a wider slice (its
-   iteration counter sits after these 6 words). *)
+   iteration counter sits after these 6 words), and [Israeli_itai]
+   runs it with per-node [Random.State] coins through {!propose}. *)
 
 let words = 6
 let off_coin = 0
@@ -59,6 +56,8 @@ let popcount x =
 
 let live st b = st.(b + off_live)
 
+let propose st b k = st.(b + off_proposal) <- nth_set_bit st.(b + off_live) k
+
 let draw st b ~eligible =
   (* Draw order: a bool draw only if any live port remains (and the
      caller's gate allows a proposal), then an int draw only for
@@ -71,7 +70,7 @@ let draw st b ~eligible =
     if Coin.bool c then begin
       let c = Coin.next c in
       st.(b + off_coin) <- c;
-      st.(b + off_proposal) <- nth_set_bit live (Coin.int c (popcount live))
+      propose st b (Coin.int c (popcount live))
     end
     else st.(b + off_proposal) <- -1
   end

@@ -1,11 +1,10 @@
 (** Packed Israeli–Itai-style randomized maximal matching on the
     {!Ld_runtime.Packed.Port} executor — the mega-scale bench
     workload. Coins come from the one-word {!Ld_runtime.Packed.Coin}
-    stream (a [Random.State] cannot live in an int slice) kept in the
-    state slice, so {!Ld_runtime.Packed.Port.reference_run} over
-    {!machine} is an exact oracle: identical states and rounds at any
-    [LD_DOMAINS]. Degrees must be <= 62 (live ports are a bitmask in
-    one state word). *)
+    stream kept in the state slice, so
+    {!Ld_runtime.Packed.Port.reference_run} over {!machine} is an exact
+    oracle: identical states and rounds at any [LD_DOMAINS]. Degrees
+    must be <= 62 (live ports are a bitmask in one state word). *)
 
 type result = {
   mate : int array;  (** matched far endpoint, or -1 if unmatched *)
@@ -18,9 +17,9 @@ val machine : seed:int -> Ld_runtime.Packed.Port.machine
 
     The transitions {!machine} runs, over a node's slice at base [b]
     of the state array; {!Davies_peck} runs the same core over a wider
-    slice. The first {!words} words of a slice are: coin, live-port
-    mask, matched port, phase, proposal port, accept port. Nothing
-    here allocates. *)
+    slice, and {!Israeli_itai} with [Random.State] coins. The first
+    {!words} words of a slice are: coin, live-port mask, matched port,
+    phase, proposal port, accept port. Nothing here allocates. *)
 
 (** Words of the core slice (6). *)
 val words : int
@@ -36,6 +35,10 @@ val live : int array -> int -> int
     [degree > 62]. *)
 val init :
   who:string -> int array -> int -> seed:int -> node:int -> degree:int -> unit
+
+(** [propose st b k] sets the proposal to the [k]-th live port
+    (0-based, ascending); [k] must be below the live-port count. *)
+val propose : int array -> int -> int -> unit
 
 (** Draws the next proposal port from the coin word: none if no port is
     live or [eligible] is false (no coin is then consumed). *)

@@ -92,7 +92,7 @@ type family = {
 let family prefix =
   let c name = Obs.Counter.make (prefix ^ "." ^ name) in
   {
-    engine = Engine.family ~timed:true prefix;
+    engine = Engine.family prefix;
     c_darts = c "darts_scanned";
     c_reflected = c "loop_reflected";
     c_sends = c "sends";

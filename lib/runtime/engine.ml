@@ -3,20 +3,20 @@ module Hist = Ld_obs.Hist
 module Pool = Ld_pool.Pool
 
 (* The one synchronous round loop of the runtime. Every executor —
-   Anon_ec, Anon_po (via Anon), Packed.Port and Sync — keeps its own
+   Anon_ec, Anon_po (via Anon) and Packed.Port — keeps its own
    state layout and hands this module two per-range closures; the
    worklist, the frozen flags, the domain split, compaction and the
    round/frontier tallies live here once. *)
 
 type family = {
-  hist : Hist.t option;
+  hist : Hist.t;
   c_rounds : Obs.Counter.t;
   c_active : Obs.Counter.t;
 }
 
-let family ~timed prefix =
+let family prefix =
   {
-    hist = (if timed then Some (Hist.make (prefix ^ ".round")) else None);
+    hist = Hist.make (prefix ^ ".round");
     c_rounds = Obs.Counter.make (prefix ^ ".rounds");
     c_active = Obs.Counter.make (prefix ^ ".active_nodes");
   }
@@ -55,7 +55,6 @@ let create fam ~par_threshold ~domains ~limit row =
 let domains e = e.domains
 let active e = e.active
 let frozen e = e.frozen
-let is_frozen e v = Bytes.get e.frozen v <> '\000'
 let freeze e v = Bytes.set e.frozen v '\001'
 
 let split e len f =
@@ -112,7 +111,7 @@ let run e ~halted ~recv ~refresh =
   in
   let rounds = ref 0 in
   while e.n_active > 0 && !rounds < e.limit do
-    (match e.fam.hist with Some h -> Hist.timed h round | None -> round ());
+    Hist.timed e.fam.hist round;
     incr rounds
   done;
   Obs.Counter.add e.fam.c_rounds !rounds;

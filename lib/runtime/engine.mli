@@ -9,11 +9,11 @@
     over worklist positions [lo, hi); [chunk] is the range's index
     (below [domains e]), so a front-end can keep a buffer per range. *)
 
-(** A counter family [prefix.rounds], [prefix.active_nodes] and, when
-    [timed], the histogram [prefix.round]. *)
+(** A counter family [prefix.rounds], [prefix.active_nodes] and the
+    per-round latency histogram [prefix.round]. *)
 type family
 
-val family : timed:bool -> string -> family
+val family : string -> family
 
 (** Active-node count at or above which a phase is split across
     domains (when the effective domain count exceeds 1). *)
@@ -38,8 +38,6 @@ val active : t -> int array
 
 (** One byte per node, nonzero once the node has halted. *)
 val frozen : t -> Bytes.t
-
-val is_frozen : t -> int -> bool
 
 (** Mark a node halted; a refresh closure calls it for every node whose
     new state is halted. *)

@@ -8,8 +8,8 @@ module Obs = Ld_obs.Obs
    GC-bound. Machines address their own slices ([node * state_words]
    ...) of [st] in place and read peers' message slices directly.
 
-   Rounds run on [Engine], the same core as the boxed executors; the
-   differential oracle is [Port.reference_run] below. Phase 1 (recv)
+   Rounds run on [Engine], the same core as the anonymous executors;
+   the differential oracle is [Port.reference_run] below. Phase 1 (recv)
    reads only [out] and writes only the node's own state slice; phase
    2 (send/refresh) writes only the node's own [out] slices and its
    frozen flag. Ranges
@@ -22,7 +22,7 @@ let c_darts = Obs.Counter.make "runtime.packed.darts_scanned"
 
 (* Also feeds the per-round latency histogram the bench resets around
    each measured run and reads p50/p99 off. *)
-let fam = Engine.family ~timed:true "runtime.packed"
+let fam = Engine.family "runtime.packed"
 
 type stats = { rounds : int; sends : int; darts_scanned : int }
 
@@ -51,9 +51,8 @@ module Port = struct
     let st = Array.make (Stdlib.max 1 (n * m.state_words)) 0 in
     (* Per-dart message slots: the message node [v] sends on port [p]
        lives at [(row.(v) + p) * msg_words]. The far end reads it back
-       at [mirror.(d) * msg_words] for its own dart [d] — the packed
-       analogue of [Sync]'s dart-indexed frozen cache, except every
-       sender's current messages live there too. *)
+       at [mirror.(d) * msg_words] for its own dart [d]; a halted
+       sender's final messages simply stay there. *)
     let out = Array.make (Stdlib.max 1 (nd * m.msg_words)) 0 in
     Engine.split e n (fun _ lo hi ->
         for v = lo to hi - 1 do

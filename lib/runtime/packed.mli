@@ -7,7 +7,7 @@
     address slice [node * state_words ..] of [st] in place and read
     peers' message slices directly.
 
-    Rounds run on the same {!Engine} as the boxed executors. The one
+    Rounds run on the same {!Engine} as the anonymous executors. The one
     differential oracle is {!Port.reference_run}, the dense
     counterpart of [Anon.reference]: every packed machine must reach
     the same state array, round count and halting flag on both (see
@@ -26,8 +26,8 @@ val default_par_threshold : int
     [msg_words] message per dart and round; the message node [v] sends
     on port [p] lives at [(row.(v) + p) * msg_words] and is read back
     by the far endpoint through the precomputed {!Ld_graph.Csr.mirror}
-    array, one load per message — the packed analogue of [Sync]'s
-    receiver-driven pull with a frozen-sender dart cache. *)
+    array, one load per message. A halted sender's final messages stay
+    in its slots. *)
 module Port : sig
   type machine = {
     state_words : int;

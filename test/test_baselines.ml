@@ -60,6 +60,37 @@ let ii_rounds_logarithmic () =
     true
     (r256 <= 40 && r1024 <= 50)
 
+(* Israeli–Itai's coins are per node, seeded by [(seed, id)]: these
+   values pin the draw order and the port order, recorded on the boxed
+   implementation the packed front-end replaced. *)
+let ii_pinned_rounds () =
+  List.iter
+    (fun (n, expected) ->
+      let g = Gen.random_bounded_degree ~seed:(n + 3) n 4 in
+      Alcotest.(check int)
+        (Printf.sprintf "BASE rounds at n=%d" n)
+        expected
+        (II.run ~seed:5 ~max_rounds:10000 (Id.trivial g)).rounds)
+    [ (16, 10); (64, 10); (256, 16); (1024, 20); (4096, 26) ]
+
+let ii_pinned_mates () =
+  let g = Gen.random_bounded_degree ~seed:11 300 6 in
+  let ids = Array.init 300 (fun v -> ((v * 7919) + 13) mod 100_003) in
+  let r = II.run ~seed:4 ~max_rounds:10000 (Id.create g ids) in
+  let mate = function None -> "-1" | Some w -> string_of_int w in
+  let mates = String.concat "," (List.map mate (Array.to_list r.mate)) in
+  Alcotest.(check (pair int string)) "rounds, mates digest"
+    (22, "0b628fda405e441f8b31971850e6e4ba")
+    (r.rounds, Digest.to_hex (Digest.string mates))
+
+let ii_degree_limit () =
+  let star k = Id.trivial (Gen.star k) in
+  Alcotest.(check bool) "degree 62 accepted" true
+    (II.is_maximal (Gen.star 62) (II.run ~seed:0 ~max_rounds:100 (star 62)));
+  Alcotest.check_raises "degree 63 rejected"
+    (Invalid_argument "Israeli_itai: degree > 62") (fun () ->
+      ignore (II.run ~seed:0 ~max_rounds:100 (star 63)))
+
 (* ---- Cole–Vishkin ---- *)
 
 let cv_step_properly_colours =
@@ -159,6 +190,9 @@ let () =
         [
           QCheck_alcotest.to_alcotest ii_always_maximal;
           Alcotest.test_case "log-n rounds" `Slow ii_rounds_logarithmic;
+          Alcotest.test_case "pinned BASE rounds" `Quick ii_pinned_rounds;
+          Alcotest.test_case "pinned mates, permuted ids" `Quick ii_pinned_mates;
+          Alcotest.test_case "degree limit" `Quick ii_degree_limit;
         ] );
       ( "cole-vishkin",
         [

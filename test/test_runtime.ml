@@ -1,8 +1,8 @@
 (* LOCAL runtime, one differential suite over every front-end of the
    round engine: the anonymous runners (loop reflection, active-set
-   executor vs the dense oracle vs a forced 4-way split), the ID
-   simulator, and the packed port machines vs the packed dense oracle
-   at 1 domain and at a forced multi-domain split. *)
+   executor vs the dense oracle vs a forced 4-way split) and the packed
+   port machines vs the packed dense oracle at 1 domain and at a forced
+   multi-domain split. *)
 
 module G = Ld_graph.Graph
 module Csr = Ld_graph.Csr
@@ -12,12 +12,12 @@ module Colouring = Ld_models.Edge_colouring
 module Anon_ec = Ld_runtime.Anon_ec
 module Anon_po = Ld_runtime.Anon_po
 module Packed = Ld_runtime.Packed
-module Sync = Ld_runtime.Sync
 module View = Ld_cover.View
 module Lift = Ld_cover.Lift
 module Gen = Ld_graph.Generators
 module Labelled = Ld_models.Labelled
 module Packed_ii = Ld_matching.Packed_ii
+module Israeli_itai = Ld_matching.Israeli_itai
 module Packed_pr = Ld_matching.Packed_pr
 module Davies_peck = Ld_matching.Davies_peck
 
@@ -102,22 +102,6 @@ let run_until_halts () =
   let g = Ld_models.Edge_colouring.ec_of_simple (Gen.star 4) in
   let _, rounds = Anon_ec.run_until machine ~max_rounds:100 g in
   Alcotest.(check int) "rounds = max degree" 4 rounds
-
-(* ID simulator: flood the minimum identifier; check rounds = eccentricity. *)
-type flood = { my_min : int; deg : int; halt_at : int; round : int }
-
-let flood_machine : (flood, int, int) Sync.machine =
-  {
-    init =
-      (fun ~id ~degree ~rng:_ ->
-        { my_min = id; deg = degree; halt_at = max_int; round = 0 });
-    send = (fun s ~port:_ -> Some s.my_min);
-    recv =
-      (fun s inbox ->
-        let m = List.fold_left (fun acc (_, v) -> min acc v) s.my_min inbox in
-        { s with my_min = m; round = s.round + 1 });
-    output = (fun s -> if s.round >= s.halt_at then Some s.my_min else None);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Differential oracle: active-set executor vs dense reference.        *)
@@ -288,10 +272,6 @@ let ec_edge_cases () =
         ignore
           (Packed.Port.run_until (Packed_ii.machine ~seed:1) ~max_rounds:(-1)
              csr));
-      ("Sync.run", fun () ->
-        ignore
-          (Sync.run flood_machine ~seed:0 ~max_rounds:(-1)
-             (Labelled.Id.trivial path)));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -368,50 +348,6 @@ let po_orientation_matters () =
   let p = Po.create ~n:2 ~arcs:[ (0, 1, 1) ] ~loops:[] in
   let s = Anon_po.run po_probe_machine ~rounds:2 p in
   Alcotest.(check bool) "tail and head differ" true (s.(0).po_seen <> s.(1).po_seen)
-
-let flood_min () =
-  let g = Gen.path 6 in
-  let id = Labelled.Id.create g [| 12; 4; 9; 3; 40; 7 |] in
-  let machine = { flood_machine with output = (fun s -> if s.round >= 5 then Some s.my_min else None) } in
-  let res = Sync.run machine ~seed:0 ~max_rounds:50 id in
-  Array.iter (fun o -> Alcotest.(check int) "all learn min" 3 o) res.outputs;
-  Alcotest.(check int) "rounds" 5 res.rounds
-
-let sync_staggered_halting () =
-  (* Nodes halt at different rounds (their own id), so late rounds see
-     a shrinking active frontier whose halted senders must keep
-     "sending" their frozen message. Each node floods the minimum it has
-     seen; node with halt_at=k only aggregates for k rounds. *)
-  let g = Gen.path 5 in
-  let id = Labelled.Id.create g [| 5; 1; 4; 2; 3 |] in
-  let machine =
-    {
-      flood_machine with
-      init =
-        (fun ~id ~degree ~rng:_ ->
-          { my_min = id; deg = degree; halt_at = id; round = 0 });
-    }
-  in
-  let res = Sync.run machine ~seed:0 ~max_rounds:50 id in
-  (* The id-1 node halts after round 1 with the global min; the min then
-     travels through nodes that freeze along the way (node 3 freezes at
-     round 2 holding 1, and node 4 reads that frozen message in round
-     3), so every node outputs 1 — which only works if halted senders
-     keep delivering their frozen state's message. *)
-  Alcotest.(check int) "rounds = max halt_at" 5 res.rounds;
-  Alcotest.(check (list int)) "outputs"
-    [ 1; 1; 1; 1; 1 ]
-    (Array.to_list res.outputs)
-
-let sync_reports_nonhalting () =
-  let g = Gen.path 2 in
-  let id = Labelled.Id.trivial g in
-  let never = { flood_machine with output = (fun _ -> None) } in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Sync.run never ~seed:0 ~max_rounds:3 id);
-       false
-     with Failure _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Packed port machines vs the dense oracle.                           *)
@@ -521,6 +457,22 @@ let ii_matches_reference =
       agrees_with_reference (Packed_ii.machine ~seed:7) ~max_rounds:10_000 csr
       && Packed_ii.is_maximal csr
            (fst (Packed_ii.run ~seed:7 ~max_rounds:10_000 csr)))
+
+(* ---- Israeli–Itai (per-node Random.State coins, seeded by id) ---- *)
+
+let ii_ids_matches_reference =
+  QCheck.Test.make ~count:50
+    ~name:"Israeli-Itai machine = reference_run (all domains, permuted ids)"
+    graph_gen
+    (fun ((n, _, seed) as input) ->
+      let g = make_graph input in
+      let ids = Array.init n (fun v -> ((v * 7919) + seed) mod 100_003) in
+      let idg = Labelled.Id.create g ids in
+      agrees_with_reference
+        (Israeli_itai.machine ~seed:5 idg)
+        ~max_rounds:10_000 (csr_of g)
+      && Israeli_itai.is_maximal g
+           (Israeli_itai.run ~seed:5 ~max_rounds:10_000 idg))
 
 (* ---- Panconesi–Rizzi (deterministic) ---- *)
 
@@ -650,15 +602,10 @@ let () =
           Alcotest.test_case "orientation" `Quick po_orientation_matters;
           QCheck_alcotest.to_alcotest po_active_equals_reference;
         ] );
-      ( "sync",
-        [
-          Alcotest.test_case "flood min" `Quick flood_min;
-          Alcotest.test_case "staggered halting" `Quick sync_staggered_halting;
-          Alcotest.test_case "non-halting detected" `Quick sync_reports_nonhalting;
-        ] );
       ( "port",
         [
           QCheck_alcotest.to_alcotest ii_matches_reference;
+          QCheck_alcotest.to_alcotest ii_ids_matches_reference;
           QCheck_alcotest.to_alcotest pr_matches_reference;
           QCheck_alcotest.to_alcotest dp_matches_reference;
           Alcotest.test_case "differential edge cases" `Quick port_edge_cases;

@@ -194,6 +194,8 @@ let derand_finds_rho () =
   with
   | None -> Alcotest.fail "Lemma 10 search failed"
   | Some (seed, _) ->
+    (* Recorded before Israeli–Itai moved onto the packed core. *)
+    Alcotest.(check int) "first good seed" 0 seed;
     (* Re-verify the winning assignment independently. *)
     List.iter
       (fun idg -> Alcotest.(check bool) "correct" true (ii_correct idg ~seed))
