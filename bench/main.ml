@@ -219,10 +219,10 @@ let cost ~rows ~cost_delta () =
       "colour";
     List.iter
       (fun (c : LB.certificate) ->
-        row "  %-7d %-10d %-10d %-10d %-8d\n" c.level (Ec.n c.g_graph)
-          (Ec.n c.h_graph)
-          (Ec.num_loops c.g_graph)
-          c.colour)
+        let g = LB.force c.g_graph in
+        row "  %-7d %-10d %-10d %-10d %-8d\n" c.level (Ec.n g)
+          (Ec.n (LB.force c.h_graph))
+          (Ec.num_loops g) c.colour)
       certs
   | LB.Refuted _ -> row "  unexpected refutation\n");
   row "  shape: |G_i| = 2^i — the price of each unfold-and-mix level.\n"

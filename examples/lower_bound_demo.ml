@@ -22,8 +22,8 @@ let () =
         Format.printf "%a@." LB.pp_certificate c;
         if c.LB.level = 0 then begin
           (* Figure 5: the base case pair, in full. *)
-          Format.printf "  (Fig. 5) G_0 = %a@." Ec.pp c.LB.g_graph;
-          Format.printf "  (Fig. 5) H_0 = %a@." Ec.pp c.LB.h_graph
+          Format.printf "  (Fig. 5) G_0 = %a@." Ec.pp (LB.force c.LB.g_graph);
+          Format.printf "  (Fig. 5) H_0 = %a@." Ec.pp (LB.force c.LB.h_graph)
         end)
       certs;
     Printf.printf

@@ -8,7 +8,7 @@ let c_warm = Obs.Counter.make "core.cache_store.warm"
 let c_cold = Obs.Counter.make "core.cache_store.cold"
 let c_levels_saved = Obs.Counter.make "core.cache_store.levels_saved"
 
-let code_version = "2"
+let code_version = "3"
 
 let key ~delta ~level ~algo ~check_views =
   Printf.sprintf "ld-cache/v%s delta=%d level=%d views=%b algo=%s" code_version
@@ -22,40 +22,32 @@ type entry = {
 
 (* ---- level record codec ----
 
-   Every int is an unsigned LEB128 varint in minimal form. A record is
+   A level record is its trail entry. Every int is an unsigned LEB128
+   varint in minimal form. A record is
 
-     level
-     certificate:  level colour <graph> <graph> g-node h-node g-loop
-                   h-loop <weight> <weight> views-checked (0 or 1)
-     probe count, then per probe:  level <graph> <weight>*
+     delta level
+     trail length (level + 1), then
+       level 0:       removed changed
+       each level i:  side (0 for G, 1 for H) g-star loop-target
+     probe count, then one threshold per probe
+     <weight> <weight> views-checked (0 or 1)
 
-   where a probe's weights are one per edge, then one per loop, of its
-   graph. <graph> and <weight> are back-reference slots: tag 0 opens a
-   literal, tag k >= 1 names the record's k-th literal of that kind. A
-   graph literal is n, the edge count, (u v colour) per edge, the loop
-   count, (node colour) per loop; a weight literal is the
-   length-prefixed [Q.to_string] text.
-
-   A level's certificate graphs are two of its probe graphs (the
-   unfolded side and the mixture), so the encoder, which shares graphs
-   by physical identity, writes three graph literals per level instead
-   of five, and the decoder hands back one physically shared graph per
-   literal, as the cold construction has them. Weights are shared by
-   value: the greedy adversary's outputs take two distinct values.
+   where a weight is the length-prefixed [Q.to_string] text of the
+   certificate's g- and h-weight. No graph is written: the trail
+   rebuilds every graph of levels 0 … level (Lower_bound.replay), so
+   any record decodes and replays on its own.
 
    Decoding accepts exactly the byte strings encoding produces; anything
-   else fails with [Failure]: truncation, trailing bytes, a non-minimal
-   or out-of-range varint, a reference to a literal not yet seen, a
-   weight literal that repeats an earlier one or is not in canonical
-   form, a views flag other than 0 or 1. Every count is checked against
-   the bytes left before anything is allocated, and a graph literal may
-   not name more nodes than it has darts (every adversary node carries
-   a loop or an edge; the encoder refuses such graphs too), so a hostile
-   length allocates at most in proportion to the record. *)
+   else fails with [Failure], at decode time: truncation, trailing
+   bytes, a non-minimal or out-of-range varint, a trail length other
+   than level + 1, a side tag other than 0 or 1, a trail the adversary
+   could not take ([LB.level_of_trail]: a loop or g-star outside its
+   level's graph, delta outside [2, 32], ...), a probe count other than
+   the level's, a weight not in canonical form, a views flag other than
+   0 or 1. Every count is checked against the bytes left before
+   anything is allocated. *)
 
 module Q = Ld_arith.Q
-module Ec = Ld_models.Ec
-module Fm = Ld_fm.Fm
 
 (* Longest accepted weight text; [Q.of_string] is quadratic in it. *)
 let max_weight_text = 1024
@@ -69,83 +61,43 @@ let put_uint buf i =
   done;
   Buffer.add_uint8 buf !i
 
-module Qtbl = Hashtbl.Make (struct
-  type t = Q.t
-
-  let equal = Q.equal
-  let hash = Q.hash
-end)
-
-type encoder = {
-  buf : Buffer.t;
-  mutable graphs : (Ec.t * int) list;  (* literal number, newest first *)
-  weights : int Qtbl.t;
-}
-
-let put_graph enc g =
-  match List.find_opt (fun (h, _) -> h == g) enc.graphs with
-  | Some (_, k) -> put_uint enc.buf k
-  | None ->
-    let buf = enc.buf in
-    let c = Ec.columns g in
-    if Ec.n g > (2 * Ec.num_edges g) + Ec.num_loops g then
-      invalid_arg "Cache_store: graph with more nodes than darts";
-    enc.graphs <- (g, List.length enc.graphs + 1) :: enc.graphs;
-    put_uint buf 0;
-    put_uint buf (Ec.n g);
-    put_uint buf (Ec.num_edges g);
-    for j = 0 to Ec.num_edges g - 1 do
-      put_uint buf c.edge_u.(j);
-      put_uint buf c.edge_v.(j);
-      put_uint buf c.edge_colour.(j)
-    done;
-    put_uint buf (Ec.num_loops g);
-    for j = 0 to Ec.num_loops g - 1 do
-      put_uint buf c.loop_node.(j);
-      put_uint buf c.loop_colour.(j)
-    done
-
-let put_weight enc q =
-  match Qtbl.find_opt enc.weights q with
-  | Some k -> put_uint enc.buf k
-  | None ->
-    let text = Q.to_string q in
-    if String.length text > max_weight_text then
-      invalid_arg "Cache_store: weight text too long";
-    Qtbl.add enc.weights q (Qtbl.length enc.weights + 1);
-    put_uint enc.buf 0;
-    put_uint enc.buf (String.length text);
-    Buffer.add_string enc.buf text
+let put_weight buf q =
+  let text = Q.to_string q in
+  if String.length text > max_weight_text then
+    invalid_arg "Cache_store: weight text too long";
+  put_uint buf (String.length text);
+  Buffer.add_string buf text
 
 let entry_to_string e =
-  let enc = { buf = Buffer.create 4096; graphs = []; weights = Qtbl.create 8 } in
-  let int = put_uint enc.buf in
+  let buf = Buffer.create 64 in
+  let int = put_uint buf in
   let c = e.entry_certificate in
-  int e.entry_level;
-  int c.level;
-  int c.colour;
-  put_graph enc c.g_graph;
-  put_graph enc c.h_graph;
-  int c.g_node;
-  int c.h_node;
-  int c.g_loop;
-  int c.h_loop;
-  put_weight enc c.g_weight;
-  put_weight enc c.h_weight;
-  int (if c.views_checked then 1 else 0);
+  let trail = c.trail in
+  if e.entry_level <> c.level || Array.length trail <> c.level + 1 then
+    invalid_arg "Cache_store: certificate without a trail to its level";
+  if List.exists (fun (p : LB.probe) -> p.probe_level <> c.level) e.entry_probes
+  then invalid_arg "Cache_store: probe of another level";
+  Array.iteri
+    (fun i step ->
+      match (step : LB.step) with
+      | Base { delta; removed; changed } when i = 0 ->
+        int delta;
+        int c.level;
+        int (Array.length trail);
+        int removed;
+        int changed
+      | Unfold { side; g_star; loop_target } when i > 0 ->
+        int (match side with `G -> 0 | `H -> 1);
+        int g_star;
+        int loop_target
+      | Base _ | Unfold _ -> invalid_arg "Cache_store: malformed trail")
+    trail;
   int (List.length e.entry_probes);
-  List.iter
-    (fun (p : LB.probe) ->
-      int p.probe_level;
-      put_graph enc p.probe_graph;
-      for j = 0 to Ec.num_edges p.probe_graph - 1 do
-        put_weight enc (Fm.edge_weight p.probe_base j)
-      done;
-      for j = 0 to Ec.num_loops p.probe_graph - 1 do
-        put_weight enc (Fm.loop_weight p.probe_base j)
-      done)
-    e.entry_probes;
-  Buffer.contents enc.buf
+  List.iter (fun (p : LB.probe) -> int p.prefix_round) e.entry_probes;
+  put_weight buf c.g_weight;
+  put_weight buf c.h_weight;
+  int (if c.views_checked then 1 else 0);
+  Buffer.contents buf
 
 let truncated () = failwith "Cache_store: truncated binary record"
 
@@ -176,54 +128,12 @@ let get_count r ~width =
   if k > (String.length r.s - r.pos) / width then truncated ();
   k
 
-(* The literals of one kind seen so far in a record. *)
-type 'a table = { mutable items : 'a array; mutable len : int }
-
-let get_slot r table literal =
-  match get_uint r with
-  | 0 ->
-    let x = literal () in
-    if table.len = Array.length table.items then begin
-      let grown = Array.make (Stdlib.max 4 (2 * table.len)) x in
-      Array.blit table.items 0 grown 0 table.len;
-      table.items <- grown
-    end;
-    table.items.(table.len) <- x;
-    table.len <- table.len + 1;
-    x
-  | k ->
-    if k > table.len then failwith "Cache_store: reference to an unseen literal";
-    table.items.(k - 1)
-
-let graph_literal r () =
-  let n = get_uint r in
-  let ne = get_count r ~width:3 in
-  let edge_u = Array.make ne 0 in
-  let edge_v = Array.make ne 0 in
-  let edge_colour = Array.make ne 0 in
-  for j = 0 to ne - 1 do
-    edge_u.(j) <- get_uint r;
-    edge_v.(j) <- get_uint r;
-    edge_colour.(j) <- get_uint r
-  done;
-  let nl = get_count r ~width:2 in
-  let loop_node = Array.make nl 0 in
-  let loop_colour = Array.make nl 0 in
-  for j = 0 to nl - 1 do
-    loop_node.(j) <- get_uint r;
-    loop_colour.(j) <- get_uint r
-  done;
-  if n > (2 * ne) + nl then failwith "Cache_store: graph with more nodes than darts";
-  Ec.of_columns ~n { edge_u; edge_v; edge_colour; loop_node; loop_colour }
-
-let weight_literal r texts () =
+let get_weight r =
   let len = get_uint r in
   if len > max_weight_text then failwith "Cache_store: weight text too long";
   if len > String.length r.s - r.pos then truncated ();
   let text = String.sub r.s r.pos len in
   r.pos <- r.pos + len;
-  if Hashtbl.mem texts text then failwith "Cache_store: repeated weight literal";
-  Hashtbl.add texts text ();
   let q = Q.of_string text in
   if not (String.equal (Q.to_string q) text) then
     failwith "Cache_store: non-canonical weight";
@@ -232,60 +142,47 @@ let weight_literal r texts () =
 let entry_of_string s =
   let decode () =
     let r = { s; pos = 0 } in
-    let graphs = { items = [||]; len = 0 } in
-    let weights = { items = [||]; len = 0 } in
-    let texts = Hashtbl.create 8 in
     let int () = get_uint r in
-    let graph_literal = graph_literal r in
-    let weight_literal = weight_literal r texts in
-    let graph () = get_slot r graphs graph_literal in
-    let weight () = get_slot r weights weight_literal in
-    let entry_level = int () in
+    let delta = int () in
     let level = int () in
-    let colour = int () in
-    let g_graph = graph () in
-    let h_graph = graph () in
-    let g_node = int () in
-    let h_node = int () in
-    let g_loop = int () in
-    let h_loop = int () in
-    let g_weight = weight () in
-    let h_weight = weight () in
+    (* every trail entry takes at least two bytes *)
+    let length = get_count r ~width:2 in
+    if length <> level + 1 then failwith "Cache_store: trail length is not level + 1";
+    let trail =
+      Array.init length (fun i ->
+          if i = 0 then
+            let removed = int () in
+            let changed = int () in
+            LB.Base { delta; removed; changed }
+          else
+            let side =
+              match int () with
+              | 0 -> `G
+              | 1 -> `H
+              | _ -> failwith "Cache_store: side tag is not 0 or 1"
+            in
+            let g_star = int () in
+            let loop_target = int () in
+            LB.Unfold { side; g_star; loop_target })
+    in
+    let prefix_rounds = List.init (get_count r ~width:1) (fun _ -> int ()) in
+    let g_weight = get_weight r in
+    let h_weight = get_weight r in
     let views_checked =
       match int () with
       | 0 -> false
       | 1 -> true
       | _ -> failwith "Cache_store: views flag is not 0 or 1"
     in
-    let entry_certificate =
-      {
-        LB.level;
-        colour;
-        g_graph;
-        h_graph;
-        g_node;
-        h_node;
-        g_loop;
-        h_loop;
-        g_weight;
-        h_weight;
-        views_checked;
-      }
-    in
-    let entry_probes =
-      List.init (get_count r ~width:2) (fun _ ->
-          let probe_level = int () in
-          let probe_graph = graph () in
-          let edge_w = Array.init (Ec.num_edges probe_graph) (fun _ -> weight ()) in
-          let loop_w = Array.init (Ec.num_loops probe_graph) (fun _ -> weight ()) in
-          { LB.probe_level; probe_graph; probe_base = Fm.create probe_graph ~edge_w ~loop_w })
-    in
     if r.pos <> String.length s then
       failwith "Cache_store: trailing bytes after entry";
-    { entry_level; entry_certificate; entry_probes }
+    let entry_certificate, entry_probes =
+      LB.level_of_trail trail ~g_weight ~h_weight ~views_checked ~prefix_rounds
+    in
+    { entry_level = level; entry_certificate; entry_probes }
   in
-  (* A garbled-but-checksummed payload can trip constructor validation
-     ([Ec.of_columns], [Q.of_string]) with [Invalid_argument] or
+  (* A garbled-but-checksummed payload can trip validation
+     ([LB.level_of_trail], [Q.of_string]) with [Invalid_argument] or
      [Division_by_zero]; fold those into the codec's [Failure] contract
      so callers have one corruption signal. *)
   match decode () with
@@ -362,12 +259,18 @@ let load_cache store ~check_views ~delta ~algo_name =
   in
   match fetch [] 0 with
   | None -> None
-  | Some entries ->
+  | Some entries -> (
     let certs = List.map (fun e -> e.entry_certificate) entries in
     let probes = List.concat_map (fun e -> e.entry_probes) entries in
-    Some
-      (LB.assemble_cache ~delta ~algo_name ~check_views ~probes
-         ~outcome:(LB.Certified certs))
+    match
+      LB.assemble_cache ~delta ~algo_name ~check_views ~probes
+        ~outcome:(LB.Certified certs)
+    with
+    | cache -> Some cache
+    | exception Invalid_argument msg ->
+      (* Each record decoded on its own; together they must describe
+         one construction of this delta. *)
+      corrupt (key ~delta ~level:(delta - 2) ~algo:algo_name ~check_views) msg)
 
 let build_cache ?store ?(check_views = true) ?(incremental_views = true)
     ~delta (algo : LB.algorithm) =

@@ -3,10 +3,11 @@
     {!Lower_bound.build_cache} is the dominant cost of every frontier
     scan: it runs the full adversary once per [(delta, algorithm)].
     This module spills the resulting cache into a content-addressed
-    {!Ld_store.Store} as one record per level — the level's certificate
-    plus every feasibility probe recorded while constructing it — and
-    rebuilds the cache on a later run without executing the algorithm
-    at all, so a second full THM1 sweep is dominated by I/O.
+    {!Ld_store.Store} as one record per level — the level's entry of
+    the adversary's trail, its probe thresholds and its certificate's
+    weights — and rebuilds the cache on a later run without executing
+    the algorithm or building a graph, so a second full THM1 sweep is a
+    few dozen small reads.
 
     Keys include a {!code_version} fingerprint: bumping it (on any
     codec or construction change) cleanly invalidates old records
@@ -33,27 +34,29 @@ val code_version : string
 val key : delta:int -> level:int -> algo:string -> check_views:bool -> string
 
 (** One persisted level: its certificate and, in canonical check
-    order, the probes recorded while constructing it. *)
+    order, the level's probes. *)
 type entry = {
   entry_level : int;
   entry_certificate : Lower_bound.certificate;
   entry_probes : Lower_bound.probe list;
 }
 
-(** The level-record codec: varint ints, with graphs and weights
-    written once per record and referred back to after that — a
-    certificate's two graphs are probe graphs of its level, so a level
-    carries three graph literals, not five. An entry graph may not have
-    more nodes than darts (every adversary node carries a loop or an
-    edge).
-    @raise Invalid_argument on such a graph, a negative field, or a
-    weight whose text exceeds 1024 bytes. *)
+(** The level-record codec (code version 3): varint ints — Δ, the
+    level, the certificate's trail prefix for levels [0 … level], one
+    threshold per probe — then the certificate's two weights as text
+    and its views flag. No graph is written; the trail rebuilds them.
+    @raise Invalid_argument if the certificate's trail does not reach
+    exactly its level (an imported certificate has none), a probe is of
+    another level, a field is negative, or a weight's text exceeds 1024
+    bytes. *)
 val entry_to_string : entry -> string
 
 (** Decodes exactly the strings {!entry_to_string} produces: any other
     input fails, and no count in it makes the decoder allocate more
-    than in proportion to the input's length. Graphs that one record
-    writes once come back physically shared.
+    than in proportion to the input's length. The trail is checked at
+    decode time ({!Lower_bound.level_of_trail}), so a decoded entry
+    always replays; its certificate and probes share one replay chain,
+    and no graph is built until one is forced.
     @raise Failure on malformed input (trailing bytes included). *)
 val entry_of_string : string -> entry
 
@@ -66,10 +69,12 @@ val save_cache : Store.t -> Lower_bound.cache -> bool
 
 (** [load_cache store ~check_views ~delta ~algo_name] reassembles a
     cache from the store, or [None] if any level [0 … delta-2] is
-    missing. The reassembled cache is field-for-field identical to the
-    {!Lower_bound.build_cache} original (the warm/cold pin in
-    [test_store] holds this to byte-identical serialisations).
-    @raise Store.Store_corrupt if a present record is undecodable.
+    missing. The records' certificates and probes are wired onto one
+    replay chain ({!Lower_bound.assemble_cache}); no graph is built.
+    The reassembled cache re-serialises byte-for-byte like the
+    {!Lower_bound.build_cache} original (pinned in [test_store]).
+    @raise Store.Store_corrupt if a present record is undecodable, or
+    the records do not describe one construction of [delta].
     @raise Invalid_argument if [delta < 2]. *)
 val load_cache :
   Store.t -> check_views:bool -> delta:int -> algo_name:string ->

@@ -42,8 +42,8 @@ let sexp_of_certificate (c : Lower_bound.certificate) =
     [
       S.field "level" [ S.int c.level ];
       S.field "colour" [ S.int c.colour ];
-      S.field "g-graph" [ sexp_of_graph c.g_graph ];
-      S.field "h-graph" [ sexp_of_graph c.h_graph ];
+      S.field "g-graph" [ sexp_of_graph (Lower_bound.force c.g_graph) ];
+      S.field "h-graph" [ sexp_of_graph (Lower_bound.force c.h_graph) ];
       S.field "g-node" [ S.int c.g_node ];
       S.field "h-node" [ S.int c.h_node ];
       S.field "g-loop" [ S.int c.g_loop ];
@@ -61,9 +61,10 @@ let certificate_of_sexp s =
   let one name = List.hd (S.find name body) in
   {
     Lower_bound.level = S.to_int (one "level");
+    trail = [||];
     colour = S.to_int (one "colour");
-    g_graph = graph_of_sexp (one "g-graph");
-    h_graph = graph_of_sexp (one "h-graph");
+    g_graph = Lower_bound.given (graph_of_sexp (one "g-graph"));
+    h_graph = Lower_bound.given (graph_of_sexp (one "h-graph"));
     g_node = S.to_int (one "g-node");
     h_node = S.to_int (one "h-node");
     g_loop = S.to_int (one "g-loop");
@@ -130,6 +131,8 @@ let check_ok c =
 let verify ?algorithm ~delta certs =
   List.map
     (fun (c : Lower_bound.certificate) ->
+      let g_graph = Lower_bound.force c.g_graph
+      and h_graph = Lower_bound.force c.h_graph in
       let loop_ok g loop_id node =
         loop_id >= 0
         && loop_id < Ec.num_loops g
@@ -138,18 +141,18 @@ let verify ?algorithm ~delta certs =
         l.colour = c.colour && l.node = node
       in
       let chk_structure =
-        loop_ok c.g_graph c.g_loop c.g_node
-        && loop_ok c.h_graph c.h_loop c.h_node
-        && Ec.min_loops c.g_graph >= delta - 1 - c.level
-        && Ec.min_loops c.h_graph >= delta - 1 - c.level
-        && Ec.max_degree c.g_graph <= delta
-        && Ec.max_degree c.h_graph <= delta
-        && Ec.is_tree_plus_loops c.g_graph
-        && Ec.is_tree_plus_loops c.h_graph
+        loop_ok g_graph c.g_loop c.g_node
+        && loop_ok h_graph c.h_loop c.h_node
+        && Ec.min_loops g_graph >= delta - 1 - c.level
+        && Ec.min_loops h_graph >= delta - 1 - c.level
+        && Ec.max_degree g_graph <= delta
+        && Ec.max_degree h_graph <= delta
+        && Ec.is_tree_plus_loops g_graph
+        && Ec.is_tree_plus_loops h_graph
       in
       let chk_views =
         chk_structure
-        && Ld_cover.Refinement.equivalent_radius c.g_graph c.g_node c.h_graph
+        && Ld_cover.Refinement.equivalent_radius g_graph c.g_node h_graph
              c.h_node ~radius:c.level
       in
       let chk_weights_differ = not (Q.equal c.g_weight c.h_weight) in
@@ -159,7 +162,7 @@ let verify ?algorithm ~delta certs =
         | Some (a : Lower_bound.algorithm) ->
           if not chk_structure then Some false
           else begin
-            let yg = a.run c.g_graph and yh = a.run c.h_graph in
+            let yg = a.run g_graph and yh = a.run h_graph in
             Some
               (Q.equal (Fm.loop_weight yg c.g_loop) c.g_weight
               && Q.equal (Fm.loop_weight yh c.h_loop) c.h_weight)

@@ -69,7 +69,8 @@ let empirical_locality ~max_radius algo probes =
 
 let probes_of_certificates certs =
   List.concat_map
-    (fun (c : Lower_bound.certificate) -> [ c.g_graph; c.h_graph ])
+    (fun (c : Lower_bound.certificate) ->
+      [ Lower_bound.force c.g_graph; Lower_bound.force c.h_graph ])
     certs
 
 let id_local_at ~radius ~run ~equal idg v =

@@ -12,7 +12,8 @@ module Pool = Ld_pool.Pool
    frontier replays — hits replay the cached construction, refutations
    stop a replay early, divergences fall back to a full run.
    [incremental_seeded] counts view checks answered against a composed
-   covering anchor instead of the full unfolded graph. *)
+   covering anchor instead of the full unfolded graph; [replays] counts
+   levels whose graphs were rebuilt from a trail. *)
 let c_probes = Obs.Counter.make "core.lb.probes"
 let c_certificates = Obs.Counter.make "core.lb.certificates"
 let c_refutations = Obs.Counter.make "core.lb.refutations"
@@ -20,6 +21,7 @@ let c_memo_hits = Obs.Counter.make "core.lb.memo_replay_hits"
 let c_memo_refuted = Obs.Counter.make "core.lb.memo_replay_refuted"
 let c_memo_diverged = Obs.Counter.make "core.lb.memo_diverged"
 let c_incremental = Obs.Counter.make "core.lb.incremental_seeded"
+let c_replays = Obs.Counter.make "core.lb.replays"
 
 (* Probe latency histogram; [Hist.timed_span] keeps emitting the same
    "core.lb.probe" span events the trace consumers already expect. *)
@@ -30,10 +32,23 @@ type algorithm = Ld_matching.Packing.algorithm = {
   run : Ec.t -> Fm.t;
 }
 
+(* A value built on first use. The memo lives in the replay chain the
+   closure reads (see [chain] below), which is what makes forcing
+   domain-safe. *)
+type 'a deferred = unit -> 'a
+
+let force d = d ()
+let given x () = x
+
+type step =
+  | Base of { delta : int; removed : int; changed : int }
+  | Unfold of { side : [ `G | `H ]; g_star : int; loop_target : int }
+
 type certificate = {
   level : int;
-  g_graph : Ec.t;
-  h_graph : Ec.t;
+  trail : step array;
+  g_graph : Ec.t deferred;
+  h_graph : Ec.t deferred;
   g_node : int;
   h_node : int;
   colour : int;
@@ -57,9 +72,21 @@ type outcome =
   | Certified of certificate list
   | Refuted of certificate list * failure
 
-(* The running state of the induction: the pair (G, H) together with the
-   distinguished nodes g, h, the colour-c loops e, f on which A's
-   outputs y_G = A(G) and y_H = A(H) disagree.
+(* One level's pair (G, H) together with the distinguished nodes g, h
+   and the colour-c loops e, f on which A's outputs disagree:
+   everything the next unfold-and-mix reads. *)
+type pair = {
+  gr : Ec.t;
+  hr : Ec.t;
+  g : int;
+  h : int;
+  c : int;
+  e : int; (* loop id in gr *)
+  f : int; (* loop id in hr *)
+}
+
+(* The running state of the induction: the pair, the choice that
+   produced it, and A's outputs y_G = A(G) and y_H = A(H).
 
    [anchor]/[amap] make the P1 view checks incremental across adjacent
    levels: [gr] is produced by a chain of 2-lifts from some smaller
@@ -71,13 +98,8 @@ type outcome =
    to the H side, whose graph is not a lift of anything smaller. *)
 type level_state = {
   i : int;
-  gr : Ec.t;
-  hr : Ec.t;
-  g : int;
-  h : int;
-  c : int;
-  e : int; (* loop id in gr *)
-  f : int; (* loop id in hr *)
+  pair : pair;
+  choice : step;
   y_g : Fm.t;
   y_h : Fm.t;
   anchor : Ec.t; (* deepest non-lift ancestor of gr *)
@@ -111,32 +133,48 @@ let check_feasible ~level graph output =
   if violations <> [] then
     raise (Refutation (infeasible ~level graph output violations))
 
-(* A feasibility probe: one (graph, base output) pair in the exact order
-   [run] checks feasibility — level 0: G_0 then H_0; level i: GG, HH,
-   GH. The memoisation cache below replays these against other
-   algorithms instead of rebuilding the construction. The probe is
-   recorded {e before} the feasibility check so that a refuted base
-   algorithm's failing graph is replayed too. *)
-type probe = { probe_level : int; probe_graph : Ec.t; probe_base : Fm.t }
+(* A feasibility probe in the exact order [run] checks feasibility —
+   level 0: G_0 then H_0; level i: GG, HH, GH — with its feasibility
+   threshold. The memoisation cache below replays these against other
+   algorithms instead of rebuilding the construction. *)
+type probe = {
+  probe_level : int;
+  prefix_round : int;
+  probe_graph : Ec.t deferred;
+}
 
-let run_checked ?record ~level algo graph =
+(* [on_probe] sees every probe before its feasibility check, so that a
+   refuted base algorithm's failing graph is recorded too. *)
+let run_checked ?on_probe ~level algo graph =
   Obs.Counter.incr c_probes;
   let y = Ld_obs.Hist.timed_span h_probe (fun () -> algo.run graph) in
-  (match record with
-  | Some r -> r := { probe_level = level; probe_graph = graph; probe_base = y } :: !r
-  | None -> ());
+  Option.iter (fun record -> record ~level graph y) on_probe;
   check_feasible ~level graph y;
   y
 
+let base_graph delta =
+  Ec.create ~n:1 ~edges:[] ~loops:(List.init delta (fun c -> (0, c + 1)))
+
+(* Level 0's pair: loop [changed] of G_0 is loop
+   [changed < removed ? changed : changed - 1] of H_0 = G_0 - [removed]. *)
+let base_pair g0 h0 ~removed ~changed =
+  {
+    gr = g0;
+    hr = h0;
+    g = 0;
+    h = 0;
+    c = (Ec.loop g0 changed).colour;
+    e = changed;
+    f = (if changed < removed then changed else changed - 1);
+  }
+
 (* Base case (Fig. 5). *)
-let base_case ?record ~delta algo =
+let base_case ?on_probe ~delta algo =
   Obs.with_span "core.lb.base_case" @@ fun () ->
-  let g0 =
-    Ec.create ~n:1 ~edges:[] ~loops:(List.init delta (fun c -> (0, c + 1)))
-  in
-  let y0 = run_checked ?record ~level:0 algo g0 in
+  let g0 = base_graph delta in
+  let y0 = run_checked ?on_probe ~level:0 algo g0 in
   (* Saturation means some loop has positive weight. *)
-  let e =
+  let removed =
     match
       List.find_index (fun id -> Q.sign (Fm.loop_weight y0 id) > 0)
         (List.init delta Fun.id)
@@ -144,34 +182,27 @@ let base_case ?record ~delta algo =
     | Some id -> id
     | None -> assert false (* fully saturated => positive weight exists *)
   in
-  let h0 = Ec.remove_loop g0 e in
-  let y0' = run_checked ?record ~level:0 algo h0 in
-  (* Find a surviving loop whose weight changed. Loop j of g0 (j <> e)
-     is loop (j < e ? j : j - 1) of h0. *)
-  let surviving = List.filter (fun j -> j <> e) (List.init delta Fun.id) in
+  let h0 = Ec.remove_loop g0 removed in
+  let y0' = run_checked ?on_probe ~level:0 algo h0 in
+  (* Find a surviving loop whose weight changed. *)
   let changed =
     List.find_opt
       (fun j ->
-        let j' = if j < e then j else j - 1 in
-        not (Q.equal (Fm.loop_weight y0 j) (Fm.loop_weight y0' j')))
-      surviving
+        let j' = if j < removed then j else j - 1 in
+        j <> removed
+        && not (Q.equal (Fm.loop_weight y0 j) (Fm.loop_weight y0' j')))
+      (List.init delta Fun.id)
   in
   match changed with
   | None ->
     (* Impossible for feasible outputs: both saturate the node, and the
        removed loop had positive weight. *)
     assert false
-  | Some j ->
-    let j' = if j < e then j else j - 1 in
+  | Some changed ->
     {
       i = 0;
-      gr = g0;
-      hr = h0;
-      g = 0;
-      h = 0;
-      c = (Ec.loop g0 j).colour;
-      e = j;
-      f = j';
+      pair = base_pair g0 h0 ~removed ~changed;
+      choice = Base { delta; removed; changed };
       y_g = y0;
       y_h = y0';
       anchor = g0;
@@ -183,8 +214,8 @@ let base_case ?record ~delta algo =
    and (filtered) loop ids; copy B shifts H's nodes by [n G]. Surviving
    loops keep their relative order, so G-loop j (j <> e) has GH-loop id
    [j < e ? j : j-1], and H-loop j has id [num_loops G - 1 + (j < f ? j : j-1)]. *)
-let mix state =
-  let { gr; hr; g; h; c; e; f; _ } = state in
+let mix p =
+  let { gr; hr; g; h; c; e; f } = p in
   let ng = Ec.n gr in
   let cg = Ec.columns gr and ch = Ec.columns hr in
   let shift a = Array.map (fun v -> v + ng) a in
@@ -200,6 +231,37 @@ let mix state =
       loop_colour = Array.append (without e cg.loop_colour) (without f ch.loop_colour);
     }
 
+(* A level's three probe graphs (Fig. 6): the unfoldings GG, HH (with
+   their covering maps) and the mixture GH. *)
+let unfold_and_mix p =
+  let cov_gg, cov_hh =
+    Obs.with_span "core.lb.unfold" (fun () ->
+        (Lift.unfold_loop p.gr ~loop_id:p.e, Lift.unfold_loop p.hr ~loop_id:p.f))
+  in
+  (cov_gg, cov_hh, Obs.with_span "core.lb.mix" (fun () -> mix p))
+
+(* The next level's pair once the adversary has chosen its side, g★ and
+   loop: the unfolded side becomes G, the mixture becomes H, and g★'s
+   loop is found again inside the mixture (copy A ids coincide with the
+   G side's; on the H side nodes shift by |G| and loops by the |G| - 1
+   loops of G - e). *)
+let advance p ~gg ~hh ~gh ~side ~g_star ~loop_target =
+  let target = match side with `G -> gg | `H -> hh in
+  let h, f =
+    match side with
+    | `G -> (g_star, loop_target)
+    | `H -> (Ec.n p.gr + g_star, Ec.num_loops p.gr - 1 + loop_target)
+  in
+  {
+    gr = target;
+    hr = gh;
+    g = g_star;
+    h;
+    c = (Ec.loop target loop_target).colour;
+    e = loop_target;
+    f;
+  }
+
 (* Transport the side-local weights of y_mix (an FM on the mixture GH or
    on the 2-lift) onto the unfolded graph [target = GG or HH], producing
    the y' of §4.3: identical to A's output on [target] outside the side
@@ -208,8 +270,8 @@ let mix state =
    [side] selects which copy: `G means copy A of GG vs copy A of GH
    (identity on ids); `H means copy A of HH vs copy B of GH (node shift
    ng, edge shift mg, loop shift |keep G|). *)
-let transport ~side ~state ~target ~y_target ~y_mix =
-  let { gr; hr; _ } = state in
+let transport ~side ~pair ~target ~y_target ~y_mix =
+  let { gr; hr; _ } = pair in
   let mg = Ec.num_edges gr in
   let lg = Ec.num_loops gr - 1 (* loops of G - e *) in
   let lh = Ec.num_loops hr - 1 in
@@ -238,18 +300,14 @@ let transport ~side ~state ~target ~y_target ~y_mix =
    legitimately fans out over Pool (whose env-var fallback may warn
    on stderr once at startup). *)
 (* ld-lint: allow machine-purity — adversary driver, not a transition *)
-let step ?record ~delta ~algo ~check_views ~check_lift_invariance
+let step ?on_probe ~delta ~algo ~check_views ~check_lift_invariance
     ~incremental_views state =
   let level = state.i + 1 in
   Obs.with_span ~args:[ ("level", string_of_int level) ] "core.lb.level"
   @@ fun () ->
-  let { gr; hr; g; h; c; e; f; y_g; y_h; _ } = state in
-  let cov_gg, cov_hh =
-    Obs.with_span "core.lb.unfold" (fun () ->
-        (Lift.unfold_loop gr ~loop_id:e, Lift.unfold_loop hr ~loop_id:f))
-  in
+  let p = state.pair in
+  let cov_gg, cov_hh, gh = unfold_and_mix p in
   let gg = cov_gg.Lift.total and hh = cov_hh.Lift.total in
-  let gh = Obs.with_span "core.lb.mix" (fun () -> mix state) in
   (* P2 and P3 for the freshly built graphs. *)
   List.iter
     (fun x ->
@@ -274,37 +332,34 @@ let step ?record ~delta ~algo ~check_views ~check_lift_invariance
   in
   let accept graph y =
     Obs.Counter.incr c_probes;
-    (match record with
-    | Some r ->
-      r := { probe_level = level; probe_graph = graph; probe_base = y } :: !r
-    | None -> ());
+    Option.iter (fun record -> record ~level graph y) on_probe;
     check_feasible ~level graph y
   in
   accept gg y_gg;
   accept hh y_hh;
   accept gh y_gh;
   if check_lift_invariance then begin
-    if not (Fm.equal y_gg (Fm.pull_back cov_gg y_g)) then
+    if not (Fm.equal y_gg (Fm.pull_back cov_gg state.y_g)) then
       failwith
         (algo.name
        ^ ": not lift-invariant (output on 2-lift GG differs from pulled-back \
           output on G) — not an EC-model algorithm");
-    if not (Fm.equal y_hh (Fm.pull_back cov_hh y_h)) then
+    if not (Fm.equal y_hh (Fm.pull_back cov_hh state.y_h)) then
       failwith (algo.name ^ ": not lift-invariant on HH")
   end;
-  let w_e = Fm.loop_weight y_g e in
-  let w_f = Fm.loop_weight y_h f in
+  let w_e = Fm.loop_weight state.y_g p.e in
+  let w_f = Fm.loop_weight state.y_h p.f in
   let crossing_gh = Ec.num_edges gh - 1 in
   let w_cross = Fm.edge_weight y_gh crossing_gh in
   assert (not (Q.equal w_e w_f));
   (* Choose the side whose unfolded weight differs from the crossing
      weight; at least one does since w_e <> w_f. *)
   let side, target, y_target, start =
-    if not (Q.equal w_cross w_e) then (`G, gg, y_gg, g) else (`H, hh, y_hh, h)
+    if not (Q.equal w_cross w_e) then (`G, gg, y_gg, p.g) else (`H, hh, y_hh, p.h)
   in
-  let y' = transport ~side ~state ~target ~y_target ~y_mix:y_gh in
+  let y' = transport ~side ~pair:p ~target ~y_target ~y_mix:y_gh in
   let first =
-    match Ec.dart_by_colour target start c with
+    match Ec.dart_by_colour target start p.c with
     | Some d -> d
     | None -> assert false (* the crossing edge has colour c at start *)
   in
@@ -321,16 +376,11 @@ let step ?record ~delta ~algo ~check_views ~check_lift_invariance
         (Printf.sprintf
            "propagation walk stuck at node %d despite feasible outputs" node)
   in
-  (* Identify the same objects inside the mixture GH. *)
-  let lg = Ec.num_loops gr - 1 in
-  let g_star_gh, loop_gh =
-    match side with
-    | `G -> (g_star, loop_target) (* copy A ids coincide *)
-    | `H -> (Ec.n gr + g_star, lg + loop_target)
-  in
-  let wg = Fm.loop_weight y_target loop_target in
-  let wh = Fm.loop_weight y_gh loop_gh in
-  assert (not (Q.equal wg wh));
+  (* The same objects inside the mixture GH: the next pair. *)
+  let next = advance p ~gg ~hh ~gh ~side ~g_star ~loop_target in
+  assert (
+    not
+      (Q.equal (Fm.loop_weight y_target next.e) (Fm.loop_weight y_gh next.f)));
   (* Compose the covering chain for the side we walked into: the new gr
      is a 2-lift of the old gr (side `G) or of the old mixture (side
      `H). Either way τ_r(target, v) ≅ τ_r(anchor', amap'.(v)) exactly. *)
@@ -339,32 +389,26 @@ let step ?record ~delta ~algo ~check_views ~check_lift_invariance
     | `G ->
       let m = cov_gg.Lift.map and pmap = state.amap in
       (state.anchor, Array.init (Ec.n gg) (fun v -> pmap.(m.(v))))
-    | `H -> (hr, cov_hh.Lift.map)
+    | `H -> (p.hr, cov_hh.Lift.map)
   in
   let views_checked =
     check_views
     && Obs.with_span "core.lb.views" (fun () ->
            if incremental_views then begin
              Obs.Counter.incr c_incremental;
-             Refinement.equivalent_radius anchor' amap'.(g_star) gh g_star_gh
+             Refinement.equivalent_radius anchor' amap'.(g_star) gh next.h
                ~radius:level
            end
            else
-             Refinement.equivalent_radius target g_star gh g_star_gh
+             Refinement.equivalent_radius target g_star gh next.h
                ~radius:level)
   in
   if check_views && not views_checked then
     failwith "P1 violated: radius-level views are not isomorphic (engine bug)";
-  let colour = (Ec.loop target loop_target).colour in
   ( {
       i = level;
-      gr = target;
-      hr = gh;
-      g = g_star;
-      h = g_star_gh;
-      c = colour;
-      e = loop_target;
-      f = loop_gh;
+      pair = next;
+      choice = Unfold { side; g_star; loop_target };
       y_g = y_target;
       y_h = y_gh;
       anchor = anchor';
@@ -372,66 +416,311 @@ let step ?record ~delta ~algo ~check_views ~check_lift_invariance
     },
     views_checked )
 
-let certificate_of_state ~views_checked s =
-  {
-    level = s.i;
-    g_graph = s.gr;
-    h_graph = s.hr;
-    g_node = s.g;
-    h_node = s.h;
-    colour = s.c;
-    g_loop = s.e;
-    h_loop = s.f;
-    g_weight = Fm.loop_weight s.y_g s.e;
-    h_weight = Fm.loop_weight s.y_h s.f;
-    views_checked;
-  }
-
-let run_recording ?record ~check_views ~check_lift_invariance
+(* The induction of §4: [on_level] sees every level as it is certified,
+   [on_probe] every probe before its feasibility check. Returns the
+   failure witness if the algorithm is refuted. *)
+let drive ?on_probe ~on_level ~check_views ~check_lift_invariance
     ~incremental_views ~delta algo =
   if delta < 2 then invalid_arg "Lower_bound.run: delta must be >= 2";
   Obs.with_span
     ~args:[ ("delta", string_of_int delta); ("algorithm", algo.name) ]
     "core.lb.run"
   @@ fun () ->
-  let certificates = ref [] in
-  let outcome =
+  let certified = ref 0 in
+  let emit state ~views_checked =
+    incr certified;
+    on_level state ~views_checked
+  in
+  let refuted =
     try
-      let state = ref (base_case ?record ~delta algo) in
-      certificates := [ certificate_of_state ~views_checked:check_views !state ];
+      let state = ref (base_case ?on_probe ~delta algo) in
+      emit !state ~views_checked:check_views;
       while !state.i < delta - 2 do
         let next, views_checked =
-          step ?record ~delta ~algo ~check_views ~check_lift_invariance
+          step ?on_probe ~delta ~algo ~check_views ~check_lift_invariance
             ~incremental_views !state
         in
         state := next;
-        certificates := certificate_of_state ~views_checked next :: !certificates
+        emit next ~views_checked
       done;
-      Certified (List.rev !certificates)
-    with Refutation failure -> Refuted (List.rev !certificates, failure)
+      None
+    with Refutation failure -> Some failure
   in
-  (match outcome with
-  | Certified certs -> Obs.Counter.add c_certificates (List.length certs)
-  | Refuted (certs, _) ->
-    Obs.Counter.add c_certificates (List.length certs);
-    Obs.Counter.incr c_refutations);
-  outcome
+  Obs.Counter.add c_certificates !certified;
+  if Option.is_some refuted then Obs.Counter.incr c_refutations;
+  refuted
 
 let run ?(check_views = true) ?(check_lift_invariance = true)
     ?(incremental_views = true) ~delta algo =
-  run_recording ~check_views ~check_lift_invariance ~incremental_views ~delta
-    algo
+  let certificates = ref [] and choices = ref [] in
+  let on_level s ~views_checked =
+    choices := s.choice :: !choices;
+    let p = s.pair in
+    certificates :=
+      {
+        level = s.i;
+        trail = Array.of_list (List.rev !choices);
+        g_graph = given p.gr;
+        h_graph = given p.hr;
+        g_node = p.g;
+        h_node = p.h;
+        colour = p.c;
+        g_loop = p.e;
+        h_loop = p.f;
+        g_weight = Fm.loop_weight s.y_g p.e;
+        h_weight = Fm.loop_weight s.y_h p.f;
+        views_checked;
+      }
+      :: !certificates
+  in
+  match
+    drive ~on_level ~check_views ~check_lift_invariance ~incremental_views
+      ~delta algo
+  with
+  | None -> Certified (List.rev !certificates)
+  | Some failure -> Refuted (List.rev !certificates, failure)
 
 let max_level = function
   | Certified certs | Refuted (certs, _) ->
     List.fold_left (fun acc c -> Stdlib.max acc c.level) (-1) certs
 
+(* ---- The trail ----
+
+   Every graph of the construction is a function of a few ints: the
+   base case's removed and changed loops, then per level the side, g★
+   and loop the propagation walk picked ([step], [advance]). A trail
+   holds exactly these choices, and [replay] rebuilds the graphs from
+   them with [Lift.unfold_loop] and [mix] alone.
+
+   [shapes] reads a trail without building a graph. Per level it
+   derives the sizes of G and H and the certificate's scalars; a loop's
+   node and colour are traced back through the levels that copied it
+   ([loop_at]). Any trail it accepts replays: every g★ and loop exists,
+   and each named loop sits at g★ in copy A of the unfolded side, as the
+   propagation walk leaves it. *)
+
+type shape = {
+  ng : int;
+  lg : int; (* nodes and loops of G *)
+  nh : int;
+  lh : int; (* and of H *)
+  sg : int;
+  sh : int;
+  sc : int;
+  se : int;
+  sf : int; (* the pair's g, h, c, e, f *)
+}
+
+(* Largest Δ a trail may name. Level graphs have at most 2^(Δ-2) nodes,
+   so every count stays far from overflow; THM1 runs to Δ = 20. *)
+let max_trail_delta = 32
+
+(* Node and colour of loop [k] of G_i ([`G]) or H_i ([`H]). Unfolding X
+   at loop x keeps X - x's loops in copy A, then again shifted by |X| in
+   copy B; the mixture keeps G - e's loops, then H - f's shifted by
+   |G|. *)
+let rec loop_at shapes trail i which k =
+  let skip x k = if k < x then k else k + 1 in
+  match (trail.(i), which) with
+  | Base _, `G -> (0, k + 1)
+  | Base { removed; _ }, `H -> (0, skip removed k + 1)
+  | Unfold { side; _ }, `G ->
+    let p = shapes.(i - 1) in
+    let n, l, x =
+      match side with `G -> (p.ng, p.lg, p.se) | `H -> (p.nh, p.lh, p.sf)
+    in
+    let k, shift = if k < l - 1 then (k, 0) else (k - (l - 1), n) in
+    let node, colour = loop_at shapes trail (i - 1) side (skip x k) in
+    (node + shift, colour)
+  | Unfold _, `H ->
+    let p = shapes.(i - 1) in
+    if k < p.lg - 1 then loop_at shapes trail (i - 1) `G (skip p.se k)
+    else
+      let node, colour =
+        loop_at shapes trail (i - 1) `H (skip p.sf (k - (p.lg - 1)))
+      in
+      (node + p.ng, colour)
+
+let trail_delta trail =
+  match trail with
+  | [||] -> invalid_arg "Lower_bound: empty trail"
+  | _ -> (
+    match trail.(0) with
+    | Base { delta; _ } -> delta
+    | Unfold _ -> invalid_arg "Lower_bound: trail level 0 is not a base step")
+
+let shapes trail =
+  let bad fmt = Printf.ksprintf invalid_arg ("Lower_bound: trail " ^^ fmt) in
+  let delta = trail_delta trail in
+  let len = Array.length trail in
+  if delta < 2 || delta > max_trail_delta then
+    bad "names delta %d outside [2, %d]" delta max_trail_delta;
+  if len > delta - 1 then bad "has %d levels for delta %d" len delta;
+  let shapes = Array.make len { ng = 0; lg = 0; nh = 0; lh = 0; sg = 0; sh = 0; sc = 0; se = 0; sf = 0 } in
+  Array.iteri
+    (fun i choice ->
+      match choice with
+      | Base { removed; changed; _ } ->
+        if i > 0 then bad "has a base step at level %d" i;
+        if removed < 0 || removed >= delta then
+          bad "removes loop %d of %d" removed delta;
+        if changed < 0 || changed >= delta || changed = removed then
+          bad "changes loop %d (removed %d of %d)" changed removed delta;
+        shapes.(0) <-
+          {
+            ng = 1;
+            lg = delta;
+            nh = 1;
+            lh = delta - 1;
+            sg = 0;
+            sh = 0;
+            sc = changed + 1;
+            se = changed;
+            sf = (if changed < removed then changed else changed - 1);
+          }
+      | Unfold { side; g_star; loop_target } ->
+        let p = shapes.(i - 1) in
+        let n, l =
+          match side with
+          | `G -> (2 * p.ng, 2 * (p.lg - 1))
+          | `H -> (2 * p.nh, 2 * (p.lh - 1))
+        in
+        if g_star < 0 || g_star >= n then
+          bad "names g* = %d at level %d, which has %d nodes" g_star i n;
+        (* The walk ends in copy A, whose loops come first; its twin in
+           the mixture is then the loop [advance] names. *)
+        if loop_target < 0 || loop_target >= l / 2 then
+          bad "names loop %d at level %d, outside the %d loops of copy A"
+            loop_target i (l / 2);
+        let node, colour = loop_at shapes trail i `G loop_target in
+        if node <> g_star then
+          bad "names loop %d at level %d, which is not at g* = %d" loop_target i
+            g_star;
+        let sh, sf =
+          match side with
+          | `G -> (g_star, loop_target)
+          | `H -> (p.ng + g_star, p.lg - 1 + loop_target)
+        in
+        shapes.(i) <-
+          {
+            ng = n;
+            lg = l;
+            nh = p.ng + p.nh;
+            lh = p.lg - 1 + (p.lh - 1);
+            sg = g_star;
+            sh;
+            sc = colour;
+            se = loop_target;
+            sf;
+          })
+    trail;
+  shapes
+
+(* ---- Replay ----
+
+   A chain replays one trail: level i's graphs are built on first use
+   from level i-1's pair and kept. The first forcer takes the chain's
+   mutex and builds every missing level up to the one it wants; later
+   forcers read the published level through an [Atomic] without
+   locking. So two domains forcing one chain build each level once and
+   share it. ([Lazy.force] would raise [Lazy.Undefined] in the second
+   domain under OCaml 5.1.) *)
+
+(* A level's pair and its probe graphs (level 0: G_0, H_0; level i: GG,
+   HH, GH). *)
+type replayed = { rpair : pair; probe_graphs : Ec.t array }
+
+type chain = {
+  chain_trail : step array;
+  lock : Mutex.t;
+  built : replayed option Atomic.t array;
+}
+
+let chain trail =
+  {
+    chain_trail = trail;
+    lock = Mutex.create ();
+    built = Array.init (Array.length trail) (fun _ -> Atomic.make None);
+  }
+
+let replay_level ch i =
+  Obs.Counter.incr c_replays;
+  Obs.with_span ~args:[ ("level", string_of_int i) ] "core.lb.replay"
+  @@ fun () ->
+  match ch.chain_trail.(i) with
+  | Base { delta; removed; changed } ->
+    let g0 = base_graph delta in
+    let h0 = Ec.remove_loop g0 removed in
+    { rpair = base_pair g0 h0 ~removed ~changed; probe_graphs = [| g0; h0 |] }
+  | Unfold { side; g_star; loop_target } ->
+    let p =
+      match Atomic.get ch.built.(i - 1) with
+      | Some r -> r.rpair
+      | None -> assert false (* built in level order *)
+    in
+    let cov_gg, cov_hh, gh = unfold_and_mix p in
+    let gg = cov_gg.Lift.total and hh = cov_hh.Lift.total in
+    {
+      rpair = advance p ~gg ~hh ~gh ~side ~g_star ~loop_target;
+      probe_graphs = [| gg; hh; gh |];
+    }
+
+let replay ch i =
+  match Atomic.get ch.built.(i) with
+  | Some r -> r
+  | None -> (
+    Mutex.protect ch.lock (fun () ->
+        for k = 0 to i do
+          if Option.is_none (Atomic.get ch.built.(k)) then
+            Atomic.set ch.built.(k) (Some (replay_level ch k))
+        done);
+    match Atomic.get ch.built.(i) with Some r -> r | None -> assert false)
+
+let probe_count level = if level = 0 then 2 else 3
+
+(* Level [i]'s certificate over a chain; its scalars come from the
+   trail's shapes, its graphs from the chain on first use. *)
+let certificate_in ch shapes i ~g_weight ~h_weight ~views_checked =
+  let s = shapes.(i) in
+  {
+    level = i;
+    trail = Array.sub ch.chain_trail 0 (i + 1);
+    g_graph = (fun () -> (replay ch i).rpair.gr);
+    h_graph = (fun () -> (replay ch i).rpair.hr);
+    g_node = s.sg;
+    h_node = s.sh;
+    colour = s.sc;
+    g_loop = s.se;
+    h_loop = s.sf;
+    g_weight;
+    h_weight;
+    views_checked;
+  }
+
+let probe_in ch i k prefix_round =
+  {
+    probe_level = i;
+    prefix_round;
+    probe_graph = (fun () -> (replay ch i).probe_graphs.(k));
+  }
+
+let level_of_trail trail ~g_weight ~h_weight ~views_checked ~prefix_rounds =
+  let shapes = shapes trail in
+  let i = Array.length trail - 1 in
+  if List.length prefix_rounds <> probe_count i then
+    invalid_arg
+      (Printf.sprintf "Lower_bound.level_of_trail: %d thresholds at level %d"
+         (List.length prefix_rounds) i);
+  let ch = chain trail in
+  ( certificate_in ch shapes i ~g_weight ~h_weight ~views_checked,
+    List.mapi (probe_in ch i) prefix_rounds )
+
 (* Memoised frontier scans. Every level of the construction is
    determined by the algorithm's outputs on the probe graphs, so two
    algorithms that agree on every probe walk through {e the same}
-   construction and reach the same outcome. The cache stores the base
-   algorithm's probes (keyed by [(delta, level)] through the probe
-   order) plus its outcome; [cached_run] replays the probes in order:
+   construction and reach the same outcome. The cache holds the base
+   algorithm's trail, its per-probe feasibility thresholds and its
+   outcome; [cached_run] replays the probes in order:
 
    - a feasibility failure at some probe is exactly where [run] would
      have stopped, so the cached certificates below that level are
@@ -448,22 +737,21 @@ type cache = {
   cache_delta : int;
   cache_check_views : bool;
   cache_algo_name : string;
+  cache_base : algorithm option;
+      (* Reruns on replayed probe graphs where the base outputs are
+         needed; [None] for a reassembled cache of an unknown algorithm. *)
   cache_outcome : outcome;
   cache_probes : probe list;
   cache_prefix_rounds : int array;
-      (* Per probe, in probe order: the smallest truncation [r] whose
-         colour-<=r restriction of the base output is still feasible —
-         the largest colour carrying positive weight for probes the base
-         passed, [max_int] for a probe the base itself failed (then no
-         truncation passes either). Fuels {!truncated_replay}. *)
+      (* [prefix_round] of every probe, in probe order. Fuels
+         {!truncated_replay} and {!truncated_verdict}. *)
 }
 
 (* Largest colour with positive weight anywhere in the output. Every
    positive item sits at some node, so this equals the max over nodes of
    their largest positive colour — the exact threshold below which a
    colour restriction leaves some node unsaturated. *)
-let prefix_round p =
-  let y = p.probe_base and graph = p.probe_graph in
+let prefix_round graph y =
   let c = Ec.columns graph in
   let r = ref 0 in
   for j = 0 to Ec.num_edges graph - 1 do
@@ -476,30 +764,86 @@ let prefix_round p =
   done;
   !r
 
-let build_cache ?(check_views = true) ?(incremental_views = true) ~delta algo =
-  Obs.with_span ~args:[ ("delta", string_of_int delta) ] "core.lb.build_cache"
-  @@ fun () ->
-  let record = ref [] in
-  let outcome =
-    run_recording ~record ~check_views ~check_lift_invariance:true
-      ~incremental_views ~delta algo
-  in
-  let probes = List.rev !record in
-  let prefix_rounds = Array.of_list (List.map prefix_round probes) in
-  (* When the base itself was refuted, the failing probe is the last one
-     recorded: its output is infeasible at every truncation. *)
-  (match outcome with
-  | Refuted _ when Array.length prefix_rounds > 0 ->
-    prefix_rounds.(Array.length prefix_rounds - 1) <- max_int
-  | _ -> ());
+let make_cache ~delta ~algo_name ~base ~check_views ~probes ~outcome =
   {
     cache_delta = delta;
     cache_check_views = check_views;
-    cache_algo_name = algo.name;
+    cache_algo_name = algo_name;
+    cache_base = base;
     cache_outcome = outcome;
     cache_probes = probes;
-    cache_prefix_rounds = prefix_rounds;
+    cache_prefix_rounds = Array.of_list (List.map (fun p -> p.prefix_round) probes);
   }
+
+(* One certified level as the cold build records it. *)
+type recorded = {
+  choice : step;
+  g_weight : Q.t;
+  h_weight : Q.t;
+  checked : bool;
+  thresholds : int list;
+}
+
+(* The cold build keeps the current level state and the trail; each
+   level's probe graphs are dropped once they pass, and the cache's
+   graphs are replayed from the trail like a reloaded one's. Only a
+   refuted base leaves graphs behind: its failing level, which no trail
+   entry describes. *)
+let build_cache ?(check_views = true) ?(incremental_views = true) ~delta algo =
+  Obs.with_span ~args:[ ("delta", string_of_int delta) ] "core.lb.build_cache"
+  @@ fun () ->
+  let levels = ref [] and pending = ref [] in
+  let on_probe ~level:_ graph y = pending := (graph, prefix_round graph y) :: !pending in
+  let on_level (s : level_state) ~views_checked =
+    levels :=
+      {
+        choice = s.choice;
+        g_weight = Fm.loop_weight s.y_g s.pair.e;
+        h_weight = Fm.loop_weight s.y_h s.pair.f;
+        checked = views_checked;
+        thresholds = List.rev_map snd !pending;
+      }
+      :: !levels;
+    pending := []
+  in
+  let refuted =
+    drive ~on_probe ~on_level ~check_views ~check_lift_invariance:true
+      ~incremental_views ~delta algo
+  in
+  let levels = List.rev !levels in
+  let trail = Array.of_list (List.map (fun l -> l.choice) levels) in
+  let ch = chain trail in
+  let shapes = if levels = [] then [||] else shapes trail in
+  let certs =
+    List.mapi
+      (fun i l ->
+        certificate_in ch shapes i ~g_weight:l.g_weight ~h_weight:l.h_weight
+          ~views_checked:l.checked)
+      levels
+  in
+  let probes =
+    List.concat
+      (List.mapi (fun i l -> List.mapi (probe_in ch i) l.thresholds) levels)
+  in
+  let outcome, failed =
+    match refuted with
+    | None -> (Certified certs, [])
+    | Some failure ->
+      (* The failing probe is the last one recorded: its output is
+         infeasible at every truncation. *)
+      let failed =
+        match !pending with
+        | [] -> []
+        | (graph, _) :: passed -> (graph, max_int) :: passed
+      in
+      ( Refuted (certs, failure),
+        List.rev_map
+          (fun (graph, prefix_round) ->
+            { probe_level = Array.length trail; prefix_round; probe_graph = given graph })
+          failed )
+  in
+  make_cache ~delta ~algo_name:algo.name ~base:(Some algo) ~check_views
+    ~probes:(probes @ failed) ~outcome
 
 let cache_outcome cache = cache.cache_outcome
 let cache_delta cache = cache.cache_delta
@@ -507,36 +851,89 @@ let cache_algo_name cache = cache.cache_algo_name
 let cache_check_views cache = cache.cache_check_views
 let cache_probes cache = cache.cache_probes
 
+let step_equal a b =
+  match (a, b) with
+  | Base a, Base b ->
+    a.delta = b.delta && a.removed = b.removed && a.changed = b.changed
+  | Unfold a, Unfold b ->
+    (match (a.side, b.side) with
+    | `G, `G | `H, `H -> true
+    | `G, `H | `H, `G -> false)
+    && a.g_star = b.g_star && a.loop_target = b.loop_target
+  | Base _, Unfold _ | Unfold _, Base _ -> false
+
 (* Rebuild a cache from stored parts (the persistent store's warm
-   path). The thresholds are a pure function of the probes, and the
-   Refuted fixup mirrors [build_cache]: when the base itself failed,
-   the failing probe is the last recorded one and no truncation of it
-   passes either. *)
+   path): the thresholds are read off the probes, and every certificate
+   and probe is rewired onto one chain over the deepest certificate's
+   trail, so forcing the whole cache replays each level once. *)
 let assemble_cache ~delta ~algo_name ~check_views ~probes ~outcome =
-  let prefix_rounds = Array.of_list (List.map prefix_round probes) in
-  (match outcome with
-  | Refuted _ when Array.length prefix_rounds > 0 ->
-    prefix_rounds.(Array.length prefix_rounds - 1) <- max_int
-  | _ -> ());
-  {
-    cache_delta = delta;
-    cache_check_views = check_views;
-    cache_algo_name = algo_name;
-    cache_outcome = outcome;
-    cache_probes = probes;
-    cache_prefix_rounds = prefix_rounds;
-  }
+  let bad msg = invalid_arg ("Lower_bound.assemble_cache: " ^ msg) in
+  let certs = match outcome with Certified certs | Refuted (certs, _) -> certs in
+  let trail =
+    match List.rev certs with [] -> [||] | top :: _ -> top.trail
+  in
+  let depth = Array.length trail in
+  List.iteri
+    (fun i c ->
+      if c.level <> i then bad "certificate levels are not 0, 1, ...";
+      if
+        Array.length c.trail <> i + 1
+        || not (Array.for_all2 step_equal c.trail (Array.sub trail 0 (i + 1)))
+      then bad "certificate trails are not prefixes of one trail")
+    certs;
+  let shapes = if depth = 0 then [||] else shapes trail in
+  if depth > 0 && trail_delta trail <> delta then bad "trail names another delta";
+  let ch = chain trail in
+  let certs =
+    List.map
+      (fun c ->
+        certificate_in ch shapes c.level ~g_weight:c.g_weight
+          ~h_weight:c.h_weight ~views_checked:c.views_checked)
+      certs
+  in
+  (* The k-th probe of a trail level is that level's k-th probe graph;
+     probes past the trail (a refuted base's failing level) keep
+     theirs. *)
+  let probes =
+    let rec rewire level k = function
+      | [] -> []
+      | p :: rest ->
+        let k = if p.probe_level = level then k + 1 else 0 in
+        let p =
+          if p.probe_level >= depth then p
+          else if k >= probe_count p.probe_level then bad "too many probes at a level"
+          else probe_in ch p.probe_level k p.prefix_round
+        in
+        p :: rewire p.probe_level k rest
+    in
+    rewire (-1) 0 probes
+  in
+  let outcome =
+    match outcome with
+    | Certified _ -> Certified certs
+    | Refuted (_, failure) -> Refuted (certs, failure)
+  in
+  let base =
+    List.find_opt
+      (fun (a : algorithm) -> String.equal a.name algo_name)
+      Ld_matching.Packing.[ greedy_algorithm; proposal_algorithm ]
+  in
+  make_cache ~delta ~algo_name ~base ~check_views ~probes ~outcome
 
 exception Diverged
 
 let cached_run cache algo =
   let replay () =
     Obs.with_span "core.lb.memo_replay" @@ fun () ->
+    let base =
+      match cache.cache_base with Some base -> base | None -> raise Diverged
+    in
     List.iter
       (fun p ->
-        let y = algo.run p.probe_graph in
-        check_feasible ~level:p.probe_level p.probe_graph y;
-        if not (Fm.equal y p.probe_base) then raise Diverged)
+        let graph = force p.probe_graph in
+        let y = algo.run graph in
+        check_feasible ~level:p.probe_level graph y;
+        if not (Fm.equal y (base.run graph)) then raise Diverged)
       cache.cache_probes;
     cache.cache_outcome
   in
@@ -582,26 +979,17 @@ let truncated_replay cache ~rounds =
   Obs.with_span "core.lb.frontier_replay" @@ fun () ->
   (* First probe (in check order) whose feasibility threshold exceeds
      [rounds] — exactly where the replay would raise [Refutation]. *)
-  let failing =
-    let rec scan i = function
-      | [] -> None
-      | p :: rest ->
-        if cache.cache_prefix_rounds.(i) > rounds then Some p
-        else scan (i + 1) rest
-    in
-    scan 0 cache.cache_probes
-  in
-  match failing with
+  match List.find_opt (fun p -> p.prefix_round > rounds) cache.cache_probes with
   | None ->
     Obs.Counter.incr c_memo_hits;
     cache.cache_outcome
   | Some p ->
     Obs.Counter.incr c_memo_refuted;
-    let y_r = restrict_output p.probe_base p.probe_graph ~rounds in
+    let graph = force p.probe_graph in
+    let y = Ld_matching.Packing.greedy_algorithm.run graph in
+    let y_r = restrict_output y graph ~rounds in
     let violations = Fm.feasibility_violations y_r in
-    let failure =
-      infeasible ~level:p.probe_level p.probe_graph y_r violations
-    in
+    let failure = infeasible ~level:p.probe_level graph y_r violations in
     let certs =
       match cache.cache_outcome with
       | Certified certs | Refuted (certs, _) -> certs
@@ -651,8 +1039,8 @@ let pp_certificate fmt c =
   Format.fprintf fmt
     "@[<v>level %d: |G_i| = %d nodes, |H_i| = %d nodes;@ distinguished nodes \
      g=%d h=%d; colour-%d loops carry weights %a vs %a;@ radius-%d views %s@]"
-    c.level (Ec.n c.g_graph) (Ec.n c.h_graph) c.g_node c.h_node c.colour Q.pp
-    c.g_weight Q.pp c.h_weight c.level
+    c.level (Ec.n (force c.g_graph)) (Ec.n (force c.h_graph)) c.g_node c.h_node
+    c.colour Q.pp c.g_weight Q.pp c.h_weight c.level
     (if c.views_checked then "verified isomorphic (colour refinement)"
      else "not checked")
 

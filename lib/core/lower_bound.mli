@@ -40,10 +40,36 @@ type algorithm = Ld_matching.Packing.algorithm = {
   run : Ec.t -> Fm.t;
 }
 
+(** A value built on first use and kept. Forcing is domain-safe: any
+    number of domains may force one value at once, and all of them get
+    the same (physically equal) result. *)
+type 'a deferred
+
+val force : 'a deferred -> 'a
+
+(** A value that is already built. *)
+val given : 'a -> 'a deferred
+
+(** One choice of the adversary. The base case ({!Base}, level 0) builds
+    [G_0] with [delta] loops, removes loop [removed] to get [H_0], and
+    names the surviving loop [changed] whose weight moved. Every later
+    level ({!Unfold}) unfolds the [side] whose weight differs from the
+    crossing edge's, and the propagation walk ends at loop [loop_target]
+    of node [g_star] there. Every graph of the construction is a
+    function of these choices. *)
+type step =
+  | Base of { delta : int; removed : int; changed : int }
+  | Unfold of { side : [ `G | `H ]; g_star : int; loop_target : int }
+
 type certificate = {
   level : int;  (** the [i] of [(G_i, H_i)] *)
-  g_graph : Ec.t;
-  h_graph : Ec.t;
+  trail : step array;
+      (** the choices of levels [0 … level]; [[||]] for a certificate
+          read from outside the adversary *)
+  g_graph : Ec.t deferred;
+  h_graph : Ec.t deferred;
+      (** built on first use: a cached certificate replays them from its
+          trail, counted by [core.lb.replays] *)
   g_node : int;
   h_node : int;
   colour : int;  (** colour [c_i] of the distinguished loops *)
@@ -106,15 +132,19 @@ val max_level : outcome -> int
     [run] rebuilds the whole [(G_i, H_i)] construction for every
     algorithm it is pointed at, which makes the benchmark's truncation
     scans ([r = 0, 1, …]) pay for [Θ(Δ)] constructions per scan. A
-    {!cache} stores one construction — every feasibility probe
-    [(level, graph, base output)] in check order, keyed by
-    [(delta, level)] — so the scans replay it instead. *)
+    {!cache} stores one construction succinctly — the adversary's
+    trail, one feasibility threshold per probe, and per level the two
+    distinguished weights and the views flag — so the scans replay it
+    instead. Its graphs are rebuilt from the trail only when a consumer
+    forces one. *)
 type cache
 
 (** [build_cache ~delta a] runs the full adversary against [a] once and
-    records every probe together with the outcome (plus, per probe, the
-    largest colour carrying positive weight — the feasibility threshold
-    {!truncated_replay} compares against). [check_views] and
+    keeps its trail and outcome plus, per probe, the largest colour
+    carrying positive weight (the feasibility threshold
+    {!truncated_replay} compares against). Each level's probe graphs
+    are dropped once they pass; the cache's certificates and probes
+    replay theirs from the trail on demand. [check_views] and
     [incremental_views] are forwarded to the underlying {!run};
     [check_views] is also used by any fallback {!run} a later
     {!cached_run} needs.
@@ -123,13 +153,13 @@ val build_cache :
   ?check_views:bool -> ?incremental_views:bool -> delta:int -> algorithm ->
   cache
 
-(** The base algorithm's recorded outcome — what {!run} returned during
-    {!build_cache}, physically shared (no recomputation). *)
+(** The base algorithm's outcome, as {!build_cache} recorded it. *)
 val cache_outcome : cache -> outcome
 
 (** [cached_run cache b] computes the outcome [run] would produce for
-    [b], reusing the cached construction: each probe graph is re-run
-    under [b] and checked for feasibility.
+    [b], reusing the cached construction: each probe graph is replayed,
+    re-run under [b] and checked for feasibility, and the base
+    algorithm is re-run on it for comparison.
 
     - If [b] fails feasibility at some probe, that is exactly where
       [run] would have refuted it: the result is [Refuted] with the
@@ -139,7 +169,8 @@ val cache_outcome : cache -> outcome
       probe, it walks the identical construction: the cached outcome is
       returned as-is (physically shared).
     - If [b] is feasible but diverges from the base output on some
-      probe, the cache does not apply and a full [run] is performed.
+      probe, the cache does not apply and a full [run] is performed (as
+      it is for a reassembled cache whose base algorithm is unknown).
 
     For the benchmark's truncated algorithms the divergent case never
     arises: by Lemma 2 a feasible output on these loopy graphs is fully
@@ -149,7 +180,7 @@ val cached_run : cache -> algorithm -> outcome
 
 (** [truncated_replay cache ~rounds] is the exact outcome of
     [cached_run cache (Packing.truncated `Greedy rounds)], computed
-    {e analytically} — no algorithm is re-run on any probe graph.
+    {e analytically} from the thresholds.
 
     Greedy-by-colour reads exactly the colour-[c] dart in phase [c], so
     its [rounds]-truncation outputs precisely the colour-[≤ rounds]
@@ -158,8 +189,9 @@ val cached_run : cache -> algorithm -> outcome
     (feasible ⟺ fully saturated, Lemma 2) — in which case it {e equals}
     the base output and the cached outcome is returned as-is. Otherwise
     the first probe whose threshold exceeds [rounds] is where the real
-    replay would refute, and an identical failure witness (restricted
-    output, freshly checked violations, same 2-lift) is materialised.
+    replay would refute: that one probe graph is replayed and greedy
+    re-run on it, and an identical failure witness (restricted output,
+    freshly checked violations, same 2-lift) is materialised.
     @raise Invalid_argument if the cache's base algorithm is not
     greedy-by-colour or [rounds < 0]. *)
 val truncated_replay : cache -> rounds:int -> outcome
@@ -171,11 +203,17 @@ val truncated_replay : cache -> rounds:int -> outcome
     re-running the adversary. These accessors expose exactly the data
     that determines a cache; {!assemble_cache} is the inverse. *)
 
-(** One recorded feasibility probe: the graph the base algorithm was
-    run on at [probe_level], together with its output. The probe list
-    of a cache is in canonical check order (level 0: G_0 then H_0;
-    level i: GG, HH, GH). *)
-type probe = { probe_level : int; probe_graph : Ec.t; probe_base : Fm.t }
+(** One feasibility probe: the graph the base algorithm was run on at
+    [probe_level] and the smallest truncation [prefix_round] whose
+    colour-prefix of the base output is still feasible ([max_int] for a
+    probe the base itself failed). The probe list of a cache is in
+    canonical check order (level 0: G_0 then H_0; level i: GG, HH,
+    GH). *)
+type probe = {
+  probe_level : int;
+  prefix_round : int;
+  probe_graph : Ec.t deferred;
+}
 
 val cache_delta : cache -> int
 val cache_algo_name : cache -> string
@@ -183,15 +221,37 @@ val cache_check_views : cache -> bool
 val cache_probes : cache -> probe list
 
 (** [assemble_cache ~delta ~algo_name ~check_views ~probes ~outcome]
-    rebuilds a cache from stored parts. The per-probe feasibility
-    thresholds are recomputed from the probes (they are a pure function
-    of the recorded outputs), so a reassembled cache is
+    rebuilds a cache from stored parts. The thresholds are read off the
+    probes, and every certificate and probe is rewired onto one replay
+    chain over the deepest certificate's trail, so forcing the whole
+    cache replays each level once. A reassembled cache is
     indistinguishable from the {!build_cache} original: [cached_run],
     {!truncated_replay} and {!truncated_verdict} return identical
-    results. No algorithm is run. *)
+    results. No algorithm is run and no graph is built.
+    @raise Invalid_argument if the certificates are not levels
+    [0, 1, …] whose trails are prefixes of one valid trail for
+    [delta], or a level has more probes than the construction has. *)
 val assemble_cache :
   delta:int -> algo_name:string -> check_views:bool -> probes:probe list ->
   outcome:outcome -> cache
+
+(** [level_of_trail trail ~g_weight ~h_weight ~views_checked
+    ~prefix_rounds] is the certificate and probes of level
+    [Array.length trail - 1] of the construction [trail] describes, the
+    persistent store's decoder. The certificate's scalars are read off
+    the trail without building a graph; its graphs and the probes'
+    replay the trail on their own when forced.
+    @raise Invalid_argument if the trail is not one the adversary could
+    take — a first step that is not the only {!Base} step, a Δ outside
+    [[2, 32]], more than Δ-1 levels, a removed or changed loop outside
+    [G_0], a [g_star] outside its level's graph, a [loop_target]
+    outside copy A of it (where the propagation walk ends) or not at
+    [g_star] — or if
+    [prefix_rounds] does not hold one threshold per probe of the
+    level. *)
+val level_of_trail :
+  step array -> g_weight:Q.t -> h_weight:Q.t -> views_checked:bool ->
+  prefix_rounds:int list -> certificate * probe list
 
 (** [truncated_verdict cache ~rounds] is the constructor of
     [truncated_replay cache ~rounds] alone ([`Certified] or

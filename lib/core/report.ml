@@ -18,6 +18,8 @@ let graph_block buf title g =
   end
 
 let certificate buf delta (c : Lower_bound.certificate) =
+  let g_graph = Lower_bound.force c.g_graph
+  and h_graph = Lower_bound.force c.h_graph in
   Buffer.add_string buf
     (Printf.sprintf "### Level %d\n\n" c.level);
   Buffer.add_string buf
@@ -30,16 +32,16 @@ let certificate buf delta (c : Lower_bound.certificate) =
        (Q.to_string c.h_weight) c.level
        (if c.views_checked then "verified isomorphic by colour refinement"
         else "not checked in this run")
-       (min (Ec.min_loops c.g_graph) (Ec.min_loops c.h_graph))
+       (min (Ec.min_loops g_graph) (Ec.min_loops h_graph))
        (delta - 1 - c.level) delta);
   if c.level <= 1 then begin
-    graph_block buf "G_i" c.g_graph;
-    graph_block buf "H_i" c.h_graph
+    graph_block buf "G_i" g_graph;
+    graph_block buf "H_i" h_graph
   end
   else
     Buffer.add_string buf
       (Printf.sprintf "* sizes: |G_%d| = %d, |H_%d| = %d (the 2^i unfolding)\n\n"
-         c.level (Ec.n c.g_graph) c.level (Ec.n c.h_graph))
+         c.level (Ec.n g_graph) c.level (Ec.n h_graph))
 
 let markdown ~delta ~algorithm_name outcome =
   let buf = Buffer.create 4096 in

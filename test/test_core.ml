@@ -19,22 +19,22 @@ let check_certificate delta (c : LB.certificate) =
     (Printf.sprintf "level %d weights differ" c.level)
     false
     (Q.equal c.g_weight c.h_weight);
-  Alcotest.(check int) "loop colour (G)" c.colour (Ec.loop c.g_graph c.g_loop).colour;
-  Alcotest.(check int) "loop colour (H)" c.colour (Ec.loop c.h_graph c.h_loop).colour;
-  Alcotest.(check int) "loop node (G)" c.g_node (Ec.loop c.g_graph c.g_loop).node;
-  Alcotest.(check int) "loop node (H)" c.h_node (Ec.loop c.h_graph c.h_loop).node;
+  Alcotest.(check int) "loop colour (G)" c.colour (Ec.loop (LB.force c.g_graph) c.g_loop).colour;
+  Alcotest.(check int) "loop colour (H)" c.colour (Ec.loop (LB.force c.h_graph) c.h_loop).colour;
+  Alcotest.(check int) "loop node (G)" c.g_node (Ec.loop (LB.force c.g_graph) c.g_loop).node;
+  Alcotest.(check int) "loop node (H)" c.h_node (Ec.loop (LB.force c.h_graph) c.h_loop).node;
   (* ... on isomorphic radius-i views. *)
   Alcotest.(check bool)
     (Printf.sprintf "level %d views isomorphic" c.level)
     true
-    (Refinement.equivalent_radius c.g_graph c.g_node c.h_graph c.h_node
+    (Refinement.equivalent_radius (LB.force c.g_graph) c.g_node (LB.force c.h_graph) c.h_node
        ~radius:c.level);
   (* P2: (Δ-1-i)-loopiness of the multigraphs themselves. *)
-  Alcotest.(check bool) "P2 for G" true (Ec.min_loops c.g_graph >= delta - 1 - c.level);
-  Alcotest.(check bool) "P2 for H" true (Ec.min_loops c.h_graph >= delta - 1 - c.level);
+  Alcotest.(check bool) "P2 for G" true (Ec.min_loops (LB.force c.g_graph) >= delta - 1 - c.level);
+  Alcotest.(check bool) "P2 for H" true (Ec.min_loops (LB.force c.h_graph) >= delta - 1 - c.level);
   (* Degrees stay within Δ. *)
-  Alcotest.(check bool) "degree bound G" true (Ec.max_degree c.g_graph <= delta);
-  Alcotest.(check bool) "degree bound H" true (Ec.max_degree c.h_graph <= delta)
+  Alcotest.(check bool) "degree bound G" true (Ec.max_degree (LB.force c.g_graph) <= delta);
+  Alcotest.(check bool) "degree bound H" true (Ec.max_degree (LB.force c.h_graph) <= delta)
 
 let adversary_certifies_greedy () =
   List.iter
@@ -78,9 +78,9 @@ let base_case_is_figure5 () =
   let certs = certs_of (LB.run ~delta:4 Packing.greedy_algorithm) in
   match certs with
   | c0 :: _ ->
-    Alcotest.(check int) "G0 is a single node" 1 (Ec.n c0.g_graph);
-    Alcotest.(check int) "G0 has delta loops" 4 (Ec.num_loops c0.g_graph);
-    Alcotest.(check int) "H0 has delta-1 loops" 3 (Ec.num_loops c0.h_graph);
+    Alcotest.(check int) "G0 is a single node" 1 (Ec.n (LB.force c0.g_graph));
+    Alcotest.(check int) "G0 has delta loops" 4 (Ec.num_loops (LB.force c0.g_graph));
+    Alcotest.(check int) "H0 has delta-1 loops" 3 (Ec.num_loops (LB.force c0.h_graph));
     Alcotest.(check int) "same node" c0.g_node c0.h_node
   | [] -> Alcotest.fail "no certificates"
 
@@ -91,7 +91,7 @@ let graphs_double_per_level () =
     (fun (c : LB.certificate) ->
       Alcotest.(check int)
         (Printf.sprintf "level %d size" c.level)
-        (1 lsl c.level) (Ec.n c.g_graph))
+        (1 lsl c.level) (Ec.n (LB.force c.g_graph)))
     certs
 
 let truncated_algorithms_refuted () =
@@ -143,8 +143,8 @@ let cache_shares_certificates () =
     let base_certs = certs_of (LB.cache_outcome cache) in
     List.iter2
       (fun (x : LB.certificate) (y : LB.certificate) ->
-        Alcotest.(check bool) "G_i shared" true (x.g_graph == y.g_graph);
-        Alcotest.(check bool) "H_i shared" true (x.h_graph == y.h_graph))
+        Alcotest.(check bool) "G_i shared" true ((LB.force x.g_graph) == (LB.force y.g_graph));
+        Alcotest.(check bool) "H_i shared" true ((LB.force x.h_graph) == (LB.force y.h_graph)))
       certs base_certs
   | LB.Refuted _ -> Alcotest.fail "expected certification");
   (* A refuted truncation shares its certificate prefix with the cache. *)
@@ -267,6 +267,36 @@ let analytic_replay_matches_cached_run () =
       done)
     [ 2; 3; 4; 5; 6 ]
 
+(* A cache built against a refuted base: its certificates replay to
+   [run]'s prefix, its last probe is the failing graph (feasible at no
+   truncation), and replaying the base against it refutes at the same
+   level. *)
+let refuted_base_cache () =
+  let delta = 6 and base = Packing.truncated `Greedy 4 in
+  let cache = LB.build_cache ~delta base in
+  match (LB.run ~delta base, LB.cache_outcome cache) with
+  | LB.Refuted (expected, f), LB.Refuted (certs, f') ->
+    Alcotest.(check int) "fail level" f.LB.fail_level f'.LB.fail_level;
+    List.iter2
+      (fun (x : LB.certificate) (y : LB.certificate) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "level %d graphs" x.level)
+          true
+          (Ec.equal (LB.force x.g_graph) (LB.force y.g_graph)
+          && Ec.equal (LB.force x.h_graph) (LB.force y.h_graph)))
+      expected certs;
+    let last = List.nth (LB.cache_probes cache) (List.length (LB.cache_probes cache) - 1) in
+    Alcotest.(check int) "failing probe level" f.LB.fail_level last.probe_level;
+    Alcotest.(check int) "failing probe threshold" max_int last.prefix_round;
+    Alcotest.(check bool) "failing probe graph" true
+      (Ec.equal f.LB.fail_graph (LB.force last.probe_graph));
+    (match LB.cached_run cache base with
+    | LB.Refuted (prefix, f'') ->
+      Alcotest.(check int) "replayed fail level" f.LB.fail_level f''.LB.fail_level;
+      Alcotest.(check int) "replayed prefix" (List.length expected) (List.length prefix)
+    | LB.Certified _ -> Alcotest.fail "replay of a refuted base certified")
+  | _ -> Alcotest.fail "expected both refuted"
+
 let analytic_replay_validation () =
   let cache = LB.build_cache ~delta:4 Packing.proposal_algorithm in
   Alcotest.(check bool) "proposal cache rejected" true
@@ -343,8 +373,8 @@ let views_match_explicit_trees () =
           (Printf.sprintf "explicit views agree at level %d" c.level)
           true
           (View.equal
-             (View.of_ec c.g_graph c.g_node ~radius:c.level)
-             (View.of_ec c.h_graph c.h_node ~radius:c.level)))
+             (View.of_ec (LB.force c.g_graph) c.g_node ~radius:c.level)
+             (View.of_ec (LB.force c.h_graph) c.h_node ~radius:c.level)))
     certs
 
 let report_rendering () =
@@ -401,7 +431,7 @@ let locality_violation_details () =
   (* The top-level pair alone is a radius-(Δ-2) violation. *)
   match
     Loc.violation_at ~radius:top.level Packing.greedy_algorithm
-      [ top.g_graph; top.h_graph ]
+      [ (LB.force top.g_graph); (LB.force top.h_graph) ]
   with
   | None -> Alcotest.fail "certificate pair must violate its own level"
   | Some v -> Alcotest.(check int) "radius" top.level v.Loc.radius
@@ -482,8 +512,8 @@ let certificate_roundtrip () =
     (fun (a : LB.certificate) (b : LB.certificate) ->
       Alcotest.(check int) "level" a.level b.level;
       Alcotest.(check int) "colour" a.colour b.colour;
-      Alcotest.(check bool) "g graph" true (Ec.equal a.g_graph b.g_graph);
-      Alcotest.(check bool) "h graph" true (Ec.equal a.h_graph b.h_graph);
+      Alcotest.(check bool) "g graph" true (Ec.equal (LB.force a.g_graph) (LB.force b.g_graph));
+      Alcotest.(check bool) "h graph" true (Ec.equal (LB.force a.h_graph) (LB.force b.h_graph));
       Alcotest.(check bool) "weights" true
         (Q.equal a.g_weight b.g_weight && Q.equal a.h_weight b.h_weight))
     certs back;
@@ -518,7 +548,7 @@ let certificate_tamper_detected () =
   let forged3 =
     List.filter_map
       (fun (c : LB.certificate) ->
-        if c.LB.level >= 1 then Some { c with LB.g_node = (c.LB.g_node + 1) mod Ec.n c.LB.g_graph }
+        if c.LB.level >= 1 then Some { c with LB.g_node = (c.LB.g_node + 1) mod Ec.n (LB.force c.LB.g_graph) }
         else None)
       certs
   in
@@ -606,6 +636,7 @@ let () =
             analytic_replay_matches_cached_run;
           Alcotest.test_case "analytic replay validation" `Quick
             analytic_replay_validation;
+          Alcotest.test_case "refuted base cache" `Quick refuted_base_cache;
           Alcotest.test_case "pool map deterministic" `Quick
             pool_map_is_deterministic;
         ] );
@@ -616,7 +647,7 @@ let () =
               Alcotest.(check int) "9 levels" 9 (List.length certs);
               List.iter (check_certificate 10) certs;
               let top = List.nth certs 8 in
-              Alcotest.(check int) "top size 2^8" 256 (Ec.n top.g_graph));
+              Alcotest.(check int) "top size 2^8" 256 (Ec.n (LB.force top.g_graph)));
         ] );
       ( "construction",
         [

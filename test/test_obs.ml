@@ -249,8 +249,8 @@ let outcome_fingerprint = function
             c.colour,
             c.g_node,
             c.h_node,
-            Ec.n c.g_graph,
-            Ec.n c.h_graph,
+            Ec.n (LB.force c.g_graph),
+            Ec.n (LB.force c.h_graph),
             Q.to_string c.g_weight,
             Q.to_string c.h_weight ))
         certs,

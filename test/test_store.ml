@@ -4,7 +4,11 @@
      a record file surfaces as [Store_corrupt], never as a silent wrong
      payload and never as a crash;
    - entry codec round-trip: decode-then-re-encode is byte-identical,
-     truncation at every prefix raises [Failure];
+     truncation at every prefix raises [Failure], and a record naming a
+     trail the adversary could not take fails at decode time;
+   - replay: every graph a cold or reloaded cache rebuilds from its
+     trail equals the graph [LB.run] builds, a warm frontier scan
+     rebuilds none, and two domains may force one cache at once;
    - warm restart: a cache reloaded from the store re-serialises
      byte-for-byte like the cold one, and its analytic frontier
      verdicts agree at every truncation;
@@ -18,6 +22,9 @@ module Cache_store = Ld_core.Cache_store
 module Certificate_io = Ld_core.Certificate_io
 module LB = Ld_core.Lower_bound
 module Packing = Ld_matching.Packing
+module Ec = Ld_models.Ec
+module Lift = Ld_cover.Lift
+module Obs = Ld_obs.Obs
 
 (* Each test gets a fresh directory under the build sandbox. *)
 let fresh_dir =
@@ -142,19 +149,19 @@ let codec_reencode_is_identity () =
         s s')
     (entries_of_cache cache)
 
-(* The Δ=8 level records, pinned by MD5 (recorded before greedy's probe
-   machine and Q's representation changed): the records are what a warm
-   run reloads, so neither change may move a byte of them. *)
+(* The Δ=8 level records (code version 3), pinned by MD5: the records
+   are what a warm run reloads, so no change to the construction, the
+   greedy probe machine or Q's representation may move a byte of them. *)
 let codec_pinned_delta8 () =
   let pinned =
     [
-      "113bdffa7771b1512358ed08d11ab896";
-      "5cd022e3e3b0ea2e36109860de1ed814";
-      "c86aedbb09ff22b5cb5bd146e3fc57d0";
-      "0b1f488c110c2642c2bee3230214487a";
-      "f40c7faee181d56a4f65b7992b1940a5";
-      "54f37b7d6b97310823609a98275194f6";
-      "1b342e05744273002ff23961d0bfb3bc";
+      "0c15b444f54dd772a89ab30c991e8865";
+      "2c209ca3c33ad673b65674d5fe6bb47b";
+      "0029ca76aa530fea702433eec34f4f84";
+      "954fce1943094d71422610a4f579cf6c";
+      "9cea9e72e754fc9ad36f73bfe7138b47";
+      "56e390d993d977e1714cd5744e11c1b4";
+      "ecc2353126a2fc3c7f19ed8bb308787b";
     ]
   in
   let digests =
@@ -175,21 +182,23 @@ let codec_truncation_fails =
       | _ -> false
       | exception Failure _ -> true)
 
-(* A level's certificate graphs are two of its probe graphs; the codec
-   writes each once and the decoder hands back one shared value, as the
-   cold construction has it. *)
+(* A level's certificate graphs are two of its probe graphs (the
+   unfolded side and the mixture); a decoded record replays them once
+   and hands back the very same values. *)
 let codec_shares_graphs () =
   List.iter
     (fun entry ->
       let e = Cache_store.entry_of_string (Cache_store.entry_to_string entry) in
       let c = e.Cache_store.entry_certificate in
       let is_probe g =
-        List.exists (fun (p : LB.probe) -> p.probe_graph == g) e.Cache_store.entry_probes
+        List.exists
+          (fun (p : LB.probe) -> LB.force p.probe_graph == g)
+          e.Cache_store.entry_probes
       in
       Alcotest.(check bool)
         (Printf.sprintf "level %d shares both graphs" e.Cache_store.entry_level)
         true
-        (is_probe c.g_graph && is_probe c.h_graph))
+        (is_probe (LB.force c.g_graph) && is_probe (LB.force c.h_graph)))
     (entries_of_cache (cold_cache 5))
 
 (* Any mutation of a valid record either fails with [Failure] or
@@ -214,26 +223,99 @@ let codec_mutation_is_rejected_or_exact =
       | e -> String.equal (Cache_store.entry_to_string e) mutated
       | exception Failure _ -> true)
 
-(* Hand-built hostile records: each must fail cleanly, and a huge count
-   must fail before anything of that size is allocated. *)
+(* A level record spelled field by field, as the codec lays it out:
+   delta, level, the trail length and its entries, the thresholds, two
+   weights and the views flag. *)
+let spell ~delta ~level ~trail ~thresholds ~weights ~views =
+  let buf = Buffer.create 64 in
+  let rec varint i =
+    if i >= 0x80 then begin
+      Buffer.add_uint8 buf (i land 0x7f lor 0x80);
+      varint (i lsr 7)
+    end
+    else Buffer.add_uint8 buf i
+  in
+  List.iter varint [ delta; level; List.length trail ];
+  List.iter (List.iter varint) trail;
+  varint (List.length thresholds);
+  List.iter varint thresholds;
+  List.iter
+    (fun w ->
+      varint (String.length w);
+      Buffer.add_string buf w)
+    weights;
+  varint views;
+  Buffer.contents buf
+
+(* Hand-built hostile records: each must fail cleanly with [Failure]
+   when it is decoded, not later when a graph is forced, and a huge
+   count must fail before anything of that size is allocated. *)
 let codec_hostile_records () =
   let rejects name s =
     match Cache_store.entry_of_string s with
     | _ -> Alcotest.failf "%s: accepted" name
     | exception Failure _ -> ()
   in
-  let valid = Cache_store.entry_to_string (List.hd (entries_of_cache (cold_cache 3))) in
-  (* the leading level varint 0, re-spelled in two bytes *)
+  let entry = List.nth (entries_of_cache (cold_cache 4)) 1 in
+  let valid = Cache_store.entry_to_string entry in
+  let c = entry.Cache_store.entry_certificate in
+  let delta, removed, changed =
+    match c.trail.(0) with
+    | LB.Base { delta; removed; changed } -> (delta, removed, changed)
+    | LB.Unfold _ -> Alcotest.fail "level 0 is not a base step"
+  in
+  let side, g_star, loop_target =
+    match c.trail.(1) with
+    | LB.Unfold { side; g_star; loop_target } ->
+      ((match side with `G -> 0 | `H -> 1), g_star, loop_target)
+    | LB.Base _ -> Alcotest.fail "level 1 is a base step"
+  in
+  let record ?(delta = delta) ?(level = 1) ?(removed = removed) ?(side = side)
+      ?(g_star = g_star) ?(loop_target = loop_target) ?trail
+      ?(thresholds = List.map (fun (p : LB.probe) -> p.prefix_round) entry.entry_probes)
+      ?(weights = [ Ld_arith.Q.to_string c.g_weight; Ld_arith.Q.to_string c.h_weight ])
+      ?(views = 1) () =
+    let trail =
+      Option.value trail
+        ~default:[ [ removed; changed ]; [ side; g_star; loop_target ] ]
+    in
+    spell ~delta ~level ~trail ~thresholds ~weights ~views
+  in
+  Alcotest.(check string) "the spelling matches the codec" valid (record ());
+  (* level 1 at delta 4 unfolds a 1-node graph with 3 or 4 loops *)
+  rejects "side tag 2" (record ~side:2 ());
+  rejects "g* beyond the level's nodes" (record ~g_star:2 ());
+  rejects "g* far beyond the level's nodes" (record ~g_star:100_000 ());
+  rejects "loop beyond the level's loops" (record ~loop_target:6 ());
+  rejects "loop not at g*" (record ~g_star:(1 - g_star) ());
+  (* the same loop in copy B of the unfolded side, at g*'s copy there:
+     the propagation walk never ends in copy B *)
+  rejects "loop in copy B"
+    (record ~g_star:(g_star + 1)
+       ~loop_target:(loop_target + if side = 0 then delta - 1 else delta - 2)
+       ());
+  rejects "removed loop = delta" (record ~removed:delta ());
+  rejects "removed loop beyond delta" (record ~removed:(delta + 7) ());
+  rejects "changed loop = removed loop"
+    (record ~trail:[ [ changed; changed ]; [ side; g_star; loop_target ] ] ());
+  rejects "prefix shorter than level + 1"
+    (record ~trail:[ [ removed; changed ] ] ());
+  rejects "prefix longer than level + 1"
+    (record ~trail:[ [ removed; changed ]; [ side; g_star; loop_target ]; [ 0; 0; 0 ] ] ());
+  rejects "more levels than delta - 1" (record ~delta:2 ~removed:0 ());
+  rejects "delta 1" (record ~delta:1 ~level:0 ~trail:[ [ 0; 0 ] ] ~thresholds:[ 1; 1 ] ());
+  rejects "delta beyond the trail bound" (record ~delta:1000 ());
+  rejects "two thresholds at level 1" (record ~thresholds:[ 1; 1 ] ());
+  rejects "non-canonical weight" (record ~weights:[ "2/4"; "1/3" ] ());
+  rejects "views flag 2" (record ~views:2 ());
+  rejects "trailing byte" (valid ^ "\x00");
+  (* the leading delta varint, re-spelled in two bytes *)
   rejects "non-minimal varint"
-    ("\x80\x00" ^ String.sub valid 1 (String.length valid - 1));
+    (String.make 1 (Char.chr (delta lor 0x80)) ^ "\x00"
+    ^ String.sub valid 1 (String.length valid - 1));
   rejects "ten-byte varint" (String.make 9 '\xff' ^ "\x01");
-  (* level 0, certificate level 0, colour 1, then a back-reference to
-     graph literal 1 before any literal *)
-  rejects "reference to an unseen graph" "\x00\x00\x01\x01";
-  (* a graph literal claiming 2^56 edges in a 12-byte record *)
-  rejects "huge edge count" "\x00\x00\x01\x00\x01\x80\x80\x80\x80\x80\x80\x80\x80\x01";
-  (* ten nodes and one loop *)
-  rejects "more nodes than darts" "\x00\x00\x01\x00\x0a\x00\x01\x00\x01"
+  (* a trail claiming 2^56 entries in a 12-byte record *)
+  rejects "huge trail length" "\x04\x01\x80\x80\x80\x80\x80\x80\x80\x80\x01"
 
 (* ------------------------------------------------------------------ *)
 (* Warm restart. *)
@@ -330,6 +412,140 @@ let build_cache_self_heals () =
   | None -> Alcotest.fail "store not repopulated after self-heal"
 
 (* ------------------------------------------------------------------ *)
+(* Replay: a cache's graphs are rebuilt from its trail on demand. *)
+
+let greedy = Packing.greedy_algorithm
+
+let certs_of outcome =
+  match outcome with
+  | LB.Certified certs -> certs
+  | LB.Refuted _ -> Alcotest.fail "greedy unexpectedly refuted"
+
+let warm_cache store delta =
+  match
+    Cache_store.load_cache store ~check_views:true ~delta
+      ~algo_name:greedy.Packing.name
+  with
+  | Some cache -> cache
+  | None -> Alcotest.failf "delta=%d: no warm cache" delta
+
+(* Δ = 2..8: every certificate and probe graph a cold cache and a
+   reloaded one replay equals the graph [LB.run] builds — the
+   certificates' own, and each level's unfoldings GG, HH of the level
+   below and its mixture GH (H_i). *)
+let replay_matches_run () =
+  for delta = 2 to 8 do
+    let expected = certs_of (LB.run ~delta greedy) in
+    let cold = cold_cache delta in
+    let warm =
+      with_store @@ fun store ->
+      Alcotest.(check bool) "saved" true (Cache_store.save_cache store cold);
+      warm_cache store delta
+    in
+    let expected_probes =
+      List.concat
+        (List.mapi
+           (fun i (c : LB.certificate) ->
+             if i = 0 then [ LB.force c.g_graph; LB.force c.h_graph ]
+             else
+               let below = List.nth expected (i - 1) in
+               let unfold graph loop_id =
+                 (Lift.unfold_loop (LB.force graph) ~loop_id).Lift.total
+               in
+               [
+                 unfold below.g_graph below.g_loop;
+                 unfold below.h_graph below.h_loop;
+                 LB.force c.h_graph;
+               ])
+           expected)
+    in
+    List.iter
+      (fun (name, cache) ->
+        let what fmt = Printf.sprintf ("delta=%d %s: " ^^ fmt) delta name in
+        let certs = certs_of (LB.cache_outcome cache) in
+        Alcotest.(check int) (what "certificates") (List.length expected)
+          (List.length certs);
+        List.iter2
+          (fun (x : LB.certificate) (y : LB.certificate) ->
+            Alcotest.(check bool)
+              (what "level %d graphs" x.level)
+              true
+              (Ec.equal (LB.force x.g_graph) (LB.force y.g_graph)
+              && Ec.equal (LB.force x.h_graph) (LB.force y.h_graph));
+            Alcotest.(check (list int))
+              (what "level %d scalars" x.level)
+              [ x.level; x.g_node; x.h_node; x.colour; x.g_loop; x.h_loop ]
+              [ y.level; y.g_node; y.h_node; y.colour; y.g_loop; y.h_loop ];
+            Alcotest.(check bool)
+              (what "level %d weights and views" x.level)
+              true
+              (Ld_arith.Q.equal x.g_weight y.g_weight
+              && Ld_arith.Q.equal x.h_weight y.h_weight
+              && x.views_checked = y.views_checked))
+          expected certs;
+        let probes = LB.cache_probes cache in
+        Alcotest.(check int) (what "probes") (List.length expected_probes)
+          (List.length probes);
+        List.iter2
+          (fun g (p : LB.probe) ->
+            Alcotest.(check bool)
+              (what "level %d probe graph" p.probe_level)
+              true
+              (Ec.equal g (LB.force p.probe_graph)))
+          expected_probes probes)
+      [ ("cold", cold); ("warm", warm) ]
+  done
+
+let replays () = Obs.Counter.value (Obs.Counter.make "core.lb.replays")
+
+(* A warm build and a full frontier scan read thresholds only; forcing
+   one certificate replays its levels, once. *)
+let warm_scan_replays_nothing () =
+  with_store @@ fun store ->
+  let delta = 6 in
+  Alcotest.(check bool) "saved" true (Cache_store.save_cache store (cold_cache delta));
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let warm = Cache_store.build_cache ~store ~delta greedy in
+  for rounds = 0 to (2 * delta) + 2 do
+    ignore (LB.truncated_verdict warm ~rounds : [ `Certified | `Refuted ])
+  done;
+  Alcotest.(check int) "warm reload"
+    1 (Obs.Counter.value (Obs.Counter.make "core.cache_store.warm"));
+  Alcotest.(check int) "levels replayed by a warm scan" 0 (replays ());
+  let top = List.nth (certs_of (LB.cache_outcome warm)) (delta - 2) in
+  ignore (LB.force top.g_graph : Ec.t);
+  Alcotest.(check int) "levels replayed by forcing the top" (delta - 1)
+    (replays ());
+  List.iter
+    (fun (c : LB.certificate) -> ignore (LB.force c.h_graph : Ec.t))
+    (certs_of (LB.cache_outcome warm));
+  Alcotest.(check int) "each level replays once" (delta - 1) (replays ())
+
+(* Two domains force one reloaded cache at once: nothing raises, and
+   both get the very same graphs. *)
+let forcing_is_domain_safe () =
+  with_store @@ fun store ->
+  let delta = 8 in
+  Alcotest.(check bool) "saved" true (Cache_store.save_cache store (cold_cache delta));
+  let certs = certs_of (LB.cache_outcome (warm_cache store delta)) in
+  match
+    Ld_pool.Pool.map ~domains:2
+      (fun _ ->
+        List.map
+          (fun (c : LB.certificate) -> (LB.force c.g_graph, LB.force c.h_graph))
+          certs)
+      [ (); () ]
+  with
+  | [ a; b ] ->
+    List.iter2
+      (fun (g, h) (g', h') ->
+        Alcotest.(check bool) "same graphs in both domains" true (g == g' && h == h'))
+      a b
+  | _ -> Alcotest.fail "expected two results"
+
+(* ------------------------------------------------------------------ *)
 (* Concurrency: racing putters of one content-addressed key. *)
 
 let racing_puts_leave_one_valid_record () =
@@ -388,6 +604,15 @@ let () =
             warm_equals_cold_verdicts;
           Alcotest.test_case "build_cache self-heals corruption" `Quick
             build_cache_self_heals;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "cold and warm replays = run (delta 2..8)" `Quick
+            replay_matches_run;
+          Alcotest.test_case "a warm frontier scan replays nothing" `Quick
+            warm_scan_replays_nothing;
+          Alcotest.test_case "forcing from two domains" `Quick
+            forcing_is_domain_safe;
         ] );
       ( "concurrency",
         [
