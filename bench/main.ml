@@ -6,7 +6,7 @@
    times the main moving parts. *)
 
 module LB = Ld_core.Lower_bound
-module Pool = Ld_core.Pool
+module Pool = Ld_pool.Pool
 module Obs = Ld_obs.Obs
 module Json = Ld_obs.Json
 module Provenance = Ld_obs.Provenance

@@ -101,15 +101,16 @@ let truncate_arg =
 
 (* ---- adversary ---- *)
 
+let algorithm_of = function
+  | `Greedy -> Packing.greedy_algorithm
+  | `Proposal -> Packing.proposal_algorithm
+
 let adversary common delta algo truncate verbose =
   with_common common @@ fun () ->
   let algorithm =
     match truncate with
     | Some r -> Packing.truncated algo r
-    | None -> (
-      match algo with
-      | `Greedy -> Packing.greedy_algorithm
-      | `Proposal -> Packing.proposal_algorithm)
+    | None -> algorithm_of algo
   in
   Logs.info (fun m ->
       m "running Section 4 adversary: delta=%d vs %s" delta
@@ -294,10 +295,7 @@ let report common delta algo truncate output =
   let algorithm =
     match truncate with
     | Some r -> Packing.truncated algo r
-    | None -> (
-      match algo with
-      | `Greedy -> Packing.greedy_algorithm
-      | `Proposal -> Packing.proposal_algorithm)
+    | None -> algorithm_of algo
   in
   let outcome = LB.run ~delta algorithm in
   let doc =
@@ -359,11 +357,7 @@ let dot_cmd =
 
 let certify common delta algo output =
   with_common common @@ fun () ->
-  let algorithm =
-    match algo with
-    | `Greedy -> Packing.greedy_algorithm
-    | `Proposal -> Packing.proposal_algorithm
-  in
+  let algorithm = algorithm_of algo in
   match LB.run ~delta algorithm with
   | LB.Refuted (_, f) ->
     Format.printf "cannot certify: %a@." LB.pp_failure f;
@@ -388,12 +382,7 @@ let certify_cmd =
 
 let verify common delta algo input =
   with_common common @@ fun () ->
-  let algorithm =
-    match algo with
-    | Some `Greedy -> Some Packing.greedy_algorithm
-    | Some `Proposal -> Some Packing.proposal_algorithm
-    | None -> None
-  in
+  let algorithm = Option.map algorithm_of algo in
   match Ld_core.Certificate_io.load input with
   | exception Failure msg ->
     Printf.printf "verification FAILED: %s\n" msg;
@@ -439,11 +428,7 @@ let stats common delta algo frontier tree level json =
   (* The summary needs the sink on even without --trace. *)
   Obs.enable ();
   with_common common @@ fun () ->
-  let base_algo =
-    match algo with
-    | `Greedy -> Packing.greedy_algorithm
-    | `Proposal -> Packing.proposal_algorithm
-  in
+  let base_algo = algorithm_of algo in
   Logs.info (fun m ->
       m "stats: delta=%d algo=%s frontier=%b" delta base_algo.Packing.name
         frontier);
@@ -555,10 +540,6 @@ let stats_cmd =
       $ level $ json)
 
 (* ---- metrics ---- *)
-
-let algorithm_of = function
-  | `Greedy -> Packing.greedy_algorithm
-  | `Proposal -> Packing.proposal_algorithm
 
 let metrics common delta algo serve loop =
   Obs.enable ();

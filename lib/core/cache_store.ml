@@ -272,10 +272,9 @@ let load_cache store ~check_views ~delta ~algo_name =
          one construction of this delta. *)
       corrupt (key ~delta ~level:(delta - 2) ~algo:algo_name ~check_views) msg)
 
-let build_cache ?store ?(check_views = true) ?(incremental_views = true)
-    ~delta (algo : LB.algorithm) =
+let build_cache ?store ?(check_views = true) ~delta (algo : LB.algorithm) =
   match store with
-  | None -> LB.build_cache ~check_views ~incremental_views ~delta algo
+  | None -> LB.build_cache ~check_views ~delta algo
   | Some store -> (
     if delta < 2 then invalid_arg "Cache_store.build_cache: delta < 2";
     let warm =
@@ -297,6 +296,6 @@ let build_cache ?store ?(check_views = true) ?(incremental_views = true)
       cache
     | None ->
       Obs.Counter.incr c_cold;
-      let cache = LB.build_cache ~check_views ~incremental_views ~delta algo in
+      let cache = LB.build_cache ~check_views ~delta algo in
       let (_ : bool) = save_cache store cache in
       cache)

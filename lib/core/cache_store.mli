@@ -89,5 +89,5 @@ val load_cache :
     {!Lower_bound.build_cache}.
     @raise Invalid_argument if [delta < 2]. *)
 val build_cache :
-  ?store:Store.t -> ?check_views:bool -> ?incremental_views:bool ->
-  delta:int -> Lower_bound.algorithm -> Lower_bound.cache
+  ?store:Store.t -> ?check_views:bool -> delta:int -> Lower_bound.algorithm ->
+  Lower_bound.cache

@@ -108,30 +108,29 @@ type level_state = {
 
 exception Refutation of failure
 
-(* A Lemma-2-style simple witness: the output of a lift-invariant
-   algorithm fails on the loop-free 2-lift whenever it fails on the
-   loopy base (an unsaturated loop becomes an edge with two unsaturated
-   endpoints; other violations pull back verbatim). *)
-let infeasible ~level graph output violations =
-  {
-    fail_level = level;
-    fail_graph = graph;
-    fail_output = output;
-    fail_violations = violations;
-    fail_lift = Lift.double graph;
-    fail_note =
-      "output is not a fully saturated maximal fractional matching on \
-       a loopy EC-graph (cf. Lemma 2); the violation persists on the \
-       loop-free 2-lift [fail_lift]";
-  }
-
+(* A refuted probe's witness is Lemma-2 style: the output of a
+   lift-invariant algorithm fails on the loop-free 2-lift whenever it
+   fails on the loopy base (an unsaturated loop becomes an edge with two
+   unsaturated endpoints; other violations pull back verbatim). On the
+   loopy graphs of this construction, maximality already forces full
+   saturation (Lemma 2): every node carries a loop, and an unsaturated
+   loop endpoint is a maximality violation. *)
 let check_feasible ~level graph output =
-  (* On the loopy graphs of this construction, maximality already forces
-     full saturation (Lemma 2): every node carries a loop, and an
-     unsaturated loop endpoint is a maximality violation. *)
   let violations = Fm.feasibility_violations output in
   if violations <> [] then
-    raise (Refutation (infeasible ~level graph output violations))
+    raise
+      (Refutation
+         {
+           fail_level = level;
+           fail_graph = graph;
+           fail_output = output;
+           fail_violations = violations;
+           fail_lift = Lift.double graph;
+           fail_note =
+             "output is not a fully saturated maximal fractional matching \
+              on a loopy EC-graph (cf. Lemma 2); the violation persists on \
+              the loop-free 2-lift [fail_lift]";
+         })
 
 (* A feasibility probe in the exact order [run] checks feasibility —
    level 0: G_0 then H_0; level i: GG, HH, GH — with its feasibility
@@ -145,10 +144,10 @@ type probe = {
 
 (* [on_probe] sees every probe before its feasibility check, so that a
    refuted base algorithm's failing graph is recorded too. *)
-let run_checked ?on_probe ~level algo graph =
+let run_checked ~on_probe ~level algo graph =
   Obs.Counter.incr c_probes;
   let y = Ld_obs.Hist.timed_span h_probe (fun () -> algo.run graph) in
-  Option.iter (fun record -> record ~level graph y) on_probe;
+  on_probe graph y;
   check_feasible ~level graph y;
   y
 
@@ -169,10 +168,10 @@ let base_pair g0 h0 ~removed ~changed =
   }
 
 (* Base case (Fig. 5). *)
-let base_case ?on_probe ~delta algo =
+let base_case ~on_probe ~delta algo =
   Obs.with_span "core.lb.base_case" @@ fun () ->
   let g0 = base_graph delta in
-  let y0 = run_checked ?on_probe ~level:0 algo g0 in
+  let y0 = run_checked ~on_probe ~level:0 algo g0 in
   (* Saturation means some loop has positive weight. *)
   let removed =
     match
@@ -183,7 +182,7 @@ let base_case ?on_probe ~delta algo =
     | None -> assert false (* fully saturated => positive weight exists *)
   in
   let h0 = Ec.remove_loop g0 removed in
-  let y0' = run_checked ?on_probe ~level:0 algo h0 in
+  let y0' = run_checked ~on_probe ~level:0 algo h0 in
   (* Find a surviving loop whose weight changed. *)
   let changed =
     List.find_opt
@@ -300,8 +299,7 @@ let transport ~side ~pair ~target ~y_target ~y_mix =
    legitimately fans out over Pool (whose env-var fallback may warn
    on stderr once at startup). *)
 (* ld-lint: allow machine-purity — adversary driver, not a transition *)
-let step ?on_probe ~delta ~algo ~check_views ~check_lift_invariance
-    ~incremental_views state =
+let step ~on_probe ~delta ~algo ~check_views state =
   let level = state.i + 1 in
   Obs.with_span ~args:[ ("level", string_of_int level) ] "core.lb.level"
   @@ fun () ->
@@ -332,21 +330,20 @@ let step ?on_probe ~delta ~algo ~check_views ~check_lift_invariance
   in
   let accept graph y =
     Obs.Counter.incr c_probes;
-    Option.iter (fun record -> record ~level graph y) on_probe;
+    on_probe graph y;
     check_feasible ~level graph y
   in
   accept gg y_gg;
   accept hh y_hh;
   accept gh y_gh;
-  if check_lift_invariance then begin
-    if not (Fm.equal y_gg (Fm.pull_back cov_gg state.y_g)) then
-      failwith
-        (algo.name
-       ^ ": not lift-invariant (output on 2-lift GG differs from pulled-back \
-          output on G) — not an EC-model algorithm");
-    if not (Fm.equal y_hh (Fm.pull_back cov_hh state.y_h)) then
-      failwith (algo.name ^ ": not lift-invariant on HH")
-  end;
+  (* Condition (2) of the EC model: A commutes with 2-lifts. *)
+  if not (Fm.equal y_gg (Fm.pull_back cov_gg state.y_g)) then
+    failwith
+      (algo.name
+     ^ ": not lift-invariant (output on 2-lift GG differs from pulled-back \
+        output on G) — not an EC-model algorithm");
+  if not (Fm.equal y_hh (Fm.pull_back cov_hh state.y_h)) then
+    failwith (algo.name ^ ": not lift-invariant on HH");
   let w_e = Fm.loop_weight state.y_g p.e in
   let w_f = Fm.loop_weight state.y_h p.f in
   let crossing_gh = Ec.num_edges gh - 1 in
@@ -394,14 +391,9 @@ let step ?on_probe ~delta ~algo ~check_views ~check_lift_invariance
   let views_checked =
     check_views
     && Obs.with_span "core.lb.views" (fun () ->
-           if incremental_views then begin
-             Obs.Counter.incr c_incremental;
-             Refinement.equivalent_radius anchor' amap'.(g_star) gh next.h
-               ~radius:level
-           end
-           else
-             Refinement.equivalent_radius target g_star gh next.h
-               ~radius:level)
+           Obs.Counter.incr c_incremental;
+           Refinement.equivalent_radius anchor' amap'.(g_star) gh next.h
+             ~radius:level)
   in
   if check_views && not views_checked then
     failwith "P1 violated: radius-level views are not isomorphic (engine bug)";
@@ -419,8 +411,7 @@ let step ?on_probe ~delta ~algo ~check_views ~check_lift_invariance
 (* The induction of §4: [on_level] sees every level as it is certified,
    [on_probe] every probe before its feasibility check. Returns the
    failure witness if the algorithm is refuted. *)
-let drive ?on_probe ~on_level ~check_views ~check_lift_invariance
-    ~incremental_views ~delta algo =
+let drive ~on_probe ~on_level ~check_views ~delta algo =
   if delta < 2 then invalid_arg "Lower_bound.run: delta must be >= 2";
   Obs.with_span
     ~args:[ ("delta", string_of_int delta); ("algorithm", algo.name) ]
@@ -433,12 +424,11 @@ let drive ?on_probe ~on_level ~check_views ~check_lift_invariance
   in
   let refuted =
     try
-      let state = ref (base_case ?on_probe ~delta algo) in
+      let state = ref (base_case ~on_probe ~delta algo) in
       emit !state ~views_checked:check_views;
       while !state.i < delta - 2 do
         let next, views_checked =
-          step ?on_probe ~delta ~algo ~check_views ~check_lift_invariance
-            ~incremental_views !state
+          step ~on_probe ~delta ~algo ~check_views !state
         in
         state := next;
         emit next ~views_checked
@@ -449,36 +439,6 @@ let drive ?on_probe ~on_level ~check_views ~check_lift_invariance
   Obs.Counter.add c_certificates !certified;
   if Option.is_some refuted then Obs.Counter.incr c_refutations;
   refuted
-
-let run ?(check_views = true) ?(check_lift_invariance = true)
-    ?(incremental_views = true) ~delta algo =
-  let certificates = ref [] and choices = ref [] in
-  let on_level s ~views_checked =
-    choices := s.choice :: !choices;
-    let p = s.pair in
-    certificates :=
-      {
-        level = s.i;
-        trail = Array.of_list (List.rev !choices);
-        g_graph = given p.gr;
-        h_graph = given p.hr;
-        g_node = p.g;
-        h_node = p.h;
-        colour = p.c;
-        g_loop = p.e;
-        h_loop = p.f;
-        g_weight = Fm.loop_weight s.y_g p.e;
-        h_weight = Fm.loop_weight s.y_h p.f;
-        views_checked;
-      }
-      :: !certificates
-  in
-  match
-    drive ~on_level ~check_views ~check_lift_invariance ~incremental_views
-      ~delta algo
-  with
-  | None -> Certified (List.rev !certificates)
-  | Some failure -> Refuted (List.rev !certificates, failure)
 
 let max_level = function
   | Certified certs | Refuted (certs, _) ->
@@ -744,7 +704,7 @@ type cache = {
   cache_probes : probe list;
   cache_prefix_rounds : int array;
       (* [prefix_round] of every probe, in probe order. Fuels
-         {!truncated_replay} and {!truncated_verdict}. *)
+         {!truncated_verdict}. *)
 }
 
 (* Largest colour with positive weight anywhere in the output. Every
@@ -789,11 +749,11 @@ type recorded = {
    graphs are replayed from the trail like a reloaded one's. Only a
    refuted base leaves graphs behind: its failing level, which no trail
    entry describes. *)
-let build_cache ?(check_views = true) ?(incremental_views = true) ~delta algo =
+let build_cache ?(check_views = true) ~delta algo =
   Obs.with_span ~args:[ ("delta", string_of_int delta) ] "core.lb.build_cache"
   @@ fun () ->
   let levels = ref [] and pending = ref [] in
-  let on_probe ~level:_ graph y = pending := (graph, prefix_round graph y) :: !pending in
+  let on_probe graph y = pending := (graph, prefix_round graph y) :: !pending in
   let on_level (s : level_state) ~views_checked =
     levels :=
       {
@@ -806,10 +766,7 @@ let build_cache ?(check_views = true) ?(incremental_views = true) ~delta algo =
       :: !levels;
     pending := []
   in
-  let refuted =
-    drive ~on_probe ~on_level ~check_views ~check_lift_invariance:true
-      ~incremental_views ~delta algo
-  in
+  let refuted = drive ~on_probe ~on_level ~check_views ~delta algo in
   let levels = List.rev !levels in
   let trail = Array.of_list (List.map (fun l -> l.choice) levels) in
   let ch = chain trail in
@@ -846,6 +803,12 @@ let build_cache ?(check_views = true) ?(incremental_views = true) ~delta algo =
     ~probes:(probes @ failed) ~outcome
 
 let cache_outcome cache = cache.cache_outcome
+
+(* The adversary's one collector is the cold cache: [run] is its
+   outcome, with graphs replayed from the trail on first use. *)
+let run ?check_views ~delta algo =
+  cache_outcome (build_cache ?check_views ~delta algo)
+
 let cache_delta cache = cache.cache_delta
 let cache_algo_name cache = cache.cache_algo_name
 let cache_check_views cache = cache.cache_check_views
@@ -953,49 +916,6 @@ let cached_run cache algo =
     Obs.Counter.incr c_memo_diverged;
     run ~check_views:cache.cache_check_views ~delta:cache.cache_delta algo
 
-(* The colour-<=rounds restriction of an output, materialised as an FM
-   on the same graph — what the truncated greedy computes. *)
-let restrict_output y graph ~rounds =
-  let c = Ec.columns graph in
-  let edge_w =
-    Array.init (Ec.num_edges graph) (fun j ->
-        if c.edge_colour.(j) <= rounds then Fm.edge_weight y j else Q.zero)
-  in
-  let loop_w =
-    Array.init (Ec.num_loops graph) (fun j ->
-        if c.loop_colour.(j) <= rounds then Fm.loop_weight y j else Q.zero)
-  in
-  Fm.create graph ~edge_w ~loop_w
-
-let truncated_replay cache ~rounds =
-  if
-    cache.cache_algo_name <> Ld_matching.Packing.greedy_algorithm.name
-  then
-    invalid_arg
-      "Lower_bound.truncated_replay: cache was not built against \
-       greedy-by-colour (truncations of other bases are not colour-prefix \
-       restrictions)";
-  if rounds < 0 then invalid_arg "Lower_bound.truncated_replay: negative rounds";
-  Obs.with_span "core.lb.frontier_replay" @@ fun () ->
-  (* First probe (in check order) whose feasibility threshold exceeds
-     [rounds] — exactly where the replay would raise [Refutation]. *)
-  match List.find_opt (fun p -> p.prefix_round > rounds) cache.cache_probes with
-  | None ->
-    Obs.Counter.incr c_memo_hits;
-    cache.cache_outcome
-  | Some p ->
-    Obs.Counter.incr c_memo_refuted;
-    let graph = force p.probe_graph in
-    let y = Ld_matching.Packing.greedy_algorithm.run graph in
-    let y_r = restrict_output y graph ~rounds in
-    let violations = Fm.feasibility_violations y_r in
-    let failure = infeasible ~level:p.probe_level graph y_r violations in
-    let certs =
-      match cache.cache_outcome with
-      | Certified certs | Refuted (certs, _) -> certs
-    in
-    Refuted (List.filter (fun c -> c.level < failure.fail_level) certs, failure)
-
 let truncated_verdict cache ~rounds =
   if
     cache.cache_algo_name <> Ld_matching.Packing.greedy_algorithm.name
@@ -1020,20 +940,6 @@ let truncated_verdict cache ~rounds =
     | Certified _ -> `Certified
     | Refuted _ -> `Refuted
   end
-
-let boundary ~delta ~truncate_max base =
-  let base_algo =
-    match base with
-    | `Greedy -> Ld_matching.Packing.greedy_algorithm
-    | `Proposal -> Ld_matching.Packing.proposal_algorithm
-  in
-  let cache = build_cache ~check_views:false ~delta base_algo in
-  let outcome_at r =
-    match base with
-    | `Greedy -> truncated_replay cache ~rounds:r
-    | `Proposal -> cached_run cache (Ld_matching.Packing.truncated base r)
-  in
-  List.init (truncate_max + 1) (fun r -> (r, max_level (outcome_at r)))
 
 let pp_certificate fmt c =
   Format.fprintf fmt

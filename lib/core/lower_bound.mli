@@ -102,27 +102,30 @@ type outcome =
 (** [run ~delta a] executes the adversary against [a] for maximum
     degree [delta >= 2].
 
+    It is [cache_outcome (build_cache ?check_views ~delta a)]: the
+    certificates carry the adversary's trail, and their graphs are
+    replayed from it on first {!force}.
+
     The three probes of every level (GG, HH, GH) are independent runs of
     [a] and are fanned out over the {!Ld_pool.Pool} domains; recording
     and feasibility checks happen in the canonical sequential order, so
-    outcomes are bit-for-bit those of a sequential run.
+    outcomes are bit-for-bit those of a sequential run. Every level also
+    compares [a]'s output on each 2-lift with the pulled-back output on
+    the graph below; a mismatch means [a] violates the EC model's
+    condition (2) and raises [Failure].
+
+    The P1 checks are incremental across adjacent levels: each level's
+    graph extends the previous level's by a 2-lift, and covering maps
+    preserve universal-cover views exactly at every radius, so the check
+    refines the composed covering anchor (the deepest non-lift ancestor)
+    against the mixture instead of the full unfolded graph — same
+    verdict on a smaller union ([core.lb.incremental_seeded] counts
+    these).
 
     @param check_views verify P1 view-isomorphism by colour refinement
     at every level (default [true]).
-    @param check_lift_invariance re-run [a] on each 2-lift and compare
-    with the pulled-back base output; a mismatch means [a] violates the
-    EC model's condition (2) and raises [Failure] (default [true]).
-    @param incremental_views make the P1 checks incremental across
-    adjacent levels (default [true]): each level's graph extends the
-    previous level's by a 2-lift, and covering maps preserve
-    universal-cover views exactly at every radius, so the check refines
-    the composed covering anchor (the deepest non-lift ancestor) against
-    the mixture instead of the full unfolded graph — same verdict on a
-    smaller union ([core.lb.incremental_seeded] counts these).
     @raise Invalid_argument if [delta < 2]. *)
-val run :
-  ?check_views:bool -> ?check_lift_invariance:bool ->
-  ?incremental_views:bool -> delta:int -> algorithm -> outcome
+val run : ?check_views:bool -> delta:int -> algorithm -> outcome
 
 (** Highest certified level of an outcome ([-1] if none). *)
 val max_level : outcome -> int
@@ -142,16 +145,13 @@ type cache
 (** [build_cache ~delta a] runs the full adversary against [a] once and
     keeps its trail and outcome plus, per probe, the largest colour
     carrying positive weight (the feasibility threshold
-    {!truncated_replay} compares against). Each level's probe graphs
+    {!truncated_verdict} compares against). Each level's probe graphs
     are dropped once they pass; the cache's certificates and probes
-    replay theirs from the trail on demand. [check_views] and
-    [incremental_views] are forwarded to the underlying {!run};
-    [check_views] is also used by any fallback {!run} a later
+    replay theirs from the trail on demand. [check_views] is as for
+    {!run}, and is also used by any fallback {!run} a later
     {!cached_run} needs.
     @raise Invalid_argument if [delta < 2]. *)
-val build_cache :
-  ?check_views:bool -> ?incremental_views:bool -> delta:int -> algorithm ->
-  cache
+val build_cache : ?check_views:bool -> delta:int -> algorithm -> cache
 
 (** The base algorithm's outcome, as {!build_cache} recorded it. *)
 val cache_outcome : cache -> outcome
@@ -175,26 +175,10 @@ val cache_outcome : cache -> outcome
     For the benchmark's truncated algorithms the divergent case never
     arises: by Lemma 2 a feasible output on these loopy graphs is fully
     saturated, and a saturated truncation of greedy/proposal equals the
-    untruncated output. *)
+    untruncated output. [test_core] pins the certificate bytes of
+    greedy's outcome and of the certified prefix of a refuted
+    truncation. *)
 val cached_run : cache -> algorithm -> outcome
-
-(** [truncated_replay cache ~rounds] is the exact outcome of
-    [cached_run cache (Packing.truncated `Greedy rounds)], computed
-    {e analytically} from the thresholds.
-
-    Greedy-by-colour reads exactly the colour-[c] dart in phase [c], so
-    its [rounds]-truncation outputs precisely the colour-[≤ rounds]
-    prefix of the base output, and on the adversary's loopy probe graphs
-    that prefix is feasible iff every positive base colour is [≤ rounds]
-    (feasible ⟺ fully saturated, Lemma 2) — in which case it {e equals}
-    the base output and the cached outcome is returned as-is. Otherwise
-    the first probe whose threshold exceeds [rounds] is where the real
-    replay would refute: that one probe graph is replayed and greedy
-    re-run on it, and an identical failure witness (restricted output,
-    freshly checked violations, same 2-lift) is materialised.
-    @raise Invalid_argument if the cache's base algorithm is not
-    greedy-by-colour or [rounds < 0]. *)
-val truncated_replay : cache -> rounds:int -> outcome
 
 (** {2 Cache introspection and reassembly}
 
@@ -225,9 +209,9 @@ val cache_probes : cache -> probe list
     probes, and every certificate and probe is rewired onto one replay
     chain over the deepest certificate's trail, so forcing the whole
     cache replays each level once. A reassembled cache is
-    indistinguishable from the {!build_cache} original: [cached_run],
-    {!truncated_replay} and {!truncated_verdict} return identical
-    results. No algorithm is run and no graph is built.
+    indistinguishable from the {!build_cache} original: [cached_run]
+    and {!truncated_verdict} return identical results. No algorithm is
+    run and no graph is built.
     @raise Invalid_argument if the certificates are not levels
     [0, 1, …] whose trails are prefixes of one valid trail for
     [delta], or a level has more probes than the construction has. *)
@@ -254,25 +238,23 @@ val level_of_trail :
   prefix_rounds:int list -> certificate * probe list
 
 (** [truncated_verdict cache ~rounds] is the constructor of
-    [truncated_replay cache ~rounds] alone ([`Certified] or
-    [`Refuted]), skipping the failure-witness materialisation (the
-    restricted output, its violation list, and the 2-lift) that a
-    refuted replay builds. A frontier scan only consumes the verdict,
-    and the witness is by far the dominant cost of a refuted replay —
-    this is one threshold comparison per probe. Counter traffic
-    ([memo_replay_hits] / [memo_replay_refuted]) matches the full
-    replay.
+    [cached_run cache (Packing.truncated `Greedy rounds)] alone
+    ([`Certified] or [`Refuted]), computed {e analytically} from the
+    thresholds: no graph is replayed and no algorithm is run.
+
+    Greedy-by-colour reads exactly the colour-[c] dart in phase [c], so
+    its [rounds]-truncation outputs precisely the colour-[≤ rounds]
+    prefix of the base output, and on the adversary's loopy probe graphs
+    that prefix is feasible iff every positive base colour is [≤ rounds]
+    (feasible ⟺ fully saturated, Lemma 2) — in which case it {e equals}
+    the base output and the verdict is the cached outcome's. Otherwise
+    some probe's threshold exceeds [rounds], which is where [cached_run]
+    would refute. A frontier scan consumes only the verdict; this is one
+    threshold comparison per probe, with the [memo_replay_hits] /
+    [memo_replay_refuted] counter traffic of [cached_run].
     @raise Invalid_argument if the cache's base algorithm is not
     greedy-by-colour or [rounds < 0]. *)
 val truncated_verdict : cache -> rounds:int -> [ `Certified | `Refuted ]
-
-(** [boundary ~delta ~truncate_max base] runs the adversary against the
-    [base] algorithm truncated to [r = 0, 1, …, truncate_max]
-    communication rounds and returns, for each [r], the outcome's
-    maximal certified level — the empirical round-vs-locality frontier
-    plotted in the benchmark. *)
-val boundary :
-  delta:int -> truncate_max:int -> [ `Greedy | `Proposal ] -> (int * int) list
 
 val pp_certificate : Format.formatter -> certificate -> unit
 val pp_failure : Format.formatter -> failure -> unit

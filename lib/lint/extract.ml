@@ -7,7 +7,7 @@
    unexpanded ("Obs.Counter.make" after `module Obs = Ld_obs.Obs`), so
    the extractor keeps two stamp tables — module aliases and locally
    defined structure modules — and expands heads through them; unit
-   names are then normalised ("Ld_core__Pool" -> Ld_core.Pool) into
+   names are then normalised ("Ld_pool__Pool" -> Ld_pool.Pool) into
    the canonical dotted keys the call graph is built over.
 
    Two conventions shape what enters a summary:
@@ -29,7 +29,7 @@
 
 (* ---------- path normalisation ---------- *)
 
-(* "Ld_core__Pool" -> ["Ld_core"; "Pool"]; "Ld_lint__" -> ["Ld_lint"];
+(* "Ld_pool__Pool" -> ["Ld_pool"; "Pool"]; "Ld_lint__" -> ["Ld_lint"];
    "Dune__exe__Ld" -> ["Dune"; "exe"; "Ld"]. *)
 let split_unit name =
   let n = String.length name in

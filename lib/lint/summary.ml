@@ -63,7 +63,7 @@ type direct = {
 type call = { c_callee : string; c_loc : loc (* callee = dotted key *) }
 
 type fn = {
-  f_key : string; (* canonical dotted key, e.g. "Ld_core.Pool.map" *)
+  f_key : string; (* canonical dotted key, e.g. "Ld_pool.Pool.map" *)
   f_display : string; (* short name used in diagnostic prose *)
   f_entry : entry_kind;
   f_loc : loc;

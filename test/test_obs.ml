@@ -10,7 +10,7 @@ module Json = Ld_obs.Json
 module Openmetrics = Ld_obs.Openmetrics
 module Bench_diff = Ld_obs.Bench_diff
 module Provenance = Ld_obs.Provenance
-module Pool = Ld_core.Pool
+module Pool = Ld_pool.Pool
 module LB = Ld_core.Lower_bound
 module Packing = Ld_matching.Packing
 module Ec = Ld_models.Ec
