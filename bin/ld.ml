@@ -992,13 +992,13 @@ let lint_cmd =
             "Files or directories to lint (default: lib bin test bench \
              examples). Directories are walked recursively; _build and \
              the test fixture trees are skipped. A path that does not \
-             exist (or is not an .ml/.mli file) exits 2.")
+             exist (or is not an .ml file) exits 2.")
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Run the ld-lint determinism/exactness/domain-safety static \
-          analyzer over OCaml sources. The typed rules read the compiler's \
+          analyzer over OCaml sources. Every rule reads the compiler's \
           .cmt files under _build/default (or under the current directory \
           when that is absent), so build first, e.g. $(b,dune build \
           @check); $(b,dune build @lint) does both. Exits 1 if any \

@@ -1,12 +1,13 @@
-(* File discovery, the syntactic pass, the typed passes over .cmt files,
-   suppression and rendering. The library entry point used by both
-   `ld lint` and test/test_lint.ml.
+(* File discovery, the rules over .cmt files, suppression and
+   rendering. The library entry point used by both `ld lint` and
+   test/test_lint.ml.
 
-   The typed passes need the compiler's .cmt files: a unit is linted
-   when its recorded source path is a suffix of a collected file's path
-   and its recorded source digest matches that file, so path arguments
+   The linter's one input is the compiler's typed tree. A collected .ml
+   is linted when a .cmt's recorded source path is a suffix of its
+   path and the recorded source digest matches it, so path arguments
    select units and a stale build cannot anchor findings on the wrong
-   lines. Only those units enter the call graph. *)
+   lines. Only those units enter the call graph. A collected .ml with
+   no such unit gets one no-cmt finding and nothing else. *)
 
 module Json = Ld_obs.Json
 
@@ -19,8 +20,7 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let build_dirs = [ "_build"; "_opam"; ".git"; "node_modules" ]
 let skip_dirs = build_dirs @ [ "lint_fixtures"; "deep_fixtures" ]
 
-let is_source path =
-  Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+let is_source path = Filename.check_suffix path ".ml"
 
 (* The files under [path] (or [path] itself) satisfying [keep], in
    reverse sorted order, not descending into directories named in
@@ -39,7 +39,7 @@ let rec walk ~skip ~keep acc path =
   else acc
 
 (* Explicit CLI inputs that cannot be linted: a missing path or a file
-   that is neither .ml nor .mli. Directories are always acceptable
+   that is not an .ml. Directories are always acceptable
    (they are walked). Returns (path, reason) pairs; the CLI reports
    them and exits 2 so a typo can never masquerade as a clean run. *)
 let invalid_inputs paths =
@@ -48,34 +48,8 @@ let invalid_inputs paths =
       if not (Sys.file_exists p) then Some (p, "no such file or directory")
       else if Sys.is_directory p then None
       else if is_source p then None
-      else Some (p, "not an OCaml source file (expected .ml or .mli)"))
+      else Some (p, "not an OCaml implementation (expected .ml)"))
     paths
-
-type parsed =
-  | Impl of Parsetree.structure
-  | Intf of Parsetree.signature
-
-let parse_any ~file content =
-  let lexbuf = Lexing.from_string content in
-  Location.init lexbuf file;
-  if Filename.check_suffix file ".mli" then Intf (Parse.interface lexbuf)
-  else Impl (Parse.implementation lexbuf)
-
-(* Interfaces carry no expressions of their own, but attribute and
-   extension payloads may embed structures (default implementations,
-   ppx-style payloads) where obj-magic hazards hide. Collect every
-   [PStr] payload and run the syntactic rules over it. *)
-let payload_structures sg =
-  let acc = ref [] in
-  let payload self pl =
-    (match pl with
-    | Parsetree.PStr str -> acc := str :: !acc
-    | _ -> ());
-    Ast_iterator.default_iterator.payload self pl
-  in
-  let it = { Ast_iterator.default_iterator with payload } in
-  it.signature it sg;
-  List.rev !acc
 
 let dedup_sorted ds =
   let rec go = function
@@ -85,16 +59,16 @@ let dedup_sorted ds =
   in
   go (List.sort Diagnostic.compare ds)
 
-(* One collected file. [typed] holds the typed passes' findings, or
-   None when no .cmt was found for the file. *)
+(* One collected file. [findings] holds every rule's findings, or None
+   when no .cmt was found for the file. *)
 type source = {
   file : string;
   content : string;
   suppress : Suppress.t;
-  mutable typed : Diagnostic.t list option;
+  mutable findings : Diagnostic.t list option;
 }
 
-(* ---------- typed passes ---------- *)
+(* ---------- the rules over .cmt files ---------- *)
 
 let default_root () =
   if Sys.file_exists "_build/default" then "_build/default" else "."
@@ -135,7 +109,7 @@ let unit_of ~by_digest cmt =
     |> Option.map (fun s -> (s, infos, src, str))
   | _ -> None
 
-let typed_diag ~file rule (loc : Summary.loc) message =
+let diag_at ~file rule (loc : Summary.loc) message =
   {
     Diagnostic.file;
     line = loc.l_line;
@@ -172,7 +146,7 @@ let entry_findings graph ~file ~key ~loc ~subject (entry : Summary.entry_kind) =
               node.fn.f_direct
           in
           Some
-            (typed_diag ~file rule loc
+            (diag_at ~file rule loc
                (Printf.sprintf "%s %s%s%s: %s" subject
                   (if direct then "" else "transitively ")
                   (Summary.describe kind) tail
@@ -207,10 +181,10 @@ let unit_findings graph ~file (u : Summary.t) =
           r.r_entry)
       u.u_refs
 
-(* Run the typed passes over every unit of [sources] found under
-   [root], filling each source's [typed] findings. Extraction consults
+(* Run every rule over every unit of [sources] found under [root],
+   filling each source's [findings]. Extraction consults
    the sources' suppressions, marking sanctioning allows used. *)
-let run_typed ~root sources =
+let run_rules ~root sources =
   let by_digest = Hashtbl.create 64 in
   List.iter (fun s -> Hashtbl.add by_digest (Digest.string s.content) s) sources;
   let units =
@@ -220,39 +194,33 @@ let run_typed ~root sources =
            match unit_of ~by_digest cmt with
            (* one unit per source: a build may leave both a bytecode and
               a native .cmt of it *)
-           | Some (s, infos, src, str) when Option.is_none s.typed ->
-             s.typed <- Some [];
+           | Some (s, infos, src, str) when Option.is_none s.findings ->
+             s.findings <- Some [];
              let summary =
                Extract.of_structure ~unit_name:infos.Cmt_format.cmt_modname
                  ~source:src ~suppress:s.suppress str
              in
              set_load_path cmt infos src;
-             Some (s, summary, Rules.poly_compare ~file:s.file str)
+             Some (s, summary, Rules.local ~file:s.file str)
            | _ -> None)
   in
   let graph = Callgraph.build (List.map (fun (_, u, _) -> u) units) in
   Callgraph.solve graph;
   List.iter
-    (fun (s, u, poly) ->
-      s.typed <- Some (unit_findings graph ~file:s.file u @ poly))
+    (fun (s, u, local) ->
+      s.findings <- Some (unit_findings graph ~file:s.file u @ local))
     units
 
 (* ---------- per-file assembly ---------- *)
 
-let typed_rules = [ "poly-compare"; "nondet-source"; "domain-safety"; "machine-purity" ]
-
 (* Suppression hygiene: a directive that neither silenced a finding
    nor sanctioned an effect site is itself reported, anchored at the
    comment line. [allow stale-suppression] is exempt to keep the check
-   well-founded; a file without a typed tree cannot validate directives
-   naming typed rules. *)
+   well-founded. *)
 let stale_suppressions s =
   Suppress.unused s.suppress
   |> List.filter_map (fun (d : Suppress.directive) ->
-         if
-           d.d_rule = "stale-suppression"
-           || (Option.is_none s.typed && List.mem d.d_rule typed_rules)
-         then None
+         if d.d_rule = "stale-suppression" then None
          else
            Some
              {
@@ -270,60 +238,28 @@ let stale_suppressions s =
                    d.d_rule;
              })
 
-(* A file that fails to parse yields a single parse-error diagnostic —
-   the linter never aborts the whole run on one bad file (and the
-   stale check is skipped: without an AST no directive can be
-   validated). *)
+(* A file without a unit (unbuilt, stale, or unparsable) yields one
+   no-cmt finding: no rule ran, so no directive can be validated, and
+   the run must not pass as clean. *)
 let lint_source s =
-  match parse_any ~file:s.file s.content with
-  | exception e ->
-    let line, msg =
-      match e with
-      | Syntaxerr.Error err ->
-        let loc = Syntaxerr.location_of_error err in
-        (loc.Location.loc_start.Lexing.pos_lnum, "syntax error")
-      | e -> (1, Printexc.to_string e)
-    in
+  match s.findings with
+  | None ->
     [
       {
         Diagnostic.file = s.file;
-        line;
+        line = 1;
         col = 0;
-        rule = "parse-error";
-        message = msg;
+        rule = "no-cmt";
+        message =
+          "no up-to-date .cmt for this file, so no rule ran — build first \
+           (dune build @check)";
       };
     ]
-  | parsed ->
-    let structures =
-      match parsed with Impl str -> [ str ] | Intf sg -> payload_structures sg
-    in
+  | Some ds ->
     let allowed (d : Diagnostic.t) =
       Option.is_some (Suppress.covering s.suppress ~rule:d.rule ~line:d.line)
     in
-    let typed =
-      match (parsed, s.typed) with
-      | _, Some ds -> ds
-      | Intf _, None -> []
-      | Impl _, None ->
-        (* an unbuilt or stale implementation must not pass as clean *)
-        [
-          {
-            Diagnostic.file = s.file;
-            line = 1;
-            col = 0;
-            rule = "no-cmt";
-            message =
-              Printf.sprintf
-                "no up-to-date .cmt for this file, so %s did not run — build \
-                 first (dune build @check)"
-                (String.concat ", " typed_rules);
-          };
-        ]
-    in
-    let kept =
-      List.concat_map (Rules.syntactic ~file:s.file) structures @ typed
-      |> List.filter (fun d -> not (allowed d))
-    in
+    let kept = List.filter (fun d -> not (allowed d)) ds in
     kept @ List.filter (fun d -> not (allowed d)) (stale_suppressions s)
 
 let lint_paths paths =
@@ -332,9 +268,9 @@ let lint_paths paths =
     |> List.sort_uniq String.compare
     |> List.map (fun file ->
            let content = read_file file in
-           { file; content; suppress = Suppress.of_source content; typed = None })
+           { file; content; suppress = Suppress.of_source content; findings = None })
   in
-  run_typed ~root:(default_root ()) sources;
+  run_rules ~root:(default_root ()) sources;
   List.concat_map lint_source sources |> dedup_sorted
 
 let lint_file file = lint_paths [ file ]

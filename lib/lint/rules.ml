@@ -1,10 +1,9 @@
 (* The rule catalogue and the unit-local rules.
 
-   [obj-magic] and [exn-swallow] are syntactic passes over the 5.1
-   parsetree (an interface's attribute payloads included).
-   [poly-compare] reads the typed tree of a unit's .cmt, where the
-   instantiated operand type of every comparison is known. The
-   interprocedural rules (nondet-source, domain-safety,
+   [obj-magic], [exn-swallow] and [poly-compare] are one walk over the
+   typed tree of a unit's .cmt, where every identifier is resolved to
+   its path and the instantiated operand type of every comparison is
+   known. The interprocedural rules (nondet-source, domain-safety,
    machine-purity) come from Extract and Callgraph and are reported by
    the driver. Every rule is an error. *)
 
@@ -51,7 +50,13 @@ let all =
          its callees. Transitions must be pure functions of the machine \
          state so runs replay identically under every executor.";
     };
-    { id = "obj-magic"; doc = "Any use of Obj.magic / Obj.repr / Obj.obj." };
+    {
+      id = "obj-magic";
+      doc =
+        "An identifier that resolves to Stdlib.Obj.magic / repr / obj, \
+         however it is reached (`Obj.magic`, `let open Obj in magic`); a \
+         local module that happens to be called Obj is not flagged.";
+    };
     {
       id = "exn-swallow";
       doc =
@@ -71,53 +76,7 @@ let diag ~file ~rule (loc : Location.t) message =
     message;
   }
 
-(* ---------- obj-magic and exn-swallow (parsetree) ---------- *)
-
-let syntactic ~file str =
-  let open Parsetree in
-  let out = ref [] in
-  let swallow loc =
-    out :=
-      diag ~file ~rule:"exn-swallow" loc
-        "catch-all `with _ ->` swallows every exception (including \
-         Stack_overflow and assertion failures) — match specific \
-         exceptions, or name and re-raise"
-      :: !out
-  in
-  let catch_all c =
-    match (c.pc_lhs.ppat_desc, c.pc_guard) with
-    | Ppat_any, None -> swallow c.pc_lhs.ppat_loc
-    | Ppat_exception { ppat_desc = Ppat_any; ppat_loc; _ }, None ->
-      swallow ppat_loc
-    | _ -> ()
-  in
-  let super = Ast_iterator.default_iterator in
-  let expr self e =
-    (match e.pexp_desc with
-    | Pexp_ident
-        { txt = Longident.Ldot (Lident "Obj", ("magic" | "repr" | "obj")); _ }
-      ->
-      out :=
-        diag ~file ~rule:"obj-magic" e.pexp_loc
-          "Obj.magic/Obj.repr defeats the type system — no unchecked casts \
-           in certificate-bearing code"
-        :: !out
-    | Pexp_try (_, cases) -> List.iter catch_all cases
-    | Pexp_match (_, cases) ->
-      List.iter
-        (fun c ->
-          match c.pc_lhs.ppat_desc with
-          | Ppat_exception _ -> catch_all c
-          | _ -> ())
-        cases
-    | _ -> ());
-    super.expr self e
-  in
-  let it = { super with expr } in
-  it.structure it str;
-  !out
-
-(* ---------- poly-compare (typed tree) ---------- *)
+(* ---------- the unit-local walk ---------- *)
 
 (* The polymorphic primitive a path names, if any. A shadowed
    `compare` or a `Q.Infix.( = )` resolves to another path. *)
@@ -168,10 +127,17 @@ let is_constant_constructor (_, arg) =
     true
   | _ -> false
 
-(* The environments stored in a .cmt are summaries; rebuilding one
-   needs the unit's load path, which the driver sets before calling. *)
-let poly_compare ~file (str : Typedtree.structure) =
+let is_obj_cast : Path.t -> bool = function
+  | Pdot (Pdot (Pident m, "Obj"), ("magic" | "repr" | "obj")) ->
+    Ident.name m = "Stdlib"
+  | _ -> false
+
+(* One walk reports obj-magic, exn-swallow and poly-compare. The
+   environments stored in a .cmt are summaries; rebuilding one needs
+   the unit's load path, which the driver sets before calling. *)
+let local ~file (str : Typedtree.structure) =
   let out = ref [] in
+  let report rule loc message = out := diag ~file ~rule loc message :: !out in
   let check (e : Typedtree.expression) op =
     let env =
       try Envaux.env_of_only_summary e.exp_env with Envaux.Error _ -> e.exp_env
@@ -179,13 +145,23 @@ let poly_compare ~file (str : Typedtree.structure) =
     match Types.get_desc (Ctype.expand_head_opt env e.exp_type) with
     | Tarrow (_, operand, _, _) when comparable_by_value env operand -> ()
     | Tarrow (_, operand, _, _) ->
-      out :=
-        diag ~file ~rule:"poly-compare" e.exp_loc
-          (Printf.sprintf
-             "polymorphic `%s` on %s — use a typed comparator (Int.compare, \
-              String.equal, List.equal, Q.equal, ...)"
-             op (type_text operand))
-        :: !out
+      report "poly-compare" e.exp_loc
+        (Printf.sprintf
+           "polymorphic `%s` on %s — use a typed comparator (Int.compare, \
+            String.equal, List.equal, Q.equal, ...)"
+           op (type_text operand))
+    | _ -> ()
+  in
+  let swallow loc =
+    report "exn-swallow" loc
+      "catch-all `with _ ->` swallows every exception (including \
+       Stack_overflow and assertion failures) — match specific exceptions, \
+       or name and re-raise"
+  in
+  let catch_all (type k) ({ c_lhs; c_guard; _ } : k Typedtree.case) =
+    match (c_lhs.pat_desc, c_guard) with
+    | Tpat_any, None -> swallow c_lhs.pat_loc
+    | Tpat_exception { pat_desc = Tpat_any; pat_loc; _ }, None -> swallow pat_loc
     | _ -> ()
   in
   let super = Tast_iterator.default_iterator in
@@ -195,7 +171,17 @@ let poly_compare ~file (str : Typedtree.structure) =
       when Option.is_some (polymorphic_op p)
            && List.exists is_constant_constructor args ->
       List.iter (fun (_, a) -> Option.iter (self.Tast_iterator.expr self) a) args
+    | Texp_ident (p, _, _) when is_obj_cast p ->
+      report "obj-magic" e.exp_loc
+        "Obj.magic/Obj.repr defeats the type system — no unchecked casts in \
+         certificate-bearing code"
     | Texp_ident (p, _, _) -> Option.iter (check e) (polymorphic_op p)
+    | Texp_try (_, cases) ->
+      List.iter catch_all cases;
+      super.expr self e
+    | Texp_match (_, cases, _) ->
+      List.iter catch_all cases;
+      super.expr self e
     | _ -> super.expr self e
   in
   let it = { super with expr } in

@@ -51,14 +51,10 @@ let catalogue =
   Rules.all
   @ [
       {
-        Rules.id = "parse-error";
-        doc = "The file failed to parse; nothing else can be checked.";
-      };
-      {
-        id = "no-cmt";
+        Rules.id = "no-cmt";
         doc =
-          "No up-to-date .cmt for the file, so the typed rules could not run; \
-           build first.";
+          "No up-to-date .cmt for the file, so no rule ran on it; build \
+           first.";
       };
       {
         id = "stale-suppression";
