@@ -12,7 +12,10 @@
      ld serve      certificate service over a length-prefixed JSON socket
      ld load       closed-loop load harness replaying verify requests
      ld bench-diff compare two bench artefacts, fail on regressions
-     ld lint       run the determinism/exactness static analyzer
+
+   The static analyzer is its own executable, `ld_lint` (bin/ld_lint.ml):
+   it is the one program that links compiler-libs, and `ld` does not,
+   so `ld serve` does not map the compiler's pages.
 
    Every subcommand honours the global --trace FILE (Chrome trace-event
    export of the run, tid = domain) and -v/--verbosity (Logs). *)
@@ -935,77 +938,6 @@ let bench_runtime_cmd =
           multi-domain runs disagree.")
     Term.(const bench_runtime $ common_term $ quick $ out)
 
-(* ---- lint ---- *)
-
-let lint common json list_rules sarif_out paths =
-  with_common common @@ fun () ->
-  if list_rules then begin
-    Format.printf "%a" Ld_lint.Driver.pp_rules ();
-    0
-  end
-  else begin
-    match Ld_lint.Driver.invalid_inputs paths with
-    | _ :: _ as bad ->
-      List.iter
-        (fun (p, why) -> Format.eprintf "ld lint: %s: %s@." p why)
-        bad;
-      2
-    | [] ->
-      let paths =
-        match paths with
-        | [] ->
-          List.filter Sys.file_exists [ "lib"; "bin"; "test"; "bench"; "examples" ]
-        | ps -> ps
-      in
-      let diags = Ld_lint.Driver.lint_paths paths in
-      Option.iter
-        (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc (Ld_lint.Sarif.render diags)))
-        sarif_out;
-      Ld_lint.Driver.report ~json Format.std_formatter diags
-  end
-
-let lint_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit diagnostics as a JSON array on stdout.")
-  in
-  let list_rules =
-    Arg.(
-      value & flag
-      & info [ "rules" ] ~doc:"Print the rule catalogue and exit.")
-  in
-  let sarif_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sarif" ] ~docv:"FILE"
-          ~doc:"Write all diagnostics as a SARIF 2.1.0 log to $(docv).")
-  in
-  let paths =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to lint (default: lib bin test bench \
-             examples). Directories are walked recursively; _build and \
-             the test fixture trees are skipped. A path that does not \
-             exist (or is not an .ml file) exits 2.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the ld-lint determinism/exactness/domain-safety static \
-          analyzer over OCaml sources. Every rule reads the compiler's \
-          .cmt files under _build/default (or under the current directory \
-          when that is absent), so build first, e.g. $(b,dune build \
-          @check); $(b,dune build @lint) does both. Exits 1 if any \
-          violation is found. Suppress a finding with a (* ld-lint: allow \
-          <rule> *) comment on the same or preceding line.")
-    Term.(const lint $ common_term $ json $ list_rules $ sarif_out $ paths)
-
 let main_cmd =
   Cmd.group
     (Cmd.info "ld" ~version:"1.0.0"
@@ -1014,6 +946,6 @@ let main_cmd =
           reproduction of Goos, Hirvonen, Suomela (PODC 2014).")
     [ adversary_cmd; pack_cmd; match_cmd; factor_cmd; order_cmd; report_cmd; dot_cmd;
       certify_cmd; verify_cmd; stats_cmd; metrics_cmd; top_cmd; serve_cmd;
-      load_cmd; bench_diff_cmd; bench_runtime_cmd; lint_cmd ]
+      load_cmd; bench_diff_cmd; bench_runtime_cmd ]
 
 let () = exit (Cmd.eval' main_cmd)

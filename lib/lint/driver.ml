@@ -1,5 +1,5 @@
 (* File discovery, the rules over .cmt files, suppression and
-   rendering. The library entry point used by both `ld lint` and
+   rendering. The library entry point used by both `ld_lint.exe` and
    test/test_lint.ml.
 
    The linter's one input is the compiler's typed tree. A collected .ml
