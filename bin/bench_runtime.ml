@@ -48,21 +48,23 @@ let tree_delta = 8
 let reg_d = 8
 let ii_max_rounds = 100_000
 
-let run_algo ~algo ~domains g =
+(* The mates and the executor's stats of one run. *)
+let run_algo ?par_threshold ~algo ~domains g =
   match algo with
   | `Ii ->
-    let _, stats =
-      Packed_ii.run ~domains ~seed:42 ~max_rounds:ii_max_rounds g
+    let r, stats =
+      Packed_ii.run ?par_threshold ~domains ~seed:42 ~max_rounds:ii_max_rounds g
     in
-    stats
+    (r.Packed_ii.mate, stats)
   | `Dp ->
-    let _, stats =
-      Davies_peck.run ~domains ~seed:42 ~max_rounds:ii_max_rounds g
+    let r, stats =
+      Davies_peck.run ?par_threshold ~domains ~seed:42
+        ~max_rounds:ii_max_rounds g
     in
-    stats
+    (r.Davies_peck.mate, stats)
   | `Pr ->
-    let _, stats = Packed_pr.run ~domains g in
-    stats
+    let r, stats = Packed_pr.run ?par_threshold ~domains g in
+    (r.Packed_pr.mate, stats)
 
 let algo_name = function `Ii -> "israeli-itai" | `Dp -> "davies-peck" | `Pr -> "panconesi-rizzi"
 
@@ -72,7 +74,7 @@ let measure ~workload ~algo ~domains g =
   ignore (Obs.reset_peak_rss ());
   let minor0 = (Gc.quick_stat ()).Gc.minor_words in
   let t0 = Obs.now_ms () in
-  let stats = run_algo ~algo ~domains g in
+  let _, stats = run_algo ~algo ~domains g in
   let wall = Obs.now_ms () -. t0 in
   let minor = (Gc.quick_stat ()).Gc.minor_words -. minor0 in
   let sn = Ld_obs.Hist.snapshot h_round in
@@ -103,22 +105,19 @@ let measure ~workload ~algo ~domains g =
     r.r_round_p50_ms r.r_round_p99_ms r.r_rss_kb r.r_minor_words;
   r
 
-(* Packed-vs-packed domain identity: the same workload at 1 domain and
-   at a forced multi-domain split (par_threshold 0 so small inputs
-   split too) must produce identical mates and rounds. *)
+(* Packed-vs-packed domain identity: every packed machine, at 1 domain
+   and at a forced multi-domain split (par_threshold 0 so small inputs
+   split too), must produce identical mates and rounds. *)
 let identity_check () =
   let g = Gen.stream_biregular_tree ~d:tree_d ~delta:tree_delta 100_000 in
-  let a, _ =
-    Packed_ii.run ~domains:1 ~seed:42 ~max_rounds:ii_max_rounds g
-  in
-  let b, _ =
-    Packed_ii.run ~par_threshold:0 ~domains:4 ~seed:42
-      ~max_rounds:ii_max_rounds g
-  in
-  let mate_a = a.Packed_ii.mate and mate_b = b.Packed_ii.mate in
-  Array.length mate_a = Array.length mate_b
-  && Array.for_all2 Int.equal mate_a mate_b
-  && a.Packed_ii.rounds = b.Packed_ii.rounds
+  List.for_all
+    (fun algo ->
+      let mate_a, a = run_algo ~algo ~domains:1 g in
+      let mate_b, b = run_algo ~par_threshold:0 ~algo ~domains:4 g in
+      Array.length mate_a = Array.length mate_b
+      && Array.for_all2 Int.equal mate_a mate_b
+      && a.Packed.rounds = b.Packed.rounds)
+    [ `Ii; `Dp; `Pr ]
 
 let emit_json ~path ~quick ~identical ~rows =
   let row r =
@@ -193,7 +192,8 @@ let run ~quick ~out =
         domain_legs)
     reg_sizes;
   let identical = identity_check () in
-  Printf.printf "domain identity (1 vs 4 domains, n=100000): %b\n%!" identical;
+  Printf.printf "domain identity (II, DP, PR; 1 vs 4 domains, n=100000): %b\n%!"
+    identical;
   emit_json ~path:out ~quick ~identical ~rows:(List.rev !rows);
   Printf.printf "wrote %s\n" out;
   if identical then 0 else 1

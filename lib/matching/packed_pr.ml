@@ -7,7 +7,14 @@ module Cv = Cole_vishkin
    algorithm is deterministic, so [Packed.Port.reference_run] is an
    exact oracle for it.
 
-   State slice (5 + 5 Δ words):
+   State (5 + 5 Δ words per node), field-major: word [k] of node [v]
+   is at [k * n + v], so each field is one n-word column. A
+   propose/respond round reads 5 of a node's 5 + 5 Δ words (round,
+   matched, accept, parent and colour of the phase's forest); in this
+   layout those loads stream 5 columns instead of touching the
+   several cache lines a node-major slice spans. [round] is field 0 so
+   that [halted], which gets no graph, reads [st.(node)] without
+   knowing n. Fields:
      [0]              round
      [1]              matched port, or -1
      [2]              accept port, or -1
@@ -52,9 +59,7 @@ let flag_propose = 2
 let flag_accept = 4
 
 type layout = {
-  delta : int;
-  sw : int;  (* 5 + 5 delta *)
-  mw : int;  (* 1 *)
+  sw : int;  (* 5 + 5 delta fields *)
   o_nbr : int;
   o_fout : int;
   o_fin : int;
@@ -64,9 +69,7 @@ type layout = {
 
 let layout delta =
   {
-    delta;
     sw = 5 + (5 * delta);
-    mw = 1;
     o_nbr = 3;
     o_fout = 3 + delta;
     o_fin = 3 + (2 * delta);
@@ -74,34 +77,36 @@ let layout delta =
     o_col = 4 + (4 * delta);
   }
 
-let proposes l st b f c =
-  st.(b + 1) < 0 && st.(b + l.o_parent + f) >= 0 && st.(b + l.o_col + f) = c
+let proposes l st n v f c =
+  st.(n + v) < 0
+  && st.(((l.o_parent + f) * n) + v) >= 0
+  && st.(((l.o_col + f) * n) + v) = c
 
 let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
   let l = layout delta in
   let n_rounds = Array.length sched in
   {
     state_words = l.sw;
-    msg_words = l.mw;
+    msg_words = 1;
     init =
-      (fun ~g:_ ~st ~node ->
-        let b = node * l.sw in
-        st.(b) <- 0;
-        st.(b + 1) <- -1;
-        st.(b + 2) <- -1;
+      (fun ~g ~st ~node ->
+        let n = g.Csr.n in
+        st.(node) <- 0;
+        st.(n + node) <- -1;
+        st.((2 * n) + node) <- -1;
         for i = 0 to delta - 1 do
-          st.(b + l.o_nbr + i) <- -1;
-          st.(b + l.o_fout + i) <- 0;
-          st.(b + l.o_fin + i) <- 0
+          st.(((l.o_nbr + i) * n) + node) <- -1;
+          st.(((l.o_fout + i) * n) + node) <- 0;
+          st.(((l.o_fin + i) * n) + node) <- 0
         done;
         for f = 0 to delta do
-          st.(b + l.o_parent + f) <- -1;
-          st.(b + l.o_col + f) <- node
+          st.(((l.o_parent + f) * n) + node) <- -1;
+          st.(((l.o_col + f) * n) + node) <- node
         done);
     send =
       (fun ~g ~st ~out ~node ->
-        let b = node * l.sw in
-        let round = st.(b) in
+        let n = g.Csr.n in
+        let round = st.(node) in
         let lo = g.Csr.row.(node) and hi = g.Csr.row.(node + 1) in
         if round < n_rounds then
           match sched.(round) with
@@ -111,32 +116,38 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
             done
           | R_learn_forests ->
             for d = lo to hi - 1 do
-              out.(d) <- st.(b + l.o_fout + d - lo)
+              out.(d) <- st.(((l.o_fout + d - lo) * n) + node)
             done
           | R_cv | R_shift | R_eliminate _ ->
             (* The colour of the one forest the edge belongs to: one of
                [fout], [fin] is its forest, the other 0. *)
             for d = lo to hi - 1 do
               let port = d - lo in
-              out.(d) <-
-                st.(b + l.o_col + st.(b + l.o_fout + port) + st.(b + l.o_fin + port))
+              let f =
+                st.(((l.o_fout + port) * n) + node)
+                + st.(((l.o_fin + port) * n) + node)
+              in
+              out.(d) <- st.(((l.o_col + f) * n) + node)
             done
           | R_propose (f, c) ->
-            let flags = if st.(b + 1) >= 0 then flag_matched else 0 in
-            let target = if proposes l st b f c then st.(b + l.o_parent + f) else -1 in
+            let flags = if st.(n + node) >= 0 then flag_matched else 0 in
+            let target =
+              if proposes l st n node f c then st.(((l.o_parent + f) * n) + node)
+              else -1
+            in
             for d = lo to hi - 1 do
               out.(d) <- (if d - lo = target then flags lor flag_propose else flags)
             done
           | R_respond _ ->
-            let flags = if st.(b + 1) >= 0 then flag_matched else 0 in
-            let target = st.(b + 2) in
+            let flags = if st.(n + node) >= 0 then flag_matched else 0 in
+            let target = st.((2 * n) + node) in
             for d = lo to hi - 1 do
               out.(d) <- (if d - lo = target then flags lor flag_accept else flags)
             done);
     recv =
       (fun ~g ~mirror ~st ~out ~node ->
-        let b = node * l.sw in
-        let round = st.(b) in
+        let n = g.Csr.n in
+        let round = st.(node) in
         let lo = g.Csr.row.(node) in
         let deg = g.Csr.row.(node + 1) - lo in
         (match sched.(round) with
@@ -144,61 +155,64 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
           let next = ref 0 in
           for p = 0 to deg - 1 do
             let mi = out.(mirror.(lo + p)) in
-            st.(b + l.o_nbr + p) <- mi;
+            st.(((l.o_nbr + p) * n) + node) <- mi;
             if mi > node then begin
               incr next;
-              st.(b + l.o_fout + p) <- !next;
-              st.(b + l.o_parent + !next) <- p
+              st.(((l.o_fout + p) * n) + node) <- !next;
+              st.(((l.o_parent + !next) * n) + node) <- p
             end
           done
         | R_learn_forests ->
           for p = 0 to deg - 1 do
-            if st.(b + l.o_nbr + p) < node then
-              st.(b + l.o_fin + p) <- out.(mirror.(lo + p))
+            if st.(((l.o_nbr + p) * n) + node) < node then
+              st.(((l.o_fin + p) * n) + node) <- out.(mirror.(lo + p))
           done
         | R_cv ->
           (* Per-forest updates read only forest [f] data, so in-place
              writes are safe. *)
           for f = 1 to delta do
-            let mine = st.(b + l.o_col + f) in
+            let col = ((l.o_col + f) * n) + node in
+            let mine = st.(col) in
             let parent =
-              match st.(b + l.o_parent + f) with
+              match st.(((l.o_parent + f) * n) + node) with
               | -1 -> Cv.virtual_parent mine
               | p -> out.(mirror.(lo + p))
             in
-            st.(b + l.o_col + f) <- Cv.step ~mine ~parent
+            st.(col) <- Cv.step ~mine ~parent
           done
         | R_shift ->
           for f = 1 to delta do
-            let mine = st.(b + l.o_col + f) in
-            st.(b + l.o_col + f) <-
-              (match st.(b + l.o_parent + f) with
+            let col = ((l.o_col + f) * n) + node in
+            let mine = st.(col) in
+            st.(col) <-
+              (match st.(((l.o_parent + f) * n) + node) with
               | -1 -> if mine >= 3 then 0 else (mine + 1) mod 3
               | p -> out.(mirror.(lo + p)))
           done
         | R_eliminate c ->
           for f = 1 to delta do
-            if st.(b + l.o_col + f) = c then begin
+            let col = ((l.o_col + f) * n) + node in
+            if st.(col) = c then begin
               (* Colours here are < 6; collect the neighbourhood's as
                  a bitmask and take the lowest clear bit: the smallest
                  colour no parent or child in forest [f] holds. *)
               let avoid = ref 0 in
-              (match st.(b + l.o_parent + f) with
+              (match st.(((l.o_parent + f) * n) + node) with
               | -1 -> ()
               | p -> avoid := !avoid lor (1 lsl out.(mirror.(lo + p))));
               for p = 0 to deg - 1 do
-                if st.(b + l.o_fin + p) = f then
+                if st.(((l.o_fin + p) * n) + node) = f then
                   avoid := !avoid lor (1 lsl out.(mirror.(lo + p)))
               done;
               let x = ref 0 in
               while !avoid land (1 lsl !x) <> 0 do
                 incr x
               done;
-              st.(b + l.o_col + f) <- !x
+              st.(col) <- !x
             end
           done
         | R_propose (f, c) ->
-          if not (st.(b + 1) >= 0 || proposes l st b f c) then begin
+          if not (st.(n + node) >= 0 || proposes l st n node f c) then begin
             let accept = ref (-1) in
             let p = ref 0 in
             while !accept < 0 && !p < deg do
@@ -207,22 +221,23 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
               then accept := !p;
               incr p
             done;
-            st.(b + 2) <- !accept
+            st.((2 * n) + node) <- !accept
           end
         | R_respond (f, c) ->
+          let mine = st.(n + node) and accepted = st.((2 * n) + node) in
           let matched =
-            if st.(b + 1) >= 0 then st.(b + 1)
-            else if st.(b + 2) >= 0 then st.(b + 2)
-            else if proposes l st b f c then begin
-              let pp = st.(b + l.o_parent + f) in
+            if mine >= 0 then mine
+            else if accepted >= 0 then accepted
+            else if proposes l st n node f c then begin
+              let pp = st.(((l.o_parent + f) * n) + node) in
               if out.(mirror.(lo + pp)) land flag_accept <> 0 then pp else -1
             end
             else -1
           in
-          st.(b + 1) <- matched;
-          st.(b + 2) <- -1);
-        st.(b) <- round + 1);
-    halted = (fun ~st ~node -> st.(node * l.sw) >= n_rounds);
+          st.(n + node) <- matched;
+          st.((2 * n) + node) <- -1);
+        st.(node) <- round + 1);
+    halted = (fun ~st ~node -> st.(node) >= n_rounds);
   }
 
 type result = { mate : int array; rounds : int; cv_iterations : int }
@@ -237,10 +252,9 @@ let run ?par_threshold ?domains g =
       ~max_rounds:(Array.length sched) g
   in
   if not all_halted then failwith "Packed_pr.run: nodes failed to halt";
-  let sw = (layout delta).sw in
   let mate =
     Array.init n (fun v ->
-        let p = st.((v * sw) + 1) in
+        let p = st.(n + v) in
         if p < 0 then -1 else g.Csr.endpoint.(g.Csr.row.(v) + p))
   in
   Array.iteri

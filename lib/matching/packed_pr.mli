@@ -41,6 +41,10 @@ type round_kind =
     round [Array.length (schedule ~delta ~id_bits)]. *)
 val schedule : delta:int -> id_bits:int -> round_kind array
 
+(** The machine for one schedule. Its state is field-major: word [k]
+    of node [v] is at [k * n + v] of the executor's [n * state_words]
+    array, with the round counter in field 0 and the matched port (or
+    -1) in field 1. *)
 val machine :
   sched:round_kind array -> delta:int -> Ld_runtime.Packed.Port.machine
 

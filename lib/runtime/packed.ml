@@ -1,20 +1,21 @@
 module Csr = Ld_graph.Csr
 module Obs = Ld_obs.Obs
 
-(* Packed-state executor: per-node state is [state_words] consecutive
-   ints in one flat array, per-dart messages are [msg_words] ints in
-   another — no boxed records, no lists, no per-round allocation. This
-   is what lets a round over 10^6 nodes stay bandwidth-bound instead of
-   GC-bound. Machines address their own slices ([node * state_words]
-   ...) of [st] in place and read peers' message slices directly.
+(* Packed-state executor: per-node state is [n * state_words] ints in
+   one flat array, per-dart messages are [msg_words] ints in another —
+   no boxed records, no lists, no per-round allocation. This is what
+   lets a round over 10^6 nodes stay bandwidth-bound instead of
+   GC-bound. The executor only sizes [st] and never indexes it; each
+   machine chooses where a node's words sit (node-major slices or
+   field-major columns), updates them in place and reads peers'
+   message slices directly.
 
    Rounds run on [Engine], the same core as the anonymous executors;
    the differential oracle is [Port.reference_run] below. Phase 1 (recv)
-   reads only [out] and writes only the node's own state slice; phase
+   reads only [out] and writes only the node's own state words; phase
    2 (send/refresh) writes only the node's own [out] slices and its
-   frozen flag. Ranges
-   touch disjoint slices, so the result is byte-identical at any
-   [LD_DOMAINS]. A node that halts has its final messages written in
+   frozen flag. Ranges touch disjoint words, so the result is
+   byte-identical at any [LD_DOMAINS]. A node that halts has its final messages written in
    the same phase, after which its slots are never touched again. *)
 
 let c_sends = Obs.Counter.make "runtime.packed.sends"

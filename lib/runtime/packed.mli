@@ -1,18 +1,22 @@
 (** Packed-state synchronous executor.
 
-    Per-node state lives in [state_words] consecutive ints of one flat
-    array, per-dart messages in [msg_words] ints of another — no boxed
+    Per-node state lives in one flat int array of [n * state_words]
+    words, per-dart messages in [msg_words] ints of another — no boxed
     records and no per-round allocation, which is what keeps a round
-    over 10^6 nodes bandwidth-bound instead of GC-bound. Machines
-    address slice [node * state_words ..] of [st] in place and read
-    peers' message slices directly.
+    over 10^6 nodes bandwidth-bound instead of GC-bound. The executor
+    only sizes [st]; each machine chooses its layout (node-major
+    slices [node * state_words ..] for Israeli–Itai and Davies–Peck,
+    field-major columns [k * n + node] for Panconesi–Rizzi), reads and
+    writes its node's words in place and reads peers' message slices
+    directly.
 
     Rounds run on the same {!Engine} as the anonymous executors. The one
     differential oracle is {!Port.reference_run}, the dense
     counterpart of [Anon.reference]: every packed machine must reach
     the same state array, round count and halting flag on both (see
-    test_runtime.ml). Parallel ranges touch disjoint slices, so
-    results are byte-identical at any [LD_DOMAINS]. *)
+    test_runtime.ml). A recv or send writes only its own node's state
+    words and message slots, so parallel ranges touch disjoint words
+    and results are byte-identical at any [LD_DOMAINS]. *)
 
 type stats = {
   rounds : int;  (** synchronous rounds executed *)
@@ -31,6 +35,8 @@ val default_par_threshold : int
 module Port : sig
   type machine = {
     state_words : int;
+        (** [st] has [n * state_words] words; where node [v]'s words
+            sit in it is the machine's choice *)
     msg_words : int;
     init : g:Ld_graph.Csr.t -> st:int array -> node:int -> unit;
     send : g:Ld_graph.Csr.t -> st:int array -> out:int array -> node:int -> unit;
