@@ -6,10 +6,11 @@
    The quick mode (CI smoke) keeps only the 10^5 legs plus the
    packed-vs-packed domain identity check.
 
-   Peak RSS is VmHWM, reset ([Obs.reset_peak_rss]) before each row, so
-   a row's figure is its own peak (the graph it runs on included); where
-   the reset is unavailable it is the whole-process peak so far. The
-   [runtime.bench.peak_rss_kb] gauge holds the largest row figure. *)
+   Peak RSS is VmHWM, reset ([Obs.reset_peak_rss]) after a full major
+   collection before each row, so a row's figure is its own peak (the
+   graph it runs on included); where the reset is unavailable it is the
+   whole-process peak so far. The [runtime.bench.peak_rss_kb] gauge
+   holds the largest row figure. *)
 
 module Csr = Ld_graph.Csr
 module Gen = Ld_graph.Generators
@@ -71,6 +72,10 @@ let algo_name = function `Ii -> "israeli-itai" | `Dp -> "davies-peck" | `Pr -> "
 let measure ~workload ~algo ~domains g =
   let n = g.Csr.n in
   Ld_obs.Hist.reset h_round;
+  (* Free the previous workload's graph first: its arrays are unmapped
+     only when a major cycle sweeps them, and until then they sit in the
+     RSS the reset starts this row's peak from. *)
+  Gc.full_major ();
   ignore (Obs.reset_peak_rss ());
   let minor0 = (Gc.quick_stat ()).Gc.minor_words in
   let t0 = Obs.now_ms () in
