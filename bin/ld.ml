@@ -1,17 +1,21 @@
 (* `ld` — command-line front end for the linear-delta-local library.
 
    Subcommands:
-     ld adversary  run the Section 4 lower-bound adversary
+     ld adversary  run the Section 4 lower-bound adversary; --format
+                   text|markdown|json|openmetrics prints the verdict, a
+                   Markdown report, the JSON metric summary or an
+                   OpenMetrics scrape of the run
      ld pack       run a distributed maximal edge packing
      ld match      run a maximal matching baseline
      ld factor     compute a factor graph and loopiness
      ld order      sort tree addresses by the Appendix A canonical order
-     ld stats      run the adversary and print the observability summary
-     ld metrics    expose the metric registry in OpenMetrics text format
-     ld top        live terminal dashboard over a running workload
+     ld dot        emit Graphviz DOT for a generated graph
+     ld certify    export the adversary's certificate chain to a file
+     ld verify     re-verify a certificate file from scratch
      ld serve      certificate service over a length-prefixed JSON socket
      ld load       closed-loop load harness replaying verify requests
      ld bench-diff compare two bench artefacts, fail on regressions
+     ld bench-runtime  packed-runtime throughput bench
 
    The static analyzer is its own executable, `ld_lint` (bin/ld_lint.ml):
    it is the one program that links compiler-libs, and `ld` does not,
@@ -108,41 +112,80 @@ let algorithm_of = function
   | `Greedy -> Packing.greedy_algorithm
   | `Proposal -> Packing.proposal_algorithm
 
-let adversary common delta algo truncate verbose =
+(* One run, four renderings. The JSON and OpenMetrics formats read the
+   metric registry, so they turn the sink on even without --trace. *)
+let adversary common delta algo truncate format =
+  (match format with
+  | `Json | `Openmetrics -> Obs.enable ()
+  | `Text | `Markdown -> ());
   with_common common @@ fun () ->
   let algorithm =
     match truncate with
     | Some r -> Packing.truncated algo r
     | None -> algorithm_of algo
   in
+  let name = algorithm.Packing.name in
   Logs.info (fun m ->
-      m "running Section 4 adversary: delta=%d vs %s" delta
-        algorithm.Packing.name);
-  Printf.printf "adversary: delta=%d vs %s\n" delta algorithm.Packing.name;
-  match LB.run ~delta algorithm with
-  | LB.Certified certs ->
-    Printf.printf
-      "CERTIFIED: %d levels — the algorithm needs more than %d rounds.\n"
-      (List.length certs) (delta - 2);
-    if verbose then List.iter (Format.printf "%a@." LB.pp_certificate) certs;
-    0
-  | LB.Refuted (certs, f) ->
-    Printf.printf "REFUTED after %d certified levels:\n" (List.length certs);
-    Format.printf "%a@." LB.pp_failure f;
-    if verbose then Format.printf "graph: %a@." Ec.pp f.LB.fail_graph;
-    0
+      m "running Section 4 adversary: delta=%d vs %s" delta name);
+  let outcome = LB.run ~delta algorithm in
+  let certs, verdict =
+    match outcome with
+    | LB.Certified certs -> (certs, "certified")
+    | LB.Refuted (certs, _) -> (certs, "refuted")
+  in
+  (match format with
+  | `Text -> (
+    Printf.printf "adversary: delta=%d vs %s\n" delta name;
+    match outcome with
+    | LB.Certified _ ->
+      Printf.printf
+        "CERTIFIED: %d levels — the algorithm needs more than %d rounds.\n"
+        (List.length certs) (delta - 2)
+    | LB.Refuted (_, f) ->
+      Printf.printf "REFUTED after %d certified levels:\n" (List.length certs);
+      Format.printf "%a@." LB.pp_failure f)
+  | `Markdown ->
+    print_string (Ld_core.Report.markdown ~delta ~algorithm_name:name outcome)
+  | `Json ->
+    print_endline
+      (Json.render
+         (Json.Obj
+            [
+              ("delta", Json.int delta);
+              ("algo", Json.Str name);
+              ("outcome", Json.Str verdict);
+              ("certified_levels", Json.int (List.length certs));
+              ("summary", Ld_obs.Summary.json ());
+            ]))
+  | `Openmetrics -> print_string (Ld_obs.Openmetrics.render ()));
+  0
 
 let adversary_cmd =
-  (* [-v] now belongs to the global Logs verbosity. *)
-  let verbose =
-    Arg.(value & flag & info [ "certificates" ] ~doc:"Print every certificate.")
+  let format =
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("text", `Text);
+               ("markdown", `Markdown);
+               ("json", `Json);
+               ("openmetrics", `Openmetrics);
+             ])
+          `Text
+      & info [ "format" ] ~docv:"FORMAT"
+          ~doc:
+            "$(b,text) (the verdict), $(b,markdown) (a report with every \
+             certificate), $(b,json) (the verdict plus the span, counter, \
+             gauge and histogram summary) or $(b,openmetrics) (every \
+             counter, gauge and latency histogram in OpenMetrics text).")
   in
   Cmd.v
     (Cmd.info "adversary"
        ~doc:"Run the Section 4 unfold-and-mix lower-bound adversary.")
     Term.(
       const adversary $ common_term $ delta_arg $ algo_arg $ truncate_arg
-      $ verbose)
+      $ format)
 
 (* ---- pack ---- *)
 
@@ -291,41 +334,6 @@ let order_cmd =
        ~doc:"Sort tree addresses by the Appendix A canonical order.")
     Term.(const order_demo $ common_term $ words)
 
-(* ---- report ---- *)
-
-let report common delta algo truncate output =
-  with_common common @@ fun () ->
-  let algorithm =
-    match truncate with
-    | Some r -> Packing.truncated algo r
-    | None -> algorithm_of algo
-  in
-  let outcome = LB.run ~delta algorithm in
-  let doc =
-    Ld_core.Report.markdown ~delta ~algorithm_name:algorithm.Packing.name outcome
-  in
-  (match output with
-  | None -> print_string doc
-  | Some path ->
-    let oc = open_out path in
-    output_string oc doc;
-    close_out oc;
-    Printf.printf "report written to %s\n" path);
-  0
-
-let report_cmd =
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the Markdown report to this file.")
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Render a full adversary run as a Markdown report.")
-    Term.(
-      const report $ common_term $ delta_arg $ algo_arg $ truncate_arg $ output)
-
 (* ---- dot ---- *)
 
 let dot common family n delta seed kind =
@@ -424,287 +432,6 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Independently re-verify a certificate file from scratch.")
     Term.(const verify $ common_term $ delta_arg $ algo_opt $ input)
-
-(* ---- stats ---- *)
-
-let stats common delta algo frontier tree level json =
-  (* The summary needs the sink on even without --trace. *)
-  Obs.enable ();
-  with_common common @@ fun () ->
-  let base_algo = algorithm_of algo in
-  Logs.info (fun m ->
-      m "stats: delta=%d algo=%s frontier=%b" delta base_algo.Packing.name
-        frontier);
-  let cache = LB.build_cache ~delta base_algo in
-  let outcome = LB.cache_outcome cache in
-  if not json then
-    (match outcome with
-    | LB.Certified certs ->
-      Printf.printf "adversary: delta=%d vs %s — CERTIFIED %d levels\n" delta
-        base_algo.Packing.name (List.length certs)
-    | LB.Refuted (certs, f) ->
-      Printf.printf
-        "adversary: delta=%d vs %s — REFUTED at level %d (%d certified)\n"
-        delta base_algo.Packing.name f.LB.fail_level (List.length certs));
-  if frontier then begin
-    (* Replay the memoised construction against every truncation, as the
-       bench's frontier scan does — analytically when the base is greedy
-       (colour-prefix thresholds, no algorithm re-runs), by re-running
-       probes otherwise. The memo counters below show the hit/refute
-       behaviour either way. *)
-    let rec scan r =
-      if r > (2 * delta) + 2 then None
-      else
-        let verdict =
-          match algo with
-          | `Greedy -> LB.truncated_verdict cache ~rounds:r
-          | `Proposal -> (
-            match LB.cached_run cache (Packing.truncated `Proposal r) with
-            | LB.Certified _ -> `Certified
-            | LB.Refuted _ -> `Refuted)
-        in
-        match verdict with
-        | `Certified -> Some r
-        | `Refuted -> scan (r + 1)
-    in
-    match scan 0 with
-    | Some r ->
-      if not json then
-        Printf.printf "frontier: smallest surviving truncation r* = %d\n" r
-    | None ->
-      if not json then
-        Printf.printf "frontier: no truncation survives within 2*delta+2\n"
-  end;
-  if json then begin
-    (* One top-level object: the adversary outcome plus the whole
-       span/counter/histogram summary, machine-readable. *)
-    let outcome_str, levels =
-      match outcome with
-      | LB.Certified certs -> ("certified", List.length certs)
-      | LB.Refuted (certs, _) -> ("refuted", List.length certs)
-    in
-    print_endline
-      (Json.render
-         (Json.Obj
-            [
-              ("delta", Json.int delta);
-              ("algo", Json.Str base_algo.Packing.name);
-              ("outcome", Json.Str outcome_str);
-              ("certified_levels", Json.int levels);
-              ("summary", Ld_obs.Summary.json ());
-            ]))
-  end
-  else begin
-    Printf.printf "\n";
-    (match level with
-    | Some i -> Format.printf "%a@." (Ld_obs.Summary.pp_level ~level:i) ()
-    | None -> Format.printf "%a@." Ld_obs.Summary.pp ());
-    if tree then Format.printf "%a@." Ld_obs.Summary.pp_tree ()
-  end;
-  0
-
-let stats_cmd =
-  let frontier =
-    Arg.(
-      value & opt bool true
-      & info [ "frontier" ]
-          ~doc:"Also replay the memoised frontier scan (exercises the cache).")
-  in
-  let tree =
-    Arg.(
-      value & flag
-      & info [ "tree" ] ~doc:"Print the span tree of the main domain as well.")
-  in
-  let level =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "level" ]
-          ~doc:
-            "Restrict the span table to one adversary level: only spans \
-             inside the core.lb.level span carrying this level index \
-             (probe fan-out included).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit one JSON object (outcome, spans, counters, gauges, \
-             histogram quantiles) instead of the text tables.")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run the adversary with the observability sink enabled and print \
-          the span/counter summary table.")
-    Term.(
-      const stats $ common_term $ delta_arg $ algo_arg $ frontier $ tree
-      $ level $ json)
-
-(* ---- metrics ---- *)
-
-let metrics common delta algo serve loop =
-  Obs.enable ();
-  with_common common @@ fun () ->
-  let algorithm = algorithm_of algo in
-  let run_workload () = ignore (LB.run ~delta algorithm : LB.outcome) in
-  match serve with
-  | None ->
-    run_workload ();
-    print_string (Ld_obs.Openmetrics.render ());
-    0
-  | Some port ->
-    (* Long-running exporter: keep the numeric instruments recording
-       but stop span events so buffers don't grow without bound. *)
-    Obs.set_span_recording false;
-    run_workload ();
-    if loop then
-      ignore
-        (Domain.spawn (fun () ->
-             while true do
-               run_workload ()
-             done)
-          : unit Domain.t);
-    Logs.app (fun m ->
-        m "serving OpenMetrics on http://127.0.0.1:%d/metrics" port);
-    Ld_obs.Openmetrics.serve ~port (fun () -> Ld_obs.Openmetrics.render ());
-    0
-
-let metrics_cmd =
-  let serve =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "serve" ] ~docv:"PORT"
-          ~doc:
-            "Serve GET /metrics over HTTP on $(docv) instead of printing \
-             one scrape; each scrape re-renders the live registry.")
-  in
-  let loop =
-    Arg.(
-      value & flag
-      & info [ "loop" ]
-          ~doc:
-            "With $(b,--serve): keep re-running the adversary workload in \
-             a background domain so scrapes see a moving system.")
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run the adversary workload and expose every counter, gauge and \
-          latency histogram in OpenMetrics (Prometheus) text format — \
-          counters as _total, histograms as cumulative _bucket/_sum/_count \
-          families in seconds.")
-    Term.(const metrics $ common_term $ delta_arg $ algo_arg $ serve $ loop)
-
-(* ---- top ---- *)
-
-let top common delta algo interval frames =
-  Obs.enable ();
-  (* Dashboard sampling wants rates and quantiles, not an ever-growing
-     event log. *)
-  Obs.set_span_recording false;
-  with_common common @@ fun () ->
-  let algorithm = algorithm_of algo in
-  let stop = Atomic.make false in
-  let worker =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          ignore (LB.run ~delta algorithm : LB.outcome)
-        done)
-  in
-  let clear = Unix.isatty Unix.stdout in
-  let prev = ref (Obs.Counter.snapshot_all ()) in
-  let prev_t = ref (Obs.now_ms ()) in
-  let lookup snap name =
-    match List.assoc_opt name snap with Some v -> v | None -> 0
-  in
-  for frame = 1 to frames do
-    Unix.sleepf interval;
-    let now = Obs.Counter.snapshot_all () in
-    let t = Obs.now_ms () in
-    let dt = Stdlib.max 1e-9 ((t -. !prev_t) /. 1000.) in
-    let deltas = Obs.Counter.diff !prev now in
-    let rate name = float_of_int (lookup deltas name) /. dt in
-    if clear then print_string "\027[2J\027[H";
-    Printf.printf "ld top — frame %d/%d  every %.1fs  (delta=%d vs %s)\n"
-      frame frames interval delta algorithm.Packing.name;
-    let hits = lookup now "core.lb.memo_replay_hits" in
-    let probes = lookup now "core.lb.probes" in
-    let memo_ratio =
-      if hits + probes = 0 then 0.
-      else float_of_int hits /. float_of_int (hits + probes)
-    in
-    Printf.printf
-      "  refine rounds/s %10.0f    probes/s %10.0f    sends/s %10.0f\n"
-      (rate "cover.refine.rounds")
-      (rate "core.lb.probes")
-      (rate "runtime.ec.sends" +. rate "runtime.po.sends"
-      +. rate "runtime.packed.sends");
-    Printf.printf "  memo hit ratio  %10.3f    pool tasks/s %6.0f%s\n"
-      memo_ratio
-      (rate "core.pool.tasks")
-      (match Obs.peak_rss_kb () with
-      | Some kb -> Printf.sprintf "    peak RSS %d kB" kb
-      | None -> "");
-    let lat = Ld_obs.Hist.snapshots () in
-    if lat <> [] then begin
-      Printf.printf "  %-28s %10s %10s %10s %10s\n" "latency" "count"
-        "p50 ms" "p99 ms" "max ms";
-      List.iter
-        (fun sn ->
-          Printf.printf "  %-28s %10d %10.3f %10.3f %10.3f\n"
-            sn.Ld_obs.Hist.sn_name sn.Ld_obs.Hist.sn_count
-            (Ld_obs.Hist.quantile_ms sn 0.5)
-            (Ld_obs.Hist.quantile_ms sn 0.99)
-            (Ld_obs.Hist.max_ms sn))
-        lat
-    end;
-    (* Busiest counters this frame, by increment. *)
-    let top_deltas =
-      List.sort (fun (_, a) (_, b) -> Int.compare b a) deltas
-    in
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: tl -> x :: take (k - 1) tl
-    in
-    (match take 5 top_deltas with
-    | [] -> ()
-    | busiest ->
-      Printf.printf "  busiest counters (+/frame):\n";
-      List.iter
-        (fun (name, d) -> Printf.printf "    %-40s +%d\n" name d)
-        busiest);
-    flush stdout;
-    prev := now;
-    prev_t := t
-  done;
-  Atomic.set stop true;
-  Domain.join worker;
-  0
-
-let top_cmd =
-  let interval =
-    Arg.(
-      value & opt float 1.0
-      & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Seconds between dashboard frames.")
-  in
-  let frames =
-    Arg.(
-      value & opt int 10
-      & info [ "frames" ] ~docv:"N" ~doc:"Stop after $(docv) frames.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Run the adversary workload on a background domain and sample the \
-          metric registry live: refine rounds/s, probe and send rates, \
-          memoisation hit ratio, latency quantiles and peak RSS, with \
-          per-frame deltas.")
-    Term.(const top $ common_term $ delta_arg $ algo_arg $ interval $ frames)
 
 (* ---- bench-diff ---- *)
 
@@ -944,8 +671,8 @@ let main_cmd =
        ~doc:
          "Linear-in-Delta lower bounds in the LOCAL model — executable \
           reproduction of Goos, Hirvonen, Suomela (PODC 2014).")
-    [ adversary_cmd; pack_cmd; match_cmd; factor_cmd; order_cmd; report_cmd; dot_cmd;
-      certify_cmd; verify_cmd; stats_cmd; metrics_cmd; top_cmd; serve_cmd;
-      load_cmd; bench_diff_cmd; bench_runtime_cmd ]
+    [ adversary_cmd; pack_cmd; match_cmd; factor_cmd; order_cmd; dot_cmd;
+      certify_cmd; verify_cmd; serve_cmd; load_cmd; bench_diff_cmd;
+      bench_runtime_cmd ]
 
 let () = exit (Cmd.eval' main_cmd)

@@ -1,5 +1,5 @@
 (* The one JSON reader and writer: every document the system emits
-   (bench artefacts, traces, `ld stats --json`, `ld serve` frames,
+   (bench artefacts, traces, `ld adversary --format json`, `ld serve` frames,
    lint reports) is a [value] printed by [render]; the repo takes no
    JSON dependency.
 

@@ -6,7 +6,7 @@ let enable () = Atomic.set on true
 let disable () = Atomic.set on false
 let enabled () = Atomic.get on
 
-(* Long-running samplers (`ld top`, `ld metrics --serve --loop`) want
+(* Long-running processes (`ld serve`, `ld load`) want
    counters, gauges and histograms but would grow the span buffers
    without bound; this second switch turns span events off while the
    numeric side keeps recording. Only consulted when the sink is on. *)

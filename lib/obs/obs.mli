@@ -27,7 +27,7 @@ val enabled : unit -> bool
 
 val set_span_recording : bool -> unit
 (** Secondary switch for span events only. Long-running samplers
-    ([ld top], [ld metrics --serve]) set it to [false] so counters,
+    ([ld serve], [ld load]) set it to [false] so counters,
     gauges and histograms keep recording while the per-domain span
     buffers stop growing. Only consulted while the sink is enabled;
     defaults to [true]. *)

@@ -7,9 +7,10 @@
    like `core.lb.probe` expose as `ld_core_lb_probe`.
 
    This module is the health endpoint the certificate service mounts
-   (ROADMAP § certificate service): `ld metrics` dumps one scrape,
-   `ld metrics --serve PORT` answers GET /metrics over a minimal
-   HTTP/1.1 loop on plain Unix sockets — no dependencies. *)
+   (ROADMAP § certificate service): `ld adversary --format openmetrics`
+   prints one scrape, `ld serve --metrics-port PORT` answers GET
+   /metrics over a minimal HTTP/1.1 loop on plain Unix sockets — no
+   dependencies. *)
 
 let sanitize name =
   String.map
