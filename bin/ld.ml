@@ -395,7 +395,7 @@ let verify common delta algo input =
   with_common common @@ fun () ->
   let algorithm = Option.map algorithm_of algo in
   match Ld_core.Certificate_io.load input with
-  | exception Failure msg ->
+  | exception (Failure msg | Sys_error msg) ->
     Printf.printf "verification FAILED: %s\n" msg;
     1
   | certs ->

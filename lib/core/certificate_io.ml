@@ -29,13 +29,27 @@ let graph_of_sexp s =
     | S.List [ a; b ] -> (S.to_int a, S.to_int b)
     | _ -> failwith "Certificate_io: bad loop"
   in
+  let edges = List.map triple (S.find "edges" s)
+  and loops = List.map pair (S.find "loops" s) in
+  (* P2 puts a loop on every node of a certificate graph, so a node
+     count above the loop and edge ends listed describes no graph that
+     could verify, and would only size an allocation from a length
+     field. *)
+  let ends = List.length loops + (2 * List.length edges) in
+  if n > ends then
+    failwith
+      (Printf.sprintf "Certificate_io: %d nodes but only %d loop and edge ends"
+         n ends);
   (* A graph the model rejects (a colour outside [1, 2^30), an improper
      colouring, ...) is malformed input like any other. *)
-  try
-    Ec.create ~n
-      ~edges:(List.map triple (S.find "edges" s))
-      ~loops:(List.map pair (S.find "loops" s))
+  try Ec.create ~n ~edges ~loops
   with Invalid_argument msg -> failwith ("Certificate_io: " ^ msg)
+
+let weight_of_sexp s =
+  let a = S.to_atom s in
+  try Q.of_string a
+  with Division_by_zero | Invalid_argument _ ->
+    failwith (Printf.sprintf "Certificate_io: bad weight %S" a)
 
 let sexp_of_certificate (c : Lower_bound.certificate) =
   S.field "certificate"
@@ -69,8 +83,8 @@ let certificate_of_sexp s =
     h_node = S.to_int (one "h-node");
     g_loop = S.to_int (one "g-loop");
     h_loop = S.to_int (one "h-loop");
-    g_weight = Q.of_string (S.to_atom (one "g-weight"));
-    h_weight = Q.of_string (S.to_atom (one "h-weight"));
+    g_weight = weight_of_sexp (one "g-weight");
+    h_weight = weight_of_sexp (one "h-weight");
     views_checked = false; (* a loaded certificate is unverified *)
   }
 

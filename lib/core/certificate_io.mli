@@ -12,7 +12,8 @@
 val to_string : Lower_bound.certificate list -> string
 
 (** @raise Failure on malformed input, including a graph the EC model
-    rejects (e.g. a colour outside [\[1, 2^30)]). *)
+    rejects (e.g. a colour outside [\[1, 2^30)]), a graph with more
+    nodes than loop and edge ends, and a weight that is no rational. *)
 val of_string : string -> Lower_bound.certificate list
 
 val save : string -> Lower_bound.certificate list -> unit

@@ -526,7 +526,30 @@ let crafted_certificate_rejected () =
      are told apart. *)
   let small = text "3" in
   Alcotest.(check bool) "views differ" false
-    (List.for_all CIO.check_ok (CIO.verify ~delta:3 (CIO.of_string small)))
+    (List.for_all CIO.check_ok (CIO.verify ~delta:3 (CIO.of_string small)));
+  (* A weight that is no rational, and a node count that no loop or
+     edge list backs (it would size the graph's arrays), are malformed
+     input: Failure, not Division_by_zero, Invalid_argument or an
+     allocation of 4 * 10^9 nodes. *)
+  let one_node ~n ~weight =
+    Printf.sprintf
+      "(certificate (level 0) (colour 1) (g-graph ((n %s) (edges) (loops (0 \
+       1)))) (h-graph ((n 1) (edges) (loops (0 1)))) (g-node 0) (h-node 0) \
+       (g-loop 0) (h-loop 0) (g-weight %s) (h-weight 1))"
+      n weight
+  in
+  Alcotest.(check int) "n = 1, weight 0 loads" 1
+    (List.length (CIO.of_string (one_node ~n:"1" ~weight:"0")));
+  List.iter
+    (fun (what, n, weight) ->
+      match CIO.of_string (one_node ~n ~weight) with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "%s must be rejected" what)
+    [
+      ("weight 1/0", "1", "1/0");
+      ("weight abc", "1", "abc");
+      ("n = 4000000000 with one loop", "4000000000", "0");
+    ]
 
 let certificate_file_roundtrip () =
   let module CIO = Ld_core.Certificate_io in
