@@ -553,7 +553,26 @@ let emit_json ~path ~rows ~timings =
    the full pass defaults to BENCH_THM1.json, --quick to none),
    --max-delta N (cap the THM1 sweep, default 20), --store DIR (persist
    constructions in the content-addressed store: a second run warm-loads
-   them instead of re-running the adversary). *)
+   them instead of re-running the adversary). Any other argument exits
+   2: a typo must not fall through to the full sweep, which overwrites
+   BENCH_THM1.json. *)
+let check_args () =
+  let argc = Array.length Sys.argv in
+  let rec scan i =
+    if i < argc then
+      match Sys.argv.(i) with
+      | "--quick" -> scan (i + 1)
+      | ("--trace" | "--json" | "--max-delta" | "--store") when i + 1 < argc ->
+        scan (i + 2)
+      | arg ->
+        Printf.eprintf
+          "bench: unexpected argument %S (takes --quick, --trace F, --json F, \
+           --max-delta N, --store D)\n"
+          arg;
+        exit 2
+  in
+  scan 1
+
 let flag_value name =
   let rec scan i =
     if i >= Array.length Sys.argv - 1 then None
@@ -563,6 +582,7 @@ let flag_value name =
   scan 1
 
 let () =
+  check_args ();
   let quick = Array.mem "--quick" Sys.argv in
   let trace_path = flag_value "--trace" in
   let json_path = flag_value "--json" in
