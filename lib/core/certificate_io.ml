@@ -121,12 +121,7 @@ let save path certs =
   output_string oc (to_string certs);
   close_out oc
 
-let load path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  of_string text
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
 (* ---- verification ---- *)
 
