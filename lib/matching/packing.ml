@@ -27,7 +27,13 @@ let fm_of_weights g weight_at =
 (* Every slack starts at 1 and every weight is the minimum of two
    slacks, so each slack and weight is 0 or 1: a node's whole history
    is the colour it saturated through (0 while its slack is 1), and the
-   slack it broadcasts is one bit. *)
+   slack it broadcasts is one bit.
+
+   A node halts as soon as it is matched: its broadcast is 0 from then
+   on, the executor keeps serving that frozen broadcast to neighbours,
+   and [g_matched] never changes again, so halting early changes no
+   output and no truncation. On the loopy adversary graphs most nodes
+   match within their first few colours. *)
 type greedy_state = {
   g_phase : int; (* colour processed in the next round *)
   g_matched : int; (* colour saturated through; 0 = unsaturated *)
@@ -48,7 +54,7 @@ let greedy_machine : (greedy_state, int) Anon.machine =
         | Some 1 when s.g_matched = 0 ->
           { s with g_phase = s.g_phase + 1; g_matched = s.g_phase }
         | _ -> { s with g_phase = s.g_phase + 1 });
-    halted = (fun s -> s.g_phase > s.g_last);
+    halted = (fun s -> s.g_matched <> 0 || s.g_phase > s.g_last);
   }
 
 let greedy_rounds g = Ec.max_colour g
