@@ -215,20 +215,9 @@ let base_case ~on_probe ~delta algo =
    [j < e ? j : j-1], and H-loop j has id [num_loops G - 1 + (j < f ? j : j-1)]. *)
 let mix p =
   let { gr; hr; g; h; c; e; f } = p in
-  let ng = Ec.n gr in
-  let cg = Ec.columns gr and ch = Ec.columns hr in
-  let shift a = Array.map (fun v -> v + ng) a in
-  let without k a =
-    Array.init (Array.length a - 1) (fun i -> if i < k then a.(i) else a.(i + 1))
-  in
-  Ec.of_columns ~n:(ng + Ec.n hr)
-    {
-      edge_u = Array.concat [ cg.edge_u; shift ch.edge_u; [| g |] ];
-      edge_v = Array.concat [ cg.edge_v; shift ch.edge_v; [| ng + h |] ];
-      edge_colour = Array.concat [ cg.edge_colour; ch.edge_colour; [| c |] ];
-      loop_node = Array.append (without e cg.loop_node) (shift (without f ch.loop_node));
-      loop_colour = Array.append (without e cg.loop_colour) (without f ch.loop_colour);
-    }
+  let le = Ec.loop gr e and lf = Ec.loop hr f in
+  assert (le.node = g && lf.node = h && le.colour = c);
+  Ec.splice gr ~loop:e hr ~loop:f
 
 (* A level's three probe graphs (Fig. 6): the unfoldings GG, HH (with
    their covering maps) and the mixture GH. *)

@@ -49,31 +49,18 @@ let is_covering { total; base; map } =
     !ok
   end
 
-(* The unfold and double constructions run inside the adversary's hot
-   loop on graphs that double per level, so both build their columns
-   directly with maps and blits (no records, no lists): copy A keeps the
-   base ids, copy B follows shifted, extras last. *)
+(* Unfolding is the splice of [g] with itself at the loop: copy A keeps
+   the base ids, copy B follows shifted, the crossing edge comes last.
+   [double] builds its columns directly with maps and blits (no records,
+   no lists) in the same order, extras last. *)
 
 let unfold_loop g ~loop_id =
   let n = Ec.n g in
-  let c = Ec.columns g in
-  let l = Ec.loop g loop_id in
-  let shift a = Array.map (fun v -> v + n) a in
-  let kept a =
-    Array.init (Array.length a - 1) (fun i -> if i < loop_id then a.(i) else a.(i + 1))
-  in
-  let loop_node = kept c.loop_node and loop_colour = kept c.loop_colour in
-  let total =
-    Ec.of_columns ~n:(2 * n)
-      {
-        edge_u = Array.concat [ c.edge_u; shift c.edge_u; [| l.node |] ];
-        edge_v = Array.concat [ c.edge_v; shift c.edge_v; [| l.node + n |] ];
-        edge_colour = Array.concat [ c.edge_colour; c.edge_colour; [| l.colour |] ];
-        loop_node = Array.append loop_node (shift loop_node);
-        loop_colour = Array.append loop_colour loop_colour;
-      }
-  in
-  { total; base = g; map = Array.init (2 * n) (fun v -> v mod n) }
+  {
+    total = Ec.splice g ~loop:loop_id g ~loop:loop_id;
+    base = g;
+    map = Array.init (2 * n) (fun v -> v mod n);
+  }
 
 let double g =
   let n = Ec.n g in

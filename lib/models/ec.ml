@@ -8,7 +8,7 @@ type dart =
 (* Edges and loops, column-wise: edge [j] is
    [(edge_u.(j), edge_v.(j), edge_colour.(j))], loop [j] is
    [(loop_node.(j), loop_colour.(j))]. Flat int arrays hold no pointers
-   for the GC to follow, and the construction paths (unfold, mix, the
+   for the GC to follow, and the construction paths (splice, lifts, the
    store codec) fill them with blits and maps; the [edge]/[loop] records
    of the interface are read off them on demand. *)
 type columns = {
@@ -69,6 +69,112 @@ let of_columns ~n cols =
     check_colour loop_colour.(j)
   done;
   build n cols
+
+(* The checks [of_columns] makes on its columns, made instead as one
+   scan of a finished table: every far end in range, no edge dart back
+   at its own node, every colour in range and strictly ascending along
+   its node's segment. *)
+let check_table n ({ Darts.row; key; other; code } : Darts.t) =
+  for v = 0 to n - 1 do
+    for d = row.(v) to row.(v + 1) - 1 do
+      let o = other.(d) in
+      if o < 0 || o >= n then invalid_arg "Ec.splice: node out of range";
+      if code.(d) >= 0 && o = v then invalid_arg "Ec.splice: self-edge";
+      Darts.check_colour "Ec.splice" key.(d);
+      if d > row.(v) && key.(d - 1) >= key.(d) then
+        invalid_arg
+          (Printf.sprintf
+             "Ec.splice: node %d has two darts of colour %d (colouring not proper)"
+             v key.(d))
+    done
+  done
+
+(* Copy [src] without index [k] into [dst] at [pos], adding [shift]. *)
+let blit_without src k ~shift dst pos =
+  for i = 0 to k - 1 do
+    dst.(pos + i) <- src.(i) + shift
+  done;
+  for i = k + 1 to Array.length src - 1 do
+    dst.(pos + i - 1) <- src.(i) + shift
+  done
+
+(* Every dart of [a] and [b] keeps its key and its place in its node's
+   segment: the two loop darts become the crossing edge's darts, and
+   only far ends (b's shift by [n a]) and codes change. So both tables
+   are copied straight across, with no scatter and no segment sort. *)
+let splice a ~loop:e b ~loop:f =
+  if e < 0 || e >= a.n_loops || f < 0 || f >= b.n_loops then
+    invalid_arg "Ec.splice: no such loop";
+  let ca = a.cols and cb = b.cols in
+  let colour = ca.loop_colour.(e) in
+  if cb.loop_colour.(f) <> colour then
+    invalid_arg "Ec.splice: the two loops differ in colour";
+  let na = a.n and nb = b.n in
+  let n = na + nb in
+  let u = ca.loop_node.(e) and v = na + cb.loop_node.(f) in
+  let ea = a.n_edges and eb = b.n_edges in
+  let la = a.n_loops - 1 and lb = b.n_loops - 1 in
+  let crossing = ea + eb in
+  let edge_u = Array.make (crossing + 1) u
+  and edge_v = Array.make (crossing + 1) v
+  and edge_colour = Array.make (crossing + 1) colour in
+  Array.blit ca.edge_u 0 edge_u 0 ea;
+  Array.blit ca.edge_v 0 edge_v 0 ea;
+  Array.blit ca.edge_colour 0 edge_colour 0 ea;
+  for j = 0 to eb - 1 do
+    edge_u.(ea + j) <- cb.edge_u.(j) + na;
+    edge_v.(ea + j) <- cb.edge_v.(j) + na
+  done;
+  Array.blit cb.edge_colour 0 edge_colour ea eb;
+  let loop_node = Array.make (la + lb) 0 and loop_colour = Array.make (la + lb) 0 in
+  blit_without ca.loop_node e ~shift:0 loop_node 0;
+  blit_without cb.loop_node f ~shift:na loop_node la;
+  blit_without ca.loop_colour e ~shift:0 loop_colour 0;
+  blit_without cb.loop_colour f ~shift:0 loop_colour la;
+  let ta = a.csr and tb = b.csr in
+  let ma = ta.row.(na) and mb = tb.row.(nb) in
+  let row = Array.make (n + 1) 0 in
+  Array.blit ta.row 0 row 0 na;
+  for x = 0 to nb do
+    row.(na + x) <- ma + tb.row.(x)
+  done;
+  let key = Array.append ta.key tb.key in
+  let other = Array.make (ma + mb) 0 and code = Array.make (ma + mb) 0 in
+  (* A code is an edge id, or [-loop_id - 1]: a's loops above [e] move
+     down one id; b's edges follow a's, and b's loops follow a's [la]
+     survivors, those above [f] one id lower. *)
+  for d = 0 to ma - 1 do
+    let k = ta.code.(d) in
+    if k = -e - 1 then begin
+      other.(d) <- v;
+      code.(d) <- crossing
+    end
+    else begin
+      other.(d) <- ta.other.(d);
+      code.(d) <- (if k >= -e then k else k + 1)
+    end
+  done;
+  for d = 0 to mb - 1 do
+    let k = tb.code.(d) in
+    if k = -f - 1 then begin
+      other.(ma + d) <- u;
+      code.(ma + d) <- crossing
+    end
+    else begin
+      other.(ma + d) <- tb.other.(d) + na;
+      code.(ma + d) <-
+        (if k >= 0 then k + ea else if k >= -f then k - la else k - la + 1)
+    end
+  done;
+  let csr = { Darts.row; key; other; code } in
+  check_table n csr;
+  {
+    n;
+    n_edges = crossing + 1;
+    n_loops = la + lb;
+    cols = { edge_u; edge_v; edge_colour; loop_node; loop_colour };
+    csr;
+  }
 
 let create ~n ~edges ~loops =
   let edges = Array.of_list edges and loops = Array.of_list loops in

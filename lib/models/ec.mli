@@ -40,13 +40,25 @@ type columns = {
 }
 
 (** [of_columns ~n cols] is [create] on columns — the array-native
-    constructor of the hot construction paths (unfold, mix, lifts, the
-    store codec). The graph keeps [cols] without copying: callers must
+    constructor of the lifts and the store codec. The graph keeps [cols] without copying: callers must
     not mutate the arrays afterwards. Like [create], it scatters the
     darts straight into the {!csr} table; no dart value is built.
     @raise Invalid_argument as [create] does, or if the two edge
     columns or the two loop columns differ in length from the first. *)
 val of_columns : n:int -> columns -> t
+
+(** [splice a ~loop:e b ~loop:f] is [(a - e) ⊎ (b - f)] plus one
+    crossing edge between the nodes of loop [e] of [a] and loop [f] of
+    [b], in their common colour: the unfolding of a loop (Fig. 6's GG,
+    HH, with [a == b] and [e = f]) and the mixture GH. Ids follow
+    {!of_columns} on the concatenated columns: [a]'s edges, then [b]'s
+    (its nodes shifted by [n a]), then the crossing edge; [a]'s loops
+    other than [e], then [b]'s other than [f], each in order. Both dart
+    tables are copied across unchanged in key order, so no segment is
+    re-sorted.
+    @raise Invalid_argument if either loop does not exist, or if their
+    colours differ. *)
+val splice : t -> loop:int -> t -> loop:int -> t
 
 val n : t -> int
 val num_edges : t -> int

@@ -205,6 +205,81 @@ let greedy_allocation_bound () =
     (Printf.sprintf "%.1f minor words per node-round <= 13.6" per_node_round)
     true (per_node_round <= 13.6)
 
+(* ---- Ec.splice: the unfold and mix constructions ---- *)
+
+(* The construction [Ec.splice] replaced, kept as its oracle:
+   concatenate the columns without the two loops, append the crossing
+   edge, and let [Ec.of_columns] scatter and sort the darts. *)
+let splice_by_columns a ~loop:e b ~loop:f =
+  let ca = Ec.columns a and cb = Ec.columns b in
+  let na = Ec.n a in
+  let shift x = Array.map (fun v -> v + na) x in
+  let without k x =
+    Array.init (Array.length x - 1) (fun i -> if i < k then x.(i) else x.(i + 1))
+  in
+  let le = Ec.loop a e and lf = Ec.loop b f in
+  Ec.of_columns ~n:(na + Ec.n b)
+    {
+      edge_u = Array.concat [ ca.edge_u; shift cb.edge_u; [| le.node |] ];
+      edge_v = Array.concat [ ca.edge_v; shift cb.edge_v; [| na + lf.node |] ];
+      edge_colour = Array.concat [ ca.edge_colour; cb.edge_colour; [| le.colour |] ];
+      loop_node = Array.append (without e ca.loop_node) (shift (without f cb.loop_node));
+      loop_colour = Array.append (without e ca.loop_colour) (without f cb.loop_colour);
+    }
+
+(* Same five columns, same four dart-table arrays, and [Ec.equal]. *)
+let same_graph x y =
+  let cx = Ec.columns x and cy = Ec.columns y in
+  let tx = Ec.csr x and ty = Ec.csr y in
+  let ( =: ) a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
+  Ec.n x = Ec.n y
+  && cx.edge_u =: cy.edge_u && cx.edge_v =: cy.edge_v
+  && cx.edge_colour =: cy.edge_colour
+  && cx.loop_node =: cy.loop_node && cx.loop_colour =: cy.loop_colour
+  && tx.row =: ty.row && tx.key =: ty.key && tx.other =: ty.other
+  && tx.code =: ty.code && Ec.equal x y
+
+(* [g] with one more loop of colour [c], at the first node from [start]
+   where [c] is free (on a new isolated node if there is none); the new
+   loop's id is [Ec.num_loops g]. *)
+let add_loop g ~start c =
+  let n = Ec.n g in
+  let free v = Option.is_none (Ec.dart_by_colour g v c) in
+  let node =
+    List.find_opt free (List.init n (fun i -> (start + i) mod n))
+    |> Option.value ~default:n
+  in
+  Ec.create ~n:(Stdlib.max n (node + 1))
+    ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges g))
+    ~loops:(List.map (fun (l : Ec.loop) -> (l.node, l.colour)) (Ec.loops g) @ [ (node, c) ])
+
+let splice_matches_columns =
+  QCheck.Test.make ~count:150
+    ~name:"Ec.splice = concatenated columns (unfold and mix shapes)"
+    (QCheck.quad (QCheck.int_range 1 16) (QCheck.int_range 1 4)
+       (QCheck.int_range 1 16) (QCheck.int_range 0 999))
+    (fun (n, d, n', seed) ->
+      let a = random_loopy_multigraph ~seed n d in
+      let a = if Ec.num_loops a = 0 then add_loop a ~start:seed 1 else a in
+      let e = seed mod Ec.num_loops a in
+      let c = (Ec.loop a e).colour in
+      (* The mixture's H side: a loop of colour [c], found or added. *)
+      let b = random_loopy_multigraph ~seed:(seed + 1) n' d in
+      let b, f =
+        match List.find_index (fun (l : Ec.loop) -> l.colour = c) (Ec.loops b) with
+        | Some f -> (b, f)
+        | None -> (add_loop b ~start:seed c, Ec.num_loops b)
+      in
+      (* A loop whose colour no loop of [a] has. *)
+      let odd = add_loop a ~start:seed (Ec.max_colour a + 1) in
+      same_graph (Ec.splice a ~loop:e a ~loop:e) (splice_by_columns a ~loop:e a ~loop:e)
+      && same_graph (Ec.splice a ~loop:e b ~loop:f) (splice_by_columns a ~loop:e b ~loop:f)
+      && same_graph (Ec.splice b ~loop:f a ~loop:e) (splice_by_columns b ~loop:f a ~loop:e)
+      &&
+      match Ec.splice a ~loop:e odd ~loop:(Ec.num_loops a) with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 let proposal_rounds_track_delta () =
   (* On spiders (the hard family), the proposal dynamics finish within a
      small multiple of Δ — recorded as the UPPER experiment's shape. *)
@@ -311,6 +386,7 @@ let () =
           QCheck_alcotest.to_alcotest greedy_matches_spec;
           Alcotest.test_case "minor words per node-round" `Quick greedy_allocation_bound;
         ] );
+      ("splice", [ QCheck_alcotest.to_alcotest splice_matches_columns ]);
       ( "proposal",
         [
           QCheck_alcotest.to_alcotest proposal_maximal;
