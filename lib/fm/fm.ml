@@ -159,22 +159,25 @@ let equal a b =
   && Array.for_all2 Q.equal a.edge_w b.edge_w
   && Array.for_all2 Q.equal a.loop_w b.loop_w
 
+(* Each item's weight is read straight off the base's dart table: a
+   binary search and a code, with no dart record or option per item. *)
 let pull_back (cov : Ld_cover.Lift.covering) y =
   if not (Ec.equal y.graph cov.base) then
     invalid_arg "Fm.pull_back: matching is not on the covering's base";
-  let base_dart v colour =
-    match Ec.dart_by_colour cov.base v colour with
-    | Some d -> d
-    | None -> invalid_arg "Fm.pull_back: not a covering (missing base dart)"
+  let base = Ec.csr cov.base in
+  let base_weight v colour =
+    let d = Ld_models.Darts.find base v colour in
+    if d < 0 then invalid_arg "Fm.pull_back: not a covering (missing base dart)";
+    code_weight y base.code.(d)
   in
   let c = Ec.columns cov.total in
   let edge_w =
     Array.init (Ec.num_edges cov.total) (fun id ->
-        dart_weight y (base_dart cov.map.(c.edge_u.(id)) c.edge_colour.(id)))
+        base_weight cov.map.(c.edge_u.(id)) c.edge_colour.(id))
   in
   let loop_w =
     Array.init (Ec.num_loops cov.total) (fun id ->
-        dart_weight y (base_dart cov.map.(c.loop_node.(id)) c.loop_colour.(id)))
+        base_weight cov.map.(c.loop_node.(id)) c.loop_colour.(id))
   in
   { graph = cov.total; edge_w; loop_w }
 

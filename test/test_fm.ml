@@ -223,6 +223,30 @@ let pull_back_preserves_feasibility =
            (fun v -> Q.equal (Fm.node_weight y' v) (Fm.node_weight y cov.map.(v)))
            (List.init (Ec.n cov.total) Fun.id))
 
+(* [pull_back] reads each item's weight off the base's dart table, so a
+   call on a 2-lift with ~10^4 items allocates a constant number of
+   minor words: its two result arrays go straight to the major heap. *)
+let pull_back_allocation_free () =
+  let n = 2500 in
+  let base = Ld_models.Edge_colouring.ec_of_simple (Gen.random_tree ~seed:7 n) in
+  let next = Ec.max_colour base in
+  let g =
+    Ec.create ~n
+      ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges base))
+      ~loops:(List.init n (fun v -> (v, next + 1)) @ List.init n (fun v -> (v, next + 2)))
+  in
+  let y = Greedy.maximal_fm g in
+  let cov = Lift.unfold_loop g ~loop_id:0 in
+  let items = Ec.num_edges cov.total + Ec.num_loops cov.total in
+  assert (items > 10_000);
+  let budget = 1024. in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Fm.pull_back cov y));
+  let words = Gc.minor_words () -. w0 in
+  if words >= budget then
+    Alcotest.failf "pull_back on %d items: %.0f minor words (budget %.0f)" items
+      words budget
+
 let greedy_matching_maximal =
   QCheck.Test.make ~count:60 ~name:"greedy maximal matching is maximal"
     (QCheck.pair (QCheck.int_range 1 20) (QCheck.int_range 0 999))
@@ -333,6 +357,8 @@ let () =
           QCheck_alcotest.to_alcotest pull_back_preserves_feasibility;
           QCheck_alcotest.to_alcotest pull_back_composes;
           QCheck_alcotest.to_alcotest algorithms_agree_on_simple_lift;
+          Alcotest.test_case "pull-back allocates O(1) minor words" `Quick
+            pull_back_allocation_free;
         ] );
       ( "vertex-cover",
         [
