@@ -149,8 +149,12 @@ let verify ?algorithm ~delta certs =
         let l = Ec.loop g loop_id in
         l.colour = c.colour && l.node = node
       in
+      (* The adversary's levels run 0 .. Δ - 2; a claimed level outside
+         that range would print an unchecked round bound. *)
       let chk_structure =
-        loop_ok g_graph c.g_loop c.g_node
+        0 <= c.level
+        && c.level <= delta - 2
+        && loop_ok g_graph c.g_loop c.g_node
         && loop_ok h_graph c.h_loop c.h_node
         && Ec.min_loops g_graph >= delta - 1 - c.level
         && Ec.min_loops h_graph >= delta - 1 - c.level

@@ -23,7 +23,8 @@ val load : string -> Lower_bound.certificate list
 type check = {
   chk_level : int;
   chk_structure : bool;
-      (** the named loops exist, with the stated colour, at the stated
+      (** the level lies in [\[0, Δ - 2\]], the adversary's range; the
+          named loops exist, with the stated colour, at the stated
           nodes; P2 loopiness and P3 tree-shape hold for the stated Δ *)
   chk_views : bool;
       (** radius-[level] views at the distinguished nodes are isomorphic

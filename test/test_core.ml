@@ -540,6 +540,21 @@ let crafted_certificate_rejected () =
   in
   Alcotest.(check int) "n = 1, weight 0 loads" 1
     (List.length (CIO.of_string (one_node ~n:"1" ~weight:"0")));
+  (* Levels outside the adversary's [0, delta - 2] load but fail the
+     structure check, whatever the graphs: G = H with weights 0 and 1
+     would otherwise claim a bound of 10^9 (or -1) rounds. *)
+  List.iter
+    (fun (level, loops) ->
+      let cert =
+        Printf.sprintf
+          "(certificate (level %s) (colour 1) (g-graph ((n 1) (edges) (loops            %s))) (h-graph ((n 1) (edges) (loops %s))) (g-node 0) (h-node 0)            (g-loop 0) (h-loop 0) (g-weight 0) (h-weight 1))"
+          level loops loops
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "level %s rejected" level)
+        false
+        (List.for_all CIO.check_ok (CIO.verify ~delta:3 (CIO.of_string cert))))
+    [ ("1000000000", "(0 1)"); ("-1", "(0 1) (0 2) (0 3)") ];
   List.iter
     (fun (what, n, weight) ->
       match CIO.of_string (one_node ~n ~weight) with
