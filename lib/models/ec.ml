@@ -8,9 +8,9 @@ type dart =
 (* Edges and loops, column-wise: edge [j] is
    [(edge_u.(j), edge_v.(j), edge_colour.(j))], loop [j] is
    [(loop_node.(j), loop_colour.(j))]. Flat int arrays hold no pointers
-   for the GC to follow, and the construction paths (splice, lifts, the
-   store codec) fill them with blits and maps; the [edge]/[loop] records
-   of the interface are read off them on demand. *)
+   for the GC to follow, and the construction paths (splice, the lifts)
+   fill them with blits and maps; the [edge]/[loop] records of the
+   interface are read off them on demand. *)
 type columns = {
   edge_u : int array;
   edge_v : int array;

@@ -40,8 +40,9 @@ type columns = {
 }
 
 (** [of_columns ~n cols] is [create] on columns — the array-native
-    constructor of the lifts and the store codec. The graph keeps [cols] without copying: callers must
-    not mutate the arrays afterwards. Like [create], it scatters the
+    constructor that [create] and the lifts use. The graph keeps
+    [cols] without copying: callers must not mutate the arrays
+    afterwards. Like [create], it scatters the
     darts straight into the {!csr} table; no dart value is built.
     @raise Invalid_argument as [create] does, or if the two edge
     columns or the two loop columns differ in length from the first. *)
