@@ -393,7 +393,7 @@ let contrast () =
 (* ------------------------------------------------------------------ *)
 (* LOCALITY: Definition (1) measured on the adversary's own probes. *)
 
-let locality ~rows () =
+let locality ~rows ~deltas () =
   section "LOCALITY  empirical run-time (Definition (1)) on adversary probes";
   row "  %-6s %-22s %-14s\n" "delta" "measured locality" "forced above";
   let outcome_for delta =
@@ -416,7 +416,7 @@ let locality ~rows () =
           assert (t > delta - 2);
           row "  %-6d %-22d %-14d\n" delta t (delta - 2)
         | None -> row "  %-6d (none within delta+2)\n" delta))
-    [ 3; 4; 5; 6; 7 ];
+    deltas;
   row "  shape: the certificates force the measured locality above delta-2\n";
   row "  at every delta — Definition (1), observed rather than assumed.\n"
 
@@ -548,26 +548,27 @@ let emit_json ~path ~rows ~timings =
          ("timing_ns_per_run", Json.Arr (List.map timing timings));
        ])
 
-(* Flag parsing kept dependency-free: --quick, --trace FILE (Chrome
-   trace-event export), --json FILE (override/enable the JSON artefact;
-   the full pass defaults to BENCH_THM1.json, --quick to none),
-   --max-delta N (cap the THM1 sweep, default 20), --store DIR (persist
-   constructions in the content-addressed store: a second run warm-loads
-   them instead of re-running the adversary). Any other argument exits
-   2: a typo must not fall through to the full sweep, which overwrites
-   BENCH_THM1.json. *)
+(* Flag parsing kept dependency-free: --quick, --tables (every section's
+   table, no Bechamel pass), --trace FILE (Chrome trace-event export),
+   --json FILE (override/enable the JSON artefact; the full pass
+   defaults to BENCH_THM1.json, --quick and --tables to none),
+   --max-delta N (cap every adversary delta, default 20), --store DIR
+   (persist constructions in the content-addressed store: a second run
+   warm-loads them instead of re-running the adversary). Any other
+   argument exits 2: a typo must not fall through to the full sweep,
+   which overwrites BENCH_THM1.json. *)
 let check_args () =
   let argc = Array.length Sys.argv in
   let rec scan i =
     if i < argc then
       match Sys.argv.(i) with
-      | "--quick" -> scan (i + 1)
+      | "--quick" | "--tables" -> scan (i + 1)
       | ("--trace" | "--json" | "--max-delta" | "--store") when i + 1 < argc ->
         scan (i + 2)
       | arg ->
         Printf.eprintf
-          "bench: unexpected argument %S (takes --quick, --trace F, --json F, \
-           --max-delta N, --store D)\n"
+          "bench: unexpected argument %S (takes --quick, --tables, --trace F, \
+           --json F, --max-delta N, --store D)\n"
           arg;
         exit 2
   in
@@ -584,6 +585,7 @@ let flag_value name =
 let () =
   check_args ();
   let quick = Array.mem "--quick" Sys.argv in
+  let tables = Array.mem "--tables" Sys.argv in
   let trace_path = flag_value "--trace" in
   let json_path = flag_value "--json" in
   let max_delta =
@@ -624,24 +626,26 @@ let () =
       (rows, [])
     end
     else begin
+      (* Every adversary delta a section runs is capped at max_delta. *)
+      let upto = List.filter (fun d -> d <= max_delta) in
       let deltas = List.init (max_delta - 1) (fun i -> i + 2) in
-      let rows = timed "thm1" (thm1 ~store ~deltas ~mm_deltas:[ 4; 8; 12 ]) in
+      let rows = timed "thm1" (thm1 ~store ~deltas ~mm_deltas:(upto [ 4; 8; 12 ])) in
       timed "upper" (upper ?deltas:None);
-      timed "cost" (cost ~rows ~cost_delta:12);
+      timed "cost" (cost ~rows ~cost_delta:(Stdlib.min 12 max_delta));
       timed "approx" approx;
       timed "vc" vc;
       timed "base" base;
       timed "sim" sim;
       timed "contrast" contrast;
-      timed "locality" (locality ~rows);
-      let timings = timed "timing" bechamel_pass in
+      timed "locality" (locality ~rows ~deltas:(upto [ 3; 4; 5; 6; 7 ]));
+      let timings = if tables then [] else timed "timing" bechamel_pass in
       (rows, timings)
     end
   in
   let json_target =
     match json_path with
     | Some _ as p -> p
-    | None -> if quick then None else Some "BENCH_THM1.json"
+    | None -> if quick || tables then None else Some "BENCH_THM1.json"
   in
   (match json_target with
   | Some path ->

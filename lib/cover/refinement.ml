@@ -7,7 +7,8 @@ type history = int array array
 
 (* Metrics of the partition-refinement path (DESIGN.md § Observability):
    rounds actually computed vs skipped by the stabilisation early-exit,
-   block split events, and the interning behaviour inside splits.
+   block split events, and the group lookups inside dirty blocks (a
+   hit joins a member to an existing group, a miss opens one).
    [descriptors_sorted] counts per-node descriptor sorts and therefore
    stays at zero on the default path — only the reference oracle sorts;
    CI guards on exactly that. *)
@@ -99,29 +100,6 @@ let refine_reference (t : Darts.t) ~rounds =
   done;
   history
 
-module Descriptor = struct
-  type t = int array
-
-  let equal (a : t) (b : t) =
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec go i =
-      i >= la || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1))
-    in
-    go 0
-
-  (* FNV-1a over the ints, folded to a non-negative value. *)
-  let hash a =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor Array.unsafe_get a i) * 0x01000193
-    done;
-    !h land max_int
-end
-
-module Intern = Hashtbl.Make (Descriptor)
-
 (* ------------------------------------------------------------------ *)
 (* Round-synchronous Paige–Tarjan partition refinement.
 
@@ -141,12 +119,33 @@ module Intern = Hashtbl.Make (Descriptor)
    queries the partition after {e exactly} r rounds (radius-r view
    isomorphism, paper §3.1). The engine therefore stays round-
    synchronous and the per-round partitions coincide label-for-label
-   with the reference oracle after the dense relabelling pass. *)
+   with the reference oracle after the dense relabelling pass.
+
+   Only darts that leave a block are read after round 1. Round 1 sees
+   every label at 0, so it groups nodes by key sequence; blocks only
+   split after that, so all members of a block [b] share one key
+   sequence. A loop dart, or a dart into [b] itself, then reads
+   [(key, b)] for every member and cannot tell two members apart: two
+   members are equal iff their darts with [prev (other d) <> b] agree.
+   Loop darts can never leave a block, so the engine keeps a compact
+   table of the other darts (far end another node) and reads only that
+   after round 1, for grouping and for dirty marking alike.
+
+   The engine reads one or two dart tables: nodes [0 .. na - 1] are
+   [a]'s and nodes [na .. n - 1] are [b]'s shifted by [na], so a
+   cross-graph query refines the disjoint union without copying it. *)
 
 type engine = {
-  t : Darts.t;
+  a : Darts.t;
+  b : Darts.t;
+  na : int;
   n : int;
-  stride : int; (* n + 1: labels fit under it, codes pack as key * stride + label *)
+  (* Darts whose far end is another node, every node's in one segment
+     [erow.(v) .. erow.(v + 1) - 1] in key order, far ends numbered as
+     in the engine. *)
+  erow : int array;
+  ekey : int array;
+  eother : int array;
   ids : int array; (* current block id per node *)
   ids_prev : int array; (* snapshot taken at the top of each round *)
   elems : int array; (* nodes grouped by block: one contiguous slice each *)
@@ -163,32 +162,72 @@ type engine = {
   dirty : int array;
   mutable ndirty : int;
   (* Scratch reused across rounds (all indexed within one block slice
-     or by group index, both bounded by fn). *)
+     or by group index, both bounded by n). *)
   gidx : int array;
   member : int array;
   gcount : int array;
   gstart : int array;
   gfill : int array;
+  grep : int array; (* first member of each group: what lookups compare to *)
+  ghash : int array; (* its hash: members are compared only on a match *)
+  (* Open addressing over group indices, [g + 1] per used slot and 0 for
+     a free one. A block of [len] members uses the first power of two
+     >= 2 len slots and frees them before the next block. *)
+  slots : int array;
   dense_map : int array; (* internal id -> dense label, per relabel pass *)
   dense_stamp : int array;
   mutable split_last_round : bool;
 }
 
-(* Keys are below 2^31 (see [Darts]), so with [stride <= 2^31] every
-   packed code [key * stride + label] is below 2^62 and fits an int. *)
-let engine_create t =
-  let n = Darts.n t in
-  if n + 1 > 1 lsl 31 then invalid_arg "Refinement: more than 2^31 - 1 nodes";
+let no_darts = { Darts.row = [| 0 |]; key = [||]; other = [||]; code = [||] }
+
+let rec pow2_at_least k c = if c >= k then c else pow2_at_least k (2 * c)
+
+let engine_create (a : Darts.t) (b : Darts.t) =
+  let na = Darts.n a in
+  let n = na + Darts.n b in
+  let erow = Array.make (n + 1) 0 in
+  let count (t : Darts.t) shift =
+    for v = 0 to Darts.n t - 1 do
+      let c = ref 0 in
+      for d = t.row.(v) to t.row.(v + 1) - 1 do
+        if t.other.(d) <> v then incr c
+      done;
+      erow.(shift + v + 1) <- erow.(shift + v) + !c
+    done
+  in
+  count a 0;
+  count b na;
+  let ekey = Array.make erow.(n) 0 and eother = Array.make erow.(n) 0 in
+  let fill (t : Darts.t) shift =
+    for v = 0 to Darts.n t - 1 do
+      let p = ref erow.(shift + v) in
+      for d = t.row.(v) to t.row.(v + 1) - 1 do
+        let u = t.other.(d) in
+        if u <> v then begin
+          ekey.(!p) <- t.key.(d);
+          eother.(!p) <- shift + u;
+          incr p
+        end
+      done
+    done
+  in
+  fill a 0;
+  fill b na;
   let sz = Stdlib.max 1 n in
   {
-    t;
+    a;
+    b;
+    na;
     n;
-    stride = n + 1;
+    erow;
+    ekey;
+    eother;
     ids = Array.make sz 0;
     ids_prev = Array.make sz 0;
     elems = Array.init sz (fun i -> i);
     blk_start = Array.make sz 0;
-    blk_len = (let a = Array.make sz 0 in a.(0) <- n; a);
+    blk_len = (let l = Array.make sz 0 in l.(0) <- n; l);
     nblocks = 1;
     changed = Array.make sz 0;
     nchanged = 0;
@@ -202,24 +241,97 @@ let engine_create t =
     gcount = Array.make sz 0;
     gstart = Array.make sz 0;
     gfill = Array.make sz 0;
+    grep = Array.make sz 0;
+    ghash = Array.make sz 0;
+    slots = Array.make (pow2_at_least (2 * sz) 2) 0;
     dense_map = Array.make sz 0;
     dense_stamp = Array.make sz (-1);
     split_last_round = false;
   }
 
+(* FNV-1a over ints; [spread] folds the high bits into the slot bits. *)
+let hash_seed = 0x811c9dc5
+let[@inline] mix h x = (h lxor x) * 0x01000193
+let[@inline] spread h = h lxor (h lsr 29)
+
+(* Round 1: a node's descriptor is its key sequence, read from the
+   source table. *)
+let hash_keys eng v =
+  let t = if v < eng.na then eng.a else eng.b in
+  let v = if v < eng.na then v else v - eng.na in
+  let h = ref hash_seed in
+  for d = t.row.(v) to t.row.(v + 1) - 1 do
+    h := mix !h (Array.unsafe_get t.key d)
+  done;
+  !h
+
+let same_keys eng u w =
+  let tu = if u < eng.na then eng.a else eng.b in
+  let u = if u < eng.na then u else u - eng.na in
+  let tw = if w < eng.na then eng.a else eng.b in
+  let w = if w < eng.na then w else w - eng.na in
+  let lu = tu.row.(u) and lw = tw.row.(w) in
+  let len = tu.row.(u + 1) - lu in
+  len = tw.row.(w + 1) - lw
+  &&
+  let i = ref 0 in
+  while !i < len && tu.key.(lu + !i) = tw.key.(lw + !i) do
+    incr i
+  done;
+  !i = len
+
+(* Rounds >= 2: a member [v] of block [b] is described by its darts
+   that leave [b], as (key, previous block) pairs in key order. *)
+let hash_leaving eng (prev : int array) (b : int) v =
+  let h = ref hash_seed in
+  for d = eng.erow.(v) to eng.erow.(v + 1) - 1 do
+    let p = Array.unsafe_get prev (Array.unsafe_get eng.eother d) in
+    if p <> b then h := mix (mix !h (Array.unsafe_get eng.ekey d)) p
+  done;
+  !h
+
+let same_leaving eng (prev : int array) (b : int) u w =
+  let { erow; ekey; eother; _ } = eng in
+  let i = ref erow.(u) and j = ref erow.(w) in
+  let iend = erow.(u + 1) and jend = erow.(w + 1) in
+  let same = ref true and scanning = ref true in
+  while !scanning do
+    while !i < iend && prev.(eother.(!i)) = b do
+      incr i
+    done;
+    while !j < jend && prev.(eother.(!j)) = b do
+      incr j
+    done;
+    if !i = iend || !j = jend then begin
+      same := !i = iend && !j = jend;
+      scanning := false
+    end
+    else if ekey.(!i) <> ekey.(!j) || prev.(eother.(!i)) <> prev.(eother.(!j))
+    then begin
+      same := false;
+      scanning := false
+    end
+    else begin
+      incr i;
+      incr j
+    end
+  done;
+  !same
+
 (* One refinement round. [r] must increase strictly across calls on the
-   same engine (it doubles as the dirty stamp). *)
+   same engine (it doubles as the dirty stamp), starting at 1. *)
 let engine_round_body eng r =
   let n = eng.n in
-  let { Darts.row; key; other; _ } = eng.t in
-  let stride = eng.stride in
+  let { erow; eother; _ } = eng in
   Array.blit eng.ids 0 eng.ids_prev 0 n;
   let prev = eng.ids_prev in
   (* Collect the blocks whose members' descriptors may have changed:
      blocks of changed nodes and blocks of their neighbours. Members of
      a split's largest part kept their id, so neither their own blocks
      nor their neighbours' read any different id value — they stay
-     clean, which is exactly the smaller-half discipline. *)
+     clean, which is exactly the smaller-half discipline. A loop dart
+     leads back to the changed node's own block, so only the compact
+     table is walked. *)
   eng.ndirty <- 0;
   let mark b =
     if eng.dirty_stamp.(b) <> r then begin
@@ -233,8 +345,8 @@ let engine_round_body eng r =
     for ci = 0 to eng.nchanged - 1 do
       let v = eng.changed.(ci) in
       mark prev.(v);
-      for d = row.(v) to row.(v + 1) - 1 do
-        mark prev.(other.(d))
+      for d = erow.(v) to erow.(v + 1) - 1 do
+        mark prev.(eother.(d))
       done
     done;
   eng.nchanged_next <- 0;
@@ -245,36 +357,41 @@ let engine_round_body eng r =
     (* A singleton can never split; its descriptor need not exist. *)
     if len > 1 then begin
       let s = eng.blk_start.(b) in
-      let intern = Intern.create 16 in
+      let mask = pow2_at_least (2 * len) 2 - 1 in
       let ngroups = ref 0 in
-      (* Group members by descriptor. Within a block all previous ids
-         are equal, so the descriptor is just the dart codes in the
-         segment's fixed key-ascending order — already canonical. *)
+      (* Group members by descriptor: hash it, then compare exactly
+         against each candidate group's first member. Group indices
+         follow first occurrence in slice order. *)
       for i = 0 to len - 1 do
         let v = eng.elems.(s + i) in
-        let lo = row.(v) in
-        let deg = row.(v + 1) - lo in
-        let descr = Array.make deg 0 in
-        for d = 0 to deg - 1 do
-          descr.(d) <-
-            (Array.unsafe_get key (lo + d) * stride)
-            + Array.unsafe_get prev (Array.unsafe_get other (lo + d))
+        let h = if r = 1 then hash_keys eng v else hash_leaving eng prev b v in
+        let slot = ref (spread h land mask) and g = ref (-1) in
+        while !g < 0 do
+          let e = eng.slots.(!slot) in
+          if e = 0 then begin
+            let fresh = !ngroups in
+            eng.slots.(!slot) <- fresh + 1;
+            eng.grep.(fresh) <- v;
+            eng.ghash.(fresh) <- h;
+            ngroups := fresh + 1;
+            g := fresh
+          end
+          else if
+            eng.ghash.(e - 1) = h
+            &&
+            if r = 1 then same_keys eng eng.grep.(e - 1) v
+            else same_leaving eng prev b eng.grep.(e - 1) v
+          then begin
+            incr hits;
+            g := e - 1
+          end
+          else slot := (!slot + 1) land mask
         done;
         incr ndesc;
-        let g =
-          match Intern.find_opt intern descr with
-          | Some g ->
-            incr hits;
-            g
-          | None ->
-            let g = !ngroups in
-            Intern.add intern descr g;
-            incr ngroups;
-            g
-        in
-        eng.gidx.(i) <- g;
-        eng.gcount.(g) <- eng.gcount.(g) + 1
+        eng.gidx.(i) <- !g;
+        eng.gcount.(!g) <- eng.gcount.(!g) + 1
       done;
+      Array.fill eng.slots 0 (mask + 1) 0;
       if !ngroups > 1 then begin
         incr nsplit;
         let largest = ref 0 in
@@ -366,7 +483,7 @@ let refine_darts t ~rounds =
   let history = Array.make (rounds + 1) [||] in
   history.(0) <- Array.make n 0;
   if n > 0 && rounds > 0 then begin
-    let eng = engine_create t in
+    let eng = engine_create t no_darts in
     let stable = ref false in
     for r = 1 to rounds do
       if !stable then begin
@@ -398,39 +515,22 @@ let refine_ec ?(reference = false) g ~rounds =
 let refine_po ?(reference = false) g ~rounds =
   refine "cover.refine.po" (Po.csr g) ~reference ~rounds
 
-(* Equivalence queries need no label history at all: two nodes are
-   round-r equivalent iff they sit in the same block after r rounds, and
-   blocks never merge — so the scan can stop early both on divergence
-   (answer is No forever) and on stabilisation (answer is the current
-   one forever). *)
-let query_equivalent t u v ~radius =
-  u = v
-  || radius = 0
-  ||
-  let eng = engine_create t in
-  let r = ref 1 and equal = ref true and scanning = ref true in
-  while !scanning do
-    engine_round eng !r;
-    if eng.ids.(u) <> eng.ids.(v) then begin
-      equal := false;
-      scanning := false
-    end
-    else if (not eng.split_last_round) || !r >= radius then scanning := false
-    else incr r
-  done;
-  !equal
+let check_node who g u =
+  if u < 0 || u >= Ec.n g then
+    invalid_arg
+      (Printf.sprintf "Refinement.%s: node %d is not in 0 .. %d" who u (Ec.n g - 1))
 
-let equivalent_radius g u h v ~radius =
-  Obs.with_span "cover.refine.equivalent_radius" (fun () ->
-      let union = Darts.union (Ec.csr g) (Ec.csr h) in
-      query_equivalent union u (Ec.n g + v) ~radius)
-
-let first_distinguishing_radius g u h v ~max_radius =
-  let union = Darts.union (Ec.csr g) (Ec.csr h) in
-  let v = Ec.n g + v in
-  if u = v || max_radius < 1 then None
+(* Cross-graph queries need no label history at all: [u] of [g] and [v]
+   of [h] are round-r equivalent iff they sit in the same block after r
+   rounds over the disjoint union, and blocks never merge — so the scan
+   stops early both on divergence (the answer is No forever) and on
+   stabilisation (the current answer holds forever). The engine reads
+   both dart tables in place; the union is never built. *)
+let first_split g u h v ~max_radius =
+  if max_radius < 1 then None
   else begin
-    let eng = engine_create union in
+    let eng = engine_create (Ec.csr g) (Ec.csr h) in
+    let v = Ec.n g + v in
     let r = ref 1 and answer = ref None and scanning = ref true in
     while !scanning do
       engine_round eng !r;
@@ -445,13 +545,24 @@ let first_distinguishing_radius g u h v ~max_radius =
     !answer
   end
 
+let equivalent_radius g u h v ~radius =
+  check_node "equivalent_radius" g u;
+  check_node "equivalent_radius" h v;
+  Obs.with_span "cover.refine.equivalent_radius" (fun () ->
+      Option.is_none (first_split g u h v ~max_radius:radius))
+
+let first_distinguishing_radius g u h v ~max_radius =
+  check_node "first_distinguishing_radius" g u;
+  check_node "first_distinguishing_radius" h v;
+  first_split g u h v ~max_radius
+
 (* Refine to a fixpoint: iterate until a round splits nothing. Each
    splitting round grows the block count, so this terminates within n
    rounds. *)
 let stable_darts t =
   if Darts.n t = 0 then [||]
   else begin
-    let eng = engine_create t in
+    let eng = engine_create t no_darts in
     let r = ref 1 and scanning = ref true in
     while !scanning do
       engine_round eng !r;

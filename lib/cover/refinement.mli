@@ -38,37 +38,42 @@ end
 
     The default implementation is round-synchronous Paige–Tarjan
     partition refinement on the graph's dart table
-    ({!Ld_models.Darts}): a round
-    re-examines only the blocks whose members (or their neighbours)
-    changed block in the previous round, a split keeps the parent id on
-    the largest sub-block so only the smaller parts propagate dirtiness
-    (each node changes id O(log n) times), and per-node descriptors are
-    read off in the table segment's fixed key-ascending order — keys are
-    distinct within a node, so that order is already canonical and
-    nothing is ever sorted ([cover.refine.descriptors_sorted] stays 0).
-    A dense relabelling pass per round reproduces the reference label
-    discipline exactly. [~reference:true] selects the original
-    list-based, sort-per-node implementation; both produce {e identical}
-    label arrays (a tested invariant), the reference path just does so
-    slowly. *)
+    ({!Ld_models.Darts}): a round re-examines only the blocks whose
+    members (or their neighbours) changed block in the previous round,
+    and a split keeps the parent id on the largest sub-block so only the
+    smaller parts propagate dirtiness (each node changes id O(log n)
+    times). Round 1 groups nodes by key sequence, so from round 2 on all
+    members of a block share one; a loop dart or a dart into the block
+    itself then reads the same (key, block) for every member, and
+    members are grouped by their darts that {e leave} the block alone.
+    Grouping hashes those darts into one reused open-addressing table
+    and compares exactly against each group's first member; nothing is
+    allocated per node and nothing is sorted
+    ([cover.refine.descriptors_sorted] stays 0). A dense relabelling
+    pass per round reproduces the reference label discipline exactly.
+    [~reference:true] selects the original list-based, sort-per-node
+    implementation; both produce {e identical} label arrays (a tested
+    invariant), the reference path just does so slowly. *)
 val refine_ec : ?reference:bool -> Ld_models.Ec.t -> rounds:int -> history
 
 (** [refine_po g ~rounds] runs refinement on a PO multigraph; dart keys
     carry the direction, so orientation is respected. [?reference] as in
-    {!refine_ec}.
-
-    Both refine packed [key * (n + 1) + label] descriptors, which the
-    key bound of {!Ld_models.Darts} keeps inside an int.
-    @raise Invalid_argument if [n + 1 > 2^31]. *)
+    {!refine_ec}. *)
 val refine_po : ?reference:bool -> Ld_models.Po.t -> rounds:int -> history
 
 (** [equivalent_radius g u h v ~radius] decides
-    [τ_radius(UG, u) ≅ τ_radius(UH, v)] for EC graphs. *)
+    [τ_radius(UG, u) ≅ τ_radius(UH, v)] for EC graphs ([true] for
+    [radius <= 0]). It refines the disjoint union of [g] and [h] read
+    in place from their two dart tables; the union is never copied.
+    @raise Invalid_argument unless [0 <= u < Ec.n g] and
+    [0 <= v < Ec.n h]. *)
 val equivalent_radius :
   Ld_models.Ec.t -> int -> Ld_models.Ec.t -> int -> radius:int -> bool
 
 (** [first_distinguishing_radius g u h v ~max_radius] is the smallest
-    [r <= max_radius] with inequivalent radius-[r] views, if any. *)
+    [r <= max_radius] with inequivalent radius-[r] views, if any.
+    @raise Invalid_argument unless [0 <= u < Ec.n g] and
+    [0 <= v < Ec.n h]. *)
 val first_distinguishing_radius :
   Ld_models.Ec.t -> int -> Ld_models.Ec.t -> int -> max_radius:int -> int option
 

@@ -83,20 +83,3 @@ let find t v k =
     if km = k then found := mid else if km < k then lo := mid + 1 else hi := mid - 1
   done;
   !found
-
-(* The union serves refinement, which reads no code, so it carries
-   none: copying them would only grow the heap. *)
-let union a b =
-  let na = n a and nb = n b in
-  let ma = a.row.(na) and mb = b.row.(nb) in
-  let row = Array.make (na + nb + 1) 0 in
-  Array.blit a.row 0 row 0 na;
-  for v = 0 to nb do
-    row.(na + v) <- ma + b.row.(v)
-  done;
-  let other = Array.make (ma + mb) 0 in
-  Array.blit a.other 0 other 0 ma;
-  for d = 0 to mb - 1 do
-    other.(ma + d) <- b.other.(d) + na
-  done;
-  { row; key = Array.append a.key b.key; other; code = [||] }

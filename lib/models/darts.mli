@@ -10,9 +10,8 @@
     a PO out-dart's key is the colour and an in-dart's key is
     [colour lor 2^30], so every key is below [2^31] and a PO segment
     lists out-darts by colour, then in-darts by colour (the PO1 port
-    order). The bound keeps refinement's packed [key * (n + 1) + label]
-    descriptors inside an OCaml int for every graph with
-    [n + 1 <= 2^31]. *)
+    order). The bound keeps the in-bit clear of every colour, so two
+    darts of one node never share a key. *)
 
 (** Dart [d] of node [v] occupies [row.(v) .. row.(v+1) - 1];
     [key.(d)] is its key (strictly ascending within a segment),
@@ -56,9 +55,3 @@ val build :
 
 (** [find t v k] is the index of the dart at [v] with key [k], or [-1]. *)
 val find : t -> int -> int -> int
-
-(** [union a b] is the disjoint union of two tables, [b]'s nodes
-    shifted by [n a]: array blits, no re-sorting. It describes the union
-    by [row], [key] and [other] only (what refinement reads); its [code]
-    is empty. *)
-val union : t -> t -> t
