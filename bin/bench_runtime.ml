@@ -2,7 +2,9 @@
    runtime (BENCH_RUNTIME.json). Streams CSR instances at 10^5..10^7
    nodes straight into int arrays, runs the packed matching workloads
    at 1 and [Pool.default_domains ()] domains, and reports sends/sec,
-   rounds/sec, wall time, peak RSS and minor-heap allocation per row.
+   rounds/sec, wall time and its init part (the [runtime.packed.init]
+   span: mirror table, arrays, initial broadcast; the rest is rounds),
+   peak RSS and minor-heap allocation per row.
    The quick mode (CI smoke) keeps only the 10^5 legs plus the
    packed-vs-packed domain identity check.
 
@@ -38,6 +40,7 @@ type row = {
   r_rounds : int;
   r_sends : int;
   r_wall_ms : float;
+  r_init_ms : float;
   r_rss_kb : int;
   r_minor_words : int;
   r_round_p50_ms : float;
@@ -77,11 +80,17 @@ let measure ~workload ~algo ~domains g =
      RSS the reset starts this row's peak from. *)
   Gc.full_major ();
   ignore (Obs.reset_peak_rss ());
+  Obs.reset_events ();
   let minor0 = (Gc.quick_stat ()).Gc.minor_words in
   let t0 = Obs.now_ms () in
   let _, stats = run_algo ~algo ~domains g in
   let wall = Obs.now_ms () -. t0 in
   let minor = (Gc.quick_stat ()).Gc.minor_words -. minor0 in
+  let init_ms =
+    match List.assoc_opt "runtime.packed.init" (Obs.span_totals ()) with
+    | Some (_, total_ms, _) -> total_ms
+    | None -> 0.
+  in
   let sn = Ld_obs.Hist.snapshot h_round in
   let rss = Option.value ~default:0 (Obs.peak_rss_kb ()) in
   Obs.Gauge.record rss_gauge rss;
@@ -95,6 +104,7 @@ let measure ~workload ~algo ~domains g =
       r_rounds = stats.Packed.rounds;
       r_sends = stats.Packed.sends;
       r_wall_ms = wall;
+      r_init_ms = init_ms;
       r_rss_kb = rss;
       r_minor_words = Float.to_int minor;
       r_round_p50_ms = Ld_obs.Hist.quantile_ms sn 0.5;
@@ -102,10 +112,10 @@ let measure ~workload ~algo ~domains g =
     }
   in
   Printf.printf
-    "%-14s %-15s n=%-8d domains=%d  rounds=%-4d wall=%8.1fms  %10.0f sends/s  \
-     round p50=%.3fms p99=%.3fms  rss=%dkB minor=%dw\n\
+    "%-14s %-15s n=%-8d domains=%d  rounds=%-4d wall=%8.1fms (init %6.1fms)  \
+     %10.0f sends/s  round p50=%.3fms p99=%.3fms  rss=%dkB minor=%dw\n\
      %!"
-    r.r_workload r.r_algo n domains r.r_rounds wall
+    r.r_workload r.r_algo n domains r.r_rounds wall r.r_init_ms
     (float_of_int r.r_sends /. (wall /. 1000.))
     r.r_round_p50_ms r.r_round_p99_ms r.r_rss_kb r.r_minor_words;
   r
@@ -137,6 +147,7 @@ let emit_json ~path ~quick ~identical ~rows =
         ("rounds", Json.int r.r_rounds);
         ("sends", Json.int r.r_sends);
         ("wall_ms", Json.Num r.r_wall_ms);
+        ("init_ms", Json.Num r.r_init_ms);
         (* integral: CI's throughput floor compares it with `test -ge` *)
         ("sends_per_sec", Json.Num (Float.round (float_of_int r.r_sends /. secs)));
         ("rounds_per_sec", Json.Num (float_of_int r.r_rounds /. secs));

@@ -2,8 +2,8 @@
     Israeli–Itai propose/respond dynamics: phase [j] lets only nodes
     of live degree in (Δ/2^{j+1}, Δ/2^j] propose, then an
     unrestricted cleanup runs to maximality. Matched endpoints form a
-    2-approximate vertex cover. Coins come from the
-    {!Ld_runtime.Packed.Coin} word in the state slice, so
+    2-approximate vertex cover. It is {!Packed_ii.gated} with the
+    schedule as the gate: the same 3-word slice and coin word, so
     {!Ld_runtime.Packed.Port.reference_run} over {!machine} is an exact
     oracle (states and rounds) at any [LD_DOMAINS]. Degrees must be
     <= 62. *)

@@ -3,12 +3,12 @@ module Csr = Ld_graph.Csr
 module Id = Ld_models.Labelled.Id
 module Packed = Ld_runtime.Packed
 
-(* Israeli–Itai in the ID model: [Packed_ii]'s propose/respond core
-   with the coins drawn from one [Random.State] per node, seeded from
-   [(seed, id)] in [init]. The coin word of the core slice is written
-   but never read; the generators live beside the state array, one per
-   node, touched only by that node's [init] and [recv], so runs agree
-   with [Packed.Port.reference_run] at any [LD_DOMAINS]. *)
+(* Israeli–Itai in the ID model: [Packed_ii]'s propose/respond
+   transitions with the coins drawn from one [Random.State] per node,
+   seeded from [(seed, id)] in [init]. The coin word of the slice is
+   written but never read; the generators live beside the state array,
+   one per node, touched only by that node's [init] and [recv], so runs
+   agree with [Packed.Port.reference_run] at any [LD_DOMAINS]. *)
 
 type result = { mate : int option array; rounds : int }
 
@@ -20,7 +20,7 @@ let draw rng st b =
   let live = Packed_ii.live st b in
   if live <> 0 && Random.State.bool rng then
     Packed_ii.propose st b (Random.State.int rng (Packed_ii.popcount live))
-  else Packed_ii.draw st b ~eligible:false
+  else Packed_ii.no_proposal st b
 
 let machine ~seed idg : Packed.Port.machine =
   let sw = Packed_ii.words in
@@ -29,35 +29,35 @@ let machine ~seed idg : Packed.Port.machine =
     state_words = sw;
     msg_words = 1;
     init =
-      (fun ~g ~st ~node ->
-        let b = node * sw in
-        Packed_ii.init ~who:"Israeli_itai" st b ~seed ~node
-          ~degree:(g.Csr.row.(node + 1) - g.Csr.row.(node));
-        rngs.(node) <- Random.State.make [| seed; Id.id idg node; 0x5ca1e |];
-        draw rngs.(node) st b);
-    send = Packed_ii.send ~sw;
+      (fun ~g ~st ~lo ~hi ->
+        for v = lo to hi - 1 do
+          let b = v * sw in
+          Packed_ii.init ~who:"Israeli_itai" st b ~seed ~node:v
+            ~degree:(g.Csr.row.(v + 1) - g.Csr.row.(v));
+          rngs.(v) <- Random.State.make [| seed; Id.id idg v; 0x5ca1e |];
+          draw rngs.(v) st b
+        done);
+    send = Packed_ii.send;
     recv =
-      (fun ~g ~mirror ~st ~out ~node ->
-        let b = node * sw in
-        if Packed_ii.step ~g ~mirror ~out st b ~node then draw rngs.(node) st b);
-    halted = Packed_ii.halted ~sw;
+      (fun ~g ~mirror ~st ~out nodes ~lo ~hi ->
+        for k = lo to hi - 1 do
+          let v = nodes.(k) in
+          let b = v * sw in
+          if Packed_ii.step ~row:g.Csr.row ~mirror ~out st b ~node:v then
+            draw rngs.(v) st b
+        done);
   }
 
 let run ~seed ~max_rounds idg =
-  (* The core never reads colours; one colour per edge is proper. *)
+  (* The transitions never read colours; one colour per edge is proper. *)
   let n = G.n (Id.graph idg) in
   let g = Csr.of_graph (Id.graph idg) ~colour:(fun (u, v) -> (u * n) + v) in
-  let st, stats, all_halted =
-    Packed.Port.run_until (machine ~seed idg) ~max_rounds g
+  let r, _ =
+    Packed_ii.run_machine ~who:"Israeli_itai" (machine ~seed idg) ~max_rounds g
   in
-  if not all_halted then
-    failwith
-      (Printf.sprintf "Israeli_itai.run: not all nodes halted within %d rounds"
-         max_rounds);
-  let mate = Packed_ii.mates ~who:"Israeli_itai" ~sw:Packed_ii.words g st in
   {
-    mate = Array.map (fun w -> if w < 0 then None else Some w) mate;
-    rounds = stats.Packed.rounds;
+    mate = Array.map (fun w -> if w < 0 then None else Some w) r.Packed_ii.mate;
+    rounds = r.Packed_ii.rounds;
   }
 
 let is_mate opt (v : int) = match opt with Some w -> w = v | None -> false

@@ -1,10 +1,10 @@
 (** Packed Israeli–Itai-style randomized maximal matching on the
     {!Ld_runtime.Packed.Port} executor — the mega-scale bench
-    workload. Coins come from the one-word {!Ld_runtime.Packed.Coin}
-    stream kept in the state slice, so
-    {!Ld_runtime.Packed.Port.reference_run} over {!machine} is an exact
-    oracle: identical states and rounds at any [LD_DOMAINS]. Degrees
-    must be <= 62 (live ports are a bitmask in one state word). *)
+    workload. Coins come from a one-word splitmix stream kept in the
+    state slice, so {!Ld_runtime.Packed.Port.reference_run} over
+    {!machine} is an exact oracle: identical states and rounds at any
+    [LD_DOMAINS]. Degrees must be <= 62 (live ports are a bitmask in
+    one state word). *)
 
 type result = {
   mate : int array;  (** matched far endpoint, or -1 if unmatched *)
@@ -13,15 +13,35 @@ type result = {
 
 val machine : seed:int -> Ld_runtime.Packed.Port.machine
 
-(** {2 Propose/respond core}
+(** {2 The gated kernel}
 
-    The transitions {!machine} runs, over a node's slice at base [b]
-    of the state array; {!Davies_peck} runs the same core over a wider
-    slice, and {!Israeli_itai} with [Random.State] coins. The first
-    {!words} words of a slice are: coin, live-port mask, matched port,
-    phase, proposal port, accept port. Nothing here allocates. *)
+    {!machine} is {!gated} with a gate that always passes;
+    {!Davies_peck} runs it with its degree-class gate. The per-node
+    loop of every phase lives in this module. *)
 
-(** Words of the core slice (6). *)
+(** A gate on the proposal draw: in iteration [i], with
+    [j = i / iters_per_class < classes], a node may propose only if its
+    live degree is in [(delta / 2^{j+1}, delta / 2^j]]; from class
+    [classes] on every node may. *)
+type gate = { delta : int; iters_per_class : int; classes : int }
+
+(** [gated ~who ~seed gate] — the propose/respond machine with coins
+    seeded from [(seed, node)] and the proposal draw gated by [gate].
+    Its [init] raises [Invalid_argument (who ^ ": degree > 62")] on a
+    node of degree above 62. *)
+val gated : who:string -> seed:int -> gate -> Ld_runtime.Packed.Port.machine
+
+(** {2 Propose/respond transitions}
+
+    The per-node transitions {!gated} runs, over a node's slice at base
+    [b] of the state array; {!Israeli_itai} runs them with
+    [Random.State] coins. A slice is {!words} words: coin, live-port
+    mask, and a control word holding the matched, proposal and accept
+    ports (each port + 1 in a 7-bit field, 0 for none) at bits 0, 8
+    and 16, the phase at bit 7 and the finished-iteration count from
+    bit 24. Nothing here allocates. *)
+
+(** Words of a slice (3). *)
 val words : int
 
 (** Number of set bits. *)
@@ -30,8 +50,8 @@ val popcount : int -> int
 (** The live-port mask of the slice at base [b]. *)
 val live : int array -> int -> int
 
-(** [init ~who st b ~seed ~node ~degree] writes the initial core slice
-    (no proposal drawn yet). @raise Invalid_argument, naming [who], if
+(** [init ~who st b ~seed ~node ~degree] writes the initial slice (no
+    proposal drawn yet). @raise Invalid_argument, naming [who], if
     [degree > 62]. *)
 val init :
   who:string -> int array -> int -> seed:int -> node:int -> degree:int -> unit
@@ -40,29 +60,42 @@ val init :
     (0-based, ascending); [k] must be below the live-port count. *)
 val propose : int array -> int -> int -> unit
 
-(** Draws the next proposal port from the coin word: none if no port is
-    live or [eligible] is false (no coin is then consumed). *)
-val draw : int array -> int -> eligible:bool -> unit
+(** Clears the proposal. *)
+val no_proposal : int array -> int -> unit
 
-(** One word per dart: the matched bit, plus the propose bit on the
-    proposal port (propose phase) or the accept bit on the accept port
-    (respond phase). *)
+(** A {!Ld_runtime.Packed.Port.machine} [send]: one word per dart, the
+    matched bit plus the propose bit on the proposal port (propose
+    phase) or the accept bit on the accept port (respond phase); a
+    node that is matched, or out of live ports between iterations, is
+    marked halted. *)
 val send :
-  sw:int -> g:Ld_graph.Csr.t -> st:int array -> out:int array -> node:int -> unit
+  g:Ld_graph.Csr.t -> st:int array -> out:int array -> frozen:Bytes.t ->
+  int array -> lo:int -> hi:int -> unit
 
 (** One receive step of the node at base [b]; the message on port [p]
     is [out.(mirror.(row.(node) + p))]. Returns [true] after a respond
-    round, when the caller must {!draw} the next proposal. *)
+    round, which ends an iteration: the caller must then draw the next
+    proposal ({!propose} or {!no_proposal}). *)
 val step :
-  g:Ld_graph.Csr.t -> mirror:int array -> out:int array -> int array -> int ->
+  row:int array -> mirror:int array -> out:int array -> int array -> int ->
   node:int -> bool
 
-(** Matched, or out of live ports between iterations. *)
-val halted : sw:int -> st:int array -> node:int -> bool
-
-(** The mate array of a final state array with slice width [sw].
+(** The mate array of a final state array.
     @raise Failure, naming [who], if it is not symmetric. *)
-val mates : who:string -> sw:int -> Ld_graph.Csr.t -> int array -> int array
+val mates : who:string -> Ld_graph.Csr.t -> int array -> int array
+
+(** [run_machine ~who m ~max_rounds g] runs a machine over this
+    module's slices and extracts its mates.
+    @raise Failure, naming [who], if some node has not halted after
+    [max_rounds] rounds or the matching is asymmetric. *)
+val run_machine :
+  ?par_threshold:int ->
+  ?domains:int ->
+  who:string ->
+  Ld_runtime.Packed.Port.machine ->
+  max_rounds:int ->
+  Ld_graph.Csr.t ->
+  result * Ld_runtime.Packed.stats
 
 (** @raise Failure if some node has not halted after [max_rounds]
     rounds, or if the matching comes out asymmetric (a protocol bug,

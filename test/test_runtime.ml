@@ -387,25 +387,33 @@ let hashing_machine ~quota : Packed.Port.machine =
     state_words = 2;
     msg_words = 1;
     init =
-      (fun ~g:_ ~st ~node ->
-        st.(2 * node) <- 0;
-        st.((2 * node) + 1) <- node);
+      (fun ~g:_ ~st ~lo ~hi ->
+        for node = lo to hi - 1 do
+          st.(2 * node) <- 0;
+          st.((2 * node) + 1) <- node
+        done);
     send =
-      (fun ~g ~st ~out ~node ->
-        let lo = g.Csr.row.(node) in
-        for d = lo to g.Csr.row.(node + 1) - 1 do
-          out.(d) <- (st.((2 * node) + 1) * 7) + d - lo
+      (fun ~g ~st ~out ~frozen nodes ~lo ~hi ->
+        for k = lo to hi - 1 do
+          let node = nodes.(k) in
+          let lo = g.Csr.row.(node) in
+          for d = lo to g.Csr.row.(node + 1) - 1 do
+            out.(d) <- (st.((2 * node) + 1) * 7) + d - lo
+          done;
+          if quota node >= 0 && st.(2 * node) >= quota node then
+            Bytes.set frozen node '\001'
         done);
     recv =
-      (fun ~g ~mirror ~st ~out ~node ->
-        let h = ref st.((2 * node) + 1) in
-        for d = g.Csr.row.(node) to g.Csr.row.(node + 1) - 1 do
-          h := (!h * 31) lxor out.(mirror.(d))
-        done;
-        st.((2 * node) + 1) <- !h;
-        st.(2 * node) <- st.(2 * node) + 1);
-    halted =
-      (fun ~st ~node -> quota node >= 0 && st.(2 * node) >= quota node);
+      (fun ~g ~mirror ~st ~out nodes ~lo ~hi ->
+        for k = lo to hi - 1 do
+          let node = nodes.(k) in
+          let h = ref st.((2 * node) + 1) in
+          for d = g.Csr.row.(node) to g.Csr.row.(node + 1) - 1 do
+            h := (!h * 31) lxor out.(mirror.(d))
+          done;
+          st.((2 * node) + 1) <- !h;
+          st.(2 * node) <- st.(2 * node) + 1
+        done);
   }
 
 let port_edge_cases () =
@@ -500,6 +508,78 @@ let dp_matches_reference =
       && Davies_peck.is_vertex_cover csr
            (fst (Davies_peck.run ~seed:11 ~max_rounds:10_000 csr)))
 
+(* ---- the 7-bit port fields at their limit ---- *)
+
+(* A centre of degree 62 whose port 61 is stored as 62 in a 7-bit
+   field: a star with 62 leaves, every other leaf carrying a pendant
+   node. Each machine must agree with [reference_run] (whole states,
+   rounds and halting flag, at every leg and at a forced 2-domain
+   split) and stop maximal, and over the seeds the centre must match
+   through port 61. Degree 63 is rejected. *)
+let degree_limit_graph k =
+  G.create
+    (k + 1 + (k / 2))
+    (List.init k (fun i -> (0, i + 1))
+    @ List.init (k / 2) (fun i -> ((2 * i) + 1, k + 1 + i)))
+
+let degree_62_boundary () =
+  let g = degree_limit_graph 62 in
+  let csr = csr_of g in
+  Alcotest.(check int) "max degree" 62 (Csr.max_degree csr);
+  let ids = Array.init csr.Csr.n (fun v -> (v * 7919) mod 100_003) in
+  let idg = Labelled.Id.create g ids in
+  let port_61 = csr.Csr.endpoint.(csr.Csr.row.(0) + 61) in
+  let max_rounds = 10_000 in
+  List.iter
+    (fun (what, m) ->
+      (* The centre proposes through port 61 with probability about
+         1/124 per iteration, so the seeds run until it matches there. *)
+      let rec via_61 seed =
+        seed < 2000
+        &&
+        let st, _, _ = Packed.Port.reference_run (m seed) ~max_rounds csr in
+        let mate = Packed_ii.mates ~who:what csr st in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s seed %d: maximal" what seed)
+          true
+          (Packed_ii.is_maximal csr { Packed_ii.mate; rounds = 0 });
+        mate.(0) = port_61 || via_61 (seed + 1)
+      in
+      Alcotest.(check bool) (what ^ ": centre matched through port 61") true
+        (via_61 0);
+      for seed = 0 to 9 do
+        let m = m seed in
+        let st_ref, _, _ = Packed.Port.reference_run m ~max_rounds csr in
+        let st2, _, _ =
+          Packed.Port.run_until ~par_threshold:0 ~domains:2 m ~max_rounds csr
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s seed %d: = reference_run at 1, 2 and 4 domains"
+             what seed)
+          true
+          (agrees_with_reference m ~max_rounds csr
+          && Array.for_all2 Int.equal st2 st_ref)
+      done)
+    [
+      ("II", fun seed -> Packed_ii.machine ~seed);
+      ("DP", fun seed -> Davies_peck.machine ~seed ~sched:(dp_sched csr));
+      ("ID Israeli-Itai", fun seed -> Israeli_itai.machine ~seed idg);
+    ];
+  let g63 = degree_limit_graph 63 in
+  let csr63 = csr_of g63 in
+  let rejected what f =
+    Alcotest.(check bool) (what ^ ": degree 63 rejected") true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejected "II" (fun () ->
+      ignore (Packed_ii.run ~domains:1 ~seed:0 ~max_rounds:100 csr63));
+  rejected "DP" (fun () ->
+      ignore (Davies_peck.run ~domains:1 ~seed:0 ~max_rounds:100 csr63));
+  rejected "ID Israeli-Itai" (fun () ->
+      ignore
+        (Israeli_itai.run ~seed:0 ~max_rounds:100
+           (Labelled.Id.create g63 (Array.init (G.n g63) Fun.id))))
+
 (* ---- pinned outputs and allocation ---- *)
 
 (* [reference_run] runs the same closures as [run_until], so it cannot
@@ -541,17 +621,30 @@ let pinned =
     ("pr", "perm", 0, "9be849b7f660f0e9d45d49e736f6b79d", 60, 4877682);
   ]
 
-(* MD5 of the state array as little-endian 64-bit words, in node-major
-   order: slot [v * sw + k] is node [v]'s word [k]. Panconesi–Rizzi
-   stores word [k] of node [v] at [k * n + v] (field-major), so its
-   array is transposed first; the digest then covers the same words in
-   the order the pins were recorded in. *)
+(* MD5 of the state array as little-endian 64-bit words, in the
+   node-major order the pins were recorded in: node [v]'s words
+   contiguous. Panconesi–Rizzi stores word [k] of node [v] at
+   [k * n + v] (field-major), so its array is transposed first.
+   Israeli–Itai and Davies–Peck keep a 3-word slice (coin, live mask,
+   control word), which is unpacked into the recorded 6/7-word slice:
+   coin, live, matched, phase, proposal, accept, and for Davies–Peck
+   the iteration counter. *)
 let state_digest ~algo ~n st =
   let st =
-    if algo <> "pr" || n = 0 then st
-    else
+    if n = 0 then st
+    else if algo = "pr" then
       let sw = Array.length st / n in
       Array.init (Array.length st) (fun i -> st.(((i mod sw) * n) + (i / sw)))
+    else
+      let port ctrl sh = ((ctrl lsr sh) land 0x7f) - 1 in
+      let unpack v =
+        let b = v * Packed_ii.words in
+        let ctrl = st.(b + 2) in
+        [ st.(b); st.(b + 1); port ctrl 0; (ctrl lsr 7) land 1; port ctrl 8;
+          port ctrl 16 ]
+        @ if algo = "dp" then [ ctrl lsr 24 ] else []
+      in
+      Array.of_list (List.concat_map unpack (List.init n Fun.id))
   in
   let b = Buffer.create (8 * Array.length st) in
   Array.iter (fun x -> Buffer.add_int64_le b (Int64.of_int x)) st;
@@ -619,6 +712,8 @@ let () =
           QCheck_alcotest.to_alcotest ii_ids_matches_reference;
           QCheck_alcotest.to_alcotest pr_matches_reference;
           QCheck_alcotest.to_alcotest dp_matches_reference;
+          Alcotest.test_case "degree 62: port 61 in a 7-bit field" `Quick
+            degree_62_boundary;
           Alcotest.test_case "differential edge cases" `Quick port_edge_cases;
           Alcotest.test_case "pinned states, rounds and sends" `Quick
             pinned_outputs;
