@@ -240,6 +240,125 @@ let mirror_pairs_darts =
          | _ -> false
          | exception Invalid_argument _ -> true))
 
+(* ---- generator pins ----
+
+   One MD5 per family over a few sizes and seeds: each graph's node
+   count, its [edges] in order, then the row, endpoint and colour
+   arrays of its greedy colouring. Recorded before [Graph.t] became a
+   CSR; every seeded draw, segment order and greedy colour must stay
+   byte-identical. *)
+let coloured g = reference_csr g
+
+let graphs_digest gs =
+  let b = Buffer.create 4096 in
+  let ints a = Array.iter (Printf.bprintf b "%d ") a in
+  List.iter
+    (fun (g, (c : Csr.t)) ->
+      Printf.bprintf b "n%d:" (G.n g);
+      List.iter (fun (u, v) -> Printf.bprintf b "%d-%d " u v) (G.edges g);
+      ints c.row;
+      ints c.endpoint;
+      ints c.colour;
+      Buffer.add_char b '\n')
+    gs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let greedy_pins = List.map (fun g -> (g, coloured g))
+
+(* Leaves 0..30 give hub 100 colours 1..31, and leaves 31..61, each
+   joined to hub 101 first, give it 32..62; the hub edge takes 63. *)
+let spill_graph () =
+  G.create 102
+    ((100, 101)
+    :: List.init 62 (fun x -> (x, 100))
+    @ List.init 31 (fun i -> (31 + i, 101)))
+
+let generator_families =
+  [
+    ( "path",
+      "f99ca10c85ae49ebfca1688753c7f28c",
+      greedy_pins (List.map Gen.path [ 1; 7 ]) );
+    ( "cycle",
+      "36e4abeb361a0bafc3689f896238f1b8",
+      greedy_pins (List.map Gen.cycle [ 3; 8 ]) );
+    ( "star",
+      "f14d0b184ddbba5c5f42959a24d63123",
+      greedy_pins (List.map Gen.star [ 0; 5 ]) );
+    ( "complete",
+      "fc6a3006b6e00805dd64c463d8c45a48",
+      greedy_pins (List.map Gen.complete [ 1; 6; 40 ]) );
+    ( "greedy above colour 62",
+      "44fa66309d3f255e2b7a34f14f798ac7",
+      greedy_pins [ spill_graph () ] );
+    ( "complete_bipartite",
+      "1abba59670b18a7367d8d2f4e8ea2599",
+      greedy_pins [ Gen.complete_bipartite 2 3; Gen.complete_bipartite 4 4 ] );
+    ( "grid",
+      "e2de22e8a0079b191781f5b3c8f3e68a",
+      greedy_pins [ Gen.grid 1 1; Gen.grid 3 4 ] );
+    ( "hypercube",
+      "6f648da3cbce713e2c7f2f1aedfd7749",
+      greedy_pins (List.map Gen.hypercube [ 0; 4 ]) );
+    ( "binary_tree",
+      "c0fc33e020d9c7eaac11181d7885766b",
+      greedy_pins (List.map Gen.binary_tree [ 0; 3 ]) );
+    ( "caterpillar",
+      "5698a82563b6bc27e594e8c5a8ac143e",
+      greedy_pins
+        [ Gen.caterpillar ~spine:1 ~legs:0; Gen.caterpillar ~spine:4 ~legs:2 ] );
+    ( "spider",
+      "62338a9b1e50af7cf125761cb3d1a1a2",
+      greedy_pins [ Gen.spider ~delta:1 ~tail:1; Gen.spider ~delta:5 ~tail:3 ] );
+    ( "random_tree",
+      "6504ca3a2c1ea4738d2b7d61e63815e7",
+      greedy_pins
+        [
+          Gen.random_tree ~seed:0 1;
+          Gen.random_tree ~seed:3 12;
+          Gen.random_tree ~seed:7 40;
+        ] );
+    ( "random_gnp",
+      "a03f4bef089aaebf3b7257b41c0bd655",
+      greedy_pins [ Gen.random_gnp ~seed:1 10 0.3; Gen.random_gnp ~seed:2 25 0.5 ] );
+    ( "random_regular",
+      "4db9d3d5fb44db0b61b76a89e2abcfdf",
+      greedy_pins
+        [ Gen.random_regular ~seed:0 12 3; Gen.random_regular ~seed:5 20 4 ] );
+    (* every configuration-model pairing rejected: the circulant *)
+    ( "random_regular circulant",
+      "ac6d2bf478fd58a0cf5ccc97f81d2eff",
+      greedy_pins
+        [ Gen.random_regular ~seed:197 20 5; Gen.random_regular ~seed:0 12 11 ] );
+    ( "random_bounded_degree",
+      "8324ec988f041ee5a38b5a349e7adc42",
+      greedy_pins
+        [
+          Gen.random_bounded_degree ~seed:0 0 3;
+          Gen.random_bounded_degree ~seed:1 25 4;
+          Gen.random_bounded_degree ~seed:2 60 7;
+        ] );
+    ( "perm_regular",
+      "efa2ca5b8dc2d41ce452da2c9a15aa06",
+      List.map
+        (fun (seed, n, d) ->
+          let c = Gen.stream_perm_regular ~seed n d in
+          (Csr.to_graph c, c))
+        [ (0, 16, 4); (3, 40, 6); (1, 100, 8) ] );
+    ( "stream_biregular_tree",
+      "d53d6f9895cb8a9ce27de2be5bd7f665",
+      List.map
+        (fun (d, delta, n) ->
+          let c = Gen.stream_biregular_tree ~d ~delta n in
+          (Csr.to_graph c, c))
+        [ (3, 8, 50); (2, 5, 31) ] );
+  ]
+
+let generator_pins () =
+  List.iter
+    (fun (family, digest, gs) ->
+      Alcotest.(check string) family digest (graphs_digest gs))
+    generator_families
+
 let bench_families_run () =
   List.iter
     (fun (name, make) ->
@@ -269,6 +388,7 @@ let () =
           Alcotest.test_case "random_regular is total" `Quick random_regular_total;
           QCheck_alcotest.to_alcotest bounded_degree_respected;
           Alcotest.test_case "bench families" `Quick bench_families_run;
+          Alcotest.test_case "pinned digests" `Quick generator_pins;
         ] );
       ( "streaming csr",
         [
