@@ -311,7 +311,7 @@ let base () =
   row "  Panconesi-Rizzi (deterministic): rounds vs delta (n=60) and vs n (delta=4)\n";
   row "  %-10s %-8s %-8s %-8s\n" "delta" "n" "rounds" "cv iters";
   let pr_row n g =
-    let csr = Csr.of_graph g ~colour:(Colouring.greedy g) in
+    let csr = Csr.greedy g in
     let r, _ = Packed_pr.run csr in
     assert (Packed_pr.is_maximal csr r);
     row "  %-10d %-8d %-8d %-8d\n" (G.max_degree g) n r.Packed_pr.rounds
@@ -451,7 +451,7 @@ let bechamel_pass () =
       Test.make ~name:"panconesi-rizzi n=256 delta=4"
         (Staged.stage
            (let g = Gen.random_bounded_degree ~seed:2 256 4 in
-            let csr = Csr.of_graph g ~colour:(Colouring.greedy g) in
+            let csr = Csr.greedy g in
             fun () -> ignore (Packed_pr.run csr)));
       Test.make ~name:"israeli-itai n=256 delta=4"
         (Staged.stage

@@ -1,5 +1,5 @@
 (* `ld bench-runtime` — mega-scale throughput bench for the packed
-   runtime (BENCH_RUNTIME.json). Streams CSR instances at 10^5..10^7
+   runtime (BENCH_RUNTIME.json). Builds CSR instances at 10^5..10^7
    nodes straight into int arrays, runs the packed matching workloads
    at 1 and [Pool.default_domains ()] domains, and reports sends/sec,
    rounds/sec, wall time and its init part (the [runtime.packed.init]
@@ -72,6 +72,13 @@ let run_algo ?par_threshold ~algo ~domains g =
 
 let algo_name = function `Ii -> "israeli-itai" | `Dp -> "davies-peck" | `Pr -> "panconesi-rizzi"
 
+(* Minor words allocated so far by every domain. [Gc.quick_stat]'s
+   figure advances only at a minor collection, so one is forced first;
+   [Gc.minor_words ()] would count the calling domain alone. *)
+let minor_words () =
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.minor_words
+
 let measure ~workload ~algo ~domains g =
   let n = g.Csr.n in
   Ld_obs.Hist.reset h_round;
@@ -81,11 +88,11 @@ let measure ~workload ~algo ~domains g =
   Gc.full_major ();
   ignore (Obs.reset_peak_rss ());
   Obs.reset_events ();
-  let minor0 = (Gc.quick_stat ()).Gc.minor_words in
+  let minor0 = minor_words () in
   let t0 = Obs.now_ms () in
   let _, stats = run_algo ~algo ~domains g in
   let wall = Obs.now_ms () -. t0 in
-  let minor = (Gc.quick_stat ()).Gc.minor_words -. minor0 in
+  let minor = minor_words () -. minor0 in
   let init_ms =
     match List.assoc_opt "runtime.packed.init" (Obs.span_totals ()) with
     | Some (_, total_ms, _) -> total_ms
@@ -200,7 +207,7 @@ let run ~quick ~out =
     (fun n ->
       (* Configuration-model rejection is hopeless at this scale; the
          permutation-cover family is the O(n d) near-regular stand-in. *)
-      let g = Gen.stream_perm_regular ~seed:42 n reg_d in
+      let g = Csr.greedy (Gen.perm_regular ~seed:42 n reg_d) in
       List.iter
         (fun domains ->
           push (measure ~workload:"perm-regular" ~algo:`Ii ~domains g);

@@ -235,7 +235,7 @@ let run_match ~seed g = function
     Printf.printf "israeli-itai: rounds=%d size=%d maximal=%b\n" r.rounds size
       (Ld_matching.Israeli_itai.is_maximal g r)
   | `Pr ->
-    let csr = Ld_graph.Csr.of_graph g ~colour:(Colouring.greedy g) in
+    let csr = Ld_graph.Csr.greedy g in
     let r, _ = Ld_matching.Packed_pr.run csr in
     let size =
       Array.fold_left (fun a w -> if w >= 0 then a + 1 else a) 0 r.mate / 2

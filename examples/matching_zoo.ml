@@ -46,7 +46,7 @@ let zoo g name =
   Printf.printf "  %-34s rounds=%-4d size=%-9d maximal=%b\n"
     "Israeli-Itai          (ID, O(log n) rand.)" ii.II.rounds (size ii.II.mate)
     (II.is_maximal g ii);
-  let csr = Csr.of_graph g ~colour:(Colouring.greedy g) in
+  let csr = Csr.greedy g in
   let pr, _ = Packed_pr.run csr in
   Printf.printf "  %-34s rounds=%-4d size=%-9d maximal=%b\n"
     "Panconesi-Rizzi       (ID, O(Δ+log* n))" pr.Packed_pr.rounds

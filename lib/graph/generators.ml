@@ -137,7 +137,8 @@ let random_regular ~seed n d =
   let rng = Random.State.make [| seed; n; d; 0x2e9 |] in
   let attempt () =
     (* Configuration model: pair up n*d stubs uniformly at random and
-       reject on loops/multi-edges. *)
+       reject on loops/multi-edges. All RNG draws happen in the
+       shuffle. *)
     let stubs = Array.init (n * d) (fun i -> i / d) in
     for i = Array.length stubs - 1 downto 1 do
       let j = Random.State.int rng (i + 1) in
@@ -145,21 +146,16 @@ let random_regular ~seed n d =
       stubs.(i) <- stubs.(j);
       stubs.(j) <- tmp
     done;
-    let seen = Hashtbl.create (n * d) in
-    let ok = ref true in
-    let es = ref [] in
-    let i = ref 0 in
-    while !ok && !i < Array.length stubs do
-      let u = stubs.(!i) and v = stubs.(!i + 1) in
-      let key = (Stdlib.min u v, Stdlib.max u v) in
-      if u = v || Hashtbl.mem seen key then ok := false
-      else begin
-        Hashtbl.add seen key ();
-        es := key :: !es
-      end;
-      i := !i + 2
-    done;
-    if !ok then Some (Graph.create n !es) else None
+    let keys =
+      Array.init (n * d / 2) (fun i ->
+          let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
+          (Stdlib.min u v * n) + Stdlib.max u v)
+    in
+    if Array.exists (fun k -> k / n = k mod n) keys then None
+    else
+      (* a repeated pair collapses into one edge, leaving fewer than n*d/2 *)
+      let g = Graph.of_packed n keys in
+      if Graph.m g = Array.length keys then Some g else None
   in
   (* Dense [d] (K_{d+1} at the extreme) can exhaust the retries. Then
      take the circulant joining [u] to [u ± 1 .. u ± d/2], plus [u + n/2]
@@ -196,12 +192,8 @@ let random_bounded_degree ~seed n max_deg =
   if n < 0 || max_deg < 0 then invalid_arg "Generators.random_bounded_degree";
   let rng = Random.State.make [| seed; n; max_deg; 0x90d |] in
   let deg = Array.make n 0 in
-  (* All n(n-1)/2 candidate edges, packed as [u * n + v] in one flat int
-     array — the historic cons-then-[Array.of_list] built the same
-     sequence (reverse lexicographic) through ~n²/2 boxed tuples, which
-     dominated the whole generator at n in the thousands. Order and
-     every RNG draw below are preserved exactly, so generated graphs are
-     byte-identical to the old implementation's. *)
+  (* All n(n-1)/2 candidate edges, packed as [u * n + v] in reverse
+     lexicographic order. *)
   let total = n * (n - 1) / 2 in
   let arr = Array.make (Stdlib.max 1 total) 0 in
   let k = ref (total - 1) in
@@ -219,71 +211,31 @@ let random_bounded_degree ~seed n max_deg =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done;
-  let es = ref [] in
-  for i = 0 to total - 1 do
-    let u = arr.(i) / n and v = arr.(i) mod n in
-    if deg.(u) < max_deg && deg.(v) < max_deg && Random.State.bool rng then begin
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1;
-      es := (u, v) :: !es
-    end
-  done;
-  Graph.create n !es
-
-(* ---------- streaming generators ----------
-
-   Same families, built straight into [Csr.t] arrays: no tuple lists,
-   no [Graph.t], no Hashtbl-of-tuples. Each [stream_*] either consumes
-   the *identical* RNG stream as its list-based twin (so same seed =>
-   byte-identical graph, differentially tested in test_graph.ml) or is
-   deterministic. *)
-
-let stream_bounded_degree ~seed n max_deg =
-  if n < 0 || max_deg < 0 then invalid_arg "Generators.stream_bounded_degree";
-  let rng = Random.State.make [| seed; n; max_deg; 0x90d |] in
-  let deg = Array.make (Stdlib.max 1 n) 0 in
-  let total = n * (n - 1) / 2 in
-  let arr = Array.make (Stdlib.max 1 total) 0 in
-  let k = ref (total - 1) in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      arr.(!k) <- (u * n) + v;
-      decr k
-    done
-  done;
-  for i = total - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  (* Greedy acceptance compacts accepted edges into the prefix of the
-     same candidate array — every RNG draw matches the list path. *)
+  (* Accepted edges are compacted into the prefix of the same array. *)
   let ne = ref 0 in
   for i = 0 to total - 1 do
     let u = arr.(i) / n and v = arr.(i) mod n in
     if deg.(u) < max_deg && deg.(v) < max_deg && Random.State.bool rng then begin
       deg.(u) <- deg.(u) + 1;
       deg.(v) <- deg.(v) + 1;
-      let e = arr.(i) in
-      arr.(!ne) <- e;
+      arr.(!ne) <- arr.(i);
       incr ne
     end
   done;
-  Csr.of_packed_edges ~n ~deg ~packed:arr ~ne:!ne
+  Graph.of_packed n (Array.sub arr 0 !ne)
 
-let stream_perm_regular ~seed n d =
-  if d < 2 || d mod 2 <> 0 || d >= n then
-    invalid_arg "Generators.stream_perm_regular";
+let perm_regular ~seed n d =
+  if d < 2 || d mod 2 <> 0 || d >= n then invalid_arg "Generators.perm_regular";
   let rng = Random.State.make [| seed; n; d; 0x9e4 |] in
   (* Union of d/2 random permutation cycle covers: each permutation
      contributes edges {v, pi v}, giving every node degree <= 2 per
      cover. Unlike the configuration model there is no global
-     rejection — fixed points and duplicate edges are simply skipped
-     (a vanishing fraction), so generation is O(n d) at any scale.
-     The result is a simple graph of max degree <= d, near-d-regular. *)
+     rejection — fixed points are skipped and an edge drawn twice is
+     kept once (a vanishing fraction), so generation is O(n d) at any
+     scale. The result is a simple graph of max degree <= d,
+     near-d-regular. *)
   let perm = Array.init n (fun i -> i) in
-  let packed = Array.make (Stdlib.max 1 (n * d / 2)) 0 in
+  let packed = Array.make (n * d / 2) 0 in
   let ne = ref 0 in
   for _ = 1 to d / 2 do
     for i = n - 1 downto 1 do
@@ -300,24 +252,7 @@ let stream_perm_regular ~seed n d =
       end
     done
   done;
-  let packed = Array.sub packed 0 !ne in
-  Array.sort Int.compare packed;
-  (* compact adjacent duplicates (an edge drawn by two covers) *)
-  let m = ref 0 in
-  Array.iter
-    (fun e ->
-      if !m = 0 || packed.(!m - 1) <> e then begin
-        packed.(!m) <- e;
-        incr m
-      end)
-    packed;
-  let deg = Array.make (Stdlib.max 1 n) 0 in
-  for i = 0 to !m - 1 do
-    let e = packed.(i) in
-    deg.(e / n) <- deg.(e / n) + 1;
-    deg.(e mod n) <- deg.(e mod n) + 1
-  done;
-  Csr.of_packed_edges ~n ~deg ~packed ~ne:!m
+  Graph.of_packed n (Array.sub packed 0 !ne)
 
 let stream_biregular_tree ~d ~delta n =
   if d < 1 || delta < 1 || n < 1 then
@@ -357,8 +292,8 @@ let stream_biregular_tree ~d ~delta n =
     row.(v + 1) <- row.(v) + dg
   done;
   let nd = row.(n) in
-  let endpoint = Array.make (Stdlib.max 1 nd) 0 in
-  let colour = Array.make (Stdlib.max 1 nd) 0 in
+  let endpoint = Array.make nd 0 in
+  let colour = Array.make nd 0 in
   for v = 0 to n - 1 do
     let base = ref row.(v) in
     if v > 0 then begin
@@ -372,8 +307,6 @@ let stream_biregular_tree ~d ~delta n =
       colour.(!base + i) <- pcol.(c)
     done
   done;
-  let endpoint = if nd = 0 then [||] else endpoint in
-  let colour = if nd = 0 then [||] else colour in
   { Csr.n; row; endpoint; colour; m = nd / 2 }
 
 let bench_families =

@@ -54,19 +54,12 @@ val random_bounded_degree : seed:int -> int -> int -> Graph.t
     for matching-style algorithms. *)
 val spider : delta:int -> tail:int -> Graph.t
 
-(** Streaming twin of {!random_bounded_degree}: same seed, same RNG
-    stream, same graph — but assembled directly into CSR arrays with
-    no tuple lists (differentially tested). Still enumerates all
-    n(n-1)/2 candidate pairs, like the twin; use {!stream_perm_regular}
-    or {!stream_biregular_tree} for mega-scale instances. *)
-val stream_bounded_degree : seed:int -> int -> int -> Csr.t
-
-(** [stream_perm_regular ~seed n d] — union of d/2 random permutation
-    cycle covers: a simple near-d-regular graph of max degree ≤ [d],
-    built in O(n·d) with no rejection (fixed points and duplicate
-    edges are skipped — a vanishing fraction). [d] must be even,
-    [2 <= d < n]. The scalable random family for the runtime bench. *)
-val stream_perm_regular : seed:int -> int -> int -> Csr.t
+(** [perm_regular ~seed n d] — union of d/2 random permutation cycle
+    covers: a simple near-d-regular graph of max degree ≤ [d], built
+    in O(n·d) with no rejection (fixed points and duplicate edges are
+    skipped — a vanishing fraction). [d] must be even, [2 <= d < n].
+    The scalable random family for the runtime bench. *)
+val perm_regular : seed:int -> int -> int -> Graph.t
 
 (** Deterministic (d, δ)-biregular tree in BFS layout, truncated at
     [n] nodes, with a proper edge colouring using at most

@@ -1,57 +1,142 @@
-type t = { n : int; adj : int list array; m : int }
+(* Compressed sparse rows: node [v]'s darts are [row.(v) .. row.(v+1) - 1]
+   and [endpoint.(d)] is dart [d]'s far endpoint, strictly ascending
+   within a segment. *)
+type t = { n : int; row : int array; endpoint : int array; m : int }
+
+(* Sort, drop repeats, count degrees, then scatter both darts of each
+   edge through per-node cursors. Ascending keys visit node [x]'s
+   smaller neighbours (as [v] of [(u, x)]) before its larger ones (as
+   [u] of [(x, v)]), each in ascending order, so every segment comes
+   out sorted. *)
+let of_packed n keys =
+  Array.sort Int.compare keys;
+  let m = ref 0 in
+  Array.iter
+    (fun k ->
+      if !m = 0 || keys.(!m - 1) <> k then begin
+        keys.(!m) <- k;
+        incr m
+      end)
+    keys;
+  let m = !m in
+  let row = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    let u = keys.(i) / n and v = keys.(i) mod n in
+    row.(u + 1) <- row.(u + 1) + 1;
+    row.(v + 1) <- row.(v + 1) + 1
+  done;
+  for v = 0 to n - 1 do
+    row.(v + 1) <- row.(v + 1) + row.(v)
+  done;
+  let endpoint = Array.make (2 * m) 0 in
+  let cur = Array.sub row 0 n in
+  for i = 0 to m - 1 do
+    let u = keys.(i) / n and v = keys.(i) mod n in
+    endpoint.(cur.(u)) <- v;
+    cur.(u) <- cur.(u) + 1;
+    endpoint.(cur.(v)) <- u;
+    cur.(v) <- cur.(v) + 1
+  done;
+  { n; row; endpoint; m }
 
 let create n edge_list =
   if n < 0 then invalid_arg "Graph.create: negative node count";
-  let adj = Array.make n [] in
-  let seen = Hashtbl.create (List.length edge_list) in
-  let add_edge (u, v) =
+  let key (u, v) =
     if u < 0 || u >= n || v < 0 || v >= n then
       invalid_arg "Graph.create: endpoint out of range";
     if u = v then invalid_arg "Graph.create: self-loop";
-    let key = (Stdlib.min u v, Stdlib.max u v) in
-    if Hashtbl.mem seen key then invalid_arg "Graph.create: duplicate edge";
-    Hashtbl.add seen key ();
-    adj.(u) <- v :: adj.(u);
-    adj.(v) <- u :: adj.(v)
+    (Stdlib.min u v * n) + Stdlib.max u v
   in
-  List.iter add_edge edge_list;
-  Array.iteri (fun i l -> adj.(i) <- List.sort Int.compare l) adj;
-  { n; adj; m = List.length edge_list }
+  let keys = Array.of_list (List.map key edge_list) in
+  let g = of_packed n keys in
+  if g.m <> Array.length keys then invalid_arg "Graph.create: duplicate edge";
+  g
 
 let n g = g.n
 let m g = g.m
-let neighbours g v = g.adj.(v)
-let degree g v = List.length g.adj.(v)
+let degree g v = g.row.(v + 1) - g.row.(v)
+let neighbours g v = List.init (degree g v) (fun i -> g.endpoint.(g.row.(v) + i))
 
 let max_degree g =
-  Array.fold_left (fun acc l -> Stdlib.max acc (List.length l)) 0 g.adj
+  let best = ref 0 in
+  for v = 0 to g.n - 1 do
+    best := Stdlib.max !best (degree g v)
+  done;
+  !best
 
-let has_edge g u v = List.mem v g.adj.(u)
+let dart g u v =
+  (* binary search over [lo, hi) of [u]'s ascending segment *)
+  let rec search lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let w = g.endpoint.(mid) in
+      if w = v then mid else if w < v then search (mid + 1) hi else search lo mid
+  in
+  if u < 0 || u >= g.n then -1 else search g.row.(u) g.row.(u + 1)
 
-let edges g =
-  let acc = ref [] in
-  for u = g.n - 1 downto 0 do
-    List.iter (fun v -> if u < v then acc := (u, v) :: !acc) g.adj.(u)
+let has_edge g u v = dart g u v >= 0
+
+(* Ascending [u], and [u]'s larger neighbours from the end of its
+   segment down: descending [v]. *)
+let fold_edges f init g =
+  let acc = ref init in
+  for u = 0 to g.n - 1 do
+    let d = ref (g.row.(u + 1) - 1) in
+    while !d >= g.row.(u) && g.endpoint.(!d) > u do
+      acc := f (u, g.endpoint.(!d)) !acc;
+      decr d
+    done
   done;
   !acc
 
-let fold_edges f init g = List.fold_left (fun acc e -> f e acc) init (edges g)
+let edges g = List.rev (fold_edges List.cons [] g)
 
-let bfs_dist g source =
-  let dist = Array.make g.n max_int in
+(* One cursor per node. Visiting [v] in ascending order, the reverse of
+   [v]'s dart to [w] is the first dart of [w] not yet claimed: [w]'s
+   segment lists its neighbours in that same ascending order. A dart
+   with no reverse, or an unsorted segment, puts some cursor on the
+   wrong endpoint or past its segment. Otherwise the darts claim
+   distinct slots, as many as there are, so every cursor ends at its
+   segment's end and no final check is needed. *)
+let mirror g =
+  let { n; row; endpoint; _ } = g in
+  let mirror = Array.make (Array.length endpoint) 0 in
+  let cur = Array.sub row 0 n in
+  for v = 0 to n - 1 do
+    for d = row.(v) to row.(v + 1) - 1 do
+      let w = endpoint.(d) in
+      let d' = cur.(w) in
+      if d' >= row.(w + 1) || endpoint.(d') <> v then
+        invalid_arg "Graph.mirror: asymmetric adjacency";
+      mirror.(d) <- d';
+      cur.(w) <- d' + 1
+    done
+  done;
+  mirror
+
+(* Breadth-first search from [source] over the nodes [unseen] admits;
+   [visit w u] marks [w], reached from [u]. *)
+let bfs g source ~unseen ~visit =
   let queue = Queue.create () in
-  dist.(source) <- 0;
   Queue.add source queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    List.iter
-      (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
-      g.adj.(u)
-  done;
+    for d = g.row.(u) to g.row.(u + 1) - 1 do
+      let w = g.endpoint.(d) in
+      if unseen w then begin
+        visit w u;
+        Queue.add w queue
+      end
+    done
+  done
+
+let bfs_dist g source =
+  let dist = Array.make g.n max_int in
+  dist.(source) <- 0;
+  bfs g source
+    ~unseen:(fun w -> dist.(w) = max_int)
+    ~visit:(fun w u -> dist.(w) <- dist.(u) + 1);
   dist
 
 let components g =
@@ -61,19 +146,8 @@ let components g =
     if comp.(v) < 0 then begin
       let id = !count in
       incr count;
-      let queue = Queue.create () in
       comp.(v) <- id;
-      Queue.add v queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        List.iter
-          (fun w ->
-            if comp.(w) < 0 then begin
-              comp.(w) <- id;
-              Queue.add w queue
-            end)
-          g.adj.(u)
-      done
+      bfs g v ~unseen:(fun w -> comp.(w) < 0) ~visit:(fun w _ -> comp.(w) <- id)
     end
   done;
   (comp, !count)
@@ -86,17 +160,14 @@ let disjoint_union g1 g2 =
   create (g1.n + g2.n) (edges g1 @ edges2)
 
 let induced g nodes =
-  let nodes = List.sort_uniq Int.compare nodes in
-  let old_of_new = Array.of_list nodes in
-  let new_of_old = Hashtbl.create (Array.length old_of_new) in
-  Array.iteri (fun i v -> Hashtbl.add new_of_old v i) old_of_new;
-  let keep = fun v -> Hashtbl.mem new_of_old v in
+  let old_of_new = Array.of_list (List.sort_uniq Int.compare nodes) in
+  let new_of_old = Array.make g.n (-1) in
+  Array.iteri (fun i v -> new_of_old.(v) <- i) old_of_new;
   let es =
     fold_edges
       (fun (u, v) acc ->
-        if keep u && keep v then
-          (Hashtbl.find new_of_old u, Hashtbl.find new_of_old v) :: acc
-        else acc)
+        let u' = new_of_old.(u) and v' = new_of_old.(v) in
+        if u' >= 0 && v' >= 0 then (u', v') :: acc else acc)
       [] g
   in
   (create (Array.length old_of_new) es, old_of_new)
@@ -121,15 +192,8 @@ let is_isomorphic_small g1 g2 =
           else if
             (not used.(c))
             && degree g1 v = degree g2 c
-            && List.for_all
-                 (fun w ->
-                   image.(w) < 0 || has_edge g2 image.(w) c)
-                 g1.adj.(v)
-            && List.for_all
-                 (fun w -> image.(w) < 0 || List.mem image.(w) g2.adj.(c))
-                 g1.adj.(v)
             &&
-            (* non-neighbours must stay non-neighbours *)
+            (* nodes [0 .. v-1] are placed: adjacency to each must match *)
             let ok = ref true in
             for w = 0 to v - 1 do
               if image.(w) >= 0 then

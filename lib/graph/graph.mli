@@ -2,14 +2,31 @@
 
     Nodes are integers [0 .. n-1]; the structure is immutable after
     construction. Parallel edges and self-loops are rejected — multigraphs
-    with loops (the EC/PO objects of the paper) live in [Ld_models]. *)
+    with loops (the EC/PO objects of the paper) live in [Ld_models].
 
-type t
+    A graph is stored as compressed sparse rows: the darts of node [v]
+    are the indices [row.(v) .. row.(v+1) - 1], and [endpoint.(d)] is
+    dart [d]'s far endpoint, strictly ascending within each segment.
+    Every edge has one dart at each end. {!Csr.t} adds a colour per
+    dart over the same arrays. Treat all arrays as read-only. *)
+
+type t = {
+  n : int;
+  row : int array;  (** length [n + 1] *)
+  endpoint : int array;  (** length [row.(n) = 2 * m] *)
+  m : int;
+}
 
 (** [create n edges] builds a graph on [n] nodes.
     @raise Invalid_argument on out-of-range endpoints, self-loops or
     duplicate edges. *)
 val create : int -> (int * int) list -> t
+
+(** [of_packed n keys] is the graph on [n] nodes whose edges are the
+    distinct keys [u * n + v] ([0 <= u < v < n]) of [keys], which it
+    sorts in place. Repeated keys make one edge; keys are not
+    otherwise checked. *)
+val of_packed : int -> int array -> t
 
 (** Number of nodes. *)
 val n : t -> int
@@ -17,21 +34,37 @@ val n : t -> int
 (** Number of edges. *)
 val m : t -> int
 
-(** All edges, each as [(u, v)] with [u < v], in sorted order. *)
+(** All edges, each as [(u, v)] with [u < v]: ascending [u], then
+    {e descending} [v] within each [u]. The greedy colourings
+    ([Csr.greedy], [Edge_colouring.greedy]) colour edges in this
+    order, so every greedy colour depends on it. *)
 val edges : t -> (int * int) list
 
 (** Sorted neighbour list. *)
 val neighbours : t -> int -> int list
 
+(** O(1). *)
 val degree : t -> int -> int
 
 (** Maximum degree Δ; 0 for the empty graph. *)
 val max_degree : t -> int
 
+(** [dart g u v] is the dart of [u] whose far endpoint is [v], or [-1]
+    if there is no edge [(u, v)]. O(log Δ). *)
+val dart : t -> int -> int -> int
+
 val has_edge : t -> int -> int -> bool
 
-(** [fold_edges f init g] folds over edges [(u, v)], [u < v]. *)
+(** [fold_edges f init g] folds over edges [(u, v)], [u < v], in
+    {!edges} order. *)
 val fold_edges : ((int * int) -> 'a -> 'a) -> 'a -> t -> 'a
+
+(** [mirror g] maps every dart to its reverse dart: for dart [d] of
+    node [v], [(mirror g).(d)] is the dart of [endpoint.(d)] whose far
+    endpoint is [v]. An involution, built in one linear pass.
+    @raise Invalid_argument if some dart has no reverse or a segment is
+    not ascending. *)
+val mirror : t -> int array
 
 (** [bfs_dist g v] is the array of hop distances from [v];
     unreachable nodes get [max_int]. *)

@@ -50,8 +50,15 @@ let machine ~seed idg : Packed.Port.machine =
 
 let run ~seed ~max_rounds idg =
   (* The transitions never read colours; one colour per edge is proper. *)
-  let n = G.n (Id.graph idg) in
-  let g = Csr.of_graph (Id.graph idg) ~colour:(fun (u, v) -> (u * n) + v) in
+  let { G.n; row; endpoint; m } = Id.graph idg in
+  let colour = Array.make (Array.length endpoint) 0 in
+  for v = 0 to n - 1 do
+    for d = row.(v) to row.(v + 1) - 1 do
+      let w = endpoint.(d) in
+      colour.(d) <- (Stdlib.min v w * n) + Stdlib.max v w
+    done
+  done;
+  let g = { Csr.n; row; endpoint; colour; m } in
   let r, _ =
     Packed_ii.run_machine ~who:"Israeli_itai" (machine ~seed idg) ~max_rounds g
   in

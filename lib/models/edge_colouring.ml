@@ -1,24 +1,10 @@
 module G = Ld_graph.Graph
 
 let greedy g =
-  let table : (int * int, int) Hashtbl.t = Hashtbl.create (G.m g) in
-  let node_used = Array.make (G.n g) [] in
-  List.iter
-    (fun (u, v) ->
-      let rec smallest c =
-        if List.mem c node_used.(u) || List.mem c node_used.(v) then smallest (c + 1)
-        else c
-      in
-      let c = smallest 1 in
-      node_used.(u) <- c :: node_used.(u);
-      node_used.(v) <- c :: node_used.(v);
-      Hashtbl.add table (u, v) c)
-    (G.edges g);
+  let { Ld_graph.Csr.colour; _ } = Ld_graph.Csr.greedy g in
   fun (u, v) ->
-    let key = (Stdlib.min u v, Stdlib.max u v) in
-    match Hashtbl.find_opt table key with
-    | Some c -> c
-    | None -> invalid_arg "Edge_colouring.greedy: not an edge"
+    let d = G.dart g u v in
+    if d < 0 then invalid_arg "Edge_colouring.greedy: not an edge" else colour.(d)
 
 let num_colours g colour =
   List.sort_uniq Int.compare (List.map colour (G.edges g)) |> List.length

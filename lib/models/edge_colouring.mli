@@ -4,9 +4,11 @@
     given with the input (paper §2.1). These helpers manufacture such
     colourings so that simple graphs can be fed to EC algorithms. *)
 
-(** [greedy g] properly colours the edges of [g] with at most [2Δ - 1]
-    colours (colours are [1..2Δ-1]): each edge takes the smallest colour
-    free at both endpoints. Returns the colour per edge [(u, v)], [u < v]. *)
+(** [greedy g] is [Ld_graph.Csr.greedy g] as a function: the colour of
+    edge [(u, v)], in either orientation. At most [2Δ - 1] colours
+    ([1..2Δ-1]), each edge taking the smallest colour free at both
+    endpoints in [Graph.edges] order.
+    The returned function raises [Invalid_argument] on a non-edge. *)
 val greedy : Ld_graph.Graph.t -> (int * int) -> int
 
 (** [num_colours g colour] is the number of distinct colours used. *)

@@ -138,7 +138,7 @@ let cv_helpers () =
 
 (* ---- Panconesi–Rizzi ---- *)
 
-let csr_of g = Csr.of_graph g ~colour:(Colouring.greedy g)
+let csr_of = Csr.greedy
 
 let pr_always_maximal =
   QCheck.Test.make ~count:30 ~name:"Panconesi–Rizzi output is a maximal matching"

@@ -151,35 +151,21 @@ let metrics_girth_vs_bruteforce =
       let brute = if brute = max_int then None else Some brute in
       Option.equal Int.equal (Ld_graph.Metrics.girth g) brute)
 
-(* ---- streaming CSR generators (differential vs the list twins) ---- *)
+(* ---- coloured CSR: generators, greedy colouring, mirror ---- *)
 
 module Csr = Ld_graph.Csr
-module Colouring = Ld_models.Edge_colouring
 
-(* The reference CSR: list-based generator + greedy edge colouring,
-   converted through the neighbour-order path. *)
-let reference_csr g = Csr.of_graph g ~colour:(Colouring.greedy g)
-
-let stream_bounded_degree_identical =
+let perm_regular_wellformed =
   QCheck.Test.make ~count:50
-    ~name:"stream_bounded_degree is byte-identical to the list twin"
-    (QCheck.triple (QCheck.int_range 0 25) (QCheck.int_range 0 6)
-       (QCheck.int_range 0 1000))
-    (fun (n, d, seed) ->
-      let s = Gen.stream_bounded_degree ~seed n d in
-      Csr.validate s;
-      Csr.equal s (reference_csr (Gen.random_bounded_degree ~seed n d)))
-
-let stream_perm_regular_wellformed =
-  QCheck.Test.make ~count:50
-    ~name:"stream_perm_regular is simple, bounded and deterministic"
+    ~name:"perm_regular is simple, bounded and deterministic"
     (QCheck.pair (QCheck.int_range 1 3) (QCheck.int_range 0 1000))
     (fun (half_d, seed) ->
       let d = 2 * half_d in
       let n = 8 * d in
-      let g = Gen.stream_perm_regular ~seed n d in
+      let g = Csr.greedy (Gen.perm_regular ~seed n d) in
       Csr.validate g;
-      Csr.max_degree g <= d && Csr.equal g (Gen.stream_perm_regular ~seed n d))
+      Csr.max_degree g <= d
+      && Csr.equal g (Csr.greedy (Gen.perm_regular ~seed n d)))
 
 let stream_biregular_tree_shape () =
   let g = Gen.stream_biregular_tree ~d:3 ~delta:5 200 in
@@ -192,14 +178,16 @@ let stream_biregular_tree_shape () =
     (Csr.max_colour g <= 5);
   Alcotest.(check bool) "connected" true (G.is_connected (Csr.to_graph g))
 
-(* [Csr.mirror] over the three streaming families: an involution
-   pairing each dart with the far end's dart back, of the same colour;
-   deleting one dart's reverse makes it raise. *)
-let stream_csr (family, n, seed) =
+(* [Csr.mirror] over four families (segments sorted by
+   [Graph.of_packed], by [Graph.create] and by the tree's own layout):
+   an involution pairing each dart with the far end's dart back, of the
+   same colour; deleting either dart of an edge makes it raise. *)
+let coloured_csr (family, n, seed) =
   match family with
-  | 0 -> Gen.stream_bounded_degree ~seed n (1 + (seed mod 6))
-  | 1 -> Gen.stream_perm_regular ~seed (Stdlib.max n 8) (2 * (1 + (seed mod 3)))
-  | _ -> Gen.stream_biregular_tree ~d:(2 + (seed mod 3)) ~delta:(2 + (seed mod 5)) n
+  | 0 -> Csr.greedy (Gen.random_bounded_degree ~seed n (1 + (seed mod 6)))
+  | 1 -> Csr.greedy (Gen.perm_regular ~seed (Stdlib.max n 8) (2 * (1 + (seed mod 3))))
+  | 2 -> Gen.stream_biregular_tree ~d:(2 + (seed mod 3)) ~delta:(2 + (seed mod 5)) n
+  | _ -> Csr.greedy (Gen.random_gnp ~seed n (float_of_int (1 + (seed mod 5)) /. 10.))
 
 (* [g] without dart [d'] (of node [w]): [d'] goes from [w]'s segment. *)
 let drop_dart g ~w d' =
@@ -215,10 +203,10 @@ let drop_dart g ~w d' =
 
 let mirror_pairs_darts =
   QCheck.Test.make ~count:100 ~name:"Csr.mirror pairs darts; asymmetry raises"
-    (QCheck.triple (QCheck.int_range 0 2) (QCheck.int_range 1 60)
+    (QCheck.triple (QCheck.int_range 0 3) (QCheck.int_range 1 60)
        (QCheck.int_range 0 1000))
     (fun input ->
-      let g = stream_csr input in
+      let g = coloured_csr input in
       let { Csr.row; endpoint; colour; _ } = g in
       let mirror = Csr.mirror g in
       let paired = ref true in
@@ -235,10 +223,14 @@ let mirror_pairs_darts =
          ||
          let _, _, seed = input in
          let d = seed mod nd in
-         let asym = drop_dart g ~w:endpoint.(d) mirror.(d) in
-         match Csr.mirror asym with
-         | _ -> false
-         | exception Invalid_argument _ -> true))
+         let raises asym =
+           match Csr.mirror asym with
+           | _ -> false
+           | exception Invalid_argument _ -> true
+         in
+         (* [d] loses its reverse; then [mirror.(d)] loses [d] *)
+         raises (drop_dart g ~w:endpoint.(d) mirror.(d))
+         && raises (drop_dart g ~w:endpoint.(mirror.(d)) d)))
 
 (* ---- generator pins ----
 
@@ -247,8 +239,6 @@ let mirror_pairs_darts =
    arrays of its greedy colouring. Recorded before [Graph.t] became a
    CSR; every seeded draw, segment order and greedy colour must stay
    byte-identical. *)
-let coloured g = reference_csr g
-
 let graphs_digest gs =
   let b = Buffer.create 4096 in
   let ints a = Array.iter (Printf.bprintf b "%d ") a in
@@ -263,7 +253,7 @@ let graphs_digest gs =
     gs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let greedy_pins = List.map (fun g -> (g, coloured g))
+let greedy_pins = List.map (fun g -> (g, Csr.greedy g))
 
 (* Leaves 0..30 give hub 100 colours 1..31, and leaves 31..61, each
    joined to hub 101 first, give it 32..62; the hub edge takes 63. *)
@@ -339,11 +329,10 @@ let generator_families =
         ] );
     ( "perm_regular",
       "efa2ca5b8dc2d41ce452da2c9a15aa06",
-      List.map
-        (fun (seed, n, d) ->
-          let c = Gen.stream_perm_regular ~seed n d in
-          (Csr.to_graph c, c))
-        [ (0, 16, 4); (3, 40, 6); (1, 100, 8) ] );
+      greedy_pins
+        (List.map
+           (fun (seed, n, d) -> Gen.perm_regular ~seed n d)
+           [ (0, 16, 4); (3, 40, 6); (1, 100, 8) ]) );
     ( "stream_biregular_tree",
       "d53d6f9895cb8a9ce27de2be5bd7f665",
       List.map
@@ -392,8 +381,7 @@ let () =
         ] );
       ( "streaming csr",
         [
-          QCheck_alcotest.to_alcotest stream_bounded_degree_identical;
-          QCheck_alcotest.to_alcotest stream_perm_regular_wellformed;
+          QCheck_alcotest.to_alcotest perm_regular_wellformed;
           Alcotest.test_case "biregular tree" `Quick stream_biregular_tree_shape;
           QCheck_alcotest.to_alcotest mirror_pairs_darts;
         ] );

@@ -8,7 +8,6 @@ module G = Ld_graph.Graph
 module Csr = Ld_graph.Csr
 module Ec = Ld_models.Ec
 module Po = Ld_models.Po
-module Colouring = Ld_models.Edge_colouring
 module Anon_ec = Ld_runtime.Anon_ec
 module Anon_po = Ld_runtime.Anon_po
 module Packed = Ld_runtime.Packed
@@ -258,7 +257,7 @@ let ec_edge_cases () =
   let p = Po.of_ec g in
   let mp = diff_po_machine ~salt:3 ~quota_mod:(-1) in
   let path = Gen.path 3 in
-  let csr = Csr.of_graph path ~colour:(Colouring.greedy path) in
+  let csr = Csr.greedy path in
   List.iter
     (fun (what, f) -> Alcotest.(check bool) what true (rejected f))
     [
@@ -355,7 +354,7 @@ let po_orientation_matters () =
 let graph_gen = QCheck.triple (QCheck.int_range 0 25) (QCheck.int_range 0 6) (QCheck.int_range 0 1000)
 
 let make_graph (n, d, seed) = Gen.random_bounded_degree ~seed n d
-let csr_of g = Csr.of_graph g ~colour:(Colouring.greedy g)
+let csr_of = Csr.greedy
 
 (* Both split modes the executors distinguish: the sequential path and
    a forced 4-way parallel split. *)
@@ -591,7 +590,7 @@ let pin_graphs =
   lazy
     [
       ("tree", Gen.stream_biregular_tree ~d:3 ~delta:8 10_000);
-      ("perm", Gen.stream_perm_regular ~seed:1 10_000 8);
+      ("perm", Csr.greedy (Gen.perm_regular ~seed:1 10_000 8));
     ]
 
 let pin_max_rounds = 100_000
