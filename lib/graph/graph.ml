@@ -92,26 +92,42 @@ let fold_edges f init g =
 
 let edges g = List.rev (fold_edges List.cons [] g)
 
-(* One cursor per node. Visiting [v] in ascending order, the reverse of
-   [v]'s dart to [w] is the first dart of [w] not yet claimed: [w]'s
-   segment lists its neighbours in that same ascending order. A dart
-   with no reverse, or an unsorted segment, puts some cursor on the
-   wrong endpoint or past its segment. Otherwise the darts claim
-   distinct slots, as many as there are, so every cursor ends at its
-   segment's end and no final check is needed. *)
+(* Each edge is paired once, from its larger endpoint [w]: [w]'s darts
+   to smaller nodes lead its segment, ascending. As [w] ascends, the
+   reverse of [w]'s dart to [u] is the first unclaimed one among [u]'s
+   darts to larger nodes. [u]'s cursor over those lives in the last
+   slot of [u]'s segment in [mirror], which is claimed last, so the
+   pass needs no second array; any other value there is a dart of
+   another node, pointing at [u]. A claim must land on a dart pointing
+   at [w], each node's darts to smaller nodes must ascend, and no
+   cursor may be left inside its segment at the end. A dart with no
+   reverse, or an unsorted segment, breaks one of the three. *)
 let mirror g =
   let { n; row; endpoint; _ } = g in
   let mirror = Array.make (Array.length endpoint) 0 in
-  let cur = Array.sub row 0 n in
-  for v = 0 to n - 1 do
-    for d = row.(v) to row.(v + 1) - 1 do
-      let w = endpoint.(d) in
-      let d' = cur.(w) in
-      if d' >= row.(w + 1) || endpoint.(d') <> v then
-        invalid_arg "Graph.mirror: asymmetric adjacency";
-      mirror.(d) <- d';
-      cur.(w) <- d' + 1
-    done
+  let asymmetric () =
+    invalid_arg "Graph.mirror: asymmetric or unsorted adjacency"
+  in
+  for w = 0 to n - 1 do
+    let d' = ref row.(w) in
+    while !d' < row.(w + 1) && endpoint.(!d') < w do
+      let u = endpoint.(!d') in
+      let last = row.(u + 1) - 1 in
+      if last < row.(u) || (!d' > row.(w) && endpoint.(!d' - 1) >= u) then
+        asymmetric ();
+      let d = mirror.(last) in
+      if endpoint.(d) <> w then asymmetric ();
+      if d < last then mirror.(last) <- d + 1;
+      mirror.(d) <- !d';
+      mirror.(!d') <- d;
+      incr d'
+    done;
+    if !d' < row.(w + 1) then mirror.(row.(w + 1) - 1) <- !d'
+  done;
+  for u = 0 to n - 1 do
+    let last = row.(u + 1) - 1 in
+    if last >= row.(u) && mirror.(last) >= row.(u) && mirror.(last) <= last then
+      asymmetric ()
   done;
   mirror
 

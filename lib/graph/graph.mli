@@ -61,7 +61,8 @@ val fold_edges : ((int * int) -> 'a -> 'a) -> 'a -> t -> 'a
 
 (** [mirror g] maps every dart to its reverse dart: for dart [d] of
     node [v], [(mirror g).(d)] is the dart of [endpoint.(d)] whose far
-    endpoint is [v]. An involution, built in one linear pass.
+    endpoint is [v]. An involution, built in one linear pass with no
+    scratch array.
     @raise Invalid_argument if some dart has no reverse or a segment is
     not ascending. *)
 val mirror : t -> int array

@@ -181,7 +181,8 @@ let stream_biregular_tree_shape () =
 (* [Csr.mirror] over four families (segments sorted by
    [Graph.of_packed], by [Graph.create] and by the tree's own layout):
    an involution pairing each dart with the far end's dart back, of the
-   same colour; deleting either dart of an edge makes it raise. *)
+   same colour; deleting either dart of an edge, or swapping two darts
+   of a node, makes it raise. *)
 let coloured_csr (family, n, seed) =
   match family with
   | 0 -> Csr.greedy (Gen.random_bounded_degree ~seed n (1 + (seed mod 6)))
@@ -200,6 +201,17 @@ let drop_dart g ~w d' =
     endpoint = remove g.Csr.endpoint;
     colour = remove g.Csr.colour;
   }
+
+(* [g] with darts [d] and [d + 1] of one node swapped. *)
+let swap_darts g d =
+  let swap a =
+    let a = Array.copy a in
+    let x = a.(d) in
+    a.(d) <- a.(d + 1);
+    a.(d + 1) <- x;
+    a
+  in
+  { g with Csr.endpoint = swap g.Csr.endpoint; colour = swap g.Csr.colour }
 
 let mirror_pairs_darts =
   QCheck.Test.make ~count:100 ~name:"Csr.mirror pairs darts; asymmetry raises"
@@ -228,9 +240,12 @@ let mirror_pairs_darts =
            | _ -> false
            | exception Invalid_argument _ -> true
          in
-         (* [d] loses its reverse; then [mirror.(d)] loses [d] *)
+         (* [d] loses its reverse; then [mirror.(d)] loses [d]; then
+            [d] trades places with the next dart of its node *)
+         let v = endpoint.(mirror.(d)) in
          raises (drop_dart g ~w:endpoint.(d) mirror.(d))
-         && raises (drop_dart g ~w:endpoint.(mirror.(d)) d)))
+         && raises (drop_dart g ~w:v d)
+         && (d + 1 = row.(v + 1) || raises (swap_darts g d))))
 
 (* ---- generator pins ----
 
