@@ -178,8 +178,9 @@ let stream_biregular_tree_shape () =
     (Csr.max_colour g <= 5);
   Alcotest.(check bool) "connected" true (G.is_connected (Csr.to_graph g))
 
-(* [Csr.mirror] over four families (segments sorted by
-   [Graph.of_packed], by [Graph.create] and by the tree's own layout):
+(* [Csr.mirror] over four families (segments built by
+   [Graph.of_packed], through [Graph.create], and in the tree's own
+   layout):
    an involution pairing each dart with the far end's dart back, of the
    same colour; deleting either dart of an edge, or swapping two darts
    of a node, makes it raise. *)
