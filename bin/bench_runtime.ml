@@ -188,6 +188,13 @@ let run ~quick ~out =
   in
   let tree_sizes = if quick then [ 100_000 ] else [ 100_000; 1_000_000; 10_000_000 ] in
   let reg_sizes = if quick then [ 100_000 ] else [ 100_000; 1_000_000 ] in
+  (* One unrecorded run of each machine on a small tree: a process's
+     first run pays one-time first-use allocation, which would otherwise
+     land in the first measured row's minor words. *)
+  let small = Gen.stream_biregular_tree ~d:tree_d ~delta:tree_delta 1_000 in
+  List.iter
+    (fun algo -> ignore (run_algo ~algo ~domains:1 small : int array * Packed.stats))
+    [ `Ii; `Dp; `Pr ];
   let rows = ref [] in
   let push r = rows := r :: !rows in
   List.iter

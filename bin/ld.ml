@@ -369,12 +369,13 @@ let dot_cmd =
 let certify common delta algo output =
   with_common common @@ fun () ->
   let algorithm = algorithm_of algo in
-  match LB.run ~delta algorithm with
+  let cache = LB.build_cache ~delta algorithm in
+  match LB.cache_outcome cache with
   | LB.Refuted (_, f) ->
     Format.printf "cannot certify: %a@." LB.pp_failure f;
     1
   | LB.Certified certs ->
-    Ld_core.Certificate_io.save output certs;
+    Ld_core.Certificate_io.save output cache;
     Printf.printf "%d certificates (delta=%d, %s) written to %s\n"
       (List.length certs) delta algorithm.Packing.name output;
     0
@@ -394,7 +395,7 @@ let certify_cmd =
 let verify common delta algo input =
   with_common common @@ fun () ->
   let algorithm = Option.map algorithm_of algo in
-  match Ld_core.Certificate_io.load input with
+  match Ld_core.Certificate_io.load ~delta input with
   | exception (Failure msg | Sys_error msg) ->
     Printf.printf "verification FAILED: %s\n" msg;
     1

@@ -192,85 +192,118 @@ let entry_of_string s =
   | exception Division_by_zero ->
     failwith "Cache_store: invalid binary record: division by zero"
 
-let save_cache store cache =
+(* [None] where some probe's level matches no certificate: such a
+   construction could not be reloaded faithfully. *)
+let level_entries cache =
   match LB.cache_outcome cache with
-  | LB.Refuted _ -> false
+  | LB.Refuted _ -> None
   | LB.Certified certs ->
-    let delta = LB.cache_delta cache in
-    let algo = LB.cache_algo_name cache in
-    let check_views = LB.cache_check_views cache in
     let probes = LB.cache_probes cache in
-    let grouped =
+    let entries =
       List.map
         (fun (c : LB.certificate) ->
-          ( c,
-            List.filter
-              (fun (p : LB.probe) -> p.probe_level = c.level)
-              probes ))
+          {
+            entry_level = c.level;
+            entry_certificate = c;
+            entry_probes =
+              List.filter (fun (p : LB.probe) -> p.probe_level = c.level) probes;
+          })
         certs
     in
     let covered =
-      List.fold_left (fun acc (_, ps) -> acc + List.length ps) 0 grouped
+      List.fold_left (fun acc e -> acc + List.length e.entry_probes) 0 entries
     in
-    if covered <> List.length probes then
-      (* Some probe's level matches no certificate — the partition
-         assumption the warm path depends on is broken; refuse to
-         persist a construction we could not faithfully reload. *)
-      false
-    else begin
-      List.iter
-        (fun ((c : LB.certificate), entry_probes) ->
-          let payload =
-            entry_to_string
-              {
-                entry_level = c.level;
-                entry_certificate = c;
-                entry_probes;
-              }
-          in
-          Store.put store
-            ~key:(key ~delta ~level:c.level ~algo ~check_views)
-            payload;
-          Obs.Counter.incr c_levels_saved)
-        grouped;
-      true
-    end
+    if covered <> List.length probes then None else Some entries
+
+(* Decode the records of levels 0 … delta-2 and wire them onto one
+   replay chain. Each record decodes on its own; [LB.assemble_cache]
+   checks their levels and that together they describe one construction
+   of [delta]. No graph is built. *)
+let assemble_records ~delta ~algo_name ~check_views records =
+  if delta < 2 || List.length records <> delta - 1 then
+    failwith
+      (Printf.sprintf "Cache_store: %d level records for delta %d"
+         (List.length records) delta);
+  let entries = List.map entry_of_string records in
+  let certs = List.map (fun e -> e.entry_certificate) entries in
+  let probes = List.concat_map (fun e -> e.entry_probes) entries in
+  try
+    LB.assemble_cache ~delta ~algo_name ~check_views ~probes
+      ~outcome:(LB.Certified certs)
+  with Invalid_argument msg -> failwith msg
+
+let save_cache store cache =
+  match level_entries cache with
+  | None -> false
+  | Some entries ->
+    let delta = LB.cache_delta cache in
+    let algo = LB.cache_algo_name cache in
+    let check_views = LB.cache_check_views cache in
+    List.iter
+      (fun e ->
+        Store.put store
+          ~key:(key ~delta ~level:e.entry_level ~algo ~check_views)
+          (entry_to_string e);
+        Obs.Counter.incr c_levels_saved)
+      entries;
+    true
 
 let load_cache store ~check_views ~delta ~algo_name =
   if delta < 2 then invalid_arg "Cache_store.load_cache: delta < 2";
-  let corrupt k msg =
-    raise (Store.Store_corrupt (Printf.sprintf "%s: %s" k msg))
-  in
   let rec fetch acc level =
     if level > delta - 2 then Some (List.rev acc)
-    else begin
-      let k = key ~delta ~level ~algo:algo_name ~check_views in
-      match Store.get store ~key:k with
+    else
+      match Store.get store ~key:(key ~delta ~level ~algo:algo_name ~check_views) with
       | None -> None
-      | Some payload ->
-        let e =
-          match entry_of_string payload with
-          | e -> e
-          | exception Failure msg -> corrupt k msg
-        in
-        if e.entry_level <> level then corrupt k "entry level mismatch";
-        fetch (e :: acc) (level + 1)
-    end
+      | Some payload -> fetch (payload :: acc) (level + 1)
   in
   match fetch [] 0 with
   | None -> None
-  | Some entries -> (
-    let certs = List.map (fun e -> e.entry_certificate) entries in
-    let probes = List.concat_map (fun e -> e.entry_probes) entries in
-    match
-      LB.assemble_cache ~delta ~algo_name ~check_views ~probes
-        ~outcome:(LB.Certified certs)
-    with
+  | Some records -> (
+    match assemble_records ~delta ~algo_name ~check_views records with
     | cache -> Some cache
-    | exception Invalid_argument msg ->
-      (* Each record decoded on its own; together they must describe
-         one construction of this delta. *)
-      corrupt (key ~delta ~level:(delta - 2) ~algo:algo_name ~check_views) msg)
+    | exception Failure msg ->
+      raise
+        (Store.Store_corrupt
+           (Printf.sprintf "%s: %s"
+              (key ~delta ~level:(delta - 2) ~algo:algo_name ~check_views)
+              msg)))
+
+(* ---- certificate files: one chain's records (see cache_store.mli) ---- *)
+
+let chain_header = Printf.sprintf "ld-chain/v%s\n" code_version
+
+let chain_to_string cache =
+  match level_entries cache with
+  | None -> invalid_arg "Cache_store.chain_to_string: no certified chain"
+  | Some entries ->
+    let buf = Buffer.create 512 in
+    Buffer.add_string buf chain_header;
+    put_uint buf (List.length entries);
+    List.iter
+      (fun e ->
+        let record = entry_to_string e in
+        put_uint buf (String.length record);
+        Buffer.add_string buf record)
+      entries;
+    Buffer.contents buf
+
+let chain_of_string ~delta s =
+  if not (String.starts_with ~prefix:chain_header s) then
+    failwith "Cache_store: not a certificate chain of this code version";
+  let r = { s; pos = String.length chain_header } in
+  (* every record takes at least its one-byte length *)
+  let count = get_count r ~width:1 in
+  let records =
+    List.init count (fun _ ->
+        let len = get_count r ~width:1 in
+        let record = String.sub s r.pos len in
+        r.pos <- r.pos + len;
+        record)
+  in
+  if r.pos <> String.length s then
+    failwith "Cache_store: trailing bytes after the chain";
+  assemble_records ~delta ~algo_name:"" ~check_views:true records
 
 let build_cache ?store ?(check_views = true) ~delta (algo : LB.algorithm) =
   match store with

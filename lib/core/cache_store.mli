@@ -46,9 +46,8 @@ type entry = {
     threshold per probe — then the certificate's two weights as text
     and its views flag. No graph is written; the trail rebuilds them.
     @raise Invalid_argument if the certificate's trail does not reach
-    exactly its level (an imported certificate has none), a probe is of
-    another level, a field is negative, or a weight's text exceeds 1024
-    bytes. *)
+    exactly its level, a probe is of another level, a field is
+    negative, or a weight's text exceeds 1024 bytes. *)
 val entry_to_string : entry -> string
 
 (** Decodes exactly the strings {!entry_to_string} produces: any other
@@ -60,18 +59,36 @@ val entry_to_string : entry -> string
     @raise Failure on malformed input (trailing bytes included). *)
 val entry_of_string : string -> entry
 
+(** [level_entries cache] is the entries of a certified cache's
+    levels [0, 1, …], each with its level's probes: the one grouping
+    {!save_cache} and {!chain_to_string} write. [None] for a [Refuted]
+    outcome or a cache whose probes don't partition by certificate
+    level. *)
+val level_entries : Lower_bound.cache -> entry list option
+
+(** [assemble_records ~delta ~algo_name ~check_views records] decodes
+    the records of levels [0 … delta-2] with {!entry_of_string} and
+    wires them onto one replay chain ({!Lower_bound.assemble_cache},
+    which checks that their trails are prefixes of one trail for
+    [delta]); no graph is built. The one decode-and-assemble step of
+    {!load_cache} and {!chain_of_string}.
+    @raise Failure if [delta < 2], there are not [delta - 1] records, a
+    record does not decode, or the records are not levels [0, 1, …] of
+    one construction of [delta]. *)
+val assemble_records :
+  delta:int -> algo_name:string -> check_views:bool -> string list ->
+  Lower_bound.cache
+
 (** [save_cache store cache] writes one record per certified level.
-    Returns [false] (and writes nothing) for a [Refuted] outcome or a
-    cache whose probes don't partition by certificate level. Writing
-    an already-present level is a no-op ({!Store.put} recognises the
-    byte-identical record). *)
+    Returns [false] (and writes nothing) where {!level_entries} is
+    [None]. Writing an already-present level is a no-op ({!Store.put}
+    recognises the byte-identical record). *)
 val save_cache : Store.t -> Lower_bound.cache -> bool
 
 (** [load_cache store ~check_views ~delta ~algo_name] reassembles a
     cache from the store, or [None] if any level [0 … delta-2] is
-    missing. The records' certificates and probes are wired onto one
-    replay chain ({!Lower_bound.assemble_cache}); no graph is built.
-    The reassembled cache re-serialises byte-for-byte like the
+    missing. The records go through {!assemble_records}; no graph is
+    built. The reassembled cache re-serialises byte-for-byte like the
     {!Lower_bound.build_cache} original (pinned in [test_store]).
     @raise Store.Store_corrupt if a present record is undecodable, or
     the records do not describe one construction of [delta].
@@ -79,6 +96,35 @@ val save_cache : Store.t -> Lower_bound.cache -> bool
 val load_cache :
   Store.t -> check_views:bool -> delta:int -> algo_name:string ->
   Lower_bound.cache option
+
+(** {2 Certificate files}
+
+    A certificate file ({!Certificate_io}) is one chain's level records,
+    the very bytes {!save_cache} stores:
+
+    - the header line [ld-chain/v<code_version>\n];
+    - the record count, a varint;
+    - each record ({!entry_to_string}), prefixed by its length as a
+      varint.
+
+    Varints follow the record codec's rules: unsigned LEB128 in minimal
+    form, and every count is checked against the bytes left before
+    anything is allocated. No graph is written; reading replays the
+    trail. *)
+
+(** [chain_to_string cache] is the certificate file of a certified
+    cache: its {!level_entries}, framed as above.
+    @raise Invalid_argument if {!level_entries} is [None]. *)
+val chain_to_string : Lower_bound.cache -> string
+
+(** [chain_of_string ~delta s] decodes exactly the strings
+    {!chain_to_string} produces for a construction of [delta], and
+    passes the records to {!assemble_records}. A file of another Δ, of
+    another code version or with trailing bytes is rejected before any
+    graph is replayed. The cache's base algorithm is unknown (an empty
+    name): the file does not record it.
+    @raise Failure on any other input. *)
+val chain_of_string : delta:int -> string -> Lower_bound.cache
 
 (** [build_cache ?store ~delta algo] is {!Lower_bound.build_cache}
     with optional persistence: with a store, a fully-populated set of

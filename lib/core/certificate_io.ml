@@ -1,127 +1,17 @@
 module Ec = Ld_models.Ec
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
-module S = Sexp
 
-(* ---- serialisation ---- *)
+(* ---- files: one chain's level records (Cache_store) ---- *)
 
-let sexp_of_graph g =
-  S.list
-    [
-      S.field "n" [ S.int (Ec.n g) ];
-      S.field "edges"
-        (List.map
-           (fun (e : Ec.edge) -> S.list [ S.int e.u; S.int e.v; S.int e.colour ])
-           (Ec.edges g));
-      S.field "loops"
-        (List.map
-           (fun (l : Ec.loop) -> S.list [ S.int l.node; S.int l.colour ])
-           (Ec.loops g));
-    ]
+let save path cache =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Cache_store.chain_to_string cache))
 
-let graph_of_sexp s =
-  let n = S.to_int (List.hd (S.find "n" s)) in
-  let triple = function
-    | S.List [ a; b; c ] -> (S.to_int a, S.to_int b, S.to_int c)
-    | _ -> failwith "Certificate_io: bad edge"
-  in
-  let pair = function
-    | S.List [ a; b ] -> (S.to_int a, S.to_int b)
-    | _ -> failwith "Certificate_io: bad loop"
-  in
-  let edges = List.map triple (S.find "edges" s)
-  and loops = List.map pair (S.find "loops" s) in
-  (* P2 puts a loop on every node of a certificate graph, so a node
-     count above the loop and edge ends listed describes no graph that
-     could verify, and would only size an allocation from a length
-     field. *)
-  let ends = List.length loops + (2 * List.length edges) in
-  if n > ends then
-    failwith
-      (Printf.sprintf "Certificate_io: %d nodes but only %d loop and edge ends"
-         n ends);
-  (* A graph the model rejects (a colour outside [1, 2^30), an improper
-     colouring, ...) is malformed input like any other. *)
-  try Ec.create ~n ~edges ~loops
-  with Invalid_argument msg -> failwith ("Certificate_io: " ^ msg)
-
-let weight_of_sexp s =
-  let a = S.to_atom s in
-  try Q.of_string a
-  with Division_by_zero | Invalid_argument _ ->
-    failwith (Printf.sprintf "Certificate_io: bad weight %S" a)
-
-let sexp_of_certificate (c : Lower_bound.certificate) =
-  S.field "certificate"
-    [
-      S.field "level" [ S.int c.level ];
-      S.field "colour" [ S.int c.colour ];
-      S.field "g-graph" [ sexp_of_graph (Lower_bound.force c.g_graph) ];
-      S.field "h-graph" [ sexp_of_graph (Lower_bound.force c.h_graph) ];
-      S.field "g-node" [ S.int c.g_node ];
-      S.field "h-node" [ S.int c.h_node ];
-      S.field "g-loop" [ S.int c.g_loop ];
-      S.field "h-loop" [ S.int c.h_loop ];
-      S.field "g-weight" [ S.atom (Q.to_string c.g_weight) ];
-      S.field "h-weight" [ S.atom (Q.to_string c.h_weight) ];
-    ]
-
-let certificate_of_sexp s =
-  let body =
-    match s with
-    | S.List (S.Atom "certificate" :: body) -> S.List body
-    | _ -> failwith "Certificate_io: expected (certificate ...)"
-  in
-  let one name = List.hd (S.find name body) in
-  {
-    Lower_bound.level = S.to_int (one "level");
-    trail = [||];
-    colour = S.to_int (one "colour");
-    g_graph = Lower_bound.given (graph_of_sexp (one "g-graph"));
-    h_graph = Lower_bound.given (graph_of_sexp (one "h-graph"));
-    g_node = S.to_int (one "g-node");
-    h_node = S.to_int (one "h-node");
-    g_loop = S.to_int (one "g-loop");
-    h_loop = S.to_int (one "h-loop");
-    g_weight = weight_of_sexp (one "g-weight");
-    h_weight = weight_of_sexp (one "h-weight");
-    views_checked = false; (* a loaded certificate is unverified *)
-  }
-
-let to_string certs =
-  String.concat "\n" (List.map (fun c -> S.to_string (sexp_of_certificate c)) certs)
-  ^ "\n"
-
-let of_string text =
-  (* One sexp per line group: reparse greedily by balancing parens. *)
-  let items = ref [] in
-  let depth = ref 0 and start = ref None in
-  String.iteri
-    (fun i ch ->
-      match ch with
-      | '(' ->
-        if !depth = 0 then start := Some i;
-        incr depth
-      | ')' ->
-        decr depth;
-        if !depth = 0 then begin
-          match !start with
-          | Some s_pos ->
-            items := String.sub text s_pos (i - s_pos + 1) :: !items;
-            start := None
-          | None -> failwith "Certificate_io.of_string: unbalanced"
-        end
-      | _ -> ())
-    text;
-  if !depth <> 0 then failwith "Certificate_io.of_string: unbalanced";
-  List.rev_map (fun item -> certificate_of_sexp (S.of_string item)) !items
-
-let save path certs =
-  let oc = open_out path in
-  output_string oc (to_string certs);
-  close_out oc
-
-let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
+let load ~delta path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match Lower_bound.cache_outcome (Cache_store.chain_of_string ~delta text) with
+  | Lower_bound.Certified certs | Lower_bound.Refuted (certs, _) -> certs
 
 (* ---- verification ---- *)
 

@@ -47,9 +47,6 @@ type 'a deferred
 
 val force : 'a deferred -> 'a
 
-(** A value that is already built. *)
-val given : 'a -> 'a deferred
-
 (** One choice of the adversary. The base case ({!Base}, level 0) builds
     [G_0] with [delta] loops, removes loop [removed] to get [H_0], and
     names the surviving loop [changed] whose weight moved. Every later
@@ -63,9 +60,7 @@ type step =
 
 type certificate = {
   level : int;  (** the [i] of [(G_i, H_i)] *)
-  trail : step array;
-      (** the choices of levels [0 … level]; [[||]] for a certificate
-          read from outside the adversary *)
+  trail : step array;  (** the choices of levels [0 … level] *)
   g_graph : Ec.t deferred;
   h_graph : Ec.t deferred;
       (** built on first use: a cached certificate replays them from its

@@ -41,14 +41,19 @@ let check_certificate delta (c : LB.certificate) =
 let adversary_certifies_greedy () =
   List.iter
     (fun (delta, digest) ->
-      let certs = certs_of (LB.run ~delta Packing.greedy_algorithm) in
+      let cache = LB.build_cache ~delta Packing.greedy_algorithm in
+      let certs = certs_of (LB.cache_outcome cache) in
       Alcotest.(check int)
         (Printf.sprintf "delta=%d levels" delta)
         (delta - 1) (List.length certs);
       List.iter (check_certificate delta) certs;
       Alcotest.(check string)
         (Printf.sprintf "delta=%d bytes" delta)
-        digest (Certificate_digests.md5 certs))
+        digest (Certificate_digests.md5 certs);
+      Alcotest.(check string)
+        (Printf.sprintf "delta=%d file bytes" delta)
+        (List.assoc delta Certificate_digests.greedy_files)
+        (Certificate_digests.file_md5 cache))
     Certificate_digests.greedy
 
 let adversary_certifies_greedy_matching () =
@@ -451,13 +456,19 @@ let ball_extraction () =
   Alcotest.(check int) "no edges at radius 0" 0
     (Ld_graph.Graph.m (Id.graph b0.Ball.ball_graph))
 
-(* ---- certificate serialisation & independent verification ---- *)
+(* ---- certificate files & independent verification ---- *)
+
+module CS = Ld_core.Cache_store
+module CIO = Ld_core.Certificate_io
 
 let certificate_roundtrip () =
-  let module CIO = Ld_core.Certificate_io in
-  let certs = certs_of (LB.run ~delta:5 Packing.greedy_algorithm) in
-  let text = CIO.to_string certs in
-  let back = CIO.of_string text in
+  let cache = LB.build_cache ~delta:5 Packing.greedy_algorithm in
+  let certs = certs_of (LB.cache_outcome cache) in
+  let file = CS.chain_to_string cache in
+  let read = CS.chain_of_string ~delta:5 file in
+  Alcotest.(check string) "re-encodes to the same bytes" file
+    (CS.chain_to_string read);
+  let back = certs_of (LB.cache_outcome read) in
   Alcotest.(check int) "count preserved" (List.length certs) (List.length back);
   List.iter2
     (fun (a : LB.certificate) (b : LB.certificate) ->
@@ -477,7 +488,6 @@ let certificate_roundtrip () =
     checks
 
 let certificate_tamper_detected () =
-  let module CIO = Ld_core.Certificate_io in
   let certs = certs_of (LB.run ~delta:4 Packing.greedy_algorithm) in
   (* Tamper 1: claim equal weights. *)
   let forged =
@@ -506,99 +516,90 @@ let certificate_tamper_detected () =
   Alcotest.(check bool) "wrong node rejected" false
     (List.for_all CIO.check_ok (CIO.verify ~delta:4 forged3))
 
-(* Colours 2 and 2^61 + 2 pack to the same refinement code in a 3-node
-   union ((2^61 + 2) * 4 wraps to 2 * 4), which once let this
-   certificate verify although its views differ. The model now rejects
-   colours outside [1, 2^30), so the file does not even load. *)
+(* A certificate file spelled by hand: the header, a record count and
+   length-prefixed records (every count here fits one varint byte). *)
+let header = "ld-chain/v" ^ CS.code_version ^ "\n"
+
+let frame ?(header = header) records =
+  header
+  ^ String.make 1 (Char.chr (List.length records))
+  ^ String.concat ""
+      (List.map (fun r -> String.make 1 (Char.chr (String.length r)) ^ r) records)
+
+let records delta =
+  match CS.level_entries (LB.build_cache ~delta Packing.greedy_algorithm) with
+  | Some entries -> List.map CS.entry_to_string entries
+  | None -> Alcotest.fail "greedy unexpectedly refuted"
+
+(* Files the trail codec must refuse: each raises [Failure] when it is
+   read, before a graph is replayed, so a short file naming a large Δ
+   makes no replay of that size. *)
 let crafted_certificate_rejected () =
-  let module CIO = Ld_core.Certificate_io in
-  let text colour =
-    Printf.sprintf
-      "(certificate (level 1) (colour 1) (g-graph ((n 2) (edges (0 1 2)) \
-       (loops (0 1) (1 1)))) (h-graph ((n 1) (edges) (loops (0 1) (0 %s)))) \
-       (g-node 0) (h-node 0) (g-loop 0) (h-loop 0) (g-weight 0) (h-weight 1))"
-      colour
+  let d4 = records 4 and d5 = records 5 in
+  Alcotest.(check string) "the spelling matches the codec"
+    (CS.chain_to_string (LB.build_cache ~delta:4 Packing.greedy_algorithm))
+    (frame d4);
+  let replays = Ld_obs.Obs.Counter.make "core.lb.replays" in
+  Ld_obs.Obs.reset ();
+  Ld_obs.Obs.enable ();
+  Fun.protect ~finally:Ld_obs.Obs.disable @@ fun () ->
+  let rejects ?(delta = 4) what file =
+    match CS.chain_of_string ~delta file with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Failure _ -> ()
   in
-  (match CIO.of_string (text "2305843009213693954") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "a colour of 2^61 + 2 must be rejected");
-  (* With colour 3 in place of 2^61 + 2 the file loads, and the views
-     are told apart. *)
-  let small = text "3" in
-  Alcotest.(check bool) "views differ" false
-    (List.for_all CIO.check_ok (CIO.verify ~delta:3 (CIO.of_string small)));
-  (* A weight that is no rational, and a node count that no loop or
-     edge list backs (it would size the graph's arrays), are malformed
-     input: Failure, not Division_by_zero, Invalid_argument or an
-     allocation of 4 * 10^9 nodes. *)
-  let one_node ~n ~weight =
-    Printf.sprintf
-      "(certificate (level 0) (colour 1) (g-graph ((n %s) (edges) (loops (0 \
-       1)))) (h-graph ((n 1) (edges) (loops (0 1)))) (g-node 0) (h-node 0) \
-       (g-loop 0) (h-loop 0) (g-weight %s) (h-weight 1))"
-      n weight
+  let level0, level1, level2 =
+    match d4 with [ a; b; c ] -> (a, b, c) | _ -> Alcotest.fail "three levels"
   in
-  Alcotest.(check int) "n = 1, weight 0 loads" 1
-    (List.length (CIO.of_string (one_node ~n:"1" ~weight:"0")));
-  (* Levels outside the adversary's [0, delta - 2] load but fail the
-     structure check, whatever the graphs: G = H with weights 0 and 1
-     would otherwise claim a bound of 10^9 (or -1) rounds. *)
-  List.iter
-    (fun (level, loops) ->
-      let cert =
-        Printf.sprintf
-          "(certificate (level %s) (colour 1) (g-graph ((n 1) (edges) (loops            %s))) (h-graph ((n 1) (edges) (loops %s))) (g-node 0) (h-node 0)            (g-loop 0) (h-loop 0) (g-weight 0) (h-weight 1))"
-          level loops loops
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "level %s rejected" level)
-        false
-        (List.for_all CIO.check_ok (CIO.verify ~delta:3 (CIO.of_string cert))))
-    [ ("1000000000", "(0 1)"); ("-1", "(0 1) (0 2) (0 3)") ];
-  List.iter
-    (fun (what, n, weight) ->
-      match CIO.of_string (one_node ~n ~weight) with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.failf "%s must be rejected" what)
-    [
-      ("weight 1/0", "1", "1/0");
-      ("weight abc", "1", "abc");
-      ("n = 4000000000 with one loop", "4000000000", "0");
-    ]
+  (* the level-1 record ends with its weights "0" and "1" and views flag 1 *)
+  let with_h_weight w =
+    let keep = String.length level1 - 3 in
+    Alcotest.(check string) "level 1 ends in weight 1" "\x011\x01"
+      (String.sub level1 keep 3);
+    String.sub level1 0 keep ^ String.make 1 (Char.chr (String.length w)) ^ w ^ "\x01"
+  in
+  (* a level 0 that removes and changes other loops than greedy's *)
+  let other_level0 =
+    match LB.level_of_trail [| LB.Base { delta = 4; removed = 3; changed = 2 } |]
+            ~g_weight:Q.zero ~h_weight:Q.one ~views_checked:true
+            ~prefix_rounds:[ 1; 1 ]
+    with
+    | entry_certificate, entry_probes ->
+      CS.entry_to_string { CS.entry_level = 0; entry_certificate; entry_probes }
+  in
+  rejects "header of another code version" (frame ~header:"ld-chain/v2\n" d4);
+  rejects "no header" (String.concat "" d4);
+  rejects ~delta:3 "delta 4 file read for delta 3" (frame d4);
+  rejects ~delta:5 "delta 4 file read for delta 5" (frame d4);
+  rejects ~delta:32 "delta 4 file read for delta 32" (frame d4);
+  rejects "delta 5 levels 0..2 read for delta 4" (frame (List.filteri (fun i _ -> i < 3) d5));
+  rejects "two of three levels" (frame [ level0; level1 ]);
+  rejects "four levels" (frame (d4 @ [ level2 ]));
+  rejects "levels out of order" (frame [ level1; level0; level2 ]);
+  rejects "trails that are no prefixes of one trail" (frame [ other_level0; level1; level2 ]);
+  rejects "weight 1/0" (frame [ level0; with_h_weight "1/0"; level2 ]);
+  rejects "weight abc" (frame [ level0; with_h_weight "abc"; level2 ]);
+  rejects "huge record length"
+    (header ^ "\x03\xff\xff\xff\xff\xff\xff\xff\x7f" ^ level0);
+  rejects "huge record count"
+    (header ^ "\xff\xff\xff\xff\x0f" ^ String.concat "" d4);
+  rejects "trailing bytes" (frame d4 ^ "\x00");
+  Alcotest.(check int) "no graph replayed" 0 (Ld_obs.Obs.Counter.value replays);
+  Alcotest.(check int) "the untouched file reads" 3
+    (List.length (certs_of (LB.cache_outcome (CS.chain_of_string ~delta:4 (frame d4)))))
 
 let certificate_file_roundtrip () =
-  let module CIO = Ld_core.Certificate_io in
-  let certs = certs_of (LB.run ~delta:4 Packing.greedy_algorithm) in
-  let path = Filename.temp_file "ld_cert" ".sexp" in
+  let cache = LB.build_cache ~delta:4 Packing.greedy_algorithm in
+  let path = Filename.temp_file "ld_cert" ".chain" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      CIO.save path certs;
-      let back = CIO.load path in
-      Alcotest.(check int) "count" (List.length certs) (List.length back);
+      CIO.save path cache;
+      let back = CIO.load ~delta:4 path in
+      Alcotest.(check int) "count" 3 (List.length back);
       Alcotest.(check bool) "verifies" true
         (List.for_all CIO.check_ok
            (CIO.verify ~algorithm:Packing.greedy_algorithm ~delta:4 back)))
-
-let sexp_roundtrip () =
-  let module S = Ld_core.Sexp in
-  let s =
-    S.list [ S.atom "a"; S.list [ S.int 1; S.int (-2) ]; S.field "f" [ S.atom "x" ] ]
-  in
-  let text = S.to_string s in
-  Alcotest.(check string) "printed" "(a (1 -2) (f x))" text;
-  let rec equal (a : S.t) (b : S.t) =
-    match (a, b) with
-    | Atom x, Atom y -> String.equal x y
-    | List xs, List ys -> List.equal equal xs ys
-    | _ -> false
-  in
-  Alcotest.(check bool) "parse back" true (equal (S.of_string text) s);
-  Alcotest.(check bool) "malformed rejected" true
-    (try
-       ignore (S.of_string "(a (b)");
-       false
-     with Failure _ -> true)
 
 let () =
   Alcotest.run "core"
@@ -662,11 +663,10 @@ let () =
         ] );
       ( "certificates",
         [
-          Alcotest.test_case "sexp roundtrip" `Quick sexp_roundtrip;
           Alcotest.test_case "serialise + verify" `Quick certificate_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick certificate_file_roundtrip;
           Alcotest.test_case "tampering detected" `Quick certificate_tamper_detected;
-          Alcotest.test_case "crafted overflow rejected" `Quick
+          Alcotest.test_case "crafted files rejected" `Quick
             crafted_certificate_rejected;
         ] );
     ]

@@ -5,7 +5,9 @@
      payload and never as a crash;
    - entry codec round-trip: decode-then-re-encode is byte-identical,
      truncation at every prefix raises [Failure], and a record naming a
-     trail the adversary could not take fails at decode time;
+     trail the adversary could not take fails at decode time; the
+     certificate file that frames one chain's records holds to the
+     same;
    - replay: the certificates a cold or reloaded cache rebuilds from
      its trail serialise to pinned bytes, its probe graphs are the
      unfoldings and mixtures of those certificates, a warm frontier
@@ -20,7 +22,6 @@
 
 module Store = Ld_store.Store
 module Cache_store = Ld_core.Cache_store
-module Certificate_io = Ld_core.Certificate_io
 module LB = Ld_core.Lower_bound
 module Packing = Ld_matching.Packing
 module Ec = Ld_models.Ec
@@ -124,20 +125,9 @@ let truncation_is_corrupt () =
 let cold_cache delta = LB.build_cache ~delta Packing.greedy_algorithm
 
 let entries_of_cache cache =
-  match LB.cache_outcome cache with
-  | LB.Refuted _ -> Alcotest.fail "greedy unexpectedly refuted"
-  | LB.Certified certs ->
-    List.map
-      (fun (c : LB.certificate) ->
-        {
-          Cache_store.entry_level = c.level;
-          entry_certificate = c;
-          entry_probes =
-            List.filter
-              (fun (p : LB.probe) -> p.probe_level = c.level)
-              (LB.cache_probes cache);
-        })
-      certs
+  match Cache_store.level_entries cache with
+  | Some entries -> entries
+  | None -> Alcotest.fail "greedy unexpectedly refuted"
 
 let codec_reencode_is_identity () =
   let cache = cold_cache 5 in
@@ -222,6 +212,38 @@ let codec_mutation_is_rejected_or_exact =
       in
       match Cache_store.entry_of_string mutated with
       | e -> String.equal (Cache_store.entry_to_string e) mutated
+      | exception Failure _ -> true)
+
+(* The certificate file codec: the Δ=4 chain's level records behind a
+   header, a record count and record lengths. Every strict prefix fails,
+   and any mutation either fails or reads back to a chain that writes
+   the mutated bytes exactly. *)
+let chain_file = lazy (Cache_store.chain_to_string (cold_cache 4))
+
+let file_truncation_fails =
+  QCheck.Test.make ~count:80 ~name:"file prefix => Failure"
+    (QCheck.float_range 0.0 1.0)
+    (fun frac ->
+      let s = Lazy.force chain_file in
+      let keep = int_of_float (frac *. float_of_int (String.length s - 1)) in
+      match Cache_store.chain_of_string ~delta:4 (String.sub s 0 keep) with
+      | _ -> false
+      | exception Failure _ -> true)
+
+let file_mutation_is_rejected_or_exact =
+  QCheck.Test.make ~count:500 ~name:"mutated file => Failure or exact re-encode"
+    (QCheck.triple QCheck.small_nat QCheck.small_nat (QCheck.int_range 0 255))
+    (fun (kind, at, byte) ->
+      let s = Lazy.force chain_file in
+      let at = at mod String.length s in
+      let mutated =
+        match kind mod 3 with
+        | 0 -> String.mapi (fun i c -> if i = at then Char.chr byte else c) s
+        | 1 -> String.sub s 0 at ^ String.make 1 (Char.chr byte) ^ String.sub s at (String.length s - at)
+        | _ -> String.sub s 0 at ^ String.sub s (at + 1) (String.length s - at - 1)
+      in
+      match Cache_store.chain_of_string ~delta:4 mutated with
+      | cache -> String.equal (Cache_store.chain_to_string cache) mutated
       | exception Failure _ -> true)
 
 (* A level record spelled field by field, as the codec lays it out:
@@ -431,9 +453,9 @@ let warm_cache store delta =
   | None -> Alcotest.failf "delta=%d: no warm cache" delta
 
 (* Δ = 2..8: the certificates a cold cache and a reloaded one replay
-   serialise to the bytes pinned when [LB.run] kept its graphs eagerly,
-   and each level's probe graphs are the unfoldings GG, HH of the level
-   below and its mixture GH (H_i). *)
+   print the bytes pinned when [LB.run] kept its graphs eagerly, both
+   write the pinned certificate file, and each level's probe graphs are
+   the unfoldings GG, HH of the level below and its mixture GH (H_i). *)
 let replay_matches_run () =
   List.iter
     (fun (delta, digest) ->
@@ -449,6 +471,9 @@ let replay_matches_run () =
           let certs = certs_of (LB.cache_outcome cache) in
           Alcotest.(check string) (what "certificate bytes") digest
             (Certificate_digests.md5 certs);
+          Alcotest.(check string) (what "file bytes")
+            (List.assoc delta Certificate_digests.greedy_files)
+            (Certificate_digests.file_md5 cache);
           Alcotest.(check bool) (what "views checked") true
             (List.for_all (fun (c : LB.certificate) -> c.views_checked) certs);
           let expected_probes =
@@ -581,6 +606,8 @@ let () =
           QCheck_alcotest.to_alcotest codec_mutation_is_rejected_or_exact;
           Alcotest.test_case "hostile records fail cleanly" `Quick
             codec_hostile_records;
+          QCheck_alcotest.to_alcotest file_truncation_fails;
+          QCheck_alcotest.to_alcotest file_mutation_is_rejected_or_exact;
         ] );
       ( "warm restart",
         [
