@@ -560,12 +560,11 @@ let crafted_certificate_rejected () =
   in
   (* a level 0 that removes and changes other loops than greedy's *)
   let other_level0 =
-    match LB.level_of_trail [| LB.Base { delta = 4; removed = 3; changed = 2 } |]
-            ~g_weight:Q.zero ~h_weight:Q.one ~views_checked:true
-            ~prefix_rounds:[ 1; 1 ]
-    with
-    | entry_certificate, entry_probes ->
-      CS.entry_to_string { CS.entry_level = 0; entry_certificate; entry_probes }
+    let entry_certificate, entry_probes =
+      LB.level_of_trail [| LB.Base { delta = 4; removed = 3; changed = 2 } |]
+        ~g_weight:Q.zero ~h_weight:Q.one ~views_checked:true ~prefix_rounds:[ 1; 1 ]
+    in
+    CS.entry_to_string { CS.entry_level = 0; entry_certificate; entry_probes }
   in
   rejects "header of another code version" (frame ~header:"ld-chain/v2\n" d4);
   rejects "no header" (String.concat "" d4);
