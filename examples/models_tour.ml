@@ -59,7 +59,7 @@ let () =
   Printf.printf "radius-3 views of nodes 0 and 2 isomorphic: %b\n"
     (Refinement.equivalent_radius ec 0 ec 2 ~radius:3);
   Format.printf "the radius-2 view tree of node 0: %a@."
-    View.pp (View.of_ec ec 0 ~radius:2);
+    View.pp (View.of_ec (View.arena ()) ec 0 ~radius:2);
 
   (* §3.5 loops as lifts: unfold one loop of the factor graph and check
      the covering map mechanically. *)

@@ -40,8 +40,8 @@ type ordered_view = { ov_graph : Po.t; ov_root : int; ov_rank : int array }
 let address_of_path =
   List.map (fun k -> { Tree_order.fwd = Darts.is_out k; colour = Darts.colour k })
 
-let ordered_view g v ~radius =
-  let po, index = View.to_po (View.of_po g v ~radius) in
+let ordered_view_in arena g v ~radius =
+  let po, index = View.to_po (View.of_po arena g v ~radius) in
   let nodes = List.map (fun (path, id) -> (id, address_of_path path)) index in
   let sorted =
     List.sort (fun (_, a) (_, b) -> Tree_order.compare a b) nodes
@@ -49,6 +49,8 @@ let ordered_view g v ~radius =
   let rank = Array.make (Po.n po) 0 in
   List.iteri (fun r (id, _) -> rank.(id) <- r) sorted;
   { ov_graph = po; ov_root = 0; ov_rank = rank }
+
+let ordered_view g v ~radius = ordered_view_in (View.arena ()) g v ~radius
 
 type oi_rule = {
   oi_name : string;
@@ -69,9 +71,12 @@ let po_of_oi rule : Po_packing.algorithm =
     name = Printf.sprintf "po-of-oi(%s)" rule.oi_name;
     run =
       (fun g ->
+        (* One arena per run: the views of all nodes share subtrees, and
+           they are freed with the run. *)
+        let arena = View.arena () in
         let answer =
           Array.init (Po.n g) (fun v ->
-              let ov = ordered_view g v ~radius:rule.oi_radius in
+              let ov = ordered_view_in arena g v ~radius:rule.oi_radius in
               let by_child = rule.oi_apply ov in
               List.map
                 (fun (key, child) ->

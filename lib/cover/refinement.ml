@@ -8,13 +8,9 @@ type history = int array array
 (* Metrics of the partition-refinement path (DESIGN.md § Observability):
    rounds actually computed vs skipped by the stabilisation early-exit,
    block split events, and the group lookups inside dirty blocks (a
-   hit joins a member to an existing group, a miss opens one).
-   [descriptors_sorted] counts per-node descriptor sorts and therefore
-   stays at zero on the default path — only the reference oracle sorts;
-   CI guards on exactly that. *)
+   hit joins a member to an existing group, a miss opens one). *)
 let c_rounds = Obs.Counter.make "cover.refine.rounds"
 let c_rounds_skipped = Obs.Counter.make "cover.refine.rounds_skipped"
-let c_descriptors = Obs.Counter.make "cover.refine.descriptors_sorted"
 let c_intern_hits = Obs.Counter.make "cover.refine.intern_hits"
 let c_intern_misses = Obs.Counter.make "cover.refine.intern_misses"
 let c_blocks_split = Obs.Counter.make "cover.refine.blocks_split"
@@ -54,53 +50,6 @@ module Stats = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Reference path: refinement over per-node (key, other end) lists.
-   Labels are interned per round so that equal labels mean structurally
-   identical descriptors. Kept as the differential-testing oracle for
-   the partition refinement below (exposed through [~reference:true]);
-   it is the only path that sorts descriptors, which is what
-   [descriptors_sorted] meters. *)
-
-(* Lexicographic on int pairs: same order as the polymorphic compare the
-   reference path historically used, so interned labels are unchanged. *)
-let pair_compare (a1, a2) (b1, b2) =
-  let c = Int.compare a1 b1 in
-  if c <> 0 then c else Int.compare a2 b2
-
-let refine_reference (t : Darts.t) ~rounds =
-  let n = Darts.n t in
-  let darts v =
-    List.init (t.row.(v + 1) - t.row.(v)) (fun i ->
-        (t.key.(t.row.(v) + i), t.other.(t.row.(v) + i)))
-  in
-  let history = Array.make (rounds + 1) [||] in
-  history.(0) <- Array.make n 0;
-  for r = 1 to rounds do
-    let prev = history.(r - 1) in
-    let intern : ((int * (int * int) list), int) Hashtbl.t = Hashtbl.create (2 * n) in
-    let next = Array.make n 0 in
-    for v = 0 to n - 1 do
-      let descriptor =
-        ( prev.(v),
-          List.sort pair_compare (List.map (fun (k, u) -> (k, prev.(u))) (darts v)) )
-      in
-      let label =
-        match Hashtbl.find_opt intern descriptor with
-        | Some l -> l
-        | None ->
-          let l = Hashtbl.length intern in
-          Hashtbl.add intern descriptor l;
-          l
-      in
-      next.(v) <- label
-    done;
-    history.(r) <- next;
-    Obs.Counter.incr c_rounds;
-    Obs.Counter.add c_descriptors n
-  done;
-  history
-
-(* ------------------------------------------------------------------ *)
 (* Round-synchronous Paige–Tarjan partition refinement.
 
    Blocks carry stable internal ids; node descriptors are computed
@@ -118,8 +67,8 @@ let refine_reference (t : Darts.t) ~rounds =
    round counter — which would be unsound here: [equivalent_radius]
    queries the partition after {e exactly} r rounds (radius-r view
    isomorphism, paper §3.1). The engine therefore stays round-
-   synchronous and the per-round partitions coincide label-for-label
-   with the reference oracle after the dense relabelling pass.
+   synchronous: after the dense relabelling pass, round [r]'s labels
+   number the radius-[r] views in first-occurrence order.
 
    Only darts that leave a block are read after round 1. Round 1 sees
    every label at 0, so it groups nodes by key sequence; blocks only
@@ -459,9 +408,8 @@ let engine_round_body eng r =
    one atomic read per round and nothing else. *)
 let engine_round eng r = Ld_obs.Hist.timed h_round (fun () -> engine_round_body eng r)
 
-(* Internal ids densified by first occurrence in node order — exactly
-   the label discipline of the reference oracle, so histories match
-   label-for-label, not merely partition-for-partition. [stamp] must be
+(* Internal ids densified by first occurrence in node order, so labels
+   do not depend on which sub-block kept its parent's id. [stamp] must be
    unused by earlier relabel passes on this engine; round numbers are. *)
 let engine_dense eng stamp =
   let n = eng.n in
@@ -505,15 +453,11 @@ let refine_darts t ~rounds =
   end;
   history
 
-let refine name t ~reference ~rounds =
-  if reference then refine_reference t ~rounds
-  else Obs.with_span name (fun () -> refine_darts t ~rounds)
+let refine_ec g ~rounds =
+  Obs.with_span "cover.refine.ec" (fun () -> refine_darts (Ec.csr g) ~rounds)
 
-let refine_ec ?(reference = false) g ~rounds =
-  refine "cover.refine.ec" (Ec.csr g) ~reference ~rounds
-
-let refine_po ?(reference = false) g ~rounds =
-  refine "cover.refine.po" (Po.csr g) ~reference ~rounds
+let refine_po g ~rounds =
+  Obs.with_span "cover.refine.po" (fun () -> refine_darts (Po.csr g) ~rounds)
 
 let check_node who g u =
   if u < 0 || u >= Ec.n g then

@@ -48,18 +48,15 @@ end
     members are grouped by their darts that {e leave} the block alone.
     Grouping hashes those darts into one reused open-addressing table
     and compares exactly against each group's first member; nothing is
-    allocated per node and nothing is sorted
-    ([cover.refine.descriptors_sorted] stays 0). A dense relabelling
-    pass per round reproduces the reference label discipline exactly.
-    [~reference:true] selects the original list-based, sort-per-node
-    implementation; both produce {e identical} label arrays (a tested
-    invariant), the reference path just does so slowly. *)
-val refine_ec : ?reference:bool -> Ld_models.Ec.t -> rounds:int -> history
+    allocated per node and nothing is sorted. A dense relabelling pass
+    per round numbers blocks by first occurrence in node order, so
+    [labels.(r)] numbers the distinct radius-[r] {!View} trees in order
+    of first occurrence (a tested invariant). *)
+val refine_ec : Ld_models.Ec.t -> rounds:int -> history
 
 (** [refine_po g ~rounds] runs refinement on a PO multigraph; dart keys
-    carry the direction, so orientation is respected. [?reference] as in
-    {!refine_ec}. *)
-val refine_po : ?reference:bool -> Ld_models.Po.t -> rounds:int -> history
+    carry the direction, so orientation is respected. *)
+val refine_po : Ld_models.Po.t -> rounds:int -> history
 
 (** [equivalent_radius g u h v ~radius] decides
     [τ_radius(UG, u) ≅ τ_radius(UH, v)] for EC graphs ([true] for

@@ -7,15 +7,12 @@ type t = { tag : int; branches : (int * t) list }
 
 let c_cons_hits = Obs.Counter.make "cover.view.cons_hits"
 
-(* ------------------------------------------------------------------ *)
-(* Global hash-cons arena. A view's identity is its branch list with
-   children taken by tag; because branches are built in ascending
-   key order with distinct keys, the list is canonical and two
-   isomorphic views always cons to the same node. The arena is shared
-   across graphs, levels and deltas for the lifetime of the process, so
-   equality is a single tag comparison. A mutex serialises consing —
-   views are built off the refinement hot path, sharing matters more
-   than lock-free speed here. *)
+(* Hash-cons arena. A view's identity is its branch list with children
+   taken by tag; because branches are built in ascending key order with
+   distinct keys, the list is canonical and two isomorphic views built
+   in one arena always cons to the same node, so equality is physical.
+   The arena belongs to its caller: no lock, and its views are freed
+   with it. *)
 
 module Key = struct
   type t = int array
@@ -37,29 +34,27 @@ module Key = struct
     !h land max_int
 end
 
-module Arena = Hashtbl.Make (Key)
+module Table = Hashtbl.Make (Key)
 
-let arena : t Arena.t = Arena.create 4096
-let arena_mutex = Mutex.create ()
-let next_tag = ref 0
+type arena = t Table.t
 
-let cons branches =
+let arena () : arena = Table.create 256
+
+let cons arena branches =
   let key = Array.make (2 * List.length branches) 0 in
   List.iteri
     (fun i (k, child) ->
       key.(2 * i) <- k;
       key.((2 * i) + 1) <- child.tag)
     branches;
-  Mutex.protect arena_mutex (fun () ->
-      match Arena.find_opt arena key with
-      | Some v ->
-        Obs.Counter.incr c_cons_hits;
-        v
-      | None ->
-        let v = { tag = !next_tag; branches } in
-        incr next_tag;
-        Arena.add arena key v;
-        v)
+  match Table.find_opt arena key with
+  | Some v ->
+    Obs.Counter.incr c_cons_hits;
+    v
+  | None ->
+    let v = { tag = Table.length arena; branches } in
+    Table.add arena key v;
+    v
 
 (* One unfold for both models over the dart table. Following dart [d]
    from [v] arrives at [other.(d)] over the dart keyed [arrive key.(d)]
@@ -69,11 +64,13 @@ let cons branches =
    same remaining depth unfolds identically), so memoising over
    (node, arrival key, depth) builds the Δ^t tree in O(n · Δ · t) cons
    operations. The root arrives over no dart: key 0, which no dart has. *)
-let unfold ~who ~arrive (t : Darts.t) root ~radius =
+let unfold arena ~who ~arrive (t : Darts.t) root ~radius =
   if radius < 0 then invalid_arg (who ^ ": negative radius");
+  if root < 0 || root >= Darts.n t then
+    invalid_arg (Printf.sprintf "%s: node %d is not in 0 .. %d" who root (Darts.n t - 1));
   let memo : (int * int * int, t) Hashtbl.t = Hashtbl.create 64 in
   let rec go v banned depth =
-    if depth = 0 then cons []
+    if depth = 0 then cons arena []
     else
       match Hashtbl.find_opt memo (v, banned, depth) with
       | Some view -> view
@@ -84,21 +81,20 @@ let unfold ~who ~arrive (t : Darts.t) root ~radius =
           if k <> banned then
             branches := (k, go t.other.(d) (arrive k) (depth - 1)) :: !branches
         done;
-        let view = cons !branches in
+        let view = cons arena !branches in
         Hashtbl.add memo (v, banned, depth) view;
         view
   in
   go root 0 radius
 
-let of_ec g root ~radius =
-  unfold ~who:"View.of_ec" ~arrive:Fun.id (Ec.csr g) root ~radius
+let of_ec arena g root ~radius =
+  unfold arena ~who:"View.of_ec" ~arrive:Fun.id (Ec.csr g) root ~radius
 
-let of_po g root ~radius =
-  unfold ~who:"View.of_po" ~arrive:Darts.flip (Po.csr g) root ~radius
+let of_po arena g root ~radius =
+  unfold arena ~who:"View.of_po" ~arrive:Darts.flip (Po.csr g) root ~radius
 
-(* Hash-consing makes equality a tag comparison: same arena node iff
-   structurally equal. *)
-let equal a b = a.tag = b.tag
+(* Within one arena, the same node iff structurally equal. *)
+let equal a b = a == b
 
 let rec size v = 1 + List.fold_left (fun acc (_, t) -> acc + size t) 0 v.branches
 

@@ -326,10 +326,11 @@ let views_match_explicit_trees () =
           Alcotest.(check bool) (what "refinement from scratch") true
             (Refinement.equivalent_radius g c.g_node h c.h_node ~radius:c.level);
           if c.level <= 3 then
+            let arena = View.arena () in
             Alcotest.(check bool) (what "explicit views agree") true
               (View.equal
-                 (View.of_ec g c.g_node ~radius:c.level)
-                 (View.of_ec h c.h_node ~radius:c.level)))
+                 (View.of_ec arena g c.g_node ~radius:c.level)
+                 (View.of_ec arena h c.h_node ~radius:c.level)))
         certs)
     inputs
 

@@ -65,69 +65,90 @@ let random_loopy_po ~seed n =
   in
   Ld_models.Po.create ~n ~arcs ~loops
 
-(* Cross-validation: refinement equivalence at radius r must coincide
-   with structural equality of explicit view trees of depth r — in EC
-   through [equivalent_radius], in PO through [refine_po] labels. *)
-let refinement_matches_views =
-  QCheck.Test.make ~count:40
-    ~name:
-      "colour refinement = view-tree isomorphism (all radii, all node pairs, \
-       EC and PO)"
-    (QCheck.pair (QCheck.int_range 2 7) (QCheck.int_range 0 999))
-    (fun (n, seed) ->
-      let g = random_loopy_ec ~seed n in
-      let p = random_loopy_po ~seed n in
-      let labels = Refinement.refine_po p ~rounds:3 in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          for r = 0 to 3 do
-            let by_refinement = Refinement.equivalent_radius g u g v ~radius:r in
-            let by_views =
-              View.equal (View.of_ec g u ~radius:r) (View.of_ec g v ~radius:r)
-            in
-            if by_refinement <> by_views then ok := false;
-            let by_refinement = labels.(r).(u) = labels.(r).(v) in
-            let by_views =
-              View.equal (View.of_po p u ~radius:r) (View.of_po p v ~radius:r)
-            in
-            if by_refinement <> by_views then ok := false
-          done
-        done
-      done;
-      !ok)
+(* [labels.(v)] numbers the distinct views [view v] in order of first
+   occurrence. All views come from one arena, so tags identify them. *)
+let view_labels view n =
+  let seen = Hashtbl.create n in
+  Array.init n (fun v ->
+      let tag = (view v).View.tag in
+      match Hashtbl.find_opt seen tag with
+      | Some l -> l
+      | None ->
+        let l = Hashtbl.length seen in
+        Hashtbl.add seen tag l;
+        l)
 
-(* The optimised flat-array refinement must agree with the list-based
-   reference implementation label-for-label (not merely up to partition
-   renaming): both intern descriptors by first occurrence in node
-   order, so the histories are exactly equal arrays. *)
-let flat_refinement_matches_reference =
+let same_labels = Array.for_all2 Int.equal
+
+(* Every round of [history] is the first-occurrence numbering of the
+   views of that radius. *)
+let history_matches_views history view n =
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun r labels -> same_labels labels (view_labels (fun v -> view v ~radius:r) n))
+       history)
+
+(* The same graph with every colour moved just under the 2^30 bound:
+   keys stay distinct, so refinement labels must not change. *)
+let high_colours g =
+  let c = Ec.columns g in
+  let lift = Array.map (fun c -> (1 lsl 30) - 64 + (c - 1)) in
+  Ec.of_columns ~n:(Ec.n g)
+    { c with edge_colour = lift c.edge_colour; loop_colour = lift c.loop_colour }
+
+(* Cross-validation against the paper's definition. After r rounds,
+   [refine_ec]/[refine_po] label the nodes by their radius-r view trees,
+   numbered by first occurrence: exact labels, not just the partition.
+   Across two graphs, [equivalent_radius] and
+   [first_distinguishing_radius] agree with [View.equal] on views built
+   in one arena. *)
+let refinement_matches_views =
   QCheck.Test.make ~count:60
-    ~name:"flat CSR refinement = list-based reference (exact labels, EC and PO)"
+    ~name:
+      "colour refinement = view-tree isomorphism (exact labels, all radii, \
+       EC and PO, across graphs)"
     (QCheck.pair (QCheck.int_range 2 9) (QCheck.int_range 0 999))
     (fun (n, seed) ->
       let g = random_loopy_ec ~seed n in
+      let p = random_loopy_po ~seed n in
+      let q = Ld_models.Po.of_ec g in
       let rounds = n + 2 in
-      let fast = Refinement.refine_ec g ~rounds in
-      let slow = Refinement.refine_ec ~reference:true g ~rounds in
-      let p = Ld_models.Po.of_ec g in
-      let pfast = Refinement.refine_po p ~rounds in
-      let pslow = Refinement.refine_po ~reference:true p ~rounds in
-      (* The same graph with every colour moved just under the 2^30
-         bound: keys stay distinct, so the labels must not change. *)
-      let high =
-        let c = Ec.columns g in
-        let lift = Array.map (fun c -> (1 lsl 30) - 64 + (c - 1)) in
-        Ec.of_columns ~n
-          { c with edge_colour = lift c.edge_colour; loop_colour = lift c.loop_colour }
+      let arena = View.arena () in
+      let ec = Refinement.refine_ec g ~rounds and pq = Refinement.refine_po q ~rounds in
+      let same = Array.for_all2 same_labels in
+      let within =
+        history_matches_views ec (View.of_ec arena g) n
+        && history_matches_views (Refinement.refine_po p ~rounds) (View.of_po arena p) n
+        && history_matches_views pq (View.of_po arena q) n
+        && same ec (Refinement.refine_ec (high_colours g) ~rounds)
+        && same pq (Refinement.refine_po (Ld_models.Po.of_ec (high_colours g)) ~rounds)
       in
-      let ph = Ld_models.Po.of_ec high in
-      let same = Array.for_all2 (Array.for_all2 Int.equal) in
-      same fast slow && same pfast pslow
-      && same fast (Refinement.refine_ec high ~rounds)
-      && same fast (Refinement.refine_ec ~reference:true high ~rounds)
-      && same pfast (Refinement.refine_po ph ~rounds)
-      && same pfast (Refinement.refine_po ~reference:true ph ~rounds))
+      let views h =
+        Array.init (rounds + 1) (fun radius ->
+            Array.init (Ec.n h) (fun v -> View.of_ec arena h v ~radius))
+      in
+      let gv = views g in
+      let across h =
+        let hv = views h in
+        let ok = ref true in
+        for u = 0 to n - 1 do
+          for v = 0 to Ec.n h - 1 do
+            let first = ref None in
+            for r = rounds downto 0 do
+              let by_views = View.equal gv.(r).(u) hv.(r).(v) in
+              if not by_views then first := Some r;
+              if Refinement.equivalent_radius g u h v ~radius:r <> by_views then ok := false
+            done;
+            if
+              not
+                (Option.equal Int.equal !first
+                   (Refinement.first_distinguishing_radius g u h v ~max_radius:rounds))
+            then ok := false
+          done
+        done;
+        !ok
+      in
+      within && across g && across (random_loopy_ec ~seed:(seed + 1) (2 + (seed mod 8))))
 
 (* The soundness lemma behind the engine's incremental P1 checks:
    covering maps preserve universal-cover views at every radius, so a
@@ -191,16 +212,26 @@ let node_range_checked () =
         (Printf.sprintf "first_distinguishing_radius %d %d" u v)
         (fun () -> Refinement.first_distinguishing_radius g u h v ~max_radius:2))
     [ (2, 0); (-1, 0); (0, 3); (0, -1); (4, 0) ];
+  (* Views check their root the same way, at every radius. *)
+  let arena = View.arena () and p = Ld_models.Po.of_ec g in
+  List.iter
+    (fun (v, radius) ->
+      rejects
+        (Printf.sprintf "View.of_ec %d ~radius:%d" v radius)
+        (fun () -> View.of_ec arena g v ~radius);
+      rejects
+        (Printf.sprintf "View.of_po %d ~radius:%d" v radius)
+        (fun () -> View.of_po arena p v ~radius))
+    [ (-1, 0); (2, 0); (7, 0); (-1, 2); (2, 2); (7, 2) ];
   Alcotest.(check (option int)) "last nodes accepted" (Some 1)
     (Refinement.first_distinguishing_radius g 1 h 2 ~max_radius:2)
 
-let same_history = Array.for_all2 (Array.for_all2 Int.equal)
-
-let engine_matches_reference name g ~rounds =
-  let fast = Refinement.refine_ec g ~rounds
-  and slow = Refinement.refine_ec ~reference:true g ~rounds in
-  if not (same_history fast slow) then
-    Alcotest.failf "%s: engine and reference labels differ" name
+let engine_matches_views name g ~rounds =
+  let arena = View.arena () in
+  if
+    not
+      (history_matches_views (Refinement.refine_ec g ~rounds) (View.of_ec arena g) (Ec.n g))
+  then Alcotest.failf "%s: engine labels differ from the views' numbering" name
 
 (* Colour 1 is a loop at [a]'s node and an edge at [b]'s first node;
    every node also has a colour-2 loop. With [leave], the edge's far end
@@ -226,7 +257,7 @@ let loop_vs_edge_in_block () =
       (Refinement.equivalent_radius a 0 b 0 ~radius:r)
   done;
   let u = Ec.disjoint_union a b in
-  engine_matches_reference "union" u ~rounds:6;
+  engine_matches_views "union" u ~rounds:6;
   let h = Refinement.refine_ec u ~rounds:6 in
   Alcotest.(check bool) "one class" true (h.(6).(0) = h.(6).(1) && h.(6).(1) = h.(6).(2))
 
@@ -240,7 +271,7 @@ let loop_vs_edge_leaving_block () =
     (Refinement.equivalent_radius a 0 b 0 ~radius:1);
   Alcotest.(check bool) "not at 2" false
     (Refinement.equivalent_radius a 0 b 0 ~radius:2);
-  engine_matches_reference "union" (Ec.disjoint_union a b) ~rounds:6
+  engine_matches_views "union" (Ec.disjoint_union a b) ~rounds:6
 
 let greedy_certificates delta =
   match
@@ -252,16 +283,16 @@ let greedy_certificates delta =
 (* The graphs the engine's leaving-dart filter targets: the adversary's
    loopy trees, where most darts are loops. Every round up to delta,
    label for label, on G, on H and on their disjoint union. *)
-let thm1_graphs_match_reference () =
+let thm1_graphs_match_views () =
   for delta = 3 to 8 do
     List.iter
       (fun (c : Ld_core.Lower_bound.certificate) ->
         let g = Ld_core.Lower_bound.force c.g_graph
         and h = Ld_core.Lower_bound.force c.h_graph in
         let name side = Printf.sprintf "delta %d level %d %s" delta c.level side in
-        engine_matches_reference (name "G") g ~rounds:delta;
-        engine_matches_reference (name "H") h ~rounds:delta;
-        engine_matches_reference (name "G+H") (Ec.disjoint_union g h) ~rounds:delta)
+        engine_matches_views (name "G") g ~rounds:delta;
+        engine_matches_views (name "H") h ~rounds:delta;
+        engine_matches_views (name "G+H") (Ec.disjoint_union g h) ~rounds:delta)
       (greedy_certificates delta)
   done
 
@@ -322,9 +353,10 @@ let view_shapes () =
   (* A single node with two loops: radius-1 view has two branches; each
      branch unfolds into a copy of the node minus the arrival dart. *)
   let g = Ec.create ~n:1 ~edges:[] ~loops:[ (0, 1); (0, 2) ] in
-  let v1 = View.of_ec g 0 ~radius:1 in
+  let arena = View.arena () in
+  let v1 = View.of_ec arena g 0 ~radius:1 in
   Alcotest.(check int) "radius-1 size" 3 (View.size v1);
-  let v2 = View.of_ec g 0 ~radius:2 in
+  let v2 = View.of_ec arena g 0 ~radius:2 in
   Alcotest.(check int) "radius-2 size" 5 (View.size v2);
   Alcotest.(check int) "depth" 2 (View.depth v2);
   (* the colour-1 branch at depth 1 has only a colour-2 branch below *)
@@ -334,13 +366,30 @@ let view_shapes () =
     Alcotest.(check bool) "banned arrival colour" true (View.branch sub 1 = None);
     Alcotest.(check bool) "other colour present" true (View.branch sub 2 <> None)
 
+let view_arenas () =
+  (* Radius 1 of a node with one loop and of a node with two loops: in
+     a fresh arena each is the second cons, so their tags collide. *)
+  let one = Ec.create ~n:1 ~edges:[] ~loops:[ (0, 1) ] in
+  let two = Ec.create ~n:1 ~edges:[] ~loops:[ (0, 1); (0, 2) ] in
+  let a = View.arena () and b = View.arena () in
+  let v1 = View.of_ec a one 0 ~radius:1 and v2 = View.of_ec b two 0 ~radius:1 in
+  Alcotest.(check int) "tags collide" v1.View.tag v2.View.tag;
+  Alcotest.(check bool) "different trees of two arenas" false (View.equal v1 v2);
+  Alcotest.(check bool) "isomorphic trees of two arenas" false
+    (View.equal v1 (View.of_ec b one 0 ~radius:1));
+  Alcotest.(check bool) "built twice in one arena" true
+    (View.equal v1 (View.of_ec a one 0 ~radius:1));
+  Alcotest.(check bool) "built twice in the other" true
+    (View.equal v2 (View.of_ec b two 0 ~radius:1))
+
 let view_materialise () =
   let g = random_loopy_ec ~seed:7 5 in
-  let view = View.of_ec g 0 ~radius:3 in
+  let arena = View.arena () in
+  let view = View.of_ec arena g 0 ~radius:3 in
   let tree = View.to_ec view in
   (* The materialised tree's root has the same radius-3 view. *)
   Alcotest.(check bool) "root view agrees" true
-    (View.equal (View.of_ec tree 0 ~radius:3) view)
+    (View.equal (View.of_ec arena tree 0 ~radius:3) view)
 
 let unfold_loop_is_covering () =
   let g = random_loopy_ec ~seed:3 4 in
@@ -470,14 +519,15 @@ let lift_preserves_views =
     (fun (n, seed) ->
       let g = random_loopy_ec ~seed n in
       let cov = Lift.unfold_loop g ~loop_id:0 in
+      let arena = View.arena () in
       let ok = ref true in
       for v = 0 to Ec.n cov.total - 1 do
         for r = 0 to 3 do
           if
             not
               (View.equal
-                 (View.of_ec cov.total v ~radius:r)
-                 (View.of_ec g cov.map.(v) ~radius:r))
+                 (View.of_ec arena cov.total v ~radius:r)
+                 (View.of_ec arena g cov.map.(v) ~radius:r))
           then ok := false
         done
       done;
@@ -490,6 +540,7 @@ let () =
         [
           Alcotest.test_case "shapes" `Quick view_shapes;
           Alcotest.test_case "materialise" `Quick view_materialise;
+          Alcotest.test_case "arenas" `Quick view_arenas;
           QCheck_alcotest.to_alcotest refinement_matches_views;
         ] );
       ( "refinement",
@@ -500,12 +551,11 @@ let () =
           Alcotest.test_case "loop vs edge inside a block" `Quick loop_vs_edge_in_block;
           Alcotest.test_case "loop vs edge leaving a block" `Quick
             loop_vs_edge_leaving_block;
-          Alcotest.test_case "THM1 graphs: engine = reference" `Quick
-            thm1_graphs_match_reference;
+          Alcotest.test_case "THM1 graphs: engine = views" `Quick
+            thm1_graphs_match_views;
           Alcotest.test_case "equivalent_radius allocates O(n) minor words" `Quick
             equivalent_radius_allocation;
           QCheck_alcotest.to_alcotest norris_stabilisation;
-          QCheck_alcotest.to_alcotest flat_refinement_matches_reference;
           QCheck_alcotest.to_alcotest covering_preserves_views;
           Alcotest.test_case "po orientation" `Quick po_refinement_sees_orientation;
         ] );

@@ -75,13 +75,14 @@ let state_determined_by_view =
       let g = random_loopy ~seed n in
       let rounds = 2 in
       let states = Anon_ec.run probe_machine ~rounds g in
+      let arena = View.arena () in
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
           let same_view =
             View.equal
-              (View.of_ec g u ~radius:(rounds + 1))
-              (View.of_ec g v ~radius:(rounds + 1))
+              (View.of_ec arena g u ~radius:(rounds + 1))
+              (View.of_ec arena g v ~radius:(rounds + 1))
           in
           if same_view && states.(u).seen <> states.(v).seen then ok := false
         done

@@ -98,13 +98,14 @@ let ordered_view_ranks_are_permutation =
 let view_po_matches_po_structure () =
   (* A directed loop unfolds through both darts. *)
   let g = Po.create ~n:1 ~arcs:[] ~loops:[ (0, 1) ] in
-  let v = View.of_po g 0 ~radius:2 in
+  let arena = View.arena () in
+  let v = View.of_po arena g 0 ~radius:2 in
   Alcotest.(check int) "two branches at root" 2 (List.length v.View.branches);
   Alcotest.(check int) "size" 5 (View.size v);
   (* Against the 3-cycle lift: views agree. *)
   let c3 = Po.create ~n:3 ~arcs:[ (0, 1, 1); (1, 2, 1); (2, 0, 1) ] ~loops:[] in
   Alcotest.(check bool) "lift view equal" true
-    (View.equal (View.of_po c3 0 ~radius:2) v)
+    (View.equal (View.of_po arena c3 0 ~radius:2) v)
 
 let oi_rule_refuted () =
   (* A small-radius OI rule cannot be correct: the adversary finds the
