@@ -3,8 +3,10 @@
    nodes straight into int arrays, runs the packed matching workloads
    at 1 and [Pool.default_domains ()] domains, and reports sends/sec,
    rounds/sec, wall time and its init part (the [runtime.packed.init]
-   span: mirror table, arrays, initial broadcast; the rest is rounds),
-   peak RSS and minor-heap allocation per row.
+   span: state and message arrays, initial broadcast; the rest is
+   rounds), peak RSS and minor-heap allocation per row. The mirror
+   table is not in any row: each graph carries it from its generator
+   (or [Csr.greedy]), and every row on that graph reads it.
    The quick mode (CI smoke) keeps only the 10^5 legs plus the
    packed-vs-packed domain identity check.
 

@@ -474,31 +474,33 @@ let bench_diff_cmd =
       value & opt string "1.5x"
       & info [ "tolerance" ] ~docv:"RATIO"
           ~doc:
-            "Fail when new wall time exceeds old by more than this factor \
-             (e.g. $(b,1.5x)).")
+            "Fail when a row's new wall time, or its new init time where \
+             both files carry $(b,init_ms), exceeds the old by more than \
+             this factor (e.g. $(b,1.5x)).")
   in
   let normalize =
     Arg.(
       value & flag
       & info [ "normalize" ]
           ~doc:
-            "Divide every ratio by the median ratio first: cancels a \
-             uniform machine-speed difference between the two runs, keeps \
-             selective per-row regressions visible.")
+            "Divide every ratio by its column's median ratio first: \
+             cancels a uniform machine-speed difference between the two \
+             runs, keeps selective per-row regressions visible.")
   in
   let min_wall_ms =
     Arg.(
       value & opt float 1.0
       & info [ "min-wall-ms" ] ~docv:"MS"
           ~doc:
-            "Ignore rows whose baseline wall time is below $(docv) — too \
-             noisy to gate on.")
+            "Ignore rows whose baseline wall (or init) time is below \
+             $(docv) — too noisy to gate on.")
   in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
          "Join two bench artefacts (BENCH_THM1.json / BENCH_RUNTIME.json \
-          shape) on their key columns and compare per-row wall time. Exits \
+          shape) on their key columns and compare per-row wall time, and \
+          init time where both rows carry $(b,init_ms). Exits \
           1 if any compared row regressed beyond the tolerance, 2 if the \
           files cannot be compared at all; rows present in only one file \
           are reported but never fail.")

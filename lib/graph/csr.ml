@@ -1,14 +1,17 @@
 (* A properly edge-coloured simple graph: [Graph.t]'s segments plus
-   the edge colour of every dart. The colouring is proper: colours
-   within a segment are pairwise distinct (but *not* sorted — segments
-   are endpoint-sorted, which is the order the packed runtime's port
-   numbers follow). *)
+   the edge colour and the reverse of every dart. The colouring is
+   proper: colours within a segment are pairwise distinct (but *not*
+   sorted — segments are endpoint-sorted, which is the order the packed
+   runtime's port numbers follow). The reverse darts depend only on the
+   graph, so whoever builds it fills them once and every run reads
+   them. *)
 
 type t = {
   n : int;
   row : int array;
   endpoint : int array;
   colour : int array;
+  mirror : int array;
   m : int;
 }
 
@@ -22,7 +25,7 @@ let max_colour g =
   Array.iter (fun c -> if c > best.contents then best := c) g.colour;
   !best
 
-let mirror g = Graph.mirror (to_graph g)
+let mirror g = g.mirror
 
 (* Edges in [Graph.edges] order: ascending [u], then [u]'s larger
    neighbours from the end of its segment down. Each takes the smallest
@@ -60,18 +63,21 @@ let greedy (g : Graph.t) =
       decr d
     done
   done;
-  { n; row; endpoint; colour; m }
+  { n; row; endpoint; colour; mirror; m }
 
 let validate g =
-  let { n; row; endpoint; colour; m } = g in
+  let { n; row; endpoint; colour; mirror; m } = g in
   if Array.length row <> n + 1 then invalid_arg "Csr.validate: row length";
   if row.(0) <> 0 then invalid_arg "Csr.validate: row.(0)";
   for v = 0 to n - 1 do
     if row.(v + 1) < row.(v) then invalid_arg "Csr.validate: row not monotone"
   done;
   let nd = row.(n) in
-  if Array.length endpoint <> nd || Array.length colour <> nd then
-    invalid_arg "Csr.validate: dart array length";
+  if
+    Array.length endpoint <> nd
+    || Array.length colour <> nd
+    || Array.length mirror <> nd
+  then invalid_arg "Csr.validate: dart array length";
   if m * 2 <> nd then invalid_arg "Csr.validate: m";
   for v = 0 to n - 1 do
     for d = row.(v) to row.(v + 1) - 1 do
@@ -87,12 +93,19 @@ let validate g =
       done
     done
   done;
-  (* symmetry ([mirror] raises on a dart with no reverse) with
-     matching colours *)
-  let mirror = mirror g in
-  for d = 0 to nd - 1 do
-    if colour.(mirror.(d)) <> colour.(d) then
-      invalid_arg "Csr.validate: asymmetric edge"
+  (* The stored mirror is an involution taking each dart of [v] to a
+     dart pointing back at [v], of the same colour. Applied to both
+     darts, that also puts [mirror.(d)] in [endpoint.(d)]'s segment, so
+     every edge is symmetric and the mirror is the one [Graph.mirror]
+     computes. *)
+  for v = 0 to n - 1 do
+    for d = row.(v) to row.(v + 1) - 1 do
+      let d' = mirror.(d) in
+      if d' < 0 || d' >= nd || mirror.(d') <> d || endpoint.(d') <> v then
+        invalid_arg "Csr.validate: mirror";
+      if colour.(d') <> colour.(d) then
+        invalid_arg "Csr.validate: asymmetric edge"
+    done
   done
 
 let int_array_equal (a : int array) (b : int array) =

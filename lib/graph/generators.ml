@@ -260,54 +260,63 @@ let stream_biregular_tree ~d ~delta n =
   (* BFS-ordered (d, delta)-biregular tree truncated at [n] nodes: the
      root (side A) wants [d] children; below it, side-B nodes want
      [delta - 1] and side-A nodes [d - 1]. Children get consecutive
-     ids, so every segment is [parent; children...] — ascending. The
-     parent edge of the [i]-th child carries the [i+1]-th colour not
-     used by the parent's own parent edge, which keeps the colouring
-     proper with at most [max d delta] colours. *)
-  let parent = Array.make n (-1) in
-  let side = Array.make n 0 in
-  let pcol = Array.make n 0 in
-  let kids = Array.make n 0 in
-  let first = Array.make n 0 in
-  let next = ref 1 in
-  for v = 0 to n - 1 do
-    let want =
-      if v = 0 then d else if side.(v) = 1 then delta - 1 else d - 1
-    in
-    let k = Stdlib.min want (n - !next) in
-    kids.(v) <- k;
-    first.(v) <- !next;
-    for i = 0 to k - 1 do
-      let c = !next + i in
-      parent.(c) <- v;
-      side.(c) <- 1 - side.(v);
-      let col = i + 1 in
-      pcol.(c) <- (if pcol.(v) > 0 && col >= pcol.(v) then col + 1 else col)
-    done;
-    next := !next + k
-  done;
+     ids, so every segment is [parent; children...] — ascending, and
+     each BFS level is an id range whose side alternates. The parent
+     edge of the [i]-th child carries the [i+1]-th colour not used by
+     the parent's own parent edge, which keeps the colouring proper
+     with at most [max d delta] colours.
+
+     The first pass sizes the segments. When [v] reaches the end of its
+     level, every node of that level has taken its children, so [next]
+     is the end of the level [v] starts. A node no one took as a child
+     means the tree ran out before [n] nodes: with [d = 1] or
+     [delta = 1] it is a star on [max d delta + 1] nodes. *)
   let row = Array.make (n + 1) 0 in
+  let next = ref 1 and level_end = ref 1 and side_b = ref false in
   for v = 0 to n - 1 do
-    let dg = kids.(v) + if v = 0 then 0 else 1 in
-    row.(v + 1) <- row.(v) + dg
+    if v >= !next then
+      invalid_arg
+        (Printf.sprintf
+           "Generators.stream_biregular_tree: the (%d, %d) tree has %d nodes, \
+            fewer than %d"
+           d delta v n);
+    if v = !level_end then begin
+      level_end := !next;
+      side_b := not !side_b
+    end;
+    let want = if v = 0 then d else if !side_b then delta - 1 else d - 1 in
+    let k = Stdlib.min want (n - !next) in
+    next := !next + k;
+    row.(v + 1) <- row.(v) + k + if v = 0 then 0 else 1
   done;
+  (* The second pass writes each edge from its parent [v], both darts
+     at once: [v]'s dart to its [i]-th child [c] follows [v]'s parent
+     dart, and [c]'s dart to [v] leads [c]'s segment. [v]'s own parent
+     dart was written when [v]'s parent was visited, so it holds the
+     parent colour. *)
   let nd = row.(n) in
   let endpoint = Array.make nd 0 in
   let colour = Array.make nd 0 in
+  let mirror = Array.make nd 0 in
+  let next = ref 1 in
   for v = 0 to n - 1 do
-    let base = ref row.(v) in
-    if v > 0 then begin
-      endpoint.(!base) <- parent.(v);
-      colour.(!base) <- pcol.(v);
-      incr base
-    end;
-    for i = 0 to kids.(v) - 1 do
-      let c = first.(v) + i in
-      endpoint.(!base + i) <- c;
-      colour.(!base + i) <- pcol.(c)
-    done
+    let pcol = if v = 0 then 0 else colour.(row.(v)) in
+    let base = row.(v) + if v = 0 then 0 else 1 in
+    for i = 0 to row.(v + 1) - base - 1 do
+      let c = !next + i in
+      let col = i + 1 in
+      let col = if pcol > 0 && col >= pcol then col + 1 else col in
+      let down = base + i and back = row.(c) in
+      endpoint.(down) <- c;
+      endpoint.(back) <- v;
+      colour.(down) <- col;
+      colour.(back) <- col;
+      mirror.(down) <- back;
+      mirror.(back) <- down
+    done;
+    next := !next + row.(v + 1) - base
   done;
-  { Csr.n; row; endpoint; colour; m = nd / 2 }
+  { Csr.n; row; endpoint; colour; mirror; m = nd / 2 }
 
 let bench_families =
   let clamp lo v = Stdlib.max lo v in

@@ -63,8 +63,13 @@ val perm_regular : seed:int -> int -> int -> Graph.t
 
 (** Deterministic (d, δ)-biregular tree in BFS layout, truncated at
     [n] nodes, with a proper edge colouring using at most
-    [max d delta] colours built in. O(n); the cheap mega-scale
-    instance family. *)
+    [max d delta] colours and the {!Csr.t} [mirror] built in: each
+    edge's two darts, colours and reverses are written together, with
+    no scratch array beyond the returned ones. O(n); the cheap
+    mega-scale instance family.
+    @raise Invalid_argument if [d], [delta] or [n] is below 1, or if the
+    tree is finite ([d = 1] or [delta = 1]: a star on
+    [max d delta + 1] nodes) and smaller than [n]. *)
 val stream_biregular_tree : d:int -> delta:int -> int -> Csr.t
 
 (** A named list of representative families used by the benchmarks:

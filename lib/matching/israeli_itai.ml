@@ -39,11 +39,12 @@ let machine ~seed idg : Packed.Port.machine =
         done);
     send = Packed_ii.send;
     recv =
-      (fun ~g ~mirror ~st ~out nodes ~lo ~hi ->
+      (fun ~g ~st ~out nodes ~lo ~hi ->
+        let row = g.Csr.row and mirror = g.Csr.mirror in
         for k = lo to hi - 1 do
           let v = nodes.(k) in
           let b = v * sw in
-          if Packed_ii.step ~row:g.Csr.row ~mirror ~out st b ~node:v then
+          if Packed_ii.step ~row ~mirror ~out st b ~node:v then
             draw rngs.(v) st b
         done);
   }
@@ -58,7 +59,8 @@ let run ~seed ~max_rounds idg =
       colour.(d) <- (Stdlib.min v w * n) + Stdlib.max v w
     done
   done;
-  let g = { Csr.n; row; endpoint; colour; m } in
+  let mirror = G.mirror (Id.graph idg) in
+  let g = { Csr.n; row; endpoint; colour; mirror; m } in
   let r, _ =
     Packed_ii.run_machine ~who:"Israeli_itai" (machine ~seed idg) ~max_rounds g
   in

@@ -231,8 +231,8 @@ let gated ~who ~seed gate : Packed.Port.machine =
         done);
     send;
     recv =
-      (fun ~g ~mirror ~st ~out nodes ~lo ~hi ->
-        let row = g.Csr.row in
+      (fun ~g ~st ~out nodes ~lo ~hi ->
+        let row = g.Csr.row and mirror = g.Csr.mirror in
         for k = lo to hi - 1 do
           let v = nodes.(k) in
           let b = v * words in

@@ -250,8 +250,8 @@ let machine ~(sched : round_kind array) ~delta : Packed.Port.machine =
           if st.(v) >= n_rounds then Bytes.set frozen v '\001'
         done);
     recv =
-      (fun ~g ~mirror ~st ~out nodes ~lo ~hi ->
-        let n = g.Csr.n and row = g.Csr.row in
+      (fun ~g ~st ~out nodes ~lo ~hi ->
+        let n = g.Csr.n and row = g.Csr.row and mirror = g.Csr.mirror in
         for k = lo to hi - 1 do
           recv_node l ~sched ~delta ~n ~row ~mirror st out nodes.(k)
         done);

@@ -1,5 +1,7 @@
 (* Bench-regression sentinel: join the rows of two BENCH_*.json
-   artefacts on their key columns and compare per-row wall time.
+   artefacts on their key columns and compare per-row wall time, and
+   per-row init time (a runtime row's [runtime.packed.init] span)
+   wherever both rows carry an [init_ms].
 
    Both artefact kinds carry a `rows` array. THM1 rows key on `delta`;
    runtime rows key on (workload, algo, n, domains); anything else
@@ -16,10 +18,14 @@
    slowdown — one row regressing while its siblings hold — fully
    visible. An injected uniform slowdown is only caught without
    normalization, which is why the CI self-check injects into a single
-   row. *)
+   row.
+
+   An [init_ms] comparison follows the same rules with its own median
+   (initialisation and rounds need not scale alike between machines),
+   and is reported as [<key> [init_ms]]. *)
 
 type comparison = {
-  c_key : string;
+  c_key : string; (* the row key, plus " [init_ms]" for the init column *)
   c_old_ms : float;
   c_new_ms : float;
   c_ratio : float; (* new / old *)
@@ -34,7 +40,7 @@ type report = {
   r_new_path : string;
   r_tolerance : float;
   r_normalized : bool;
-  r_median_ratio : float;
+  r_medians : (string * float) list; (* per gated column, in [columns] order *)
   r_compared : comparison list;
   r_only_old : string list;
   r_only_new : string list;
@@ -52,6 +58,10 @@ let tolerance_of_string s =
   | Some t when t > 1.0 -> Some t
   | _ -> None
 
+(* Gated columns. Every compared row has a wall time; a runtime row also
+   has the init part of it. *)
+let columns = [ "wall_ms"; "init_ms" ]
+
 let num_field row k = Option.bind (Json.member k row) Json.to_float
 let str_field row k = Option.bind (Json.member k row) Json.to_string
 
@@ -59,9 +69,9 @@ let str_field row k = Option.bind (Json.member k row) Json.to_string
    every field that is not a measurement. *)
 let measure_fields =
   [
-    "wall_ms"; "sends_per_sec"; "rounds_per_sec"; "peak_rss_kb"; "rounds";
-    "sends"; "certified_levels"; "frontier"; "refine_rounds"; "descriptors";
-    "round_p50_ms"; "round_p99_ms"; "minor_words";
+    "wall_ms"; "init_ms"; "sends_per_sec"; "rounds_per_sec"; "peak_rss_kb";
+    "rounds"; "sends"; "certified_levels"; "frontier"; "refine_rounds";
+    "descriptors"; "round_p50_ms"; "round_p99_ms"; "minor_words";
   ]
 
 let key_of_row row =
@@ -102,9 +112,8 @@ let rows_of path =
       Ok
         (List.filter_map
            (fun row ->
-             match num_field row "wall_ms" with
-             | Some w -> Some (key_of_row row, w)
-             | None -> None)
+             if Option.is_none (num_field row "wall_ms") then None
+             else Some (key_of_row row, row))
            rows))
 
 let median xs =
@@ -122,9 +131,9 @@ let compare_files ?(tolerance = 1.5) ?(normalize = false) ?(min_wall_ms = 1.0)
   | Ok old_rows, Ok new_rows ->
     let joined =
       List.filter_map
-        (fun (k, old_ms) ->
+        (fun (k, old_row) ->
           match List.assoc_opt k new_rows with
-          | Some new_ms -> Some (k, old_ms, new_ms)
+          | Some new_row -> Some (k, old_row, new_row)
           | None -> None)
         old_rows
     in
@@ -137,30 +146,45 @@ let compare_files ?(tolerance = 1.5) ?(normalize = false) ?(min_wall_ms = 1.0)
       let ratio old_ms new_ms =
         if old_ms <= 0. then 1.0 else new_ms /. old_ms
       in
-      let med =
-        if normalize then
-          median (List.map (fun (_, o, n) -> ratio o n) joined)
-        else 1.0
+      (* One column: its (key, old, new) triples over the joined rows
+         that carry it in both files, its median ratio, and the
+         comparisons. *)
+      let column col =
+        let pairs =
+          List.filter_map
+            (fun (k, o, n) ->
+              match (num_field o col, num_field n col) with
+              | Some old_ms, Some new_ms ->
+                let key =
+                  if String.equal col "wall_ms" then k else k ^ " [" ^ col ^ "]"
+                in
+                Some (key, old_ms, new_ms)
+              | _ -> None)
+            joined
+        in
+        let med =
+          if normalize then median (List.map (fun (_, o, n) -> ratio o n) pairs)
+          else 1.0
+        in
+        let med = if med <= 0. then 1.0 else med in
+        let judge (key, old_ms, new_ms) =
+          let r = ratio old_ms new_ms in
+          let nr = r /. med in
+          let gated = old_ms >= min_wall_ms in
+          {
+            c_key = key;
+            c_old_ms = old_ms;
+            c_new_ms = new_ms;
+            c_ratio = r;
+            c_norm_ratio = nr;
+            c_gated = gated;
+            c_regressed = gated && nr > tolerance;
+            c_improved = gated && nr < 1.0 /. tolerance;
+          }
+        in
+        if pairs = [] then None else Some ((col, med), List.map judge pairs)
       in
-      let med = if med <= 0. then 1.0 else med in
-      let compared =
-        List.map
-          (fun (k, old_ms, new_ms) ->
-            let r = ratio old_ms new_ms in
-            let nr = r /. med in
-            let gated = old_ms >= min_wall_ms in
-            {
-              c_key = k;
-              c_old_ms = old_ms;
-              c_new_ms = new_ms;
-              c_ratio = r;
-              c_norm_ratio = nr;
-              c_gated = gated;
-              c_regressed = gated && nr > tolerance;
-              c_improved = gated && nr < 1.0 /. tolerance;
-            })
-          joined
-      in
+      let medians, compared = List.split (List.filter_map column columns) in
       let joined_keys = List.map (fun (k, _, _) -> k) joined in
       Ok
         {
@@ -168,8 +192,8 @@ let compare_files ?(tolerance = 1.5) ?(normalize = false) ?(min_wall_ms = 1.0)
           r_new_path = new_path;
           r_tolerance = tolerance;
           r_normalized = normalize;
-          r_median_ratio = med;
-          r_compared = compared;
+          r_medians = medians;
+          r_compared = List.concat compared;
           r_only_old =
             List.filter_map
               (fun (k, _) ->
@@ -196,16 +220,20 @@ let render r =
   add "tolerance %.2fx%s; rows compared: %d (old-only %d, new-only %d)\n"
     r.r_tolerance
     (if r.r_normalized then
-       Printf.sprintf ", normalized by median ratio %.3f" r.r_median_ratio
+       ", normalized by median ratio "
+       ^ String.concat ", "
+           (List.map
+              (fun (col, med) -> Printf.sprintf "%.3f (%s)" med col)
+              r.r_medians)
      else "")
     (List.length r.r_compared)
     (List.length r.r_only_old)
     (List.length r.r_only_new);
-  add "  %-36s %12s %12s %8s %8s  %s\n" "row" "old ms" "new ms" "ratio"
+  add "  %-56s %12s %12s %8s %8s  %s\n" "row" "old ms" "new ms" "ratio"
     "norm" "verdict";
   List.iter
     (fun c ->
-      add "  %-36s %12.3f %12.3f %7.2fx %7.2fx  %s\n" c.c_key c.c_old_ms
+      add "  %-56s %12.3f %12.3f %7.2fx %7.2fx  %s\n" c.c_key c.c_old_ms
         c.c_new_ms c.c_ratio c.c_norm_ratio
         (if c.c_regressed then "REGRESSED"
          else if not c.c_gated then "ignored (below min wall)"

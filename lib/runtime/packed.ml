@@ -45,8 +45,8 @@ module Port = struct
       g:Csr.t -> st:int array -> out:int array -> frozen:Bytes.t ->
       int array -> lo:int -> hi:int -> unit;
     recv :
-      g:Csr.t -> mirror:int array -> st:int array -> out:int array ->
-      int array -> lo:int -> hi:int -> unit;
+      g:Csr.t -> st:int array -> out:int array -> int array -> lo:int ->
+      hi:int -> unit;
   }
 
   let run_until ?(par_threshold = default_par_threshold) ?domains m
@@ -57,13 +57,12 @@ module Port = struct
     let n = g.Csr.n in
     let nd = row.(n) in
     let active = Engine.active e and frozen = Engine.frozen e in
-    let mirror, st, out =
+    let st, out =
       Obs.with_span "runtime.packed.init" @@ fun () ->
-      let mirror = Csr.mirror g in
       let st = Array.make (Stdlib.max 1 (n * m.state_words)) 0 in
       (* Per-dart message slots: the message node [v] sends on port [p]
          lives at [(row.(v) + p) * msg_words]. The far end reads it back
-         at [mirror.(d) * msg_words] for its own dart [d]; a halted
+         at [g.mirror.(d) * msg_words] for its own dart [d]; a halted
          sender's final messages simply stay there. *)
       let out = Array.make (Stdlib.max 1 (nd * m.msg_words)) 0 in
       (* The initial broadcast runs over the identity worklist; the
@@ -74,12 +73,12 @@ module Port = struct
             active.(v) <- v
           done;
           m.send ~g ~st ~out ~frozen active ~lo ~hi);
-      (mirror, st, out)
+      (st, out)
     in
     let t =
       Engine.run e
         ~halted:(fun v -> Bytes.get frozen v <> '\000')
-        ~recv:(fun _ lo hi -> m.recv ~g ~mirror ~st ~out active ~lo ~hi)
+        ~recv:(fun _ lo hi -> m.recv ~g ~st ~out active ~lo ~hi)
         ~refresh:(fun _ lo hi -> m.send ~g ~st ~out ~frozen active ~lo ~hi)
     in
     (* Every active node rewrites and every recv phase sees exactly the
@@ -98,7 +97,6 @@ module Port = struct
      word. *)
   let reference_run m ~max_rounds (g : Csr.t) =
     let n = g.Csr.n in
-    let mirror = Csr.mirror g in
     let st = Array.make (Stdlib.max 1 (n * m.state_words)) 0 in
     let out = Array.make (Stdlib.max 1 (g.Csr.row.(n) * m.msg_words)) 0 in
     let frozen = Bytes.make (Stdlib.max 1 n) '\000' in
@@ -115,7 +113,7 @@ module Port = struct
       let live =
         Array.of_seq (Seq.filter (fun v -> not (halted v)) (Array.to_seq nodes))
       in
-      m.recv ~g ~mirror ~st ~out live ~lo:0 ~hi:(Array.length live);
+      m.recv ~g ~st ~out live ~lo:0 ~hi:(Array.length live);
       send_all ();
       incr rounds
     done;

@@ -35,9 +35,9 @@ val default_par_threshold : int
 (** Port executor for the ID model over a simple-graph CSR: one
     [msg_words] message per dart and round; the message node [v] sends
     on port [p] lives at [(row.(v) + p) * msg_words] and is read back
-    by the far endpoint through the precomputed {!Ld_graph.Csr.mirror}
-    array, one load per message. A halted sender's final messages stay
-    in its slots. *)
+    by the far endpoint through the graph's [mirror] array
+    ({!Ld_graph.Csr.t}, built once with the graph), one load per
+    message. A halted sender's final messages stay in its slots. *)
 module Port : sig
   type machine = {
     state_words : int;
@@ -56,19 +56,19 @@ module Port : sig
             function of the state; a halted node never receives
             again) *)
     recv :
-      g:Ld_graph.Csr.t -> mirror:int array -> st:int array -> out:int array ->
-      int array -> lo:int -> hi:int -> unit;
+      g:Ld_graph.Csr.t -> st:int array -> out:int array -> int array ->
+      lo:int -> hi:int -> unit;
         (** one receive step of each node [nodes.(k)], [k] in
             [lo, hi); the message arriving on port [p] of [v] is at
-            [mirror.(row.(v)+p) * msg_words]; [mirror] is
-            {!Ld_graph.Csr.mirror}[ g], computed once per run *)
+            [g.mirror.(row.(v)+p) * msg_words] *)
   }
 
   (** Runs until every node halts or [max_rounds] is reached. Returns
       the flat state array, per-run traffic, and whether all nodes
-      halted. The [runtime.packed.init] span covers the mirror table,
-      the two arrays and the initial broadcast; the rest of the
-      [runtime.packed.port] span is rounds.
+      halted. The [runtime.packed.init] span covers the state and
+      message arrays and the initial broadcast (the mirror comes with
+      [g]); the rest of the [runtime.packed.port] span is rounds. A run
+      allocates no per-dart table besides the messages.
       @raise Invalid_argument if [max_rounds < 0]. *)
   val run_until :
     ?par_threshold:int ->

@@ -178,12 +178,14 @@ let stream_biregular_tree_shape () =
     (Csr.max_colour g <= 5);
   Alcotest.(check bool) "connected" true (G.is_connected (Csr.to_graph g))
 
-(* [Csr.mirror] over four families (segments built by
+(* The stored [Csr.mirror] over four families (segments built by
    [Graph.of_packed], through [Graph.create], and in the tree's own
-   layout):
-   an involution pairing each dart with the far end's dart back, of the
-   same colour; deleting either dart of an edge, or swapping two darts
-   of a node, makes it raise. *)
+   layout): an involution pairing each dart with the far end's dart
+   back, of the same colour, which [Csr.validate] accepts. Deleting
+   either dart of an edge, or swapping two darts of a node, makes
+   [Graph.mirror] raise, and [Csr.validate] rejects those records, which
+   still carry the old mirror. It also rejects the intact graph with two
+   mirror entries swapped or the mirror cut short. *)
 let coloured_csr (family, n, seed) =
   match family with
   | 0 -> Csr.greedy (Gen.random_bounded_degree ~seed n (1 + (seed mod 6)))
@@ -203,16 +205,21 @@ let drop_dart g ~w d' =
     colour = remove g.Csr.colour;
   }
 
+(* [a] with entries [i] and [j] swapped. *)
+let swapped a i j =
+  let a = Array.copy a in
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x;
+  a
+
 (* [g] with darts [d] and [d + 1] of one node swapped. *)
 let swap_darts g d =
-  let swap a =
-    let a = Array.copy a in
-    let x = a.(d) in
-    a.(d) <- a.(d + 1);
-    a.(d + 1) <- x;
-    a
-  in
-  { g with Csr.endpoint = swap g.Csr.endpoint; colour = swap g.Csr.colour }
+  {
+    g with
+    Csr.endpoint = swapped g.Csr.endpoint d (d + 1);
+    colour = swapped g.Csr.colour d (d + 1);
+  }
 
 let mirror_pairs_darts =
   QCheck.Test.make ~count:100 ~name:"Csr.mirror pairs darts; asymmetry raises"
@@ -230,23 +237,57 @@ let mirror_pairs_darts =
           then paired := false
         done
       done;
+      Csr.validate g;
       let nd = Array.length mirror in
       !paired
       && (nd = 0
          ||
          let _, _, seed = input in
          let d = seed mod nd in
-         let raises asym =
-           match Csr.mirror asym with
-           | _ -> false
+         let raises f =
+           match f () with
+           | () -> false
            | exception Invalid_argument _ -> true
+         in
+         let rejected asym =
+           raises (fun () -> ignore (G.mirror (Csr.to_graph asym)))
+           && raises (fun () -> Csr.validate asym)
          in
          (* [d] loses its reverse; then [mirror.(d)] loses [d]; then
             [d] trades places with the next dart of its node *)
          let v = endpoint.(mirror.(d)) in
-         raises (drop_dart g ~w:endpoint.(d) mirror.(d))
-         && raises (drop_dart g ~w:v d)
-         && (d + 1 = row.(v + 1) || raises (swap_darts g d))))
+         rejected (drop_dart g ~w:endpoint.(d) mirror.(d))
+         && rejected (drop_dart g ~w:v d)
+         && (d + 1 = row.(v + 1) || rejected (swap_darts g d))
+         && raises (fun () ->
+                Csr.validate { g with Csr.mirror = swapped mirror d ((d + 1) mod nd) })
+         && raises (fun () ->
+                Csr.validate { g with Csr.mirror = Array.sub mirror 0 (nd - 1) })))
+
+(* The tree writes each edge's two darts and their reverses together;
+   its mirror must be the one [Graph.mirror] derives from the segments,
+   for every (d, delta) in 1..8 and every truncation: one node, one
+   edge, the middle of the second level and a random size. A tree with
+   [d = 1] or [delta = 1] is a star on [max d delta + 1] nodes, and a
+   larger [n] is rejected. *)
+let tree_mirror_matches_graph =
+  QCheck.Test.make ~count:200 ~name:"stream_biregular_tree mirror = Graph.mirror"
+    (QCheck.triple (QCheck.int_range 1 8) (QCheck.int_range 1 8)
+       (QCheck.int_range 1 3000))
+    (fun (d, delta, n) ->
+      let size = if d = 1 || delta = 1 then Stdlib.max d delta + 1 else max_int in
+      List.for_all
+        (fun n ->
+          match Gen.stream_biregular_tree ~d ~delta n with
+          | g ->
+            let expected = G.mirror (Csr.to_graph g) in
+            Csr.validate g;
+            n <= size
+            && Csr.n g = n
+            && Array.length g.Csr.mirror = Array.length expected
+            && Array.for_all2 Int.equal g.Csr.mirror expected
+          | exception Invalid_argument _ -> n > size)
+        [ 1; 2; 1 + d + (d * (delta - 1) / 2); n ])
 
 (* ---- generator pins ----
 
@@ -400,6 +441,7 @@ let () =
           QCheck_alcotest.to_alcotest perm_regular_wellformed;
           Alcotest.test_case "biregular tree" `Quick stream_biregular_tree_shape;
           QCheck_alcotest.to_alcotest mirror_pairs_darts;
+          QCheck_alcotest.to_alcotest tree_mirror_matches_graph;
         ] );
       ( "metrics",
         [

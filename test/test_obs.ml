@@ -893,7 +893,7 @@ let bench_diff_normalize () =
          ~new_path:new_p ())
   in
   Alcotest.(check (float 1e-9)) "median ratio" 2.0
-    norm.Bench_diff.r_median_ratio;
+    (List.assoc "wall_ms" norm.Bench_diff.r_medians);
   Alcotest.(check int) "uniform slowdown cancels normalized" 0
     (Bench_diff.exit_code norm);
   (* Selective 6x on one row stays visible through normalization. *)
@@ -956,6 +956,57 @@ let bench_diff_keys_and_shape () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing rows array must error"
 
+(* A runtime row's init_ms is gated like its wall_ms wherever both files
+   carry it: same tolerance and minimum, its own median under
+   normalization, reported as "<key> [init_ms]". *)
+let bench_diff_init_column () =
+  with_temp_pair @@ fun old_p new_p ->
+  let rt ?init algo wall =
+    Printf.sprintf
+      "{\"workload\": \"biregular-tree\", \"algo\": \"%s\", \"n\": 100000, \
+       \"domains\": 1, \"wall_ms\": %.3f%s}"
+      algo wall
+      (match init with
+      | Some i -> Printf.sprintf ", \"init_ms\": %.3f" i
+      | None -> "")
+  in
+  let key algo = "biregular-tree/" ^ algo ^ " n=100000 domains=1" in
+  let compare ?(normalize = false) () =
+    ok_or_fail
+      (Bench_diff.compare_files ~normalize ~old_path:old_p ~new_path:new_p ())
+  in
+  write_bench old_p
+    [ rt ~init:20. "israeli-itai" 100.; rt ~init:0.5 "davies-peck" 100.;
+      rt "panconesi-rizzi" 100. ];
+  (* init doubles at unchanged wall; a sub-millisecond init and an init
+     only the new file has never gate *)
+  write_bench new_p
+    [ rt ~init:40. "israeli-itai" 100.; rt ~init:5. "davies-peck" 100.;
+      rt ~init:50. "panconesi-rizzi" 100. ];
+  let r = compare () in
+  Alcotest.(check int) "three wall and two init comparisons" 5
+    (List.length r.Bench_diff.r_compared);
+  Alcotest.(check int) "init regression exits 1" 1 (Bench_diff.exit_code r);
+  Alcotest.(check (list string)) "the doubled init"
+    [ key "israeli-itai" ^ " [init_ms]" ]
+    (List.map (fun c -> c.Bench_diff.c_key) (Bench_diff.regressions r));
+  (* A uniform 2x on init alone cancels under its own median while the
+     wall median stays 1. *)
+  write_bench old_p
+    [ rt ~init:20. "israeli-itai" 100.; rt ~init:30. "davies-peck" 100.;
+      rt ~init:40. "panconesi-rizzi" 100. ];
+  write_bench new_p
+    [ rt ~init:40. "israeli-itai" 100.; rt ~init:60. "davies-peck" 100.;
+      rt ~init:80. "panconesi-rizzi" 100. ];
+  Alcotest.(check int) "uniform init slowdown caught raw" 1
+    (Bench_diff.exit_code (compare ()));
+  let norm = compare ~normalize:true () in
+  Alcotest.(check (list (pair string (float 1e-9)))) "per-column medians"
+    [ ("wall_ms", 1.0); ("init_ms", 2.0) ]
+    norm.Bench_diff.r_medians;
+  Alcotest.(check int) "uniform init slowdown cancels normalized" 0
+    (Bench_diff.exit_code norm)
+
 let () =
   Alcotest.run "obs"
     [
@@ -1010,6 +1061,8 @@ let () =
           Alcotest.test_case "median normalization" `Quick bench_diff_normalize;
           Alcotest.test_case "join keys, tolerance, shape errors" `Quick
             bench_diff_keys_and_shape;
+          Alcotest.test_case "init_ms gated per row" `Quick
+            bench_diff_init_column;
         ] );
       ( "disabled",
         [ Alcotest.test_case "sink off is a no-op" `Quick disabled_sink_is_noop ] );

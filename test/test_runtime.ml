@@ -404,12 +404,12 @@ let hashing_machine ~quota : Packed.Port.machine =
             Bytes.set frozen node '\001'
         done);
     recv =
-      (fun ~g ~mirror ~st ~out nodes ~lo ~hi ->
+      (fun ~g ~st ~out nodes ~lo ~hi ->
         for k = lo to hi - 1 do
           let node = nodes.(k) in
           let h = ref st.((2 * node) + 1) in
           for d = g.Csr.row.(node) to g.Csr.row.(node + 1) - 1 do
-            h := (!h * 31) lxor out.(mirror.(d))
+            h := (!h * 31) lxor out.(g.Csr.mirror.(d))
           done;
           st.((2 * node) + 1) <- !h;
           st.(2 * node) <- st.(2 * node) + 1
@@ -688,6 +688,29 @@ let runs_allocation_free () =
       minor "Packed_pr.run" (fun () -> Packed_pr.run ~domains:1 csr))
     (Lazy.force pin_graphs)
 
+(* A run's major-heap words are its own arrays: the state slices, the
+   message slots, the engine's worklist and frozen bytes, and the mates.
+   The mirror comes with the graph, so no second per-dart table
+   ([row.(n)] words) is built per run. The slack covers the headers and
+   whatever the run's few hundred minor words promote. *)
+let run_allocates_no_dart_table () =
+  let csr = List.assoc "tree" (Lazy.force pin_graphs) in
+  let n = csr.Csr.n and nd = csr.Csr.row.(csr.Csr.n) in
+  let expected = (Packed_ii.words * n) + nd + n + (n / 8) + n in
+  let slack = 1024 in
+  let major () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  let w0 = major () in
+  ignore
+    (Sys.opaque_identity
+       (Packed_ii.run ~domains:1 ~seed:0 ~max_rounds:pin_max_rounds csr));
+  let words = Float.to_int (major () -. w0) in
+  if words > expected + slack then
+    Alcotest.failf "Packed_ii.run on tree: %d major words (budget %d + %d)" words
+      expected slack
+
 let () =
   Alcotest.run "runtime"
     [
@@ -717,6 +740,8 @@ let () =
           Alcotest.test_case "differential edge cases" `Quick port_edge_cases;
           Alcotest.test_case "pinned states, rounds and sends" `Quick
             pinned_outputs;
+          Alcotest.test_case "a run allocates no per-dart table" `Quick
+            run_allocates_no_dart_table;
           Alcotest.test_case "runs allocate O(1) minor words" `Quick
             runs_allocation_free;
         ] );
