@@ -556,7 +556,7 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "metrics-port" ] ~docv:"PORT"
-          ~doc:"Also serve GET /metrics (OpenMetrics) on $(docv).")
+          ~doc:"Also serve GET /metrics (OpenMetrics) on 127.0.0.1:$(docv).")
   in
   Cmd.v
     (Cmd.info "serve"

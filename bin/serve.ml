@@ -8,12 +8,17 @@
    connection; a persistent {!Ld_store.Store} (unless [--no-store])
    makes constructions survive restarts.
 
-   The loop is a single-domain [Unix.select] state machine: reads are
-   non-blocking-by-readiness and reassembled per connection, responses
-   are written synchronously (they are small; a stalled reader stalls
-   only its own batch stream). [--preload] fans the per-delta
-   construction work over the {!Ld_pool.Pool} domains before the
-   socket opens, so the first client never pays a cold build.
+   The loop is a single-domain [Unix.select] loop: each readable
+   connection gets one read into its {!Ld_net.Wire.Framer}, which owns
+   the frame format, the length cap and the body buffer. A header above
+   the cap ([Wire.Bad_frame]) counts in [serve.errors] and drops its
+   connection; a peer that closes mid-frame is dropped silently.
+   Responses are written synchronously with a blocking write. They are
+   small, but a client that keeps sending batches and never reads the
+   responses fills the socket buffers and then blocks the whole loop.
+   [--preload] fans the per-delta construction work over the
+   {!Ld_pool.Pool} domains before the socket opens, so the first
+   client never pays a cold build.
 
    Stage histograms: [serve.read] times each read syscall,
    [serve.write] each framed response; the decode, per-request lookup
@@ -31,70 +36,25 @@ let c_conns = Obs.Counter.make "serve.connections"
 let h_read = Hist.make "serve.read"
 let h_write = Hist.make "serve.write"
 
-(* ---- connection state machine ---- *)
+(* ---- connections ---- *)
 
-type conn = {
-  fd : Unix.file_descr;
-  hdr : Bytes.t;
-  mutable hdr_got : int;
-  mutable body : Bytes.t;
-  mutable body_want : int; (* -1 while the header is incomplete *)
-  mutable body_got : int;
-}
+type conn = { fd : Unix.file_descr; framer : Wire.Framer.t }
 
-let new_conn fd =
-  { fd; hdr = Bytes.create 4; hdr_got = 0; body = Bytes.empty;
-    body_want = -1; body_got = 0 }
-
-let complete state conn payload =
-  conn.hdr_got <- 0;
-  conn.body_want <- -1;
-  conn.body <- Bytes.empty;
-  conn.body_got <- 0;
-  let response = Service.handle_payload state payload in
-  Hist.timed h_write (fun () -> Wire.send conn.fd response)
-
-(* One readiness-driven read; [`Dead] when the peer is gone or the
-   stream is unframeable. *)
+(* One readiness-driven read into the connection's {!Wire.Framer};
+   [`Dead] when the peer is gone or the stream is unframeable. *)
 let on_readable state conn =
   match
-    if conn.body_want < 0 then begin
-      let n =
-        Hist.timed h_read (fun () ->
-            Unix.read conn.fd conn.hdr conn.hdr_got (4 - conn.hdr_got))
-      in
-      if n = 0 then raise Wire.Closed;
-      conn.hdr_got <- conn.hdr_got + n;
-      if conn.hdr_got = 4 then begin
-        let want = Int32.to_int (Bytes.get_int32_be conn.hdr 0) in
-        if want < 0 || want > Wire.max_frame then
-          failwith "bad frame length";
-        if want = 0 then complete state conn ""
-        else begin
-          conn.body_want <- want;
-          conn.body <- Bytes.create want;
-          conn.body_got <- 0
-        end
-      end
-    end
-    else begin
-      let n =
-        Hist.timed h_read (fun () ->
-            Unix.read conn.fd conn.body conn.body_got
-              (conn.body_want - conn.body_got))
-      in
-      if n = 0 then raise Wire.Closed;
-      conn.body_got <- conn.body_got + n;
-      if conn.body_got = conn.body_want then
-        (* No copy: [complete] drops [conn.body] before the payload is
-           read, and nothing writes those bytes again. *)
-        complete state conn (Bytes.unsafe_to_string conn.body)
-    end
+    let buf, off, len = Wire.Framer.space conn.framer in
+    let n = Hist.timed h_read (fun () -> Unix.read conn.fd buf off len) in
+    match Wire.Framer.advance conn.framer n with
+    | None -> ()
+    | Some payload ->
+      let response = Service.handle_payload state payload in
+      Hist.timed h_write (fun () -> Wire.send conn.fd response)
   with
   | () -> `Alive
-  | exception Wire.Closed -> `Dead
-  | exception Unix.Unix_error _ -> `Dead
-  | exception Failure _ ->
+  | exception (Wire.Closed | Unix.Unix_error _) -> `Dead
+  | exception Wire.Bad_frame _ ->
     Obs.Counter.incr Service.c_errors;
     `Dead
 
@@ -151,7 +111,7 @@ let run ~port ~store_dir ~no_store ~max_delta ~preload ~metrics_port () =
     if List.mem sock readable then begin
       let fd, _ = Unix.accept sock in
       Obs.Counter.incr c_conns;
-      conns := new_conn fd :: !conns
+      conns := { fd; framer = Wire.Framer.create () } :: !conns
     end;
     conns :=
       List.filter

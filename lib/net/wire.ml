@@ -1,16 +1,10 @@
-(* Length-prefixed JSON framing shared by `ld serve` and `ld load`.
-
-   One frame = a 4-byte big-endian payload length followed by the
-   payload, which is JSON text: a batch is an array of request
-   objects and its response an equal-length array of response
-   objects, in order. The framing lets both sides read exactly one
-   message without a streaming JSON parser, and the length cap keeps
-   a garbled header from provoking a multi-gigabyte allocation. *)
+(* Length-prefixed JSON framing shared by `ld serve` and `ld load`; the
+   frame contract is documented in wire.mli. *)
 
 module Json = Ld_obs.Json
 
 exception Closed
-(** Peer closed the connection mid-frame. *)
+exception Bad_frame of int
 
 let max_frame = 1 lsl 26 (* 64 MiB *)
 
@@ -38,21 +32,61 @@ let send fd payload =
   let f = frame payload in
   write_all fd f 0 (String.length f)
 
-let rec read_exact fd buf off len =
-  if len > 0 then begin
-    let n = Unix.read fd buf off len in
+module Framer = struct
+  (* [want < 0]: [got] header bytes are in [hdr]. Otherwise [got] of the
+     [want] body bytes are in [body], which holds at least [got] + 1. *)
+  type t = { hdr : Bytes.t; mutable body : Bytes.t; mutable want : int; mutable got : int }
+
+  let initial_body = 1 lsl 16 (* 64 KiB *)
+
+  let create () = { hdr = Bytes.create 4; body = Bytes.empty; want = -1; got = 0 }
+
+  let space t =
+    if t.want < 0 then (t.hdr, t.got, 4 - t.got) else (t.body, t.got, Bytes.length t.body - t.got)
+
+  let finish t payload =
+    t.body <- Bytes.empty;
+    t.want <- -1;
+    t.got <- 0;
+    Some payload
+
+  let advance t n =
     if n = 0 then raise Closed;
-    read_exact fd buf (off + n) (len - n)
-  end
+    t.got <- t.got + n;
+    if t.want < 0 then begin
+      if t.got < 4 then None
+      else
+        (* Unsigned, so 0x80000000 reports as itself, not as a negative. *)
+        let want = Int32.to_int (Bytes.get_int32_be t.hdr 0) land 0xffff_ffff in
+        if want > max_frame then raise (Bad_frame want);
+        if want = 0 then finish t ""
+        else begin
+          t.want <- want;
+          t.body <- Bytes.create (min want initial_body);
+          t.got <- 0;
+          None
+        end
+    end
+    else if t.got = t.want then
+      (* No copy: [finish] drops [t.body], and nothing writes it again. *)
+      finish t (Bytes.unsafe_to_string t.body)
+    else begin
+      if t.got = Bytes.length t.body then begin
+        let b = Bytes.create (min t.want (2 * t.got)) in
+        Bytes.blit t.body 0 b 0 t.got;
+        t.body <- b
+      end;
+      None
+    end
+end
 
 let recv fd =
-  let hdr = Bytes.create 4 in
-  read_exact fd hdr 0 4;
-  let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
-  if n < 0 || n > max_frame then failwith "Wire.recv: bad frame length";
-  let b = Bytes.create n in
-  read_exact fd b 0 n;
-  Bytes.unsafe_to_string b
+  let t = Framer.create () in
+  let rec loop () =
+    let buf, off, len = Framer.space t in
+    match Framer.advance t (Unix.read fd buf off len) with Some p -> p | None -> loop ()
+  in
+  loop ()
 
 (* ---- typed accessors for request objects ---- *)
 

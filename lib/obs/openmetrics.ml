@@ -10,7 +10,7 @@
    (ROADMAP § certificate service): `ld adversary --format openmetrics`
    prints one scrape, `ld serve --metrics-port PORT` answers GET
    /metrics over a minimal HTTP/1.1 loop on plain Unix sockets — no
-   dependencies. *)
+   dependencies. Like `ld serve` itself, it binds 127.0.0.1 only. *)
 
 let sanitize name =
   String.map
@@ -98,7 +98,7 @@ let handle_client fd body =
 let serve ?(max_requests = -1) ~port body =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_any, port));
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.listen sock 16;
   let served = ref 0 in
   while max_requests < 0 || !served < max_requests do

@@ -1,8 +1,12 @@
 (* Ld_net: the bytes `ld serve` answers, the verdict memo's bound and
-   exactness, and that no payload makes the handler raise. *)
+   exactness, that no payload makes the handler raise, and that the
+   frame reassembler returns every frame whatever the chunk boundaries,
+   rejects bad headers with its typed error and allocates by what
+   arrives, not by what a header announces. *)
 
 module Json = Ld_obs.Json
 module Wire = Ld_net.Wire
+module Framer = Wire.Framer
 module Service = Ld_net.Service
 module LB = Ld_core.Lower_bound
 
@@ -106,6 +110,117 @@ let handler_total =
       | Json.Obj _ | Json.Arr _ -> true
       | _ -> false)
 
+(* ---- frame reassembly ---- *)
+
+(* Feeds [stream] to [t] the way a socket hands it over in [chunks]
+   (sizes; what they leave uncovered arrives as one last chunk): a read
+   returns at most what is left of its chunk. Returns the completed
+   payloads in order. *)
+let feed t stream chunks =
+  let len = String.length stream in
+  let pos = ref 0 and out = ref [] in
+  let deliver stop =
+    while !pos < stop do
+      let buf, off, room = Framer.space t in
+      let n = min room (stop - !pos) in
+      Bytes.blit_string stream !pos buf off n;
+      pos := !pos + n;
+      Option.iter (fun p -> out := p :: !out) (Framer.advance t n)
+    done
+  in
+  List.iter (fun c -> deliver (min len (!pos + c))) chunks;
+  deliver len;
+  List.rev !out
+
+let reassemble stream chunks = feed (Framer.create ()) stream chunks
+
+(* An empty frame, a 1-byte frame, a ~3 KB batch, and a 150 000-byte
+   frame whose body buffer grows 64 KiB -> 128 KiB -> 150 000 B. *)
+let small_frames =
+  let request i =
+    Printf.sprintf {|{"op":"verify","delta":%d,"rounds":%d}|} (2 + (i mod 7)) i
+  in
+  [ ""; "x"; "[" ^ String.concat "," (List.init 80 request) ^ "]" ]
+
+let big_frame = String.init 150_000 (fun i -> Char.chr ((i * 7) land 0xff))
+let frames = small_frames @ [ big_frame ]
+let stream_of frames = String.concat "" (List.map Wire.frame frames)
+let stream = stream_of frames
+let check_frames msg got = Alcotest.(check (list string)) msg frames got
+
+let framer_every_split () =
+  let small = stream_of small_frames in
+  for p = 0 to String.length small do
+    Alcotest.(check (list string)) (Printf.sprintf "split at %d" p) small_frames
+      (reassemble small [ p ])
+  done
+
+let framer_byte_at_a_time () =
+  check_frames "one byte per read" (reassemble stream (List.init (String.length stream) (fun _ -> 1)))
+
+let framer_random_chunks =
+  QCheck.Test.make ~count:200 ~name:"frames survive random chunkings"
+    QCheck.(list_of_size Gen.(int_range 0 40) (int_range 1 20_000))
+    (fun chunks -> List.equal String.equal (reassemble stream chunks) frames)
+
+let header n =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.to_string b
+
+let framer_bad_headers () =
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "header %#x" n) (Wire.Bad_frame n) (fun () ->
+          ignore (reassemble (header n) [ 1; 1; 1; 1 ] : string list)))
+    [ 0x8000_0000; Wire.max_frame + 1; 0xffff_ffff ];
+  Alcotest.(check (list string)) "max_frame itself is a length" []
+    (reassemble (header Wire.max_frame) [])
+
+let framer_closed () =
+  let closed_after prefix =
+    let t = Framer.create () in
+    ignore (feed t prefix [] : string list);
+    Alcotest.check_raises (Printf.sprintf "after %S" prefix) Wire.Closed (fun () ->
+        ignore (Framer.advance t 0 : string option))
+  in
+  List.iter closed_after [ ""; "\000\000"; header 3; header 3 ^ "a"; Wire.frame "ab" ]
+
+(* A header announcing [max_frame] followed by 10 body bytes allocates
+   the 64 KiB first body buffer, not 64 MiB. *)
+let framer_hostile_header_allocation () =
+  let t = Framer.create () in
+  let before = Gc.allocated_bytes () in
+  let got = feed t (header Wire.max_frame ^ String.make 10 'x') [] in
+  let grown = Gc.allocated_bytes () -. before in
+  Alcotest.(check (list string)) "no frame yet" [] got;
+  Alcotest.(check bool) (Printf.sprintf "%.0f bytes allocated < 1 MiB" grown) true
+    (grown < float_of_int (1 lsl 20))
+
+(* [Wire.recv], the loop `ld load` reads with: a frame trickling in one
+   byte per write comes back whole, a bad header raises [Bad_frame],
+   and a peer that closes raises [Closed]. *)
+let recv_over_socketpair () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let payload = {|[{"op":"ping"},{"op":"frontier","delta":4}]|} in
+  let f = Wire.frame payload in
+  let writer =
+    Domain.spawn (fun () ->
+        for i = 0 to String.length f - 1 do
+          ignore (Unix.write_substring a f i 1 : int);
+          Unix.sleepf 0.001
+        done)
+  in
+  Alcotest.(check string) "trickled frame" payload (Wire.recv b);
+  Domain.join writer;
+  ignore (Unix.write_substring a "\x7f\xff\xff\xff" 0 4 : int);
+  Alcotest.check_raises "over-cap header" (Wire.Bad_frame 0x7fff_ffff) (fun () ->
+      ignore (Wire.recv b : string));
+  ignore (Unix.write_substring a (header 5 ^ "ab") 0 6 : int);
+  Unix.close a;
+  Alcotest.check_raises "truncated body" Wire.Closed (fun () -> ignore (Wire.recv b : string));
+  Unix.close b
+
 let () =
   Alcotest.run "net"
     [
@@ -116,4 +231,15 @@ let () =
           QCheck_alcotest.to_alcotest handler_total;
         ] );
       ("wire", [ Alcotest.test_case "int_member range" `Quick int_member_range ]);
+      ( "framer",
+        [
+          Alcotest.test_case "split at every byte" `Quick framer_every_split;
+          Alcotest.test_case "one byte at a time" `Quick framer_byte_at_a_time;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) framer_random_chunks;
+          Alcotest.test_case "bad headers raise Bad_frame" `Quick framer_bad_headers;
+          Alcotest.test_case "advance 0 raises Closed" `Quick framer_closed;
+          Alcotest.test_case "hostile header allocates little" `Quick
+            framer_hostile_header_allocation;
+          Alcotest.test_case "recv over a socketpair" `Quick recv_over_socketpair;
+        ] );
     ]
