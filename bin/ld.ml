@@ -627,8 +627,17 @@ let load_cmd =
       & info [ "shutdown" ]
           ~doc:"Ask the server to exit after the run (CI convenience).")
   in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"when some request failed."
+    :: Cmd.Exit.info 2
+         ~doc:
+           "when no server answers on the port, or it refuses a warmup probe \
+            (for example a delta above its $(b,--max-delta)); one line on \
+            standard error says which."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "load"
+    (Cmd.info "load" ~exits
        ~doc:
          "Closed-loop load harness for $(b,ld serve): replay millions of \
           skewed verification requests over concurrent connections and \

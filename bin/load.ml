@@ -152,7 +152,9 @@ let run ~port ~conns:nconns ~batch ~requests ~max_delta ~skew ~seed ~quick
   let batch = Stdlib.max 1 batch in
   if max_delta < 2 then invalid_arg "ld load: --max-delta < 2";
   (* Warmup: build/warm every construction in the mix outside the timed
-     window, and fail fast if no server is listening. *)
+     window, and fail fast, with one line and exit 2, if no server is
+     listening or it refuses a delta of the mix. *)
+  let refuse fmt = Printf.ksprintf (fun m -> prerr_endline ("ld load: " ^ m); exit 2) fmt in
   (match
      request ~port
        (Json.Arr
@@ -163,18 +165,18 @@ let run ~port ~conns:nconns ~batch ~requests ~max_delta ~skew ~seed ~quick
                    ("delta", Json.Num (float_of_int (i + 2)));
                  ])))
    with
-  | Json.Arr resps ->
-    List.iter
-      (fun r ->
+  | Json.Arr resps when List.length resps = max_delta - 1 ->
+    List.iteri
+      (fun i r ->
         match Json.member "ok" r with
         | Some (Json.Bool true) -> ()
-        | _ -> failwith ("ld load: warmup probe failed: " ^ Json.render r))
+        | _ ->
+          refuse "server refused the warmup probe for delta %d: %s" (i + 2)
+            (Option.value (Wire.str_member "error" r) ~default:(Json.render r)))
       resps
-  | other -> failwith ("ld load: unexpected warmup response: " ^ Json.render other)
+  | other -> refuse "unexpected warmup response: %s" (Json.render other)
   | exception Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "ld load: cannot reach server on 127.0.0.1:%d: %s\n" port
-      (Unix.error_message e);
-    exit 2);
+    refuse "cannot reach server on 127.0.0.1:%d: %s" port (Unix.error_message e));
   let prng = ref (Int64.of_int seed) in
   let draw_delta = delta_sampler ~max_delta ~skew in
   let build_batch n =

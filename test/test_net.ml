@@ -1,8 +1,9 @@
 (* Ld_net: the bytes `ld serve` answers, the verdict memo's bound and
-   exactness, that no payload makes the handler raise, and that the
-   frame reassembler returns every frame whatever the chunk boundaries,
+   exactness, that no payload makes the handler raise, that the frame
+   reassembler returns every frame whatever the chunk boundaries,
    rejects bad headers with its typed error and allocates by what
-   arrives, not by what a header announces. *)
+   arrives, not by what a header announces, and that the serve loop,
+   driven over loopback, lets no client stall another. *)
 
 module Json = Ld_obs.Json
 module Wire = Ld_net.Wire
@@ -221,6 +222,214 @@ let recv_over_socketpair () =
   Alcotest.check_raises "truncated body" Wire.Closed (fun () -> ignore (Wire.recv b : string));
   Unix.close b
 
+(* ---- the serve loop over loopback ---- *)
+
+module Obs = Ld_obs.Obs
+module Server = Ld_net.Server
+
+let counter name = Obs.Counter.value (Obs.Counter.make name)
+
+let port_of sock =
+  match Unix.getsockname sock with
+  | Unix.ADDR_INET (_, p) -> p
+  | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+
+let connect ?rcvbuf port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let write fd s = ignore (Unix.write_substring fd s 0 (String.length s) : int)
+
+let within_1s fd what =
+  match Unix.select [ fd ] [] [] 1.0 with
+  | [], _, _ -> Alcotest.failf "%s: nothing to read within 1 s" what
+  | _ -> ()
+
+(* One frame out, its answer back within 1 s. *)
+let call fd payload =
+  Wire.send fd payload;
+  within_1s fd payload;
+  Wire.recv fd
+
+let ping port =
+  let fd = connect port in
+  Alcotest.(check string) "ping answered" {|{"ok":true}|} (call fd {|{"op":"ping"}|});
+  Unix.close fd
+
+let shutdown port loop =
+  let fd = connect port in
+  Alcotest.(check string) "shutdown acknowledged" {|{"ok":true}|} (call fd {|{"op":"shutdown"}|});
+  Domain.join loop;
+  Unix.close fd
+
+(* Runs [f ~port ~metrics_port] against a serve loop in a domain on
+   port-0 listeners, then ends the loop with a [shutdown] request.
+   [sndbuf] sizes the send buffers of the sockets the wire listener
+   accepts. *)
+let with_server ?sndbuf f =
+  Obs.enable ();
+  let wire = Server.listen 0 and metrics = Server.listen 0 in
+  Option.iter (Unix.setsockopt_int wire Unix.SO_SNDBUF) sndbuf;
+  let port = port_of wire in
+  let loop =
+    Domain.spawn (fun () -> Server.run (Service.create ~max_delta ()) ~wire ~metrics:(Some metrics))
+  in
+  f ~port ~metrics_port:(port_of metrics);
+  shutdown port loop
+
+(* A client that sends up to 8 MB of 64-ping batches and reads nothing;
+   it stops once the server has taken nothing for 1 s. Its small
+   receive buffer, and the small send buffer of [with_server ~sndbuf],
+   leave the backlog to the server's output queue. *)
+let hog port =
+  let fd = connect ~rcvbuf:65536 port in
+  Unix.set_nonblock fd;
+  let batch = Wire.frame ("[" ^ String.concat "," (List.init 64 (fun _ -> {|{"op":"ping"}|})) ^ "]") in
+  let len = String.length batch in
+  let rec go sent stalls =
+    if sent < 8_000_000 && stalls < 20 then
+      match Unix.single_write_substring fd batch (sent mod len) (len - (sent mod len)) with
+      | n -> go (sent + n) 0
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+        ignore (Unix.select [] [ fd ] [] 0.05 : _ * _ * _);
+        go sent (stalls + 1)
+  in
+  go 0 0;
+  fd
+
+let non_reader_stalls_no_one () =
+  let full = counter "serve.queue_full" and write_errors = counter "serve.write_errors" in
+  with_server ~sndbuf:65536 @@ fun ~port ~metrics_port:_ ->
+  let fd = hog port in
+  let t0 = Obs.now_ms () in
+  ping port;
+  let waited = Obs.now_ms () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "ping answered in %.0f ms" waited) true (waited < 1000.);
+  Alcotest.(check bool) "the hog's queue passed the cap" true (counter "serve.queue_full" > full);
+  let peak = Obs.Gauge.value (Obs.Gauge.make "serve.pending_peak_bytes") in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak queue %d B is the cap and at most one response" peak)
+    true
+    (peak > Server.queue_cap && peak <= Server.queue_cap + 1024);
+  (* Gone with its answers unread: the queued write fails, and only
+     that connection is dropped. *)
+  Unix.close fd;
+  let rec wait tries =
+    if counter "serve.write_errors" = write_errors && tries > 0 then begin
+      Unix.sleepf 0.01;
+      wait (tries - 1)
+    end
+  in
+  wait 200;
+  Alcotest.(check int) "one write error" (write_errors + 1) (counter "serve.write_errors");
+  ping port
+
+(* Status line and body of one HTTP exchange whose request goes out in
+   [parts], 20 ms apart; every read must come within 1 s. *)
+let http port parts =
+  let fd = connect port in
+  List.iter
+    (fun p ->
+      write fd p;
+      Unix.sleepf 0.02)
+    parts;
+  let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec drain () =
+    within_1s fd "scrape";
+    let n = Unix.read fd chunk 0 4096 in
+    if n > 0 then begin
+      Buffer.add_subbytes buf chunk 0 n;
+      drain ()
+    end
+  in
+  drain ();
+  Unix.close fd;
+  let resp = Buffer.contents buf in
+  let rec head_end i =
+    if i + 4 > String.length resp then Alcotest.failf "no header end in %S" resp
+    else if String.sub resp i 4 = "\r\n\r\n" then i
+    else head_end (i + 1)
+  in
+  let h = head_end 0 in
+  (String.sub resp 0 (String.index resp '\r'), String.sub resp (h + 4) (String.length resp - h - 4))
+
+(* Idle /metrics connections, silent or with half a head, delay no
+   scrape; /metrics and / answer 200 with the whole exposition, any
+   other path 404, and a head split over several reads is answered
+   once it is whole. *)
+let metrics_scrapes () =
+  with_server @@ fun ~port:_ ~metrics_port ->
+  let silent = connect metrics_port and partial = connect metrics_port in
+  write partial "GET /met";
+  let scrape parts =
+    let status, body = http metrics_port parts in
+    Alcotest.(check string) "status" "HTTP/1.1 200 OK" status;
+    Alcotest.(check bool) "ends with # EOF" true (String.ends_with ~suffix:"# EOF\n" body);
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) name true
+          (List.exists (String.starts_with ~prefix:name) (String.split_on_char '\n' body)))
+      [ "ld_serve_errors_total "; "ld_serve_write_errors_total "; "ld_serve_queue_full_total " ]
+  in
+  scrape [ "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n" ];
+  scrape [ "GET / HTTP/1.1\r\n\r\n" ];
+  scrape [ "GET /met"; "rics HTTP/1.1\r\nHost: loc"; "alhost\r\n\r"; "\n" ];
+  List.iter
+    (fun path ->
+      let status, _ = http metrics_port [ Printf.sprintf "GET %s HTTP/1.1\r\n\r\n" path ] in
+      Alcotest.(check string) path "HTTP/1.1 404 Not Found" status)
+    [ "/x"; "/metrics/x" ];
+  List.iter Unix.close [ silent; partial ]
+
+let trickled_frame () =
+  with_server @@ fun ~port ~metrics_port:_ ->
+  let fd = connect port in
+  String.iter
+    (fun c ->
+      write fd (String.make 1 c);
+      Unix.sleepf 0.001)
+    (Wire.frame {|[{"op":"ping"},{"op":"verify","delta":3,"rounds":3}]|});
+  within_1s fd "trickled frame";
+  Alcotest.(check string) "answer" {|[{"ok":true},{"ok":true,"delta":3,"rounds":3,"verdict":"certified"}]|}
+    (Wire.recv fd);
+  Unix.close fd
+
+(* A header above the frame cap counts one error and closes its own
+   connection; the one opened before it is still served. *)
+let over_cap_header () =
+  with_server @@ fun ~port ~metrics_port:_ ->
+  let errors = counter "serve.errors" in
+  let good = connect port and bad = connect port in
+  write bad "\x7f\xff\xff\xff";
+  within_1s bad "over-cap header";
+  Alcotest.(check int) "closed" 0 (Unix.read bad (Bytes.create 1) 0 1);
+  Alcotest.(check int) "serve.errors" (errors + 1) (counter "serve.errors");
+  Alcotest.(check string) "the other connection" {|{"ok":true}|} (call good {|{"op":"ping"}|});
+  List.iter Unix.close [ good; bad ]
+
+let mid_batch_disconnects () =
+  with_server @@ fun ~port ~metrics_port:_ ->
+  List.iter
+    (fun prefix ->
+      let fd = connect port in
+      write fd prefix;
+      Unix.close fd;
+      ping port)
+    [ "\000\000"; "\000\000\001\000[{\"op\":\"verify\",\"delta\":3" ]
+
+(* The acknowledgement is written before the loop returns and closes
+   the socket; a loop without a /metrics listener, too. *)
+let shutdown_ack () =
+  let wire = Server.listen 0 in
+  let port = port_of wire in
+  let loop = Domain.spawn (fun () -> Server.run (Service.create ~max_delta ()) ~wire ~metrics:None) in
+  ping port;
+  shutdown port loop;
+  Alcotest.check_raises "listener closed" (Unix.Unix_error (Unix.ECONNREFUSED, "connect", "")) (fun () ->
+      ignore (connect port : Unix.file_descr))
+
 let () =
   Alcotest.run "net"
     [
@@ -241,5 +450,16 @@ let () =
           Alcotest.test_case "hostile header allocates little" `Quick
             framer_hostile_header_allocation;
           Alcotest.test_case "recv over a socketpair" `Quick recv_over_socketpair;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "a client that never reads stalls no one" `Quick
+            non_reader_stalls_no_one;
+          Alcotest.test_case "/metrics 200, other paths 404" `Quick
+            metrics_scrapes;
+          Alcotest.test_case "a frame one byte per write" `Quick trickled_frame;
+          Alcotest.test_case "over-cap header drops its connection only" `Quick over_cap_header;
+          Alcotest.test_case "mid-batch disconnects" `Quick mid_batch_disconnects;
+          Alcotest.test_case "shutdown acknowledged before the loop returns" `Quick shutdown_ack;
         ] );
     ]

@@ -468,73 +468,6 @@ let openmetrics_shape () =
   | last :: _ -> Alcotest.(check string) "terminator" "# EOF" last
   | [] -> Alcotest.fail "empty exposition"
 
-(* [Openmetrics.serve] on loopback, on a port the kernel handed to a
-   socket closed just before: GET /metrics answers 200 with the text
-   [render ()] produced for that scrape, any other path 404. *)
-let openmetrics_serve () =
-  let port =
-    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let port =
-      match Unix.getsockname s with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
-    in
-    Unix.close s;
-    port
-  in
-  let served = Atomic.make "" in
-  let body () =
-    let text = Openmetrics.render () in
-    Atomic.set served text;
-    text
-  in
-  let server =
-    Domain.spawn (fun () -> Openmetrics.serve ~max_requests:2 ~port body)
-  in
-  let rec connect tries =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
-    | () -> fd
-    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
-      Unix.close fd;
-      Unix.sleepf 0.01;
-      connect (tries - 1)
-  in
-  (* Status line and body of one request. *)
-  let get path =
-    let fd = connect 500 in
-    let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path in
-    ignore (Unix.write_substring fd req 0 (String.length req) : int);
-    let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
-    let rec drain () =
-      let n = Unix.read fd chunk 0 4096 in
-      if n > 0 then begin
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
-      end
-    in
-    drain ();
-    Unix.close fd;
-    let resp = Buffer.contents buf in
-    let rec head_end i =
-      if i + 4 > String.length resp then Alcotest.fail ("no header end in " ^ resp)
-      else if String.sub resp i 4 = "\r\n\r\n" then i
-      else head_end (i + 1)
-    in
-    let h = head_end 0 in
-    ( String.sub resp 0 (String.index resp '\r'),
-      String.sub resp (h + 4) (String.length resp - h - 4) )
-  in
-  let status, text = get "/metrics" in
-  Alcotest.(check string) "/metrics status" "HTTP/1.1 200 OK" status;
-  Alcotest.(check string) "/metrics body is the rendered scrape" (Atomic.get served) text;
-  Alcotest.(check bool) "scrape ends with # EOF" true
-    (String.ends_with ~suffix:"# EOF\n" text);
-  let status, _ = get "/x" in
-  Alcotest.(check string) "/x status" "HTTP/1.1 404 Not Found" status;
-  Domain.join server
-
 (* ------------------------------------------------------------------ *)
 (* JSON hardening: hostile bytes in span/counter names survive every
    emitter as valid pure-ASCII JSON, and the parser the bench-diff
@@ -1106,8 +1039,6 @@ let () =
       ( "exposition",
         [
           Alcotest.test_case "OpenMetrics shape" `Quick openmetrics_shape;
-          Alcotest.test_case "serve: /metrics 200, other paths 404" `Quick
-            openmetrics_serve;
         ] );
       ( "json",
         [
