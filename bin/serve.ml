@@ -1,19 +1,15 @@
 (* `ld serve` — long-running certificate service over a TCP socket.
 
    Clients speak the {!Ld_net.Wire} protocol: one frame is a JSON
-   array of request objects and the response is an equal-length
-   array, in order. {!Ld_net.Service} answers a payload (the ops, the
-   verdict memo); this file sets up the store, the preload and the
-   listening sockets. The memo tables live in the one event-loop domain
-   and are shared by every connection; a persistent {!Ld_store.Store} (unless [--no-store])
-   makes constructions survive restarts.
-
-   The sockets are bound here, the /metrics one first, and served by
-   {!Ld_net.Server}: one select loop on one domain, with non-blocking
-   writes and a bounded output queue per connection, so no client that
-   stops reading can stall another. [--preload] fans the per-delta
-   construction work over the {!Ld_pool.Pool} domains before the
-   sockets open, so the first client never pays a cold build. *)
+   array of request objects and the response is an equal-length array,
+   in order. {!Ld_net.Service} answers a payload and keeps the verdict
+   memo, shared by every connection; a persistent {!Ld_store.Store}
+   (unless [--no-store]) makes constructions survive restarts. This
+   file sets up the store and the preload ([--preload] fans the
+   per-delta builds over the {!Ld_pool.Pool} domains, so the first
+   client never pays a cold build), binds the listeners (/metrics
+   first, so a client that reaches the wire port finds it up) and
+   hands them to {!Ld_net.Server}, the one event loop. *)
 
 module Cache_store = Ld_core.Cache_store
 module Store = Ld_store.Store

@@ -33,7 +33,7 @@ let listen port =
   sock
 
 (* Writes until the queue drains or the socket is full. A failed write
-   counts in [serve.write_errors] and raises [Wire.Closed]. *)
+   counts in [serve.write_errors] and raises on. *)
 let rec flush c =
   match Queue.peek_opt c.out with
   | None -> ()
@@ -45,9 +45,9 @@ let rec flush c =
       c.off <- (if n < len then c.off + n else (ignore (Queue.pop c.out : string); 0));
       flush c
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ ->
+    | exception (Unix.Unix_error _ as e) ->
       Obs.Counter.incr c_write_errors;
-      raise Wire.Closed)
+      raise e)
 
 (* Queues [s] and writes at once: on the hot path [s] leaves in one
    write and nothing stays queued. *)
@@ -81,6 +81,10 @@ let serve_conn state c ~readable ~writable =
   with
   | () -> not (c.input = Answered && c.pending = 0)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> true
+  | exception Wire.Closed when c.pending > 0 ->
+    (* Half-closed: the peer may still read what is queued. *)
+    c.input <- Answered;
+    true
   | exception (Wire.Closed | Unix.Unix_error _) -> false
   | exception Wire.Bad_frame _ ->
     Obs.Counter.incr Service.c_errors;

@@ -20,11 +20,13 @@
 
     Errors drop only their own connection. A header above
     {!Wire.max_frame} counts in [serve.errors], a failed write in
-    [serve.write_errors]; a peer that closes, mid-frame or not, is
-    dropped uncounted. [serve.queue_full] counts responses that left a
-    queue over the cap, and the [serve.pending_peak_bytes] gauge is the
-    largest queue seen. [serve.read] times each read of a wire
-    connection and [serve.write] each write. *)
+    [serve.write_errors]. A peer that closes, mid-frame or not, is
+    dropped uncounted, or, if output is queued for it, read no more and
+    dropped once that drains, so a half-closed peer gets its answers.
+    [serve.queue_full] counts responses that left a queue over the cap,
+    and the [serve.pending_peak_bytes] gauge is the largest queue seen.
+    [serve.read] times each read of a wire connection and [serve.write]
+    each write. *)
 
 val queue_cap : int
 (** 1 MiB. *)

@@ -16,7 +16,7 @@
    makes every verify after the first an array read. [handle_payload]
    never raises on malformed input: every error is an
    {"ok":false,"error":...} response. The socket loop lives in
-   `bin/serve.ml`. *)
+   {!Server}. *)
 
 module LB = Ld_core.Lower_bound
 module Cache_store = Ld_core.Cache_store

@@ -419,6 +419,19 @@ let mid_batch_disconnects () =
       ping port)
     [ "\000\000"; "\000\000\001\000[{\"op\":\"verify\",\"delta\":3" ]
 
+(* A client that half-closes after a batch still gets the whole
+   answer, though it is larger than the socket buffers hold. *)
+let half_close () =
+  with_server ~sndbuf:65536 @@ fun ~port ~metrics_port:_ ->
+  let fd = connect ~rcvbuf:65536 port in
+  let n = 100_000 in
+  Wire.send fd ("[" ^ String.concat "," (List.init n (fun _ -> {|{"op":"ping"}|})) ^ "]");
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  Unix.sleepf 0.1;
+  within_1s fd "half-closed";
+  Alcotest.(check int) "answer bytes" ((12 * n) + 1) (String.length (Wire.recv fd));
+  Unix.close fd
+
 (* The acknowledgement is written before the loop returns and closes
    the socket; a loop without a /metrics listener, too. *)
 let shutdown_ack () =
@@ -460,6 +473,7 @@ let () =
           Alcotest.test_case "a frame one byte per write" `Quick trickled_frame;
           Alcotest.test_case "over-cap header drops its connection only" `Quick over_cap_header;
           Alcotest.test_case "mid-batch disconnects" `Quick mid_batch_disconnects;
+          Alcotest.test_case "a half-closed client gets its answer" `Quick half_close;
           Alcotest.test_case "shutdown acknowledged before the loop returns" `Quick shutdown_ack;
         ] );
     ]
