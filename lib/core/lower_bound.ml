@@ -262,25 +262,18 @@ let transport ~side ~pair ~target ~y_target ~y_mix =
   let { gr; hr; _ } = pair in
   let mg = Ec.num_edges gr in
   let lg = Ec.num_loops gr - 1 (* loops of G - e *) in
-  let lh = Ec.num_loops hr - 1 in
-  let side_edges, side_loops, edge_map, loop_map =
+  let side_edges, side_loops, edge_shift, loop_shift =
     match side with
-    | `G -> (mg, lg, (fun j -> j), fun j -> j)
-    | `H -> (Ec.num_edges hr, lh, (fun j -> mg + j), fun j -> lg + j)
+    | `G -> (mg, lg, 0, 0)
+    | `H -> (Ec.num_edges hr, Ec.num_loops hr - 1, mg, lg)
   in
-  let crossing_target = Ec.num_edges target - 1 in
-  let crossing_mix = mg + Ec.num_edges hr in
-  let edge_w =
-    Array.init (Ec.num_edges target) (fun j ->
-        if j < side_edges then Fm.edge_weight y_mix (edge_map j)
-        else if j = crossing_target then Fm.edge_weight y_mix crossing_mix
-        else Fm.edge_weight y_target j)
-  in
-  let loop_w =
-    Array.init (Ec.num_loops target) (fun j ->
-        if j < side_loops then Fm.loop_weight y_mix (loop_map j)
-        else Fm.loop_weight y_target j)
-  in
+  let edge_w = Array.copy (Fm.edge_weights y_target)
+  and loop_w = Array.copy (Fm.loop_weights y_target) in
+  Array.blit (Fm.edge_weights y_mix) edge_shift edge_w 0 side_edges;
+  Array.blit (Fm.loop_weights y_mix) loop_shift loop_w 0 side_loops;
+  (* The crossing edge is the last edge of both graphs. *)
+  edge_w.(Ec.num_edges target - 1) <-
+    Fm.edge_weight y_mix (mg + Ec.num_edges hr);
   Fm.create target ~edge_w ~loop_w
 
 (* One unfold-and-mix step (Fig. 6 + Fig. 7). This `step` is the
@@ -296,12 +289,13 @@ let step ~on_probe ~delta ~algo ~check_views state =
   let cov_gg, cov_hh, gh = unfold_and_mix p in
   let gg = cov_gg.Lift.total and hh = cov_hh.Lift.total in
   (* P2 and P3 for the freshly built graphs. *)
-  List.iter
-    (fun x ->
-      assert (Ec.min_loops x >= delta - 1 - level);
-      assert (Ec.max_degree x <= delta);
-      assert (Ec.is_tree_plus_loops x))
-    [ gg; hh; gh ];
+  Obs.with_span "core.lb.p2p3" (fun () ->
+      List.iter
+        (fun x ->
+          assert (Ec.min_loops x >= delta - 1 - level);
+          assert (Ec.max_degree x <= delta);
+          assert (Ec.is_tree_plus_loops x))
+        [ gg; hh; gh ]);
   (* The three probes of a level are independent runs of A — fan them
      out over the pool (submission-order join keeps results, and
      therefore everything downstream, deterministic), then record and
@@ -326,13 +320,14 @@ let step ~on_probe ~delta ~algo ~check_views state =
   accept hh y_hh;
   accept gh y_gh;
   (* Condition (2) of the EC model: A commutes with 2-lifts. *)
-  if not (Fm.equal y_gg (Fm.pull_back cov_gg state.y_g)) then
-    failwith
-      (algo.name
-     ^ ": not lift-invariant (output on 2-lift GG differs from pulled-back \
-        output on G) — not an EC-model algorithm");
-  if not (Fm.equal y_hh (Fm.pull_back cov_hh state.y_h)) then
-    failwith (algo.name ^ ": not lift-invariant on HH");
+  Obs.with_span "core.lb.lift_check" (fun () ->
+      if not (Fm.is_pull_back cov_gg ~base:state.y_g ~total:y_gg) then
+        failwith
+          (algo.name
+         ^ ": not lift-invariant (output on 2-lift GG differs from pulled-back \
+            output on G) — not an EC-model algorithm");
+      if not (Fm.is_pull_back cov_hh ~base:state.y_h ~total:y_hh) then
+        failwith (algo.name ^ ": not lift-invariant on HH"));
   let w_e = Fm.loop_weight state.y_g p.e in
   let w_f = Fm.loop_weight state.y_h p.f in
   let crossing_gh = Ec.num_edges gh - 1 in
@@ -343,7 +338,10 @@ let step ~on_probe ~delta ~algo ~check_views state =
   let side, target, y_target, start =
     if not (Q.equal w_cross w_e) then (`G, gg, y_gg, p.g) else (`H, hh, y_hh, p.h)
   in
-  let y' = transport ~side ~pair:p ~target ~y_target ~y_mix:y_gh in
+  let y' =
+    Obs.with_span "core.lb.transport" (fun () ->
+        transport ~side ~pair:p ~target ~y_target ~y_mix:y_gh)
+  in
   let first =
     match Ec.dart_by_colour target start p.c with
     | Some d -> d

@@ -27,6 +27,8 @@ let zero graph =
 let graph y = y.graph
 let edge_weight y id = y.edge_w.(id)
 let loop_weight y id = y.loop_w.(id)
+let edge_weights y = y.edge_w
+let loop_weights y = y.loop_w
 
 let dart_weight y = function
   | Ec.To_neighbour { edge_id; _ } -> y.edge_w.(edge_id)
@@ -180,6 +182,34 @@ let pull_back (cov : Ld_cover.Lift.covering) y =
         base_weight cov.map.(c.loop_node.(id)) c.loop_colour.(id))
   in
   { graph = cov.total; edge_w; loop_w }
+
+(* [pull_back cov base] without building it. A covering gives total
+   node [v] the colours of base node [cov.map.(v)], and both segments
+   ascend by colour, so the two are walked side by side: the dart at
+   each position must carry the weight of the base dart beside it.
+   Colours are checked on every dart, so a non-covering raises whatever
+   the weights. *)
+let is_pull_back (cov : Ld_cover.Lift.covering) ~base ~total =
+  if not (Ec.equal base.graph cov.base) then
+    invalid_arg "Fm.is_pull_back: matching is not on the covering's base";
+  Ec.equal total.graph cov.total
+  &&
+  let b = Ec.csr base.graph and t = Ec.csr total.graph in
+  let same = ref true in
+  for v = 0 to Ec.n total.graph - 1 do
+    let lo = t.row.(v) and u = cov.map.(v) in
+    let blo = b.row.(u) in
+    if b.row.(u + 1) - blo <> t.row.(v + 1) - lo then
+      invalid_arg "Fm.is_pull_back: not a covering (degrees differ)";
+    for i = 0 to t.row.(v + 1) - lo - 1 do
+      let d = lo + i and bd = blo + i in
+      if t.key.(d) <> b.key.(bd) then
+        invalid_arg "Fm.is_pull_back: not a covering (colours differ)";
+      if !same then
+        same := Q.equal (code_weight total t.code.(d)) (code_weight base b.code.(bd))
+    done
+  done;
+  !same
 
 let pp fmt y =
   Format.fprintf fmt "@[<v>fm on %d nodes:@," (Ec.n y.graph);

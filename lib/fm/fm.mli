@@ -30,6 +30,13 @@ val graph : t -> Ld_models.Ec.t
 val edge_weight : t -> int -> Q.t
 val loop_weight : t -> int -> Q.t
 
+(** All edge weights, indexed by edge id, and all loop weights, indexed
+    by loop id: the arrays are shared with the matching, so treat them
+    as read-only. *)
+val edge_weights : t -> Q.t array
+
+val loop_weights : t -> Q.t array
+
 (** Weight of the edge or loop behind a dart. *)
 val dart_weight : t -> Ld_models.Ec.dart -> Q.t
 
@@ -87,5 +94,16 @@ val equal : t -> t -> bool
     total graph (condition (2) of the paper).
     @raise Invalid_argument if [graph y] is not the covering's base. *)
 val pull_back : Ld_cover.Lift.covering -> t -> t
+
+(** [is_pull_back cov ~base ~total] is
+    [equal total (pull_back cov base)], decided without building the
+    pulled-back matching: each total node's dart segment is compared,
+    position by position, with the segment of its base node
+    [cov.map.(v)]. It allocates nothing. This is the adversary's check
+    of condition (2).
+    @raise Invalid_argument if [graph base] is not the covering's base,
+    or if some total node's segment differs from its base node's in
+    length or colours (the map is not a covering). *)
+val is_pull_back : Ld_cover.Lift.covering -> base:t -> total:t -> bool
 
 val pp : Format.formatter -> t -> unit

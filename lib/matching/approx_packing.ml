@@ -18,7 +18,9 @@ let node_weight s =
 let machine ~k : (state, bool) Anon.machine =
   {
     init =
-      (fun ~degree ~colours ->
+      (fun ~colours ~lo ~hi ->
+        let degree = hi - lo in
+        let colours = List.init degree (fun i -> colours.(lo + i)) in
         let w = Q.div Q.one (Q.of_int (1 lsl k)) in
         {
           (* already half-saturated by the uniform start? *)

@@ -1,12 +1,13 @@
 module Ec = Ld_models.Ec
+module Darts = Ld_models.Darts
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
 module Anon = Ld_runtime.Anon_ec
 module Obs = Ld_obs.Obs
 
-(* Shared extraction: both algorithms yield, per node, the weight
-   assigned to each dart colour. The weight of an edge is read at either
-   endpoint (they agree — asserted); a loop's weight is read at its node. *)
+(* Proposal's extraction: per node, the weight assigned to each dart
+   colour. The weight of an edge is read at either endpoint (they agree
+   — asserted); a loop's weight is read at its node. *)
 let fm_of_weights g weight_at =
   let c = Ec.columns g in
   let edge_w =
@@ -43,8 +44,12 @@ type greedy_state = {
 let greedy_machine : (greedy_state, int) Anon.machine =
   {
     init =
-      (fun ~degree:_ ~colours ->
-        { g_phase = 1; g_matched = 0; g_last = List.fold_left Stdlib.max 0 colours });
+      (fun ~colours ~lo ~hi ->
+        {
+          g_phase = 1;
+          g_matched = 0;
+          g_last = (if hi = lo then 0 else colours.(hi - 1));
+        });
     send = (fun s -> if s.g_matched = 0 then 1 else 0);
     recv =
       (fun s inbox ->
@@ -73,7 +78,27 @@ let greedy_colours ?truncate g =
 let greedy_by_colour ?truncate g =
   Obs.with_span "matching.packing.greedy" @@ fun () ->
   let matched, _ = greedy_colours ?truncate g in
-  fm_of_weights g (fun v c -> if matched.(v) = c then Q.one else Q.zero)
+  (* Scatter the matching from the dart table: a node matched through
+     colour c puts weight 1 on its colour-c edge or loop, found with one
+     search of its segment; across an edge the partner must have matched
+     through the same colour. Everything else stays 0. *)
+  let ({ Darts.other; code; _ } as t) = Ec.csr g in
+  let edge_w = Array.make (Ec.num_edges g) Q.zero
+  and loop_w = Array.make (Ec.num_loops g) Q.zero in
+  for v = 0 to Ec.n g - 1 do
+    let c = matched.(v) in
+    if c > 0 then begin
+      let d = Darts.find t v c in
+      assert (d >= 0);
+      let k = code.(d) in
+      if k >= 0 then begin
+        assert (matched.(other.(d)) = c);
+        edge_w.(k) <- Q.one
+      end
+      else loop_w.(-k - 1) <- Q.one
+    end
+  done;
+  Fm.create g ~edge_w ~loop_w
 
 (* ------------------------------------------------------------------ *)
 (* Simultaneous proposal.                                              *)
@@ -104,14 +129,14 @@ let with_offer s = { s with p_offer = my_offer s }
 let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
   {
     init =
-      (fun ~degree:_ ~colours ->
+      (fun ~colours ~lo ~hi ->
         with_offer
           {
             p_slack = Q.one;
             p_offer = Q.zero;
             p_dead = [];
             p_weights = [];
-            p_colours = colours;
+            p_colours = List.init (hi - lo) (fun i -> colours.(lo + i));
           });
     send = (fun s -> { p_offer = s.p_offer; p_sat = Q.is_zero s.p_slack });
     recv =

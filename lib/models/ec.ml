@@ -320,32 +320,30 @@ let to_simple g =
   Ld_graph.Graph.create g.n
     (List.map (fun e -> (Stdlib.min e.u e.v, Stdlib.max e.u e.v)) (edges g))
 
-let canonical_edge e =
-  (Stdlib.min e.u e.v, Stdlib.max e.u e.v, e.colour)
+(* Item by item under the same id, an edge's endpoints in either order.
+   Top-level rather than local closures, so a comparison allocates
+   nothing, and the first difference stops the scan. *)
+let rec same_edges ca cb j =
+  j < 0
+  || ca.edge_colour.(j) = cb.edge_colour.(j)
+     && (let u = ca.edge_u.(j) and v = ca.edge_v.(j) in
+         let u' = cb.edge_u.(j) and v' = cb.edge_v.(j) in
+         (u = u' && v = v') || (u = v' && v = u'))
+     && same_edges ca cb (j - 1)
 
-(* Lexicographic on int triples/pairs: same order as polymorphic compare. *)
-let triple_compare (a1, a2, a3) (b1, b2, b3) =
-  let c = Int.compare a1 b1 in
-  if c <> 0 then c
-  else
-    let c = Int.compare a2 b2 in
-    if c <> 0 then c else Int.compare a3 b3
-
-let pair_compare (a1, a2) (b1, b2) =
-  let c = Int.compare a1 b1 in
-  if c <> 0 then c else Int.compare a2 b2
+let rec same_loops ca cb j =
+  j < 0
+  || ca.loop_node.(j) = cb.loop_node.(j)
+     && ca.loop_colour.(j) = cb.loop_colour.(j)
+     && same_loops ca cb (j - 1)
 
 let equal a b =
   a == b
   || a.n = b.n
-  && List.equal
-       (fun x y -> triple_compare x y = 0)
-       (List.sort triple_compare (List.map canonical_edge (edges a)))
-       (List.sort triple_compare (List.map canonical_edge (edges b)))
-  && List.equal
-       (fun x y -> pair_compare x y = 0)
-       (List.sort pair_compare (List.map (fun l -> (l.node, l.colour)) (loops a)))
-       (List.sort pair_compare (List.map (fun l -> (l.node, l.colour)) (loops b)))
+     && a.n_edges = b.n_edges
+     && a.n_loops = b.n_loops
+     && same_edges a.cols b.cols (a.n_edges - 1)
+     && same_loops a.cols b.cols (a.n_loops - 1)
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>ec-graph n=%d@," g.n;

@@ -132,7 +132,10 @@ val of_simple : Ld_graph.Graph.t -> colour:(int * int -> int) -> t
     loops. *)
 val to_simple : t -> Ld_graph.Graph.t
 
-(** Structural equality (same n, same edge/loop sets — ids ignored). *)
+(** Structural equality with ids: the same [n], and for every id the
+    same edge (its two endpoints in either order, the same colour) and
+    the same loop. Ids matter: two graphs that list the same edges in a
+    different order are not equal. Allocates nothing. *)
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -15,7 +15,7 @@ module Inbox = struct
 end
 
 type ('state, 'msg) machine = {
-  init : degree:int -> colours:int list -> 'state;
+  init : colours:int array -> lo:int -> hi:int -> 'state;
   send : 'state -> 'msg;
   recv : 'state -> 'msg Inbox.t -> 'state;
   halted : 'state -> bool;
@@ -24,14 +24,13 @@ type ('state, 'msg) machine = {
 let fam = Anon.family "runtime.ec"
 let default_par_threshold = Engine.default_par_threshold
 
-(* Dart keys are the colours themselves. *)
+(* Dart keys are the colours themselves, so a node's colours are its
+   segment of the key array, handed over in place. *)
 let prepare machine g =
   let ({ Ld_models.Darts.row; key; _ } as t) = Ec.csr g in
   let states =
     Array.init (Ec.n g) (fun v ->
-        let lo = row.(v) and hi = row.(v + 1) in
-        let colours = List.init (hi - lo) (fun i -> key.(lo + i)) in
-        machine.init ~degree:(hi - lo) ~colours)
+        machine.init ~colours:key ~lo:row.(v) ~hi:row.(v + 1))
   in
   (t, states)
 

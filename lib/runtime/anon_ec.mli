@@ -59,8 +59,12 @@ module Inbox : sig
 end
 
 type ('state, 'msg) machine = {
-  init : degree:int -> colours:int list -> 'state;
-      (** Initial state; [colours] are the node's dart colours, sorted. *)
+  init : colours:int array -> lo:int -> hi:int -> 'state;
+      (** Initial state. [colours.(lo) .. colours.(hi - 1)] are the
+          node's dart colours in ascending order, so its degree is
+          [hi - lo]. The array is the graph's shared dart table: a
+          machine must not write to it, and must not keep it in its
+          state — copy out whatever colours it needs. *)
   send : 'state -> 'msg;
       (** The node's broadcast message for the coming round. Must be a
           pure function of the state: the executor calls it once per

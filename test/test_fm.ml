@@ -223,10 +223,9 @@ let pull_back_preserves_feasibility =
            (fun v -> Q.equal (Fm.node_weight y' v) (Fm.node_weight y cov.map.(v)))
            (List.init (Ec.n cov.total) Fun.id))
 
-(* [pull_back] reads each item's weight off the base's dart table, so a
-   call on a 2-lift with ~10^4 items allocates a constant number of
-   minor words: its two result arrays go straight to the major heap. *)
-let pull_back_allocation_free () =
+(* A 2-lift with ~10^4 items: a tree on 2500 nodes, two loops at every
+   node, unfolded at one loop. *)
+let allocation_lift () =
   let n = 2500 in
   let base = Ld_models.Edge_colouring.ec_of_simple (Gen.random_tree ~seed:7 n) in
   let next = Ec.max_colour base in
@@ -235,17 +234,87 @@ let pull_back_allocation_free () =
       ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges base))
       ~loops:(List.init n (fun v -> (v, next + 1)) @ List.init n (fun v -> (v, next + 2)))
   in
-  let y = Greedy.maximal_fm g in
   let cov = Lift.unfold_loop g ~loop_id:0 in
-  let items = Ec.num_edges cov.total + Ec.num_loops cov.total in
-  assert (items > 10_000);
-  let budget = 1024. in
+  assert (Ec.num_edges cov.total + Ec.num_loops cov.total > 10_000);
+  (cov, Greedy.maximal_fm g)
+
+let minor_words f =
   let w0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Fm.pull_back cov y));
-  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* [pull_back] reads each item's weight off the base's dart table, so a
+   call on a 2-lift with ~10^4 items allocates a constant number of
+   minor words: its two result arrays go straight to the major heap. *)
+let pull_back_allocation_free () =
+  let cov, y = allocation_lift () in
+  let budget = 1024. in
+  let words = minor_words (fun () -> Fm.pull_back cov y) in
   if words >= budget then
-    Alcotest.failf "pull_back on %d items: %.0f minor words (budget %.0f)" items
+    Alcotest.failf "pull_back on %d items: %.0f minor words (budget %.0f)"
+      (Ec.num_edges cov.total + Ec.num_loops cov.total)
       words budget
+
+(* [is_pull_back] walks the two dart tables side by side and builds
+   nothing: a check on the same 2-lift allocates no minor word. *)
+let is_pull_back_allocation_free () =
+  let cov, y = allocation_lift () in
+  let total = Fm.pull_back cov y in
+  let budget = 1. in
+  let words =
+    minor_words (fun () -> Fm.is_pull_back cov ~base:y ~total)
+  in
+  if words >= budget then
+    Alcotest.failf "is_pull_back: %.0f minor words (budget %.0f)" words budget
+
+(* [is_pull_back] against the matching [pull_back] builds, on the three
+   kinds of covering: it accepts that matching, rejects it once any one
+   edge or loop weight is changed, and raises on a map that is not a
+   covering. Node 0 carries one loop more than any other node, so
+   mapping every total node to it is never a covering. *)
+let is_pull_back_decides_pull_back =
+  QCheck.Test.make ~count:60
+    ~name:"is_pull_back = equal to pull_back, on three kinds of covering"
+    (QCheck.triple (QCheck.int_range 2 7) (QCheck.int_range 0 999)
+       (QCheck.int_range 0 2))
+    (fun (n, seed, kind) ->
+      let tree = Gen.random_tree ~seed n in
+      let base = Ld_models.Edge_colouring.ec_of_simple tree in
+      let next = Ec.max_colour base in
+      let g =
+        Ec.create ~n
+          ~edges:
+            (List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges base))
+          ~loops:((0, next + 2) :: List.init n (fun v -> (v, next + 1)))
+      in
+      let cov =
+        match kind with
+        | 0 -> Lift.unfold_loop g ~loop_id:(seed mod Ec.num_loops g)
+        | 1 -> Lift.double g
+        | _ -> Lift.simple_lift g
+      in
+      let y = Greedy.maximal_fm g in
+      let total = Fm.pull_back cov y in
+      let changed which j =
+        let edge_w = Array.copy (Fm.edge_weights total)
+        and loop_w = Array.copy (Fm.loop_weights total) in
+        let w = match which with `Edge -> edge_w | `Loop -> loop_w in
+        w.(j) <- Q.add w.(j) (q 1 3);
+        Fm.create cov.total ~edge_w ~loop_w
+      in
+      let rejects which count =
+        List.for_all
+          (fun j -> not (Fm.is_pull_back cov ~base:y ~total:(changed which j)))
+          (List.init count Fun.id)
+      in
+      let not_covering = { cov with map = Array.make (Ec.n cov.total) 0 } in
+      Fm.is_pull_back cov ~base:y ~total
+      && rejects `Edge (Ec.num_edges cov.total)
+      && rejects `Loop (Ec.num_loops cov.total)
+      &&
+      match Fm.is_pull_back not_covering ~base:y ~total with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
 
 let greedy_matching_maximal =
   QCheck.Test.make ~count:60 ~name:"greedy maximal matching is maximal"
@@ -357,8 +426,11 @@ let () =
           QCheck_alcotest.to_alcotest pull_back_preserves_feasibility;
           QCheck_alcotest.to_alcotest pull_back_composes;
           QCheck_alcotest.to_alcotest algorithms_agree_on_simple_lift;
+          QCheck_alcotest.to_alcotest is_pull_back_decides_pull_back;
           Alcotest.test_case "pull-back allocates O(1) minor words" `Quick
             pull_back_allocation_free;
+          Alcotest.test_case "is_pull_back allocates nothing" `Quick
+            is_pull_back_allocation_free;
         ] );
       ( "vertex-cover",
         [

@@ -290,6 +290,27 @@ let ec_of_columns_checks () =
     (Invalid_argument "Ec.create: node out of range") (fun () ->
       ignore (Ec.of_columns ~n:1 { cols with edge_colour = [| 1 |] }))
 
+(* [Ec.equal] compares item by item under the same id: an edge's
+   endpoints may be swapped, but the same items under other ids are a
+   different graph. *)
+let ec_equal_by_id () =
+  let g = Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 2); (2, 1) ] in
+  let check what expected h = Alcotest.(check bool) what expected (Ec.equal g h) in
+  check "rebuilt" true
+    (Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 2); (2, 1) ]);
+  check "endpoints swapped" true
+    (Ec.create ~n:3 ~edges:[ (1, 0, 1); (2, 1, 2) ] ~loops:[ (0, 2); (2, 1) ]);
+  check "edges reordered" false
+    (Ec.create ~n:3 ~edges:[ (1, 2, 2); (0, 1, 1) ] ~loops:[ (0, 2); (2, 1) ]);
+  check "loops reordered" false
+    (Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (2, 1); (0, 2) ]);
+  check "another colour" false
+    (Ec.create ~n:3 ~edges:[ (0, 1, 3); (1, 2, 2) ] ~loops:[ (0, 2); (2, 1) ]);
+  check "one node more" false
+    (Ec.create ~n:4 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 2); (2, 1) ]);
+  check "one loop fewer" false
+    (Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 2) ])
+
 (* P3 against its definition on the simple graph: a connected simple
    graph with n - 1 edges (parallel edges are not simple). *)
 let ec_tree_check =
@@ -356,6 +377,7 @@ let () =
           Alcotest.test_case "union and simple" `Quick ec_union_and_simple;
           QCheck_alcotest.to_alcotest ec_csr_matches_dart_lists;
           Alcotest.test_case "of_columns checks" `Quick ec_of_columns_checks;
+          Alcotest.test_case "equal compares ids" `Quick ec_equal_by_id;
           QCheck_alcotest.to_alcotest ec_tree_check;
         ] );
       ( "po",

@@ -28,8 +28,12 @@ type probe = { seen : string }
 let probe_machine : (probe, string) Anon_ec.machine =
   {
     init =
-      (fun ~degree:_ ~colours ->
-        { seen = String.concat "," (List.map string_of_int colours) });
+      (fun ~colours ~lo ~hi ->
+        {
+          seen =
+            String.concat ","
+              (List.init (hi - lo) (fun i -> string_of_int colours.(lo + i)));
+        });
     send = (fun s -> s.seen);
     recv =
       (fun s inbox ->
@@ -93,7 +97,7 @@ let run_until_halts () =
   (* Nodes halt after seeing [degree] rounds. *)
   let machine : (int * int, unit) Anon_ec.machine =
     {
-      init = (fun ~degree ~colours:_ -> (degree, 0));
+      init = (fun ~colours:_ ~lo ~hi -> (hi - lo, 0));
       send = (fun _ -> ());
       recv = (fun (d, r) _ -> (d, r + 1));
       halted = (fun (d, r) -> r >= d);
@@ -102,6 +106,32 @@ let run_until_halts () =
   let g = Ld_models.Edge_colouring.ec_of_simple (Gen.star 4) in
   let _, rounds = Anon_ec.run_until machine ~max_rounds:100 g in
   Alcotest.(check int) "rounds = max degree" 4 rounds
+
+(* A machine's [init] reads its node's colours in place, so preparing a
+   run allocates nothing per dart. Greedy on a path whose nodes carry 17
+   loops each (about 19 darts per node; colours 1 and 2 alternate along
+   the path, loops take 3..19) matches every node in round 1: its state
+   records and inbox lookups cost ~10 minor words per node, under one
+   word per dart. A colour list per node would cost three words per
+   dart on its own. *)
+let greedy_run_allocation_bound () =
+  let n = 2000 in
+  let g =
+    Ec.create ~n
+      ~edges:(List.init (n - 1) (fun v -> (v, v + 1, 1 + (v mod 2))))
+      ~loops:
+        (List.concat_map
+           (fun v -> List.init 17 (fun i -> (v, 3 + i)))
+           (List.init n Fun.id))
+  in
+  assert (n < Anon_ec.default_par_threshold);
+  let darts = (Ec.csr g).row.(n) in
+  ignore (Ld_matching.Packing.greedy_colours g);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Ld_matching.Packing.greedy_colours g));
+  let words = Gc.minor_words () -. w0 in
+  if words >= float_of_int darts then
+    Alcotest.failf "greedy on %d darts: %.0f minor words" darts words
 
 (* ------------------------------------------------------------------ *)
 (* Differential oracle: active-set executor vs dense reference.        *)
@@ -126,8 +156,13 @@ let diff_quota ~quota_mod ~salt ~degree ~weight =
 let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon_ec.machine =
   {
     init =
-      (fun ~degree ~colours ->
-        let weight = List.fold_left ( + ) 0 colours in
+      (fun ~colours ~lo ~hi ->
+        let degree = hi - lo in
+        let weight = ref 0 in
+        for d = lo to hi - 1 do
+          weight := !weight + colours.(d)
+        done;
+        let weight = !weight in
         {
           h = (salt * 131) + (degree * 7) + weight;
           r = 0;
@@ -719,6 +754,8 @@ let () =
           QCheck_alcotest.to_alcotest reflection_agrees_with_lift;
           QCheck_alcotest.to_alcotest state_determined_by_view;
           Alcotest.test_case "run_until" `Quick run_until_halts;
+          Alcotest.test_case "greedy allocates under a word per dart" `Quick
+            greedy_run_allocation_bound;
           QCheck_alcotest.to_alcotest ec_active_equals_reference;
           Alcotest.test_case "differential edge cases" `Quick ec_edge_cases;
         ] );
