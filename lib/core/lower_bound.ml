@@ -147,7 +147,7 @@ type probe = {
 let run_checked ~on_probe ~level algo graph =
   Obs.Counter.incr c_probes;
   let y = Ld_obs.Hist.timed_span h_probe (fun () -> algo.run graph) in
-  on_probe graph y;
+  Obs.with_span "core.lb.on_probe" (fun () -> on_probe graph y);
   check_feasible ~level graph y;
   y
 
@@ -313,7 +313,7 @@ let step ~on_probe ~delta ~algo ~check_views state =
   in
   let accept graph y =
     Obs.Counter.incr c_probes;
-    on_probe graph y;
+    Obs.with_span "core.lb.on_probe" (fun () -> on_probe graph y);
     check_feasible ~level graph y
   in
   accept gg y_gg;
@@ -361,18 +361,21 @@ let step ~on_probe ~delta ~algo ~check_views state =
            "propagation walk stuck at node %d despite feasible outputs" node)
   in
   (* The same objects inside the mixture GH: the next pair. *)
-  let next = advance p ~gg ~hh ~gh ~side ~g_star ~loop_target in
+  let next =
+    Obs.with_span "core.lb.advance" (fun () ->
+        advance p ~gg ~hh ~gh ~side ~g_star ~loop_target)
+  in
   assert (
     not
       (Q.equal (Fm.loop_weight y_target next.e) (Fm.loop_weight y_gh next.f)));
   (* Compose the covering chain for the side we walked into: the new gr
      is a 2-lift of the old gr (side `G) or of the old mixture (side
-     `H). Either way τ_r(target, v) ≅ τ_r(anchor', amap'.(v)) exactly. *)
+     `H). Either way τ_r(target, v) ≅ τ_r(anchor', amap'.(v)) exactly.
+     GG's map sends both copies of a node of G to it ([Lift.unfold_loop]),
+     so composed with G's map it is that map twice over. *)
   let anchor', amap' =
     match side with
-    | `G ->
-      let m = cov_gg.Lift.map and pmap = state.amap in
-      (state.anchor, Array.init (Ec.n gg) (fun v -> pmap.(m.(v))))
+    | `G -> (state.anchor, Array.append state.amap state.amap)
     | `H -> (p.hr, cov_hh.Lift.map)
   in
   let views_checked =
@@ -699,16 +702,14 @@ type cache = {
    their largest positive colour — the exact threshold below which a
    colour restriction leaves some node unsaturated. *)
 let prefix_round graph y =
-  let c = Ec.columns graph in
+  let edge_colour = Ec.edge_colour graph and loop_colour = Ec.loop_colour graph in
   let r = ref 0 in
-  for j = 0 to Ec.num_edges graph - 1 do
-    if Q.sign (Fm.edge_weight y j) > 0 then
-      r := Stdlib.max !r c.edge_colour.(j)
-  done;
-  for j = 0 to Ec.num_loops graph - 1 do
-    if Q.sign (Fm.loop_weight y j) > 0 then
-      r := Stdlib.max !r c.loop_colour.(j)
-  done;
+  Array.iteri
+    (fun j w -> if Q.sign w > 0 then r := Stdlib.max !r edge_colour.(j))
+    (Fm.edge_weights y);
+  Array.iteri
+    (fun j w -> if Q.sign w > 0 then r := Stdlib.max !r loop_colour.(j))
+    (Fm.loop_weights y);
   !r
 
 let make_cache ~delta ~algo_name ~base ~check_views ~probes ~outcome =

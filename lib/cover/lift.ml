@@ -52,15 +52,19 @@ let is_covering { total; base; map } =
 (* Unfolding is the splice of [g] with itself at the loop: copy A keeps
    the base ids, copy B follows shifted, the crossing edge comes last.
    [double] builds its columns directly with maps and blits (no records,
-   no lists) in the same order, extras last. *)
+   no lists) in the same order, extras last. Both map node [v] of either
+   copy to [v]. *)
+
+let two_copies n =
+  let map = Array.make (2 * n) 0 in
+  for v = 0 to n - 1 do
+    map.(v) <- v;
+    map.(n + v) <- v
+  done;
+  map
 
 let unfold_loop g ~loop_id =
-  let n = Ec.n g in
-  {
-    total = Ec.splice g ~loop:loop_id g ~loop:loop_id;
-    base = g;
-    map = Array.init (2 * n) (fun v -> v mod n);
-  }
+  { total = Ec.splice g ~loop:loop_id g ~loop:loop_id; base = g; map = two_copies (Ec.n g) }
 
 let double g =
   let n = Ec.n g in
@@ -76,7 +80,7 @@ let double g =
         loop_colour = [||];
       }
   in
-  { total; base = g; map = Array.init (2 * n) (fun v -> v mod n) }
+  { total; base = g; map = two_copies n }
 
 (* Round-robin schedule: in round r, team f-1 plays team r, and team
    (r + i) plays (r - i) modulo f - 1 for i = 1 .. f/2 - 1. *)

@@ -73,28 +73,44 @@ end
    Only darts that leave a block are read after round 1. Round 1 sees
    every label at 0, so it groups nodes by key sequence; blocks only
    split after that, so all members of a block [b] share one key
-   sequence. A loop dart, or a dart into [b] itself, then reads
-   [(key, b)] for every member and cannot tell two members apart: two
-   members are equal iff their darts with [prev (other d) <> b] agree.
-   Loop darts can never leave a block, so the engine keeps a compact
-   table of the other darts (far end another node) and reads only that
-   after round 1, for grouping and for dirty marking alike.
+   sequence. A loop, or a dart into [b] itself, then reads [(key, b)]
+   for every member and cannot tell two members apart: two members are
+   equal iff their darts with [prev (other d) <> b] agree. An EC graph
+   keeps its loops out of its dart table, which then holds exactly the
+   darts that can leave a block, and rounds >= 2 read only that table,
+   for grouping and for dirty marking alike. (A PO table keeps its loop
+   darts; their far end is the node itself, in [b], so the same test
+   skips them.)
 
-   The engine reads one or two dart tables: nodes [0 .. na - 1] are
-   [a]'s and nodes [na .. n - 1] are [b]'s shifted by [na], so a
-   cross-graph query refines the disjoint union without copying it. *)
+   The engine reads one or two graphs: nodes [0 .. na - 1] are [a]'s
+   and nodes [na .. n - 1] are [b]'s shifted by [na]. One graph's table
+   is read in place; a cross-graph query refines the disjoint union
+   over one concatenated copy of the two tables, never building the
+   union graph. *)
+
+(* A graph as the engine reads it: its dart table, and the loops kept
+   out of it as a run of keys per node (none for PO). *)
+type side = { darts : Darts.t; loop_row : int array; loop_key : int array }
+
+let ec_side g =
+  { darts = Ec.edge_darts g; loop_row = Ec.loop_row g; loop_key = Ec.loop_colour g }
+
+let po_side g =
+  let darts = Po.csr g in
+  { darts; loop_row = Array.make (Darts.n darts + 1) 0; loop_key = [||] }
 
 type engine = {
-  a : Darts.t;
-  b : Darts.t;
+  a : side;
+  b : side;
   na : int;
   n : int;
-  (* Darts whose far end is another node, every node's in one segment
+  (* The darts rounds >= 2 read, every node's in one segment
      [erow.(v) .. erow.(v + 1) - 1] in key order, far ends numbered as
      in the engine. *)
   erow : int array;
   ekey : int array;
   eother : int array;
+  masks : int array; (* round 1: each node's key set as a bitmask, or -1 *)
   ids : int array; (* current block id per node *)
   ids_prev : int array; (* snapshot taken at the top of each round *)
   elems : int array; (* nodes grouped by block: one contiguous slice each *)
@@ -128,41 +144,34 @@ type engine = {
   mutable split_last_round : bool;
 }
 
-let no_darts = { Darts.row = [| 0 |]; key = [||]; other = [||]; code = [||] }
+let no_side =
+  {
+    darts = { Darts.row = [| 0 |]; key = [||]; other = [||]; code = [||] };
+    loop_row = [| 0 |];
+    loop_key = [||];
+  }
 
 let rec pow2_at_least k c = if c >= k then c else pow2_at_least k (2 * c)
 
-let engine_create (a : Darts.t) (b : Darts.t) =
-  let na = Darts.n a in
-  let n = na + Darts.n b in
-  let erow = Array.make (n + 1) 0 in
-  let count (t : Darts.t) shift =
-    for v = 0 to Darts.n t - 1 do
-      let c = ref 0 in
-      for d = t.row.(v) to t.row.(v + 1) - 1 do
-        if t.other.(d) <> v then incr c
+let engine_create a b =
+  let ta = a.darts and tb = b.darts in
+  let na = Darts.n ta in
+  let n = na + Darts.n tb in
+  let erow, ekey, eother =
+    if n = na then (ta.row, ta.key, ta.other)
+    else begin
+      let ma = ta.row.(na) in
+      let erow = Array.make (n + 1) ma and eother = Array.append ta.other tb.other in
+      Array.blit ta.row 0 erow 0 na;
+      for x = 1 to n - na do
+        erow.(na + x) <- ma + tb.row.(x)
       done;
-      erow.(shift + v + 1) <- erow.(shift + v) + !c
-    done
+      for d = ma to Array.length eother - 1 do
+        eother.(d) <- eother.(d) + na
+      done;
+      (erow, Array.append ta.key tb.key, eother)
+    end
   in
-  count a 0;
-  count b na;
-  let ekey = Array.make erow.(n) 0 and eother = Array.make erow.(n) 0 in
-  let fill (t : Darts.t) shift =
-    for v = 0 to Darts.n t - 1 do
-      let p = ref erow.(shift + v) in
-      for d = t.row.(v) to t.row.(v + 1) - 1 do
-        let u = t.other.(d) in
-        if u <> v then begin
-          ekey.(!p) <- t.key.(d);
-          eother.(!p) <- shift + u;
-          incr p
-        end
-      done
-    done
-  in
-  fill a 0;
-  fill b na;
   let sz = Stdlib.max 1 n in
   {
     a;
@@ -172,6 +181,7 @@ let engine_create (a : Darts.t) (b : Darts.t) =
     erow;
     ekey;
     eother;
+    masks = Array.make sz 0;
     ids = Array.make sz 0;
     ids_prev = Array.make sz 0;
     elems = Array.init sz (fun i -> i);
@@ -204,30 +214,104 @@ let[@inline] mix h x = (h lxor x) * 0x01000193
 let[@inline] spread h = h lxor (h lsr 29)
 
 (* Round 1: a node's descriptor is its key sequence, read from the
-   source table. *)
-let hash_keys eng v =
-  let t = if v < eng.na then eng.a else eng.b in
-  let v = if v < eng.na then v else v - eng.na in
-  let h = ref hash_seed in
-  for d = t.row.(v) to t.row.(v + 1) - 1 do
-    h := mix !h (Array.unsafe_get t.key d)
-  done;
-  !h
+   source graph: darts and loops merged in key order, so a node with an
+   edge of colour 1 and a loop of colour 2 matches one with a loop of
+   colour 1 and an edge of colour 2. Keys at a node are distinct, so the
+   sequence is the set of its keys, read from both runs in any order.
+   When every key is below 62 (the adversary's colours are at most Δ)
+   the set is one int, a bitmask: the hash scrambles it, and keeps it
+   for the comparison. Otherwise the hash sums a scramble of each key, and
+   two nodes are compared run by run if their keys split alike between
+   darts and loops, else along the merge of the runs, holding a
+   position in each and taking the smaller key next. *)
+let side_of eng v = if v < eng.na then eng.a else eng.b
+let local eng v = if v < eng.na then v else v - eng.na
 
-let same_keys eng u w =
-  let tu = if u < eng.na then eng.a else eng.b in
-  let u = if u < eng.na then u else u - eng.na in
-  let tw = if w < eng.na then eng.a else eng.b in
-  let w = if w < eng.na then w else w - eng.na in
-  let lu = tu.row.(u) and lw = tw.row.(w) in
-  let len = tu.row.(u + 1) - lu in
-  len = tw.row.(w + 1) - lw
-  &&
-  let i = ref 0 in
-  while !i < len && tu.key.(lu + !i) = tw.key.(lw + !i) do
-    incr i
+let[@inline] scramble k =
+  let x = k * 0x2545F4914F6CDD1D in
+  (x lxor (x lsr 29)) * 0x1CE4E5B9
+
+(* The key set of local node [v] of [s] as a bitmask, or -1 if a key is
+   62 or more. *)
+let key_mask s v =
+  let m = ref 0 and small = ref true in
+  for d = s.darts.row.(v) to s.darts.row.(v + 1) - 1 do
+    let k = Array.unsafe_get s.darts.key d in
+    if k < 62 then m := !m lor (1 lsl k) else small := false
   done;
-  !i = len
+  for j = s.loop_row.(v) to s.loop_row.(v + 1) - 1 do
+    let k = Array.unsafe_get s.loop_key j in
+    if k < 62 then m := !m lor (1 lsl k) else small := false
+  done;
+  if !small then !m else -1
+
+let hash_keys eng v =
+  let s = side_of eng v and x = local eng v in
+  let m = key_mask s x in
+  eng.masks.(v) <- m;
+  if m >= 0 then scramble m
+  else begin
+    let h = ref hash_seed in
+    for d = s.darts.row.(x) to s.darts.row.(x + 1) - 1 do
+      h := !h + scramble (Array.unsafe_get s.darts.key d)
+    done;
+    for j = s.loop_row.(x) to s.loop_row.(x + 1) - 1 do
+      h := !h + scramble (Array.unsafe_get s.loop_key j)
+    done;
+    !h
+  end
+
+let rec same_run (x : int array) i (y : int array) j len =
+  len = 0 || (x.(i) = y.(j) && same_run x (i + 1) y (j + 1) (len - 1))
+
+let same_merge (su : side) u (sw : side) w =
+  let du = ref su.darts.row.(u) and duhi = su.darts.row.(u + 1) in
+  let ju = ref su.loop_row.(u) and juhi = su.loop_row.(u + 1) in
+  let dw = ref sw.darts.row.(w) and dwhi = sw.darts.row.(w + 1) in
+  let jw = ref sw.loop_row.(w) and jwhi = sw.loop_row.(w + 1) in
+  let same = ref true in
+  while !same && (!du < duhi || !ju < juhi) do
+    let ku =
+      if !ju >= juhi || (!du < duhi && su.darts.key.(!du) < su.loop_key.(!ju)) then begin
+        incr du;
+        su.darts.key.(!du - 1)
+      end
+      else begin
+        incr ju;
+        su.loop_key.(!ju - 1)
+      end
+    in
+    let kw =
+      if !jw >= jwhi || (!dw < dwhi && sw.darts.key.(!dw) < sw.loop_key.(!jw)) then begin
+        incr dw;
+        sw.darts.key.(!dw - 1)
+      end
+      else begin
+        incr jw;
+        sw.loop_key.(!jw - 1)
+      end
+    in
+    same := ku = kw
+  done;
+  !same
+
+(* Both nodes are hashed already, so their masks are known. *)
+let same_keys eng u w =
+  let mu = eng.masks.(u) and mw = eng.masks.(w) in
+  if mu >= 0 && mw >= 0 then mu = mw
+  else begin
+    let su = side_of eng u and u = local eng u in
+    let sw = side_of eng w and w = local eng w in
+    let du = su.darts.row.(u) and eu = su.darts.row.(u + 1) - su.darts.row.(u) in
+    let ju = su.loop_row.(u) and lu = su.loop_row.(u + 1) - su.loop_row.(u) in
+    let dw = sw.darts.row.(w) and ew = sw.darts.row.(w + 1) - sw.darts.row.(w) in
+    let jw = sw.loop_row.(w) and lw = sw.loop_row.(w + 1) - sw.loop_row.(w) in
+    eu + lu = ew + lw
+    && ((eu = ew
+        && same_run su.darts.key du sw.darts.key dw eu
+        && same_run su.loop_key ju sw.loop_key jw lu)
+       || same_merge su u sw w)
+  end
 
 (* Rounds >= 2: a member [v] of block [b] is described by its darts
    that leave [b], as (key, previous block) pairs in key order. *)
@@ -426,12 +510,12 @@ let engine_dense eng stamp =
   done;
   out
 
-let refine_darts t ~rounds =
-  let n = Darts.n t in
+let refine_side side ~rounds =
+  let n = Darts.n side.darts in
   let history = Array.make (rounds + 1) [||] in
   history.(0) <- Array.make n 0;
   if n > 0 && rounds > 0 then begin
-    let eng = engine_create t no_darts in
+    let eng = engine_create side no_side in
     let stable = ref false in
     for r = 1 to rounds do
       if !stable then begin
@@ -454,10 +538,10 @@ let refine_darts t ~rounds =
   history
 
 let refine_ec g ~rounds =
-  Obs.with_span "cover.refine.ec" (fun () -> refine_darts (Ec.csr g) ~rounds)
+  Obs.with_span "cover.refine.ec" (fun () -> refine_side (ec_side g) ~rounds)
 
 let refine_po g ~rounds =
-  Obs.with_span "cover.refine.po" (fun () -> refine_darts (Po.csr g) ~rounds)
+  Obs.with_span "cover.refine.po" (fun () -> refine_side (po_side g) ~rounds)
 
 let check_node who g u =
   if u < 0 || u >= Ec.n g then
@@ -469,11 +553,12 @@ let check_node who g u =
    rounds over the disjoint union, and blocks never merge — so the scan
    stops early both on divergence (the answer is No forever) and on
    stabilisation (the current answer holds forever). The engine reads
-   both dart tables in place; the union is never built. *)
+   the two graphs' runs and one copy of their dart tables; the union
+   graph is never built. *)
 let first_split g u h v ~max_radius =
   if max_radius < 1 then None
   else begin
-    let eng = engine_create (Ec.csr g) (Ec.csr h) in
+    let eng = engine_create (ec_side g) (ec_side h) in
     let v = Ec.n g + v in
     let r = ref 1 and answer = ref None and scanning = ref true in
     while !scanning do
@@ -503,10 +588,10 @@ let first_distinguishing_radius g u h v ~max_radius =
 (* Refine to a fixpoint: iterate until a round splits nothing. Each
    splitting round grows the block count, so this terminates within n
    rounds. *)
-let stable_darts t =
-  if Darts.n t = 0 then [||]
+let stable_side side =
+  if Darts.n side.darts = 0 then [||]
   else begin
-    let eng = engine_create t no_darts in
+    let eng = engine_create side no_side in
     let r = ref 1 and scanning = ref true in
     while !scanning do
       engine_round eng !r;
@@ -517,8 +602,8 @@ let stable_darts t =
 
 let stable_partition_ec g =
   Obs.with_span "cover.refine.stable_partition" (fun () ->
-      stable_darts (Ec.csr g))
+      stable_side (ec_side g))
 
 let stable_partition_po g =
   Obs.with_span "cover.refine.stable_partition" (fun () ->
-      stable_darts (Po.csr g))
+      stable_side (po_side g))

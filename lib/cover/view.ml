@@ -56,15 +56,17 @@ let cons arena branches =
     Table.add arena key v;
     v
 
-(* One unfold for both models over the dart table. Following dart [d]
-   from [v] arrives at [other.(d)] over the dart keyed [arrive key.(d)]
-   (the same key in EC, the flipped one in PO), which the next level
-   must not walk back along. The universal cover repeats subtrees
+(* One unfold for both models over the dart table, and for EC the loop
+   run beside it. Following dart [d] from [v] arrives at [other.(d)]
+   over the dart keyed [arrive key.(d)] (the same key in EC, the
+   flipped one in PO), which the next level must not walk back along; a
+   loop of key [k] arrives back at [v] over [k]. A node's darts and
+   loops are merged in key order. The universal cover repeats subtrees
    massively (every visit to a node over the same arrival key with the
    same remaining depth unfolds identically), so memoising over
    (node, arrival key, depth) builds the Δ^t tree in O(n · Δ · t) cons
    operations. The root arrives over no dart: key 0, which no dart has. *)
-let unfold arena ~who ~arrive (t : Darts.t) root ~radius =
+let unfold arena ~who ~arrive (t : Darts.t) ~loop_row ~loop_key root ~radius =
   if radius < 0 then invalid_arg (who ^ ": negative radius");
   if root < 0 || root >= Darts.n t then
     invalid_arg (Printf.sprintf "%s: node %d is not in 0 .. %d" who root (Darts.n t - 1));
@@ -76,10 +78,15 @@ let unfold arena ~who ~arrive (t : Darts.t) root ~radius =
       | Some view -> view
       | None ->
         let branches = ref [] in
-        for d = t.row.(v + 1) - 1 downto t.row.(v) do
-          let k = t.key.(d) in
-          if k <> banned then
-            branches := (k, go t.other.(d) (arrive k) (depth - 1)) :: !branches
+        let lo = t.row.(v) and d = ref (t.row.(v + 1) - 1) in
+        let llo = if Array.length loop_row = 0 then 0 else loop_row.(v) in
+        let j = ref (if Array.length loop_row = 0 then -1 else loop_row.(v + 1) - 1) in
+        while !d >= lo || !j >= llo do
+          let edge = !j < llo || (!d >= lo && t.key.(!d) > loop_key.(!j)) in
+          let k = if edge then t.key.(!d) else loop_key.(!j) in
+          let far = if edge then t.other.(!d) else v in
+          if edge then decr d else decr j;
+          if k <> banned then branches := (k, go far (arrive k) (depth - 1)) :: !branches
         done;
         let view = cons arena !branches in
         Hashtbl.add memo (v, banned, depth) view;
@@ -88,10 +95,12 @@ let unfold arena ~who ~arrive (t : Darts.t) root ~radius =
   go root 0 radius
 
 let of_ec arena g root ~radius =
-  unfold arena ~who:"View.of_ec" ~arrive:Fun.id (Ec.csr g) root ~radius
+  unfold arena ~who:"View.of_ec" ~arrive:Fun.id (Ec.edge_darts g)
+    ~loop_row:(Ec.loop_row g) ~loop_key:(Ec.loop_colour g) root ~radius
 
 let of_po arena g root ~radius =
-  unfold arena ~who:"View.of_po" ~arrive:Darts.flip (Po.csr g) root ~radius
+  unfold arena ~who:"View.of_po" ~arrive:Darts.flip (Po.csr g) ~loop_row:[||]
+    ~loop_key:[||] root ~radius
 
 (* Within one arena, the same node iff structurally equal. *)
 let equal a b = a == b

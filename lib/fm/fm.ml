@@ -1,4 +1,5 @@
 module Ec = Ld_models.Ec
+module Darts = Ld_models.Darts
 module Q = Ld_arith.Q
 module Obs = Ld_obs.Obs
 
@@ -17,6 +18,25 @@ let create graph ~edge_w ~loop_w =
     invalid_arg "Fm.create: loop weight count mismatch";
   { graph; edge_w; loop_w }
 
+(* An edge's weight is read at both ends, which must agree; a loop's at
+   its node, walking each node's run. *)
+let of_colour_weights graph weight_at =
+  let eu = Ec.edge_u graph and ev = Ec.edge_v graph and ec = Ec.edge_colour graph in
+  let edge_w =
+    Array.init (Ec.num_edges graph) (fun j ->
+        let wu = weight_at eu.(j) ec.(j) and wv = weight_at ev.(j) ec.(j) in
+        assert (Q.equal wu wv);
+        wu)
+  in
+  let loop_row = Ec.loop_row graph and loop_colour = Ec.loop_colour graph in
+  let loop_w = Array.make (Ec.num_loops graph) Q.zero in
+  for v = 0 to Ec.n graph - 1 do
+    for j = loop_row.(v) to loop_row.(v + 1) - 1 do
+      loop_w.(j) <- weight_at v loop_colour.(j)
+    done
+  done;
+  create graph ~edge_w ~loop_w
+
 let zero graph =
   {
     graph;
@@ -34,34 +54,32 @@ let dart_weight y = function
   | Ec.To_neighbour { edge_id; _ } -> y.edge_w.(edge_id)
   | Ec.Into_loop { loop_id; _ } -> y.loop_w.(loop_id)
 
-(* Weight of the dart at CSR code [c] (edge id, or [-loop_id - 1]). *)
-let code_weight y c = if c >= 0 then y.edge_w.(c) else y.loop_w.(-c - 1)
-
-let node_weight y v =
-  let { Ld_models.Darts.row; code; _ } = Ec.csr y.graph in
+(* A node's edge darts, then its loop run. *)
+let sum_at y ({ Darts.row; code; _ } : Darts.t) loop_row v =
   let acc = ref Q.zero in
   for d = row.(v) to row.(v + 1) - 1 do
-    acc := Q.add !acc (code_weight y code.(d))
+    acc := Q.add !acc y.edge_w.(code.(d))
+  done;
+  for j = loop_row.(v) to loop_row.(v + 1) - 1 do
+    acc := Q.add !acc y.loop_w.(j)
   done;
   !acc
 
+let node_weight y v = sum_at y (Ec.edge_darts y.graph) (Ec.loop_row y.graph) v
 let is_saturated y v = Q.equal (node_weight y v) Q.one
 
-(* All node weights in one pass over the CSR darts; the feasibility
-   checkers below use this to test saturation per node once instead of
-   once per incident edge. *)
+(* All node weights in one pass over the edge darts and loop runs; the
+   feasibility checkers below use this to test saturation per node once
+   instead of once per incident edge. *)
 let node_weights y =
   let n = Ec.n y.graph in
-  let { Ld_models.Darts.row; code; _ } = Ec.csr y.graph in
+  let darts = Ec.edge_darts y.graph and loop_row = Ec.loop_row y.graph in
   let w = Array.make n Q.zero in
   for v = 0 to n - 1 do
-    let acc = ref Q.zero in
-    for d = row.(v) to row.(v + 1) - 1 do
-      acc := Q.add !acc (code_weight y code.(d))
-    done;
-    w.(v) <- !acc
+    w.(v) <- sum_at y darts loop_row v
   done;
   w
+
 
 let total y =
   Q.add
@@ -75,6 +93,17 @@ type violation =
   | Unsaturated_loop of int
 
 let in_range w = Q.sign w >= 0 && Q.compare w Q.one <= 0
+
+(* [Unsaturated_loop] for every loop at an unsaturated node, consed
+   onto [acc] from the top down, so the list ascends by id. *)
+let unsaturated_loops y sat acc =
+  let loop_row = Ec.loop_row y.graph in
+  for v = Ec.n y.graph - 1 downto 0 do
+    if not (sat v) then
+      for id = loop_row.(v + 1) - 1 downto loop_row.(v) do
+        acc := Unsaturated_loop id :: !acc
+      done
+  done
 
 let validity_violations y =
   Obs.Counter.incr c_validity;
@@ -100,13 +129,10 @@ let maximality_violations y =
   let w = node_weights y in
   let sat v = Q.equal w.(v) Q.one in
   let acc = ref [] in
-  let c = Ec.columns y.graph in
-  for id = Ec.num_loops y.graph - 1 downto 0 do
-    if not (sat c.loop_node.(id)) then acc := Unsaturated_loop id :: !acc
-  done;
+  unsaturated_loops y sat acc;
+  let eu = Ec.edge_u y.graph and ev = Ec.edge_v y.graph in
   for id = Ec.num_edges y.graph - 1 downto 0 do
-    if not (sat c.edge_u.(id) || sat c.edge_v.(id)) then
-      acc := Unsaturated_edge id :: !acc
+    if not (sat eu.(id) || sat ev.(id)) then acc := Unsaturated_edge id :: !acc
   done;
   if !acc <> [] then Obs.Counter.add c_violations (List.length !acc);
   !acc
@@ -126,13 +152,10 @@ let feasibility_violations y =
   let w = node_weights y in
   let sat = Array.init n (fun v -> Q.equal w.(v) Q.one) in
   let acc = ref [] in
-  let c = Ec.columns y.graph in
-  for id = Ec.num_loops y.graph - 1 downto 0 do
-    if not sat.(c.loop_node.(id)) then acc := Unsaturated_loop id :: !acc
-  done;
+  unsaturated_loops y (Array.get sat) acc;
+  let eu = Ec.edge_u y.graph and ev = Ec.edge_v y.graph in
   for id = Ec.num_edges y.graph - 1 downto 0 do
-    if not (sat.(c.edge_u.(id)) || sat.(c.edge_v.(id))) then
-      acc := Unsaturated_edge id :: !acc
+    if not (sat.(eu.(id)) || sat.(ev.(id))) then acc := Unsaturated_edge id :: !acc
   done;
   for v = n - 1 downto 0 do
     if Q.compare w.(v) Q.one > 0 then acc := Node_overloaded v :: !acc
@@ -161,53 +184,95 @@ let equal a b =
   && Array.for_all2 Q.equal a.edge_w b.edge_w
   && Array.for_all2 Q.equal a.loop_w b.loop_w
 
-(* Each item's weight is read straight off the base's dart table: a
-   binary search and a code, with no dart record or option per item. *)
+(* Each item's weight is read straight off the base: a binary search of
+   the base node's edge segment, then of its loop run, with no dart
+   record or option per item. A total edge may cover a base loop (an
+   unfolding's crossing edge does). *)
 let pull_back (cov : Ld_cover.Lift.covering) y =
   if not (Ec.equal y.graph cov.base) then
     invalid_arg "Fm.pull_back: matching is not on the covering's base";
-  let base = Ec.csr cov.base in
+  let base = Ec.edge_darts cov.base in
+  let base_row = Ec.loop_row cov.base and base_colour = Ec.loop_colour cov.base in
   let base_weight v colour =
-    let d = Ld_models.Darts.find base v colour in
-    if d < 0 then invalid_arg "Fm.pull_back: not a covering (missing base dart)";
-    code_weight y base.code.(d)
+    let d = Darts.find base v colour in
+    if d >= 0 then y.edge_w.(base.code.(d))
+    else begin
+      let j = Darts.search base_colour base_row.(v) base_row.(v + 1) colour in
+      if j < 0 then invalid_arg "Fm.pull_back: not a covering (missing base dart)";
+      y.loop_w.(j)
+    end
   in
-  let c = Ec.columns cov.total in
+  let total = cov.total in
+  let eu = Ec.edge_u total and ec = Ec.edge_colour total in
   let edge_w =
-    Array.init (Ec.num_edges cov.total) (fun id ->
-        base_weight cov.map.(c.edge_u.(id)) c.edge_colour.(id))
+    Array.init (Ec.num_edges total) (fun id -> base_weight cov.map.(eu.(id)) ec.(id))
   in
-  let loop_w =
-    Array.init (Ec.num_loops cov.total) (fun id ->
-        base_weight cov.map.(c.loop_node.(id)) c.loop_colour.(id))
-  in
-  { graph = cov.total; edge_w; loop_w }
+  let loop_row = Ec.loop_row total and loop_colour = Ec.loop_colour total in
+  let loop_w = Array.make (Ec.num_loops total) Q.zero in
+  for v = 0 to Ec.n total - 1 do
+    for j = loop_row.(v) to loop_row.(v + 1) - 1 do
+      loop_w.(j) <- base_weight cov.map.(v) loop_colour.(j)
+    done
+  done;
+  { graph = total; edge_w; loop_w }
 
 (* [pull_back cov base] without building it. A covering gives total
-   node [v] the colours of base node [cov.map.(v)], and both segments
-   ascend by colour, so the two are walked side by side: the dart at
-   each position must carry the weight of the base dart beside it.
-   Colours are checked on every dart, so a non-covering raises whatever
-   the weights. *)
+   node [v] the colours of base node [cov.map.(v)]; a total loop covers
+   a base loop, and a total edge an edge or a loop (an unfolding's
+   crossing edge covers the loop it replaced). So where the two nodes
+   have as many edges, edge lies beside edge and loop beside loop, and
+   their runs are compared entry by entry; elsewhere the two nodes'
+   edges and loops, each merged in colour order, are walked side by
+   side. Either way the entry at each position must carry the colour
+   and the weight of the base entry beside it. Colours are checked on
+   every entry, so a non-covering raises whatever the weights. *)
 let is_pull_back (cov : Ld_cover.Lift.covering) ~base ~total =
   if not (Ec.equal base.graph cov.base) then
     invalid_arg "Fm.is_pull_back: matching is not on the covering's base";
   Ec.equal total.graph cov.total
   &&
-  let b = Ec.csr base.graph and t = Ec.csr total.graph in
+  let b = Ec.edge_darts base.graph and t = Ec.edge_darts total.graph in
+  let brow = Ec.loop_row base.graph and bcol = Ec.loop_colour base.graph in
+  let trow = Ec.loop_row total.graph and tcol = Ec.loop_colour total.graph in
+  let differ () = invalid_arg "Fm.is_pull_back: not a covering (colours differ)" in
   let same = ref true in
   for v = 0 to Ec.n total.graph - 1 do
-    let lo = t.row.(v) and u = cov.map.(v) in
-    let blo = b.row.(u) in
-    if b.row.(u + 1) - blo <> t.row.(v + 1) - lo then
+    let u = cov.map.(v) in
+    let thi = t.row.(v + 1) and tjhi = trow.(v + 1) in
+    let bhi = b.row.(u + 1) and bjhi = brow.(u + 1) in
+    if bhi - b.row.(u) + bjhi - brow.(u) <> thi - t.row.(v) + tjhi - trow.(v) then
       invalid_arg "Fm.is_pull_back: not a covering (degrees differ)";
-    for i = 0 to t.row.(v + 1) - lo - 1 do
-      let d = lo + i and bd = blo + i in
-      if t.key.(d) <> b.key.(bd) then
-        invalid_arg "Fm.is_pull_back: not a covering (colours differ)";
-      if !same then
-        same := Q.equal (code_weight total t.code.(d)) (code_weight base b.code.(bd))
-    done
+    if thi - t.row.(v) = bhi - b.row.(u) then begin
+      let shift = b.row.(u) - t.row.(v) in
+      for d = t.row.(v) to thi - 1 do
+        if t.key.(d) <> b.key.(d + shift) then differ ();
+        if !same then
+          same := Q.equal total.edge_w.(t.code.(d)) base.edge_w.(b.code.(d + shift))
+      done;
+      let shift = brow.(u) - trow.(v) in
+      for j = trow.(v) to tjhi - 1 do
+        if tcol.(j) <> bcol.(j + shift) then differ ();
+        if !same then same := Q.equal total.loop_w.(j) base.loop_w.(j + shift)
+      done
+    end
+    else begin
+      let td = ref t.row.(v) and tj = ref trow.(v) in
+      let bd = ref b.row.(u) and bj = ref brow.(u) in
+      while !td < thi || !tj < tjhi do
+        let t_edge = !td < thi && (!tj >= tjhi || t.key.(!td) < tcol.(!tj)) in
+        let b_edge = !bd < bhi && (!bj >= bjhi || b.key.(!bd) < bcol.(!bj)) in
+        let tc = if t_edge then t.key.(!td) else tcol.(!tj) in
+        let bc = if b_edge then b.key.(!bd) else bcol.(!bj) in
+        if tc <> bc then differ ();
+        if !same then
+          same :=
+            Q.equal
+              (if t_edge then total.edge_w.(t.code.(!td)) else total.loop_w.(!tj))
+              (if b_edge then base.edge_w.(b.code.(!bd)) else base.loop_w.(!bj));
+        if t_edge then incr td else incr tj;
+        if b_edge then incr bd else incr bj
+      done
+    end
   done;
   !same
 

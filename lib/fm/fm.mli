@@ -23,6 +23,11 @@ type t
 val create :
   Ld_models.Ec.t -> edge_w:Q.t array -> loop_w:Q.t array -> t
 
+(** [of_colour_weights g weight_at] reads every item's weight at a node:
+    [weight_at v c] is the weight on [v]'s colour-[c] edge or loop. An
+    edge's weight is read at both ends, which must agree (asserted). *)
+val of_colour_weights : Ld_models.Ec.t -> (int -> int -> Q.t) -> t
+
 (** The all-zero fractional matching. *)
 val zero : Ld_models.Ec.t -> t
 
@@ -40,15 +45,11 @@ val loop_weights : t -> Q.t array
 (** Weight of the edge or loop behind a dart. *)
 val dart_weight : t -> Ld_models.Ec.dart -> Q.t
 
-(** Weight of the dart behind a CSR dart code ([Ec.csr]'s [code.(d)]:
-    an edge id, or [-loop_id - 1]) — the allocation-free variant of
-    {!dart_weight} used by the hot paths. *)
-val code_weight : t -> int -> Q.t
-
 (** [node_weight y v] is [y[v]]. *)
 val node_weight : t -> int -> Q.t
 
-(** All node weights, computed in one pass over the CSR dart view. *)
+(** All node weights, computed in one pass over the edge darts and the
+    loop runs. *)
 val node_weights : t -> Q.t array
 
 val is_saturated : t -> int -> bool

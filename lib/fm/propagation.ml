@@ -34,43 +34,49 @@ type walk_outcome =
    differing edge and repeat with that edge's colour excluded — never
    backtracking, so on a tree-plus-loops graph the walk terminates.
 
-   The candidate scan iterates the graph's CSR dart view: a differing
-   loop (in colour order) wins, else the first differing edge. *)
+   The candidate scan reads the node's edge segment and loop run: the
+   first differing loop in colour order wins, else the first differing
+   edge. *)
 let walk ~y ~y' ~start ~first =
   Obs.Counter.incr c_walks;
   Obs.with_span "fm.prop.walk" @@ fun () ->
   let graph = Fm.graph y in
-  let { Ld_models.Darts.row; key = colour; code; _ } = Ec.csr graph in
-  let code_differs c =
-    not (Q.equal (Fm.code_weight y c) (Fm.code_weight y' c))
-  in
+  let { Ld_models.Darts.row; key; other; code } = Ec.edge_darts graph in
+  let loop_row = Ec.loop_row graph and loop_colour = Ec.loop_colour graph in
   let differs d = not (Q.equal (Fm.dart_weight y d) (Fm.dart_weight y' d)) in
   if not (differs first) then
     invalid_arg "Propagation.walk: initial dart does not differ";
+  let edge_w = Fm.edge_weights y and edge_w' = Fm.edge_weights y' in
+  let loop_w = Fm.loop_weights y and loop_w' = Fm.loop_weights y' in
   let bound = (2 * Ec.n graph) + 2 in
   let rec go node excluded depth trace =
     if depth > bound then
       failwith "Propagation.walk: no termination (graph is not a tree plus loops?)";
-    let hi = row.(node + 1) in
-    let best_loop = ref (-1) and best_edge = ref (-1) in
-    for d = row.(node) to hi - 1 do
-      if colour.(d) <> excluded && code_differs code.(d) then
-        if code.(d) < 0 then (if !best_loop < 0 then best_loop := d)
-        else if !best_edge < 0 then best_edge := d
+    let loop = ref (-1) and edge = ref (-1) in
+    for j = loop_row.(node) to loop_row.(node + 1) - 1 do
+      if !loop < 0 && loop_colour.(j) <> excluded && not (Q.equal loop_w.(j) loop_w'.(j))
+      then loop := j
     done;
-    if !best_loop >= 0 then begin
-      let d = Ec.dart_at graph !best_loop in
-      let loop_id = -code.(!best_loop) - 1 in
+    if !loop < 0 then
+      for d = row.(node) to row.(node + 1) - 1 do
+        if
+          !edge < 0 && key.(d) <> excluded
+          && not (Q.equal edge_w.(code.(d)) edge_w'.(code.(d)))
+        then edge := d
+      done;
+    if !loop >= 0 then begin
+      let loop_id = !loop in
+      let via = Ec.Into_loop { loop_id; colour = loop_colour.(loop_id) } in
       Obs.Counter.incr c_loops_found;
-      Loop_found { node; loop_id; trace = List.rev ({ node; via = d } :: trace) }
+      Loop_found { node; loop_id; trace = List.rev ({ node; via } :: trace) }
     end
-    else if !best_edge >= 0 then begin
-      let d = Ec.dart_at graph !best_edge in
-      match d with
-      | Ec.To_neighbour { neighbour; colour; _ } ->
-        Obs.Counter.incr c_steps;
-        go neighbour colour (depth + 1) ({ node; via = d } :: trace)
-      | Ec.Into_loop _ -> assert false
+    else if !edge >= 0 then begin
+      let d = !edge in
+      let via =
+        Ec.To_neighbour { neighbour = other.(d); edge_id = code.(d); colour = key.(d) }
+      in
+      Obs.Counter.incr c_steps;
+      go other.(d) key.(d) (depth + 1) ({ node; via } :: trace)
     end
     else Stuck { node; trace = List.rev trace }
   in

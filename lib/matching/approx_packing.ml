@@ -18,9 +18,9 @@ let node_weight s =
 let machine ~k : (state, bool) Anon.machine =
   {
     init =
-      (fun ~colours ~lo ~hi ->
-        let degree = hi - lo in
-        let colours = List.init degree (fun i -> colours.(lo + i)) in
+      (fun colours ->
+        let degree = Anon.Colours.degree colours in
+        let colours = List.init degree (Anon.Colours.get colours) in
         let w = Q.div Q.one (Q.of_int (1 lsl k)) in
         {
           (* already half-saturated by the uniform start? *)
@@ -58,17 +58,4 @@ let run ~delta g =
   let weight_at v c =
     Option.value ~default:Q.zero (List.assoc_opt c states.(v).dart_w)
   in
-  let edge_w =
-    Array.of_list
-      (List.map
-         (fun (e : Ec.edge) ->
-           let wu = weight_at e.u e.colour and wv = weight_at e.v e.colour in
-           assert (Q.equal wu wv);
-           wu)
-         (Ec.edges g))
-  in
-  let loop_w =
-    Array.of_list
-      (List.map (fun (l : Ec.loop) -> weight_at l.node l.colour) (Ec.loops g))
-  in
-  (Fm.create g ~edge_w ~loop_w, rounds)
+  (Fm.of_colour_weights g weight_at, rounds)

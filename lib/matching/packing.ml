@@ -5,23 +5,6 @@ module Fm = Ld_fm.Fm
 module Anon = Ld_runtime.Anon_ec
 module Obs = Ld_obs.Obs
 
-(* Proposal's extraction: per node, the weight assigned to each dart
-   colour. The weight of an edge is read at either endpoint (they agree
-   — asserted); a loop's weight is read at its node. *)
-let fm_of_weights g weight_at =
-  let c = Ec.columns g in
-  let edge_w =
-    Array.init (Ec.num_edges g) (fun j ->
-        let wu = weight_at c.edge_u.(j) c.edge_colour.(j)
-        and wv = weight_at c.edge_v.(j) c.edge_colour.(j) in
-        assert (Q.equal wu wv);
-        wu)
-  in
-  let loop_w =
-    Array.init (Ec.num_loops g) (fun j -> weight_at c.loop_node.(j) c.loop_colour.(j))
-  in
-  Fm.create g ~edge_w ~loop_w
-
 (* ------------------------------------------------------------------ *)
 (* Greedy by colour: phase c handles exactly the colour-c edges.       *)
 
@@ -44,11 +27,12 @@ type greedy_state = {
 let greedy_machine : (greedy_state, int) Anon.machine =
   {
     init =
-      (fun ~colours ~lo ~hi ->
+      (fun colours ->
+        let d = Anon.Colours.degree colours in
         {
           g_phase = 1;
           g_matched = 0;
-          g_last = (if hi = lo then 0 else colours.(hi - 1));
+          g_last = (if d = 0 then 0 else Anon.Colours.get colours (d - 1));
         });
     send = (fun s -> if s.g_matched = 0 then 1 else 0);
     recv =
@@ -78,24 +62,27 @@ let greedy_colours ?truncate g =
 let greedy_by_colour ?truncate g =
   Obs.with_span "matching.packing.greedy" @@ fun () ->
   let matched, _ = greedy_colours ?truncate g in
-  (* Scatter the matching from the dart table: a node matched through
-     colour c puts weight 1 on its colour-c edge or loop, found with one
-     search of its segment; across an edge the partner must have matched
-     through the same colour. Everything else stays 0. *)
-  let ({ Darts.other; code; _ } as t) = Ec.csr g in
+  (* Scatter the matching: a node matched through colour c puts weight
+     1 on its colour-c edge or loop, found with one search of its edge
+     segment, then of its loop run; across an edge the partner must have
+     matched through the same colour. Everything else stays 0. *)
+  let ({ Darts.other; code; _ } as t) = Ec.edge_darts g in
+  let loop_row = Ec.loop_row g and loop_colour = Ec.loop_colour g in
   let edge_w = Array.make (Ec.num_edges g) Q.zero
   and loop_w = Array.make (Ec.num_loops g) Q.zero in
   for v = 0 to Ec.n g - 1 do
     let c = matched.(v) in
     if c > 0 then begin
       let d = Darts.find t v c in
-      assert (d >= 0);
-      let k = code.(d) in
-      if k >= 0 then begin
+      if d >= 0 then begin
         assert (matched.(other.(d)) = c);
-        edge_w.(k) <- Q.one
+        edge_w.(code.(d)) <- Q.one
       end
-      else loop_w.(-k - 1) <- Q.one
+      else begin
+        let j = Darts.search loop_colour loop_row.(v) loop_row.(v + 1) c in
+        assert (j >= 0);
+        loop_w.(j) <- Q.one
+      end
     end
   done;
   Fm.create g ~edge_w ~loop_w
@@ -129,14 +116,15 @@ let with_offer s = { s with p_offer = my_offer s }
 let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
   {
     init =
-      (fun ~colours ~lo ~hi ->
+      (fun colours ->
         with_offer
           {
             p_slack = Q.one;
             p_offer = Q.zero;
             p_dead = [];
             p_weights = [];
-            p_colours = List.init (hi - lo) (fun i -> colours.(lo + i));
+            p_colours =
+              List.init (Anon.Colours.degree colours) (Anon.Colours.get colours);
           });
     send = (fun s -> { p_offer = s.p_offer; p_sat = Q.is_zero s.p_slack });
     recv =
@@ -202,7 +190,7 @@ let proposal ?truncate g =
       (Anon.run proposal_machine ~rounds:r g, r)
   in
   let fm =
-    fm_of_weights g (fun v c ->
+    Fm.of_colour_weights g (fun v c ->
         match List.assoc_opt c states.(v).p_weights with
         | Some w -> w
         | None -> Q.zero)

@@ -75,11 +75,13 @@ let build ~n ~clash each =
   t
 
 (* Keys ascend along a segment: binary search. *)
-let find t v k =
-  let lo = ref t.row.(v) and hi = ref (t.row.(v + 1) - 1) and found = ref (-1) in
+let search (key : int array) lo hi k =
+  let lo = ref lo and hi = ref (hi - 1) and found = ref (-1) in
   while !found < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let km = t.key.(mid) in
+    let km = key.(mid) in
     if km = k then found := mid else if km < k then lo := mid + 1 else hi := mid - 1
   done;
   !found
+
+let find t v k = search t.key t.row.(v) t.row.(v + 1) k

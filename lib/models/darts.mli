@@ -53,5 +53,10 @@ val build :
   ((int -> int -> int -> int -> unit) -> unit) ->
   t
 
+(** [search key lo hi k] is the index [i] in [\[lo, hi)] with
+    [key.(i) = k], or [-1]; the range must ascend strictly. It searches
+    a dart segment, or an EC node's run of loop colours. *)
+val search : int array -> int -> int -> int -> int
+
 (** [find t v k] is the index of the dart at [v] with key [k], or [-1]. *)
 val find : t -> int -> int -> int

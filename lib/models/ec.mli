@@ -7,7 +7,9 @@
     loop on [v] becomes a colour-[c] perfect matching inside the fiber
     of [v].
 
-    Nodes are [0 .. n-1]; edges and loops are identified by dense ids. *)
+    Nodes are [0 .. n-1]; edges and loops are identified by dense ids.
+    Loop ids run in (node, colour) order: a graph stores its loops as
+    one sorted run, apart from the dart table of its edges. *)
 
 type edge = { u : int; v : int; colour : int }
 type loop = { node : int; colour : int }
@@ -28,7 +30,7 @@ type t
     [(v, v, _)] (use [loops] for those). *)
 val create : n:int -> edges:(int * int * int) list -> loops:(int * int) list -> t
 
-(** Edges and loops column-wise, in id order: edge [j] is
+(** Edges and loops column-wise: edge [j] is
     [(edge_u.(j), edge_v.(j), edge_colour.(j))] and loop [j] is
     [(loop_node.(j), loop_colour.(j))]. *)
 type columns = {
@@ -40,10 +42,14 @@ type columns = {
 }
 
 (** [of_columns ~n cols] is [create] on columns — the array-native
-    constructor that [create] and the lifts use. The graph keeps
-    [cols] without copying: callers must not mutate the arrays
-    afterwards. Like [create], it scatters the
-    darts straight into the {!csr} table; no dart value is built.
+    constructor that [create] and the lifts use. Edge ids are the
+    column order. Loop ids are (node, colour) order: loops given in
+    that order keep their ids, and loops given out of order get new
+    ones (sorted by node, then colour). The graph keeps the edge
+    columns, and an ordered [loop_colour], without copying: callers
+    must not mutate the arrays afterwards. Like [create], it scatters
+    the edge darts straight into the {!edge_darts} table; no dart value
+    is built.
     @raise Invalid_argument as [create] does, or if the two edge
     columns or the two loop columns differ in length from the first. *)
 val of_columns : n:int -> columns -> t
@@ -54,9 +60,10 @@ val of_columns : n:int -> columns -> t
     HH, with [a == b] and [e = f]) and the mixture GH. Ids follow
     {!of_columns} on the concatenated columns: [a]'s edges, then [b]'s
     (its nodes shifted by [n a]), then the crossing edge; [a]'s loops
-    other than [e], then [b]'s other than [f], each in order. Both dart
-    tables are copied across unchanged in key order, so no segment is
-    re-sorted.
+    other than [e], then [b]'s other than [f], each in order (which is
+    (node, colour) order again). Both edge tables are copied across in
+    key order with one crossing dart slotted in at each end, and the
+    loop runs end to end without [e] and [f], so nothing is re-sorted.
     @raise Invalid_argument if either loop does not exist, or if their
     colours differ. *)
 val splice : t -> loop:int -> t -> loop:int -> t
@@ -65,32 +72,47 @@ val n : t -> int
 val num_edges : t -> int
 val num_loops : t -> int
 
-(** The graph's columns, shared with it: treat the arrays as
-    read-only. *)
+(** The graph as columns, for {!of_columns}: the edge columns and
+    [loop_colour] are the graph's own (treat them as read-only), and
+    [loop_node] is built on every call. *)
 val columns : t -> columns
 
-(** [edge g id] and [loop g id] read one record off the {!columns}. *)
+(** The columns the graph stores, shared with it (treat the arrays as
+    read-only): [edge_u], [edge_v] and [edge_colour] as in {!columns};
+    [loop_colour g] gives loop [j]'s colour, and node [v]'s loops are
+    ids [(loop_row g).(v) .. (loop_row g).(v + 1) - 1], with colours
+    ascending. A hot path reads these rather than {!columns}. *)
+val edge_u : t -> int array
+
+val edge_v : t -> int array
+val edge_colour : t -> int array
+val loop_row : t -> int array
+val loop_colour : t -> int array
+
+(** [edge g id] and [loop g id] read one record off the columns; a
+    loop's node is a binary search of {!loop_row}. *)
 val edge : t -> int -> edge
 val loop : t -> int -> loop
 val edges : t -> edge list
 val loops : t -> loop list
 
-(** Darts at a node, sorted by colour. Read off the {!csr} table: each
-    call allocates a fresh list, so inner loops should iterate the CSR. *)
+(** Darts at a node, edges and loops merged in ascending colour. Each
+    call allocates a fresh list, so inner loops should walk
+    {!edge_darts} and the node's loop run side by side. *)
 val darts : t -> int -> dart list
 
-(** The dart table, computed once at construction: a dart's key is its
-    colour, so each node's segment is in ascending colour order
-    (mirroring {!darts}). This is the representation the hot paths
-    (refinement, runners, propagation) iterate. *)
-val csr : t -> Darts.t
-
-(** [dart_at g d] reconstructs the dart at CSR index [d]. *)
-val dart_at : t -> int -> dart
+(** The edge dart table, computed once at construction: two darts per
+    edge, none for loops. A dart's key is its colour, so each node's
+    segment is in ascending colour order, and its code is the edge id.
+    With the loop run ({!loop_row}, {!loop_colour}) this is the
+    representation the hot paths (refinement, runners, propagation)
+    iterate. *)
+val edge_darts : t -> Darts.t
 
 val dart_colour : dart -> int
 
-(** [dart_by_colour g v c] is the colour-[c] dart at [v], if any. *)
+(** [dart_by_colour g v c] is the colour-[c] dart at [v], if any: a
+    binary search of [v]'s edge segment, then of its loop run. *)
 val dart_by_colour : t -> int -> int -> dart option
 
 (** Degree with the EC loop convention (a loop counts once). *)

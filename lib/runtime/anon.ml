@@ -2,38 +2,65 @@ module Obs = Ld_obs.Obs
 
 (* Shared body of Anon_ec and Anon_po: the two models differ only in
    how a dart is named, and both name it with an int key that is
-   ascending along each node's dart table segment. *)
+   ascending along each node's dart table segment. An EC graph keeps
+   its loops apart from the table, as a run of keys per node; a PO
+   graph keeps them in it. *)
+
+type loops = { lrow : int array; lkeys : int array }
+
+let no_loops = { lrow = [||]; lkeys = [||] }
 
 module Inbox = struct
   (* A cursor over one node's dart segment [lo, hi) of the table's
-     [key] and [other] arrays, held directly (and searched by [find]
-     directly) so a dart read costs one load: reading them through the
-     [Darts.t] record slowed THM1 probes measurably. [out.(u)] is node
-     [u]'s current broadcast; a set [frozen] byte means that broadcast
-     was cached at halt time. Tallies accumulate across rounds and are
-     flushed to the counters once per run. *)
+     [key] and [other] arrays and its loop run [llo, lhi) of [lkeys],
+     held directly (and searched by [find] directly) so a dart read
+     costs one load: reading them through the [Darts.t] record slowed
+     THM1 probes measurably. A loop reflects: it delivers the node's
+     own broadcast. [out.(u)] is node [u]'s current broadcast; a set
+     [frozen] byte means that broadcast was cached at halt time.
+     Tallies accumulate across rounds and are flushed to the counters
+     once per run.
+
+     Indexed reads walk the merge of the two runs in colour order with
+     a cursor: before merged index [ci] come the edge darts
+     [lo, ce) and the loops [llo, cl), so reading the entries in order
+     costs one step each. *)
   type 'msg t = {
     keys : int array;
     others : int array;
+    lrow : int array;
+    lkeys : int array;
     out : 'msg array;
     frozen : Bytes.t;
     mutable node : int;
     mutable lo : int;
     mutable hi : int;
+    mutable llo : int;
+    mutable lhi : int;
+    mutable ci : int;
+    mutable ce : int;
+    mutable cl : int;
     mutable darts : int;
     mutable reflected : int;
     mutable hits : int;
   }
 
-  let make ~keys ~others ~out ~frozen =
+  let make ~keys ~others ~(loops : loops) ~out ~frozen =
     {
       keys;
       others;
+      lrow = loops.lrow;
+      lkeys = loops.lkeys;
       out;
       frozen;
       node = 0;
       lo = 0;
       hi = 0;
+      llo = 0;
+      lhi = 0;
+      ci = 0;
+      ce = 0;
+      cl = 0;
       darts = 0;
       reflected = 0;
       hits = 0;
@@ -42,10 +69,16 @@ module Inbox = struct
   let at ib row v =
     ib.node <- v;
     ib.lo <- row.(v);
-    ib.hi <- row.(v + 1)
+    ib.hi <- row.(v + 1);
+    if Array.length ib.lrow > 0 then begin
+      ib.llo <- ib.lrow.(v);
+      ib.lhi <- ib.lrow.(v + 1)
+    end;
+    ib.ci <- 0;
+    ib.ce <- ib.lo;
+    ib.cl <- ib.llo
 
-  let degree ib = ib.hi - ib.lo
-  let key ib i = ib.keys.(ib.lo + i)
+  let degree ib = ib.hi - ib.lo + ib.lhi - ib.llo
 
   let read ib d =
     let u = ib.others.(d) in
@@ -54,12 +87,62 @@ module Inbox = struct
     else if Bytes.get ib.frozen u <> '\000' then ib.hits <- ib.hits + 1;
     ib.out.(u)
 
-  let msg ib i = read ib (ib.lo + i)
+  let reflect ib =
+    ib.darts <- ib.darts + 1;
+    ib.reflected <- ib.reflected + 1;
+    ib.out.(ib.node)
+
+  (* Whether the entry at the cursor is an edge dart (else a loop). *)
+  let edge_next ib =
+    ib.ce < ib.hi && (ib.cl >= ib.lhi || ib.keys.(ib.ce) < ib.lkeys.(ib.cl))
+
+  (* Move the cursor to merged index [i]: straight there when the node
+     has no loops or [i] is the last entry (the larger of the two runs'
+     last keys), else stepping, from the start if it is behind. *)
+  let seek ib i =
+    let deg = degree ib in
+    if i < 0 || i >= deg then invalid_arg "Inbox: dart index out of range";
+    if ib.llo = ib.lhi then begin
+      ib.ci <- i;
+      ib.ce <- ib.lo + i
+    end
+    else if i = deg - 1 then begin
+      ib.ci <- i;
+      if ib.hi > ib.lo && ib.keys.(ib.hi - 1) > ib.lkeys.(ib.lhi - 1) then begin
+        ib.ce <- ib.hi - 1;
+        ib.cl <- ib.lhi
+      end
+      else begin
+        ib.ce <- ib.hi;
+        ib.cl <- ib.lhi - 1
+      end
+    end
+    else begin
+      if i < ib.ci then begin
+        ib.ci <- 0;
+        ib.ce <- ib.lo;
+        ib.cl <- ib.llo
+      end;
+      while ib.ci < i do
+        if edge_next ib then ib.ce <- ib.ce + 1 else ib.cl <- ib.cl + 1;
+        ib.ci <- ib.ci + 1
+      done
+    end
+
+  let key ib i =
+    seek ib i;
+    if edge_next ib then ib.keys.(ib.ce) else ib.lkeys.(ib.cl)
+
+  let msg ib i =
+    seek ib i;
+    if edge_next ib then read ib ib.ce else reflect ib
 
   (* Top-level rather than a local closure over [ib] and [k], so a
      lookup allocates nothing but its [Some]. *)
   let rec search ib k lo hi =
-    if lo >= hi then None
+    if lo >= hi then
+      if Ld_models.Darts.search ib.lkeys ib.llo ib.lhi k >= 0 then Some (reflect ib)
+      else None
     else begin
       let mid = (lo + hi) / 2 in
       let c = ib.keys.(mid) in
@@ -68,15 +151,29 @@ module Inbox = struct
       else search ib k lo mid
     end
 
+  (* The edge segment first, then the loop run. *)
   let find ib k = search ib k ib.lo ib.hi
 
   let fold f acc ib =
-    let r = ref acc in
-    for d = ib.lo to ib.hi - 1 do
-      r := f !r ib.keys.(d) (read ib d)
+    let r = ref acc and d = ref ib.lo and j = ref ib.llo in
+    while !d < ib.hi || !j < ib.lhi do
+      if !d < ib.hi && (!j >= ib.lhi || ib.keys.(!d) < ib.lkeys.(!j)) then begin
+        r := f !r ib.keys.(!d) (read ib !d);
+        incr d
+      end
+      else begin
+        r := f !r ib.lkeys.(!j) (reflect ib);
+        incr j
+      end
     done;
     !r
 end
+
+let init ?(loops = no_loops) (g : Ld_models.Darts.t) f =
+  let ib = Inbox.make ~keys:g.key ~others:g.other ~loops ~out:[||] ~frozen:Bytes.empty in
+  Array.init (Ld_models.Darts.n g) (fun v ->
+      Inbox.at ib g.row v;
+      f ib)
 
 type family = {
   engine : Engine.family;
@@ -99,15 +196,15 @@ let family prefix =
     c_cache_hits = c "send_cache_hits";
   }
 
-let run fam ~par_threshold ~domains ~limit ~send ~recv ~halted (g : Ld_models.Darts.t)
-    states =
+let run fam ~par_threshold ~domains ~limit ~send ~recv ~halted
+    ?(loops = no_loops) (g : Ld_models.Darts.t) states =
   let e = Engine.create fam.engine ~par_threshold ~domains ~limit g.row in
   (* Broadcasts, computed once per (node, round); a halted node's slot
      is written one last time when it freezes and then reused. *)
   let out = Array.map send states in
   let inboxes =
     Array.init (Engine.domains e) (fun _ ->
-        Inbox.make ~keys:g.key ~others:g.other ~out
+        Inbox.make ~keys:g.key ~others:g.other ~loops ~out
           ~frozen:(Engine.frozen e))
   in
   let active = Engine.active e in
@@ -141,12 +238,13 @@ let run fam ~par_threshold ~domains ~limit ~send ~recv ~halted (g : Ld_models.Da
 (* Dense differential oracle: recompute every broadcast each round, walk
    every non-halted inbox, [Array.for_all] halting scan — the executor
    [run] must agree with, state for state and round for round. *)
-let reference ~limit ~send ~recv ~halted (g : Ld_models.Darts.t) states =
+let reference ~limit ~send ~recv ~halted ?(loops = no_loops) (g : Ld_models.Darts.t)
+    states =
   let frozen = Bytes.make (Stdlib.max 1 (Array.length states)) '\000' in
   let states = ref states and rounds = ref 0 in
   while !rounds < limit && not (Array.for_all halted !states) do
     let ib =
-      Inbox.make ~keys:g.key ~others:g.other
+      Inbox.make ~keys:g.key ~others:g.other ~loops
         ~out:(Array.map send !states) ~frozen
     in
     states :=

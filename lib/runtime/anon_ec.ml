@@ -14,8 +14,15 @@ module Inbox = struct
     List.rev (fold (fun acc ~colour m -> (colour, m) :: acc) [] ib)
 end
 
+module Colours = struct
+  type t = unit Anon.Inbox.t
+
+  let degree = Anon.Inbox.degree
+  let get = Anon.Inbox.key
+end
+
 type ('state, 'msg) machine = {
-  init : colours:int array -> lo:int -> hi:int -> 'state;
+  init : Colours.t -> 'state;
   send : 'state -> 'msg;
   recv : 'state -> 'msg Inbox.t -> 'state;
   halted : 'state -> bool;
@@ -24,27 +31,25 @@ type ('state, 'msg) machine = {
 let fam = Anon.family "runtime.ec"
 let default_par_threshold = Engine.default_par_threshold
 
-(* Dart keys are the colours themselves, so a node's colours are its
-   segment of the key array, handed over in place. *)
+(* Dart keys are the colours themselves: the edge table and the loop
+   run are read in place, a node's colours through the same merged view
+   its inboxes give. *)
 let prepare machine g =
-  let ({ Ld_models.Darts.row; key; _ } as t) = Ec.csr g in
-  let states =
-    Array.init (Ec.n g) (fun v ->
-        machine.init ~colours:key ~lo:row.(v) ~hi:row.(v + 1))
-  in
-  (t, states)
+  let darts = Ec.edge_darts g in
+  let loops = { Anon.lrow = Ec.loop_row g; lkeys = Ec.loop_colour g } in
+  (darts, loops, Anon.init ~loops darts machine.init)
 
 let run_until ?(par_threshold = default_par_threshold) ?domains machine
     ~max_rounds g =
   Obs.with_span "runtime.ec.run" @@ fun () ->
-  let csr, states = prepare machine g in
+  let darts, loops, states = prepare machine g in
   Anon.run fam ~par_threshold ~domains ~limit:max_rounds ~send:machine.send
-    ~recv:machine.recv ~halted:machine.halted csr states
+    ~recv:machine.recv ~halted:machine.halted ~loops darts states
 
 let run ?par_threshold ?domains machine ~rounds g =
   fst (run_until ?par_threshold ?domains machine ~max_rounds:rounds g)
 
 let reference_run machine ~max_rounds g =
-  let csr, states = prepare machine g in
+  let darts, loops, states = prepare machine g in
   Anon.reference ~limit:max_rounds ~send:machine.send ~recv:machine.recv
-    ~halted:machine.halted csr states
+    ~halted:machine.halted ~loops darts states

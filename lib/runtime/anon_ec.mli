@@ -22,16 +22,17 @@
     (send-once caching; a halted node's message is computed once at halt
     time and reused forever), rounds walk a worklist of non-halted nodes
     (halted-frontier scheduling), and inboxes are lazy views over the
-    graph's CSR arrays — a [recv] that reads one dart costs one read,
-    not degree allocations. At or above [par_threshold] active nodes a
+    graph's edge dart table and loop run — a [recv] that reads one dart
+    costs one read, not degree allocations. At or above [par_threshold] active nodes a
     round fans out across domains in contiguous node ranges with a
     deterministic submission-order merge, so results are byte-identical
     to the sequential run. {!reference_run} is the dense differential
     oracle the qcheck suite compares against. *)
 
 (** One round's incoming messages at a node: a zero-allocation view over
-    the graph's CSR dart arrays and the executor's send buffer. Entries
-    are indexed [0 .. degree-1] in ascending colour order and are only
+    the graph's edge dart table, its loop run and the executor's send
+    buffer. Entries are the node's edges and loops, indexed
+    [0 .. degree-1] in ascending colour order, and are only
     materialised when read — reads are tallied into the
     [runtime.ec.darts_scanned] counter. The view is only valid inside
     the [recv] call it is passed to; do not store it. *)
@@ -41,14 +42,18 @@ module Inbox : sig
   val degree : 'msg t -> int
 
   (** Colour of the [i]-th dart (ascending in [i]). Does not count as a
-      dart read. *)
+      dart read. Reading the darts in index order costs one step each;
+      going back restarts the walk of the merged edges and loops.
+      @raise Invalid_argument unless [0 <= i < degree]. *)
   val colour : 'msg t -> int -> int
 
-  (** Message arriving on the [i]-th dart. *)
+  (** Message arriving on the [i]-th dart; a loop delivers the node's
+      own broadcast.
+      @raise Invalid_argument unless [0 <= i < degree]. *)
   val msg : 'msg t -> int -> 'msg
 
   (** Message arriving on the dart of the given colour, if any — a
-      binary search over the node's colour-sorted dart segment. *)
+      binary search over the node's edge segment, then its loop run. *)
   val find : 'msg t -> colour:int -> 'msg option
 
   val fold : ('a -> colour:int -> 'msg -> 'a) -> 'a -> 'msg t -> 'a
@@ -58,13 +63,25 @@ module Inbox : sig
   val to_list : 'msg t -> (int * 'msg) list
 end
 
+(** A node's dart colours at initialisation, edges and loops merged in
+    ascending order: a view over the graph's edge table and loop run,
+    valid only inside the [init] call it is passed to. *)
+module Colours : sig
+  type t
+
+  val degree : t -> int
+
+  (** The [i]-th colour (ascending in [i]). Reading in index order
+      costs one step each, and the last colour is read directly.
+      @raise Invalid_argument unless [0 <= i < degree]. *)
+  val get : t -> int -> int
+end
+
 type ('state, 'msg) machine = {
-  init : colours:int array -> lo:int -> hi:int -> 'state;
-      (** Initial state. [colours.(lo) .. colours.(hi - 1)] are the
-          node's dart colours in ascending order, so its degree is
-          [hi - lo]. The array is the graph's shared dart table: a
-          machine must not write to it, and must not keep it in its
-          state — copy out whatever colours it needs. *)
+  init : Colours.t -> 'state;
+      (** Initial state from the node's colours. A machine must not
+          keep the view in its state — copy out whatever colours it
+          needs. *)
   send : 'state -> 'msg;
       (** The node's broadcast message for the coming round. Must be a
           pure function of the state: the executor calls it once per

@@ -227,21 +227,24 @@ let splice_by_columns a ~loop:e b ~loop:f =
       loop_colour = Array.append (without e ca.loop_colour) (without f cb.loop_colour);
     }
 
-(* Same five columns, same four dart-table arrays, and [Ec.equal]. *)
+(* Same five columns, same four edge-table arrays, same loop run, and
+   [Ec.equal]. *)
 let same_graph x y =
   let cx = Ec.columns x and cy = Ec.columns y in
-  let tx = Ec.csr x and ty = Ec.csr y in
+  let tx = Ec.edge_darts x and ty = Ec.edge_darts y in
   let ( =: ) a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
   Ec.n x = Ec.n y
   && cx.edge_u =: cy.edge_u && cx.edge_v =: cy.edge_v
   && cx.edge_colour =: cy.edge_colour
   && cx.loop_node =: cy.loop_node && cx.loop_colour =: cy.loop_colour
   && tx.row =: ty.row && tx.key =: ty.key && tx.other =: ty.other
-  && tx.code =: ty.code && Ec.equal x y
+  && tx.code =: ty.code
+  && Ec.loop_row x =: Ec.loop_row y
+  && Ec.equal x y
 
 (* [g] with one more loop of colour [c], at the first node from [start]
-   where [c] is free (on a new isolated node if there is none); the new
-   loop's id is [Ec.num_loops g]. *)
+   where [c] is free (on a new isolated node if there is none), and the
+   new loop's id: loop ids follow (node, colour) order. *)
 let add_loop g ~start c =
   let n = Ec.n g in
   let free v = Option.is_none (Ec.dart_by_colour g v c) in
@@ -249,9 +252,14 @@ let add_loop g ~start c =
     List.find_opt free (List.init n (fun i -> (start + i) mod n))
     |> Option.value ~default:n
   in
-  Ec.create ~n:(Stdlib.max n (node + 1))
-    ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges g))
-    ~loops:(List.map (fun (l : Ec.loop) -> (l.node, l.colour)) (Ec.loops g) @ [ (node, c) ])
+  let g' =
+    Ec.create ~n:(Stdlib.max n (node + 1))
+      ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges g))
+      ~loops:(List.map (fun (l : Ec.loop) -> (l.node, l.colour)) (Ec.loops g) @ [ (node, c) ])
+  in
+  match Ec.dart_by_colour g' node c with
+  | Some (Ec.Into_loop { loop_id; _ }) -> (g', loop_id)
+  | _ -> assert false
 
 let splice_matches_columns =
   QCheck.Test.make ~count:150
@@ -260,7 +268,7 @@ let splice_matches_columns =
        (QCheck.int_range 1 16) (QCheck.int_range 0 999))
     (fun (n, d, n', seed) ->
       let a = random_loopy_multigraph ~seed n d in
-      let a = if Ec.num_loops a = 0 then add_loop a ~start:seed 1 else a in
+      let a = if Ec.num_loops a = 0 then fst (add_loop a ~start:seed 1) else a in
       let e = seed mod Ec.num_loops a in
       let c = (Ec.loop a e).colour in
       (* The mixture's H side: a loop of colour [c], found or added. *)
@@ -268,15 +276,15 @@ let splice_matches_columns =
       let b, f =
         match List.find_index (fun (l : Ec.loop) -> l.colour = c) (Ec.loops b) with
         | Some f -> (b, f)
-        | None -> (add_loop b ~start:seed c, Ec.num_loops b)
+        | None -> add_loop b ~start:seed c
       in
       (* A loop whose colour no loop of [a] has. *)
-      let odd = add_loop a ~start:seed (Ec.max_colour a + 1) in
+      let odd, odd_loop = add_loop a ~start:seed (Ec.max_colour a + 1) in
       same_graph (Ec.splice a ~loop:e a ~loop:e) (splice_by_columns a ~loop:e a ~loop:e)
       && same_graph (Ec.splice a ~loop:e b ~loop:f) (splice_by_columns a ~loop:e b ~loop:f)
       && same_graph (Ec.splice b ~loop:f a ~loop:e) (splice_by_columns b ~loop:f a ~loop:e)
       &&
-      match Ec.splice a ~loop:e odd ~loop:(Ec.num_loops a) with
+      match Ec.splice a ~loop:e odd ~loop:odd_loop with
       | _ -> false
       | exception Invalid_argument _ -> true)
 

@@ -201,9 +201,10 @@ let ec_of_simple_families () =
       Alcotest.(check int) "degree preserved" (G.max_degree g) (Ec.max_degree ec))
     [ Gen.path 7; Gen.cycle 8; Gen.star 6; Gen.grid 3 4; Gen.complete 5 ]
 
-(* A random proper-coloured loopy multigraph: nodes 0..2 act as hubs so
-   that some segments exceed the insertion-sort cutoff of 16 darts. *)
-let random_loopy_ec seed =
+(* A random proper-coloured loopy multigraph, as [(n, edges, loops)]
+   with its loops in no particular order: nodes 0..2 act as hubs so that
+   some segments exceed the insertion-sort cutoff of 16 darts. *)
+let random_loopy_parts seed =
   let st = Random.State.make [| seed |] in
   let n = 1 + Random.State.int st 30 in
   let max_colour = 40 in
@@ -227,11 +228,16 @@ let random_loopy_ec seed =
       edges := (u, v, c) :: !edges
     end
   done;
-  Ec.create ~n ~edges:(List.rev !edges) ~loops:(List.rev !loops)
+  (n, List.rev !edges, List.rev !loops)
 
-(* The CSR as the list-based construction built it: per-node dart lists
-   in (colour, far end, code) form, sorted by colour, then flattened. *)
-let reference_csr g =
+let random_loopy_ec seed =
+  let n, edges, loops = random_loopy_parts seed in
+  Ec.create ~n ~edges ~loops
+
+(* The edge table as the list-based construction built it: per-node
+   edge-dart lists in (colour, far end, edge id) form, sorted by colour,
+   then flattened. *)
+let reference_edge_darts g =
   let n = Ec.n g in
   let darts = Array.make n [] in
   List.iteri
@@ -239,9 +245,6 @@ let reference_csr g =
       darts.(e.u) <- (e.colour, e.v, id) :: darts.(e.u);
       darts.(e.v) <- (e.colour, e.u, id) :: darts.(e.v))
     (Ec.edges g);
-  List.iteri
-    (fun id (l : Ec.loop) -> darts.(l.node) <- (l.colour, l.node, -id - 1) :: darts.(l.node))
-    (Ec.loops g);
   let segments =
     Array.map (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)) darts
   in
@@ -253,25 +256,119 @@ let reference_csr g =
     Array.of_list (List.map (fun (_, o, _) -> o) flat),
     Array.of_list (List.map (fun (_, _, k) -> k) flat) )
 
+let ec_dart_ints = function
+  | Ec.To_neighbour { neighbour; edge_id; colour } -> [ 0; neighbour; edge_id; colour ]
+  | Ec.Into_loop { loop_id; colour } -> [ 1; loop_id; colour ]
+
+(* The edge table against the list-based construction, and [Ec.darts]
+   against the node's edge darts and loops sorted by colour together. *)
 let ec_csr_matches_dart_lists =
   QCheck.Test.make ~count:200 ~name:"array-native CSR = sorted dart lists"
     (QCheck.int_range 0 100_000)
     (fun seed ->
       let g = random_loopy_ec seed in
-      let row, colour, other, code = reference_csr g in
-      let c = Ec.csr g in
+      let row, colour, other, code = reference_edge_darts g in
+      let c = Ec.edge_darts g in
       let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
+      let merged v =
+        List.sort
+          (fun a b -> Int.compare (Ec.dart_colour a) (Ec.dart_colour b))
+          (List.concat
+             (List.mapi
+                (fun edge_id (e : Ec.edge) ->
+                  List.filter_map
+                    (fun (x, y) ->
+                      if x = v then
+                        Some (Ec.To_neighbour { neighbour = y; edge_id; colour = e.colour })
+                      else None)
+                    [ (e.u, e.v); (e.v, e.u) ])
+                (Ec.edges g))
+          @ List.filter_map
+              (fun loop_id ->
+                let l = Ec.loop g loop_id in
+                if l.node = v then Some (Ec.Into_loop { loop_id; colour = l.colour })
+                else None)
+              (List.init (Ec.num_loops g) Fun.id))
+      in
       same c.row row && same c.key colour && same c.other other
       && same c.code code
       && List.for_all
            (fun v ->
-             List.equal
-               (fun a b -> Ec.dart_colour a = Ec.dart_colour b)
-               (Ec.darts g v)
-               (List.init (Ec.degree g v) (fun i -> Ec.dart_at g (c.row.(v) + i))))
+             List.equal (List.equal Int.equal)
+               (List.map ec_dart_ints (Ec.darts g v))
+               (List.map ec_dart_ints (merged v))
+             && Ec.degree g v = List.length (merged v))
            (List.init (Ec.n g) Fun.id)
       (* the columns read back as the records the graph was built from *)
       && Ec.equal g (Ec.of_columns ~n:(Ec.n g) (Ec.columns g)))
+
+(* Loops, as (node, colour) pairs in id order. *)
+let loop_pairs g = List.map (fun (l : Ec.loop) -> (l.node, l.colour)) (Ec.loops g)
+
+let pair_compare (a, b) (c, d) =
+  let k = Int.compare a c in
+  if k <> 0 then k else Int.compare b d
+
+let ascending g =
+  let rec go = function
+    | a :: (b :: _ as rest) -> pair_compare a b < 0 && go rest
+    | [] | [ _ ] -> true
+  in
+  go (loop_pairs g)
+
+let same_pairs = List.equal (fun a b -> pair_compare a b = 0)
+
+(* Loop ids are (node, colour) order: [of_columns] sorts loops given in
+   any order, keeps the ids (and the colour column itself) of loops
+   given in order, and every constructor keeps the run sorted. *)
+let ec_loop_run =
+  QCheck.Test.make ~count:200 ~name:"loops are one run in (node, colour) order"
+    (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let n, edges, loops = random_loopy_parts seed in
+      let g = Ec.create ~n ~edges ~loops in
+      let sorted = List.sort pair_compare loops in
+      let cols = Ec.columns g in
+      let kept = Ec.of_columns ~n cols in
+      let pick k = seed mod Stdlib.max 1 k in
+      same_pairs (loop_pairs g) sorted
+      && ascending g
+      && Ec.loop_colour kept == cols.loop_colour
+      && same_pairs (loop_pairs kept) sorted
+      && (Ec.num_loops g = 0
+         ||
+         let k = pick (Ec.num_loops g) in
+         let h = Ec.remove_loop g k in
+         let e = Ec.splice g ~loop:k g ~loop:k in
+         let without = List.filteri (fun i _ -> i <> k) (loop_pairs g) in
+         ascending h && same_pairs (loop_pairs h) without
+         && ascending e
+         && same_pairs (loop_pairs e)
+              (without @ List.map (fun (v, c) -> (v + n, c)) without))
+      &&
+      let u = Ec.disjoint_union g g in
+      ascending u
+      && same_pairs (loop_pairs u)
+           (sorted @ List.map (fun (v, c) -> (v + n, c)) sorted)
+      && (n < 2
+         ||
+         let a = Ec.add_edge g (0, 1, Ec.max_colour g + 1) in
+         ascending a && same_pairs (loop_pairs a) sorted))
+
+(* An edge and a loop of one colour at one node are rejected on every
+   path into a graph. *)
+let ec_edge_loop_clash () =
+  let clash = Invalid_argument "Ec.create: node 1 has two darts of colour 2 (colouring not proper)" in
+  Alcotest.check_raises "loops out of order" clash (fun () ->
+      ignore
+        (Ec.create ~n:2 ~edges:[ (0, 1, 2) ] ~loops:[ (1, 3); (0, 1); (1, 2) ]));
+  Alcotest.check_raises "add_edge onto a loop's colour" clash (fun () ->
+      ignore
+        (Ec.add_edge (Ec.create ~n:2 ~edges:[] ~loops:[ (1, 3); (1, 2) ]) (0, 1, 2)));
+  Alcotest.check_raises "splice" (Invalid_argument "Ec.splice: the two loops differ in colour")
+    (fun () ->
+      let g = Ec.create ~n:1 ~edges:[] ~loops:[ (0, 1); (0, 2) ] in
+      ignore (Ec.splice g ~loop:0 g ~loop:1))
 
 let ec_of_columns_checks () =
   let cols =
@@ -302,7 +399,9 @@ let ec_equal_by_id () =
     (Ec.create ~n:3 ~edges:[ (1, 0, 1); (2, 1, 2) ] ~loops:[ (0, 2); (2, 1) ]);
   check "edges reordered" false
     (Ec.create ~n:3 ~edges:[ (1, 2, 2); (0, 1, 1) ] ~loops:[ (0, 2); (2, 1) ]);
-  check "loops reordered" false
+  (* Loop ids are (node, colour) order, so the order the loops come in
+     does not matter. *)
+  check "loops given reordered" true
     (Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (2, 1); (0, 2) ]);
   check "another colour" false
     (Ec.create ~n:3 ~edges:[ (0, 1, 3); (1, 2, 2) ] ~loops:[ (0, 2); (2, 1) ]);
@@ -376,6 +475,8 @@ let () =
           Alcotest.test_case "remove loop" `Quick ec_remove_loop;
           Alcotest.test_case "union and simple" `Quick ec_union_and_simple;
           QCheck_alcotest.to_alcotest ec_csr_matches_dart_lists;
+          QCheck_alcotest.to_alcotest ec_loop_run;
+          Alcotest.test_case "edge and loop of one colour" `Quick ec_edge_loop_clash;
           Alcotest.test_case "of_columns checks" `Quick ec_of_columns_checks;
           Alcotest.test_case "equal compares ids" `Quick ec_equal_by_id;
           QCheck_alcotest.to_alcotest ec_tree_check;

@@ -28,11 +28,12 @@ type probe = { seen : string }
 let probe_machine : (probe, string) Anon_ec.machine =
   {
     init =
-      (fun ~colours ~lo ~hi ->
+      (fun colours ->
         {
           seen =
             String.concat ","
-              (List.init (hi - lo) (fun i -> string_of_int colours.(lo + i)));
+              (List.init (Anon_ec.Colours.degree colours) (fun i ->
+                   string_of_int (Anon_ec.Colours.get colours i)));
         });
     send = (fun s -> s.seen);
     recv =
@@ -97,7 +98,7 @@ let run_until_halts () =
   (* Nodes halt after seeing [degree] rounds. *)
   let machine : (int * int, unit) Anon_ec.machine =
     {
-      init = (fun ~colours:_ ~lo ~hi -> (hi - lo, 0));
+      init = (fun colours -> (Anon_ec.Colours.degree colours, 0));
       send = (fun _ -> ());
       recv = (fun (d, r) _ -> (d, r + 1));
       halted = (fun (d, r) -> r >= d);
@@ -125,7 +126,7 @@ let greedy_run_allocation_bound () =
            (List.init n Fun.id))
   in
   assert (n < Anon_ec.default_par_threshold);
-  let darts = (Ec.csr g).row.(n) in
+  let darts = (Ec.edge_darts g).row.(n) + Ec.num_loops g in
   ignore (Ld_matching.Packing.greedy_colours g);
   let w0 = Gc.minor_words () in
   ignore (Sys.opaque_identity (Ld_matching.Packing.greedy_colours g));
@@ -156,11 +157,11 @@ let diff_quota ~quota_mod ~salt ~degree ~weight =
 let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon_ec.machine =
   {
     init =
-      (fun ~colours ~lo ~hi ->
-        let degree = hi - lo in
+      (fun colours ->
+        let degree = Anon_ec.Colours.degree colours in
         let weight = ref 0 in
-        for d = lo to hi - 1 do
-          weight := !weight + colours.(d)
+        for i = 0 to degree - 1 do
+          weight := !weight + Anon_ec.Colours.get colours i
         done;
         let weight = !weight in
         {
