@@ -375,7 +375,12 @@ let step ~on_probe ~delta ~algo ~check_views state =
      so composed with G's map it is that map twice over. *)
   let anchor', amap' =
     match side with
-    | `G -> (state.anchor, Array.append state.amap state.amap)
+    | `G ->
+      let n = Array.length state.amap in
+      let amap = Array.make (2 * n) 0 in
+      Ld_models.Darts.blit_ints state.amap 0 amap 0 n;
+      Ld_models.Darts.blit_ints state.amap 0 amap n n;
+      (state.anchor, amap)
     | `H -> (p.hr, cov_hh.Lift.map)
   in
   let views_checked =
@@ -702,14 +707,15 @@ type cache = {
    their largest positive colour — the exact threshold below which a
    colour restriction leaves some node unsaturated. *)
 let prefix_round graph y =
-  let edge_colour = Ec.edge_colour graph and loop_colour = Ec.loop_colour graph in
+  let edge_colour = Ec.edge_colour graph and edge_w = Fm.edge_weights y in
+  let loop_colour = Ec.loop_colour graph and loop_w = Fm.loop_weights y in
   let r = ref 0 in
-  Array.iteri
-    (fun j w -> if Q.sign w > 0 then r := Stdlib.max !r edge_colour.(j))
-    (Fm.edge_weights y);
-  Array.iteri
-    (fun j w -> if Q.sign w > 0 then r := Stdlib.max !r loop_colour.(j))
-    (Fm.loop_weights y);
+  for j = 0 to Array.length edge_w - 1 do
+    if edge_colour.(j) > !r && Q.sign edge_w.(j) > 0 then r := edge_colour.(j)
+  done;
+  for j = 0 to Array.length loop_w - 1 do
+    if loop_colour.(j) > !r && Q.sign loop_w.(j) > 0 then r := loop_colour.(j)
+  done;
   !r
 
 let make_cache ~delta ~algo_name ~base ~check_views ~probes ~outcome =

@@ -161,15 +161,20 @@ let engine_create a b =
     if n = na then (ta.row, ta.key, ta.other)
     else begin
       let ma = ta.row.(na) in
-      let erow = Array.make (n + 1) ma and eother = Array.append ta.other tb.other in
-      Array.blit ta.row 0 erow 0 na;
+      let mb = tb.row.(n - na) in
+      let erow = Array.make (n + 1) ma in
+      let ekey = Array.make (ma + mb) 0 and eother = Array.make (ma + mb) 0 in
+      Darts.blit_ints ta.row 0 erow 0 na;
       for x = 1 to n - na do
         erow.(na + x) <- ma + tb.row.(x)
       done;
-      for d = ma to Array.length eother - 1 do
-        eother.(d) <- eother.(d) + na
+      Darts.blit_ints ta.key 0 ekey 0 ma;
+      Darts.blit_ints tb.key 0 ekey ma mb;
+      Darts.blit_ints ta.other 0 eother 0 ma;
+      for d = 0 to mb - 1 do
+        eother.(ma + d) <- tb.other.(d) + na
       done;
-      (erow, Array.append ta.key tb.key, eother)
+      (erow, ekey, eother)
     end
   in
   let sz = Stdlib.max 1 n in
@@ -356,7 +361,7 @@ let same_leaving eng (prev : int array) (b : int) u w =
 let engine_round_body eng r =
   let n = eng.n in
   let { erow; eother; _ } = eng in
-  Array.blit eng.ids 0 eng.ids_prev 0 n;
+  Darts.blit_ints eng.ids 0 eng.ids_prev 0 n;
   let prev = eng.ids_prev in
   (* Collect the blocks whose members' descriptors may have changed:
      blocks of changed nodes and blocks of their neighbours. Members of
@@ -440,7 +445,7 @@ let engine_round_body eng r =
           eng.gfill.(g) <- !acc;
           acc := !acc + eng.gcount.(g)
         done;
-        Array.blit eng.elems s eng.member 0 len;
+        Darts.blit_ints eng.elems s eng.member 0 len;
         for i = 0 to len - 1 do
           let v = eng.member.(i) in
           let g = eng.gidx.(i) in

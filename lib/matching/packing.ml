@@ -38,11 +38,11 @@ let greedy_machine : (greedy_state, int) Anon.machine =
     recv =
       (fun s inbox ->
         (* Phase c reads exactly the colour-c dart, saturated or not: one
-           lazy-inbox lookup, not a degree-length scan. *)
-        match Anon.Inbox.find inbox ~colour:s.g_phase with
-        | Some 1 when s.g_matched = 0 ->
-          { s with g_phase = s.g_phase + 1; g_matched = s.g_phase }
-        | _ -> { s with g_phase = s.g_phase + 1 });
+           lazy-inbox lookup, not a degree-length scan, and no option
+           allocated (a node without that colour reads 0, no offer). *)
+        if Anon.Inbox.find_or inbox ~colour:s.g_phase ~default:0 = 1 && s.g_matched = 0
+        then { s with g_phase = s.g_phase + 1; g_matched = s.g_phase }
+        else { s with g_phase = s.g_phase + 1 });
     halted = (fun s -> s.g_matched <> 0 || s.g_phase > s.g_last);
   }
 
@@ -177,25 +177,32 @@ let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
       (fun s -> List.for_all (fun c -> List.mem c s.p_dead) s.p_colours);
   }
 
+let proposal_fm g states =
+  Fm.of_colour_weights g (fun v c ->
+      match List.assoc_opt c states.(v).p_weights with
+      | Some w -> w
+      | None -> Q.zero)
+
+(* The globally minimal offerer saturates every round, so n + 2 rounds
+   always suffice; the +2 covers the death-notification lag. *)
+let proposal_rounds g = Ec.n g + 2
+
 let proposal ?truncate g =
   Obs.with_span "matching.packing.proposal" @@ fun () ->
   let states, rounds =
     match truncate with
-    | None ->
-      (* The globally minimal offerer saturates every round, so n + 2
-         rounds always suffice; the +2 covers the death-notification lag. *)
-      Anon.run_until proposal_machine ~max_rounds:(Ec.n g + 2) g
+    | None -> Anon.run_until proposal_machine ~max_rounds:(proposal_rounds g) g
     | Some r ->
       if r < 0 then invalid_arg "Packing.proposal: negative truncation";
       (Anon.run proposal_machine ~rounds:r g, r)
   in
-  let fm =
-    Fm.of_colour_weights g (fun v c ->
-        match List.assoc_opt c states.(v).p_weights with
-        | Some w -> w
-        | None -> Q.zero)
+  (proposal_fm g states, rounds)
+
+let proposal_reference g =
+  let states, rounds =
+    Anon.reference_run proposal_machine ~max_rounds:(proposal_rounds g) g
   in
-  (fm, rounds)
+  (proposal_fm g states, rounds)
 
 (* ------------------------------------------------------------------ *)
 

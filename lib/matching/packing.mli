@@ -49,6 +49,12 @@ val greedy_rounds : Ld_models.Ec.t -> int
     maximal FM after at most [n] rounds. *)
 val proposal : ?truncate:int -> Ld_models.Ec.t -> Ld_fm.Fm.t * int
 
+(** [proposal_reference g] is [proposal g] on the dense executor
+    ({!Ld_runtime.Anon_ec.reference_run}): the differential oracle for
+    the active-set executor's inboxes on a machine that reads its darts
+    by index and by colour. *)
+val proposal_reference : Ld_models.Ec.t -> Ld_fm.Fm.t * int
+
 (** A named black-box algorithm, as consumed by the lower-bound engine:
     [run] must be deterministic and lift-invariant. *)
 type algorithm = { name : string; run : Ld_models.Ec.t -> Ld_fm.Fm.t }

@@ -74,6 +74,19 @@ let build ~n ~clash each =
   done;
   t
 
+(* [Array.blit] into an array on the major heap runs the write barrier
+   on every element, which for the int arrays of a graph costs about
+   twice a plain loop. *)
+let blit_ints (src : int array) src_pos (dst : int array) dst_pos len =
+  if
+    len < 0 || src_pos < 0 || dst_pos < 0
+    || src_pos + len > Array.length src
+    || dst_pos + len > Array.length dst
+  then invalid_arg "Darts.blit_ints";
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+  done
+
 (* Keys ascend along a segment: binary search. *)
 let search (key : int array) lo hi k =
   let lo = ref lo and hi = ref (hi - 1) and found = ref (-1) in

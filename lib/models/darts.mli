@@ -53,6 +53,12 @@ val build :
   ((int -> int -> int -> int -> unit) -> unit) ->
   t
 
+(** [blit_ints src src_pos dst dst_pos len] is [Array.blit] on int
+    arrays without the write barrier [Array.blit] runs on every element
+    of a destination on the major heap.
+    @raise Invalid_argument as [Array.blit] does. *)
+val blit_ints : int array -> int -> int array -> int -> int -> unit
+
 (** [search key lo hi k] is the index [i] in [\[lo, hi)] with
     [key.(i) = k], or [-1]; the range must ascend strictly. It searches
     a dart segment, or an EC node's run of loop colours. *)

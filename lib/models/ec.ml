@@ -43,13 +43,14 @@ let clash who v c =
     who v c
 
 (* The smallest colour that node [v] has both on an edge and on a loop,
-   or 0: both runs ascend, so one merge walk finds it. *)
+   or 0. A node has few edges and many loops, so each edge colour is
+   looked up in the loop run. *)
 let shared_colour ({ Darts.row; key; _ } : Darts.t) loop_row loop_colour v =
-  let d = ref row.(v) and j = ref loop_row.(v) and found = ref 0 in
-  let dhi = row.(v + 1) and jhi = loop_row.(v + 1) in
-  while !found = 0 && !d < dhi && !j < jhi do
-    let a = key.(!d) and b = loop_colour.(!j) in
-    if a = b then found := a else if a < b then incr d else incr j
+  let lo = loop_row.(v) and hi = loop_row.(v + 1) in
+  let d = ref row.(v) and found = ref 0 in
+  while !found = 0 && lo < hi && !d < row.(v + 1) do
+    if Darts.search loop_colour lo hi key.(!d) >= 0 then found := key.(!d);
+    incr d
   done;
   !found
 
@@ -159,6 +160,17 @@ let loop_node g id =
   done;
   !lo
 
+(* Colours strictly ascending along [lo, hi) of [c], so all of them lie
+   in range once the first and the last do. *)
+let check_run v (c : int array) lo hi =
+  for j = lo + 1 to hi - 1 do
+    if c.(j - 1) >= c.(j) then invalid_arg (clash "Ec.splice" v c.(j))
+  done;
+  if hi > lo then begin
+    Darts.check_colour "Ec.splice" c.(lo);
+    Darts.check_colour "Ec.splice" c.(hi - 1)
+  end
+
 (* The checks [of_columns] makes on its columns, made instead as one
    scan of a finished graph: every far end in range and no edge dart
    back at its own node; every colour in range and strictly ascending
@@ -169,23 +181,17 @@ let check_table n ({ Darts.row; key; other; _ } as darts : Darts.t) loop_row loo
     for d = row.(v) to row.(v + 1) - 1 do
       let o = other.(d) in
       if o < 0 || o >= n then invalid_arg "Ec.splice: node out of range";
-      if o = v then invalid_arg "Ec.splice: self-edge";
-      Darts.check_colour "Ec.splice" key.(d);
-      if d > row.(v) && key.(d - 1) >= key.(d) then
-        invalid_arg (clash "Ec.splice" v key.(d))
+      if o = v then invalid_arg "Ec.splice: self-edge"
     done;
-    for j = loop_row.(v) to loop_row.(v + 1) - 1 do
-      Darts.check_colour "Ec.splice" loop_colour.(j);
-      if j > loop_row.(v) && loop_colour.(j - 1) >= loop_colour.(j) then
-        invalid_arg (clash "Ec.splice" v loop_colour.(j))
-    done
+    check_run v key row.(v) row.(v + 1);
+    check_run v loop_colour loop_row.(v) loop_row.(v + 1)
   done;
   check_shared "Ec.splice" n darts loop_row loop_colour
 
 (* Copy [src] without index [k] into [dst] at [pos]. *)
 let blit_without src k dst pos =
-  Array.blit src 0 dst pos k;
-  Array.blit src (k + 1) dst (pos + k) (Array.length src - k - 1)
+  Darts.blit_ints src 0 dst pos k;
+  Darts.blit_ints src (k + 1) dst (pos + k) (Array.length src - k - 1)
 
 (* Where a dart of colour [c] goes in [v]'s segment: before the first
    larger key. *)
@@ -217,14 +223,14 @@ let splice a ~loop:e b ~loop:f =
   let edge_u = Array.make (crossing + 1) u
   and edge_v = Array.make (crossing + 1) v
   and edge_colour = Array.make (crossing + 1) colour in
-  Array.blit a.edge_u 0 edge_u 0 ea;
-  Array.blit a.edge_v 0 edge_v 0 ea;
-  Array.blit a.edge_colour 0 edge_colour 0 ea;
+  Darts.blit_ints a.edge_u 0 edge_u 0 ea;
+  Darts.blit_ints a.edge_v 0 edge_v 0 ea;
+  Darts.blit_ints a.edge_colour 0 edge_colour 0 ea;
   for j = 0 to eb - 1 do
     edge_u.(ea + j) <- b.edge_u.(j) + na;
     edge_v.(ea + j) <- b.edge_v.(j) + na
   done;
-  Array.blit b.edge_colour 0 edge_colour ea eb;
+  Darts.blit_ints b.edge_colour 0 edge_colour ea eb;
   let la = num_loops a - 1 and lb = num_loops b - 1 in
   let loop_colour = Array.make (la + lb) 0 in
   blit_without a.loop_colour e loop_colour 0;
@@ -252,19 +258,22 @@ let splice a ~loop:e b ~loop:f =
   and other = Array.make m 0
   and code = Array.make m crossing in
   let around src dst = (* a's darts, leaving slot [pa] to the crossing edge *)
-    Array.blit src 0 dst 0 pa;
-    Array.blit src pa dst (pa + 1) (ma - pa)
+    Darts.blit_ints src 0 dst 0 pa;
+    Darts.blit_ints src pa dst (pa + 1) (ma - pa)
   in
   around ta.key key;
   around ta.other other;
   around ta.code code;
   other.(pa) <- v;
-  Array.blit tb.key 0 key ob pb;
-  Array.blit tb.key pb key (ob + pb + 1) (mb - pb);
-  for d = 0 to mb - 1 do
-    let d' = if d < pb then ob + d else ob + d + 1 in
-    other.(d') <- tb.other.(d) + na;
-    code.(d') <- tb.code.(d) + ea
+  Darts.blit_ints tb.key 0 key ob pb;
+  Darts.blit_ints tb.key pb key (ob + pb + 1) (mb - pb);
+  for d = 0 to pb - 1 do
+    other.(ob + d) <- tb.other.(d) + na;
+    code.(ob + d) <- tb.code.(d) + ea
+  done;
+  for d = pb to mb - 1 do
+    other.(ob + d + 1) <- tb.other.(d) + na;
+    code.(ob + d + 1) <- tb.code.(d) + ea
   done;
   other.(ob + pb) <- u;
   let darts = { Darts.row; key; other; code } in

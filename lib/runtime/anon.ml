@@ -137,22 +137,25 @@ module Inbox = struct
     seek ib i;
     if edge_next ib then read ib ib.ce else reflect ib
 
-  (* Top-level rather than a local closure over [ib] and [k], so a
-     lookup allocates nothing but its [Some]. *)
-  let rec search ib k lo hi =
-    if lo >= hi then
-      if Ld_models.Darts.search ib.lkeys ib.llo ib.lhi k >= 0 then Some (reflect ib)
-      else None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let c = ib.keys.(mid) in
-      if c = k then Some (read ib mid)
-      else if c < k then search ib k (mid + 1) hi
-      else search ib k lo mid
-    end
+  (* The entry keyed [k]: its dart index, [-1] for a loop, [-2] for
+     none. The edge segment is searched first, then the loop run. *)
+  let locate ib k =
+    let d = Ld_models.Darts.search ib.keys ib.lo ib.hi k in
+    if d >= 0 then d
+    else if Ld_models.Darts.search ib.lkeys ib.llo ib.lhi k >= 0 then -1
+    else -2
 
-  (* The edge segment first, then the loop run. *)
-  let find ib k = search ib k ib.lo ib.hi
+  let find ib k =
+    match locate ib k with
+    | -2 -> None
+    | -1 -> Some (reflect ib)
+    | d -> Some (read ib d)
+
+  let find_or ib k ~default =
+    match locate ib k with
+    | -2 -> default
+    | -1 -> reflect ib
+    | d -> read ib d
 
   let fold f acc ib =
     let r = ref acc and d = ref ib.lo and j = ref ib.llo in

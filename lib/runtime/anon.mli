@@ -33,6 +33,9 @@ module Inbox : sig
       then the loop run. *)
   val find : 'msg t -> int -> 'msg option
 
+  (** [find] with [default] for a missing entry; allocates nothing. *)
+  val find_or : 'msg t -> int -> default:'msg -> 'msg
+
   val fold : ('a -> int -> 'msg -> 'a) -> 'a -> 'msg t -> 'a
 end
 

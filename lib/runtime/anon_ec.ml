@@ -8,6 +8,7 @@ module Inbox = struct
   let colour = Anon.Inbox.key
   let msg = Anon.Inbox.msg
   let find ib ~colour = Anon.Inbox.find ib colour
+  let find_or ib ~colour ~default = Anon.Inbox.find_or ib colour ~default
   let fold f = Anon.Inbox.fold (fun acc colour m -> f acc ~colour m)
 
   let to_list ib =

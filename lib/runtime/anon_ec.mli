@@ -56,6 +56,10 @@ module Inbox : sig
       binary search over the node's edge segment, then its loop run. *)
   val find : 'msg t -> colour:int -> 'msg option
 
+  (** [find] with [default] where the node has no dart of that colour:
+      the same read, with no [Some] to allocate. *)
+  val find_or : 'msg t -> colour:int -> default:'msg -> 'msg
+
   val fold : ('a -> colour:int -> 'msg -> 'a) -> 'a -> 'msg t -> 'a
 
   (** The whole inbox as an assoc list sorted by colour — the historic

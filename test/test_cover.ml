@@ -284,6 +284,29 @@ let loop_vs_edge_leaving_block () =
     (Refinement.equivalent_radius a 0 b 0 ~radius:2);
   engine_matches_views "union" (Ec.disjoint_union a b) ~rounds:6
 
+(* Node 0 of [a] has an edge of colour 1 and a loop of colour 2, node 0
+   of [b] a loop of colour 1 and an edge of colour 2, and each node 1
+   mirrors its node 0. Both universal covers are the path coloured
+   1, 2, 1, 2, ...: the two nodes agree at every radius, and at round 1
+   only because the descriptor is the merged colour sequence (1, 2),
+   not the edges and the loops apart. Moving every colour just under
+   2^30 takes the comparison off the bitmask path onto the merge. *)
+let edge_loop_swapped () =
+  let a = Ec.create ~n:2 ~edges:[ (0, 1, 1) ] ~loops:[ (0, 2); (1, 2) ] in
+  let b = Ec.create ~n:2 ~edges:[ (0, 1, 2) ] ~loops:[ (0, 1); (1, 1) ] in
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check bool) (what ^ ": equivalent at radius 1") true
+        (Refinement.equivalent_radius a 0 b 0 ~radius:1);
+      Alcotest.(check (option int)) (what ^ ": never distinguished") None
+        (Refinement.first_distinguishing_radius a 0 b 0 ~max_radius:6);
+      let u = Ec.disjoint_union a b in
+      let h = Refinement.refine_ec u ~rounds:6 in
+      Alcotest.(check bool) (what ^ ": one class at round 1") true
+        (Array.for_all (fun l -> l = h.(1).(0)) h.(1));
+      engine_matches_views what u ~rounds:6)
+    [ ("small colours", a, b); ("colours near 2^30", high_colours a, high_colours b) ]
+
 let greedy_certificates delta =
   match
     Ld_core.Lower_bound.run ~delta Ld_matching.Packing.greedy_algorithm
@@ -562,6 +585,7 @@ let () =
           Alcotest.test_case "loop vs edge inside a block" `Quick loop_vs_edge_in_block;
           Alcotest.test_case "loop vs edge leaving a block" `Quick
             loop_vs_edge_leaving_block;
+          Alcotest.test_case "edge 1 loop 2 = loop 1 edge 2" `Quick edge_loop_swapped;
           Alcotest.test_case "THM1 graphs: engine = views" `Quick
             thm1_graphs_match_views;
           Alcotest.test_case "equivalent_radius allocates O(n) minor words" `Quick

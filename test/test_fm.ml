@@ -267,6 +267,28 @@ let is_pull_back_allocation_free () =
   if words >= budget then
     Alcotest.failf "is_pull_back: %.0f minor words (budget %.0f)" words budget
 
+(* An unfolding's crossing edge covers the loop it replaced, so at its
+   two ends the total node has one edge more than the base node, and
+   colour 2 is an edge on one side and a loop on the other: the two are
+   walked in merged colour order. Every item carries its own weight, so
+   a misaligned walk compares the wrong pair. *)
+let is_pull_back_crossing_edge () =
+  let g = Ec.create ~n:2 ~edges:[ (0, 1, 1) ] ~loops:[ (0, 2); (0, 3); (1, 2); (1, 3) ] in
+  let y = Fm.create g ~edge_w:[| q 1 2 |] ~loop_w:[| q 1 3; q 1 6; q 1 4; q 1 5 |] in
+  let cov = Lift.unfold_loop g ~loop_id:0 in
+  let total = Fm.pull_back cov y in
+  let crossing = Ec.num_edges cov.total - 1 in
+  Alcotest.(check bool) "crossing edge carries the loop's weight" true
+    (Q.equal (Fm.edge_weight total crossing) (q 1 3));
+  Alcotest.(check bool) "pull-back accepted" true (Fm.is_pull_back cov ~base:y ~total);
+  let with_crossing w =
+    let edge_w = Array.copy (Fm.edge_weights total) in
+    edge_w.(crossing) <- w;
+    Fm.create cov.total ~edge_w ~loop_w:(Fm.loop_weights total)
+  in
+  Alcotest.(check bool) "crossing edge with the next loop's weight rejected" false
+    (Fm.is_pull_back cov ~base:y ~total:(with_crossing (q 1 6)))
+
 (* [is_pull_back] against the matching [pull_back] builds, on the three
    kinds of covering: it accepts that matching, rejects it once any one
    edge or loop weight is changed, and raises on a map that is not a
@@ -431,6 +453,8 @@ let () =
             pull_back_allocation_free;
           Alcotest.test_case "is_pull_back allocates nothing" `Quick
             is_pull_back_allocation_free;
+          Alcotest.test_case "is_pull_back: crossing edge over a loop" `Quick
+            is_pull_back_crossing_edge;
         ] );
       ( "vertex-cover",
         [

@@ -246,6 +246,41 @@ let check_ec (n, seed) quota_mod salt =
   && same_states (Anon_ec.run m ~rounds:5 g)
        (fst (Anon_ec.reference_run m ~max_rounds:5 g))
 
+(* A random edge-coloured tree whose nodes carry loops on about half of
+   the colours their edges leave free, below and between the edge
+   colours as well as above them. *)
+let interleaved_loopy ~seed n =
+  let st = Random.State.make [| seed |] in
+  let base = Ld_models.Edge_colouring.ec_of_simple (Gen.random_tree ~seed n) in
+  let top = Ec.max_colour base + 2 in
+  let loops =
+    List.concat_map
+      (fun v ->
+        List.filter_map
+          (fun c ->
+            if Option.is_none (Ec.dart_by_colour base v c) && Random.State.bool st
+            then Some (v, c)
+            else None)
+          (List.init top (fun i -> i + 1)))
+      (List.init n Fun.id)
+  in
+  Ec.create ~n
+    ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges base))
+    ~loops
+
+(* The proposal machine reads its inbox by index (colour, then message)
+   and by colour: on edges and loops interleaved by colour, the
+   active-set executor's merged inbox agrees with the dense reference. *)
+let proposal_equals_reference =
+  QCheck.Test.make ~count:40
+    ~name:"EC proposal on interleaved loops = dense reference"
+    (QCheck.pair (QCheck.int_range 1 12) (QCheck.int_range 0 999))
+    (fun (n, seed) ->
+      let g = interleaved_loopy ~seed n in
+      let y, rounds = Ld_matching.Packing.proposal g in
+      let y_ref, rounds_ref = Ld_matching.Packing.proposal_reference g in
+      rounds = rounds_ref && Ld_fm.Fm.equal y y_ref && Ld_fm.Fm.is_maximal_fm y)
+
 let ec_active_equals_reference =
   QCheck.Test.make ~count:60
     ~name:"EC active-set executor = dense reference (states and rounds)"
@@ -758,6 +793,7 @@ let () =
           Alcotest.test_case "greedy allocates under a word per dart" `Quick
             greedy_run_allocation_bound;
           QCheck_alcotest.to_alcotest ec_active_equals_reference;
+          QCheck_alcotest.to_alcotest proposal_equals_reference;
           Alcotest.test_case "differential edge cases" `Quick ec_edge_cases;
         ] );
       ( "anon_po",
