@@ -64,7 +64,11 @@ let two_copies n =
   map
 
 let unfold_loop g ~loop_id =
-  { total = Ec.splice g ~loop:loop_id g ~loop:loop_id; base = g; map = two_copies (Ec.n g) }
+  {
+    total = Ec.splice g ~loop:loop_id g ~loop:loop_id;
+    base = g;
+    map = two_copies (Ec.n g);
+  }
 
 let double g =
   let n = Ec.n g in

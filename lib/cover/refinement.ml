@@ -225,9 +225,8 @@ let[@inline] spread h = h lxor (h lsr 29)
    sequence is the set of its keys, read from both runs in any order.
    When every key is below 62 (the adversary's colours are at most Δ)
    the set is one int, a bitmask: the hash scrambles it, and keeps it
-   for the comparison. Otherwise the hash sums a scramble of each key, and
-   two nodes are compared run by run if their keys split alike between
-   darts and loops, else along the merge of the runs, holding a
+   for the comparison. Otherwise the hash sums a scramble of each key,
+   and two nodes are compared along the merge of their runs, holding a
    position in each and taking the smaller key next. *)
 let side_of eng v = if v < eng.na then eng.a else eng.b
 let local eng v = if v < eng.na then v else v - eng.na
@@ -266,15 +265,12 @@ let hash_keys eng v =
     !h
   end
 
-let rec same_run (x : int array) i (y : int array) j len =
-  len = 0 || (x.(i) = y.(j) && same_run x (i + 1) y (j + 1) (len - 1))
-
 let same_merge (su : side) u (sw : side) w =
   let du = ref su.darts.row.(u) and duhi = su.darts.row.(u + 1) in
   let ju = ref su.loop_row.(u) and juhi = su.loop_row.(u + 1) in
   let dw = ref sw.darts.row.(w) and dwhi = sw.darts.row.(w + 1) in
   let jw = ref sw.loop_row.(w) and jwhi = sw.loop_row.(w + 1) in
-  let same = ref true in
+  let same = ref (duhi - !du + juhi - !ju = dwhi - !dw + jwhi - !jw) in
   while !same && (!du < duhi || !ju < juhi) do
     let ku =
       if !ju >= juhi || (!du < duhi && su.darts.key.(!du) < su.loop_key.(!ju)) then begin
@@ -304,19 +300,7 @@ let same_merge (su : side) u (sw : side) w =
 let same_keys eng u w =
   let mu = eng.masks.(u) and mw = eng.masks.(w) in
   if mu >= 0 && mw >= 0 then mu = mw
-  else begin
-    let su = side_of eng u and u = local eng u in
-    let sw = side_of eng w and w = local eng w in
-    let du = su.darts.row.(u) and eu = su.darts.row.(u + 1) - su.darts.row.(u) in
-    let ju = su.loop_row.(u) and lu = su.loop_row.(u + 1) - su.loop_row.(u) in
-    let dw = sw.darts.row.(w) and ew = sw.darts.row.(w + 1) - sw.darts.row.(w) in
-    let jw = sw.loop_row.(w) and lw = sw.loop_row.(w + 1) - sw.loop_row.(w) in
-    eu + lu = ew + lw
-    && ((eu = ew
-        && same_run su.darts.key du sw.darts.key dw eu
-        && same_run su.loop_key ju sw.loop_key jw lu)
-       || same_merge su u sw w)
-  end
+  else same_merge (side_of eng u) (local eng u) (side_of eng w) (local eng w)
 
 (* Rounds >= 2: a member [v] of block [b] is described by its darts
    that leave [b], as (key, previous block) pairs in key order. *)

@@ -324,9 +324,9 @@ let darts g v =
   go (row.(v + 1) - 1) (g.loop_row.(v + 1) - 1) []
 
 let dart_by_colour g v c =
+  let { Darts.other; code; _ } = g.darts in
   let d = Darts.find g.darts v c in
-  if d >= 0 then
-    Some (To_neighbour { neighbour = g.darts.other.(d); edge_id = g.darts.code.(d); colour = c })
+  if d >= 0 then Some (To_neighbour { neighbour = other.(d); edge_id = code.(d); colour = c })
   else begin
     let j = Darts.search g.loop_colour g.loop_row.(v) g.loop_row.(v + 1) c in
     if j >= 0 then Some (Into_loop { loop_id = j; colour = c }) else None
