@@ -200,7 +200,23 @@ let walk_finds_loop () =
         Alcotest.(check int) "stays at node 0" 0 node;
         Alcotest.(check int) "its loop" 0 loop_id;
         Alcotest.(check int) "trace length" 2 (List.length trace)
-      | Propagation.Stuck _ -> Alcotest.fail "stuck"))
+      | Propagation.Stuck _ -> Alcotest.fail "stuck"));
+  (* Node 0 also differs on an edge of colour 3 and on loops of colours
+     2 and 4 (given out of order, so colour 2 is loop 0): a differing
+     loop wins over a differing edge, and the first in colour order. *)
+  let g =
+    Ec.create ~n:3 ~edges:[ (0, 1, 1); (0, 2, 3) ] ~loops:[ (0, 4); (0, 2) ]
+  in
+  let y = Fm.create g ~edge_w:[| q 1 2; q 1 4 |] ~loop_w:[| q 1 8; q 1 8 |] in
+  let y' = Fm.create g ~edge_w:[| q 1 4; q 1 2 |] ~loop_w:[| q 1 4; q 1 4 |] in
+  match Ec.dart_by_colour g 0 1 with
+  | None -> Alcotest.fail "dart"
+  | Some first -> (
+    match Propagation.walk ~y ~y' ~start:0 ~first with
+    | Propagation.Loop_found { node; loop_id; _ } ->
+      Alcotest.(check int) "stays at node 0" 0 node;
+      Alcotest.(check int) "the colour-2 loop" 0 loop_id
+    | Propagation.Stuck _ -> Alcotest.fail "stuck")
 
 let pull_back_preserves_feasibility =
   QCheck.Test.make ~count:40 ~name:"pull-back of maximal FM along 2-lift is maximal"
