@@ -110,7 +110,6 @@ type engine = {
   erow : int array;
   ekey : int array;
   eother : int array;
-  masks : int array; (* round 1: each node's key set as a bitmask, or -1 *)
   ids : int array; (* current block id per node *)
   ids_prev : int array; (* snapshot taken at the top of each round *)
   elems : int array; (* nodes grouped by block: one contiguous slice each *)
@@ -186,7 +185,6 @@ let engine_create a b =
     erow;
     ekey;
     eother;
-    masks = Array.make sz 0;
     ids = Array.make sz 0;
     ids_prev = Array.make sz 0;
     elems = Array.init sz (fun i -> i);
@@ -222,12 +220,10 @@ let[@inline] spread h = h lxor (h lsr 29)
    source graph: darts and loops merged in key order, so a node with an
    edge of colour 1 and a loop of colour 2 matches one with a loop of
    colour 1 and an edge of colour 2. Keys at a node are distinct, so the
-   sequence is the set of its keys, read from both runs in any order.
-   When every key is below 62 (the adversary's colours are at most Δ)
-   the set is one int, a bitmask: the hash scrambles it, and keeps it
-   for the comparison. Otherwise the hash sums a scramble of each key,
-   and two nodes are compared along the merge of their runs, holding a
-   position in each and taking the smaller key next. *)
+   sequence is the set of its keys, read from both runs in any order:
+   the hash sums a scramble of each key, and two nodes are compared
+   along the merge of their runs, holding a position in each and taking
+   the smaller key next. *)
 let side_of eng v = if v < eng.na then eng.a else eng.b
 let local eng v = if v < eng.na then v else v - eng.na
 
@@ -235,37 +231,20 @@ let[@inline] scramble k =
   let x = k * 0x2545F4914F6CDD1D in
   (x lxor (x lsr 29)) * 0x1CE4E5B9
 
-(* The key set of local node [v] of [s] as a bitmask, or -1 if a key is
-   62 or more. *)
-let key_mask s v =
-  let m = ref 0 and small = ref true in
-  for d = s.darts.row.(v) to s.darts.row.(v + 1) - 1 do
-    let k = Array.unsafe_get s.darts.key d in
-    if k < 62 then m := !m lor (1 lsl k) else small := false
-  done;
-  for j = s.loop_row.(v) to s.loop_row.(v + 1) - 1 do
-    let k = Array.unsafe_get s.loop_key j in
-    if k < 62 then m := !m lor (1 lsl k) else small := false
-  done;
-  if !small then !m else -1
-
 let hash_keys eng v =
   let s = side_of eng v and x = local eng v in
-  let m = key_mask s x in
-  eng.masks.(v) <- m;
-  if m >= 0 then scramble m
-  else begin
-    let h = ref hash_seed in
-    for d = s.darts.row.(x) to s.darts.row.(x + 1) - 1 do
-      h := !h + scramble (Array.unsafe_get s.darts.key d)
-    done;
-    for j = s.loop_row.(x) to s.loop_row.(x + 1) - 1 do
-      h := !h + scramble (Array.unsafe_get s.loop_key j)
-    done;
-    !h
-  end
+  let h = ref hash_seed in
+  for d = s.darts.row.(x) to s.darts.row.(x + 1) - 1 do
+    h := !h + scramble (Array.unsafe_get s.darts.key d)
+  done;
+  for j = s.loop_row.(x) to s.loop_row.(x + 1) - 1 do
+    h := !h + scramble (Array.unsafe_get s.loop_key j)
+  done;
+  !h
 
-let same_merge (su : side) u (sw : side) w =
+let same_keys eng u w =
+  let su = side_of eng u and u = local eng u in
+  let sw = side_of eng w and w = local eng w in
   let du = ref su.darts.row.(u) and duhi = su.darts.row.(u + 1) in
   let ju = ref su.loop_row.(u) and juhi = su.loop_row.(u + 1) in
   let dw = ref sw.darts.row.(w) and dwhi = sw.darts.row.(w + 1) in
@@ -295,12 +274,6 @@ let same_merge (su : side) u (sw : side) w =
     same := ku = kw
   done;
   !same
-
-(* Both nodes are hashed already, so their masks are known. *)
-let same_keys eng u w =
-  let mu = eng.masks.(u) and mw = eng.masks.(w) in
-  if mu >= 0 && mw >= 0 then mu = mw
-  else same_merge (side_of eng u) (local eng u) (side_of eng w) (local eng w)
 
 (* Rounds >= 2: a member [v] of block [b] is described by its darts
    that leave [b], as (key, previous block) pairs in key order. *)
@@ -351,9 +324,9 @@ let engine_round_body eng r =
      blocks of changed nodes and blocks of their neighbours. Members of
      a split's largest part kept their id, so neither their own blocks
      nor their neighbours' read any different id value — they stay
-     clean, which is exactly the smaller-half discipline. A loop dart
-     leads back to the changed node's own block, so only the compact
-     table is walked. *)
+     clean, which is exactly the smaller-half discipline. An EC loop
+     leads back to the changed node's own block, so only the dart table
+     is walked. *)
   eng.ndirty <- 0;
   let mark b =
     if eng.dirty_stamp.(b) <> r then begin

@@ -219,13 +219,11 @@ let pull_back (cov : Ld_cover.Lift.covering) y =
 (* [pull_back cov base] without building it. A covering gives total
    node [v] the colours of base node [cov.map.(v)]; a total loop covers
    a base loop, and a total edge an edge or a loop (an unfolding's
-   crossing edge covers the loop it replaced). So where the two nodes
-   have as many edges, edge lies beside edge and loop beside loop, and
-   their runs are compared entry by entry; elsewhere the two nodes'
-   edges and loops, each merged in colour order, are walked side by
-   side. Either way the entry at each position must carry the colour
-   and the weight of the base entry beside it. Colours are checked on
-   every entry, so a non-covering raises whatever the weights. *)
+   crossing edge covers the loop it replaced). So the two nodes' edges
+   and loops, each merged in colour order, are walked side by side, and
+   the entry at each position must carry the colour and the weight of
+   the base entry beside it. Colours are checked on every entry, so a
+   non-covering raises whatever the weights. *)
 let is_pull_back (cov : Ld_cover.Lift.covering) ~base ~total =
   if not (Ec.equal base.graph cov.base) then
     invalid_arg "Fm.is_pull_back: matching is not on the covering's base";
@@ -234,7 +232,6 @@ let is_pull_back (cov : Ld_cover.Lift.covering) ~base ~total =
   let b = Ec.edge_darts base.graph and t = Ec.edge_darts total.graph in
   let brow = Ec.loop_row base.graph and bcol = Ec.loop_colour base.graph in
   let trow = Ec.loop_row total.graph and tcol = Ec.loop_colour total.graph in
-  let differ () = invalid_arg "Fm.is_pull_back: not a covering (colours differ)" in
   let same = ref true in
   for v = 0 to Ec.n total.graph - 1 do
     let u = cov.map.(v) in
@@ -242,37 +239,22 @@ let is_pull_back (cov : Ld_cover.Lift.covering) ~base ~total =
     let bhi = b.row.(u + 1) and bjhi = brow.(u + 1) in
     if bhi - b.row.(u) + bjhi - brow.(u) <> thi - t.row.(v) + tjhi - trow.(v) then
       invalid_arg "Fm.is_pull_back: not a covering (degrees differ)";
-    if thi - t.row.(v) = bhi - b.row.(u) then begin
-      let shift = b.row.(u) - t.row.(v) in
-      for d = t.row.(v) to thi - 1 do
-        if t.key.(d) <> b.key.(d + shift) then differ ();
-        if !same then
-          same := Q.equal total.edge_w.(t.code.(d)) base.edge_w.(b.code.(d + shift))
-      done;
-      let shift = brow.(u) - trow.(v) in
-      for j = trow.(v) to tjhi - 1 do
-        if tcol.(j) <> bcol.(j + shift) then differ ();
-        if !same then same := Q.equal total.loop_w.(j) base.loop_w.(j + shift)
-      done
-    end
-    else begin
-      let td = ref t.row.(v) and tj = ref trow.(v) in
-      let bd = ref b.row.(u) and bj = ref brow.(u) in
-      while !td < thi || !tj < tjhi do
-        let t_edge = !td < thi && (!tj >= tjhi || t.key.(!td) < tcol.(!tj)) in
-        let b_edge = !bd < bhi && (!bj >= bjhi || b.key.(!bd) < bcol.(!bj)) in
-        let tc = if t_edge then t.key.(!td) else tcol.(!tj) in
-        let bc = if b_edge then b.key.(!bd) else bcol.(!bj) in
-        if tc <> bc then differ ();
-        if !same then
-          same :=
-            Q.equal
-              (if t_edge then total.edge_w.(t.code.(!td)) else total.loop_w.(!tj))
-              (if b_edge then base.edge_w.(b.code.(!bd)) else base.loop_w.(!bj));
-        if t_edge then incr td else incr tj;
-        if b_edge then incr bd else incr bj
-      done
-    end
+    let td = ref t.row.(v) and tj = ref trow.(v) in
+    let bd = ref b.row.(u) and bj = ref brow.(u) in
+    while !td < thi || !tj < tjhi do
+      let t_edge = !td < thi && (!tj >= tjhi || t.key.(!td) < tcol.(!tj)) in
+      let b_edge = !bd < bhi && (!bj >= bjhi || b.key.(!bd) < bcol.(!bj)) in
+      let tc = if t_edge then t.key.(!td) else tcol.(!tj) in
+      let bc = if b_edge then b.key.(!bd) else bcol.(!bj) in
+      if tc <> bc then invalid_arg "Fm.is_pull_back: not a covering (colours differ)";
+      if !same then
+        same :=
+          Q.equal
+            (if t_edge then total.edge_w.(t.code.(!td)) else total.loop_w.(!tj))
+            (if b_edge then base.edge_w.(b.code.(!bd)) else base.loop_w.(!bj));
+      if t_edge then incr td else incr tj;
+      if b_edge then incr bd else incr bj
+    done
   done;
   !same
 

@@ -83,9 +83,14 @@ let blit_ints (src : int array) src_pos (dst : int array) dst_pos len =
     || src_pos + len > Array.length src
     || dst_pos + len > Array.length dst
   then invalid_arg "Darts.blit_ints";
-  for i = 0 to len - 1 do
-    Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
-  done
+  if src == dst && dst_pos > src_pos then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+    done
 
 (* Keys ascend along a segment: binary search. *)
 let search (key : int array) lo hi k =

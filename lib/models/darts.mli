@@ -55,7 +55,8 @@ val build :
 
 (** [blit_ints src src_pos dst dst_pos len] is [Array.blit] on int
     arrays without the write barrier [Array.blit] runs on every element
-    of a destination on the major heap.
+    of a destination on the major heap. Like [Array.blit], it is correct
+    when [src == dst] and the two ranges overlap.
     @raise Invalid_argument as [Array.blit] does. *)
 val blit_ints : int array -> int -> int array -> int -> int -> unit
 

@@ -2,6 +2,7 @@
 
 module Ec = Ld_models.Ec
 module Po = Ld_models.Po
+module Darts = Ld_models.Darts
 module Colouring = Ld_models.Edge_colouring
 module Labelled = Ld_models.Labelled
 module G = Ld_graph.Graph
@@ -406,7 +407,27 @@ let ec_equal_by_id () =
   check "one node more" false
     (Ec.create ~n:4 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 2); (2, 1) ]);
   check "one loop fewer" false
-    (Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 2) ])
+    (Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 2) ]);
+  (* As many edges and loops, but the loops differ. *)
+  check "loop at another node" false
+    (Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 2); (1, 3) ]);
+  check "loop of another colour" false
+    (Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2) ] ~loops:[ (0, 3); (2, 1) ])
+
+(* [Darts.blit_ints] against [Array.blit], overlapping ranges in one
+   array included (both directions). *)
+let darts_blit_ints_overlap =
+  QCheck.Test.make ~count:300 ~name:"blit_ints = Array.blit, overlaps included"
+    QCheck.(quad (int_range 0 12) (int_range 0 12) (int_range 0 12) bool)
+    (fun (src_pos, dst_pos, len, same) ->
+      let len = Stdlib.min len (16 - Stdlib.max src_pos dst_pos) in
+      let src = Array.init 16 (fun i -> i) in
+      let dst = if same then src else Array.make 16 (-1) in
+      let src' = Array.copy src in
+      let dst' = if same then src' else Array.copy dst in
+      Array.blit src' src_pos dst' dst_pos len;
+      Darts.blit_ints src src_pos dst dst_pos len;
+      Array.for_all2 Int.equal dst dst' && Array.for_all2 Int.equal src src')
 
 (* P3 against its definition on the simple graph: a connected simple
    graph with n - 1 edges (parallel edges are not simple). *)
@@ -479,6 +500,7 @@ let () =
           Alcotest.test_case "equal compares ids" `Quick ec_equal_by_id;
           QCheck_alcotest.to_alcotest ec_tree_check;
         ] );
+      ("darts", [ QCheck_alcotest.to_alcotest darts_blit_ints_overlap ]);
       ( "po",
         [
           Alcotest.test_case "loop degree" `Quick po_loop_degree;
