@@ -289,8 +289,8 @@ let loop_vs_edge_leaving_block () =
    mirrors its node 0. Both universal covers are the path coloured
    1, 2, 1, 2, ...: the two nodes agree at every radius, and at round 1
    only because the descriptor is the merged colour sequence (1, 2),
-   not the edges and the loops apart. Moving every colour just under
-   2^30 takes the comparison off the bitmask path onto the merge. *)
+   not the edges and the loops apart. The same holds with every colour
+   moved just under 2^30. *)
 let edge_loop_swapped () =
   let a = Ec.create ~n:2 ~edges:[ (0, 1, 1) ] ~loops:[ (0, 2); (1, 2) ] in
   let b = Ec.create ~n:2 ~edges:[ (0, 1, 2) ] ~loops:[ (0, 1); (1, 1) ] in
