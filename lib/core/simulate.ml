@@ -93,34 +93,16 @@ let po_of_oi rule : Po_packing.algorithm =
           | Some w -> w
           | None -> failwith (rule.oi_name ^ ": missing dart answer")
         in
-        let arc_w =
-          Array.of_list
-            (List.map
-               (fun (a : Po.arc) ->
-                 let wt = weight_at a.tail (Darts.po_key ~out:true a.colour) in
-                 let wh = weight_at a.head (Darts.po_key ~out:false a.colour) in
-                 if not (Q.equal wt wh) then
-                   failwith
-                     (rule.oi_name
-                    ^ ": endpoints disagree — the rule is not a consistent \
-                       local algorithm");
-                 wt)
-               (Po.arcs g))
-        in
-        let loop_w =
-          Array.of_list
-            (List.map
-               (fun (l : Po.loop) ->
-                 let wo = weight_at l.node (Darts.po_key ~out:true l.colour) in
-                 let wi = weight_at l.node (Darts.po_key ~out:false l.colour) in
-                 if not (Q.equal wo wi) then
-                   failwith
-                     (rule.oi_name ^ ": loop dart answers disagree — not \
-                        lift-invariant");
-                 wo)
-               (Po.loops g))
-        in
-        Po_fm.create g ~arc_w ~loop_w);
+        match Po_fm.of_key_weights g weight_at with
+        | Ok y -> y
+        | Error (`Arc _) ->
+          failwith
+            (rule.oi_name
+           ^ ": endpoints disagree — the rule is not a consistent local \
+              algorithm")
+        | Error (`Loop _) ->
+          failwith
+            (rule.oi_name ^ ": loop dart answers disagree — not lift-invariant"));
   }
 
 let proposal_rule ~rounds =

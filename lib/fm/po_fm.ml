@@ -1,5 +1,6 @@
 module Po = Ld_models.Po
 module Q = Ld_arith.Q
+module Darts = Ld_models.Darts
 
 type t = { graph : Po.t; arc_w : Q.t array; loop_w : Q.t array }
 
@@ -9,6 +10,30 @@ let create graph ~arc_w ~loop_w =
   if Array.length loop_w <> Po.num_loops graph then
     invalid_arg "Po_fm.create: loop weight count mismatch";
   { graph; arc_w; loop_w }
+
+let of_key_weights graph weight_at =
+  let exception Disagree of [ `Arc of int | `Loop of int ] in
+  let both item u ku v kv =
+    let a = weight_at u ku and b = weight_at v kv in
+    if not (Q.equal a b) then raise_notrace (Disagree item);
+    a
+  in
+  let out = Darts.po_key ~out:true and into = Darts.po_key ~out:false in
+  match
+    let arc_w =
+      Array.init (Po.num_arcs graph) (fun j ->
+          let { Po.tail; head; colour } = Po.arc graph j in
+          both (`Arc j) tail (out colour) head (into colour))
+    in
+    let loop_w =
+      Array.init (Po.num_loops graph) (fun j ->
+          let { Po.node; colour } = Po.loop graph j in
+          both (`Loop j) node (out colour) node (into colour))
+    in
+    create graph ~arc_w ~loop_w
+  with
+  | y -> Ok y
+  | exception Disagree item -> Error item
 
 let zero graph =
   {

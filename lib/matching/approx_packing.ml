@@ -1,7 +1,7 @@
 module Ec = Ld_models.Ec
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
-module Anon = Ld_runtime.Anon_ec
+module Anon = Ld_runtime.Anon
 
 let approximation_bound = Q.of_ints 1 4
 
@@ -19,8 +19,8 @@ let machine ~k : (state, bool) Anon.machine =
   {
     init =
       (fun colours ->
-        let degree = Anon.Colours.degree colours in
-        let colours = List.init degree (Anon.Colours.get colours) in
+        let degree = Anon.Inbox.degree colours in
+        let colours = List.init degree (Anon.Inbox.key colours) in
         let w = Q.div Q.one (Q.of_int (1 lsl k)) in
         {
           (* already half-saturated by the uniform start? *)
@@ -38,7 +38,7 @@ let machine ~k : (state, bool) Anon.machine =
           List.map
             (fun (c, w) ->
               let their_frozen =
-                Option.value ~default:false (Anon.Inbox.find inbox ~colour:c)
+                Option.value ~default:false (Anon.Inbox.find inbox c)
               in
               if s.frozen || their_frozen then (c, w) else (c, Q.add w w))
             s.dart_w
@@ -54,7 +54,7 @@ let run ~delta g =
   let rec log2_ceil k = if 1 lsl k >= delta then k else log2_ceil (k + 1) in
   let k = log2_ceil 0 in
   let rounds = k + 1 in
-  let states = Anon.run (machine ~k) ~rounds g in
+  let states = Ld_runtime.Anon_ec.run (machine ~k) ~rounds g in
   let weight_at v c =
     Option.value ~default:Q.zero (List.assoc_opt c states.(v).dart_w)
   in

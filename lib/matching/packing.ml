@@ -2,7 +2,8 @@ module Ec = Ld_models.Ec
 module Darts = Ld_models.Darts
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
-module Anon = Ld_runtime.Anon_ec
+module Anon = Ld_runtime.Anon
+module Anon_ec = Ld_runtime.Anon_ec
 module Obs = Ld_obs.Obs
 
 (* ------------------------------------------------------------------ *)
@@ -28,11 +29,11 @@ let greedy_machine : (greedy_state, int) Anon.machine =
   {
     init =
       (fun colours ->
-        let d = Anon.Colours.degree colours in
+        let d = Anon.Inbox.degree colours in
         {
           g_phase = 1;
           g_matched = 0;
-          g_last = (if d = 0 then 0 else Anon.Colours.get colours (d - 1));
+          g_last = (if d = 0 then 0 else Anon.Inbox.key colours (d - 1));
         });
     send = (fun s -> if s.g_matched = 0 then 1 else 0);
     recv =
@@ -40,7 +41,7 @@ let greedy_machine : (greedy_state, int) Anon.machine =
         (* Phase c reads exactly the colour-c dart, saturated or not: one
            lazy-inbox lookup, not a degree-length scan, and no option
            allocated (a node without that colour reads 0, no offer). *)
-        if Anon.Inbox.find_or inbox ~colour:s.g_phase ~default:0 = 1 && s.g_matched = 0
+        if Anon.Inbox.find_or inbox s.g_phase ~default:0 = 1 && s.g_matched = 0
         then { s with g_phase = s.g_phase + 1; g_matched = s.g_phase }
         else { s with g_phase = s.g_phase + 1 });
     halted = (fun s -> s.g_matched <> 0 || s.g_phase > s.g_last);
@@ -56,7 +57,7 @@ let greedy_colours ?truncate g =
       if r < 0 then invalid_arg "Packing.greedy_by_colour: negative truncation";
       Stdlib.min r (greedy_rounds g)
   in
-  let states = Anon.run greedy_machine ~rounds g in
+  let states = Anon_ec.run greedy_machine ~rounds g in
   (Array.map (fun s -> s.g_matched) states, rounds)
 
 let greedy_by_colour ?truncate g =
@@ -90,24 +91,27 @@ let greedy_by_colour ?truncate g =
 (* ------------------------------------------------------------------ *)
 (* Simultaneous proposal.                                              *)
 
+(* Keyed by dart key, so one machine runs in both models: an EC loop is
+   one key and gets one share, a PO directed loop is two keys and gets
+   two. *)
 type proposal_msg = { p_offer : Q.t; p_sat : bool }
 
 type proposal_state = {
   p_slack : Q.t;
   p_offer : Q.t; (* cached [my_offer] of this state — see [with_offer] *)
-  p_dead : int list; (* dart colours known dead *)
-  p_weights : (int * Q.t) list;
-  p_colours : int list;
+  p_dead : int list; (* dart keys known dead *)
+  p_weights : (int * Q.t) list; (* cumulative, per dart key *)
+  p_keys : int list;
 }
 
-let live_colours s = List.filter (fun c -> not (List.mem c s.p_dead)) s.p_colours
+let live_keys s = List.filter (fun k -> not (List.mem k s.p_dead)) s.p_keys
 
 let my_offer s =
-  let live = live_colours s in
+  let live = live_keys s in
   if live = [] || Q.is_zero s.p_slack then Q.zero
   else Q.div s.p_slack (Q.of_int (List.length live))
 
-(* The offer is an exact-rational division over the live-colour count —
+(* The offer is an exact-rational division over the live-key count —
    by far the costliest part of a proposal round — so it is computed
    once per state transition and carried in the state, rather than per
    send. *)
@@ -116,15 +120,14 @@ let with_offer s = { s with p_offer = my_offer s }
 let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
   {
     init =
-      (fun colours ->
+      (fun keys ->
         with_offer
           {
             p_slack = Q.one;
             p_offer = Q.zero;
             p_dead = [];
             p_weights = [];
-            p_colours =
-              List.init (Anon.Colours.degree colours) (Anon.Colours.get colours);
+            p_keys = List.init (Anon.Inbox.degree keys) (Anon.Inbox.key keys);
           });
     send = (fun s -> { p_offer = s.p_offer; p_sat = Q.is_zero s.p_slack });
     recv =
@@ -132,17 +135,17 @@ let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
         let offer = s.p_offer in
         let i_am_sat = Q.is_zero s.p_slack in
         let increments =
-          (* Walk dart indices so dead colours cost a colour peek, not a
+          (* Walk dart indices so dead keys cost a key peek, not a
              message read. *)
           let d = Anon.Inbox.degree inbox in
           let rec go i acc =
             if i >= d then List.rev acc
             else begin
-              let c = Anon.Inbox.colour inbox i in
-              if List.mem c s.p_dead then go (i + 1) acc
+              let k = Anon.Inbox.key inbox i in
+              if List.mem k s.p_dead then go (i + 1) acc
               else
                 go (i + 1)
-                  ((c, Q.min offer (Anon.Inbox.msg inbox i).p_offer) :: acc)
+                  ((k, Q.min offer (Anon.Inbox.msg inbox i).p_offer) :: acc)
             end
           in
           go 0 []
@@ -150,11 +153,11 @@ let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
         let gained = Q.sum (List.map snd increments) in
         let weights =
           List.fold_left
-            (fun acc (c, inc) ->
+            (fun acc (k, inc) ->
               if Q.is_zero inc then acc
               else begin
-                let prev = Option.value ~default:Q.zero (List.assoc_opt c acc) in
-                (c, Q.add prev inc) :: List.remove_assoc c acc
+                let prev = Option.value ~default:Q.zero (List.assoc_opt k acc) in
+                (k, Q.add prev inc) :: List.remove_assoc k acc
               end)
             s.p_weights increments
         in
@@ -162,26 +165,25 @@ let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
         let now_sat = Q.is_zero slack in
         let dead =
           List.filter
-            (fun c ->
-              (not (List.mem c s.p_dead))
+            (fun k ->
+              (not (List.mem k s.p_dead))
               && (i_am_sat || now_sat
                  ||
-                 match Anon.Inbox.find inbox ~colour:c with
+                 match Anon.Inbox.find inbox k with
                  | Some m -> m.p_sat
                  | None -> false))
-            s.p_colours
+            s.p_keys
           @ s.p_dead
         in
         with_offer { s with p_slack = slack; p_dead = dead; p_weights = weights });
-    halted =
-      (fun s -> List.for_all (fun c -> List.mem c s.p_dead) s.p_colours);
+    halted = (fun s -> List.for_all (fun k -> List.mem k s.p_dead) s.p_keys);
   }
 
+let proposal_weight s k =
+  Option.value ~default:Q.zero (List.assoc_opt k s.p_weights)
+
 let proposal_fm g states =
-  Fm.of_colour_weights g (fun v c ->
-      match List.assoc_opt c states.(v).p_weights with
-      | Some w -> w
-      | None -> Q.zero)
+  Fm.of_colour_weights g (fun v c -> proposal_weight states.(v) c)
 
 (* The globally minimal offerer saturates every round, so n + 2 rounds
    always suffice; the +2 covers the death-notification lag. *)
@@ -191,16 +193,16 @@ let proposal ?truncate g =
   Obs.with_span "matching.packing.proposal" @@ fun () ->
   let states, rounds =
     match truncate with
-    | None -> Anon.run_until proposal_machine ~max_rounds:(proposal_rounds g) g
+    | None -> Anon_ec.run_until proposal_machine ~max_rounds:(proposal_rounds g) g
     | Some r ->
       if r < 0 then invalid_arg "Packing.proposal: negative truncation";
-      (Anon.run proposal_machine ~rounds:r g, r)
+      (Anon_ec.run proposal_machine ~rounds:r g, r)
   in
   (proposal_fm g states, rounds)
 
 let proposal_reference g =
   let states, rounds =
-    Anon.reference_run proposal_machine ~max_rounds:(proposal_rounds g) g
+    Anon_ec.reference_run proposal_machine ~max_rounds:(proposal_rounds g) g
   in
   (proposal_fm g states, rounds)
 

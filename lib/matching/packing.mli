@@ -49,6 +49,20 @@ val greedy_rounds : Ld_models.Ec.t -> int
     maximal FM after at most [n] rounds. *)
 val proposal : ?truncate:int -> Ld_models.Ec.t -> Ld_fm.Fm.t * int
 
+type proposal_state
+type proposal_msg
+
+(** The proposal dynamics as one machine over dart keys, run by
+    {!proposal} on EC graphs and by {!Po_packing.proposal} on PO graphs:
+    every node splits its slack evenly among its live keys, so an EC
+    loop (one key) gets one share and a PO directed loop (two keys)
+    gets two. *)
+val proposal_machine : (proposal_state, proposal_msg) Ld_runtime.Anon.machine
+
+(** [proposal_weight s k] is the weight the node in state [s] has put on
+    its dart keyed [k] ([0] for a key it does not have). *)
+val proposal_weight : proposal_state -> int -> Ld_arith.Q.t
+
 (** [proposal_reference g] is [proposal g] on the dense executor
     ({!Ld_runtime.Anon_ec.reference_run}): the differential oracle for
     the active-set executor's inboxes on a machine that reads its darts

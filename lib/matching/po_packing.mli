@@ -1,9 +1,10 @@
 (** Maximal edge packing in the PO model.
 
-    The proposal dynamics of {!Packing} restated over PO darts: every
-    node splits its residual slack evenly over its live darts (a
-    directed loop owns two darts and therefore receives two shares —
-    matching its double contribution to the node weight). Unlike the
+    {!Packing.proposal_machine} run on PO darts through
+    {!Ld_runtime.Anon_po}: every node splits its residual slack evenly
+    over its live darts (a directed loop owns two darts and therefore
+    receives two shares — matching its double contribution to the node
+    weight). Unlike the
     colour-phased greedy, this needs no global colour schedule, so it
     runs in the bare PO model; it is the algorithm we push through the
     EC ⇐ PO simulation (paper §5.1, Fig. 8). *)

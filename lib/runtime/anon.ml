@@ -172,11 +172,20 @@ module Inbox = struct
     !r
 end
 
-let init ?(loops = no_loops) (g : Ld_models.Darts.t) f =
+type ('state, 'msg) machine = {
+  init : unit Inbox.t -> 'state;
+  send : 'state -> 'msg;
+  recv : 'state -> 'msg Inbox.t -> 'state;
+  halted : 'state -> bool;
+}
+
+(* Every node's initial state, read through an inbox with no messages
+   behind it. *)
+let init loops (g : Ld_models.Darts.t) m =
   let ib = Inbox.make ~keys:g.key ~others:g.other ~loops ~out:[||] ~frozen:Bytes.empty in
   Array.init (Ld_models.Darts.n g) (fun v ->
       Inbox.at ib g.row v;
-      f ib)
+      m.init ib)
 
 type family = {
   engine : Engine.family;
@@ -199,8 +208,10 @@ let family prefix =
     c_cache_hits = c "send_cache_hits";
   }
 
-let run fam ~par_threshold ~domains ~limit ~send ~recv ~halted
-    ?(loops = no_loops) (g : Ld_models.Darts.t) states =
+let run fam ~par_threshold ~domains ~limit ?(loops = no_loops) m
+    (g : Ld_models.Darts.t) =
+  let { send; recv; halted; _ } = m in
+  let states = init loops g m in
   let e = Engine.create fam.engine ~par_threshold ~domains ~limit g.row in
   (* Broadcasts, computed once per (node, round); a halted node's slot
      is written one last time when it freezes and then reused. *)
@@ -241,10 +252,10 @@ let run fam ~par_threshold ~domains ~limit ~send ~recv ~halted
 (* Dense differential oracle: recompute every broadcast each round, walk
    every non-halted inbox, [Array.for_all] halting scan — the executor
    [run] must agree with, state for state and round for round. *)
-let reference ~limit ~send ~recv ~halted ?(loops = no_loops) (g : Ld_models.Darts.t)
-    states =
-  let frozen = Bytes.make (Stdlib.max 1 (Array.length states)) '\000' in
-  let states = ref states and rounds = ref 0 in
+let reference ~limit ?(loops = no_loops) m (g : Ld_models.Darts.t) =
+  let { send; recv; halted; _ } = m in
+  let states = ref (init loops g m) and rounds = ref 0 in
+  let frozen = Bytes.make (Stdlib.max 1 (Array.length !states)) '\000' in
   while !rounds < limit && not (Array.for_all halted !states) do
     let ib =
       Inbox.make ~keys:g.key ~others:g.other ~loops

@@ -192,10 +192,10 @@ let greedy_matches_spec =
    (the Q-slack machine it replaced: 30.4). The bound is twice the
    measured figure. *)
 let greedy_allocation_bound () =
-  (* Below [Anon_ec.default_par_threshold] nodes, so the run stays on
+  (* Below [Engine.default_par_threshold] nodes, so the run stays on
      one domain. *)
   let g = loopy_of_tree ~seed:1 2000 in
-  assert (Ec.n g < Ld_runtime.Anon_ec.default_par_threshold);
+  assert (Ec.n g < Ld_runtime.Engine.default_par_threshold);
   ignore (Packing.greedy_by_colour g);
   let before = Gc.minor_words () in
   ignore (Packing.greedy_by_colour g);

@@ -8,6 +8,8 @@ module G = Ld_graph.Graph
 module Csr = Ld_graph.Csr
 module Ec = Ld_models.Ec
 module Po = Ld_models.Po
+module Darts = Ld_models.Darts
+module Anon = Ld_runtime.Anon
 module Anon_ec = Ld_runtime.Anon_ec
 module Anon_po = Ld_runtime.Anon_po
 module Packed = Ld_runtime.Packed
@@ -25,15 +27,18 @@ module Davies_peck = Ld_matching.Davies_peck
    lifts and view trees. *)
 type probe = { seen : string }
 
-let probe_machine : (probe, string) Anon_ec.machine =
+(* The inbox as an assoc list in key order. *)
+let to_list ib = List.rev (Anon.Inbox.fold (fun acc k m -> (k, m) :: acc) [] ib)
+
+let probe_machine : (probe, string) Anon.machine =
   {
     init =
       (fun colours ->
         {
           seen =
             String.concat ","
-              (List.init (Anon_ec.Colours.degree colours) (fun i ->
-                   string_of_int (Anon_ec.Colours.get colours i)));
+              (List.init (Anon.Inbox.degree colours) (fun i ->
+                   string_of_int (Anon.Inbox.key colours i)));
         });
     send = (fun s -> s.seen);
     recv =
@@ -44,7 +49,7 @@ let probe_machine : (probe, string) Anon_ec.machine =
             ^ String.concat ";"
                 (List.map
                    (fun (c, m) -> Printf.sprintf "%d<%s>" c m)
-                   (Anon_ec.Inbox.to_list inbox));
+                   (to_list inbox));
         });
     halted = (fun _ -> false);
   }
@@ -96,9 +101,9 @@ let state_determined_by_view =
 
 let run_until_halts () =
   (* Nodes halt after seeing [degree] rounds. *)
-  let machine : (int * int, unit) Anon_ec.machine =
+  let machine : (int * int, unit) Anon.machine =
     {
-      init = (fun colours -> (Anon_ec.Colours.degree colours, 0));
+      init = (fun colours -> (Anon.Inbox.degree colours, 0));
       send = (fun _ -> ());
       recv = (fun (d, r) _ -> (d, r + 1));
       halted = (fun (d, r) -> r >= d);
@@ -125,7 +130,7 @@ let greedy_run_allocation_bound () =
            (fun v -> List.init 17 (fun i -> (v, 3 + i)))
            (List.init n Fun.id))
   in
-  assert (n < Anon_ec.default_par_threshold);
+  assert (n < Ld_runtime.Engine.default_par_threshold);
   let darts = (Ec.edge_darts g).row.(n) + Ec.num_loops g in
   ignore (Ld_matching.Packing.greedy_colours g);
   let w0 = Gc.minor_words () in
@@ -154,14 +159,14 @@ let diff_quota ~quota_mod ~salt ~degree ~weight =
   else if quota_mod = 0 then 0
   else (degree + salt + weight) mod quota_mod
 
-let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon_ec.machine =
+let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon.machine =
   {
     init =
       (fun colours ->
-        let degree = Anon_ec.Colours.degree colours in
+        let degree = Anon.Inbox.degree colours in
         let weight = ref 0 in
         for i = 0 to degree - 1 do
-          weight := !weight + Anon_ec.Colours.get colours i
+          weight := !weight + Anon.Inbox.key colours i
         done;
         let weight = !weight in
         {
@@ -173,12 +178,12 @@ let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon_ec.machine =
     recv =
       (fun s ib ->
         let h =
-          Anon_ec.Inbox.fold
-            (fun acc ~colour m -> (acc * 1000003) lxor (colour * 7919) lxor m)
+          Anon.Inbox.fold
+            (fun acc colour m -> (acc * 1000003) lxor (colour * 7919) lxor m)
             s.h ib
         in
         let h =
-          match Anon_ec.Inbox.find ib ~colour:(1 + (s.r mod 5)) with
+          match Anon.Inbox.find ib (1 + (s.r mod 5)) with
           | None -> h
           | Some m -> (h * 31) lxor m
         in
@@ -186,17 +191,18 @@ let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon_ec.machine =
     halted = (fun s -> s.r >= s.quota);
   }
 
-let diff_po_machine ~salt ~quota_mod : (diff_st, int) Anon_po.machine =
+let diff_po_machine ~salt ~quota_mod : (diff_st, int) Anon.machine =
   {
     init =
-      (fun ~darts ->
-        let degree = List.length darts in
-        let weight =
-          List.fold_left
-            (fun acc (k : Anon_po.dart_key) ->
-              acc + (2 * k.colour) + if k.out then 1 else 0)
-            0 darts
-        in
+      (fun keys ->
+        let degree = Anon.Inbox.degree keys in
+        let weight = ref 0 in
+        for i = 0 to degree - 1 do
+          let k = Anon.Inbox.key keys i in
+          weight :=
+            !weight + (2 * Darts.colour k) + if Darts.is_out k then 1 else 0
+        done;
+        let weight = !weight in
         {
           h = (salt * 131) + (degree * 7) + weight;
           r = 0;
@@ -206,17 +212,16 @@ let diff_po_machine ~salt ~quota_mod : (diff_st, int) Anon_po.machine =
     recv =
       (fun s ib ->
         let h =
-          Anon_po.Inbox.fold
-            (fun acc ~key m ->
+          Anon.Inbox.fold
+            (fun acc k m ->
               (acc * 1000003)
-              lxor ((key.colour * 7919) + if key.out then 1 else 0)
+              lxor ((Darts.colour k * 7919) + if Darts.is_out k then 1 else 0)
               lxor m)
             s.h ib
         in
         let h =
           match
-            Anon_po.Inbox.find ib
-              ~key:{ out = s.r mod 2 = 0; colour = 1 + (s.r mod 5) }
+            Anon.Inbox.find ib (Darts.po_key ~out:(s.r mod 2 = 0) (1 + (s.r mod 5)))
           with
           | None -> h
           | Some m -> (h * 31) lxor m
@@ -280,6 +285,100 @@ let proposal_equals_reference =
       let y, rounds = Ld_matching.Packing.proposal g in
       let y_ref, rounds_ref = Ld_matching.Packing.proposal_reference g in
       rounds = rounds_ref && Ld_fm.Fm.equal y y_ref && Ld_fm.Fm.is_maximal_fm y)
+
+(* Indexed reads out of order: a machine that reads [key i] at init,
+   and [key i] then [msg i] every round, in a fresh random index order,
+   so the cursor steps forward, restarts when an index goes back, and
+   jumps straight to a loopy node's last entry. Each read is checked
+   against the in-order walk ([fold]) and against [find (key i)]; the
+   keys read at init are checked against the node's keys listed from
+   the graph's edges and loops. *)
+type seek_st = { keys : int array; ok : bool; r : int; h : int }
+
+let shuffled ~seed n =
+  let st = Random.State.make [| seed; n |] in
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+let seek_machine ~seed : (seek_st, int) Anon.machine =
+  {
+    init =
+      (fun ib ->
+        let d = Anon.Inbox.degree ib in
+        let keys = Array.make d 0 in
+        Array.iter (fun i -> keys.(i) <- Anon.Inbox.key ib i) (shuffled ~seed d);
+        { keys; ok = true; r = 0; h = Array.fold_left (fun acc k -> (acc * 31) + k) d keys });
+    send = (fun s -> s.h);
+    recv =
+      (fun s ib ->
+        let d = Anon.Inbox.degree ib in
+        let in_order =
+          Array.of_list (List.rev (Anon.Inbox.fold (fun acc _ m -> m :: acc) [] ib))
+        in
+        let read_ok i =
+          let k = Anon.Inbox.key ib i in
+          let m = Anon.Inbox.msg ib i in
+          k = s.keys.(i) && m = in_order.(i)
+          && Option.equal Int.equal (Anon.Inbox.find ib k) (Some m)
+        in
+        let order = shuffled ~seed:(seed + s.h + s.r) d in
+        {
+          keys = s.keys;
+          ok = s.ok && d = Array.length s.keys && Array.for_all read_ok order;
+          r = s.r + 1;
+          h = Array.fold_left (fun acc m -> (acc * 1000003) lxor m) s.h in_order;
+        });
+    halted = (fun s -> s.r >= 3);
+  }
+
+let reads_agree expected states =
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun v s ->
+         s.ok && s.r = 3 && List.equal Int.equal (Array.to_list s.keys) (expected v))
+       states)
+
+let ec_indexed_reads_out_of_order =
+  QCheck.Test.make ~count:40
+    ~name:"EC indexed reads out of order = merged keys and find"
+    (QCheck.triple (QCheck.int_range 1 12) (QCheck.int_range 0 999)
+       (QCheck.int_range 0 999))
+    (fun (n, seed, order_seed) ->
+      let g = interleaved_loopy ~seed n in
+      let expected v =
+        List.sort Int.compare
+          (List.filter_map
+             (fun (e : Ec.edge) ->
+               if e.u = v || e.v = v then Some e.colour else None)
+             (Ec.edges g)
+          @ List.filter_map
+              (fun (l : Ec.loop) -> if l.node = v then Some l.colour else None)
+              (Ec.loops g))
+      in
+      reads_agree expected
+        (Anon_ec.run (seek_machine ~seed:order_seed) ~rounds:3 g))
+
+let po_indexed_reads_out_of_order =
+  QCheck.Test.make ~count:40
+    ~name:"PO indexed reads out of order = dart keys and find"
+    (QCheck.triple (QCheck.int_range 1 12) (QCheck.int_range 0 999)
+       (QCheck.int_range 0 999))
+    (fun (n, seed, order_seed) ->
+      let g = Po.of_ec (interleaved_loopy ~seed n) in
+      let expected v =
+        List.sort Int.compare
+          (List.map
+             (fun d -> Darts.po_key ~out:(Po.dart_is_out d) (Po.dart_colour d))
+             (Po.darts g v))
+      in
+      reads_agree expected
+        (Anon_po.run (seek_machine ~seed:order_seed) ~rounds:3 g))
 
 let ec_active_equals_reference =
   QCheck.Test.make ~count:60
@@ -350,17 +449,18 @@ let ec_edge_cases () =
 (* PO probe: also checks that out/in darts are distinguished. *)
 type po_probe = { po_seen : string }
 
-let po_probe_machine : (po_probe, string) Anon_po.machine =
+let po_name k =
+  Printf.sprintf "%s%d" (if Darts.is_out k then "+" else "-") (Darts.colour k)
+
+let po_probe_machine : (po_probe, string) Anon.machine =
   {
     init =
-      (fun ~darts ->
+      (fun keys ->
         {
           po_seen =
             String.concat ","
-              (List.map
-                 (fun (k : Anon_po.dart_key) ->
-                   Printf.sprintf "%s%d" (if k.out then "+" else "-") k.colour)
-                 darts);
+              (List.init (Anon.Inbox.degree keys) (fun i ->
+                   po_name (Anon.Inbox.key keys i)));
         });
     send = (fun s -> s.po_seen);
     recv =
@@ -370,10 +470,8 @@ let po_probe_machine : (po_probe, string) Anon_po.machine =
             s.po_seen ^ "|"
             ^ String.concat ";"
                 (List.map
-                   (fun ((k : Anon_po.dart_key), m) ->
-                     Printf.sprintf "%s%d<%s>" (if k.out then "+" else "-")
-                       k.colour m)
-                   (Anon_po.Inbox.to_list inbox));
+                   (fun (k, m) -> Printf.sprintf "%s<%s>" (po_name k) m)
+                   (to_list inbox));
         });
     halted = (fun _ -> false);
   }
@@ -795,6 +893,7 @@ let () =
           QCheck_alcotest.to_alcotest ec_active_equals_reference;
           QCheck_alcotest.to_alcotest proposal_equals_reference;
           Alcotest.test_case "differential edge cases" `Quick ec_edge_cases;
+          QCheck_alcotest.to_alcotest ec_indexed_reads_out_of_order;
         ] );
       ( "anon_po",
         [
@@ -802,6 +901,7 @@ let () =
           QCheck_alcotest.to_alcotest po_reflection_agrees_with_lift;
           Alcotest.test_case "orientation" `Quick po_orientation_matters;
           QCheck_alcotest.to_alcotest po_active_equals_reference;
+          QCheck_alcotest.to_alcotest po_indexed_reads_out_of_order;
         ] );
       ( "port",
         [
