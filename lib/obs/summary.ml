@@ -60,6 +60,19 @@ let json () =
         ("pool_tasks", Json.int tasks);
       ]
   in
+  (* After a forced minor collection, [Gc.quick_stat] counts every
+     domain's allocation. *)
+  let gc =
+    Gc.minor ();
+    let st = Gc.quick_stat () in
+    Json.Obj
+      [
+        ("minor_words", Json.Num st.minor_words);
+        ("promoted_words", Json.Num st.promoted_words);
+        ("major_collections", Json.int st.major_collections);
+        ("top_heap_words", Json.int st.top_heap_words);
+      ]
+  in
   Json.Obj
     ([
        ("spans", Json.Arr (List.map span (Obs.span_totals ())));
@@ -67,6 +80,7 @@ let json () =
        ("gauges", ints (Obs.gauges ()));
        ("histograms", Json.Arr (List.map hist (Hist.snapshots ())));
        ("domains", Json.Arr (List.map domain (per_domain ())));
+       ("gc", gc);
      ]
     @
     match Obs.peak_rss_kb () with

@@ -505,6 +505,21 @@ let hostile_names_survive_export () =
   validate_json summary;
   Alcotest.(check bool) "summary is pure ASCII" true (ascii_only summary)
 
+(* [ld adversary --format json] prints the summary: its [gc] object
+   carries the process's GC figures, each a non-negative number, and
+   some words have been allocated by now. *)
+let summary_gc_figures () =
+  let gc = Json.member "gc" (Json.parse (Summary.to_json ())) in
+  let figure k = Option.bind (Option.bind gc (Json.member k)) Json.to_float in
+  List.iter
+    (fun k ->
+      match figure k with
+      | Some x -> Alcotest.(check bool) (k ^ " >= 0") true (x >= 0.)
+      | None -> Alcotest.failf "summary.gc.%s missing" k)
+    [ "minor_words"; "promoted_words"; "major_collections"; "top_heap_words" ];
+  Alcotest.(check bool) "minor_words > 0" true
+    (Option.value ~default:0. (figure "minor_words") > 0.)
+
 let json_parser () =
   let doc = Json.parse {|{"rows": [{"delta": 4, "wall_ms": 1.5}], "ok": true}|} in
   (match Option.bind (Json.member "rows" doc) Json.to_list with
@@ -1047,6 +1062,8 @@ let () =
             hostile_names_survive_export;
           Alcotest.test_case "parser accepts artefacts, rejects junk" `Quick
             json_parser;
+          Alcotest.test_case "summary carries GC figures" `Quick
+            summary_gc_figures;
           Alcotest.test_case "printer units" `Quick json_printer_units;
           Alcotest.test_case "codec pinned by digest" `Quick json_codec_pinned;
           Alcotest.test_case "number literals" `Quick json_number_literals;
