@@ -27,7 +27,6 @@ val create : Ld_models.Po.t -> arc_w:Q.t array -> loop_w:Q.t array -> t
 val of_key_weights :
   Ld_models.Po.t -> (int -> int -> Q.t) -> (t, [ `Arc of int | `Loop of int ]) result
 
-
 val zero : Ld_models.Po.t -> t
 val graph : t -> Ld_models.Po.t
 val arc_weight : t -> int -> Q.t

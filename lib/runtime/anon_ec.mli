@@ -1,5 +1,7 @@
-(** Synchronous execution of anonymous algorithms ({!Anon.machine}) on
-    EC multigraphs. A dart's key is its colour.
+(** Synchronous execution of anonymous algorithms on EC multigraphs.
+    A machine is an {!Anon.machine}; its contract (broadcast, pure
+    [send], frozen once [halted]) is stated there. A dart's key is its
+    colour.
 
     {b Loop reflection.} On a dart that is a loop (semi-edge), the node
     receives the very message it sent on that dart. This makes execution

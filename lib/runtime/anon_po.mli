@@ -1,5 +1,6 @@
-(** Synchronous execution of anonymous algorithms ({!Anon.machine}) on
-    PO multigraphs.
+(** Synchronous execution of anonymous algorithms on PO multigraphs.
+    A machine is an {!Anon.machine}; its contract (broadcast, pure
+    [send], frozen once [halted]) is stated there.
 
     Every arc is a bidirectional communication link (the orientation is
     symmetry-breaking information, not a restriction on messages), so a
