@@ -95,12 +95,12 @@ let po_of_oi rule : Po_packing.algorithm =
         in
         match Po_fm.of_key_weights g weight_at with
         | Ok y -> y
-        | Error (`Arc _) ->
+        | Error `Arc ->
           failwith
             (rule.oi_name
            ^ ": endpoints disagree — the rule is not a consistent local \
               algorithm")
-        | Error (`Loop _) ->
+        | Error `Loop ->
           failwith
             (rule.oi_name ^ ": loop dart answers disagree — not lift-invariant"));
   }

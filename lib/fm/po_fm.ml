@@ -12,7 +12,7 @@ let create graph ~arc_w ~loop_w =
   { graph; arc_w; loop_w }
 
 let of_key_weights graph weight_at =
-  let exception Disagree of [ `Arc of int | `Loop of int ] in
+  let exception Disagree of [ `Arc | `Loop ] in
   let both item u ku v kv =
     let a = weight_at u ku and b = weight_at v kv in
     if not (Q.equal a b) then raise_notrace (Disagree item);
@@ -23,12 +23,12 @@ let of_key_weights graph weight_at =
     let arc_w =
       Array.init (Po.num_arcs graph) (fun j ->
           let { Po.tail; head; colour } = Po.arc graph j in
-          both (`Arc j) tail (out colour) head (into colour))
+          both `Arc tail (out colour) head (into colour))
     in
     let loop_w =
       Array.init (Po.num_loops graph) (fun j ->
           let { Po.node; colour } = Po.loop graph j in
-          both (`Loop j) node (out colour) node (into colour))
+          both `Loop node (out colour) node (into colour))
     in
     create graph ~arc_w ~loop_w
   with

@@ -22,10 +22,10 @@ val create : Ld_models.Po.t -> arc_w:Q.t array -> loop_w:Q.t array -> t
     weight on [v]'s dart keyed [k] ({!Ld_models.Darts.po_key}). An arc
     is read at its tail's out-dart, then its head's in-dart, and a
     directed loop at its node's out-dart, then its in-dart; arcs go
-    first, by id, then loops. The first item whose two reads differ is
-    returned as [Error], and no later dart is read. *)
+    first, by id, then loops. At the first item whose two reads differ,
+    [Error] names its kind, and no later dart is read. *)
 val of_key_weights :
-  Ld_models.Po.t -> (int -> int -> Q.t) -> (t, [ `Arc of int | `Loop of int ]) result
+  Ld_models.Po.t -> (int -> int -> Q.t) -> (t, [ `Arc | `Loop ]) result
 
 val zero : Ld_models.Po.t -> t
 val graph : t -> Ld_models.Po.t
