@@ -432,6 +432,36 @@ let vc_rejects_non_cover () =
   Alcotest.(check bool) "loop needs its node" false (VC.is_vertex_cover loopy []);
   Alcotest.(check bool) "loop covered" true (VC.is_vertex_cover loopy [ 0 ])
 
+(* [Po_fm.of_key_weights] reads an arc at its tail's out-dart and head's
+   in-dart, a directed loop at its out- and in-dart, and names the kind
+   of the first item whose two reads differ. *)
+let po_key_weights_read_out () =
+  let module Po = Ld_models.Po in
+  let module Po_fm = Ld_fm.Po_fm in
+  let module Darts = Ld_models.Darts in
+  let g = Po.create ~n:2 ~arcs:[ (0, 1, 1) ] ~loops:[ (1, 2) ] in
+  let out = Darts.po_key ~out:true and into = Darts.po_key ~out:false in
+  let weights ~arc_head ~loop_in v k =
+    if v = 1 && k = into 1 then arc_head
+    else if v = 1 && k = into 2 then loop_in
+    else if (v = 0 && k = out 1) || (v = 1 && k = out 2) then q 1 3
+    else Alcotest.failf "read a dart that is not there: node %d key %d" v k
+  in
+  let kind = function
+    | Ok _ -> "ok"
+    | Error `Arc -> "arc"
+    | Error `Loop -> "loop"
+  in
+  (match Po_fm.of_key_weights g (weights ~arc_head:(q 1 3) ~loop_in:(q 1 3)) with
+  | Ok y ->
+    Alcotest.(check bool) "arc weight" true (Q.equal (Po_fm.arc_weight y 0) (q 1 3));
+    Alcotest.(check bool) "loop weight" true (Q.equal (Po_fm.loop_weight y 0) (q 1 3))
+  | Error _ -> Alcotest.fail "consistent weights rejected");
+  Alcotest.(check string) "arc ends differ" "arc"
+    (kind (Po_fm.of_key_weights g (weights ~arc_head:(q 1 4) ~loop_in:(q 1 2))));
+  Alcotest.(check string) "loop darts differ" "loop"
+    (kind (Po_fm.of_key_weights g (weights ~arc_head:(q 1 3) ~loop_in:(q 1 2))))
+
 let () =
   Alcotest.run "fm"
     [
@@ -441,6 +471,8 @@ let () =
           Alcotest.test_case "violations" `Quick violations_detected;
           QCheck_alcotest.to_alcotest fused_checker_matches_pair;
           Alcotest.test_case "loop counts once" `Quick node_weight_loop_counts_once;
+          Alcotest.test_case "PO read-out names the disagreeing kind" `Quick
+            po_key_weights_read_out;
         ] );
       ( "greedy",
         [
