@@ -5,12 +5,11 @@ module Lift = Ld_cover.Lift
 module Refinement = Ld_cover.Refinement
 module Propagation = Ld_fm.Propagation
 module Obs = Ld_obs.Obs
-module Pool = Ld_pool.Pool
 
 (* Adversary-level metrics: probes (algorithm invocations on adversary
-   graphs), certificate/refutation outcomes, and the fate of memoised
-   frontier replays — hits replay the cached construction, refutations
-   stop a replay early, divergences fall back to a full run.
+   graphs), certificate/refutation outcomes, and the verdicts of
+   memoised frontier scans — hits certify with the cached outcome,
+   refutations fail some probe's threshold.
    [incremental_seeded] counts view checks answered against a composed
    covering anchor instead of the full unfolded graph; [replays] counts
    levels whose graphs were rebuilt from a trail. *)
@@ -19,7 +18,6 @@ let c_certificates = Obs.Counter.make "core.lb.certificates"
 let c_refutations = Obs.Counter.make "core.lb.refutations"
 let c_memo_hits = Obs.Counter.make "core.lb.memo_replay_hits"
 let c_memo_refuted = Obs.Counter.make "core.lb.memo_replay_refuted"
-let c_memo_diverged = Obs.Counter.make "core.lb.memo_diverged"
 let c_incremental = Obs.Counter.make "core.lb.incremental_seeded"
 let c_replays = Obs.Counter.make "core.lb.replays"
 
@@ -38,7 +36,6 @@ type algorithm = Ld_matching.Packing.algorithm = {
 type 'a deferred = unit -> 'a
 
 let force d = d ()
-let given x () = x
 
 type step =
   | Base of { delta : int; removed : int; changed : int }
@@ -134,16 +131,12 @@ let check_feasible ~level graph output =
 
 (* A feasibility probe in the exact order [run] checks feasibility —
    level 0: G_0 then H_0; level i: GG, HH, GH — with its feasibility
-   threshold. The memoisation cache below replays these against other
-   algorithms instead of rebuilding the construction. *)
-type probe = {
-  probe_level : int;
-  prefix_round : int;
-  probe_graph : Ec.t deferred;
-}
+   threshold. [truncated_verdict] compares a truncation against these
+   thresholds instead of rebuilding the construction. *)
+type probe = { probe_level : int; prefix_round : int }
 
 (* [on_probe] sees every probe before its feasibility check, so that a
-   refuted base algorithm's failing graph is recorded too. *)
+   refuted base algorithm's failing probe is recorded too. *)
 let run_checked ~on_probe ~level algo graph =
   Obs.Counter.incr c_probes;
   let y = Ld_obs.Hist.timed_span h_probe (fun () -> algo.run graph) in
@@ -276,11 +269,7 @@ let transport ~side ~pair ~target ~y_target ~y_mix =
     Fm.edge_weight y_mix (mg + Ec.num_edges hr);
   Fm.create target ~edge_w ~loop_w
 
-(* One unfold-and-mix step (Fig. 6 + Fig. 7). This `step` is the
-   adversary driver, not an executor machine transition; it
-   legitimately fans out over Pool (whose env-var fallback may warn
-   on stderr once at startup). *)
-(* ld-lint: allow machine-purity — adversary driver, not a transition *)
+(* One unfold-and-mix step (Fig. 6 + Fig. 7). *)
 let step ~on_probe ~delta ~algo ~check_views state =
   let level = state.i + 1 in
   Obs.with_span ~args:[ ("level", string_of_int level) ] "core.lb.level"
@@ -296,29 +285,11 @@ let step ~on_probe ~delta ~algo ~check_views state =
           assert (Ec.max_degree x <= delta);
           assert (Ec.is_tree_plus_loops x))
         [ gg; hh; gh ]);
-  (* The three probes of a level are independent runs of A — fan them
-     out over the pool (submission-order join keeps results, and
-     therefore everything downstream, deterministic), then record and
-     feasibility-check sequentially in the canonical GG, HH, GH order so
-     the probe log and the failing probe are exactly the sequential
-     ones. *)
-  let y_gg, y_hh, y_gh =
-    match
-      Pool.map
-        (fun graph -> Ld_obs.Hist.timed_span h_probe (fun () -> algo.run graph))
-        [ gg; hh; gh ]
-    with
-    | [ a; b; c ] -> (a, b, c)
-    | _ -> assert false
-  in
-  let accept graph y =
-    Obs.Counter.incr c_probes;
-    Obs.with_span "core.lb.on_probe" (fun () -> on_probe graph y);
-    check_feasible ~level graph y
-  in
-  accept gg y_gg;
-  accept hh y_hh;
-  accept gh y_gh;
+  (* The canonical probe order GG, HH, GH: a refuted algorithm fails at
+     the first infeasible one. *)
+  let y_gg = run_checked ~on_probe ~level algo gg in
+  let y_hh = run_checked ~on_probe ~level algo hh in
+  let y_gh = run_checked ~on_probe ~level algo gh in
   (* Condition (2) of the EC model: A commutes with 2-lifts. *)
   Obs.with_span "core.lb.lift_check" (fun () ->
       if not (Fm.is_pull_back cov_gg ~base:state.y_g ~total:y_gg) then
@@ -581,14 +552,10 @@ let shapes trail =
    share it. ([Lazy.force] would raise [Lazy.Undefined] in the second
    domain under OCaml 5.1.) *)
 
-(* A level's pair and its probe graphs (level 0: G_0, H_0; level i: GG,
-   HH, GH). *)
-type replayed = { rpair : pair; probe_graphs : Ec.t array }
-
 type chain = {
   chain_trail : step array;
   lock : Mutex.t;
-  built : replayed option Atomic.t array;
+  built : pair option Atomic.t array;
 }
 
 let chain trail =
@@ -605,20 +572,16 @@ let replay_level ch i =
   match ch.chain_trail.(i) with
   | Base { delta; removed; changed } ->
     let g0 = base_graph delta in
-    let h0 = Ec.remove_loop g0 removed in
-    { rpair = base_pair g0 h0 ~removed ~changed; probe_graphs = [| g0; h0 |] }
+    base_pair g0 (Ec.remove_loop g0 removed) ~removed ~changed
   | Unfold { side; g_star; loop_target } ->
     let p =
       match Atomic.get ch.built.(i - 1) with
-      | Some r -> r.rpair
+      | Some p -> p
       | None -> assert false (* built in level order *)
     in
     let cov_gg, cov_hh, gh = unfold_and_mix p in
-    let gg = cov_gg.Lift.total and hh = cov_hh.Lift.total in
-    {
-      rpair = advance p ~gg ~hh ~gh ~side ~g_star ~loop_target;
-      probe_graphs = [| gg; hh; gh |];
-    }
+    advance p ~gg:cov_gg.Lift.total ~hh:cov_hh.Lift.total ~gh ~side ~g_star
+      ~loop_target
 
 let replay ch i =
   match Atomic.get ch.built.(i) with
@@ -640,8 +603,8 @@ let certificate_in ch shapes i ~g_weight ~h_weight ~views_checked =
   {
     level = i;
     trail = Array.sub ch.chain_trail 0 (i + 1);
-    g_graph = (fun () -> (replay ch i).rpair.gr);
-    h_graph = (fun () -> (replay ch i).rpair.hr);
+    g_graph = (fun () -> (replay ch i).gr);
+    h_graph = (fun () -> (replay ch i).hr);
     g_node = s.sg;
     h_node = s.sh;
     colour = s.sc;
@@ -652,13 +615,6 @@ let certificate_in ch shapes i ~g_weight ~h_weight ~views_checked =
     views_checked;
   }
 
-let probe_in ch i k prefix_round =
-  {
-    probe_level = i;
-    prefix_round;
-    probe_graph = (fun () -> (replay ch i).probe_graphs.(k));
-  }
-
 let level_of_trail trail ~g_weight ~h_weight ~views_checked ~prefix_rounds =
   let shapes = shapes trail in
   let i = Array.length trail - 1 in
@@ -666,35 +622,23 @@ let level_of_trail trail ~g_weight ~h_weight ~views_checked ~prefix_rounds =
     invalid_arg
       (Printf.sprintf "Lower_bound.level_of_trail: %d thresholds at level %d"
          (List.length prefix_rounds) i);
-  let ch = chain trail in
-  ( certificate_in ch shapes i ~g_weight ~h_weight ~views_checked,
-    List.mapi (probe_in ch i) prefix_rounds )
+  ( certificate_in (chain trail) shapes i ~g_weight ~h_weight ~views_checked,
+    List.map (fun prefix_round -> { probe_level = i; prefix_round }) prefix_rounds )
 
 (* Memoised frontier scans. Every level of the construction is
    determined by the algorithm's outputs on the probe graphs, so two
    algorithms that agree on every probe walk through {e the same}
-   construction and reach the same outcome. The cache holds the base
-   algorithm's trail, its per-probe feasibility thresholds and its
-   outcome; [cached_run] replays the probes in order:
-
-   - a feasibility failure at some probe is exactly where [run] would
-     have stopped, so the cached certificates below that level are
-     returned with a fresh failure witness;
-   - an output that is feasible but differs from the base output means
-     the replay is invalid — we fall back to a full [run].
-
-   The point: a truncated-but-feasible output on a loopy graph is fully
-   saturated (Lemma 2 forces it), and our base algorithms are monotone
-   accumulators, so feasible truncations equal the full output — the
-   fallback never fires for the benchmark's truncation scans, and every
-   scan shares one construction instead of rebuilding Θ(Δ) of them. *)
+   construction and reach the same outcome. A truncation of greedy that
+   is feasible on a loopy probe graph is fully saturated (Lemma 2), so
+   it equals the base output there; one that is not fails exactly where
+   [run] would stop. The cache therefore keeps the base algorithm's
+   trail, its per-probe feasibility thresholds and its outcome, and
+   every scan compares thresholds instead of rebuilding Θ(Δ)
+   constructions ([truncated_verdict]). *)
 type cache = {
   cache_delta : int;
   cache_check_views : bool;
   cache_algo_name : string;
-  cache_base : algorithm option;
-      (* Reruns on replayed probe graphs where the base outputs are
-         needed; [None] for a reassembled cache of an unknown algorithm. *)
   cache_outcome : outcome;
   cache_probes : probe list;
   cache_prefix_rounds : int array;
@@ -718,12 +662,11 @@ let prefix_round graph y =
   done;
   !r
 
-let make_cache ~delta ~algo_name ~base ~check_views ~probes ~outcome =
+let make_cache ~delta ~algo_name ~check_views ~probes ~outcome =
   {
     cache_delta = delta;
     cache_check_views = check_views;
     cache_algo_name = algo_name;
-    cache_base = base;
     cache_outcome = outcome;
     cache_probes = probes;
     cache_prefix_rounds = Array.of_list (List.map (fun p -> p.prefix_round) probes);
@@ -740,14 +683,12 @@ type recorded = {
 
 (* The cold build keeps the current level state and the trail; each
    level's probe graphs are dropped once they pass, and the cache's
-   graphs are replayed from the trail like a reloaded one's. Only a
-   refuted base leaves graphs behind: its failing level, which no trail
-   entry describes. *)
+   graphs are replayed from the trail like a reloaded one's. *)
 let build_cache ?(check_views = true) ~delta algo =
   Obs.with_span ~args:[ ("delta", string_of_int delta) ] "core.lb.build_cache"
   @@ fun () ->
   let levels = ref [] and pending = ref [] in
-  let on_probe graph y = pending := (graph, prefix_round graph y) :: !pending in
+  let on_probe graph y = pending := prefix_round graph y :: !pending in
   let on_level (s : level_state) ~views_checked =
     levels :=
       {
@@ -755,7 +696,7 @@ let build_cache ?(check_views = true) ~delta algo =
         g_weight = Fm.loop_weight s.y_g s.pair.e;
         h_weight = Fm.loop_weight s.y_h s.pair.f;
         checked = views_checked;
-        thresholds = List.rev_map snd !pending;
+        thresholds = List.rev !pending;
       }
       :: !levels;
     pending := []
@@ -772,10 +713,10 @@ let build_cache ?(check_views = true) ~delta algo =
           ~views_checked:l.checked)
       levels
   in
-  let probes =
-    List.concat
-      (List.mapi (fun i l -> List.mapi (probe_in ch i) l.thresholds) levels)
+  let probes_at probe_level thresholds =
+    List.map (fun prefix_round -> { probe_level; prefix_round }) thresholds
   in
+  let probes = List.concat (List.mapi (fun i l -> probes_at i l.thresholds) levels) in
   let outcome, failed =
     match refuted with
     | None -> (Certified certs, [])
@@ -783,18 +724,12 @@ let build_cache ?(check_views = true) ~delta algo =
       (* The failing probe is the last one recorded: its output is
          infeasible at every truncation. *)
       let failed =
-        match !pending with
-        | [] -> []
-        | (graph, _) :: passed -> (graph, max_int) :: passed
+        match !pending with [] -> [] | _ :: passed -> List.rev (max_int :: passed)
       in
-      ( Refuted (certs, failure),
-        List.rev_map
-          (fun (graph, prefix_round) ->
-            { probe_level = Array.length trail; prefix_round; probe_graph = given graph })
-          failed )
+      (Refuted (certs, failure), probes_at (Array.length trail) failed)
   in
-  make_cache ~delta ~algo_name:algo.name ~base:(Some algo) ~check_views
-    ~probes:(probes @ failed) ~outcome
+  make_cache ~delta ~algo_name:algo.name ~check_views ~probes:(probes @ failed)
+    ~outcome
 
 let cache_outcome cache = cache.cache_outcome
 
@@ -821,8 +756,8 @@ let step_equal a b =
 
 (* Rebuild a cache from stored parts (the persistent store's warm
    path): the thresholds are read off the probes, and every certificate
-   and probe is rewired onto one chain over the deepest certificate's
-   trail, so forcing the whole cache replays each level once. *)
+   is rewired onto one chain over the deepest certificate's trail, so
+   forcing the whole cache replays each level once. *)
 let assemble_cache ~delta ~algo_name ~check_views ~probes ~outcome =
   let bad msg = invalid_arg ("Lower_bound.assemble_cache: " ^ msg) in
   let certs = match outcome with Certified certs | Refuted (certs, _) -> certs in
@@ -848,67 +783,23 @@ let assemble_cache ~delta ~algo_name ~check_views ~probes ~outcome =
           ~h_weight:c.h_weight ~views_checked:c.views_checked)
       certs
   in
-  (* The k-th probe of a trail level is that level's k-th probe graph;
-     probes past the trail (a refuted base's failing level) keep
-     theirs. *)
-  let probes =
-    let rec rewire level k = function
-      | [] -> []
-      | p :: rest ->
-        let k = if p.probe_level = level then k + 1 else 0 in
-        let p =
-          if p.probe_level >= depth then p
-          else if k >= probe_count p.probe_level then bad "too many probes at a level"
-          else probe_in ch p.probe_level k p.prefix_round
-        in
-        p :: rewire p.probe_level k rest
-    in
-    rewire (-1) 0 probes
+  (* A trail level has at most [probe_count] probes; a refuted base's
+     failing level lies past the trail and is not checked. *)
+  let rec count_probes level k = function
+    | [] -> ()
+    | p :: rest ->
+      let k = if p.probe_level = level then k + 1 else 0 in
+      if p.probe_level < depth && k >= probe_count p.probe_level then
+        bad "too many probes at a level";
+      count_probes p.probe_level k rest
   in
+  count_probes (-1) 0 probes;
   let outcome =
     match outcome with
     | Certified _ -> Certified certs
     | Refuted (_, failure) -> Refuted (certs, failure)
   in
-  let base =
-    List.find_opt
-      (fun (a : algorithm) -> String.equal a.name algo_name)
-      Ld_matching.Packing.[ greedy_algorithm; proposal_algorithm ]
-  in
-  make_cache ~delta ~algo_name ~base ~check_views ~probes ~outcome
-
-exception Diverged
-
-let cached_run cache algo =
-  let replay () =
-    Obs.with_span "core.lb.memo_replay" @@ fun () ->
-    let base =
-      match cache.cache_base with Some base -> base | None -> raise Diverged
-    in
-    List.iter
-      (fun p ->
-        let graph = force p.probe_graph in
-        let y = algo.run graph in
-        check_feasible ~level:p.probe_level graph y;
-        if not (Fm.equal y (base.run graph)) then raise Diverged)
-      cache.cache_probes;
-    cache.cache_outcome
-  in
-  match replay () with
-  | outcome ->
-    Obs.Counter.incr c_memo_hits;
-    outcome
-  | exception Refutation failure ->
-    Obs.Counter.incr c_memo_refuted;
-    let certs =
-      match cache.cache_outcome with
-      | Certified certs | Refuted (certs, _) -> certs
-    in
-    let prefix = List.filter (fun c -> c.level < failure.fail_level) certs in
-    Refuted (prefix, failure)
-  | exception Diverged ->
-    Obs.Counter.incr c_memo_diverged;
-    run ~check_views:cache.cache_check_views ~delta:cache.cache_delta algo
+  make_cache ~delta ~algo_name ~check_views ~probes ~outcome
 
 let truncated_verdict cache ~rounds =
   if

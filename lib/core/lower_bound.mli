@@ -101,10 +101,8 @@ type outcome =
     certificates carry the adversary's trail, and their graphs are
     replayed from it on first {!force}.
 
-    The three probes of every level (GG, HH, GH) are independent runs of
-    [a] and are fanned out over the {!Ld_pool.Pool} domains; recording
-    and feasibility checks happen in the canonical sequential order, so
-    outcomes are bit-for-bit those of a sequential run. Every level also
+    Every level runs [a] on its three probes in the order GG, HH, GH,
+    and checks each output for feasibility as it comes. Every level also
     compares [a]'s output on each 2-lift with the pulled-back output on
     the graph below; a mismatch means [a] violates the EC model's
     condition (2) and raises [Failure].
@@ -132,8 +130,8 @@ val max_level : outcome -> int
     scans ([r = 0, 1, …]) pay for [Θ(Δ)] constructions per scan. A
     {!cache} stores one construction succinctly — the adversary's
     trail, one feasibility threshold per probe, and per level the two
-    distinguished weights and the views flag — so the scans replay it
-    instead. Its graphs are rebuilt from the trail only when a consumer
+    distinguished weights and the views flag — and the scans compare
+    against its thresholds instead ({!truncated_verdict}). Its graphs are rebuilt from the trail only when a consumer
     forces one. *)
 type cache
 
@@ -141,39 +139,13 @@ type cache
     keeps its trail and outcome plus, per probe, the largest colour
     carrying positive weight (the feasibility threshold
     {!truncated_verdict} compares against). Each level's probe graphs
-    are dropped once they pass; the cache's certificates and probes
-    replay theirs from the trail on demand. [check_views] is as for
-    {!run}, and is also used by any fallback {!run} a later
-    {!cached_run} needs.
+    are dropped once they pass; the cache's certificates replay theirs
+    from the trail on demand. [check_views] is as for {!run}.
     @raise Invalid_argument if [delta < 2]. *)
 val build_cache : ?check_views:bool -> delta:int -> algorithm -> cache
 
 (** The base algorithm's outcome, as {!build_cache} recorded it. *)
 val cache_outcome : cache -> outcome
-
-(** [cached_run cache b] computes the outcome [run] would produce for
-    [b], reusing the cached construction: each probe graph is replayed,
-    re-run under [b] and checked for feasibility, and the base
-    algorithm is re-run on it for comparison.
-
-    - If [b] fails feasibility at some probe, that is exactly where
-      [run] would have refuted it: the result is [Refuted] with the
-      cached certificates below the failing level (physically shared
-      with the cache) and a fresh failure witness.
-    - If [b] is feasible {e and equal to the base output} on every
-      probe, it walks the identical construction: the cached outcome is
-      returned as-is (physically shared).
-    - If [b] is feasible but diverges from the base output on some
-      probe, the cache does not apply and a full [run] is performed (as
-      it is for a reassembled cache whose base algorithm is unknown).
-
-    For the benchmark's truncated algorithms the divergent case never
-    arises: by Lemma 2 a feasible output on these loopy graphs is fully
-    saturated, and a saturated truncation of greedy/proposal equals the
-    untruncated output. [test_core] pins the certificate bytes of
-    greedy's outcome and of the certified prefix of a refuted
-    truncation. *)
-val cached_run : cache -> algorithm -> outcome
 
 (** {2 Cache introspection and reassembly}
 
@@ -182,17 +154,13 @@ val cached_run : cache -> algorithm -> outcome
     re-running the adversary. These accessors expose exactly the data
     that determines a cache; {!assemble_cache} is the inverse. *)
 
-(** One feasibility probe: the graph the base algorithm was run on at
-    [probe_level] and the smallest truncation [prefix_round] whose
-    colour-prefix of the base output is still feasible ([max_int] for a
-    probe the base itself failed). The probe list of a cache is in
-    canonical check order (level 0: G_0 then H_0; level i: GG, HH,
-    GH). *)
-type probe = {
-  probe_level : int;
-  prefix_round : int;
-  probe_graph : Ec.t deferred;
-}
+(** One feasibility probe: the level [probe_level] at which the base
+    algorithm was run on a probe graph, and the smallest truncation
+    [prefix_round] whose colour-prefix of the base output is still
+    feasible there ([max_int] for a probe the base itself failed). The
+    probe list of a cache is in canonical check order (level 0: G_0
+    then H_0; level i: GG, HH, GH). *)
+type probe = { probe_level : int; prefix_round : int }
 
 val cache_delta : cache -> int
 val cache_algo_name : cache -> string
@@ -201,12 +169,11 @@ val cache_probes : cache -> probe list
 
 (** [assemble_cache ~delta ~algo_name ~check_views ~probes ~outcome]
     rebuilds a cache from stored parts. The thresholds are read off the
-    probes, and every certificate and probe is rewired onto one replay
-    chain over the deepest certificate's trail, so forcing the whole
-    cache replays each level once. A reassembled cache is
-    indistinguishable from the {!build_cache} original: [cached_run]
-    and {!truncated_verdict} return identical results. No algorithm is
-    run and no graph is built.
+    probes, and every certificate is rewired onto one replay chain over
+    the deepest certificate's trail, so forcing the whole cache replays
+    each level once. A reassembled cache is indistinguishable from the
+    {!build_cache} original: {!truncated_verdict} returns identical
+    results. No algorithm is run and no graph is built.
     @raise Invalid_argument if the certificates are not levels
     [0, 1, …] whose trails are prefixes of one valid trail for
     [delta], or a level has more probes than the construction has. *)
@@ -218,8 +185,8 @@ val assemble_cache :
     ~prefix_rounds] is the certificate and probes of level
     [Array.length trail - 1] of the construction [trail] describes, the
     persistent store's decoder. The certificate's scalars are read off
-    the trail without building a graph; its graphs and the probes'
-    replay the trail on their own when forced.
+    the trail without building a graph; its graphs replay the trail on
+    their own when forced.
     @raise Invalid_argument if the trail is not one the adversary could
     take — a first step that is not the only {!Base} step, a Δ outside
     [[2, 32]], more than Δ-1 levels, a removed or changed loop outside
@@ -233,8 +200,8 @@ val level_of_trail :
   prefix_rounds:int list -> certificate * probe list
 
 (** [truncated_verdict cache ~rounds] is the constructor of
-    [cached_run cache (Packing.truncated `Greedy rounds)] alone
-    ([`Certified] or [`Refuted]), computed {e analytically} from the
+    [run ~delta (Packing.truncated `Greedy rounds)] alone ([`Certified]
+    or [`Refuted]), computed {e analytically} from the cache's
     thresholds: no graph is replayed and no algorithm is run.
 
     Greedy-by-colour reads exactly the colour-[c] dart in phase [c], so
@@ -243,10 +210,10 @@ val level_of_trail :
     that prefix is feasible iff every positive base colour is [≤ rounds]
     (feasible ⟺ fully saturated, Lemma 2) — in which case it {e equals}
     the base output and the verdict is the cached outcome's. Otherwise
-    some probe's threshold exceeds [rounds], which is where [cached_run]
-    would refute. A frontier scan consumes only the verdict; this is one
-    threshold comparison per probe, with the [memo_replay_hits] /
-    [memo_replay_refuted] counter traffic of [cached_run].
+    some probe's threshold exceeds [rounds], which is where [run] would
+    refute. A frontier scan consumes only the verdict; this is one
+    threshold comparison per probe, counted by
+    [core.lb.memo_replay_hits] / [core.lb.memo_replay_refuted].
     @raise Invalid_argument if the cache's base algorithm is not
     greedy-by-colour or [rounds < 0]. *)
 val truncated_verdict : cache -> rounds:int -> [ `Certified | `Refuted ]

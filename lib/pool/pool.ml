@@ -1,8 +1,11 @@
-(* A minimal fork-join pool over OCaml 5 domains for the benchmark's
-   outer fan-out (per-Δ theorem rows, per-r frontier probes). Tasks are
-   pulled from a shared atomic index; results land in a slot per task,
-   so the output order is the submission order no matter which domain
-   ran what — callers see deterministic results. *)
+(* A minimal fork-join pool over OCaml 5 domains. Its callers are the
+   packed executor's two round phases (receive, refresh) in
+   [Engine.split], the per-Δ theorem rows of the bench harness and of
+   the benchmark's two-domain speedup probe, and [ld serve --preload]'s
+   per-Δ cache builds. Tasks are pulled from a
+   shared atomic index; results land in a slot per task, so the output
+   order is the submission order no matter which domain ran what —
+   callers see deterministic results. *)
 
 module Obs = Ld_obs.Obs
 

@@ -1,9 +1,10 @@
 (** Fork-join fan-out over OCaml 5 domains.
 
-    The lower-bound engine's outer loops — one theorem row per [Δ], one
-    frontier probe per truncation round [r] — are embarrassingly
-    parallel: the engine has no global mutable state and the arithmetic
-    layer is purely functional, so each task can run in its own domain.
+    One adversary construction per [Δ] (the bench harness's theorem
+    rows, [ld serve --preload]) and the chunks of a packed executor
+    phase ([Ld_runtime.Engine.split]) are embarrassingly parallel: the
+    engine has no global mutable state and the arithmetic layer is
+    purely functional, so each task can run in its own domain.
     This pool maps a function over a task list with a small crew of
     domains and joins the results {e in submission order}, so output is
     bit-for-bit identical to the sequential run. *)

@@ -9,9 +9,8 @@
      certificate file that frames one chain's records holds to the
      same;
    - replay: the certificates a cold or reloaded cache rebuilds from
-     its trail serialise to pinned bytes, its probe graphs are the
-     unfoldings and mixtures of those certificates, a warm frontier
-     scan rebuilds none, and two domains may force one cache at once;
+     its trail serialise to pinned bytes, a warm frontier scan rebuilds
+     none, and two domains may force one cache at once;
    - warm restart: a cache reloaded from the store re-serialises
      byte-for-byte like the cold one, and its analytic frontier
      verdicts agree at every truncation;
@@ -25,7 +24,6 @@ module Cache_store = Ld_core.Cache_store
 module LB = Ld_core.Lower_bound
 module Packing = Ld_matching.Packing
 module Ec = Ld_models.Ec
-module Lift = Ld_cover.Lift
 module Obs = Ld_obs.Obs
 
 (* Each test gets a fresh directory under the build sandbox. *)
@@ -172,25 +170,6 @@ let codec_truncation_fails =
       match Cache_store.entry_of_string (String.sub s 0 keep) with
       | _ -> false
       | exception Failure _ -> true)
-
-(* A level's certificate graphs are two of its probe graphs (the
-   unfolded side and the mixture); a decoded record replays them once
-   and hands back the very same values. *)
-let codec_shares_graphs () =
-  List.iter
-    (fun entry ->
-      let e = Cache_store.entry_of_string (Cache_store.entry_to_string entry) in
-      let c = e.Cache_store.entry_certificate in
-      let is_probe g =
-        List.exists
-          (fun (p : LB.probe) -> LB.force p.probe_graph == g)
-          e.Cache_store.entry_probes
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "level %d shares both graphs" e.Cache_store.entry_level)
-        true
-        (is_probe (LB.force c.g_graph) && is_probe (LB.force c.h_graph)))
-    (entries_of_cache (cold_cache 5))
 
 (* Any mutation of a valid record either fails with [Failure] or
    decodes to an entry that re-encodes to the mutated bytes exactly:
@@ -454,8 +433,8 @@ let warm_cache store delta =
 
 (* Δ = 2..8: the certificates a cold cache and a reloaded one replay
    print the bytes pinned when [LB.run] kept its graphs eagerly, both
-   write the pinned certificate file, and each level's probe graphs are
-   the unfoldings GG, HH of the level below and its mixture GH (H_i). *)
+   write the pinned certificate file, and each level holds its two (base
+   case) or three probes. *)
 let replay_matches_run () =
   List.iter
     (fun (delta, digest) ->
@@ -476,33 +455,12 @@ let replay_matches_run () =
             (Certificate_digests.file_md5 cache);
           Alcotest.(check bool) (what "views checked") true
             (List.for_all (fun (c : LB.certificate) -> c.views_checked) certs);
-          let expected_probes =
-            List.concat
-              (List.mapi
-                 (fun i (c : LB.certificate) ->
-                   if i = 0 then [ LB.force c.g_graph; LB.force c.h_graph ]
-                   else
-                     let below = List.nth certs (i - 1) in
-                     let unfold graph loop_id =
-                       (Lift.unfold_loop (LB.force graph) ~loop_id).Lift.total
-                     in
-                     [
-                       unfold below.g_graph below.g_loop;
-                       unfold below.h_graph below.h_loop;
-                       LB.force c.h_graph;
-                     ])
-                 certs)
-          in
-          let probes = LB.cache_probes cache in
-          Alcotest.(check int) (what "probes") (List.length expected_probes)
-            (List.length probes);
-          List.iter2
-            (fun g (p : LB.probe) ->
-              Alcotest.(check bool)
-                (what "level %d probe graph" p.probe_level)
-                true
-                (Ec.equal g (LB.force p.probe_graph)))
-            expected_probes probes)
+          Alcotest.(check (list int)) (what "probe levels")
+            (List.concat_map
+               (fun (c : LB.certificate) ->
+                 List.init (if c.level = 0 then 2 else 3) (Fun.const c.level))
+               certs)
+            (List.map (fun (p : LB.probe) -> p.probe_level) (LB.cache_probes cache)))
         [ ("cold", cold); ("warm", warm) ])
     Certificate_digests.greedy
 
@@ -601,8 +559,6 @@ let () =
             codec_reencode_is_identity;
           Alcotest.test_case "delta=8 records pinned" `Quick codec_pinned_delta8;
           QCheck_alcotest.to_alcotest codec_truncation_fails;
-          Alcotest.test_case "certificate graphs are shared" `Quick
-            codec_shares_graphs;
           QCheck_alcotest.to_alcotest codec_mutation_is_rejected_or_exact;
           Alcotest.test_case "hostile records fail cleanly" `Quick
             codec_hostile_records;
