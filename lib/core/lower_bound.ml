@@ -615,6 +615,10 @@ let certificate_in ch shapes i ~g_weight ~h_weight ~views_checked =
     views_checked;
   }
 
+(* Level [probe_level]'s probes, one per threshold, in check order. *)
+let probes_at probe_level thresholds =
+  List.map (fun prefix_round -> { probe_level; prefix_round }) thresholds
+
 let level_of_trail trail ~g_weight ~h_weight ~views_checked ~prefix_rounds =
   let shapes = shapes trail in
   let i = Array.length trail - 1 in
@@ -623,7 +627,7 @@ let level_of_trail trail ~g_weight ~h_weight ~views_checked ~prefix_rounds =
       (Printf.sprintf "Lower_bound.level_of_trail: %d thresholds at level %d"
          (List.length prefix_rounds) i);
   ( certificate_in (chain trail) shapes i ~g_weight ~h_weight ~views_checked,
-    List.map (fun prefix_round -> { probe_level = i; prefix_round }) prefix_rounds )
+    probes_at i prefix_rounds )
 
 (* Memoised frontier scans. Every level of the construction is
    determined by the algorithm's outputs on the probe graphs, so two
@@ -712,9 +716,6 @@ let build_cache ?(check_views = true) ~delta algo =
         certificate_in ch shapes i ~g_weight:l.g_weight ~h_weight:l.h_weight
           ~views_checked:l.checked)
       levels
-  in
-  let probes_at probe_level thresholds =
-    List.map (fun prefix_round -> { probe_level; prefix_round }) thresholds
   in
   let probes = List.concat (List.mapi (fun i l -> probes_at i l.thresholds) levels) in
   let outcome, failed =

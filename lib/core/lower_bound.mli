@@ -102,7 +102,7 @@ type outcome =
     replayed from it on first {!force}.
 
     Every level runs [a] on its three probes in the order GG, HH, GH,
-    and checks each output for feasibility as it comes. Every level also
+    and checks each output for feasibility as it comes. It also
     compares [a]'s output on each 2-lift with the pulled-back output on
     the graph below; a mismatch means [a] violates the EC model's
     condition (2) and raises [Failure].
@@ -131,8 +131,8 @@ val max_level : outcome -> int
     {!cache} stores one construction succinctly — the adversary's
     trail, one feasibility threshold per probe, and per level the two
     distinguished weights and the views flag — and the scans compare
-    against its thresholds instead ({!truncated_verdict}). Its graphs are rebuilt from the trail only when a consumer
-    forces one. *)
+    against its thresholds instead ({!truncated_verdict}). Its graphs
+    are rebuilt from the trail only when a consumer forces one. *)
 type cache
 
 (** [build_cache ~delta a] runs the full adversary against [a] once and
