@@ -141,6 +141,33 @@ let boundary_is_linear () =
 (* ---- memoised frontier scans ---- *)
 
 let cached_frontier_matches_full_runs () =
+  (* Δ = 2..6: for every truncation r, the max level read off the
+     cache's probe thresholds — one below the level of the first probe
+     the truncation fails, or the base's max level when it fails none —
+     is the max level of a fresh full adversary run. *)
+  List.iter
+    (fun delta ->
+      let cache = LB.build_cache ~delta Packing.greedy_algorithm in
+      for r = 0 to delta + 1 do
+        let cached =
+          match
+            List.find_opt
+              (fun (p : LB.probe) -> p.prefix_round > r)
+              (LB.cache_probes cache)
+          with
+          | Some p -> p.probe_level - 1
+          | None -> LB.max_level (LB.cache_outcome cache)
+        in
+        let full =
+          LB.run ~check_views:false ~delta (Packing.truncated `Greedy r)
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "delta=%d r=%d max level" delta r)
+          (LB.max_level full) cached
+      done)
+    [ 2; 3; 4; 5; 6 ]
+
+let analytic_replay_matches_cached_run () =
   (* Δ = 2..6: for every truncation r, the verdict truncated_verdict
      reads off the cached thresholds is the verdict of a fresh full
      adversary run against the truncation. *)
@@ -557,6 +584,8 @@ let () =
         [
           Alcotest.test_case "cached frontier = full runs" `Quick
             cached_frontier_matches_full_runs;
+          Alcotest.test_case "analytic replay = cached run" `Quick
+            analytic_replay_matches_cached_run;
           Alcotest.test_case "analytic replay validation" `Quick
             analytic_replay_validation;
           Alcotest.test_case "refuted base cache" `Quick refuted_base_cache;
