@@ -11,7 +11,6 @@ module Obs = Ld_obs.Obs
 module Json = Ld_obs.Json
 module Provenance = Ld_obs.Provenance
 module Trace = Ld_obs.Trace
-module Summary = Ld_obs.Summary
 module Theorem = Ld_core.Theorem
 module Sim = Ld_core.Simulate
 module Packing = Ld_matching.Packing
@@ -29,7 +28,6 @@ module Csr = Ld_graph.Csr
 module Gen = Ld_graph.Generators
 module Q = Ld_arith.Q
 module Colouring = Ld_models.Edge_colouring
-module Refinement = Ld_cover.Refinement
 
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
@@ -56,17 +54,23 @@ let section_log : section_stats list ref = ref []
 
 let now_ms = Obs.now_ms
 
-let timed name f =
+(* [f ()] with its wall time and the counter increments it made. Only
+   exact when nothing else runs meanwhile: the counters are global. *)
+let metered f =
   let before = Obs.Counter.snapshot_all () in
-  Ld_obs.Hist.reset_all ();
   let t0 = now_ms () in
-  let v = Obs.with_span ("bench.section." ^ name) f in
+  let v = f () in
   let wall = now_ms () -. t0 in
+  (v, wall, Obs.Counter.diff before (Obs.Counter.snapshot_all ()))
+
+let timed name f =
+  Ld_obs.Hist.reset_all ();
+  let v, wall, counters = metered (fun () -> Obs.with_span ("bench.section." ^ name) f) in
   section_log :=
     {
       s_name = name;
       s_wall_ms = wall;
-      s_counters = Obs.Counter.diff before (Obs.Counter.snapshot_all ());
+      s_counters = counters;
       s_latency = Ld_obs.Hist.snapshots ();
     }
     :: !section_log;
@@ -77,11 +81,11 @@ let timed name f =
    levels 0..Δ-2 against the real O(Δ) algorithm, while r-round
    truncations are refuted — max certified level = min(r-2, Δ-2).
 
-   Each Δ is one independent task for the domain pool: build the memo
-   cache (one full adversary run against the greedy), then replay the
-   cached construction against every truncation instead of rebuilding
-   Θ(Δ) constructions per scan. Results join in submission order, so
-   the printed table is identical to the sequential one. *)
+   The rows run one Δ after another on the calling domain, so a row's
+   wall time and counters are its own: build the memo cache (one full
+   adversary run against the greedy), then replay the cached
+   construction against every truncation instead of rebuilding Θ(Δ)
+   constructions per scan. *)
 
 type thm1_row = {
   t_delta : int;
@@ -100,25 +104,21 @@ type thm1_row = {
    all of them poisons every later section with major-GC pressure. *)
 let keep_cache delta = (delta >= 3 && delta <= 7) || delta = 12
 
-let thm1_task ~store delta =
-  let t0 = now_ms () in
-  (* Refinement stats are kept per domain, so this delta between
-     snapshots meters exactly this task's view checks even when several
-     rows run on different pool domains at once. *)
-  let r0 = Refinement.Stats.current () in
-  (* With --store, a populated store turns this into pure I/O: the
-     construction is reassembled from its per-level records and no
-     adversary runs (store.hits counts the records read). *)
-  let cache = Ld_core.Cache_store.build_cache ?store ~delta Packing.greedy_algorithm in
-  let levels =
-    match LB.cache_outcome cache with
-    | LB.Certified certs -> List.length certs
-    | LB.Refuted _ -> -1
-  in
-  (* smallest truncation that survives the adversary; the verdict is
-     analytic (colour-prefix thresholds) — no probe is re-run and no
-     failure witness is materialised *)
-  let frontier =
+let thm1_row ~store delta =
+  let (cache, levels, frontier), wall, counters =
+    metered @@ fun () ->
+    (* With --store, a populated store turns this into pure I/O: the
+       construction is reassembled from its per-level records and no
+       adversary runs (store.hits counts the records read). *)
+    let cache = Ld_core.Cache_store.build_cache ?store ~delta Packing.greedy_algorithm in
+    let levels =
+      match LB.cache_outcome cache with
+      | LB.Certified certs -> List.length certs
+      | LB.Refuted _ -> -1
+    in
+    (* smallest truncation that survives the adversary; the verdict is
+       analytic (colour-prefix thresholds) — no probe is re-run and no
+       failure witness is materialised *)
     let rec scan r =
       if r > (2 * delta) + 2 then -1
       else
@@ -126,16 +126,17 @@ let thm1_task ~store delta =
         | `Certified -> r
         | `Refuted -> scan (r + 1)
     in
-    scan 0
+    (cache, levels, scan 0)
   in
-  let rs = Refinement.Stats.since r0 in
+  let count name = Option.value ~default:0 (List.assoc_opt name counters) in
   {
     t_delta = delta;
     t_levels = levels;
     t_frontier = frontier;
-    t_wall_ms = now_ms () -. t0;
-    t_refine_rounds = rs.Refinement.Stats.rounds;
-    t_descriptors = rs.Refinement.Stats.descriptors;
+    t_wall_ms = wall;
+    t_refine_rounds = count "cover.refine.rounds";
+    t_descriptors =
+      count "cover.refine.intern_hits" + count "cover.refine.intern_misses";
     t_cache = (if keep_cache delta then Some cache else None);
   }
 
@@ -143,7 +144,7 @@ let thm1 ~store ~deltas ~mm_deltas () =
   section "THM1  lower bound vs upper bound (Theorem 1)";
   row "  %-6s %-18s %-22s %-16s\n" "delta" "certified levels" "greedy rounds (upper)"
     "frontier r*";
-  let rows = Pool.map (thm1_task ~store) deltas in
+  let rows = List.map (thm1_row ~store) deltas in
   List.iter
     (fun r ->
       (* upper bound: communication rounds of the greedy on its own
@@ -155,7 +156,7 @@ let thm1 ~store ~deltas ~mm_deltas () =
   row "  both sides linear in delta — the o(delta) regime is empty.\n";
   row "\n  the same adversary vs the greedy MAXIMAL MATCHING (cf. [13]):\n";
   let mm_outcomes =
-    Pool.map (fun delta -> (delta, LB.run ~delta (Mm_ec.as_packing_algorithm ()))) mm_deltas
+    List.map (fun delta -> (delta, LB.run ~delta (Mm_ec.as_packing_algorithm ()))) mm_deltas
   in
   List.iter
     (fun (delta, outcome) ->
@@ -204,7 +205,7 @@ let upper ?(deltas = [ 4; 8; 16; 32 ]) () =
 (* COST: adversary instance growth per level (the 2^i unfolding). *)
 
 (* The construction for [cost_delta] was already built (and memoised)
-   by the THM1 fan-out; reuse its outcome instead of a fresh run. *)
+   by its THM1 row; reuse its outcome instead of a fresh run. *)
 let cost ~rows ~cost_delta () =
   section (Printf.sprintf "COST  adversary construction growth (delta = %d)" cost_delta);
   let outcome =
@@ -528,19 +529,13 @@ let emit_json ~path ~rows ~timings =
          ("bench", Json.Str "linear-delta-local THM1 frontier");
          (* Provenance (HEAD + dirty flag) comes from the shared probe so
             this artefact and BENCH_RUNTIME.json stay schema-identical;
-            [domains] is the crew [Pool.map] really ran with (LD_DOMAINS
-            and the task-count clamp applied), not the unclamped
-            recommendation. *)
+            [domains] is the count the packed executor's rounds
+            ([Engine.split]) run at. The THM1 rows run on one domain. *)
          ( "meta",
            Json.Obj
              (Provenance.json_meta_fields (Provenance.capture ())
-             @ [ ("domains", Json.int (Pool.max_workers_used ())) ]) );
+             @ [ ("domains", Json.int (Pool.default_domains ())) ]) );
          ("rows", Json.Arr (List.map row rows));
-         ( "sections_ms",
-           Json.Obj
-             (List.map
-                (fun (name, ms) -> (name, Json.Num ms))
-                (Summary.section_ms ~prefix:"bench.section.")) );
          (* Cumulative over the whole run — CI's jq perf guards key on
             these, so they are never reset between sections. *)
          ("metrics", ints (Obs.counters ()));
@@ -604,7 +599,9 @@ let () =
     | Some dir -> Some (Ld_store.Store.open_store ~dir ())
   in
   (* LD_OBS=off leaves the sink disabled end to end: the instrumentation
-     overhead check diffs a --quick wall clock with and without it. *)
+     overhead check diffs a --quick wall clock with and without it. The
+     counters then stay at 0, and so do the rows' refine_rounds and
+     descriptors. *)
   (match Sys.getenv_opt "LD_OBS" with
   | Some "off" -> ()
   | _ -> Obs.enable ());
@@ -614,7 +611,7 @@ let () =
      the LOCAL Model (PODC 2014)\n";
   let rows, timings =
     if quick then begin
-      (* Smoke pass for CI: the THM1 fan-out (pool + memo cache), the
+      (* Smoke pass for CI: the THM1 rows (memo cache), the
          UPPER path (greedy + proposal through the active-set runtime)
          and the COST table on small deltas; no Bechamel. *)
       let deltas =

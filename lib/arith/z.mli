@@ -13,7 +13,6 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 (** [of_int n] converts an OCaml native integer exactly. *)
 val of_int : int -> t

@@ -16,39 +16,6 @@ let c_intern_misses = Obs.Counter.make "cover.refine.intern_misses"
 let c_blocks_split = Obs.Counter.make "cover.refine.blocks_split"
 let h_round = Ld_obs.Hist.make "cover.refine.round"
 
-(* Per-domain running totals, so a pool task (which runs entirely on one
-   domain) can difference them around a row of work without racing the
-   global atomics against sibling domains. *)
-type domain_stats = {
-  mutable s_rounds : int;
-  mutable s_descriptors : int;
-  mutable s_blocks_split : int;
-}
-
-let stats_key =
-  Domain.DLS.new_key (fun () ->
-      { s_rounds = 0; s_descriptors = 0; s_blocks_split = 0 })
-
-module Stats = struct
-  type t = { rounds : int; descriptors : int; blocks_split : int }
-
-  let current () =
-    let s = Domain.DLS.get stats_key in
-    {
-      rounds = s.s_rounds;
-      descriptors = s.s_descriptors;
-      blocks_split = s.s_blocks_split;
-    }
-
-  let since t0 =
-    let t1 = current () in
-    {
-      rounds = t1.rounds - t0.rounds;
-      descriptors = t1.descriptors - t0.descriptors;
-      blocks_split = t1.blocks_split - t0.blocks_split;
-    }
-end
-
 (* ------------------------------------------------------------------ *)
 (* Round-synchronous Paige–Tarjan partition refinement.
 
@@ -443,11 +410,7 @@ let engine_round_body eng r =
   Obs.Counter.incr c_rounds;
   Obs.Counter.add c_intern_hits !hits;
   Obs.Counter.add c_intern_misses (!ndesc - !hits);
-  Obs.Counter.add c_blocks_split !nsplit;
-  let ds = Domain.DLS.get stats_key in
-  ds.s_rounds <- ds.s_rounds + 1;
-  ds.s_descriptors <- ds.s_descriptors + !ndesc;
-  ds.s_blocks_split <- ds.s_blocks_split + !nsplit
+  Obs.Counter.add c_blocks_split !nsplit
 
 (* Per-round latency feeds the "cover.refine.round" histogram; with the
    sink off [Hist.timed] is a direct call, so the refinement loop pays

@@ -18,22 +18,6 @@
     {!equivalent_radius}). *)
 type history = int array array
 
-(** Per-domain tallies of refinement work, for benchmark rows that need
-    the cost of {e their own} task rather than the process-wide atomic
-    counters (which mix all pool domains together). Totals accumulate
-    per domain; difference two {!Stats.current} snapshots around a task
-    to meter it. *)
-module Stats : sig
-  type t = { rounds : int; descriptors : int; blocks_split : int }
-
-  (** Running totals of the calling domain. *)
-  val current : unit -> t
-
-  (** [since t0] is the work done on this domain since the [t0]
-      snapshot. *)
-  val since : t -> t
-end
-
 (** [refine_ec g ~rounds] runs refinement on an EC multigraph.
 
     The default implementation is round-synchronous Paige–Tarjan
@@ -60,8 +44,10 @@ val refine_po : Ld_models.Po.t -> rounds:int -> history
 
 (** [equivalent_radius g u h v ~radius] decides
     [τ_radius(UG, u) ≅ τ_radius(UH, v)] for EC graphs ([true] for
-    [radius <= 0]). It refines the disjoint union of [g] and [h] read
-    in place from their two dart tables; the union is never copied.
+    [radius <= 0]). It refines the disjoint union of [g] and [h]
+    without building the union graph: each query makes one
+    concatenated copy of the two edge dart tables, and reads the loops
+    in place.
     @raise Invalid_argument unless [0 <= u < Ec.n g] and
     [0 <= v < Ec.n h]. *)
 val equivalent_radius :

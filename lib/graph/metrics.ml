@@ -50,9 +50,5 @@ let girth g =
   done;
   if !best = max_int then None else Some !best
 
-let average_degree g =
-  if Graph.n g = 0 then 0.0
-  else 2.0 *. float_of_int (Graph.m g) /. float_of_int (Graph.n g)
-
 let degree_sequence g =
   List.sort Int.compare (List.init (Graph.n g) (Graph.degree g))

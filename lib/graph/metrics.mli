@@ -22,8 +22,5 @@ val radius : Graph.t -> int
 (** Length of a shortest cycle; [None] for forests. *)
 val girth : Graph.t -> int option
 
-(** Average degree as a rational [(2m, n)] pair reduced to a float. *)
-val average_degree : Graph.t -> float
-
 (** Sorted degree multiset. *)
 val degree_sequence : Graph.t -> int list

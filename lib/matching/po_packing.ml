@@ -19,9 +19,3 @@ type algorithm = { name : string; run : Po.t -> Po_fm.t }
 
 let proposal_algorithm =
   { name = "po-proposal"; run = (fun g -> fst (proposal g)) }
-
-let truncated_proposal r =
-  {
-    name = Printf.sprintf "po-proposal[%d rounds]" r;
-    run = (fun g -> fst (proposal ~truncate:r g));
-  }

@@ -16,4 +16,3 @@ val proposal : ?truncate:int -> Ld_models.Po.t -> Ld_fm.Po_fm.t * int
 type algorithm = { name : string; run : Ld_models.Po.t -> Ld_fm.Po_fm.t }
 
 val proposal_algorithm : algorithm
-val truncated_proposal : int -> algorithm

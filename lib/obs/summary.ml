@@ -88,14 +88,3 @@ let json () =
     | None -> [])
 
 let to_json () = Json.render (json ())
-
-let section_ms ~prefix =
-  List.filter_map
-    (fun (name, (_, total, _)) ->
-      if String.starts_with ~prefix name then
-        Some
-          ( String.sub name (String.length prefix)
-              (String.length name - String.length prefix),
-            total )
-      else None)
-    (Obs.span_totals ())

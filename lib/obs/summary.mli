@@ -11,8 +11,3 @@ val json : unit -> Json.value
 
 val to_json : unit -> string
 (** {!json}, rendered. *)
-
-val section_ms : prefix:string -> (string * float) list
-(** Total wall-clock per span whose name starts with [prefix], prefix
-    stripped, in execution order — the bench uses this to fold section
-    timings into its JSON artefact from the same clock as the trace. *)

@@ -1,11 +1,10 @@
 (* A minimal fork-join pool over OCaml 5 domains. Its callers are the
    packed executor's two round phases (receive, refresh) in
-   [Engine.split], the per-Δ theorem rows of the bench harness and of
-   the benchmark's two-domain speedup probe, and [ld serve --preload]'s
-   per-Δ cache builds. Tasks are pulled from a
-   shared atomic index; results land in a slot per task, so the output
-   order is the submission order no matter which domain ran what —
-   callers see deterministic results. *)
+   [Engine.split], the per-Δ theorem rows of the benchmark's two-domain
+   speedup probe, and [ld serve --preload]'s per-Δ cache builds. Tasks
+   are pulled from a shared atomic index; results land in a slot per
+   task, so the output order is the submission order no matter which
+   domain ran what — callers see deterministic results. *)
 
 module Obs = Ld_obs.Obs
 
@@ -47,19 +46,6 @@ let default_domains () =
     d
   | d -> d
 
-(* Largest worker crew any [map] of this process actually ran with —
-   what "domains" in emitted metadata should say, as opposed to the
-   [default_domains] recommendation (a map never uses more workers than
-   it has tasks). *)
-let effective_workers = Atomic.make 1
-
-let rec record_workers w =
-  let seen = Atomic.get effective_workers in
-  if w > seen && not (Atomic.compare_and_set effective_workers seen w) then
-    record_workers w
-
-let max_workers_used () = Atomic.get effective_workers
-
 (* [timed_span] emits the same "core.pool.task" span events as the
    [with_span] it replaces, and additionally feeds the task's wall time
    into the latency histogram of the same name. *)
@@ -75,7 +61,6 @@ let map ?domains f items =
   let workers = Stdlib.min requested n in
   Obs.Counter.incr c_maps;
   Obs.Counter.add c_tasks n;
-  if n > 0 then record_workers workers;
   if workers <= 1 then List.map (run_task f) items
   else
     Obs.with_span

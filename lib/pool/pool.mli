@@ -1,10 +1,10 @@
 (** Fork-join fan-out over OCaml 5 domains.
 
-    One adversary construction per [Δ] (the bench harness's theorem
-    rows, [ld serve --preload]) and the chunks of a packed executor
-    phase ([Ld_runtime.Engine.split]) are embarrassingly parallel: the
-    engine has no global mutable state and the arithmetic layer is
-    purely functional, so each task can run in its own domain.
+    One adversary construction per [Δ] ([ld serve --preload], the
+    benchmark's two-domain speedup probe) and the chunks of a packed
+    executor phase ([Ld_runtime.Engine.split]) are embarrassingly
+    parallel: the engine has no global mutable state and the arithmetic
+    layer is purely functional, so each task can run in its own domain.
     This pool maps a function over a task list with a small crew of
     domains and joins the results {e in submission order}, so output is
     bit-for-bit identical to the sequential run. *)
@@ -33,12 +33,6 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     or the hardware default) — exposed so callers can report it. Parsed
     on the first call and cached; safe to call from any domain. *)
 val default_domains : unit -> int
-
-(** Largest worker crew any {!map} of this process has actually run with
-    ([1] if none ran yet) — unlike {!default_domains} this reflects the
-    task-count clamp, so metadata emitted from it describes the fan-out
-    that really happened. *)
-val max_workers_used : unit -> int
 
 (** [mapi] is {!map} with the task's submission index. *)
 val mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
