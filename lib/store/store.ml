@@ -1,6 +1,6 @@
 (* Content-addressed persistent record store — see store.mli for the
    layout and guarantees. No dependencies beyond the stdlib Digest
-   (MD5) and Unix (pid for staging names, rename).
+   (MD5) and Unix (descriptor I/O, staging names, rename).
 
    Record frame:
      bytes 0..3    magic "LDS1"
@@ -52,11 +52,30 @@ let rec mkdir_p path =
         failwith ("Store: cannot create directory " ^ path)
   end
 
+(* A staging file older than this was left by a put that died between
+   staging and rename; a live put holds its file for microseconds. *)
+let stale_staging_s = 3600.
+
+let remove_stale_staging tmp =
+  (* ld-lint: allow nondet-source — file age is wall-clock time; it picks only which dead staging files go *)
+  let cutoff = Unix.gettimeofday () -. stale_staging_s in
+  Array.iter
+    (fun name ->
+      let path = Filename.concat tmp name in
+      match Unix.lstat path with
+      | { st_kind = S_REG; st_mtime; _ } when st_mtime < cutoff -> (
+        (* another process may sweep the same file first *)
+        try Unix.unlink path with Unix.Unix_error (ENOENT, _, _) -> ())
+      | _ | (exception Unix.Unix_error (ENOENT, _, _)) -> ())
+    (Sys.readdir tmp)
+
 let open_store ?dir () =
   let root = match dir with Some d -> d | None -> default_dir () in
   mkdir_p root;
   mkdir_p (Filename.concat root "objects");
-  mkdir_p (Filename.concat root "tmp");
+  let tmp = Filename.concat root "tmp" in
+  mkdir_p tmp;
+  remove_stale_staging tmp;
   { root }
 
 let digest_hex key = Digest.to_hex (Digest.string key)
@@ -68,18 +87,34 @@ let object_path t digest =
 
 let index_path t = Filename.concat t.root "index"
 
+let corrupt path what =
+  Obs.Counter.incr c_corrupt;
+  raise (Store_corrupt (Printf.sprintf "%s: %s" path what))
+
+(* The whole file at [path], [None] if there is none: one open, one
+   fstat to size the buffer, reads straight into it, one close. A path
+   that is not a regular file is corrupt; [O_NONBLOCK] keeps a FIFO
+   planted there from blocking the open. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match Unix.openfile path [ O_RDONLY; O_NONBLOCK; O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error ((ENOENT | ENOTDIR), _, _) -> None
+  | fd ->
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let st = Unix.fstat fd in
+    if st.st_kind <> S_REG then corrupt path "not a regular file";
+    let buf = Bytes.create st.st_size in
+    let rec fill off =
+      if off < st.st_size then
+        match Unix.read fd buf off (st.st_size - off) with
+        | 0 -> corrupt path "file shrank while it was read"
+        | n -> fill (off + n)
+    in
+    fill 0;
+    Some (Bytes.unsafe_to_string buf)
 
 (* Validate a raw record file image; the payload on success. *)
 let validate ~path raw =
-  let fail what =
-    Obs.Counter.incr c_corrupt;
-    raise (Store_corrupt (Printf.sprintf "%s: %s" path what))
-  in
+  let fail = corrupt path in
   if String.length raw < payload_offset then fail "record shorter than header";
   if String.sub raw 0 4 <> magic then fail "bad magic";
   let len = Int64.to_int (String.get_int64_le raw 4) in
@@ -95,34 +130,43 @@ let validate ~path raw =
 
 let get t ~key =
   let path = object_path t (digest_hex key) in
-  if not (Sys.file_exists path) then begin
+  match read_file path with
+  | None ->
     Obs.Counter.incr c_misses;
     None
-  end
-  else begin
-    let raw = read_file path in
+  | Some raw ->
     let payload = validate ~path raw in
     Obs.Counter.incr c_hits;
     Obs.Counter.add c_bytes_read (String.length raw);
     Some payload
-  end
 
 let mem t ~key = Sys.file_exists (object_path t (digest_hex key))
 
-let delete t ~key =
-  let path = object_path t (digest_hex key) in
-  if Sys.file_exists path then Sys.remove path
+(* lstat, so a symlink planted at a record path goes, not its target *)
+let rec remove_path path =
+  match (Unix.lstat path).st_kind with
+  | exception Unix.Unix_error ((ENOENT | ENOTDIR), _, _) -> ()
+  | S_DIR ->
+    Array.iter (fun e -> remove_path (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> ( try Unix.unlink path with Unix.Unix_error (ENOENT, _, _) -> ())
+
+let delete t ~key = remove_path (object_path t (digest_hex key))
+
+let write_file path ~flags s =
+  let fd = Unix.openfile path (O_WRONLY :: O_CLOEXEC :: flags) 0o644 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      (* [Unix.write_substring] loops until every byte is written *)
+      ignore (Unix.write_substring fd s 0 (String.length s) : int))
 
 let append_index t ~digest ~size ~key =
   (* One short O_APPEND write per put; the index is advisory. Keys are
      single-line by construction (Cache_store builds them); a newline
      smuggled into a key would only garble the advisory index. *)
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (index_path t)
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Printf.fprintf oc "%s %d %s\n" digest size key)
+  write_file (index_path t) ~flags:[ O_APPEND; O_CREAT ]
+    (Printf.sprintf "%s %d %s\n" digest size key)
 
 let frame payload =
   let buf = Buffer.create (payload_offset + String.length payload) in
@@ -136,34 +180,38 @@ let put t ~key payload =
   let digest = digest_hex key in
   let path = object_path t digest in
   let already_valid =
-    Sys.file_exists path
-    &&
-    match validate ~path (read_file path) with
-    | stored ->
-      (* Content addressing: an existing valid record for this key is
-         necessarily the same bytes; re-writing it would be pure churn.
-         A payload that differs anyway means the caller broke the
-         content-addressing contract — refuse to paper over it. *)
-      if not (String.equal stored payload) then
-        raise
-          (Store_corrupt
-             (path ^ ": existing valid record differs from re-put payload \
-                      (key is not content-addressed)"));
-      true
-    | exception Store_corrupt _ -> false
+    (* a path that is not a regular file raises here: no rename can
+       replace it *)
+    match read_file path with
+    | None -> false
+    | Some raw -> (
+      match validate ~path raw with
+      | stored ->
+        (* Content addressing: an existing valid record for this key is
+           necessarily the same bytes; re-writing it would be pure churn.
+           A payload that differs anyway means the caller broke the
+           content-addressing contract — refuse to paper over it. *)
+        if not (String.equal stored payload) then
+          raise
+            (Store_corrupt
+               (path ^ ": existing valid record differs from re-put payload \
+                        (key is not content-addressed)"));
+        true
+      | exception Store_corrupt _ -> false)
   in
   if not already_valid then begin
     mkdir_p (Filename.dirname path);
     let staged =
       Filename.concat
         (Filename.concat t.root "tmp")
-        (Printf.sprintf "%s.%d.%Ld" digest (Unix.getpid ()) (Obs.now_ns ()))
+        (* pid + domain + ns: unique across processes and across the
+           domains of one, so [O_EXCL] never meets another putter *)
+        (Printf.sprintf "%s.%d.%d.%Ld" digest (Unix.getpid ())
+           (Domain.self () :> int)
+           (Obs.now_ns ()))
     in
     let raw = frame payload in
-    let oc = open_out_bin staged in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc raw);
+    write_file staged ~flags:[ O_CREAT; O_EXCL ] raw;
     (* Atomic publish: readers see either no record or a whole record,
        and concurrent putters of the same key rename byte-identical
        files over each other — exactly one valid record remains. *)
@@ -174,9 +222,9 @@ let put t ~key payload =
   end
 
 let entries t =
-  if not (Sys.file_exists (index_path t)) then []
-  else begin
-    let text = read_file (index_path t) in
+  match read_file (index_path t) with
+  | None -> []
+  | Some text ->
     let seen = Hashtbl.create 16 in
     List.filter_map
       (fun line ->
@@ -196,4 +244,3 @@ let entries t =
               Some (digest, size, key)
             | _ -> None)))
       (String.split_on_char '\n' text)
-  end

@@ -13,9 +13,20 @@
       [Unix.rename]s it into place — a crashed or racing writer can
       never leave a half-record visible under the final name; the last
       rename wins and all candidates are byte-identical by construction.
+      Staging names carry the pid, the domain and a monotonic-ns stamp,
+      so no two putters share one; {!open_store} deletes staging files
+      over an hour old, which only a put killed before its rename
+      leaves.
+    - {b Descriptor I/O.} A read is one [Unix.openfile], one [fstat]
+      that sizes the buffer, [Unix.read]s into it and one close; a
+      missing file ([ENOENT]) is a miss. There is no existence stat
+      before the open and no channel buffer. A write (the staged record,
+      the index line) is one [Unix.openfile], one [Unix.write] loop and
+      one close.
     - {b Corruption detection.} Every record is framed: a 4-byte magic,
       the payload length and the payload's MD5 precede the payload. A
-      short file, a bad magic, a length mismatch or a checksum mismatch
+      short file, a bad magic, a length mismatch, a checksum mismatch or
+      a record path that is not a regular file (a directory, a FIFO)
       surfaces as {!Store_corrupt} — never a crash, and never silently
       treated as a hit {e or} a miss.
     - {b Flat layout.} The payload starts at the fixed offset
@@ -33,7 +44,8 @@
 type t
 
 (** A record failed validation: short file, bad magic, length or
-    checksum mismatch. The string names the offending path and check. *)
+    checksum mismatch, or a path that is not a regular file. The string
+    names the offending path and check. *)
 exception Store_corrupt of string
 
 (** Byte offset at which every record's payload starts. *)
@@ -44,8 +56,9 @@ val payload_offset : int
 val default_dir : unit -> string
 
 (** [open_store ?dir ()] creates the layout under the root (default
-    {!default_dir}) if needed and returns a handle. Safe to call from
-    several processes at once. *)
+    {!default_dir}) if needed, deletes [tmp/] staging files whose mtime
+    is over an hour old, and returns a handle. Safe to call from several
+    processes at once. *)
 val open_store : ?dir:string -> unit -> t
 
 val dir : t -> string
@@ -56,7 +69,10 @@ val digest_hex : string -> string
 (** [put t ~key payload] writes the record atomically (stage + rename)
     and appends an index line. Re-putting an existing key is a cheap
     no-op when the stored record already validates — content
-    addressing makes overwriting pointless. *)
+    addressing makes overwriting pointless; an existing record that
+    fails validation is replaced.
+    @raise Store_corrupt if the record path is not a regular file, or
+    if a valid record there holds another payload. *)
 val put : t -> key:string -> string -> unit
 
 (** [get t ~key] is the stored payload, [None] on a miss.
@@ -66,7 +82,8 @@ val get : t -> key:string -> string option
 (** [mem t ~key] — a record file exists (it is {e not} validated). *)
 val mem : t -> key:string -> bool
 
-(** [delete t ~key] removes the record if present. The index keeps its
+(** [delete t ~key] removes whatever is at the record path (a file, or
+    a directory and its contents), if anything. The index keeps its
     historical line (it is advisory). *)
 val delete : t -> key:string -> unit
 

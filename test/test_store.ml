@@ -117,6 +117,71 @@ let truncation_is_corrupt () =
       | exception Store.Store_corrupt _ -> ())
     [ 0; 3; Store.payload_offset - 1; Store.payload_offset + 4 ]
 
+(* The read path sizes its buffer from the file, so bytes past the
+   frame are read in full and the length check must catch them. *)
+let appended_bytes_are_corrupt () =
+  with_store @@ fun store ->
+  let payload = "a valid record" in
+  Store.put store ~key:"k" payload;
+  let path = record_path store ~key:"k" in
+  write_file path (read_file path ^ "tail");
+  Alcotest.check_raises "appended bytes"
+    (Store.Store_corrupt
+       (Printf.sprintf "%s: length mismatch (header says %d, file carries %d)"
+          path (String.length payload) (String.length payload + 4)))
+    (fun () -> ignore (Store.get store ~key:"k" : string option))
+
+let counter name = Obs.Counter.value (Obs.Counter.make name)
+
+(* A directory or a FIFO at a record path is a corrupt record: [get]
+   and [put] raise [Store_corrupt] (counted), never [Sys_error], and a
+   FIFO does not block the read. *)
+let non_regular_record_is_corrupt () =
+  with_store @@ fun store ->
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let plant key make =
+    let path = record_path store ~key in
+    Unix.mkdir (Filename.dirname path) 0o755;
+    make path
+  in
+  plant "dir" (fun path -> Unix.mkdir path 0o755);
+  plant "fifo" (fun path -> Unix.mkfifo path 0o644);
+  List.iter
+    (fun key ->
+      let is_corrupt what f =
+        match f () with
+        | () -> Alcotest.failf "%s %s: accepted" what key
+        | exception Store.Store_corrupt _ -> ()
+      in
+      is_corrupt "get" (fun () -> ignore (Store.get store ~key : string option));
+      is_corrupt "put" (fun () -> Store.put store ~key "payload"))
+    [ "dir"; "fifo" ];
+  Alcotest.(check int) "store.corrupt" 4 (counter "store.corrupt");
+  (* [delete] clears either, and the key takes a record again *)
+  List.iter
+    (fun key ->
+      Store.delete store ~key;
+      Store.put store ~key "payload";
+      Alcotest.(check (option string)) key (Some "payload") (Store.get store ~key))
+    [ "dir"; "fifo" ]
+
+(* A put killed between staging and rename leaves a file in [tmp/];
+   opening the store removes one over an hour old and keeps a fresh one
+   (a live put's). *)
+let stale_staging_is_removed () =
+  with_store @@ fun store ->
+  let tmp = Filename.concat (Store.dir store) "tmp" in
+  let stale = Filename.concat tmp "stale" and fresh = Filename.concat tmp "fresh" in
+  write_file stale "half a record";
+  write_file fresh "half a record";
+  let two_hours_ago = (Unix.stat fresh).st_mtime -. 7200. in
+  Unix.utimes stale two_hours_ago two_hours_ago;
+  let (_ : Store.t) = Store.open_store ~dir:(Store.dir store) () in
+  Alcotest.(check bool) "stale staging file removed" false (Sys.file_exists stale);
+  Alcotest.(check bool) "fresh staging file kept" true (Sys.file_exists fresh)
+
 (* ------------------------------------------------------------------ *)
 (* Entry codec. *)
 
@@ -413,6 +478,64 @@ let build_cache_self_heals () =
   | Some _ -> ()
   | None -> Alcotest.fail "store not repopulated after self-heal"
 
+(* A directory where a level record belongs is a corrupt record too:
+   the self-heal deletes it, rebuilds cold and republishes the level. *)
+let build_cache_heals_directory_record () =
+  with_store @@ fun store ->
+  let delta = 4 in
+  let cold = cold_cache delta in
+  Alcotest.(check bool) "saved" true (Cache_store.save_cache store cold);
+  let key =
+    Cache_store.key ~delta ~level:1
+      ~algo:Packing.greedy_algorithm.Packing.name ~check_views:true
+  in
+  let path = record_path store ~key in
+  Sys.remove path;
+  Unix.mkdir path 0o755;
+  let healed = Cache_store.build_cache ~store ~delta Packing.greedy_algorithm in
+  Alcotest.(check string) "certified chain" (Cache_store.chain_to_string cold)
+    (Cache_store.chain_to_string healed);
+  Alcotest.(check (option string))
+    "level record republished"
+    (Some (Cache_store.entry_to_string (List.nth (entries_of_cache cold) 1)))
+    (Store.get store ~key)
+
+(* What CI's warm-restart guard reads: a warm Δ=5 build hits each of
+   its four level records once and reads exactly their files. *)
+let warm_build_counters () =
+  with_store @@ fun store ->
+  let delta = 5 in
+  Alcotest.(check bool) "saved" true (Cache_store.save_cache store (cold_cache delta));
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  ignore (Cache_store.build_cache ~store ~delta Packing.greedy_algorithm : LB.cache);
+  Alcotest.(check int) "store.hits" (delta - 1) (counter "store.hits");
+  Alcotest.(check int) "store.misses" 0 (counter "store.misses");
+  Alcotest.(check int) "store.corrupt" 0 (counter "store.corrupt");
+  let record_bytes =
+    List.init (delta - 1) (fun level ->
+        let key =
+          Cache_store.key ~delta ~level
+            ~algo:Packing.greedy_algorithm.Packing.name ~check_views:true
+        in
+        (Unix.stat (record_path store ~key)).st_size)
+  in
+  Alcotest.(check int) "store.bytes_read"
+    (List.fold_left ( + ) 0 record_bytes)
+    (counter "store.bytes_read");
+  (* a key whose shard directory does not exist: one miss, nothing made *)
+  let objects = Filename.concat (Store.dir store) "objects" in
+  let shards = Sys.readdir objects in
+  let rec absent i =
+    let key = Printf.sprintf "absent-%d" i in
+    if Array.mem (String.sub (Store.digest_hex key) 0 2) shards then absent (i + 1)
+    else key
+  in
+  Alcotest.(check (option string)) "miss" None (Store.get store ~key:(absent 0));
+  Alcotest.(check int) "store.misses" 1 (counter "store.misses");
+  Alcotest.(check (array string)) "no shard created" shards (Sys.readdir objects)
+
 (* ------------------------------------------------------------------ *)
 (* Replay: a cache's graphs are rebuilt from its trail on demand. *)
 
@@ -552,6 +675,12 @@ let () =
           QCheck_alcotest.to_alcotest corruption_single_byte_flip;
           Alcotest.test_case "truncated records are corrupt" `Quick
             truncation_is_corrupt;
+          Alcotest.test_case "appended bytes are corrupt" `Quick
+            appended_bytes_are_corrupt;
+          Alcotest.test_case "a non-regular record path is corrupt" `Quick
+            non_regular_record_is_corrupt;
+          Alcotest.test_case "open_store removes stale staging files" `Quick
+            stale_staging_is_removed;
         ] );
       ( "codec",
         [
@@ -572,6 +701,9 @@ let () =
             warm_equals_cold_verdicts;
           Alcotest.test_case "build_cache self-heals corruption" `Quick
             build_cache_self_heals;
+          Alcotest.test_case "build_cache heals a directory record" `Quick
+            build_cache_heals_directory_record;
+          Alcotest.test_case "warm build counters" `Quick warm_build_counters;
         ] );
       ( "replay",
         [
